@@ -210,12 +210,9 @@ impl CompiledTemplate {
     /// # Errors
     ///
     /// [`PimError::TemplateArity`] if `rows` is shorter than the role
-    /// table.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs`/`outputs`/`spills` do not match the kernel's
-    /// input/output/spill role counts.
+    /// table, or if `inputs`, `outputs` or `spills` does not match the
+    /// kernel's input, output or spill role count (`expected` is the
+    /// class's role count, `provided` the rows supplied for it).
     pub fn bind_roles_into(
         &self,
         port: &impl AapPort,
@@ -229,30 +226,33 @@ impl CompiledTemplate {
         if rows.len() < roles.len() {
             return Err(PimError::TemplateArity { expected: roles.len(), provided: rows.len() });
         }
+        // Counts every role of a class, bound or not, so a short binding
+        // still reports the class's full role count.
+        fn take(bound: &[RowAddr], n: &mut usize) -> Option<RowAddr> {
+            *n += 1;
+            bound.get(*n - 1).copied()
+        }
         let (mut ni, mut no, mut nt, mut ns) = (0usize, 0usize, 0usize, 0usize);
-        for (i, role) in roles.iter().enumerate() {
-            rows[i] = match role.class {
-                ir::RowClass::Input => {
-                    ni += 1;
-                    inputs[ni - 1]
-                }
-                ir::RowClass::Output => {
-                    no += 1;
-                    outputs[no - 1]
-                }
-                ir::RowClass::Zero => zero,
+        for (slot, role) in rows.iter_mut().zip(roles) {
+            let row = match role.class {
+                ir::RowClass::Input => take(inputs, &mut ni),
+                ir::RowClass::Output => take(outputs, &mut no),
+                ir::RowClass::Zero => Some(zero),
                 ir::RowClass::Temp => {
                     nt += 1;
-                    port.compute_row(nt - 1)
+                    Some(port.compute_row(nt - 1))
                 }
-                ir::RowClass::Spill => {
-                    ns += 1;
-                    *spills.get(ns - 1).expect("spill roles need explicit scratch-row bindings")
-                }
+                ir::RowClass::Spill => take(spills, &mut ns),
             };
+            if let Some(row) = row {
+                *slot = row;
+            }
         }
-        assert_eq!((ni, no), (inputs.len(), outputs.len()), "binding arity mismatch");
-        assert_eq!(ns, spills.len(), "spill binding arity mismatch");
+        for (expected, provided) in [(ni, inputs.len()), (no, outputs.len()), (ns, spills.len())] {
+            if expected != provided {
+                return Err(PimError::TemplateArity { expected, provided });
+            }
+        }
         Ok(roles.len())
     }
 
@@ -453,6 +453,58 @@ mod tests {
         let err = template.execute(&mut ctrl, id, &[RowAddr(0)]).unwrap_err();
         assert_eq!(err, PimError::TemplateArity { expected: 5, provided: 1 });
         assert!(err.to_string().contains("5"));
+    }
+
+    /// Binds `template` on a paper controller with the given class rows.
+    fn bind(
+        template: &CompiledTemplate,
+        inputs: &[RowAddr],
+        outputs: &[RowAddr],
+        spills: &[RowAddr],
+    ) -> Result<usize> {
+        let (ctrl, _) = setup();
+        let mut rows = [RowAddr(0); 32];
+        template.bind_roles_into(&ctrl, inputs, outputs, RowAddr(4), spills, &mut rows)
+    }
+
+    #[test]
+    fn binding_too_few_inputs_is_an_arity_error() {
+        let xnor = CompiledTemplate::compile(xnor_key(256));
+        let err = bind(&xnor, &[RowAddr(1)], &[RowAddr(9)], &[]).unwrap_err();
+        assert_eq!(err, PimError::TemplateArity { expected: 2, provided: 1 });
+    }
+
+    #[test]
+    fn binding_too_few_outputs_is_an_arity_error() {
+        let xnor = CompiledTemplate::compile(xnor_key(256));
+        let err = bind(&xnor, &[RowAddr(1), RowAddr(2)], &[], &[]).unwrap_err();
+        assert_eq!(err, PimError::TemplateArity { expected: 1, provided: 0 });
+    }
+
+    #[test]
+    fn binding_without_spill_rows_is_an_arity_error() {
+        let key = TemplateKey::new(Kernel::Popcount, 256, 256).with_backend(BackendKind::AmbitTra);
+        let popcount = CompiledTemplate::compile(key);
+        let count = |class| popcount.roles().iter().filter(|r| r.class == class).count();
+        let inputs: Vec<_> = (0..count(ir::RowClass::Input)).map(|i| RowAddr(10 + i)).collect();
+        let outputs: Vec<_> = (0..count(ir::RowClass::Output)).map(|i| RowAddr(20 + i)).collect();
+        let spills: Vec<_> = (0..popcount.spill_role_count()).map(|i| RowAddr(30 + i)).collect();
+        assert_eq!(bind(&popcount, &inputs, &outputs, &spills), Ok(popcount.role_count()));
+        let err = bind(&popcount, &inputs, &outputs, &[]).unwrap_err();
+        assert_eq!(err, PimError::TemplateArity { expected: 5, provided: 0 });
+    }
+
+    #[test]
+    fn surplus_bindings_are_an_arity_error() {
+        let xnor = CompiledTemplate::compile(xnor_key(256));
+        let (a, b, out) = (RowAddr(1), RowAddr(2), RowAddr(9));
+        assert_eq!(bind(&xnor, &[a, b], &[out], &[]), Ok(5));
+        let err = bind(&xnor, &[a, b, RowAddr(3)], &[out], &[]).unwrap_err();
+        assert_eq!(err, PimError::TemplateArity { expected: 2, provided: 3 });
+        let err = bind(&xnor, &[a, b], &[out, RowAddr(10)], &[]).unwrap_err();
+        assert_eq!(err, PimError::TemplateArity { expected: 1, provided: 2 });
+        let err = bind(&xnor, &[a, b], &[out], &[RowAddr(30)]).unwrap_err();
+        assert_eq!(err, PimError::TemplateArity { expected: 0, provided: 1 });
     }
 
     #[test]

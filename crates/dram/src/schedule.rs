@@ -12,10 +12,27 @@
 //!
 //! The scheduler is greedy earliest-ready-first, which is optimal for this
 //! two-resource model with equal-length commands per queue.
+//!
+//! Queues are run-length encoded: a [`CommandQueue`] lists
+//! `(commands, latency_ns)` runs, so a sub-array's measured traffic (millions
+//! of commands at one average latency) is a single run and the scheduler
+//! needs O(sub-arrays) memory, not O(commands). Time stays O(commands): each
+//! command is still issued on its own, from a ring of queues kept in
+//! `(free time, queue index)` order instead of a scan over every queue.
+//!
+//! The encoding changes no result bit. Every float operation happens in the
+//! order it would on fully expanded queues of one latency per command: the
+//! earliest-free queue issues next (ties go to the lower index), its command
+//! starts at `max(free_at, bus_free)`, then `bus_free = start + issue_ns` and
+//! `free_at = start + latency`; `serial_ns` adds each run's latency once per
+//! command, in queue order.
 
-/// One command queue (a sub-array's serial work), expressed as command
-/// latencies in nanoseconds.
-pub type CommandQueue = Vec<f64>;
+use std::collections::VecDeque;
+use std::iter;
+
+/// One command queue (a sub-array's serial work), as `(commands,
+/// latency_ns)` runs issued in order.
+pub type CommandQueue = Vec<(u64, f64)>;
 
 /// Result of scheduling a set of queues.
 #[derive(Debug, Clone, PartialEq)]
@@ -30,6 +47,11 @@ pub struct Schedule {
     pub commands: usize,
 }
 
+/// The queue's command latencies, one per command, in issue order.
+fn latencies(queue: &CommandQueue) -> impl Iterator<Item = f64> + '_ {
+    queue.iter().flat_map(|&(commands, latency)| iter::repeat_n(latency, commands as usize))
+}
+
 /// Schedules `queues` under per-sub-array serialization and a shared
 /// command bus issuing one command per `issue_ns`.
 ///
@@ -38,34 +60,36 @@ pub struct Schedule {
 /// ```
 /// use pim_dram::schedule::schedule;
 ///
-/// // Two sub-arrays with two 47 ns commands each, fast bus: runs in ~94 ns.
-/// let s = schedule(&[vec![47.0, 47.0], vec![47.0, 47.0]], 1.0);
-/// assert!((s.makespan_ns - 96.0).abs() < 3.0);
+/// // Two sub-arrays with two 47 ns commands each and a 1 ns bus: the
+/// // second sub-array runs 1 ns behind the first and ends at 95 ns.
+/// let s = schedule(&[vec![(2, 47.0)], vec![(2, 47.0)]], 1.0);
+/// assert_eq!(s.makespan_ns, 95.0);
 /// assert!(s.effective_parallelism > 1.9);
 /// ```
 pub fn schedule(queues: &[CommandQueue], issue_ns: f64) -> Schedule {
-    let serial_ns: f64 = queues.iter().flatten().sum();
-    let commands: usize = queues.iter().map(Vec::len).sum();
-    // Per-queue state: next command index and the time the sub-array frees.
-    let mut next = vec![0usize; queues.len()];
-    let mut free_at = vec![0f64; queues.len()];
+    let serial_ns: f64 = queues.iter().flat_map(latencies).sum();
+    let commands: usize = queues.iter().flatten().map(|&(n, _)| n as usize).sum();
+    let mut pending: Vec<_> = queues.iter().map(latencies).collect();
+    // Queues by `(free_at, index)`: the front is the earliest-ready one. A
+    // command is ready when its sub-array is free; it starts when both the
+    // sub-array and the bus are free.
+    let mut ring: VecDeque<(f64, usize)> = (0..queues.len()).map(|q| (0.0, q)).collect();
     let mut bus_free = 0f64;
     let mut makespan = 0f64;
-    let mut remaining = commands;
-    while remaining > 0 {
-        // Earliest-ready queue: a command is ready when its sub-array is
-        // free; it starts when both the sub-array and the bus are free.
-        let q = (0..queues.len())
-            .filter(|&q| next[q] < queues[q].len())
-            .min_by(|&a, &b| free_at[a].total_cmp(&free_at[b]))
-            .expect("remaining > 0 implies a non-empty queue");
-        let start = free_at[q].max(bus_free);
-        let latency = queues[q][next[q]];
+    while let Some((free_at, q)) = ring.pop_front() {
+        let Some(latency) = pending[q].next() else {
+            continue; // drained: the queue leaves the ring
+        };
+        let start = free_at.max(bus_free);
         bus_free = start + issue_ns;
-        free_at[q] = start + latency;
-        makespan = makespan.max(free_at[q]);
-        next[q] += 1;
-        remaining -= 1;
+        let free_at = start + latency;
+        makespan = makespan.max(free_at);
+        // The new free time is usually the latest, so scan from the back.
+        let at = ring
+            .iter()
+            .rposition(|&(f, p)| f.total_cmp(&free_at).then(p.cmp(&q)).is_lt())
+            .map_or(0, |i| i + 1);
+        ring.insert(at, (free_at, q));
     }
     Schedule {
         makespan_ns: makespan,
@@ -76,23 +100,24 @@ pub fn schedule(queues: &[CommandQueue], issue_ns: f64) -> Schedule {
 }
 
 /// Builds uniform queues: `subarrays` queues of `per_queue` commands of
-/// `latency_ns` each (the hashmap stage's shape).
+/// `latency_ns` each (the hashmap stage's shape), one run per queue.
 pub fn uniform_queues(subarrays: usize, per_queue: usize, latency_ns: f64) -> Vec<CommandQueue> {
-    vec![vec![latency_ns; per_queue]; subarrays]
+    vec![vec![(per_queue as u64, latency_ns)]; subarrays]
 }
 
 /// Builds one queue per sub-array from measured `(commands, busy_ns)`
 /// totals — the shape returned by
 /// [`crate::controller::Controller::subarray_command_totals`] — modeling
-/// each sub-array's traffic as `commands` equal-length commands. Feeding
-/// the result to [`schedule`] estimates the makespan (and effective
-/// parallelism) the recorded traffic would achieve if the sub-arrays ran
-/// concurrently under the shared command bus.
+/// each sub-array's traffic as a single run of `commands` equal-length
+/// commands; idle sub-arrays get no queue. Feeding the result to
+/// [`schedule`] estimates the makespan (and effective parallelism) the
+/// recorded traffic would achieve if the sub-arrays ran concurrently under
+/// the shared command bus.
 pub fn queues_from_totals(totals: &[(u64, f64)]) -> Vec<CommandQueue> {
     totals
         .iter()
         .filter(|&&(commands, _)| commands > 0)
-        .map(|&(commands, busy_ns)| vec![busy_ns / commands as f64; commands as usize])
+        .map(|&(commands, busy_ns)| vec![(commands, busy_ns / commands as f64)])
         .collect()
 }
 
@@ -100,6 +125,85 @@ pub fn queues_from_totals(totals: &[(u64, f64)]) -> Vec<CommandQueue> {
 mod tests {
     use super::*;
     use crate::timing::TimingParams;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
+
+    /// The per-command greedy over fully expanded queues: one latency per
+    /// command, and a scan of every queue for each command. The oracle the
+    /// run-length scheduler must match bit for bit.
+    fn reference(queues: &[Vec<f64>], issue_ns: f64) -> Schedule {
+        let serial_ns: f64 = queues.iter().flatten().sum();
+        let commands: usize = queues.iter().map(Vec::len).sum();
+        let mut next = vec![0usize; queues.len()];
+        let mut free_at = vec![0f64; queues.len()];
+        let mut bus_free = 0f64;
+        let mut makespan = 0f64;
+        for _ in 0..commands {
+            let q = (0..queues.len())
+                .filter(|&q| next[q] < queues[q].len())
+                .min_by(|&a, &b| free_at[a].total_cmp(&free_at[b]))
+                .unwrap();
+            let start = free_at[q].max(bus_free);
+            bus_free = start + issue_ns;
+            free_at[q] = start + queues[q][next[q]];
+            makespan = makespan.max(free_at[q]);
+            next[q] += 1;
+        }
+        Schedule {
+            makespan_ns: makespan,
+            serial_ns,
+            effective_parallelism: if makespan > 0.0 { serial_ns / makespan } else { 0.0 },
+            commands,
+        }
+    }
+
+    /// Random multi-run queue sets: empty queues, zero-length runs, and
+    /// latencies that are either drawn from a few shared values (so free
+    /// times tie) or arbitrary.
+    fn random_queues(rng: &mut ChaCha8Rng) -> Vec<CommandQueue> {
+        const SHARED: [f64; 4] = [2.5, 10.0, 47.0, 47.125];
+        (0..rng.gen_range(0..12))
+            .map(|_| {
+                (0..rng.gen_range(0..5))
+                    .map(|_| {
+                        let n = if rng.gen_bool(0.2) { 0 } else { rng.gen_range(1..24) };
+                        let latency = if rng.gen_bool(0.5) {
+                            SHARED[rng.gen_range(0..SHARED.len())]
+                        } else {
+                            rng.gen_range(0.5..120.0)
+                        };
+                        (n, latency)
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn run_length_schedule_is_bit_identical_to_the_per_command_greedy() {
+        let mut rng = ChaCha8Rng::seed_from_u64(0x5EED_5C4E);
+        for case in 0..3000 {
+            let queues = random_queues(&mut rng);
+            let issue = rng.gen_range(0.25..8.0);
+            let got = schedule(&queues, issue);
+            let expanded: Vec<Vec<f64>> = queues.iter().map(|q| latencies(q).collect()).collect();
+            let want = reference(&expanded, issue);
+            assert_eq!(got.commands, want.commands, "case {case}: {queues:?}");
+            for (name, g, w) in [
+                ("makespan_ns", got.makespan_ns, want.makespan_ns),
+                ("serial_ns", got.serial_ns, want.serial_ns),
+                ("effective_parallelism", got.effective_parallelism, want.effective_parallelism),
+            ] {
+                assert_eq!(g.to_bits(), w.to_bits(), "case {case} {name}: {g} vs {w}, {queues:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn huge_totals_stay_one_run() {
+        let queues = queues_from_totals(&[(1 << 40, 47e12)]);
+        assert_eq!(queues, vec![vec![(1 << 40, 47e12 / (1u64 << 40) as f64)]]);
+    }
 
     #[test]
     fn single_queue_is_fully_serial() {
@@ -144,7 +248,7 @@ mod tests {
     fn mixed_latencies_schedule_correctly() {
         // One long queue dominates the makespan.
         let mut queues = uniform_queues(4, 2, 10.0);
-        queues.push(vec![100.0; 5]);
+        queues.push(vec![(5, 100.0)]);
         let s = schedule(&queues, 0.5);
         assert!(s.makespan_ns >= 500.0);
         assert_eq!(s.commands, 4 * 2 + 5);
@@ -160,9 +264,7 @@ mod tests {
     #[test]
     fn totals_build_average_latency_queues() {
         let queues = queues_from_totals(&[(4, 188.0), (0, 0.0), (2, 20.0)]);
-        assert_eq!(queues.len(), 2);
-        assert_eq!(queues[0], vec![47.0; 4]);
-        assert_eq!(queues[1], vec![10.0; 2]);
+        assert_eq!(queues, vec![vec![(4, 47.0)], vec![(2, 10.0)]]);
         // Two independent sub-arrays overlap under a fast bus.
         let s = schedule(&queues, 0.5);
         assert!(s.effective_parallelism > 1.05);

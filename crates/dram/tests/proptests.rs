@@ -134,7 +134,9 @@ proptest! {
         queues in proptest::collection::vec(proptest::collection::vec(1.0f64..100.0, 1..8), 1..12),
         issue in 0.5f64..5.0,
     ) {
-        let s = pim_dram::schedule::schedule(&queues, issue);
+        // Each generated latency is a run of one command.
+        let runs: Vec<_> = queues.iter().map(|q| q.iter().map(|&l| (1, l)).collect()).collect();
+        let s = pim_dram::schedule::schedule(&runs, issue);
         // Makespan can never beat (1) the longest single queue, (2) the
         // serial time divided by the queue count, (3) the bus issue time.
         let longest: f64 = queues.iter().map(|q| q.iter().sum::<f64>()).fold(0.0, f64::max);
