@@ -1,17 +1,15 @@
-//! Criterion micro-benchmarks of the PR 3 hot path: the discard-read AAP
-//! variants, the stream executor, and the compiled-template executor.
+//! Criterion micro-benchmarks of the hot path: the discard-read AAP
+//! variants and the compiled-template executor.
 //!
 //! These are *host-time* measurements of the simulator's steady-state inner
 //! loop — the path `pim-asm bench` reports on — so the interesting numbers
 //! are relative: the discard variants vs their sensed counterparts in
-//! `bulk_ops`, and template execution vs re-interpreting an instruction
-//! stream.
+//! `bulk_ops`, and template execution vs the same three AAPs issued by
+//! hand (`hot_op2_discard_xnor`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use pim_assembler::exec::StreamExecutor;
-use pim_assembler::programs::xnor_program;
 use pim_assembler::template::{CompiledTemplate, Kernel, TemplateKey};
 use pim_dram::address::RowAddr;
 use pim_dram::bitrow::BitRow;
@@ -66,30 +64,8 @@ fn bench_op3_discard(c: &mut Criterion) {
     });
 }
 
-/// The stream executor replaying a pre-built XNOR program.
-fn bench_stream_exec(c: &mut Criterion) {
-    let (mut ctrl, id) = setup();
-    let cols = ctrl.geometry().cols;
-    ctrl.write_row(id, 1, &BitRow::from_fn(cols, |i| i % 2 == 0)).unwrap();
-    ctrl.write_row(id, 2, &BitRow::from_fn(cols, |i| i % 3 == 0)).unwrap();
-    let program = xnor_program(
-        id,
-        RowAddr(1),
-        RowAddr(2),
-        RowAddr(5),
-        ctrl.compute_row(0),
-        ctrl.compute_row(1),
-        cols,
-    );
-    c.bench_function("hot_stream_exec_xnor", |b| {
-        b.iter(|| {
-            StreamExecutor::execute_stream(&mut ctrl, black_box(&program)).unwrap();
-        })
-    });
-}
-
-/// The compiled template executing the same kernel with zero per-call
-/// instruction-vector construction.
+/// The compiled XNOR template executing the same three AAPs as
+/// `hot_op2_discard_xnor` through its bound role table.
 fn bench_template_exec(c: &mut Criterion) {
     let (mut ctrl, id) = setup();
     let cols = ctrl.geometry().cols;
@@ -107,6 +83,6 @@ fn bench_template_exec(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(30);
-    targets = bench_op2_discard, bench_op3_discard, bench_stream_exec, bench_template_exec
+    targets = bench_op2_discard, bench_op3_discard, bench_template_exec
 }
 criterion_main!(benches);

@@ -1,5 +1,5 @@
 //! Wall-clock of the parallel dispatcher vs the serial reference on a
-//! multi-sub-array instruction stream.
+//! multi-sub-array AAP workload.
 //!
 //! Each of the 8 partitions carries the same per-sub-array program volume,
 //! so the ideal speedup at `workers = 8` is the host's core count (capped
@@ -13,11 +13,11 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use pim_assembler::dispatch::ParallelDispatcher;
-use pim_assembler::isa::{AapInstruction, InstructionStream};
 use pim_dram::address::{RowAddr, SubarrayId};
 use pim_dram::bitrow::BitRow;
 use pim_dram::controller::Controller;
 use pim_dram::geometry::DramGeometry;
+use pim_dram::port::AapPort;
 use pim_dram::sense_amp::SaMode;
 
 const PARTITIONS: usize = 8;
@@ -35,47 +35,34 @@ fn seeded_controller(g: DramGeometry, ids: &[SubarrayId]) -> Controller {
     ctrl
 }
 
-/// `PROGRAMS_PER_PARTITION` copy-copy-XNOR programs per sub-array,
-/// interleaved across partitions the way a real stage issues them.
-fn workload(g: &DramGeometry, ids: &[SubarrayId]) -> InstructionStream {
-    let cols = g.cols;
-    let x0 = RowAddr(g.compute_row(0));
-    let x1 = RowAddr(g.compute_row(1));
-    let mut stream = InstructionStream::new();
+/// `PROGRAMS_PER_PARTITION` copy-copy-XNOR programs on sub-array `id`:
+/// one partition's share of the workload.
+fn programs(port: &mut impl AapPort, id: SubarrayId) -> pim_assembler::Result<()> {
+    let (x0, x1) = (port.compute_row(0), port.compute_row(1));
     for round in 0..PROGRAMS_PER_PARTITION {
-        for &id in ids {
-            stream.extend([
-                AapInstruction::Copy { subarray: id, src: RowAddr(round % 4), dst: x0, size: cols },
-                AapInstruction::Copy {
-                    subarray: id,
-                    src: RowAddr((round + 1) % 4),
-                    dst: x1,
-                    size: cols,
-                },
-                AapInstruction::TwoSrc {
-                    subarray: id,
-                    srcs: [x0, x1],
-                    dst: RowAddr(8 + round % 4),
-                    mode: SaMode::Xnor,
-                    size: cols,
-                },
-            ]);
-        }
+        port.aap_copy(id, RowAddr(round % 4), x0)?;
+        port.aap_copy(id, RowAddr((round + 1) % 4), x1)?;
+        port.aap2_discard(id, SaMode::Xnor, [x0, x1], RowAddr(8 + round % 4))?;
     }
-    stream
+    Ok(())
+}
+
+/// Runs the workload as one partition per sub-array.
+fn dispatch(dispatcher: &ParallelDispatcher, ctrl: &mut Controller, ids: &[SubarrayId]) {
+    let partitions: Vec<(SubarrayId, ())> = ids.iter().map(|&id| (id, ())).collect();
+    dispatcher.run_partitions(ctrl, partitions, |ctx, ()| programs(ctx, ctx.id())).unwrap();
 }
 
 fn bench_dispatch(c: &mut Criterion) {
     let g = DramGeometry::paper_assembly();
     let ids: Vec<SubarrayId> =
         (0..PARTITIONS).map(|i| SubarrayId::from_linear_index(&g, i)).collect();
-    let stream = workload(&g, &ids);
 
     // Spot-check the equivalence contract before timing anything.
     let mut a = seeded_controller(g, &ids);
     let mut b = seeded_controller(g, &ids);
-    ParallelDispatcher::serial().execute(&mut a, &stream).unwrap();
-    ParallelDispatcher::with_workers(PARTITIONS).execute(&mut b, &stream).unwrap();
+    dispatch(&ParallelDispatcher::serial(), &mut a, &ids);
+    dispatch(&ParallelDispatcher::with_workers(PARTITIONS), &mut b, &ids);
     assert_eq!(*a.stats(), *b.stats(), "parallel != serial totals");
 
     let host = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
@@ -91,7 +78,7 @@ fn bench_dispatch(c: &mut Criterion) {
     for (label, dispatcher) in cases {
         let mut ctrl = seeded_controller(g, &ids);
         c.bench_function(&format!("dispatch_8x256_{label}"), |bch| {
-            bch.iter(|| dispatcher.execute(&mut ctrl, black_box(&stream)).unwrap())
+            bch.iter(|| dispatch(&dispatcher, &mut ctrl, black_box(&ids)))
         });
     }
 }

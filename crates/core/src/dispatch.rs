@@ -34,8 +34,6 @@ use pim_dram::controller::Controller;
 use pim_obsv::{DispatchMetrics, HistKey, SpanRecorder};
 
 use crate::error::Result;
-use crate::exec::StreamExecutor;
-use crate::isa::InstructionStream;
 
 /// A type-erased unit of work shipped to a pool thread.
 type Job = Box<dyn FnOnce() + Send + 'static>;
@@ -369,21 +367,6 @@ impl ParallelDispatcher {
         }
     }
 
-    /// Executes an instruction stream, its per-sub-array pieces
-    /// (see [`InstructionStream::split_by_subarray`]) in parallel.
-    ///
-    /// # Errors
-    ///
-    /// As [`ParallelDispatcher::run_partitions`] with
-    /// [`StreamExecutor::execute_stream`] as the partition body.
-    pub fn execute(&self, ctrl: &mut Controller, stream: &InstructionStream) -> Result<()> {
-        let partitions = stream.split_by_subarray();
-        self.run_partitions(ctrl, partitions, |ctx, piece: InstructionStream| {
-            StreamExecutor::execute_stream(ctx, &piece)
-        })?;
-        Ok(())
-    }
-
     /// Ships one job per partition to the persistent pool; each job fills
     /// its own result slot, so collecting the slots restores partition
     /// order no matter which worker ran what.
@@ -441,10 +424,11 @@ impl ParallelDispatcher {
 mod tests {
     use super::*;
     use crate::error::PimError;
-    use crate::isa::AapInstruction;
     use pim_dram::address::RowAddr;
     use pim_dram::bitrow::BitRow;
     use pim_dram::geometry::DramGeometry;
+    use pim_dram::port::AapPort;
+    use pim_dram::sense_amp::SaMode;
     use pim_dram::DramError;
 
     fn subarrays(n: usize) -> (Controller, Vec<SubarrayId>) {
@@ -454,24 +438,14 @@ mod tests {
         (ctrl, ids)
     }
 
-    /// A small per-sub-array program: write, copy into compute rows, XNOR.
-    fn program(id: SubarrayId, cols: usize, salt: usize) -> InstructionStream {
-        let g = DramGeometry::tiny();
-        let x0 = RowAddr(g.compute_row(0));
-        let x1 = RowAddr(g.compute_row(1));
-        [
-            AapInstruction::Copy { subarray: id, src: RowAddr(salt % 4), dst: x0, size: cols },
-            AapInstruction::Copy { subarray: id, src: RowAddr(salt % 4 + 1), dst: x1, size: cols },
-            AapInstruction::TwoSrc {
-                subarray: id,
-                srcs: [x0, x1],
-                dst: RowAddr(8 + salt % 3),
-                mode: pim_dram::sense_amp::SaMode::Xnor,
-                size: cols,
-            },
-        ]
-        .into_iter()
-        .collect()
+    /// A small per-sub-array program, issued on `port`: copy two data
+    /// rows into compute rows, XNOR them into a data row.
+    fn program(port: &mut impl AapPort, id: SubarrayId, salt: usize) -> Result<()> {
+        let (x0, x1) = (port.compute_row(0), port.compute_row(1));
+        port.aap_copy(id, RowAddr(salt % 4), x0)?;
+        port.aap_copy(id, RowAddr(salt % 4 + 1), x1)?;
+        port.aap2_discard(id, SaMode::Xnor, [x0, x1], RowAddr(8 + salt % 3))?;
+        Ok(())
     }
 
     fn seed_rows(ctrl: &mut Controller, ids: &[SubarrayId]) {
@@ -484,12 +458,17 @@ mod tests {
         }
     }
 
-    fn full_stream(ids: &[SubarrayId], cols: usize) -> InstructionStream {
-        let mut stream = InstructionStream::new();
-        for (n, &id) in ids.iter().enumerate() {
-            stream.extend(program(id, cols, n).instructions().iter().copied());
-        }
-        stream
+    /// Runs [`program`] once per sub-array (salted by its index) as one
+    /// dispatcher partition each.
+    fn dispatch_programs(
+        dispatcher: &ParallelDispatcher,
+        ctrl: &mut Controller,
+        ids: &[SubarrayId],
+    ) {
+        let partitions: Vec<(SubarrayId, usize)> = ids.iter().copied().zip(0..).collect();
+        dispatcher
+            .run_partitions(ctrl, partitions, |ctx, salt| program(ctx, ctx.id(), salt))
+            .unwrap();
     }
 
     #[test]
@@ -498,11 +477,9 @@ mod tests {
         let (mut par_ctrl, _) = subarrays(8);
         seed_rows(&mut serial_ctrl, &ids);
         seed_rows(&mut par_ctrl, &ids);
-        let cols = serial_ctrl.geometry().cols;
-        let stream = full_stream(&ids, cols);
 
-        ParallelDispatcher::serial().execute(&mut serial_ctrl, &stream).unwrap();
-        ParallelDispatcher::with_workers(4).execute(&mut par_ctrl, &stream).unwrap();
+        dispatch_programs(&ParallelDispatcher::serial(), &mut serial_ctrl, &ids);
+        dispatch_programs(&ParallelDispatcher::with_workers(4), &mut par_ctrl, &ids);
 
         assert_eq!(*serial_ctrl.stats(), *par_ctrl.stats());
         assert_eq!(serial_ctrl.ledger(), par_ctrl.ledger());
@@ -524,11 +501,11 @@ mod tests {
         let (mut dispatched, _) = subarrays(4);
         seed_rows(&mut direct, &ids);
         seed_rows(&mut dispatched, &ids);
-        let cols = direct.geometry().cols;
-        let stream = full_stream(&ids, cols);
 
-        StreamExecutor::execute_stream(&mut direct, &stream).unwrap();
-        ParallelDispatcher::with_workers(2).execute(&mut dispatched, &stream).unwrap();
+        for (salt, &id) in ids.iter().enumerate() {
+            program(&mut direct, id, salt).unwrap();
+        }
+        dispatch_programs(&ParallelDispatcher::with_workers(2), &mut dispatched, &ids);
 
         assert_eq!(*direct.stats(), *dispatched.stats());
     }

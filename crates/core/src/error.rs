@@ -38,15 +38,6 @@ pub enum PimError {
         /// Maximum mappable nodes.
         max: usize,
     },
-    /// A sense-amplifier mode that the requested AAP instruction shape
-    /// cannot evaluate (e.g. `Memory` or `Carry` on a two-source AAP,
-    /// which supports logic modes only).
-    UnsupportedSaMode {
-        /// The rejected mode.
-        mode: pim_dram::sense_amp::SaMode,
-        /// The instruction shape that rejected it.
-        shape: &'static str,
-    },
     /// A compiled template executed with the wrong number of row bindings
     /// for its kernel's role set.
     TemplateArity {
@@ -88,9 +79,6 @@ impl fmt::Display for PimError {
             PimError::KTooLarge { k, max } => write!(f, "k={k} exceeds supported maximum {max}"),
             PimError::GraphTooLarge { nodes, max } => {
                 write!(f, "graph with {nodes} nodes exceeds dense mapping limit {max}")
-            }
-            PimError::UnsupportedSaMode { mode, shape } => {
-                write!(f, "sense-amp mode {mode:?} is not supported by {shape}")
             }
             PimError::TemplateArity { expected, provided } => {
                 write!(f, "template binds {expected} row roles, {provided} supplied")
@@ -154,11 +142,6 @@ mod tests {
         assert!(e.to_string().contains("976"));
         let e = PimError::KTooLarge { k: 200, max: 128 };
         assert!(e.to_string().contains("128"));
-        let e = PimError::UnsupportedSaMode {
-            mode: pim_dram::sense_amp::SaMode::Carry,
-            shape: "two-source AAP",
-        };
-        assert!(e.to_string().contains("Carry") && e.to_string().contains("two-source"));
         let e = PimError::InvalidChunkSize;
         assert!(e.to_string().contains("chunk_reads"));
         let e = PimError::CheckpointDirNotEmpty { path: "ckpt".into() };

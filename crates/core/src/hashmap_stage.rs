@@ -105,7 +105,7 @@ impl PimHashTable {
         let slots = vec![vec![None; mapper.layout().kmer_rows()]; mapper.subarrays().len()];
         let layout = *mapper.layout();
         let zero_row = layout.temp_row(layout.temp_rows() - 1);
-        let comparator = PimComparator::with_backend(layout.cols(), backend, zero_row, opt);
+        let comparator = PimComparator::new(layout.cols(), backend, zero_row, opt);
         PimHashTable { mapper, comparator, slots, stats: HashStats::default() }
     }
 

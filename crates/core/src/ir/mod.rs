@@ -17,18 +17,19 @@
 //!        │
 //!        ▼
 //!   CompiledKernel (role-indexed LoweredOps + CompileReport)
-//!        │                          │
-//!        ▼                          ▼
-//!   execute on an AapPort      to_stream → InstructionStream
+//!        │
+//!        ▼
+//!   execute on an AapPort (CompiledKernel::execute)
 //! ```
 //!
-//! [`crate::template::CompiledTemplate`] wraps a [`CompiledKernel`] for
-//! the built-in kernels (adding the memoizing cache and the historical
-//! key/arity API), and [`crate::programs`] materializes the same lowered
-//! ops as instruction streams — there is exactly one source of truth per
-//! kernel command sequence. [`crate::budget::pipeline_budget`] and the
-//! `pim-verify` invariant checker derive their expected command counts
-//! from the [`CompileReport`] pass statistics.
+//! The [`LoweredOp`]s are the paper's §II-B AAP instructions (types 1–3)
+//! over role indices, and [`CompiledKernel::execute`] is their one
+//! executor. [`crate::template::CompiledTemplate`] wraps a
+//! [`CompiledKernel`] for the built-in kernels (adding the memoizing cache
+//! and the historical key/arity API), so there is exactly one source of
+//! truth per kernel command sequence. [`crate::budget::pipeline_budget`]
+//! and the `pim-verify` invariant checker derive their expected command
+//! counts from the [`CompileReport`] pass statistics.
 //!
 //! Lowering is retargetable: [`compile_backend`] prepends a per-substrate
 //! IR→IR rewrite ([`backend`]) to the same pipeline, so the identical
@@ -42,14 +43,11 @@ pub mod legalize;
 pub mod opt;
 pub mod peephole;
 pub mod program;
-pub mod sched;
 
 use pim_dram::address::{RowAddr, SubarrayId};
 use pim_dram::bitrow::BitRow;
 use pim_dram::port::AapPort;
 use pim_dram::sense_amp::SaMode;
-
-use crate::isa::{AapInstruction, InstructionStream};
 
 pub use alloc::{allocate, AllocStats, Allocation, TempAssignment};
 pub use backend::{
@@ -59,7 +57,6 @@ pub use legalize::{legalize, legalize_with, LegalizeStats};
 pub use opt::{fuse, fuse_programs, optimize, OptLevel, OptStats};
 pub use peephole::{peephole, PeepholeStats};
 pub use program::{IrError, IrErrorKind, KernelSpan, PimOp, PimProgram, RowClass, RowDecl, VRow};
-pub use sched::{schedule, DepGraph, IssueModel, StreamSchedule};
 
 /// One lowered op. Row operands are *role indices* into the binding
 /// array supplied at execution time (see [`CompiledKernel::roles`] for
@@ -97,7 +94,7 @@ pub struct LowerOptions {
     /// Row width in bits (`DramGeometry::cols`).
     pub row_bits: usize,
     /// Bulk vector size in bits; sizes beyond one row repeat each command
-    /// per touched row, exactly as [`crate::exec::StreamExecutor`] does.
+    /// once per touched row when the kernel executes.
     pub size: usize,
     /// Compute rows available for temp allocation (the MRD exposes
     /// [`pim_dram::geometry::COMPUTE_ROWS`]; tests shrink this to force
@@ -157,7 +154,6 @@ pub struct CompiledKernel {
     roles: Vec<RowDecl>,
     ops: Vec<LoweredOp>,
     reps: usize,
-    size: usize,
     report: CompileReport,
 }
 
@@ -260,39 +256,6 @@ impl CompiledKernel {
         }
         let out = port.aap2(subarray, mode, [rows[srcs[0]], rows[srcs[1]]], rows[dst])?;
         Ok(out)
-    }
-
-    /// Materializes the kernel as an [`InstructionStream`] — one
-    /// instruction per lowered op, the bulk size carrying the per-row
-    /// repetition exactly as [`crate::exec::StreamExecutor`] expands it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rows.len() != self.role_count()`.
-    pub fn to_stream(&self, subarray: SubarrayId, rows: &[RowAddr]) -> InstructionStream {
-        assert_eq!(rows.len(), self.roles.len(), "kernel arity mismatch");
-        let size = self.size;
-        self.ops
-            .iter()
-            .map(|op| match *op {
-                LoweredOp::Copy { src, dst } => {
-                    AapInstruction::Copy { subarray, src: rows[src], dst: rows[dst], size }
-                }
-                LoweredOp::TwoSrc { srcs, dst, mode } => AapInstruction::TwoSrc {
-                    subarray,
-                    srcs: [rows[srcs[0]], rows[srcs[1]]],
-                    dst: rows[dst],
-                    mode,
-                    size,
-                },
-                LoweredOp::ThreeSrc { srcs, dst } => AapInstruction::ThreeSrc {
-                    subarray,
-                    srcs: [rows[srcs[0]], rows[srcs[1]], rows[srcs[2]]],
-                    dst: rows[dst],
-                    size,
-                },
-            })
-            .collect()
     }
 
     /// Renders the lowered kernel (role table, allocation map, ops, and
@@ -522,7 +485,6 @@ fn compile_backend_inner(
         roles: allocation.roles,
         ops,
         reps,
-        size: options.size,
         report,
     })
 }

@@ -303,8 +303,7 @@ pub enum IrErrorKind {
         operand: String,
     },
     /// A sense-amp mode the op shape cannot evaluate: two-source AAPs
-    /// support logic modes only (`Memory`/`Carry` are rejected, mirroring
-    /// [`crate::exec::StreamExecutor`]'s runtime check).
+    /// support logic modes only (`Memory`/`Carry` are rejected).
     IllegalSaMode {
         /// The rejected mode.
         mode: SaMode,

@@ -14,15 +14,14 @@
 //! * [`config`] — platform configuration (geometry, k, Pd, …),
 //! * [`layout`] — the Fig. 6 sub-array row layout (k-mer / value / temp /
 //!   compute regions),
-//! * [`isa`] — the three AAP instruction shapes of §II-B *Software Support*,
-//! * [`exec`] — instruction-stream execution against any AAP port,
-//! * [`dispatch`] — parallel per-sub-array stream dispatch,
+//! * [`dispatch`] — parallel dispatch of per-sub-array partitions,
 //! * [`dpu`] — the MAT-level digital processing unit,
 //! * [`ir`] — the typed PIM-IR over virtual rows and its lowering
 //!   pipeline (legalize → virtual-row allocation → peephole), the single
-//!   source of truth for every kernel command sequence,
+//!   source of truth for every kernel command sequence; its lowered ops
+//!   are the §II-B AAP instructions (types 1–3),
 //! * [`template`] — compiled, reusable AAP kernel templates (the cached
-//!   lowering backend behind the [`programs`] constructors),
+//!   IR kernels the stages execute),
 //! * [`pim_xnor`] — the parallel in-memory comparator (Fig. 7),
 //! * [`pim_add`] — carry-save + bit-serial in-memory addition (Fig. 8),
 //! * [`mapping`] — correlated data partitioning and mapping (Fig. 6),
@@ -65,11 +64,9 @@ pub mod config;
 pub mod dispatch;
 pub mod dpu;
 pub mod error;
-pub mod exec;
 pub mod graph_stage;
 pub mod hashmap_stage;
 pub mod ir;
-pub mod isa;
 pub mod layout;
 pub mod mapping;
 pub mod mapping_stage;
@@ -78,7 +75,6 @@ pub mod perf;
 pub mod pim_add;
 pub mod pim_xnor;
 pub mod pipeline;
-pub mod programs;
 pub mod scaffold_stage;
 pub mod stages;
 pub mod template;

@@ -189,7 +189,7 @@ impl PimReadMapper {
             return Err(PimError::KTooLarge { k: config.seed_len, max: read_len });
         }
         let zero_row = layout.temp_row(layout.temp_rows() - 1);
-        let comparator = PimComparator::with_backend(cols, backend, zero_row, opt);
+        let comparator = PimComparator::new(cols, backend, zero_row, opt);
         let key = |k: Kernel| TemplateKey::new(k, cols, cols).with_backend(backend).with_opt(opt);
         let kernels = MappingKernels {
             xnor: CompiledTemplate::compile(key(Kernel::Xnor)),
@@ -533,7 +533,7 @@ impl PimReadMapper {
         // matches = Σ ones + 2·Σ twos + 4·Σ fours.
         let mut totals = vec![0u64; cols];
         for (planes, weight) in [(&ones_planes, 1u64), (&twos_planes, 2), (&fours_planes, 4)] {
-            let summed = PimAdder::column_sum_with(
+            let summed = PimAdder::column_sum(
                 port,
                 subarray,
                 self.backend(),

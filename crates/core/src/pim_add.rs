@@ -77,49 +77,19 @@ impl PimAdder {
     ///
     /// The command sequence is the IR-lowered [`Kernel::FullAdder`]
     /// program (latch cycle, `CarrySum` sum cycle, majority carry cycle —
-    /// see [`crate::ir::kernels::full_adder`]); this entry point compiles
-    /// and executes it once. Loops should compile the template themselves
-    /// (as [`PimAdder::column_sum`] does) to amortize the compile.
+    /// see [`crate::ir::kernels::full_adder`]) for `backend` at
+    /// optimization level `opt`; this entry point compiles and executes it
+    /// once. The role table is bound by class, so the extra zero/scratch
+    /// roles a backend rewrite introduces resolve automatically (`zero`
+    /// also backs any zero-constant roles). Loops should compile the
+    /// template themselves (as [`PimAdder::column_sum`] does) to amortize
+    /// the compile.
     ///
     /// # Errors
     ///
     /// Propagates DRAM addressing errors.
     #[allow(clippy::too_many_arguments)] // one parameter per hardware row operand
     pub fn full_add(
-        ctrl: &mut impl AapPort,
-        subarray: SubarrayId,
-        a: RowAddr,
-        b: RowAddr,
-        c: RowAddr,
-        zero: RowAddr,
-        sum_dst: RowAddr,
-        carry_dst: RowAddr,
-    ) -> Result<()> {
-        PimAdder::full_add_with(
-            ctrl,
-            subarray,
-            BackendKind::PimAssembler,
-            OptLevel::O0,
-            a,
-            b,
-            c,
-            zero,
-            sum_dst,
-            carry_dst,
-        )
-    }
-
-    /// [`PimAdder::full_add`] retargeted to `backend` at optimization
-    /// level `opt`: the same full-adder contract, lowered through that
-    /// backend's command repertoire. The role table is bound by class, so
-    /// the extra zero/scratch roles a rewrite introduces resolve
-    /// automatically (`zero` also backs any zero-constant roles).
-    ///
-    /// # Errors
-    ///
-    /// Propagates DRAM addressing errors.
-    #[allow(clippy::too_many_arguments)] // one parameter per hardware row operand
-    pub fn full_add_with(
         ctrl: &mut impl AapPort,
         subarray: SubarrayId,
         backend: BackendKind,
@@ -145,40 +115,17 @@ impl PimAdder {
     /// accumulation of Fig. 8). Returns the result bit-planes, LSB first:
     /// column `j` of the result is `Σ planes[i].get(j) · 2^i`.
     ///
-    /// `zero` must name an all-zero row; `scratch` provides the reserved
-    /// space for intermediate sum/carry rows.
+    /// Every full-adder step is lowered for `backend` at optimization
+    /// level `opt`; the reduction schedule and the results are the same
+    /// on every backend and level. `zero` must name an all-zero row;
+    /// `scratch` provides the reserved space for intermediate sum/carry
+    /// rows.
     ///
     /// # Errors
     ///
     /// * [`PimError::SubarrayFull`] if the scratch pool is too small.
     /// * DRAM addressing errors.
     pub fn column_sum(
-        ctrl: &mut impl AapPort,
-        subarray: SubarrayId,
-        addends: &[RowAddr],
-        zero: RowAddr,
-        scratch: &mut ScratchSpace,
-    ) -> Result<Vec<BitRow>> {
-        PimAdder::column_sum_with(
-            ctrl,
-            subarray,
-            BackendKind::PimAssembler,
-            OptLevel::O0,
-            addends,
-            zero,
-            scratch,
-        )
-    }
-
-    /// [`PimAdder::column_sum`] retargeted to `backend` at optimization
-    /// level `opt`: identical reduction schedule and results, with every
-    /// full-adder step lowered through that backend's command repertoire.
-    ///
-    /// # Errors
-    ///
-    /// * [`PimError::SubarrayFull`] if the scratch pool is too small.
-    /// * DRAM addressing errors.
-    pub fn column_sum_with(
         ctrl: &mut impl AapPort,
         subarray: SubarrayId,
         backend: BackendKind,
@@ -377,6 +324,8 @@ mod tests {
         PimAdder::full_add(
             &mut ctrl,
             id,
+            BackendKind::PimAssembler,
+            OptLevel::O0,
             RowAddr(10),
             RowAddr(11),
             RowAddr(12),
@@ -407,8 +356,16 @@ mod tests {
         }
         ctrl.write_row(id, 100, &BitRow::zeros(cols)).unwrap();
         let mut scratch = ScratchSpace::new(200, 300);
-        let planes =
-            PimAdder::column_sum(&mut ctrl, id, &rows, RowAddr(100), &mut scratch).unwrap();
+        let planes = PimAdder::column_sum(
+            &mut ctrl,
+            id,
+            BackendKind::PimAssembler,
+            OptLevel::O0,
+            &rows,
+            RowAddr(100),
+            &mut scratch,
+        )
+        .unwrap();
         assert_eq!(PimAdder::decode_columns(&planes), expected);
     }
 
@@ -420,8 +377,16 @@ mod tests {
         ctrl.write_row(id, 0, &bits).unwrap();
         ctrl.write_row(id, 100, &BitRow::zeros(cols)).unwrap();
         let mut scratch = ScratchSpace::new(200, 220);
-        let planes =
-            PimAdder::column_sum(&mut ctrl, id, &[RowAddr(0)], RowAddr(100), &mut scratch).unwrap();
+        let planes = PimAdder::column_sum(
+            &mut ctrl,
+            id,
+            BackendKind::PimAssembler,
+            OptLevel::O0,
+            &[RowAddr(0)],
+            RowAddr(100),
+            &mut scratch,
+        )
+        .unwrap();
         let vals = PimAdder::decode_columns(&planes);
         for (j, v) in vals.iter().enumerate() {
             assert_eq!(*v, bits.get(j) as u64);
@@ -432,7 +397,16 @@ mod tests {
     fn column_sum_empty_input() {
         let (mut ctrl, id) = setup();
         let mut scratch = ScratchSpace::new(200, 210);
-        let planes = PimAdder::column_sum(&mut ctrl, id, &[], RowAddr(100), &mut scratch).unwrap();
+        let planes = PimAdder::column_sum(
+            &mut ctrl,
+            id,
+            BackendKind::PimAssembler,
+            OptLevel::O0,
+            &[],
+            RowAddr(100),
+            &mut scratch,
+        )
+        .unwrap();
         assert!(planes.is_empty());
     }
 
@@ -446,8 +420,16 @@ mod tests {
         ctrl.write_row(id, 100, &BitRow::zeros(cols)).unwrap();
         let rows: Vec<RowAddr> = (0..12).map(RowAddr).collect();
         let mut scratch = ScratchSpace::new(200, 202); // far too small
-        let err =
-            PimAdder::column_sum(&mut ctrl, id, &rows, RowAddr(100), &mut scratch).unwrap_err();
+        let err = PimAdder::column_sum(
+            &mut ctrl,
+            id,
+            BackendKind::PimAssembler,
+            OptLevel::O0,
+            &rows,
+            RowAddr(100),
+            &mut scratch,
+        )
+        .unwrap_err();
         assert!(matches!(err, PimError::SubarrayFull { .. }));
     }
 
@@ -486,7 +468,7 @@ mod tests {
             }
             ctrl.write_row(id, 100, &BitRow::zeros(cols)).unwrap();
             let mut scratch = ScratchSpace::new(200, 300);
-            let planes = PimAdder::column_sum_with(
+            let planes = PimAdder::column_sum(
                 &mut ctrl,
                 id,
                 backend,
@@ -511,8 +493,16 @@ mod tests {
         ctrl.write_row(id, 100, &BitRow::zeros(cols)).unwrap();
         let before = *ctrl.stats();
         let mut scratch = ScratchSpace::new(200, 230);
-        PimAdder::column_sum(&mut ctrl, id, &[RowAddr(0), RowAddr(1)], RowAddr(100), &mut scratch)
-            .unwrap();
+        PimAdder::column_sum(
+            &mut ctrl,
+            id,
+            BackendKind::PimAssembler,
+            OptLevel::O0,
+            &[RowAddr(0), RowAddr(1)],
+            RowAddr(100),
+            &mut scratch,
+        )
+        .unwrap();
         let d = ctrl.stats().since(&before);
         // Two one-bit addends: one ripple step producing sum+carry, then a
         // final step for the carry plane: 2 sum cycles (AAP2) + up to 4 TRA

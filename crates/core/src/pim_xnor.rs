@@ -48,22 +48,11 @@ pub struct PimComparator {
 
 impl PimComparator {
     /// Compiles the comparator's XNOR kernel for rows of `cols` bits on
-    /// the default PIM-Assembler backend.
-    pub fn new(cols: usize) -> Self {
-        PimComparator::with_backend(cols, BackendKind::PimAssembler, RowAddr(0), OptLevel::O0)
-    }
-
-    /// [`PimComparator::new`] retargeted to `backend`. `zero_row` backs
-    /// any zero-constant roles the backend's lowering introduces (pass any
-    /// never-written data row; ignored by lowerings without such roles).
-    /// `opt` selects the IR optimization level the probe kernel is
-    /// compiled at; probe results are identical at every level.
-    pub fn with_backend(
-        cols: usize,
-        backend: BackendKind,
-        zero_row: RowAddr,
-        opt: OptLevel,
-    ) -> Self {
+    /// `backend` at IR optimization level `opt` (probe results are
+    /// identical at every level). `zero_row` backs any zero-constant roles
+    /// the backend's lowering introduces (pass any never-written data row;
+    /// ignored by lowerings without such roles).
+    pub fn new(cols: usize, backend: BackendKind, zero_row: RowAddr, opt: OptLevel) -> Self {
         let xnor = CompiledTemplate::compile(
             TemplateKey::new(Kernel::Xnor, cols, cols).with_backend(backend).with_opt(opt),
         );
@@ -169,7 +158,7 @@ mod tests {
         let g = DramGeometry::paper_assembly();
         let ctrl = Controller::new(g);
         let id = ctrl.subarray_handle(0, 0, 0, 0).unwrap();
-        let cmp = PimComparator::new(g.cols);
+        let cmp = PimComparator::new(g.cols, BackendKind::PimAssembler, RowAddr(0), OptLevel::O0);
         (ctrl, id, SubarrayLayout::new(&g), KmerMapper::new(&g, 1, 8), cmp)
     }
 
@@ -277,8 +266,7 @@ mod tests {
             let id = ctrl.subarray_handle(0, 0, 0, 0).unwrap();
             let layout = SubarrayLayout::new(&g);
             let mapper = KmerMapper::new(&g, 1, 8);
-            let cmp =
-                PimComparator::with_backend(g.cols, backend, layout.temp_row(7), OptLevel::O0);
+            let cmp = PimComparator::new(g.cols, backend, layout.temp_row(7), OptLevel::O0);
             assert_eq!(cmp.backend(), backend);
 
             let stored: Kmer = "CGTGCGTGCTTACGGA".parse().unwrap();

@@ -10,8 +10,8 @@
 //! of ops over *role slots*, and then executed any number of times by
 //! binding concrete rows at call time. Execution goes through the
 //! discard AAP variants, so a template run is allocation-free and
-//! produces byte-identical array state and command accounting to the
-//! equivalent [`crate::exec::StreamExecutor`] stream.
+//! produces byte-identical array state and command accounting to issuing
+//! the same AAPs on the port one by one.
 //!
 //! Since PR 5 the template no longer owns a hand-assigned role table:
 //! the skeleton comes out of [`Kernel::program`]'s typed IR, the
@@ -38,7 +38,6 @@ use crate::error::{PimError, Result};
 use crate::ir::{
     self, BackendKind, CompileReport, CompiledKernel, LowerOptions, OptLevel, PimProgram,
 };
-use crate::isa::InstructionStream;
 
 /// The kernels the stages compile to templates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -84,7 +83,7 @@ pub struct TemplateKey {
     /// Row width in bits (`DramGeometry::cols`).
     pub row_bits: usize,
     /// Bulk vector size in bits; sizes beyond one row repeat each command
-    /// per touched row, exactly as [`crate::exec::StreamExecutor`] does.
+    /// once per touched row when the template executes.
     pub size: usize,
     /// The lowering backend the shape compiles for (see
     /// [`crate::ir::BackendKind`]); each backend gets its own cache entry
@@ -268,8 +267,8 @@ impl CompiledTemplate {
 
     /// Executes the template on `port` with the given role bindings.
     /// Allocation-free: every command issues through the discard AAP
-    /// variants; state and accounting are byte-identical to executing the
-    /// equivalent [`InstructionStream`].
+    /// variants; state and accounting are byte-identical to issuing the
+    /// same AAPs on the port one by one.
     ///
     /// # Errors
     ///
@@ -306,21 +305,6 @@ impl CompiledTemplate {
     ) -> Result<BitRow> {
         self.check_arity(rows)?;
         self.inner.execute_sensed(port, subarray, rows)
-    }
-
-    /// Materializes the template as an [`InstructionStream`] — the shape
-    /// the [`crate::programs`] constructors emit. One instruction per op;
-    /// the bulk size carries the per-row repetition, exactly as
-    /// [`crate::exec::StreamExecutor`] expands it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rows.len()` differs from the kernel's role count (this
-    /// is the ahead-of-time program-construction path, where arity is a
-    /// caller bug, not a data error).
-    pub fn to_stream(&self, subarray: SubarrayId, rows: &[RowAddr]) -> InstructionStream {
-        assert_eq!(rows.len(), self.inner.role_count(), "template arity mismatch");
-        self.inner.to_stream(subarray, rows)
     }
 }
 
@@ -371,10 +355,10 @@ impl TemplateCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::StreamExecutor;
     use pim_dram::bitrow::BitRow;
     use pim_dram::controller::Controller;
     use pim_dram::geometry::DramGeometry;
+    use pim_dram::sense_amp::SaMode;
 
     fn setup() -> (Controller, SubarrayId) {
         let ctrl = Controller::new(DramGeometry::paper_assembly());
@@ -386,62 +370,90 @@ mod tests {
         TemplateKey::new(Kernel::Xnor, cols, cols)
     }
 
+    /// Issues the XNOR kernel's three AAPs directly on `ctrl`, each
+    /// repeated `reps` times: the reference a template run must match.
+    fn direct_xnor(ctrl: &mut Controller, id: SubarrayId, rows: [RowAddr; 5], reps: usize) {
+        let [a, b, dst, x1, x2] = rows;
+        for _ in 0..reps {
+            ctrl.aap_copy(id, a, x1).unwrap();
+        }
+        for _ in 0..reps {
+            ctrl.aap_copy(id, b, x2).unwrap();
+        }
+        for _ in 0..reps {
+            ctrl.aap2_discard(id, SaMode::Xnor, [x1, x2], dst).unwrap();
+        }
+    }
+
+    /// Asserts two controllers hold identical totals, ledgers and rows.
+    fn assert_identical(a: &mut Controller, b: &mut Controller, id: SubarrayId) {
+        assert_eq!(*a.stats(), *b.stats());
+        assert_eq!(a.ledger(), b.ledger());
+        for row in 0..a.geometry().rows {
+            assert_eq!(a.peek_row(id, row).unwrap(), b.peek_row(id, row).unwrap(), "row {row}");
+        }
+    }
+
     #[test]
-    fn template_execution_matches_stream_execution() {
+    fn template_execution_matches_direct_aaps() {
         let cols = DramGeometry::paper_assembly().cols;
         let a = BitRow::from_fn(cols, |i| i % 2 == 0);
         let b = BitRow::from_fn(cols, |i| i % 3 == 0);
 
-        let (mut direct, id) = setup();
-        let (mut streamed, _) = setup();
-        for ctrl in [&mut direct, &mut streamed] {
+        let (mut templated, id) = setup();
+        let (mut direct, _) = setup();
+        for ctrl in [&mut templated, &mut direct] {
             ctrl.write_row(id, 1, &a).unwrap();
             ctrl.write_row(id, 2, &b).unwrap();
         }
         let rows =
             [RowAddr(1), RowAddr(2), RowAddr(9), direct.compute_row(0), direct.compute_row(1)];
         let template = CompiledTemplate::compile(xnor_key(cols));
-        template.execute(&mut direct, id, &rows).unwrap();
-        let stream = template.to_stream(id, &rows);
-        StreamExecutor::execute_stream(&mut streamed, &stream).unwrap();
+        template.execute(&mut templated, id, &rows).unwrap();
+        direct_xnor(&mut direct, id, rows, 1);
 
-        assert_eq!(*direct.stats(), *streamed.stats());
-        assert_eq!(direct.ledger(), streamed.ledger());
-        for row in 0..direct.geometry().rows {
-            assert_eq!(direct.peek_row(id, row).unwrap(), streamed.peek_row(id, row).unwrap());
-        }
-        assert_eq!(direct.peek_row(id, 9).unwrap(), a.xnor(&b));
+        assert_identical(&mut templated, &mut direct, id);
+        assert_eq!(templated.peek_row(id, 9).unwrap(), a.xnor(&b));
     }
 
     #[test]
-    fn full_adder_template_matches_program_constructor() {
+    fn full_adder_template_matches_direct_aaps() {
         let cols = DramGeometry::paper_assembly().cols;
-        let (ctrl, id) = setup();
-        let rows = [
-            RowAddr(1),
-            RowAddr(2),
-            RowAddr(3),
-            RowAddr(4),
-            RowAddr(10),
-            RowAddr(11),
-            ctrl.compute_row(0),
-            ctrl.compute_row(1),
-            ctrl.compute_row(2),
-        ];
+        let a = BitRow::from_fn(cols, |i| i % 2 == 0);
+        let b = BitRow::from_fn(cols, |i| i % 3 == 0);
+        let c = BitRow::from_fn(cols, |i| i % 5 == 0);
+        let (mut templated, id) = setup();
+        let (mut direct, _) = setup();
+        for ctrl in [&mut templated, &mut direct] {
+            for (row, data) in [(1, &a), (2, &b), (3, &c), (4, &BitRow::zeros(cols))] {
+                ctrl.write_row(id, row, data).unwrap();
+            }
+        }
+        let (ra, rb, rc, zero, sum, carry) =
+            (RowAddr(1), RowAddr(2), RowAddr(3), RowAddr(4), RowAddr(10), RowAddr(11));
+        let x = [direct.compute_row(0), direct.compute_row(1), direct.compute_row(2)];
         let template = CompiledTemplate::compile(TemplateKey::new(Kernel::FullAdder, cols, cols));
-        let stream = template.to_stream(id, &rows);
-        let reference = crate::programs::full_adder_program(
-            id,
-            RowAddr(1),
-            RowAddr(2),
-            RowAddr(3),
-            RowAddr(4),
-            RowAddr(10),
-            RowAddr(11),
-            [ctrl.compute_row(0), ctrl.compute_row(1), ctrl.compute_row(2)],
-            cols,
-        );
-        assert_eq!(stream.instructions(), reference.instructions());
+        template
+            .execute(&mut templated, id, &[ra, rb, rc, zero, sum, carry, x[0], x[1], x[2]])
+            .unwrap();
+
+        // Latch cycle, sum cycle, carry cycle: the paper's 11 commands.
+        for (src, dst) in [(rc, x[0]), (zero, x[1]), (rc, x[2])] {
+            direct.aap_copy(id, src, dst).unwrap();
+        }
+        direct.aap3_carry_discard(id, x, sum).unwrap();
+        for (src, dst) in [(ra, x[0]), (rb, x[1])] {
+            direct.aap_copy(id, src, dst).unwrap();
+        }
+        direct.aap2_discard(id, SaMode::CarrySum, [x[0], x[1]], sum).unwrap();
+        for (src, dst) in [(ra, x[0]), (rb, x[1]), (rc, x[2])] {
+            direct.aap_copy(id, src, dst).unwrap();
+        }
+        direct.aap3_carry_discard(id, x, carry).unwrap();
+
+        assert_identical(&mut templated, &mut direct, id);
+        assert_eq!(templated.peek_row(id, sum).unwrap(), a.xor(&b).xor(&c));
+        assert_eq!(templated.peek_row(id, carry).unwrap(), BitRow::maj3(&a, &b, &c));
         assert_eq!(template.command_counts(), (8, 1, 2));
     }
 
@@ -554,21 +566,21 @@ mod tests {
     }
 
     #[test]
-    fn bulk_sizes_repeat_commands_like_the_stream_executor() {
+    fn bulk_sizes_repeat_each_command_per_row() {
         let cols = DramGeometry::paper_assembly().cols;
         let key = TemplateKey::new(Kernel::Xnor, cols, 3 * cols);
         let template = CompiledTemplate::compile(key);
         assert_eq!(template.command_counts(), (6, 3, 0));
 
-        let (mut direct, id) = setup();
-        let (mut streamed, _) = setup();
+        let (mut templated, id) = setup();
+        let (mut direct, _) = setup();
         let rows =
             [RowAddr(1), RowAddr(2), RowAddr(9), direct.compute_row(0), direct.compute_row(1)];
-        template.execute(&mut direct, id, &rows).unwrap();
-        StreamExecutor::execute_stream(&mut streamed, &template.to_stream(id, &rows)).unwrap();
-        assert_eq!(*direct.stats(), *streamed.stats());
-        assert_eq!(direct.stats().aap, 6);
-        assert_eq!(direct.stats().aap2, 3);
+        template.execute(&mut templated, id, &rows).unwrap();
+        direct_xnor(&mut direct, id, rows, 3);
+        assert_identical(&mut templated, &mut direct, id);
+        assert_eq!(templated.stats().aap, 6);
+        assert_eq!(templated.stats().aap2, 3);
     }
 
     #[test]

@@ -48,7 +48,9 @@ pub struct TraverseStats {
 pub struct TraverseStage;
 
 impl TraverseStage {
-    /// Computes `(out_degrees, in_degrees)` of `graph` with `PIM_Add`.
+    /// Computes `(out_degrees, in_degrees)` of `graph` with `PIM_Add`,
+    /// every full-adder slice (dense path) or synthetic charge (fallback
+    /// path) lowered for `backend` at optimization level `opt`.
     ///
     /// Uses the dense Fig. 8 mapping in `work` when the graph fits
     /// (`nodes ≤ min(cols, rows/3)`), otherwise accounts the same command
@@ -58,22 +60,6 @@ impl TraverseStage {
     ///
     /// Propagates DRAM addressing and scratch errors.
     pub fn degrees(
-        ctrl: &mut impl AapPort,
-        graph: &DeBruijnGraph,
-        work: SubarrayId,
-    ) -> Result<(Vec<u64>, Vec<u64>, bool)> {
-        Self::degrees_with(ctrl, graph, work, BackendKind::PimAssembler, OptLevel::O0)
-    }
-
-    /// [`TraverseStage::degrees`] retargeted to `backend` at optimization
-    /// level `opt`: the identical degree computation with every full-adder
-    /// slice (dense path) or synthetic charge (fallback path) lowered
-    /// through that backend's command repertoire.
-    ///
-    /// # Errors
-    ///
-    /// Propagates DRAM addressing and scratch errors.
-    pub fn degrees_with(
         ctrl: &mut impl AapPort,
         graph: &DeBruijnGraph,
         work: SubarrayId,
@@ -99,12 +85,8 @@ impl TraverseStage {
             let adder = CompiledTemplate::compile(
                 TemplateKey::new(Kernel::FullAdder, cols, cols).with_backend(backend).with_opt(opt),
             );
-            let (fa_aap, fa_aap2, fa_aap3) = adder.command_counts();
             let adds = 2 * graph.edge_count() as u64 + n as u64;
-            let waves = adds.div_ceil(cols as u64);
-            ctrl.record_synthetic("AAP", waves * fa_aap);
-            ctrl.record_synthetic("AAP2", waves * fa_aap2);
-            ctrl.record_synthetic("AAP3", waves * fa_aap3);
+            adder.charge_executions(ctrl, adds.div_ceil(cols as u64));
             let out = (0..n).map(|v| graph.out_degree(v) as u64).collect();
             let inc = (0..n).map(|v| graph.in_degree(v) as u64).collect();
             Ok((out, inc, false))
@@ -122,7 +104,8 @@ impl TraverseStage {
         work: SubarrayId,
         algorithm: EulerAlgorithm,
     ) -> Result<(Vec<Trail>, TraverseStats)> {
-        let (out, inc, dense) = Self::degrees(ctrl, graph, work)?;
+        let (out, inc, dense) =
+            Self::degrees(ctrl, graph, work, BackendKind::PimAssembler, OptLevel::O0)?;
         Self::walk(ctrl, graph, &out, &inc, dense, algorithm)
     }
 
@@ -187,7 +170,7 @@ impl TraverseStage {
             let out = passes.pop().expect("two partitions dispatched");
             Ok((out, inc, true))
         } else {
-            Self::degrees_with(ctrl, graph, work_out, BackendKind::PimAssembler, opt)
+            Self::degrees(ctrl, graph, work_out, BackendKind::PimAssembler, opt)
         }
     }
 
@@ -272,8 +255,7 @@ impl TraverseStage {
         let zero = RowAddr(n);
         ctrl.write_row(work, zero, &BitRow::zeros(cols))?;
         let mut scratch = ScratchSpace::new(n + 1, ctrl.geometry().data_rows());
-        let planes =
-            PimAdder::column_sum_with(ctrl, work, backend, opt, &rows, zero, &mut scratch)?;
+        let planes = PimAdder::column_sum(ctrl, work, backend, opt, &rows, zero, &mut scratch)?;
         let mut values = PimAdder::decode_columns(&planes);
         values.truncate(n);
         // In-degree of j = Σ_i A[i][j]; out-degree of j = Σ_i A^T[i][j].
@@ -419,7 +401,9 @@ mod tests {
         // graph's own counters.
         let (mut ctrl, work) = setup();
         let g = graph_of("CGTGCGTGCTTACGGA", 5);
-        let (out, inc, dense) = TraverseStage::degrees(&mut ctrl, &g, work).unwrap();
+        let (out, inc, dense) =
+            TraverseStage::degrees(&mut ctrl, &g, work, BackendKind::PimAssembler, OptLevel::O0)
+                .unwrap();
         assert!(dense);
         for v in 0..g.node_count() {
             assert_eq!(out[v], g.out_degree(v) as u64, "out {v}");
@@ -436,7 +420,9 @@ mod tests {
         let seq = DnaSequence::random(&mut rng, 150).to_string();
         let g = graph_of(&seq, 6);
         assert!(g.node_count() <= 256, "test graph too large");
-        let (out, inc, dense) = TraverseStage::degrees(&mut ctrl, &g, work).unwrap();
+        let (out, inc, dense) =
+            TraverseStage::degrees(&mut ctrl, &g, work, BackendKind::PimAssembler, OptLevel::O0)
+                .unwrap();
         assert!(dense);
         for v in 0..g.node_count() {
             assert_eq!(out[v], g.out_degree(v) as u64);
@@ -452,7 +438,9 @@ mod tests {
         let g = graph_of(&seq, 11);
         assert!(g.node_count() > 256);
         let before = *ctrl.stats();
-        let (_, _, dense) = TraverseStage::degrees(&mut ctrl, &g, work).unwrap();
+        let (_, _, dense) =
+            TraverseStage::degrees(&mut ctrl, &g, work, BackendKind::PimAssembler, OptLevel::O0)
+                .unwrap();
         assert!(!dense);
         let d = ctrl.stats().since(&before);
         assert!(d.aap3 > 0 && d.aap2 > 0, "synthetic accounting missing: {d}");

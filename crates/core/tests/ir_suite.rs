@@ -7,8 +7,9 @@ use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use pim_assembler::ir::{self, compile, kernels, IrErrorKind, LowerOptions, PimProgram, RowClass};
-use pim_assembler::isa::{AapInstruction, InstructionStream};
+use pim_assembler::ir::{
+    self, compile, kernels, IrErrorKind, LowerOptions, LoweredOp, PimProgram, RowClass,
+};
 use pim_assembler::template::{CompiledTemplate, Kernel, TemplateKey};
 use pim_dram::address::RowAddr;
 use pim_dram::bitrow::BitRow;
@@ -202,58 +203,56 @@ fn forced_spill_case_is_state_identical_and_actually_spills() {
 #[test]
 fn ir_lowered_streams_match_the_legacy_sequences_across_geometries() {
     // The pre-IR `Kernel::roles()` tables emitted exactly these
-    // instruction lists; the IR path must reproduce them byte-for-byte
-    // for every geometry and bulk size.
+    // instruction lists; the IR path must reproduce them op for op, over
+    // the same role labels, for every geometry and bulk size (a bulk size
+    // of `mult` rows repeats every op `mult` times).
+    let labels = |k: &ir::CompiledKernel| -> Vec<String> {
+        k.roles().iter().map(|r| r.label.clone()).collect()
+    };
     for cols in [64usize, 256] {
         for mult in [1usize, 3] {
-            let size = cols * mult;
-            let ctrl = Controller::new(DramGeometry::paper_assembly());
-            let id = ctrl.subarray_handle(0, 0, 0, 0).unwrap();
+            let options = LowerOptions { size: cols * mult, ..LowerOptions::for_row(cols) };
 
-            let xnor = CompiledTemplate::compile(TemplateKey::new(Kernel::Xnor, cols, size));
-            let (a, b, dst) = (RowAddr(1), RowAddr(2), RowAddr(9));
-            let (x1, x2, x3) = (ctrl.compute_row(0), ctrl.compute_row(1), ctrl.compute_row(2));
-            let got = xnor.to_stream(id, &[a, b, dst, x1, x2]);
-            let expected: InstructionStream = vec![
-                AapInstruction::Copy { subarray: id, src: a, dst: x1, size },
-                AapInstruction::Copy { subarray: id, src: b, dst: x2, size },
-                AapInstruction::TwoSrc {
-                    subarray: id,
-                    srcs: [x1, x2],
-                    dst,
-                    mode: SaMode::Xnor,
-                    size,
-                },
-            ]
-            .into_iter()
-            .collect();
-            assert_eq!(got, expected, "xnor cols={cols} size={size}");
+            let xnor = compile(&Kernel::Xnor.program(), &options).unwrap();
+            assert_eq!(labels(&xnor), ["a", "b", "dst", "x1", "x2"], "xnor cols={cols}");
+            let (a, b, dst, x1, x2) = (0, 1, 2, 3, 4);
+            let expected = [
+                LoweredOp::Copy { src: a, dst: x1 },
+                LoweredOp::Copy { src: b, dst: x2 },
+                LoweredOp::TwoSrc { srcs: [x1, x2], dst, mode: SaMode::Xnor },
+            ];
+            assert_eq!(xnor.ops(), expected, "xnor cols={cols} mult={mult}");
+            assert_eq!(xnor.report().reps, mult, "xnor cols={cols} mult={mult}");
 
-            let adder = CompiledTemplate::compile(TemplateKey::new(Kernel::FullAdder, cols, size));
-            let (c, zero, sum, carry) = (RowAddr(3), RowAddr(4), RowAddr(10), RowAddr(11));
-            let got = adder.to_stream(id, &[a, b, c, zero, sum, carry, x1, x2, x3]);
-            let expected: InstructionStream = vec![
-                AapInstruction::Copy { subarray: id, src: c, dst: x1, size },
-                AapInstruction::Copy { subarray: id, src: zero, dst: x2, size },
-                AapInstruction::Copy { subarray: id, src: c, dst: x3, size },
-                AapInstruction::ThreeSrc { subarray: id, srcs: [x1, x2, x3], dst: sum, size },
-                AapInstruction::Copy { subarray: id, src: a, dst: x1, size },
-                AapInstruction::Copy { subarray: id, src: b, dst: x2, size },
-                AapInstruction::TwoSrc {
-                    subarray: id,
-                    srcs: [x1, x2],
-                    dst: sum,
-                    mode: SaMode::CarrySum,
-                    size,
-                },
-                AapInstruction::Copy { subarray: id, src: a, dst: x1, size },
-                AapInstruction::Copy { subarray: id, src: b, dst: x2, size },
-                AapInstruction::Copy { subarray: id, src: c, dst: x3, size },
-                AapInstruction::ThreeSrc { subarray: id, srcs: [x1, x2, x3], dst: carry, size },
-            ]
-            .into_iter()
-            .collect();
-            assert_eq!(got, expected, "full-adder cols={cols} size={size}");
+            let adder = compile(&Kernel::FullAdder.program(), &options).unwrap();
+            assert_eq!(
+                labels(&adder),
+                ["a", "b", "c", "zero", "sum_dst", "carry_dst", "x1", "x2", "x3"],
+                "full-adder cols={cols}"
+            );
+            let (a, b, c, zero, sum, carry, x1, x2, x3) = (0, 1, 2, 3, 4, 5, 6, 7, 8);
+            let expected = [
+                LoweredOp::Copy { src: c, dst: x1 },
+                LoweredOp::Copy { src: zero, dst: x2 },
+                LoweredOp::Copy { src: c, dst: x3 },
+                LoweredOp::ThreeSrc { srcs: [x1, x2, x3], dst: sum },
+                LoweredOp::Copy { src: a, dst: x1 },
+                LoweredOp::Copy { src: b, dst: x2 },
+                LoweredOp::TwoSrc { srcs: [x1, x2], dst: sum, mode: SaMode::CarrySum },
+                LoweredOp::Copy { src: a, dst: x1 },
+                LoweredOp::Copy { src: b, dst: x2 },
+                LoweredOp::Copy { src: c, dst: x3 },
+                LoweredOp::ThreeSrc { srcs: [x1, x2, x3], dst: carry },
+            ];
+            assert_eq!(adder.ops(), expected, "full-adder cols={cols} mult={mult}");
+            assert_eq!(adder.report().reps, mult, "full-adder cols={cols} mult={mult}");
+
+            // The templates the stages execute lower to these same kernels.
+            for (kernel, lowered) in [(Kernel::Xnor, &xnor), (Kernel::FullAdder, &adder)] {
+                let template =
+                    CompiledTemplate::compile(TemplateKey::new(kernel, cols, cols * mult));
+                assert_eq!(template.report(), lowered.report(), "{kernel:?} cols={cols}");
+            }
         }
     }
 }

@@ -6,6 +6,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use pim_assembler::hashmap_stage::PimHashTable;
+use pim_assembler::ir::{BackendKind, OptLevel};
 use pim_assembler::mapping::KmerMapper;
 use pim_assembler::pim_add::{PimAdder, ScratchSpace};
 use pim_dram::address::RowAddr;
@@ -61,7 +62,7 @@ proptest! {
         }
         ctrl.write_row(id, 40, &BitRow::zeros(cols)).unwrap();
         let mut scratch = ScratchSpace::new(50, 500);
-        let planes = PimAdder::column_sum(&mut ctrl, id, &rows, RowAddr(40), &mut scratch).unwrap();
+        let planes = PimAdder::column_sum(&mut ctrl, id, BackendKind::PimAssembler, OptLevel::O0, &rows, RowAddr(40), &mut scratch).unwrap();
         prop_assert_eq!(PimAdder::decode_columns(&planes), expected);
     }
 
@@ -78,7 +79,7 @@ proptest! {
         ctrl.write_row(id, 2, &b).unwrap();
         ctrl.write_row(id, 3, &c).unwrap();
         ctrl.write_row(id, 4, &BitRow::zeros(cols)).unwrap();
-        PimAdder::full_add(&mut ctrl, id, RowAddr(1), RowAddr(2), RowAddr(3), RowAddr(4), RowAddr(10), RowAddr(11))
+        PimAdder::full_add(&mut ctrl, id, BackendKind::PimAssembler, OptLevel::O0, RowAddr(1), RowAddr(2), RowAddr(3), RowAddr(4), RowAddr(10), RowAddr(11))
             .unwrap();
         prop_assert_eq!(ctrl.peek_row(id, 10).unwrap(), a.xor(&b).xor(&c));
         prop_assert_eq!(ctrl.peek_row(id, 11).unwrap(), BitRow::maj3(&a, &b, &c));
@@ -108,17 +109,16 @@ proptest! {
         let g = DramGeometry::tiny();
         let ids: Vec<pim_dram::SubarrayId> =
             (0..8).map(|i| pim_dram::SubarrayId::from_linear_index(&g, i)).collect();
-        let stream = random_stream(&g, &ids, &ops);
 
         let mut serial = seeded(&g, &ids);
-        ParallelDispatcher::serial().execute(&mut serial, &stream).unwrap();
+        dispatch_rounds(&ParallelDispatcher::serial(), &mut serial, &ids, &ops);
 
         // The persistent worker pool must be byte-identical to the serial
         // path for every pool size: degenerate (1), small (2), and more
         // workers than partitions (8).
         for workers in [1usize, 2, 8] {
             let mut parallel = seeded(&g, &ids);
-            ParallelDispatcher::with_workers(workers).execute(&mut parallel, &stream).unwrap();
+            dispatch_rounds(&ParallelDispatcher::with_workers(workers), &mut parallel, &ids, &ops);
 
             // Cycle/energy totals are bit-identical …
             prop_assert_eq!(*serial.stats(), *parallel.stats(), "stats, workers={}", workers);
@@ -143,54 +143,61 @@ proptest! {
         let g = DramGeometry::tiny();
         let ids: Vec<pim_dram::SubarrayId> =
             (0..8).map(|i| pim_dram::SubarrayId::from_linear_index(&g, i)).collect();
-        let stream = random_stream(&g, &ids, &ops);
 
         let mut direct = seeded(&g, &ids);
         let mut dispatched = seeded(&g, &ids);
-        pim_assembler::exec::StreamExecutor::execute_stream(&mut direct, &stream).unwrap();
-        ParallelDispatcher::with_workers(3).execute(&mut dispatched, &stream).unwrap();
+        for &op in &ops {
+            issue_round(&mut direct, ids[op % 8], op).unwrap();
+        }
+        dispatch_rounds(&ParallelDispatcher::with_workers(3), &mut dispatched, &ids, &ops);
         prop_assert_eq!(*direct.stats(), *dispatched.stats());
     }
 }
 
 use pim_assembler::dispatch::ParallelDispatcher;
-use pim_assembler::isa::{AapInstruction, InstructionStream};
+use pim_dram::port::AapPort;
 use pim_dram::sense_amp::SaMode;
 
-/// A copy-copy-logic program per op code, interleaved across sub-arrays
-/// exactly as generated. Each op in `0..96` decodes to a
-/// `(sub-array, source salt, logic mode)` triple.
-fn random_stream(
-    g: &DramGeometry,
+/// Issues op code `op`'s copy-copy-logic round on sub-array `id`. Each op
+/// in `0..96` decodes to a `(sub-array, source salt, logic mode)` triple;
+/// the sub-array part (`op % 8`) is resolved to `id` by the caller.
+fn issue_round(
+    port: &mut impl AapPort,
+    id: pim_dram::SubarrayId,
+    op: usize,
+) -> pim_assembler::Result<()> {
+    let (salt, mode) = ((op / 8) % 4, op / 32);
+    let mode = [SaMode::Xnor, SaMode::Nand, SaMode::Nor][mode];
+    let (x0, x1) = (port.compute_row(0), port.compute_row(1));
+    port.aap_copy(id, RowAddr(salt), x0)?;
+    port.aap_copy(id, RowAddr((salt + 1) % 4), x1)?;
+    port.aap2_discard(id, mode, [x0, x1], RowAddr(8 + salt))?;
+    Ok(())
+}
+
+/// Groups the generated rounds by sub-array (in order of first
+/// appearance, each sub-array keeping its rounds' order) and runs every
+/// group as one dispatcher partition.
+fn dispatch_rounds(
+    dispatcher: &ParallelDispatcher,
+    ctrl: &mut Controller,
     ids: &[pim_dram::SubarrayId],
     ops: &[usize],
-) -> InstructionStream {
-    let cols = g.cols;
-    let x0 = RowAddr(g.compute_row(0));
-    let x1 = RowAddr(g.compute_row(1));
-    let mut stream = InstructionStream::new();
+) {
+    let mut partitions: Vec<(pim_dram::SubarrayId, Vec<usize>)> = Vec::new();
     for &op in ops {
-        let (sub, salt, mode) = (op % 8, (op / 8) % 4, op / 32);
-        let id = ids[sub];
-        let mode = [SaMode::Xnor, SaMode::Nand, SaMode::Nor][mode];
-        stream.extend([
-            AapInstruction::Copy { subarray: id, src: RowAddr(salt), dst: x0, size: cols },
-            AapInstruction::Copy {
-                subarray: id,
-                src: RowAddr((salt + 1) % 4),
-                dst: x1,
-                size: cols,
-            },
-            AapInstruction::TwoSrc {
-                subarray: id,
-                srcs: [x0, x1],
-                dst: RowAddr(8 + salt),
-                mode,
-                size: cols,
-            },
-        ]);
+        let id = ids[op % 8];
+        match partitions.iter_mut().find(|(p, _)| *p == id) {
+            Some((_, rounds)) => rounds.push(op),
+            None => partitions.push((id, vec![op])),
+        }
     }
-    stream
+    dispatcher
+        .run_partitions(ctrl, partitions, |ctx, rounds| {
+            let id = ctx.id();
+            rounds.into_iter().try_for_each(|op| issue_round(ctx, id, op))
+        })
+        .unwrap();
 }
 
 fn seeded(g: &DramGeometry, ids: &[pim_dram::SubarrayId]) -> Controller {

@@ -181,19 +181,16 @@ pub enum HistKey {
     TraverseTrailLen,
     /// Sub-array partitions per dispatcher batch.
     PartitionItems,
-    /// Busy sub-arrays per command-bus issue slot (stream scheduler).
-    SchedulerOccupancy,
     /// Candidate positions surviving the seed filter, per mapped read.
     MapCandidates,
 }
 
 impl HistKey {
     /// Every histogram key, in canonical order.
-    pub const ALL: [HistKey; 5] = [
+    pub const ALL: [HistKey; 4] = [
         HistKey::HashProbeLen,
         HistKey::TraverseTrailLen,
         HistKey::PartitionItems,
-        HistKey::SchedulerOccupancy,
         HistKey::MapCandidates,
     ];
 
@@ -206,7 +203,6 @@ impl HistKey {
             HistKey::HashProbeLen => "hash_probe_len",
             HistKey::TraverseTrailLen => "traverse_trail_len",
             HistKey::PartitionItems => "partition_items",
-            HistKey::SchedulerOccupancy => "scheduler_occupancy",
             HistKey::MapCandidates => "map_candidates",
         }
     }

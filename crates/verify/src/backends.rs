@@ -107,7 +107,7 @@ pub fn traverse_backend_oracle(
 
     let mut ctrl = backend_controller(backend, DramGeometry::paper_assembly());
     let work = ctrl.subarray_handle(0, 1, 0, 0)?;
-    let (out, inc, _dense) = TraverseStage::degrees_with(&mut ctrl, &graph, work, backend, opt)?;
+    let (out, inc, _dense) = TraverseStage::degrees(&mut ctrl, &graph, work, backend, opt)?;
 
     let mut mismatches = 0;
     let mut notes = Vec::new();

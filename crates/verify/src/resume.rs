@@ -11,6 +11,7 @@
 //! render it alongside the stage oracles.
 
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use pim_assembler::checkpoint::prepare_dir;
 use pim_assembler::ir::OptLevel;
@@ -98,10 +99,14 @@ fn diff_runs(
     }
 }
 
-/// Scratch checkpoint directory unique to one matrix cell.
+/// Scratch checkpoint directory unique to one matrix cell of one call:
+/// the per-process counter keeps concurrent [`resume_suite`] calls (test
+/// threads, say) from sharing, and deleting, each other's checkpoints.
 fn scratch_dir(workers: usize, opt: OptLevel) -> std::io::Result<PathBuf> {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
     let dir = std::env::temp_dir()
-        .join(format!("pim-verify-resume-w{workers}-{opt:?}-{}", std::process::id()));
+        .join(format!("pim-verify-resume-w{workers}-{opt:?}-{}-{n}", std::process::id()));
     if dir.exists() {
         std::fs::remove_dir_all(&dir)?;
     }
@@ -192,6 +197,26 @@ mod tests {
         for report in &reports {
             assert!(report.passed(), "{}: {:?}", report.scenario, report.notes);
             assert!(report.compared >= 24, "both legs compared in {}", report.scenario);
+        }
+    }
+
+    #[test]
+    fn concurrent_suites_keep_their_checkpoints_apart() {
+        let options = ResumeSuiteOptions { genome_len: 300, ..ResumeSuiteOptions::default() };
+        let start = std::sync::Barrier::new(2);
+        let runs: Vec<Vec<OracleReport>> = std::thread::scope(|s| {
+            let suites: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        resume_suite(&options)
+                    })
+                })
+                .collect();
+            suites.into_iter().map(|h| h.join().expect("suite thread")).collect()
+        });
+        for report in runs.iter().flatten() {
+            assert!(report.passed(), "{}: {:?}", report.scenario, report.notes);
         }
     }
 }

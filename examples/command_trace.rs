@@ -5,6 +5,7 @@
 //! cargo run --example command_trace
 //! ```
 
+use pim_assembler_suite::assembler::ir::{BackendKind, OptLevel};
 use pim_assembler_suite::assembler::layout::SubarrayLayout;
 use pim_assembler_suite::assembler::mapping::KmerMapper;
 use pim_assembler_suite::assembler::pim_add::PimAdder;
@@ -27,7 +28,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let query: Kmer = "CGTGCGTGCTTACGGA".parse()?;
     ctrl.write_row(id, layout.kmer_row(0)?, &mapper.row_image(&stored, g.cols))?;
     ctrl.enable_trace(16);
-    let comparator = PimComparator::new(g.cols);
+    let comparator =
+        PimComparator::new(g.cols, BackendKind::PimAssembler, RowAddr(0), OptLevel::O0);
     comparator.stage_query(&mut ctrl, id, layout.temp_row(0), &mapper.row_image(&query, g.cols))?;
     let matched = comparator.compare(
         &mut ctrl,
@@ -49,6 +51,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     PimAdder::full_add(
         &mut ctrl,
         id,
+        BackendKind::PimAssembler,
+        OptLevel::O0,
         RowAddr(10),
         RowAddr(11),
         RowAddr(12),

@@ -5,12 +5,12 @@
 //! the simulated machine's semantics cannot depend on host scheduling.
 
 use pim_assembler_suite::assembler::dispatch::ParallelDispatcher;
-use pim_assembler_suite::assembler::isa::{AapInstruction, InstructionStream};
-use pim_assembler_suite::assembler::{PimAssembler, PimAssemblerConfig};
+use pim_assembler_suite::assembler::{PimAssembler, PimAssemblerConfig, Result};
 use pim_assembler_suite::dram::address::{RowAddr, SubarrayId};
 use pim_assembler_suite::dram::bitrow::BitRow;
 use pim_assembler_suite::dram::controller::Controller;
 use pim_assembler_suite::dram::geometry::DramGeometry;
+use pim_assembler_suite::dram::port::AapPort;
 use pim_assembler_suite::dram::sense_amp::SaMode;
 use pim_assembler_suite::genome::reads::ReadSimulator;
 use pim_assembler_suite::genome::sequence::DnaSequence;
@@ -62,6 +62,18 @@ fn pipeline_results_are_identical_for_any_worker_count() {
     }
 }
 
+/// 64 copy-copy-XNOR rounds on sub-array `id`, the way a stage issues
+/// its kernels.
+fn xnor_rounds(port: &mut impl AapPort, id: SubarrayId) -> Result<()> {
+    let (x0, x1) = (port.compute_row(0), port.compute_row(1));
+    for round in 0..64usize {
+        port.aap_copy(id, RowAddr(round % 4), x0)?;
+        port.aap_copy(id, RowAddr((round + 1) % 4), x1)?;
+        port.aap2_discard(id, SaMode::Xnor, [x0, x1], RowAddr(8 + round % 4))?;
+    }
+    Ok(())
+}
+
 /// Direct dispatcher check over ≥ 4 disjoint sub-array partitions:
 /// byte-identical array state and bit-identical cycle/energy totals.
 #[test]
@@ -82,42 +94,19 @@ fn four_plus_partitions_execute_byte_identically() {
         ctrl
     };
 
-    let x0 = RowAddr(g.compute_row(0));
-    let x1 = RowAddr(g.compute_row(1));
-    let mut stream = InstructionStream::new();
-    for round in 0..64usize {
-        for &id in &ids {
-            stream.extend([
-                AapInstruction::Copy {
-                    subarray: id,
-                    src: RowAddr(round % 4),
-                    dst: x0,
-                    size: g.cols,
-                },
-                AapInstruction::Copy {
-                    subarray: id,
-                    src: RowAddr((round + 1) % 4),
-                    dst: x1,
-                    size: g.cols,
-                },
-                AapInstruction::TwoSrc {
-                    subarray: id,
-                    srcs: [x0, x1],
-                    dst: RowAddr(8 + round % 4),
-                    mode: SaMode::Xnor,
-                    size: g.cols,
-                },
-            ]);
-        }
-    }
-    assert!(stream.split_by_subarray().len() >= 4, "must exercise at least four partitions");
+    // One partition per sub-array, each running its copy-copy-XNOR rounds.
+    assert!(ids.len() >= 4, "must exercise at least four partitions");
+    let run = |dispatcher: &ParallelDispatcher, ctrl: &mut Controller| {
+        let partitions: Vec<(SubarrayId, ())> = ids.iter().map(|&id| (id, ())).collect();
+        dispatcher.run_partitions(ctrl, partitions, |ctx, ()| xnor_rounds(ctx, ctx.id())).unwrap();
+    };
 
     let mut serial = seed(&ids);
-    ParallelDispatcher::serial().execute(&mut serial, &stream).unwrap();
+    run(&ParallelDispatcher::serial(), &mut serial);
 
     for workers in [2usize, 4, 8] {
         let mut parallel = seed(&ids);
-        ParallelDispatcher::with_workers(workers).execute(&mut parallel, &stream).unwrap();
+        run(&ParallelDispatcher::with_workers(workers), &mut parallel);
         assert_eq!(*serial.stats(), *parallel.stats(), "workers={workers}: command totals");
         assert_eq!(serial.ledger(), parallel.ledger(), "workers={workers}: cycle/energy ledger");
         for &id in &ids {

@@ -2,6 +2,7 @@
 //! software counterpart when driven through the full stack.
 
 use pim_assembler_suite::assembler::hashmap_stage::PimHashTable;
+use pim_assembler_suite::assembler::ir::{BackendKind, OptLevel};
 use pim_assembler_suite::assembler::mapping::KmerMapper;
 use pim_assembler_suite::assembler::pim_add::{PimAdder, ScratchSpace};
 use pim_assembler_suite::assembler::traverse_stage::TraverseStage;
@@ -60,7 +61,16 @@ fn pim_column_sum_equals_integer_addition() {
         }
         ctrl.write_row(id, 50, &BitRow::zeros(cols)).unwrap();
         let mut scratch = ScratchSpace::new(100, 400);
-        let planes = PimAdder::column_sum(&mut ctrl, id, &rows, RowAddr(50), &mut scratch).unwrap();
+        let planes = PimAdder::column_sum(
+            &mut ctrl,
+            id,
+            BackendKind::PimAssembler,
+            OptLevel::O0,
+            &rows,
+            RowAddr(50),
+            &mut scratch,
+        )
+        .unwrap();
         assert_eq!(PimAdder::decode_columns(&planes), expected, "trial {trial}");
     }
 }
@@ -76,7 +86,14 @@ fn pim_degree_accumulation_equals_graph_degrees() {
         let g = DramGeometry::paper_assembly();
         let mut ctrl = Controller::new(g);
         let work = ctrl.subarray_handle(0, 1, 0, 0).unwrap();
-        let (out, inc, dense) = TraverseStage::degrees(&mut ctrl, &graph, work).unwrap();
+        let (out, inc, dense) = TraverseStage::degrees(
+            &mut ctrl,
+            &graph,
+            work,
+            BackendKind::PimAssembler,
+            OptLevel::O0,
+        )
+        .unwrap();
         assert!(dense, "seed {seed}: graph should fit the dense mapping");
         for v in 0..graph.node_count() {
             assert_eq!(out[v], graph.out_degree(v) as u64, "seed {seed} out {v}");
