@@ -18,7 +18,7 @@ pub struct ParsedArgs {
 
 /// Option keys that take a value (everything else starting with `--` is a
 /// switch).
-const VALUE_KEYS: [&str; 28] = [
+const VALUE_KEYS: [&str; 25] = [
     "k",
     "opt-level",
     "backend",
@@ -32,9 +32,6 @@ const VALUE_KEYS: [&str; 28] = [
     "workers",
     "faults",
     "genome-len",
-    "iters",
-    "out",
-    "baseline",
     "metrics-out",
     "trace-out",
     "metrics",
@@ -81,6 +78,27 @@ impl ParsedArgs {
         match self.options.get(key) {
             Some(v) => v.parse().unwrap_or_else(|_| panic!("--{key} expects a number, got {v:?}")),
             None => default,
+        }
+    }
+
+    /// [`ParsedArgs::get_num`] restricted to the values `valid` accepts;
+    /// any other value is an error naming the valid `range`.
+    ///
+    /// # Panics
+    ///
+    /// As [`ParsedArgs::get_num`], when the value does not parse.
+    pub fn get_num_where<T: std::str::FromStr + std::fmt::Display + Copy>(
+        &self,
+        key: &str,
+        default: T,
+        valid: impl Fn(T) -> bool,
+        range: &str,
+    ) -> Result<T, String> {
+        let value = self.get_num(key, default);
+        if valid(value) {
+            Ok(value)
+        } else {
+            Err(format!("--{key} must be {range}, got {value}"))
         }
     }
 

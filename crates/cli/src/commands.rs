@@ -27,17 +27,17 @@ USAGE:
   pim-asm throughput                                Fig. 3b bulk-op throughput table
   pim-asm map [options]                             map simulated reads on the platform
   pim-asm verify [options]                          differential + fault verification suite
-  pim-asm bench [options]                           hot-path timing harness (BENCH_*.json)
   pim-asm ir --kernel NAME [options]                dump a kernel's IR and lowering
   pim-asm help                                      this text
 
 ASSEMBLE OPTIONS:
-  --k N            k-mer length (default 17, max 32)
+  --k N            k-mer length (default 17, 2..=32)
   --min-count N    drop k-mers seen fewer than N times (default 1)
   --simplify N     clip tips/pop bubbles up to N edges (default off)
   --correct        spectral read error correction before assembly
-  --pd N           parallelism degree (default 2)
-  --subarrays N    hash-partition sub-arrays (default 32)
+  --pd N           parallelism degree (default 2, at least 1)
+  --subarrays N    hash-partition sub-arrays (default 32; more when the
+                   k-mer region of a sub-array fills up)
   --workers N      host threads for the parallel dispatcher (default 1;
                    results are identical for any value)
   --chunk-reads N  stream the input N reads at a time instead of loading
@@ -96,21 +96,6 @@ VERIFY OPTIONS:
   --opt-level N    IR optimization level for the backend suite's stage
                    kernels: 0 (default) or 2; answers must be identical
 
-BENCH OPTIONS:
-  --iters N        micro-bench loop iterations (default 100000)
-  --genome-len N   end-to-end dataset genome length (default 3000)
-  --backend NAME   substrate to drive the micro-benches on: pim-assembler
-                   (default), ambit-tra, panda-mram; non-default backends
-                   skip the end-to-end pipeline runs
-  --json           print the JSON artifact to stdout
-  --out PATH       write the JSON artifact to PATH (refuses to overwrite
-                   an existing file unless --force is passed)
-  --force          allow --out to replace an existing file
-  --baseline PATH  previous BENCH_*.json to compute speedups against
-  --opt-level N    IR optimization level the kernels compile at: 0
-                   (default, byte-identical streams) or 2 (bounded
-                   sequence search; shorter streams where provably equal)
-
 IR OPTIONS:
   --kernel NAME    canonical kernel to dump (xnor, full-adder)
   --backend NAME   lowering backend: pim-assembler (default), ambit-tra,
@@ -139,6 +124,38 @@ fn parse_opt_level(args: &ParsedArgs) -> Result<pim_assembler::ir::OptLevel, Box
         None => Ok(OptLevel::O0),
         Some(v) => OptLevel::parse(v)
             .ok_or_else(|| format!("unknown opt level {v:?} (one of: 0, 2)").into()),
+    }
+}
+
+/// `--k`: a k-mer length the assembly stages support.
+fn k_arg(args: &ParsedArgs, default: usize) -> Result<usize, String> {
+    let max = pim_genome::kmer::Kmer::MAX_K;
+    args.get_num_where("k", default, |k| (2..=max).contains(&k), &format!("in 2..={max}"))
+}
+
+/// `--coverage`: a positive, finite read depth.
+fn coverage_arg(args: &ParsedArgs, default: f64) -> Result<f64, String> {
+    args.get_num_where("coverage", default, |c: f64| c > 0.0 && c.is_finite(), "positive")
+}
+
+/// `--error-rate`: a per-base substitution probability.
+fn error_rate_arg(args: &ParsedArgs, default: f64) -> Result<f64, String> {
+    args.get_num_where("error-rate", default, |r| (0.0..1.0).contains(&r), "in [0, 1)")
+}
+
+/// `--faults LIST`: comma-separated sense-amp flip rates, each in
+/// [0, 1]; `none` is the empty campaign.
+fn fault_rates_arg(args: &ParsedArgs, default: &str) -> Result<Vec<f64>, String> {
+    match args.get_str("faults").unwrap_or(default) {
+        "none" => Ok(Vec::new()),
+        list => list
+            .split(',')
+            .map(|r| {
+                r.trim().parse::<f64>().ok().filter(|r| (0.0..=1.0).contains(r)).ok_or_else(|| {
+                    format!("bad fault rate {r:?} (each rate must be a number in [0, 1])")
+                })
+            })
+            .collect(),
     }
 }
 
@@ -186,7 +203,7 @@ pub fn assemble(args: &ParsedArgs) -> CliResult {
     use pim_assembler::checkpoint::prepare_dir;
     use pim_assembler::Session;
     let input = args.positional.first().ok_or("assemble needs an input reads file")?;
-    let k: usize = args.get_num("k", 17);
+    let k = k_arg(args, 17)?;
     let chunk_reads: Option<usize> = args
         .options
         .get("chunk-reads")
@@ -210,10 +227,18 @@ pub fn assemble(args: &ParsedArgs) -> CliResult {
     }
     let metrics_out = args.get_str("metrics-out");
     let trace_out = args.get_str("trace-out");
+    let pd = args.get_num_where("pd", 2, |pd| pd >= 1, "at least 1")?;
+    let total = PimAssemblerConfig::paper(k).geometry.total_subarrays();
+    let subarrays = args.get_num_where(
+        "subarrays",
+        32,
+        |n| (1..=total).contains(&n),
+        &format!("in 1..={total}"),
+    )?;
     let mut config = PimAssemblerConfig::paper(k)
         .with_min_count(args.get_num("min-count", 1))
-        .with_pd(args.get_num("pd", 2))
-        .with_hash_subarrays(args.get_num("subarrays", 32))
+        .with_pd(pd)
+        .with_hash_subarrays(subarrays)
         .with_workers(workers)
         .with_observability(metrics_out.is_some() || trace_out.is_some());
     if let Some(tips) = args.options.get("simplify") {
@@ -313,7 +338,12 @@ pub fn simulate(args: &ParsedArgs) -> CliResult {
     let input = args.positional.first().ok_or("simulate needs a genome FASTA")?;
     let records = read_fasta(BufReader::new(File::open(input)?))?;
     let genome = &records.first().ok_or("empty FASTA")?.seq;
-    let coverage: f64 = args.get_num("coverage", 25.0);
+    if genome.len() < 101 {
+        return Err(
+            format!("genome of {} bp is shorter than the 101 bp reads", genome.len()).into()
+        );
+    }
+    let coverage = coverage_arg(args, 25.0)?;
     let seed: u64 = args.get_num("seed", 42);
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let reads = ReadSimulator::new(101, coverage).simulate(genome, &mut rng);
@@ -388,18 +418,23 @@ fn metrics_stats(path: &str) -> CliResult {
     Ok(())
 }
 
-/// `pim-asm verify`.
 /// `pim-asm map`: the second workload — stream simulated reads against a
 /// synthetic reference, mapping each through the seed-filter + DP funnel
 /// on the array, and compare against the software oracle.
 pub fn map(args: &ParsedArgs) -> CliResult {
     use pim_assembler::mapping_stage::{run_mapping, MappingRunConfig};
     let defaults = MappingRunConfig::default();
+    let read_len = args.get_num_where("read-len", defaults.read_len, |n| n >= 1, "at least 1")?;
     let config = MappingRunConfig {
-        genome_len: args.get_num("genome-len", defaults.genome_len),
-        read_len: args.get_num("read-len", defaults.read_len),
-        coverage: args.get_num("coverage", 4.0),
-        error_rate: args.get_num("error-rate", 0.02),
+        genome_len: args.get_num_where(
+            "genome-len",
+            defaults.genome_len,
+            |n| n >= read_len,
+            &format!("at least --read-len ({read_len})"),
+        )?,
+        read_len,
+        coverage: coverage_arg(args, 4.0)?,
+        error_rate: error_rate_arg(args, 0.02)?,
         seed: args.get_num("seed", defaults.seed),
         backend: match args.get_str("backend") {
             Some(name) => parse_backend(name)?,
@@ -407,7 +442,7 @@ pub fn map(args: &ParsedArgs) -> CliResult {
         },
         opt: parse_opt_level(args)?,
         workers: args.get_num("workers", 0),
-        fault_rate: args.get_num("faults", 0.0),
+        fault_rate: args.get_num_where("faults", 0.0, |r| (0.0..=1.0).contains(&r), "in [0, 1]")?,
         ..defaults
     };
     let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
@@ -442,6 +477,19 @@ pub fn map(args: &ParsedArgs) -> CliResult {
     }
 }
 
+/// `--genome-len` of the verification suites: long enough for their
+/// simulated reads.
+fn genome_len_arg(args: &ParsedArgs, default: usize) -> Result<usize, String> {
+    let min = pim_verify::genomes::READ_LEN;
+    args.get_num_where(
+        "genome-len",
+        default,
+        |n| n >= min,
+        &format!("at least {min} (the read length)"),
+    )
+}
+
+/// `pim-asm verify`.
 pub fn verify(args: &ParsedArgs) -> CliResult {
     use pim_verify::{standard_suite, SuiteOptions};
     match args.get_str("stage") {
@@ -456,19 +504,12 @@ pub fn verify(args: &ParsedArgs) -> CliResult {
         return verify_backends(args);
     }
     let defaults = SuiteOptions::default();
-    let fault_rates = match args.get_str("faults").unwrap_or("1e-4") {
-        "none" => Vec::new(),
-        list => list
-            .split(',')
-            .map(|r| r.trim().parse::<f64>().map_err(|_| format!("bad fault rate {r:?}")))
-            .collect::<Result<Vec<f64>, _>>()?,
-    };
     let options = SuiteOptions {
-        genome_len: args.get_num("genome-len", defaults.genome_len),
-        k: args.get_num("k", defaults.k),
+        genome_len: genome_len_arg(args, defaults.genome_len)?,
+        k: k_arg(args, defaults.k)?,
         min_count: args.get_num("min-count", defaults.min_count),
         seed: args.get_num("seed", defaults.seed),
-        fault_rates,
+        fault_rates: fault_rates_arg(args, "1e-4")?,
     };
     let report = standard_suite(&options);
     println!("{report}");
@@ -486,26 +527,25 @@ pub fn verify(args: &ParsedArgs) -> CliResult {
 fn verify_mapping(args: &ParsedArgs) -> CliResult {
     use pim_verify::MappingSuiteOptions;
     let defaults = MappingSuiteOptions::default();
-    let fault_rates = match args.get_str("faults").unwrap_or("1e-3") {
-        "none" => Vec::new(),
-        list => list
-            .split(',')
-            .map(|r| r.trim().parse::<f64>().map_err(|_| format!("bad fault rate {r:?}")))
-            .collect::<Result<Vec<f64>, _>>()?,
-    };
     let backends = match args.get_str("backend") {
         None | Some("all") => pim_assembler::ir::BackendKind::ALL.to_vec(),
         Some(name) => vec![parse_backend(name)?],
     };
+    let genome_len = genome_len_arg(args, defaults.genome_len)?;
     let options = MappingSuiteOptions {
-        genome_len: args.get_num("genome-len", defaults.genome_len),
-        read_len: args.get_num("read-len", defaults.read_len),
-        coverage: args.get_num("coverage", defaults.coverage),
-        error_rate: args.get_num("error-rate", defaults.error_rate),
+        genome_len,
+        read_len: args.get_num_where(
+            "read-len",
+            defaults.read_len,
+            |n| (1..=genome_len).contains(&n),
+            &format!("in 1..=--genome-len ({genome_len})"),
+        )?,
+        coverage: coverage_arg(args, defaults.coverage)?,
+        error_rate: error_rate_arg(args, defaults.error_rate)?,
         seed: args.get_num("seed", defaults.seed),
         opt: parse_opt_level(args)?,
         backends,
-        fault_rates,
+        fault_rates: fault_rates_arg(args, "1e-3")?,
     };
     let report = pim_verify::mapping_suite(&options);
     println!("{report}");
@@ -523,8 +563,8 @@ fn verify_resume(args: &ParsedArgs) -> CliResult {
     use pim_verify::{resume_suite, ResumeSuiteOptions, VerifyReport};
     let defaults = ResumeSuiteOptions::default();
     let options = ResumeSuiteOptions {
-        genome_len: args.get_num("genome-len", defaults.genome_len),
-        k: args.get_num("k", defaults.k),
+        genome_len: genome_len_arg(args, defaults.genome_len)?,
+        k: k_arg(args, defaults.k)?,
         seed: args.get_num("seed", defaults.seed),
         ..defaults
     };
@@ -545,8 +585,8 @@ fn verify_backends(args: &ParsedArgs) -> CliResult {
     let name = args.get_str("backend").expect("caller checked --backend");
     let defaults = BackendSuiteOptions::default();
     let options = BackendSuiteOptions {
-        genome_len: args.get_num("genome-len", defaults.genome_len),
-        k: args.get_num("k", defaults.k),
+        genome_len: genome_len_arg(args, defaults.genome_len)?,
+        k: k_arg(args, defaults.k)?,
         min_count: args.get_num("min-count", defaults.min_count),
         seed: args.get_num("seed", defaults.seed),
         opt: parse_opt_level(args)?,
@@ -561,43 +601,6 @@ fn verify_backends(args: &ParsedArgs) -> CliResult {
     } else {
         Err("backend verification failed".into())
     }
-}
-
-/// `pim-asm bench`.
-pub fn bench(args: &ParsedArgs) -> CliResult {
-    let iters: u64 = args.get_num("iters", 100_000);
-    let genome_len: usize = args.get_num("genome-len", 3000);
-    let backend = match args.get_str("backend") {
-        Some(name) => parse_backend(name)?,
-        None => pim_assembler::ir::BackendKind::PimAssembler,
-    };
-    let baseline = match args.get_str("baseline") {
-        Some(path) => crate::bench::parse_measurements(&std::fs::read_to_string(path)?),
-        None => Vec::new(),
-    };
-    let opt = parse_opt_level(args)?;
-    let report = crate::bench::run_all_for(iters, genome_len, backend, opt)?;
-    for m in &report.measurements {
-        let extra = baseline
-            .iter()
-            .find(|b| b.name == m.name && m.ns_per_op > 0.0)
-            .map(|b| format!("  ({:.2}x vs baseline)", b.ns_per_op / m.ns_per_op))
-            .unwrap_or_default();
-        eprintln!("{:<24} {:>14.1} ns/op over {} ops{extra}", m.name, m.ns_per_op, m.ops);
-    }
-    eprintln!("serial vs worker-pool stats identical: {}", report.serial_parallel_identical);
-    let json = crate::bench::to_json(&report, &baseline);
-    if args.has_flag("json") {
-        print!("{json}");
-    }
-    if let Some(out) = args.get_str("out") {
-        if Path::new(out).exists() && !args.has_flag("force") {
-            return Err(format!("refusing to overwrite {out}; pass --force to replace it").into());
-        }
-        std::fs::write(out, &json)?;
-        eprintln!("wrote {out}");
-    }
-    Ok(())
 }
 
 /// `pim-asm ir`: dump a kernel's IR before and after lowering.
@@ -844,24 +847,6 @@ mod tests {
     }
 
     #[test]
-    fn bench_records_the_backend_and_rejects_unknown_ones() {
-        let out = tmp("bench_backend.json");
-        let _ = std::fs::remove_file(&out);
-        let mut argv: Vec<String> =
-            ["bench", "--iters", "5", "--genome-len", "400", "--backend", "mram", "--out"]
-                .map(String::from)
-                .to_vec();
-        argv.push(out.to_str().unwrap().to_string());
-        bench(&ParsedArgs::parse(argv)).unwrap();
-        let json = std::fs::read_to_string(&out).unwrap();
-        assert!(json.contains("\"backend\": \"panda-mram\""), "{json}");
-
-        let args = ParsedArgs::parse(["bench", "--backend", "gpu"].map(String::from));
-        let err = bench(&args).unwrap_err().to_string();
-        assert!(err.contains("unknown backend"), "{err}");
-    }
-
-    #[test]
     fn ir_dumps_optimized_streams_at_o2() {
         for backend in ["pim-assembler", "ambit-tra", "panda-mram"] {
             let args = ParsedArgs::parse(
@@ -878,33 +863,9 @@ mod tests {
             ParsedArgs::parse(["ir", "--kernel", "xnor", "--opt-level", "3"].map(String::from));
         let err = ir(&args).unwrap_err().to_string();
         assert!(err.contains("unknown opt level"), "{err}");
-        let args = ParsedArgs::parse(["bench", "--opt-level", "fast"].map(String::from));
-        let err = bench(&args).unwrap_err().to_string();
+        let args = ParsedArgs::parse(["map", "--opt-level", "fast"].map(String::from));
+        let err = map(&args).unwrap_err().to_string();
         assert!(err.contains("unknown opt level"), "{err}");
-    }
-
-    #[test]
-    fn bench_records_the_opt_level_in_the_artifact() {
-        let out = tmp("bench_opt.json");
-        let _ = std::fs::remove_file(&out);
-        let mut argv: Vec<String> = [
-            "bench",
-            "--iters",
-            "5",
-            "--genome-len",
-            "400",
-            "--backend",
-            "mram",
-            "--opt-level",
-            "2",
-            "--out",
-        ]
-        .map(String::from)
-        .to_vec();
-        argv.push(out.to_str().unwrap().to_string());
-        bench(&ParsedArgs::parse(argv)).unwrap();
-        let json = std::fs::read_to_string(&out).unwrap();
-        assert!(json.contains("\"opt_level\": \"O2\""), "{json}");
     }
 
     #[test]
@@ -914,41 +875,6 @@ mod tests {
         assert!(err.to_string().contains("xnor"), "{err}");
         let err = ir(&ParsedArgs::parse(["ir", "--kernel", "nope"].map(String::from))).unwrap_err();
         assert!(err.to_string().contains("unknown kernel"), "{err}");
-    }
-
-    #[test]
-    fn bench_out_refuses_to_overwrite_without_force() {
-        let out = tmp("bench_refuse.json");
-        let _ = std::fs::remove_file(&out);
-        let base = [
-            "bench".to_string(),
-            "--iters".into(),
-            "5".into(),
-            "--genome-len".into(),
-            "400".into(),
-            "--out".into(),
-            out.to_str().unwrap().to_string(),
-        ];
-        bench(&ParsedArgs::parse(base.clone())).unwrap();
-        let first = std::fs::read_to_string(&out).unwrap();
-        let err = bench(&ParsedArgs::parse(base.clone())).unwrap_err();
-        assert!(err.to_string().contains("refusing to overwrite"), "{err}");
-        assert!(err.to_string().contains("--force"), "{err}");
-        // The existing artifact survived the refused run intact.
-        assert_eq!(std::fs::read_to_string(&out).unwrap(), first);
-    }
-
-    #[test]
-    fn bench_out_overwrites_with_force() {
-        let out = tmp("bench_force.json");
-        std::fs::write(&out, "stale contents").unwrap();
-        let mut argv: Vec<String> =
-            ["bench", "--iters", "5", "--genome-len", "400", "--out"].map(String::from).to_vec();
-        argv.push(out.to_str().unwrap().to_string());
-        argv.push("--force".into());
-        bench(&ParsedArgs::parse(argv)).unwrap();
-        let written = std::fs::read_to_string(&out).unwrap();
-        assert!(written.contains("\"schema\""), "bench artifact replaced the stale file");
     }
 
     #[test]
@@ -1080,9 +1006,10 @@ mod tests {
                 PimAssemblerConfig::paper(15).with_hash_subarrays(8).with_chunk_reads(17).unwrap();
             let mut asm = PimAssembler::new(config);
             let mut session = Session::start(&mut asm, Some(ckpt_dir.clone())).unwrap();
-            let mut cli_reads = load_reads(&reads_path).unwrap();
-            cli_reads.truncate(34);
-            session.feed_chunked(&cli_reads, Some(17)).unwrap();
+            let cli_reads = load_reads(&reads_path).unwrap();
+            for chunk in cli_reads[..34].chunks(17) {
+                session.feed(chunk).unwrap();
+            }
         }
 
         // `assemble --resume` finishes the run from disk.
@@ -1131,6 +1058,67 @@ mod tests {
             ["verify", "--stage", "resume", "--genome-len", "250"].map(String::from),
         );
         verify(&args).unwrap();
+    }
+
+    /// Runs `cmd` on `argv`, which must be rejected, and returns the
+    /// error message.
+    fn rejected(cmd: fn(&ParsedArgs) -> CliResult, argv: &[&str]) -> String {
+        let args = ParsedArgs::parse(argv.iter().map(|a| a.to_string()));
+        cmd(&args).expect_err("out-of-range value must be rejected").to_string()
+    }
+
+    #[test]
+    fn assemble_rejects_zero_subarrays() {
+        let err = rejected(assemble, &["assemble", "in.fa", "--subarrays", "0"]);
+        assert_eq!(err, "--subarrays must be in 1..=32768, got 0");
+    }
+
+    #[test]
+    fn assemble_rejects_zero_pd() {
+        let err = rejected(assemble, &["assemble", "in.fa", "--pd", "0"]);
+        assert_eq!(err, "--pd must be at least 1, got 0");
+    }
+
+    #[test]
+    fn map_rejects_fault_rates_above_one() {
+        let err = rejected(map, &["map", "--faults", "2"]);
+        assert_eq!(err, "--faults must be in [0, 1], got 2");
+    }
+
+    #[test]
+    fn verify_rejects_fault_rates_above_one() {
+        let err = rejected(verify, &["verify", "--faults", "1e-4,2"]);
+        assert!(err.contains("bad fault rate \"2\"") && err.contains("[0, 1]"), "{err}");
+    }
+
+    #[test]
+    fn map_rejects_zero_read_length() {
+        let err = rejected(map, &["map", "--read-len", "0"]);
+        assert_eq!(err, "--read-len must be at least 1, got 0");
+    }
+
+    #[test]
+    fn map_rejects_zero_coverage() {
+        let err = rejected(map, &["map", "--coverage", "0"]);
+        assert_eq!(err, "--coverage must be positive, got 0");
+    }
+
+    #[test]
+    fn map_rejects_genomes_shorter_than_a_read() {
+        let err = rejected(map, &["map", "--genome-len", "10"]);
+        assert_eq!(err, "--genome-len must be at least --read-len (32), got 10");
+    }
+
+    #[test]
+    fn verify_rejects_genomes_shorter_than_a_read() {
+        let err = rejected(verify, &["verify", "--genome-len", "0"]);
+        assert_eq!(err, "--genome-len must be at least 50 (the read length), got 0");
+    }
+
+    #[test]
+    fn verify_rejects_unsupported_k() {
+        let err = rejected(verify, &["verify", "--k", "40"]);
+        assert_eq!(err, "--k must be in 2..=32, got 40");
     }
 
     #[test]

@@ -15,16 +15,12 @@
 //! pim-asm verify [--k 9] [--genome-len 400] [--seed 42] [--faults 1e-4]
 //!         [--stage <mapping|resume>]
 //!         [--backend <pim-assembler|ambit-tra|panda-mram|all>]
-//! pim-asm bench [--iters 100000] [--genome-len 3000] [--json]
-//!         [--out BENCH.json] [--baseline BENCH_prev.json]
-//!         [--backend <pim-assembler|ambit-tra|panda-mram>]
 //! pim-asm ir --kernel <xnor|full-adder> [--cols 256] [--slots 8]
 //!         [--backend <pim-assembler|ambit-tra|panda-mram>]
 //! pim-asm help
 //! ```
 
 mod args;
-mod bench;
 mod commands;
 
 use args::ParsedArgs;
@@ -38,7 +34,6 @@ fn main() {
         "throughput" => commands::throughput(),
         "map" => commands::map(&parsed),
         "verify" => commands::verify(&parsed),
-        "bench" => commands::bench(&parsed),
         "ir" => commands::ir(&parsed),
         "" | "help" | "--help" => {
             print!("{}", commands::USAGE);

@@ -307,7 +307,6 @@ mod tests {
     #[test]
     fn hashmap_chunks_stay_within_the_chunk_aap_bound() {
         use crate::hashmap_stage::HashmapExec;
-        use crate::stages::StageEnv;
         let mut rng = ChaCha8Rng::seed_from_u64(42);
         let genome = DnaSequence::random(&mut rng, 600);
         let reads = ReadSimulator::new(60, 20.0).simulate(&genome, &mut rng);
@@ -323,8 +322,7 @@ mod tests {
         let mut chunks = 0;
         for chunk in reads.chunks(8) {
             let before = *ctrl.stats();
-            let mut env = StageEnv { ctrl: &mut ctrl, dispatcher: &dispatcher, config: &config };
-            let offered = exec.feed(&mut env, chunk).unwrap();
+            let offered = exec.feed(&mut ctrl, &dispatcher, chunk).unwrap();
             let delta = ctrl.stats().since(&before);
             assert_eq!(bound.check(&delta, offered), None, "chunk {chunks}");
             chunks += 1;

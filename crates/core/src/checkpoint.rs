@@ -5,8 +5,8 @@
 //! exact command/energy accounting ([`EnergyLedger`] per touched
 //! sub-array plus the global and stage-boundary ledgers, all integer
 //! fields), the deterministic metrics accumulated so far, and the
-//! stage-specific payload each [`crate::stages::Stage`] serializes for
-//! itself (hash-table entries, graph survivors, …).
+//! stage-specific payload each stage executor serializes for itself
+//! (hash-table entries, graph survivors, …).
 //!
 //! The on-disk format is a line-oriented text file — `key = value`
 //! scalars plus `[section]` blocks — written atomically (temp file +
@@ -287,8 +287,7 @@ enum Section {
 }
 
 /// Prepares `dir` for a fresh checkpointed run: creates it when missing
-/// and refuses to reuse a non-empty one without `force` (the same guard
-/// pattern as `bench --out`).
+/// and refuses to reuse a non-empty one without `force`.
 ///
 /// # Errors
 ///

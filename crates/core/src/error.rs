@@ -16,7 +16,8 @@ pub enum PimError {
     /// An underlying genome-toolkit error.
     Genome(GenomeError),
     /// The k-mer region of a sub-array overflowed (workload too large for
-    /// the allocated sub-array set).
+    /// the allocated sub-array set). The message names the remedy: more
+    /// hash sub-arrays.
     SubarrayFull {
         /// Linear index of the saturated sub-array.
         subarray: usize,
@@ -54,7 +55,7 @@ pub enum PimError {
     /// make progress, or the session would never advance its cursor).
     InvalidChunkSize,
     /// A checkpoint directory that already holds files, rejected without
-    /// an explicit `force` (same guard pattern as `bench --out`).
+    /// an explicit `force` (`--force` on the command line).
     CheckpointDirNotEmpty {
         /// The offending directory.
         path: String,
@@ -73,9 +74,11 @@ impl fmt::Display for PimError {
         match self {
             PimError::Dram(e) => write!(f, "dram: {e}"),
             PimError::Genome(e) => write!(f, "genome: {e}"),
-            PimError::SubarrayFull { subarray, capacity } => {
-                write!(f, "sub-array {subarray} k-mer region full ({capacity} rows)")
-            }
+            PimError::SubarrayFull { subarray, capacity } => write!(
+                f,
+                "sub-array {subarray} k-mer region full ({capacity} rows); spread the k-mers over \
+                 more hash sub-arrays (--subarrays, or PimAssemblerConfig::with_hash_subarrays)"
+            ),
             PimError::KTooLarge { k, max } => write!(f, "k={k} exceeds supported maximum {max}"),
             PimError::GraphTooLarge { nodes, max } => {
                 write!(f, "graph with {nodes} nodes exceeds dense mapping limit {max}")
@@ -140,6 +143,7 @@ mod tests {
     fn displays() {
         let e = PimError::SubarrayFull { subarray: 3, capacity: 976 };
         assert!(e.to_string().contains("976"));
+        assert!(e.to_string().contains("more hash sub-arrays (--subarrays"), "{e}");
         let e = PimError::KTooLarge { k: 200, max: 128 };
         assert!(e.to_string().contains("128"));
         let e = PimError::InvalidChunkSize;

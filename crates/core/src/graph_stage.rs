@@ -66,34 +66,15 @@ impl GraphStage {
     }
 
     /// [`GraphStage::build`] with the hash-table scan dispatched across
-    /// sub-arrays (see [`PimHashTable::scan_with_dispatcher`]). The graph
-    /// construction and `MEM_insert` writes stay serial — they address a
-    /// single graph region — so the result and command totals are
-    /// identical to [`GraphStage::build`] for any worker count.
-    ///
-    /// # Errors
-    ///
-    /// Propagates DRAM addressing errors.
-    pub fn build_with_dispatcher(
-        ctrl: &mut Controller,
-        dispatcher: &ParallelDispatcher,
-        table: &PimHashTable,
-        min_count: u64,
-        graph_region: SubarrayId,
-        intervals: usize,
-    ) -> Result<(DeBruijnGraph, Partitioning, GraphStats)> {
-        let entries = table.scan_with_dispatcher(ctrl, dispatcher)?;
-        let (graph, partitioning, stats, _) =
-            Self::construct(ctrl, table, entries, min_count, graph_region, intervals)?;
-        Ok((graph, partitioning, stats))
-    }
-
-    /// [`GraphStage::build_with_dispatcher`] additionally returning the
-    /// post-filter survivors in scan order — the checkpoint payload from
-    /// which [`GraphStage::rebuild`] reconstructs the identical graph on
-    /// resume (node ids are assigned by first-reference order during
-    /// `add_kmer`, so replaying the same entry order reproduces the same
-    /// numbering).
+    /// sub-arrays (see [`PimHashTable::scan_with_dispatcher`]), also
+    /// returning the post-filter survivors in scan order — the checkpoint
+    /// payload from which [`GraphStage::rebuild`] reconstructs the
+    /// identical graph on resume (node ids are assigned by
+    /// first-reference order during `add_kmer`, so replaying the same
+    /// entry order reproduces the same numbering). The graph construction
+    /// and `MEM_insert` writes stay serial — they address a single graph
+    /// region — so the graph and command totals are identical to
+    /// [`GraphStage::build`] for any worker count.
     ///
     /// # Errors
     ///
@@ -129,13 +110,15 @@ impl GraphStage {
         (graph, partitioning)
     }
 
-    /// Parses the `graph` checkpoint list written by the stage executors
-    /// (`packed k count` per line) back into the survivor entries.
+    /// Parses the `graph` checkpoint list written by
+    /// [`crate::traverse_stage::TraverseExec::save`] (`packed k count`
+    /// per line) back into the survivor entries.
     ///
     /// # Errors
     ///
-    /// [`crate::error::PimError::Checkpoint`] on any malformed line.
-    pub fn parse_survivors(lines: &[String]) -> Result<Vec<(Kmer, u64)>> {
+    /// [`crate::error::PimError::Checkpoint`] on any malformed line or a
+    /// k-mer whose length is not `k`.
+    pub fn parse_survivors(lines: &[String], k: usize) -> Result<Vec<(Kmer, u64)>> {
         let mut survivors = Vec::with_capacity(lines.len());
         for line in lines {
             let malformed = || crate::error::PimError::Checkpoint {
@@ -144,9 +127,12 @@ impl GraphStage {
             let mut parts = line.split_whitespace();
             let mut next = || parts.next().ok_or_else(malformed);
             let packed: u64 = next()?.parse().map_err(|_| malformed())?;
-            let k: usize = next()?.parse().map_err(|_| malformed())?;
+            let kmer_k: usize = next()?.parse().map_err(|_| malformed())?;
             let count: u64 = next()?.parse().map_err(|_| malformed())?;
-            let kmer = Kmer::from_packed(packed, k).map_err(|_| malformed())?;
+            let kmer = Kmer::from_packed(packed, kmer_k)
+                .ok()
+                .filter(|kmer| kmer.k() == k)
+                .ok_or_else(malformed)?;
             survivors.push((kmer, count));
         }
         Ok(survivors)
@@ -198,98 +184,6 @@ impl GraphStage {
         let f = ctrl.geometry().cols.min(ctrl.geometry().rows);
         let partitioning = IntervalBlockPartitioner::new(intervals.max(1), f).partition(&graph);
         Ok((graph, partitioning, stats, survivors))
-    }
-}
-
-/// Output artifact of the graph stage: the materialized graph, its
-/// partitioning, the stage statistics, and the post-filter survivors that
-/// reconstruct it on resume.
-#[derive(Debug, Clone)]
-pub struct GraphArtifact {
-    /// The de Bruijn graph (pre-simplification).
-    pub graph: DeBruijnGraph,
-    /// The interval-block partitioning.
-    pub partitioning: Partitioning,
-    /// Stage statistics.
-    pub stats: GraphStats,
-    /// Post-filter `(kmer, count)` entries in scan order.
-    pub survivors: Vec<(Kmer, u64)>,
-}
-
-/// The stage-2 executor of the staged engine: a single-chunk stage that
-/// consumes the sealed hash table and materializes the graph. Its
-/// checkpoint payload is the survivor list, from which
-/// [`GraphStage::rebuild`] reconstructs the identical graph purely
-/// host-side.
-#[derive(Debug, Clone)]
-pub struct GraphExec {
-    table: Option<PimHashTable>,
-    graph_region: SubarrayId,
-    intervals: usize,
-    built: Option<GraphArtifact>,
-}
-
-impl GraphExec {
-    /// An executor over the sealed stage-1 table.
-    pub fn new(table: PimHashTable, graph_region: SubarrayId, intervals: usize) -> Self {
-        GraphExec { table: Some(table), graph_region, intervals, built: None }
-    }
-}
-
-impl crate::stages::Stage for GraphExec {
-    type Chunk = ();
-    type Artifact = GraphArtifact;
-
-    fn name(&self) -> &'static str {
-        "graph"
-    }
-
-    fn cursor(&self) -> crate::stages::StageCursor {
-        crate::stages::StageCursor { done: self.built.is_some() as u64, total: Some(1) }
-    }
-
-    fn is_done(&self) -> bool {
-        self.built.is_some()
-    }
-
-    fn advance(&mut self, env: &mut crate::stages::StageEnv<'_>, _chunk: ()) -> Result<()> {
-        let table = self.table.take().expect("graph stage advances exactly once");
-        let (graph, partitioning, stats, survivors) = GraphStage::build_retaining(
-            env.ctrl,
-            env.dispatcher,
-            &table,
-            env.config.min_count,
-            self.graph_region,
-            self.intervals,
-        )?;
-        self.built = Some(GraphArtifact { graph, partitioning, stats, survivors });
-        Ok(())
-    }
-
-    fn save(
-        &self,
-        _env: &mut crate::stages::StageEnv<'_>,
-        cp: &mut crate::checkpoint::StageCheckpoint,
-    ) -> Result<()> {
-        let art = self.built.as_ref().ok_or_else(|| crate::error::PimError::Checkpoint {
-            reason: "graph stage checkpoints only at its boundary".into(),
-        })?;
-        let lines = art
-            .survivors
-            .iter()
-            .map(|(kmer, count)| format!("{} {} {count}", kmer.packed(), kmer.k()))
-            .collect();
-        cp.lists.insert("graph".into(), lines);
-        cp.fields.insert("graph.scanned".into(), art.stats.scanned);
-        cp.fields.insert("graph.edges_inserted".into(), art.stats.edges_inserted);
-        cp.fields.insert("graph.mem_inserts".into(), art.stats.mem_inserts);
-        Ok(())
-    }
-
-    fn into_artifact(self, _env: &mut crate::stages::StageEnv<'_>) -> Result<GraphArtifact> {
-        self.built.ok_or_else(|| crate::error::PimError::Checkpoint {
-            reason: "graph stage not yet advanced".into(),
-        })
     }
 }
 

@@ -24,6 +24,8 @@ use pim_genome::kmer::{Kmer, KmerIter};
 use pim_genome::reads::Read;
 use pim_obsv::{HistKey, Metric};
 
+use crate::checkpoint::StageCheckpoint;
+use crate::config::PimAssemblerConfig;
 use crate::dispatch::ParallelDispatcher;
 use crate::dpu::Dpu;
 use crate::error::{PimError, Result};
@@ -61,6 +63,32 @@ impl HashStats {
         self.probes += other.probes;
         self.hits += other.hits;
         self.shadow_mismatches += other.shadow_mismatches;
+    }
+
+    /// Writes the statistics into `cp` as `{prefix}.*` fields.
+    pub fn save(&self, cp: &mut StageCheckpoint, prefix: &str) {
+        for (name, value) in [
+            ("inserted_total", self.inserted_total),
+            ("distinct", self.distinct),
+            ("probes", self.probes),
+            ("hits", self.hits),
+            ("shadow_mismatches", self.shadow_mismatches),
+        ] {
+            cp.fields.insert(format!("{prefix}.{name}"), value);
+        }
+    }
+
+    /// Reads statistics written by [`HashStats::save`] (absent fields
+    /// read as 0).
+    pub fn load(cp: &StageCheckpoint, prefix: &str) -> Self {
+        let field = |name: &str| cp.field(&format!("{prefix}.{name}"));
+        HashStats {
+            inserted_total: field("inserted_total"),
+            distinct: field("distinct"),
+            probes: field("probes"),
+            hits: field("hits"),
+            shadow_mismatches: field("shadow_mismatches"),
+        }
     }
 }
 
@@ -455,6 +483,61 @@ impl PimHashTable {
         Ok(out)
     }
 
+    /// Writes [`PimHashTable::export_entries`] into list `list` of `cp`,
+    /// one `sub row packed k count` line per entry.
+    ///
+    /// # Errors
+    ///
+    /// Propagates DRAM addressing errors.
+    pub fn save_entries(
+        &self,
+        port: &mut impl AapPort,
+        cp: &mut StageCheckpoint,
+        list: &str,
+    ) -> Result<()> {
+        let lines = self
+            .export_entries(port)?
+            .iter()
+            .map(|(sub, row, kmer, count)| {
+                format!("{sub} {row} {} {} {count}", kmer.packed(), kmer.k())
+            })
+            .collect();
+        cp.lists.insert(list.into(), lines);
+        Ok(())
+    }
+
+    /// Reads back the entries [`PimHashTable::save_entries`] wrote into
+    /// list `list` of `cp`.
+    ///
+    /// # Errors
+    ///
+    /// [`PimError::Checkpoint`] on a malformed line or a k-mer whose
+    /// length is not `k`.
+    pub fn load_entries(
+        cp: &StageCheckpoint,
+        list: &str,
+        k: usize,
+    ) -> Result<Vec<(usize, usize, Kmer, u64)>> {
+        let malformed =
+            |line: &str| PimError::Checkpoint { reason: format!("bad `{list}` entry `{line}`") };
+        let mut entries = Vec::new();
+        for line in cp.lists.get(list).map_or(&[][..], Vec::as_slice) {
+            let mut p = line.split_whitespace();
+            let mut next = || p.next().ok_or_else(|| malformed(line));
+            let sub_idx: usize = next()?.parse().map_err(|_| malformed(line))?;
+            let row: usize = next()?.parse().map_err(|_| malformed(line))?;
+            let packed: u64 = next()?.parse().map_err(|_| malformed(line))?;
+            let kmer_k: usize = next()?.parse().map_err(|_| malformed(line))?;
+            let count: u64 = next()?.parse().map_err(|_| malformed(line))?;
+            let kmer = Kmer::from_packed(packed, kmer_k)
+                .ok()
+                .filter(|kmer| kmer.k() == k)
+                .ok_or_else(|| malformed(line))?;
+            entries.push((sub_idx, row, kmer, count));
+        }
+        Ok(entries)
+    }
+
     /// Rebuilds a checkpointed table: shadow slots, k-mer row images and
     /// counter fields are restored through the uncharged debug port, and
     /// the statistics accumulator is set to the checkpointed values.
@@ -463,7 +546,9 @@ impl PimHashTable {
     ///
     /// # Errors
     ///
-    /// Propagates DRAM addressing errors.
+    /// [`PimError::Checkpoint`] for an entry outside the table — a
+    /// sub-array index past the partition, a row past the k-mer region,
+    /// or a count past the counter width; DRAM addressing errors.
     pub fn restore_entries(
         mapper: KmerMapper,
         backend: BackendKind,
@@ -477,7 +562,20 @@ impl PimHashTable {
         let cols = port.geometry().cols;
         let mut image = BitRow::zeros(cols);
         for &(sub_idx, row, kmer, count) in entries {
-            let subarray = table.mapper.subarrays()[sub_idx];
+            let subarray = match table.mapper.subarrays().get(sub_idx) {
+                Some(&id) if row < layout.kmer_rows() && count <= layout.max_count() => id,
+                _ => {
+                    return Err(PimError::Checkpoint {
+                        reason: format!(
+                            "hash entry (sub-array {sub_idx}, row {row}, count {count}) lies \
+                             outside the table: {} sub-arrays of {} k-mer rows, counts up to {}",
+                            table.slots.len(),
+                            layout.kmer_rows(),
+                            layout.max_count()
+                        ),
+                    })
+                }
+            };
             table.mapper.row_image_into(&kmer, &mut image);
             port.poke_row(subarray, RowAddr(row), &image)?;
             let (vrow, bit) = layout.counter_location(row);
@@ -500,17 +598,17 @@ impl PimHashTable {
 #[derive(Debug, Clone)]
 pub struct HashmapExec {
     table: PimHashTable,
+    k: usize,
     reads_consumed: u64,
     kmer_count: u64,
-    sealed: bool,
 }
 
 impl HashmapExec {
     /// An empty executor over the configuration's hash partition.
-    pub fn new(config: &crate::config::PimAssemblerConfig) -> Self {
+    pub fn new(config: &PimAssemblerConfig) -> Self {
         let mapper = KmerMapper::new(&config.geometry, config.hash_subarrays, config.bucket_rows);
         let table = PimHashTable::with_backend(mapper, BackendKind::PimAssembler, config.opt_level);
-        HashmapExec { table, reads_consumed: 0, kmer_count: 0, sealed: false }
+        HashmapExec { table, k: config.k, reads_consumed: 0, kmer_count: 0 }
     }
 
     /// Ingests one chunk of reads, returning the number of k-mers the
@@ -520,31 +618,35 @@ impl HashmapExec {
     ///
     /// [`PimError::SubarrayFull`] when the hash partition overflows, plus
     /// DRAM addressing errors.
-    pub fn feed(&mut self, env: &mut crate::stages::StageEnv<'_>, reads: &[Read]) -> Result<u64> {
-        let cols = env.config.geometry.cols as u64;
+    pub fn feed(
+        &mut self,
+        ctrl: &mut Controller,
+        dispatcher: &ParallelDispatcher,
+        reads: &[Read],
+    ) -> Result<u64> {
+        let cols = ctrl.geometry().cols as u64;
         // Stream the chunk into the original sequence bank: one host row
         // write per 128 bp of read data (the one-shot path charges the
         // same total up front; charge_many additivity makes the split
         // invisible to the ledger).
         let stream_rows: u64 =
             reads.iter().map(|r| ((r.seq.len() * 2) as u64).div_ceil(cols)).sum();
-        env.ctrl.record_synthetic("WR", stream_rows);
+        ctrl.record_synthetic("WR", stream_rows);
         let mut kmers = Vec::new();
         for read in reads {
-            for kmer in KmerIter::new(&read.seq, env.config.k)? {
+            for kmer in KmerIter::new(&read.seq, self.k)? {
                 kmers.push(kmer);
             }
         }
-        self.table.insert_batch(env.ctrl, env.dispatcher, &kmers)?;
+        self.table.insert_batch(ctrl, dispatcher, &kmers)?;
         self.reads_consumed += reads.len() as u64;
         self.kmer_count += kmers.len() as u64;
         Ok(kmers.len() as u64)
     }
 
-    /// Marks the read stream as exhausted; further `feed` calls are a
-    /// contract violation the session guards against.
-    pub fn seal(&mut self) {
-        self.sealed = true;
+    /// Reads ingested so far (the checkpoint cursor).
+    pub fn reads_consumed(&self) -> u64 {
+        self.reads_consumed
     }
 
     /// Total k-mers offered so far.
@@ -557,8 +659,27 @@ impl HashmapExec {
         &self.table
     }
 
+    /// Consumes the executor, yielding the table for the graph stage.
+    pub fn into_table(self) -> PimHashTable {
+        self.table
+    }
+
+    /// Serializes the resume state into `cp`: the table entries (list
+    /// `hash`), its statistics and the k-mer count. Reads device state
+    /// through the uncharged debug port only.
+    ///
+    /// # Errors
+    ///
+    /// DRAM addressing errors while exporting device state.
+    pub fn save(&self, ctrl: &mut Controller, cp: &mut StageCheckpoint) -> Result<()> {
+        self.table.save_entries(ctrl, cp, "hash")?;
+        self.table.stats().save(cp, "hash");
+        cp.fields.insert("kmer_count".into(), self.kmer_count);
+        Ok(())
+    }
+
     /// Reconstructs an executor from a checkpoint payload written by
-    /// [`crate::stages::Stage::save`]. Uncharged — see
+    /// [`HashmapExec::save`]. Uncharged — see
     /// [`PimHashTable::restore_entries`].
     ///
     /// # Errors
@@ -566,98 +687,26 @@ impl HashmapExec {
     /// [`PimError::Checkpoint`] on a malformed payload; DRAM addressing
     /// errors while restoring rows.
     pub fn restore(
-        env: &mut crate::stages::StageEnv<'_>,
-        cp: &crate::checkpoint::StageCheckpoint,
-        sealed: bool,
+        ctrl: &mut Controller,
+        config: &PimAssemblerConfig,
+        cp: &StageCheckpoint,
     ) -> Result<Self> {
-        let malformed =
-            |line: &str| PimError::Checkpoint { reason: format!("bad hash entry `{line}`") };
-        let mut entries = Vec::new();
-        for line in cp.lists.get("hash").map_or(&[][..], Vec::as_slice) {
-            let mut p = line.split_whitespace();
-            let mut next = || p.next().ok_or_else(|| malformed(line));
-            let sub_idx: usize = next()?.parse().map_err(|_| malformed(line))?;
-            let row: usize = next()?.parse().map_err(|_| malformed(line))?;
-            let packed: u64 = next()?.parse().map_err(|_| malformed(line))?;
-            let k: usize = next()?.parse().map_err(|_| malformed(line))?;
-            let count: u64 = next()?.parse().map_err(|_| malformed(line))?;
-            let kmer = Kmer::from_packed(packed, k).map_err(|_| malformed(line))?;
-            entries.push((sub_idx, row, kmer, count));
-        }
-        let stats = HashStats {
-            inserted_total: cp.field("hash.inserted_total"),
-            distinct: cp.field("hash.distinct"),
-            probes: cp.field("hash.probes"),
-            hits: cp.field("hash.hits"),
-            shadow_mismatches: cp.field("hash.shadow_mismatches"),
-        };
-        let config = env.config;
+        let entries = PimHashTable::load_entries(cp, "hash", config.k)?;
         let mapper = KmerMapper::new(&config.geometry, config.hash_subarrays, config.bucket_rows);
         let table = PimHashTable::restore_entries(
             mapper,
             BackendKind::PimAssembler,
             config.opt_level,
-            env.ctrl,
+            ctrl,
             &entries,
-            stats,
+            HashStats::load(cp, "hash"),
         )?;
         Ok(HashmapExec {
             table,
+            k: config.k,
             reads_consumed: cp.cursor,
             kmer_count: cp.field("kmer_count"),
-            sealed,
         })
-    }
-}
-
-impl crate::stages::Stage for HashmapExec {
-    type Chunk = Vec<Read>;
-    type Artifact = PimHashTable;
-
-    fn name(&self) -> &'static str {
-        "hashmap"
-    }
-
-    fn cursor(&self) -> crate::stages::StageCursor {
-        crate::stages::StageCursor {
-            done: self.reads_consumed,
-            total: self.sealed.then_some(self.reads_consumed),
-        }
-    }
-
-    fn is_done(&self) -> bool {
-        self.sealed
-    }
-
-    fn advance(&mut self, env: &mut crate::stages::StageEnv<'_>, chunk: Vec<Read>) -> Result<()> {
-        self.feed(env, &chunk).map(|_| ())
-    }
-
-    fn save(
-        &self,
-        env: &mut crate::stages::StageEnv<'_>,
-        cp: &mut crate::checkpoint::StageCheckpoint,
-    ) -> Result<()> {
-        let entries = self.table.export_entries(env.ctrl)?;
-        let lines = entries
-            .iter()
-            .map(|(sub, row, kmer, count)| {
-                format!("{sub} {row} {} {} {count}", kmer.packed(), kmer.k())
-            })
-            .collect();
-        cp.lists.insert("hash".into(), lines);
-        let s = self.table.stats();
-        cp.fields.insert("hash.inserted_total".into(), s.inserted_total);
-        cp.fields.insert("hash.distinct".into(), s.distinct);
-        cp.fields.insert("hash.probes".into(), s.probes);
-        cp.fields.insert("hash.hits".into(), s.hits);
-        cp.fields.insert("hash.shadow_mismatches".into(), s.shadow_mismatches);
-        cp.fields.insert("kmer_count".into(), self.kmer_count);
-        Ok(())
-    }
-
-    fn into_artifact(self, _env: &mut crate::stages::StageEnv<'_>) -> Result<PimHashTable> {
-        Ok(self.table)
     }
 }
 

@@ -29,12 +29,10 @@
 //! * [`hashmap_stage`] — the `Hashmap(S, k)` procedure in PIM,
 //! * [`graph_stage`] — the `DeBruijn(Hashmap, k)` procedure in PIM,
 //! * [`traverse_stage`] — the `Traverse(G)` procedure in PIM,
-//! * [`stages`] — the typed [`stages::Stage`] trait behind the staged
-//!   execution engine (chunked advance, progress cursors, checkpoints),
 //! * [`checkpoint`] — serializable stage checkpoints (atomic on-disk
 //!   format, schema/fingerprint validation, directory guard),
-//! * [`pipeline`] — the full assembler: the resumable [`pipeline::Session`]
-//!   engine plus the thin [`pipeline::PimAssembler`] driver, producing
+//! * [`pipeline`] — the full assembler: [`pipeline::PimAssembler`] and
+//!   the resumable [`pipeline::Session`] that drives every run, producing
 //!   contigs and a [`perf::PerfReport`],
 //! * [`perf`] — wall-clock/power/MBR/RUR estimation and chr14-scale
 //!   extrapolation,
@@ -76,7 +74,6 @@ pub mod pim_add;
 pub mod pim_xnor;
 pub mod pipeline;
 pub mod scaffold_stage;
-pub mod stages;
 pub mod template;
 pub mod traverse_stage;
 

@@ -757,14 +757,13 @@ impl PimReadMapper {
 pub struct MappingExec {
     mapper: PimReadMapper,
     hits: Vec<Option<MappingHit>>,
-    reads_consumed: u64,
     sealed: bool,
 }
 
 impl MappingExec {
     /// An executor over a built seed index.
     pub fn new(mapper: PimReadMapper) -> Self {
-        MappingExec { mapper, hits: Vec::new(), reads_consumed: 0, sealed: false }
+        MappingExec { mapper, hits: Vec::new(), sealed: false }
     }
 
     /// Maps one chunk of reads, rebasing hit ids to the stream offset.
@@ -778,17 +777,18 @@ impl MappingExec {
         dispatcher: &ParallelDispatcher,
         reads: &[Read],
     ) -> Result<()> {
+        debug_assert!(!self.sealed, "MappingExec::feed after seal");
         let base = self.hits.len();
         let mut chunk_hits = self.mapper.map_batch(ctrl, dispatcher, reads)?;
         for hit in chunk_hits.iter_mut().flatten() {
             hit.read_id += base;
         }
         self.hits.extend(chunk_hits);
-        self.reads_consumed += reads.len() as u64;
         Ok(())
     }
 
-    /// Marks the read stream as exhausted.
+    /// Marks the read stream as exhausted; feeding afterwards is a
+    /// contract violation.
     pub fn seal(&mut self) {
         self.sealed = true;
     }
@@ -800,8 +800,29 @@ impl MappingExec {
         (self.hits, stats)
     }
 
+    /// Serializes the resume state into `cp`: the hits so far (list
+    /// `hits`) and the funnel statistics. The caller sets the cursor
+    /// (reads mapped).
+    pub fn save(&self, cp: &mut crate::checkpoint::StageCheckpoint) {
+        let lines = self
+            .hits
+            .iter()
+            .flatten()
+            .map(|hit| format!("{} {} {}", hit.read_id, hit.position, hit.score))
+            .collect();
+        cp.lists.insert("hits".into(), lines);
+        let s = self.mapper.stats();
+        cp.fields.insert("map.reads".into(), s.reads);
+        cp.fields.insert("map.seeded".into(), s.seeded);
+        cp.fields.insert("map.candidates".into(), s.candidates);
+        cp.fields.insert("map.survivors".into(), s.survivors);
+        cp.fields.insert("map.dp_cells".into(), s.dp_cells);
+        cp.fields.insert("map.mapped".into(), s.mapped);
+        cp.fields.insert("map.shadow_mismatches".into(), s.shadow_mismatches);
+    }
+
     /// Restores the resume state (accumulated hits + statistics + cursor)
-    /// from a checkpoint written by [`crate::stages::Stage::save`] into an
+    /// from a checkpoint written by [`MappingExec::save`] into an
     /// executor over a freshly rebuilt index. The index rebuild itself is
     /// charged — the caller wipes and restores accounting around it.
     ///
@@ -833,61 +854,7 @@ impl MappingExec {
             mapped: cp.field("map.mapped"),
             shadow_mismatches: cp.field("map.shadow_mismatches"),
         });
-        Ok(MappingExec { mapper, hits, reads_consumed: cp.cursor, sealed: false })
-    }
-}
-
-impl crate::stages::Stage for MappingExec {
-    type Chunk = Vec<Read>;
-    type Artifact = (Vec<Option<MappingHit>>, MapStats);
-
-    fn name(&self) -> &'static str {
-        "mapping"
-    }
-
-    fn cursor(&self) -> crate::stages::StageCursor {
-        crate::stages::StageCursor {
-            done: self.reads_consumed,
-            total: self.sealed.then_some(self.reads_consumed),
-        }
-    }
-
-    fn is_done(&self) -> bool {
-        self.sealed
-    }
-
-    fn advance(&mut self, env: &mut crate::stages::StageEnv<'_>, chunk: Vec<Read>) -> Result<()> {
-        self.feed(env.ctrl, env.dispatcher, &chunk)
-    }
-
-    fn save(
-        &self,
-        _env: &mut crate::stages::StageEnv<'_>,
-        cp: &mut crate::checkpoint::StageCheckpoint,
-    ) -> Result<()> {
-        let lines = self
-            .hits
-            .iter()
-            .flatten()
-            .map(|hit| format!("{} {} {}", hit.read_id, hit.position, hit.score))
-            .collect();
-        cp.lists.insert("hits".into(), lines);
-        let s = self.mapper.stats();
-        cp.fields.insert("map.reads".into(), s.reads);
-        cp.fields.insert("map.seeded".into(), s.seeded);
-        cp.fields.insert("map.candidates".into(), s.candidates);
-        cp.fields.insert("map.survivors".into(), s.survivors);
-        cp.fields.insert("map.dp_cells".into(), s.dp_cells);
-        cp.fields.insert("map.mapped".into(), s.mapped);
-        cp.fields.insert("map.shadow_mismatches".into(), s.shadow_mismatches);
-        Ok(())
-    }
-
-    fn into_artifact(
-        self,
-        _env: &mut crate::stages::StageEnv<'_>,
-    ) -> Result<(Vec<Option<MappingHit>>, MapStats)> {
-        Ok(self.finish())
+        Ok(MappingExec { mapper, hits, sealed: false })
     }
 }
 
@@ -1159,7 +1126,6 @@ mod tests {
 
     #[test]
     fn mapping_exec_restore_resumes_identically() {
-        use crate::stages::Stage as _;
         let config = MappingRunConfig { error_rate: 0.03, ..small_config() };
         let (genome, reads) = simulate(&config);
         let g = DramGeometry::paper_assembly();
@@ -1189,16 +1155,8 @@ mod tests {
         let mut exec = MappingExec::new(build(&mut ctrl));
         let mid = reads.len() / 2;
         exec.feed(&mut ctrl, &dispatcher, &reads[..mid]).unwrap();
-        let core_config = crate::config::PimAssemblerConfig::small_test(13);
         let mut cp = crate::checkpoint::StageCheckpoint::new("fp", "mapping", mid as u64);
-        {
-            let mut env = crate::stages::StageEnv {
-                ctrl: &mut ctrl,
-                dispatcher: &dispatcher,
-                config: &core_config,
-            };
-            exec.save(&mut env, &mut cp).unwrap();
-        }
+        exec.save(&mut cp);
         let saved_global = *ctrl.global_ledger();
         let saved_subs: Vec<_> =
             ctrl.touched_subarrays().map(|id| (id, *ctrl.subarray_ledger(id).unwrap())).collect();

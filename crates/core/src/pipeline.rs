@@ -7,16 +7,22 @@
 //! the PIM pipeline executes the *same algorithm* through in-memory
 //! primitives.
 //!
-//! Since the staged-engine refactor, `assemble` is a thin driver over a
-//! [`Session`]: a resumable run that advances the typed
-//! [`crate::stages::Stage`] executors chunk by chunk, optionally persists
-//! a [`StageCheckpoint`] after every chunk and stage boundary, and can be
-//! reconstructed from disk with [`Session::resume`]. The load-bearing
+//! Every run goes through a [`Session`]: a resumable run that advances
+//! the stage executors ([`HashmapExec`], then
+//! [`GraphStage::build_retaining`], then [`TraverseExec`]) chunk by chunk,
+//! optionally persists a [`StageCheckpoint`] after every chunk and stage
+//! boundary, and can be reconstructed from disk with [`Session::resume`].
+//! `assemble` is `Session::start(..)?.run(reads)`. The load-bearing
 //! contract — pinned by `pim-verify` and `tests/resume_suite.rs` — is
 //! that streamed + checkpointed + resumed execution is *byte-identical*
-//! to the historical one-shot run: contigs, `CommandStats`, the energy
-//! ledger, and every deterministic metric, at any worker count and
-//! optimization level.
+//! to the one-shot run: contigs, `CommandStats`, the energy ledger, and
+//! every deterministic metric, at any worker count and optimization
+//! level. Three substrate properties earn it: per-chunk work
+//! concatenates to the one-shot work order (the dispatcher preserves
+//! per-sub-array arrival order), ledger charging is an order-independent
+//! integer sum, and checkpoint restore goes through the uncharged debug
+//! port (`peek_row` / `poke_row`), so saving and reloading state perturbs
+//! no accounting.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -33,15 +39,14 @@ use pim_obsv::{MetricsSnapshot, SpanRecorder, Stage};
 use pim_platforms::workload::AssemblyWorkload;
 
 use crate::budget::{hashmap_chunk_aap_bound, ChunkAapBound};
-use crate::checkpoint::{prepare_dir, StageCheckpoint};
+use crate::checkpoint::StageCheckpoint;
 use crate::config::PimAssemblerConfig;
 use crate::dispatch::ParallelDispatcher;
 use crate::error::{PimError, Result};
-use crate::graph_stage::{GraphArtifact, GraphExec, GraphStage, GraphStats};
+use crate::graph_stage::{GraphStage, GraphStats};
 use crate::hashmap_stage::{HashStats, HashmapExec, PimHashTable};
 use crate::partition::Partitioning;
 use crate::perf::PerfReport;
-use crate::stages::{Stage as ExecStage, StageEnv};
 use crate::traverse_stage::{TraverseArtifact, TraverseExec, TraverseStats};
 
 /// Everything one assembly run produces.
@@ -134,11 +139,14 @@ impl PimAssembler {
         self.ctrl.fault_flips()
     }
 
-    /// Runs the three-stage assembly over a read set.
+    /// Runs the three-stage assembly over a read set:
+    /// `Session::start(self, None)?.run(reads)`.
     ///
-    /// With [`PimAssemblerConfig::chunk_reads`] unset this is the
-    /// historical one-shot path; with `Some(n)` the reads stream through
-    /// the hashmap stage in chunks of `n` with byte-identical results.
+    /// With [`PimAssemblerConfig::chunk_reads`] unset the reads go in as
+    /// one chunk; with `Some(n)` they stream through the hashmap stage in
+    /// chunks of `n` with byte-identical results. For a checkpointed or
+    /// resumed run, start the [`Session`] with a checkpoint directory (or
+    /// [`Session::resume`] one) and call [`Session::run`].
     ///
     /// # Errors
     ///
@@ -147,54 +155,7 @@ impl PimAssembler {
     ///   [`PimAssemblerConfig::with_hash_subarrays`]).
     /// * DRAM addressing errors.
     pub fn assemble(&mut self, reads: &[Read]) -> Result<PimRun> {
-        let chunk = self.config.chunk_reads;
-        let mut session = Session::start(self, None)?;
-        session.feed_chunked(reads, chunk)?;
-        session.seal()?;
-        session.finish()
-    }
-
-    /// [`PimAssembler::assemble`] with a checkpoint written into `dir`
-    /// after every ingested chunk and at every stage boundary, so an
-    /// interrupted run can continue with
-    /// [`PimAssembler::resume_assemble`]. A non-empty `dir` is rejected
-    /// unless `force` is set.
-    ///
-    /// # Errors
-    ///
-    /// [`PimError::CheckpointDirNotEmpty`] on an occupied directory
-    /// without `force`; [`PimError::Checkpoint`] on I/O failures or when
-    /// fault injection is armed; plus everything `assemble` returns.
-    pub fn assemble_checkpointed(
-        &mut self,
-        reads: &[Read],
-        dir: &Path,
-        force: bool,
-    ) -> Result<PimRun> {
-        let dir = prepare_dir(dir, force)?;
-        let chunk = self.config.chunk_reads;
-        let mut session = Session::start(self, Some(dir))?;
-        session.feed_chunked(reads, chunk)?;
-        session.seal()?;
-        session.finish()
-    }
-
-    /// Resumes an interrupted checkpointed run from `dir` and completes
-    /// it. Pass the *same* read stream as the original run: the session
-    /// skips the reads the checkpoint already covers and continues from
-    /// the cursor. Results are byte-identical to an uninterrupted run.
-    ///
-    /// # Errors
-    ///
-    /// [`PimError::Checkpoint`] when no checkpoint exists, the
-    /// configuration fingerprint does not match, or the checkpointed run
-    /// already completed; plus everything `assemble` returns.
-    pub fn resume_assemble(&mut self, reads: &[Read], dir: &Path) -> Result<PimRun> {
-        let chunk = self.config.chunk_reads;
-        let mut session = Session::resume(self, dir)?;
-        session.feed_chunked(reads, chunk)?;
-        session.seal()?;
-        session.finish()
+        Session::start(self, None)?.run(reads)
     }
 }
 
@@ -247,13 +208,15 @@ enum Phase {
 /// A resumable, streaming, checkpointable assembly run.
 ///
 /// A session borrows a [`PimAssembler`] for its lifetime and advances the
-/// pipeline's typed stage executors chunk by chunk:
+/// pipeline's stage executors chunk by chunk:
 ///
 /// 1. [`Session::start`] (or [`Session::resume`] from disk),
 /// 2. [`Session::feed`] for each chunk of reads,
 /// 3. [`Session::seal`] once the stream ends,
 /// 4. [`Session::finish`] to run the remaining stages and build the
 ///    [`PimRun`].
+///
+/// [`Session::run`] does steps 2–4 over an in-memory read set.
 ///
 /// When constructed with a checkpoint directory, the session persists a
 /// [`StageCheckpoint`] after every chunk and at every stage boundary
@@ -358,19 +321,18 @@ impl<'a> Session<'a> {
         asm.dispatcher.metrics().reset();
         let geometry = asm.config.geometry;
         let (phase, skip_reads, total_reads, s1, s2, hash_stats, kmer_count) = {
-            let PimAssembler { config, ctrl, dispatcher, .. } = &mut *asm;
-            let mut env = StageEnv { ctrl, dispatcher, config };
+            let PimAssembler { config, ctrl, .. } = &mut *asm;
             match cp.stage.as_str() {
                 "hashmap" => {
-                    let exec = HashmapExec::restore(&mut env, &cp, false)?;
+                    let exec = HashmapExec::restore(ctrl, config, &cp)?;
                     let kmer_count = exec.kmer_count();
                     (Phase::Ingest(exec), cp.cursor, cp.cursor, None, None, None, kmer_count)
                 }
                 "graph" => {
-                    let exec = HashmapExec::restore(&mut env, &cp, true)?;
+                    let exec = HashmapExec::restore(ctrl, config, &cp)?;
                     let hash_stats = Some(*exec.table().stats());
                     let kmer_count = exec.kmer_count();
-                    let table = ExecStage::into_artifact(exec, &mut env)?;
+                    let table = exec.into_table();
                     let s1 = cp.ledger("s1")?;
                     (
                         Phase::GraphPending(table),
@@ -386,7 +348,7 @@ impl<'a> Session<'a> {
                     let lines = cp.lists.get("graph").ok_or_else(|| PimError::Checkpoint {
                         reason: "traverse checkpoint is missing the graph survivor list".into(),
                     })?;
-                    let survivors = GraphStage::parse_survivors(lines)?;
+                    let survivors = GraphStage::parse_survivors(lines, config.k)?;
                     let intervals = partition_intervals(&config.geometry);
                     let f = config.geometry.cols.min(config.geometry.rows);
                     let (mut graph, mut partitioning) =
@@ -407,13 +369,7 @@ impl<'a> Session<'a> {
                         edges_inserted: cp.field("graph.edges_inserted"),
                         mem_inserts: cp.field("graph.mem_inserts"),
                     };
-                    let hash_stats = Some(HashStats {
-                        inserted_total: cp.field("hash.inserted_total"),
-                        distinct: cp.field("hash.distinct"),
-                        probes: cp.field("hash.probes"),
-                        hits: cp.field("hash.hits"),
-                        shadow_mismatches: cp.field("hash.shadow_mismatches"),
-                    });
+                    let hash_stats = Some(HashStats::load(&cp, "hash"));
                     let exec = TraverseExec::new(
                         graph,
                         partitioning,
@@ -445,14 +401,26 @@ impl<'a> Session<'a> {
             }
         };
         let global = cp.ledger("global")?;
+        let total_subarrays = geometry.total_subarrays();
         let mut subs = Vec::new();
         for (name, ledger) in &cp.ledgers {
             if let Some(idx) = name.strip_prefix("sub.") {
-                let idx: usize = idx.parse().map_err(|_| PimError::Checkpoint {
-                    reason: format!("bad sub-array ledger name `{name}`"),
-                })?;
+                let bad = || PimError::Checkpoint {
+                    reason: format!("bad sub-array ledger `{name}` (of {total_subarrays})"),
+                };
+                let idx: usize = idx.parse().map_err(|_| bad())?;
+                if idx >= total_subarrays {
+                    return Err(bad());
+                }
                 subs.push((SubarrayId::from_linear_index(&geometry, idx), *ledger));
             }
+        }
+        // Untrusted integers: every total the restored accounting derives
+        // (per class and across classes) must stay representable.
+        let overflows = |l: &EnergyLedger| EnergyLedger::default().checked_merge(l).is_none();
+        let total = subs.iter().try_fold(global, |total, (_, l)| total.checked_merge(l));
+        if total.is_none() || [s1, s2].iter().flatten().any(overflows) {
+            return Err(PimError::Checkpoint { reason: "ledger totals overflow 64 bits".into() });
         }
         asm.ctrl.restore_accounting(global, &subs)?;
         asm.ctrl.set_stage(match &phase {
@@ -508,44 +476,38 @@ impl<'a> Session<'a> {
             return Ok(());
         }
         let chunked = self.asm.config.chunk_reads.is_some();
-        let cursor;
         {
-            let PimAssembler { config, ctrl, dispatcher, spans } = &mut *self.asm;
+            let PimAssembler { ctrl, dispatcher, spans, .. } = &mut *self.asm;
             let Phase::Ingest(exec) = &mut self.phase else { unreachable!() };
-            let mut env = StageEnv { ctrl, dispatcher, config };
             let t0 = chunked.then(|| spans.as_deref().map(SpanRecorder::now_ns)).flatten();
-            let before = *env.ctrl.stats();
-            let offered = exec.feed(&mut env, reads)?;
-            let delta = env.ctrl.stats().since(&before);
+            let before = *ctrl.stats();
+            let offered = exec.feed(ctrl, dispatcher, reads)?;
+            let delta = ctrl.stats().since(&before);
             if let Some(violation) = self.bound.check(&delta, offered) {
                 self.violations.push(violation);
             }
             if let (Some(spans), Some(t0)) = (spans.as_deref(), t0) {
                 spans.record("stage.hashmap.chunk", "stage", 0, t0, offered);
             }
-            cursor = ExecStage::cursor(exec).done;
+            self.total_reads = exec.reads_consumed();
         }
-        self.total_reads = cursor;
-        self.write_checkpoint("hashmap", cursor)
+        self.write_checkpoint("hashmap", self.total_reads)
     }
 
-    /// [`Session::feed`] over the whole stream, split into chunks of
-    /// `chunk` reads (one chunk when `None`) — the driver loop `assemble`
-    /// and the CLI share.
+    /// Feeds `reads` in [`PimAssemblerConfig::chunk_reads`] chunks (one
+    /// chunk when unset), then seals and finishes the run. On a resumed
+    /// session pass the *same* read stream as the original run: the reads
+    /// the checkpoint covers are skipped.
     ///
     /// # Errors
     ///
-    /// Everything [`Session::feed`] returns.
-    pub fn feed_chunked(&mut self, reads: &[Read], chunk: Option<usize>) -> Result<()> {
-        match chunk {
-            None => self.feed(reads),
-            Some(n) => {
-                for c in reads.chunks(n.max(1)) {
-                    self.feed(c)?;
-                }
-                Ok(())
-            }
+    /// Everything [`Session::feed`] and [`Session::finish`] return.
+    pub fn run(mut self, reads: &[Read]) -> Result<PimRun> {
+        let chunk = self.asm.config.chunk_reads.unwrap_or(reads.len()).max(1);
+        for c in reads.chunks(chunk) {
+            self.feed(c)?;
         }
+        self.finish()
     }
 
     /// Seals the read stream: finalizes the hashmap stage, captures the
@@ -560,9 +522,8 @@ impl<'a> Session<'a> {
             return Ok(());
         }
         {
-            let Phase::Ingest(exec) = &mut self.phase else { unreachable!() };
-            exec.seal();
-            self.total_reads = ExecStage::cursor(exec).done;
+            let Phase::Ingest(exec) = &self.phase else { unreachable!() };
+            self.total_reads = exec.reads_consumed();
             self.kmer_count = exec.kmer_count();
             self.hash_stats = Some(*exec.table().stats());
         }
@@ -573,10 +534,7 @@ impl<'a> Session<'a> {
         self.write_checkpoint("graph", self.total_reads)?;
         let phase = std::mem::replace(&mut self.phase, Phase::Finished);
         let Phase::Ingest(exec) = phase else { unreachable!() };
-        let PimAssembler { config, ctrl, dispatcher, .. } = &mut *self.asm;
-        let mut env = StageEnv { ctrl, dispatcher, config };
-        let table = ExecStage::into_artifact(exec, &mut env)?;
-        self.phase = Phase::GraphPending(table);
+        self.phase = Phase::GraphPending(exec.into_table());
         Ok(())
     }
 
@@ -604,13 +562,15 @@ impl<'a> Session<'a> {
                 let PimAssembler { config, ctrl, dispatcher, spans } = &mut *self.asm;
                 ctrl.set_stage(Stage::Graph);
                 let stage_start = spans.as_deref().map(SpanRecorder::now_ns);
-                let mut env = StageEnv { ctrl, dispatcher, config };
-                let graph_region = aux_subarray(config, 0);
-                let mut gexec =
-                    GraphExec::new(table, graph_region, partition_intervals(&config.geometry));
-                ExecStage::advance(&mut gexec, &mut env, ())?;
-                let GraphArtifact { mut graph, mut partitioning, stats: graph_stats, survivors } =
-                    ExecStage::into_artifact(gexec, &mut env)?;
+                let (mut graph, mut partitioning, graph_stats, survivors) =
+                    GraphStage::build_retaining(
+                        ctrl,
+                        dispatcher,
+                        &table,
+                        config.min_count,
+                        aux_subarray(config, 0),
+                        partition_intervals(&config.geometry),
+                    )?;
                 if let Some(max_tip) = config.simplify_tips {
                     let before_edges = graph.edge_count();
                     let (simplified, _) =
@@ -618,8 +578,8 @@ impl<'a> Session<'a> {
                     // Each dropped edge is a DPU decision plus an
                     // invalidating row touch in the graph region.
                     let dropped = (before_edges - simplified.edge_count()) as u64;
-                    env.ctrl.dpu_ops(dropped);
-                    env.ctrl.record_synthetic("AAP", dropped);
+                    ctrl.dpu_ops(dropped);
+                    ctrl.record_synthetic("AAP", dropped);
                     graph = simplified;
                     let f = config.geometry.cols.min(config.geometry.rows);
                     partitioning = crate::partition::IntervalBlockPartitioner::new(
@@ -628,7 +588,7 @@ impl<'a> Session<'a> {
                     )
                     .partition(&graph);
                 }
-                self.s2 = Some(*env.ctrl.ledger());
+                self.s2 = Some(*ctrl.ledger());
                 if let (Some(spans), Some(t0)) = (spans.as_deref(), stage_start) {
                     spans.record("stage.debruijn", "stage", 0, t0, graph.edge_count() as u64);
                 }
@@ -660,7 +620,7 @@ impl<'a> Session<'a> {
 
         // ── Stage 3: traversal (Traverse) ──────────────────────────────
         let phase = std::mem::replace(&mut self.phase, Phase::Finished);
-        let Phase::TraversePending(mut texec) = phase else {
+        let Phase::TraversePending(texec) = phase else {
             return Err(PimError::Checkpoint { reason: "session already finished".into() });
         };
         let missing = |what: &str| PimError::Checkpoint {
@@ -673,20 +633,18 @@ impl<'a> Session<'a> {
             let PimAssembler { config, ctrl, dispatcher, spans } = &mut *self.asm;
             ctrl.set_stage(Stage::Traverse);
             let stage_start = spans.as_deref().map(SpanRecorder::now_ns);
-            let mut env = StageEnv { ctrl, dispatcher, config };
-            ExecStage::advance(&mut *texec, &mut env, ())?;
             let TraverseArtifact {
                 trails,
                 stats: traverse_stats,
                 graph,
                 partitioning,
                 graph_stats,
-            } = ExecStage::into_artifact(*texec, &mut env)?;
+            } = texec.run(ctrl, dispatcher, config.opt_level)?;
             let s1 = s1_ledger.to_stats();
             let s2 = s2_ledger.to_stats().since(&s1);
             let mut s12 = s1;
             s12.merge(&s2);
-            let s3 = env.ctrl.stats().since(&s12);
+            let s3 = ctrl.stats().since(&s12);
             if let (Some(spans), Some(t0)) = (spans.as_deref(), stage_start) {
                 spans.record("stage.traverse", "stage", 0, t0, trails.len() as u64);
             }
@@ -727,20 +685,19 @@ impl<'a> Session<'a> {
             // Ground-truth parallelism: schedule the measured per-sub-array
             // traffic under the shared command bus (three DDR commands per
             // issue) and attach the effective parallelism it achieves.
-            let queues =
-                pim_dram::schedule::queues_from_totals(&env.ctrl.subarray_command_totals());
+            let queues = pim_dram::schedule::queues_from_totals(&ctrl.subarray_command_totals());
             let sched = pim_dram::schedule::schedule(&queues, 3.0 * config.timing.t_ck_ns);
             let mut report = PerfReport::new(config, [s1, s2, s3], workload)
                 .with_measured_parallelism(sched.effective_parallelism);
-            if let Some(mut snap) = env.ctrl.metrics_snapshot() {
+            if let Some(mut snap) = ctrl.metrics_snapshot() {
                 // Dispatcher batch counts depend on how the stream was
                 // chunked, so since the staged-engine refactor all
                 // dispatch telemetry lives in the host section, outside
                 // the worker- and chunk-invariant contract.
-                for (name, value) in env.dispatcher.metrics().deterministic_counters() {
+                for (name, value) in dispatcher.metrics().deterministic_counters() {
                     snap.host.insert(format!("dispatch.{name}"), value);
                 }
-                for (name, value) in env.dispatcher.metrics().host_counters() {
+                for (name, value) in dispatcher.metrics().host_counters() {
                     snap.host.insert(format!("dispatch.{name}"), value);
                 }
                 if let Some(spans) = spans.as_deref() {
@@ -774,17 +731,12 @@ impl<'a> Session<'a> {
         let mut cp = StageCheckpoint::new(&fingerprint, stage, cursor);
         {
             let PimAssembler { config, ctrl, dispatcher, spans } = &mut *self.asm;
-            let mut env = StageEnv { ctrl, dispatcher, config };
             match &self.phase {
-                Phase::Ingest(exec) => ExecStage::save(exec, &mut env, &mut cp)?,
+                Phase::Ingest(exec) => exec.save(ctrl, &mut cp)?,
                 Phase::TraversePending(exec) => {
-                    ExecStage::save(&**exec, &mut env, &mut cp)?;
+                    exec.save(&mut cp);
                     if let Some(hs) = &self.hash_stats {
-                        cp.fields.insert("hash.inserted_total".into(), hs.inserted_total);
-                        cp.fields.insert("hash.distinct".into(), hs.distinct);
-                        cp.fields.insert("hash.probes".into(), hs.probes);
-                        cp.fields.insert("hash.hits".into(), hs.hits);
-                        cp.fields.insert("hash.shadow_mismatches".into(), hs.shadow_mismatches);
+                        hs.save(&mut cp, "hash");
                     }
                     cp.fields.insert("kmer_count".into(), self.kmer_count);
                 }
@@ -794,11 +746,10 @@ impl<'a> Session<'a> {
                 cp.fields.insert("read_len".into(), read_len as u64);
             }
             cp.fields.insert("total_reads".into(), self.total_reads);
-            cp.ledgers.insert("global".into(), *env.ctrl.global_ledger());
-            let touched: Vec<SubarrayId> = env.ctrl.touched_subarrays().collect();
-            for id in touched {
+            cp.ledgers.insert("global".into(), *ctrl.global_ledger());
+            for id in ctrl.touched_subarrays() {
                 let linear = id.linear_index(&config.geometry);
-                let ledger = *env.ctrl.subarray_ledger(id).expect("touched implies attached");
+                let ledger = *ctrl.subarray_ledger(id).expect("touched implies attached");
                 cp.ledgers.insert(format!("sub.{linear}"), ledger);
             }
             if let Some(s1) = self.s1 {
@@ -807,11 +758,11 @@ impl<'a> Session<'a> {
             if let Some(s2) = self.s2 {
                 cp.ledgers.insert("s2".into(), s2);
             }
-            if let Some(mut snap) = env.ctrl.metrics_snapshot() {
-                for (name, value) in env.dispatcher.metrics().deterministic_counters() {
+            if let Some(mut snap) = ctrl.metrics_snapshot() {
+                for (name, value) in dispatcher.metrics().deterministic_counters() {
                     snap.host.insert(format!("dispatch.{name}"), value);
                 }
-                for (name, value) in env.dispatcher.metrics().host_counters() {
+                for (name, value) in dispatcher.metrics().host_counters() {
                     snap.host.insert(format!("dispatch.{name}"), value);
                 }
                 if let Some(spans) = spans.as_deref() {
@@ -833,6 +784,7 @@ impl<'a> Session<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::prepare_dir;
     use pim_genome::assemble::{AssemblyConfig, SoftwareAssembler};
     use pim_genome::reads::ReadSimulator;
     use pim_genome::sequence::DnaSequence;
@@ -1012,7 +964,7 @@ mod tests {
         }
         // Resume on a *different* worker count: results are invariant.
         let mut asm = PimAssembler::new(streamed.with_workers(4));
-        let resumed = asm.resume_assemble(&reads, &dir).unwrap();
+        let resumed = Session::resume(&mut asm, &dir).unwrap().run(&reads).unwrap();
         assert_same_run(&reference, &resumed);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -1022,19 +974,38 @@ mod tests {
         let reads = sim_reads(23, 500);
         let dir = temp_dir("reject");
         let config = PimAssemblerConfig::small_test(13).with_chunk_reads(16).unwrap();
-        let done = PimAssembler::new(config).assemble_checkpointed(&reads, &dir, false).unwrap();
+        let mut asm = PimAssembler::new(config);
+        let ckpt = prepare_dir(&dir, false).unwrap();
+        let done = Session::start(&mut asm, Some(ckpt)).unwrap().run(&reads).unwrap();
         assert!(done.chunk_violations.is_empty());
+        let resume = |config| match Session::resume(&mut PimAssembler::new(config), &dir) {
+            Err(err) => err,
+            Ok(_) => panic!("resume must be refused"),
+        };
         // The finished run leaves a `done` checkpoint behind.
-        let err = PimAssembler::new(config).resume_assemble(&reads, &dir).unwrap_err();
+        let err = resume(config);
         assert!(err.to_string().contains("completed"), "{err}");
         // A different fingerprint (k) is refused outright.
-        let other = PimAssemblerConfig::small_test(15);
-        let err = PimAssembler::new(other).resume_assemble(&reads, &dir).unwrap_err();
+        let err = resume(PimAssemblerConfig::small_test(15));
         assert!(err.to_string().contains("fingerprint"), "{err}");
         // Occupied directory without --force is refused for fresh runs.
-        let err = PimAssembler::new(config).assemble_checkpointed(&reads, &dir, false).unwrap_err();
+        let err = prepare_dir(&dir, false).unwrap_err();
         assert!(matches!(err, PimError::CheckpointDirNotEmpty { .. }), "{err}");
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn overflowing_the_hash_partition_is_a_typed_error() {
+        // 3000 bp at 10x holds more distinct k-mers than the k-mer region
+        // of one sub-array: the run must fail with SubarrayFull, whose
+        // message names the remedy, and never panic.
+        let mut rng = ChaCha8Rng::seed_from_u64(42);
+        let genome = DnaSequence::random(&mut rng, 3000);
+        let reads = ReadSimulator::new(101, 10.0).simulate(&genome, &mut rng);
+        let config = PimAssemblerConfig::paper(15).with_hash_subarrays(1);
+        let err = PimAssembler::new(config).assemble(&reads).unwrap_err();
+        assert!(matches!(err, PimError::SubarrayFull { subarray: 0, .. }), "{err}");
+        assert!(err.to_string().contains("--subarrays"), "{err}");
     }
 
     #[test]

@@ -18,7 +18,7 @@ use pim_obsv::{Metric, Stage};
 
 use crate::dpu::Dpu;
 use crate::error::Result;
-use crate::hashmap_stage::PimHashTable;
+use crate::hashmap_stage::{HashStats, PimHashTable};
 use crate::mapping::KmerMapper;
 
 /// Statistics of the PIM scaffold stage.
@@ -40,7 +40,8 @@ pub struct ScaffoldStage;
 
 impl ScaffoldStage {
     /// Builds the anchor index from `contigs`, anchors every pair, and
-    /// chains supported links into scaffolds.
+    /// chains supported links into scaffolds — one [`ScaffoldExec`] fed
+    /// the whole pair set.
     ///
     /// # Errors
     ///
@@ -54,72 +55,18 @@ impl ScaffoldStage {
         k: usize,
         min_support: usize,
     ) -> Result<(Vec<Scaffold>, ScaffoldStats)> {
-        ctrl.set_stage(Stage::Scaffold);
-        let mut stats = ScaffoldStats::default();
-
-        // 1. Load the anchor index: every contig k-mer into the PIM table,
-        //    with a host-side sidecar mapping k-mer → (contig, offset)
-        //    (hardware keeps the payload in adjacent value rows; the
-        //    sidecar mirrors it for result decoding).
-        let mut table = PimHashTable::new(mapper);
-        let mut sidecar: HashMap<u64, (usize, usize)> = HashMap::new();
-        for (ci, c) in contigs.iter().enumerate() {
-            for (off, kmer) in KmerIter::new(c.sequence(), k)?.enumerate() {
-                table.insert(ctrl, kmer)?;
-                sidecar.entry(kmer.packed()).or_insert((ci, off));
-                stats.index_kmers += 1;
-            }
-        }
-
-        // 2. Anchor both mates of every pair through PIM queries.
-        let mut anchored_pairs: Vec<&ReadPair> = Vec::new();
-        for p in pairs {
-            let a = Self::anchor(ctrl, &mut table, &sidecar, &p.r1.seq, k)?;
-            let b = Self::anchor(ctrl, &mut table, &sidecar, &p.r2.seq, k)?;
-            stats.anchor_queries += 2;
-            if a.is_some() && b.is_some() {
-                stats.pairs_anchored += 1;
-                anchored_pairs.push(p);
-            }
-        }
-
-        // 3. Link voting + chaining (DPU scalar work, one op per anchored
-        //    pair and per link decision).
-        ctrl.record_metric(Metric::ScaffoldAnchors, stats.pairs_anchored);
-        ctrl.dpu_ops(stats.pairs_anchored + contigs.len() as u64);
-        let scaffolder = Scaffolder::new(k, min_support);
-        let scaffolds = scaffolder.scaffold(contigs, pairs)?;
-        stats.scaffolds = scaffolds.len() as u64;
-        Ok((scaffolds, stats))
-    }
-
-    /// Anchors a read by its first k-mer through a charged PIM lookup.
-    fn anchor(
-        ctrl: &mut Controller,
-        table: &mut PimHashTable,
-        sidecar: &HashMap<u64, (usize, usize)>,
-        seq: &pim_genome::DnaSequence,
-        k: usize,
-    ) -> Result<Option<(usize, usize)>> {
-        if seq.len() < k {
-            return Ok(None);
-        }
-        let kmer = Kmer::from_sequence(seq, 0, k)?;
-        let count = table.count(ctrl, &kmer)?;
-        if Dpu::is_zero(ctrl, count) {
-            Ok(None)
-        } else {
-            Ok(sidecar.get(&kmer.packed()).copied())
-        }
+        let mut exec = ScaffoldExec::new(ctrl, mapper, contigs.to_vec(), k, min_support)?;
+        exec.feed(ctrl, pairs)?;
+        exec.finish(ctrl)
     }
 }
 
-/// The scaffold executor of the staged engine: the same index build +
-/// anchor + chain flow as [`ScaffoldStage::run`], consumable in chunks of
-/// read pairs. Chunk boundaries are invisible to the result and the
-/// ledger: anchoring is per-pair independent and charging is an
-/// order-independent integer sum, so any chunking of the same pair stream
-/// is byte-identical to the one-shot run (asserted in tests).
+/// The scaffold executor: loads the anchor index, anchors read pairs
+/// chunk by chunk, and chains the links. Chunk boundaries are invisible
+/// to the result and the ledger: anchoring is per-pair independent and
+/// charging is an order-independent integer sum, so any chunking of the
+/// same pair stream is byte-identical to the one-shot run (asserted in
+/// tests).
 ///
 /// On resume the caller re-feeds the *full* pair stream: the first
 /// `cursor` pairs are buffered for the final chaining pass (which needs
@@ -134,18 +81,20 @@ pub struct ScaffoldExec {
     stats: ScaffoldStats,
     pairs: Vec<ReadPair>,
     anchored: u64,
-    sealed: bool,
 }
 
 impl ScaffoldExec {
-    /// Builds the anchor index over `contigs` (charged, exactly as the
-    /// one-shot stage does) and returns an executor ready to consume
-    /// pairs. The sidecar directory is a pure function of the contigs, so
-    /// it is rebuilt rather than checkpointed.
+    /// Builds the anchor index over `contigs` — every contig k-mer goes
+    /// into the PIM table (charged) — and returns an executor ready to
+    /// consume pairs. The host-side sidecar mapping k-mer → (contig,
+    /// offset) mirrors the payload hardware keeps in adjacent value rows;
+    /// it is a pure function of the contigs, so it is rebuilt rather than
+    /// checkpointed.
     ///
     /// # Errors
     ///
-    /// As [`ScaffoldStage::run`]'s index build.
+    /// DRAM and genome-toolkit errors; the index needs `mapper` capacity
+    /// for the distinct contig k-mers.
     pub fn new(
         ctrl: &mut Controller,
         mapper: KmerMapper,
@@ -156,12 +105,29 @@ impl ScaffoldExec {
         ctrl.set_stage(Stage::Scaffold);
         let mut stats = ScaffoldStats::default();
         let mut table = PimHashTable::new(mapper);
+        for c in &contigs {
+            for kmer in KmerIter::new(c.sequence(), k)? {
+                table.insert(ctrl, kmer)?;
+                stats.index_kmers += 1;
+            }
+        }
+        Self::with_index(table, contigs, k, min_support, stats, 0)
+    }
+
+    /// Assembles an executor around a loaded anchor index, rebuilding the
+    /// sidecar from `contigs`.
+    fn with_index(
+        table: PimHashTable,
+        contigs: Vec<Contig>,
+        k: usize,
+        min_support: usize,
+        stats: ScaffoldStats,
+        anchored: u64,
+    ) -> Result<Self> {
         let mut sidecar: HashMap<u64, (usize, usize)> = HashMap::new();
         for (ci, c) in contigs.iter().enumerate() {
             for (off, kmer) in KmerIter::new(c.sequence(), k)?.enumerate() {
-                table.insert(ctrl, kmer)?;
                 sidecar.entry(kmer.packed()).or_insert((ci, off));
-                stats.index_kmers += 1;
             }
         }
         Ok(ScaffoldExec {
@@ -172,8 +138,7 @@ impl ScaffoldExec {
             min_support,
             stats,
             pairs: Vec::new(),
-            anchored: 0,
-            sealed: false,
+            anchored,
         })
     }
 
@@ -188,10 +153,8 @@ impl ScaffoldExec {
         for p in chunk {
             let idx = self.pairs.len() as u64;
             if idx >= self.anchored {
-                let a =
-                    ScaffoldStage::anchor(ctrl, &mut self.table, &self.sidecar, &p.r1.seq, self.k)?;
-                let b =
-                    ScaffoldStage::anchor(ctrl, &mut self.table, &self.sidecar, &p.r2.seq, self.k)?;
+                let a = self.anchor(ctrl, &p.r1.seq)?;
+                let b = self.anchor(ctrl, &p.r2.seq)?;
                 self.stats.anchor_queries += 2;
                 if a.is_some() && b.is_some() {
                     self.stats.pairs_anchored += 1;
@@ -203,13 +166,26 @@ impl ScaffoldExec {
         Ok(())
     }
 
-    /// Marks the pair stream as exhausted.
-    pub fn seal(&mut self) {
-        self.sealed = true;
+    /// Anchors a read by its first k-mer through a charged PIM lookup.
+    fn anchor(
+        &mut self,
+        ctrl: &mut Controller,
+        seq: &pim_genome::DnaSequence,
+    ) -> Result<Option<(usize, usize)>> {
+        if seq.len() < self.k {
+            return Ok(None);
+        }
+        let kmer = Kmer::from_sequence(seq, 0, self.k)?;
+        let count = self.table.count(ctrl, &kmer)?;
+        if Dpu::is_zero(ctrl, count) {
+            Ok(None)
+        } else {
+            Ok(self.sidecar.get(&kmer.packed()).copied())
+        }
     }
 
-    /// Link voting + chaining over every buffered pair — identical to the
-    /// tail of [`ScaffoldStage::run`].
+    /// Link voting + chaining over every buffered pair (DPU scalar work,
+    /// one op per anchored pair and per contig).
     ///
     /// # Errors
     ///
@@ -223,10 +199,30 @@ impl ScaffoldExec {
         Ok((scaffolds, self.stats))
     }
 
+    /// Serializes the resume state into `cp`: the anchor index (list
+    /// `scaffold_index`), its statistics and the stage counters. Reads
+    /// device state through the uncharged debug port only.
+    ///
+    /// # Errors
+    ///
+    /// DRAM addressing errors while exporting device state.
+    pub fn save(
+        &self,
+        ctrl: &mut Controller,
+        cp: &mut crate::checkpoint::StageCheckpoint,
+    ) -> Result<()> {
+        self.table.save_entries(ctrl, cp, "scaffold_index")?;
+        self.table.stats().save(cp, "scaffold.index");
+        cp.fields.insert("scaffold.index_kmers".into(), self.stats.index_kmers);
+        cp.fields.insert("scaffold.anchor_queries".into(), self.stats.anchor_queries);
+        cp.fields.insert("scaffold.pairs_anchored".into(), self.stats.pairs_anchored);
+        Ok(())
+    }
+
     /// Reconstructs an executor from a checkpoint written by
-    /// [`crate::stages::Stage::save`]: the anchor index is restored
-    /// through the uncharged debug port, the sidecar rebuilt purely from
-    /// `contigs`, and the anchor cursor picks up where it left off.
+    /// [`ScaffoldExec::save`]: the anchor index is restored through the
+    /// uncharged debug port, the sidecar rebuilt purely from `contigs`,
+    /// and the anchor cursor picks up where it left off.
     ///
     /// # Errors
     ///
@@ -241,119 +237,22 @@ impl ScaffoldExec {
         cp: &crate::checkpoint::StageCheckpoint,
     ) -> Result<Self> {
         ctrl.set_stage(Stage::Scaffold);
-        let malformed = |line: &str| crate::error::PimError::Checkpoint {
-            reason: format!("bad scaffold index entry `{line}`"),
-        };
-        let mut entries = Vec::new();
-        for line in cp.lists.get("scaffold_index").map_or(&[][..], Vec::as_slice) {
-            let mut p = line.split_whitespace();
-            let mut next = || p.next().ok_or_else(|| malformed(line));
-            let sub_idx: usize = next()?.parse().map_err(|_| malformed(line))?;
-            let row: usize = next()?.parse().map_err(|_| malformed(line))?;
-            let packed: u64 = next()?.parse().map_err(|_| malformed(line))?;
-            let kk: usize = next()?.parse().map_err(|_| malformed(line))?;
-            let count: u64 = next()?.parse().map_err(|_| malformed(line))?;
-            let kmer = Kmer::from_packed(packed, kk).map_err(|_| malformed(line))?;
-            entries.push((sub_idx, row, kmer, count));
-        }
-        let hash_stats = crate::hashmap_stage::HashStats {
-            inserted_total: cp.field("scaffold.index.inserted_total"),
-            distinct: cp.field("scaffold.index.distinct"),
-            probes: cp.field("scaffold.index.probes"),
-            hits: cp.field("scaffold.index.hits"),
-            shadow_mismatches: cp.field("scaffold.index.shadow_mismatches"),
-        };
+        let entries = PimHashTable::load_entries(cp, "scaffold_index", k)?;
         let table = PimHashTable::restore_entries(
             mapper,
             crate::ir::BackendKind::PimAssembler,
             crate::ir::OptLevel::O0,
             ctrl,
             &entries,
-            hash_stats,
+            HashStats::load(cp, "scaffold.index"),
         )?;
-        let mut sidecar: HashMap<u64, (usize, usize)> = HashMap::new();
-        for (ci, c) in contigs.iter().enumerate() {
-            for (off, kmer) in KmerIter::new(c.sequence(), k)?.enumerate() {
-                sidecar.entry(kmer.packed()).or_insert((ci, off));
-            }
-        }
         let stats = ScaffoldStats {
             index_kmers: cp.field("scaffold.index_kmers"),
             anchor_queries: cp.field("scaffold.anchor_queries"),
             pairs_anchored: cp.field("scaffold.pairs_anchored"),
             scaffolds: 0,
         };
-        Ok(ScaffoldExec {
-            table,
-            sidecar,
-            contigs,
-            k,
-            min_support,
-            stats,
-            pairs: Vec::new(),
-            anchored: cp.cursor,
-            sealed: false,
-        })
-    }
-}
-
-impl crate::stages::Stage for ScaffoldExec {
-    type Chunk = Vec<ReadPair>;
-    type Artifact = (Vec<Scaffold>, ScaffoldStats);
-
-    fn name(&self) -> &'static str {
-        "scaffold"
-    }
-
-    fn cursor(&self) -> crate::stages::StageCursor {
-        crate::stages::StageCursor {
-            done: self.anchored,
-            total: self.sealed.then_some(self.pairs.len() as u64),
-        }
-    }
-
-    fn is_done(&self) -> bool {
-        self.sealed
-    }
-
-    fn advance(
-        &mut self,
-        env: &mut crate::stages::StageEnv<'_>,
-        chunk: Vec<ReadPair>,
-    ) -> Result<()> {
-        self.feed(env.ctrl, &chunk)
-    }
-
-    fn save(
-        &self,
-        env: &mut crate::stages::StageEnv<'_>,
-        cp: &mut crate::checkpoint::StageCheckpoint,
-    ) -> Result<()> {
-        let entries = self.table.export_entries(env.ctrl)?;
-        let lines = entries
-            .iter()
-            .map(|(sub, row, kmer, count)| {
-                format!("{sub} {row} {} {} {count}", kmer.packed(), kmer.k())
-            })
-            .collect();
-        cp.lists.insert("scaffold_index".into(), lines);
-        let hs = self.table.stats();
-        cp.fields.insert("scaffold.index.inserted_total".into(), hs.inserted_total);
-        cp.fields.insert("scaffold.index.distinct".into(), hs.distinct);
-        cp.fields.insert("scaffold.index.probes".into(), hs.probes);
-        cp.fields.insert("scaffold.index.hits".into(), hs.hits);
-        cp.fields.insert("scaffold.index.shadow_mismatches".into(), hs.shadow_mismatches);
-        cp.fields.insert("scaffold.index_kmers".into(), self.stats.index_kmers);
-        cp.fields.insert("scaffold.anchor_queries".into(), self.stats.anchor_queries);
-        cp.fields.insert("scaffold.pairs_anchored".into(), self.stats.pairs_anchored);
-        Ok(())
-    }
-
-    fn into_artifact(
-        self,
-        env: &mut crate::stages::StageEnv<'_>,
-    ) -> Result<(Vec<Scaffold>, ScaffoldStats)> {
-        self.finish(env.ctrl)
+        Self::with_index(table, contigs, k, min_support, stats, cp.cursor)
     }
 }
 
@@ -465,7 +364,6 @@ mod tests {
 
     #[test]
     fn chunked_exec_with_mid_stream_restore_matches_one_shot() {
-        use crate::stages::Stage as _;
         let (mut ctrl_a, genome, mut rng) = setup(3000, 50);
         let contigs = vec![
             Contig::new(genome.subsequence(0, 1400)),
@@ -487,17 +385,8 @@ mod tests {
         for chunk in pairs[..mid].chunks(7) {
             exec.feed(&mut ctrl_b, chunk).unwrap();
         }
-        let config = crate::config::PimAssemblerConfig::small_test(17);
-        let dispatcher = crate::dispatch::ParallelDispatcher::serial();
-        let mut cp = crate::checkpoint::StageCheckpoint::new("fp", "scaffold", exec.cursor().done);
-        {
-            let mut env = crate::stages::StageEnv {
-                ctrl: &mut ctrl_b,
-                dispatcher: &dispatcher,
-                config: &config,
-            };
-            exec.save(&mut env, &mut cp).unwrap();
-        }
+        let mut cp = crate::checkpoint::StageCheckpoint::new("fp", "scaffold", exec.anchored);
+        exec.save(&mut ctrl_b, &mut cp).unwrap();
         assert_eq!(cp.cursor, mid as u64);
         let saved_global = *ctrl_b.global_ledger();
         let saved_subs: Vec<_> = ctrl_b
@@ -516,7 +405,6 @@ mod tests {
         for chunk in pairs.chunks(11) {
             exec.feed(&mut ctrl_c, chunk).unwrap();
         }
-        exec.seal();
         let (scaffolds, stats) = exec.finish(&mut ctrl_c).unwrap();
         assert_eq!(scaffolds, reference);
         assert_eq!(stats, stats_ref);

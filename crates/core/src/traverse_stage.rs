@@ -280,10 +280,10 @@ pub struct TraverseArtifact {
     pub graph_stats: crate::graph_stage::GraphStats,
 }
 
-/// The stage-3 executor of the staged engine: a single-chunk stage that
-/// walks the Eulerian trails of the (simplified) graph. Its checkpoint
-/// payload is the pre-simplification survivor list — a `stage = traverse`
-/// checkpoint is self-contained: [`crate::graph_stage::GraphStage::rebuild`]
+/// The stage-3 executor of the staged engine: walks the Eulerian trails
+/// of the (simplified) graph. Its checkpoint payload is the
+/// pre-simplification survivor list — a `stage = traverse` checkpoint is
+/// self-contained: [`crate::graph_stage::GraphStage::rebuild`]
 /// reconstructs the graph purely host-side on resume.
 #[derive(Debug, Clone)]
 pub struct TraverseExec {
@@ -293,7 +293,6 @@ pub struct TraverseExec {
     survivors: Vec<(pim_genome::kmer::Kmer, u64)>,
     work_out: SubarrayId,
     work_in: SubarrayId,
-    done: Option<(Vec<Trail>, TraverseStats)>,
 }
 
 impl TraverseExec {
@@ -308,45 +307,12 @@ impl TraverseExec {
         work_out: SubarrayId,
         work_in: SubarrayId,
     ) -> Self {
-        TraverseExec { graph, partitioning, graph_stats, survivors, work_out, work_in, done: None }
-    }
-}
-
-impl crate::stages::Stage for TraverseExec {
-    type Chunk = ();
-    type Artifact = TraverseArtifact;
-
-    fn name(&self) -> &'static str {
-        "traverse"
+        TraverseExec { graph, partitioning, graph_stats, survivors, work_out, work_in }
     }
 
-    fn cursor(&self) -> crate::stages::StageCursor {
-        crate::stages::StageCursor { done: self.done.is_some() as u64, total: Some(1) }
-    }
-
-    fn is_done(&self) -> bool {
-        self.done.is_some()
-    }
-
-    fn advance(&mut self, env: &mut crate::stages::StageEnv<'_>, _chunk: ()) -> Result<()> {
-        let (trails, stats) = TraverseStage::run_with_dispatcher(
-            env.ctrl,
-            env.dispatcher,
-            &self.graph,
-            self.work_out,
-            self.work_in,
-            EulerAlgorithm::Hierholzer,
-            env.config.opt_level,
-        )?;
-        self.done = Some((trails, stats));
-        Ok(())
-    }
-
-    fn save(
-        &self,
-        _env: &mut crate::stages::StageEnv<'_>,
-        cp: &mut crate::checkpoint::StageCheckpoint,
-    ) -> Result<()> {
+    /// Serializes the resume state into `cp`: the survivor list (list
+    /// `graph`) and the graph-stage statistics.
+    pub fn save(&self, cp: &mut crate::checkpoint::StageCheckpoint) {
         let lines = self
             .survivors
             .iter()
@@ -356,13 +322,30 @@ impl crate::stages::Stage for TraverseExec {
         cp.fields.insert("graph.scanned".into(), self.graph_stats.scanned);
         cp.fields.insert("graph.edges_inserted".into(), self.graph_stats.edges_inserted);
         cp.fields.insert("graph.mem_inserts".into(), self.graph_stats.mem_inserts);
-        Ok(())
     }
 
-    fn into_artifact(self, _env: &mut crate::stages::StageEnv<'_>) -> Result<TraverseArtifact> {
-        let (trails, stats) = self.done.ok_or_else(|| crate::error::PimError::Checkpoint {
-            reason: "traverse stage not yet advanced".into(),
-        })?;
+    /// Runs the stage ([`TraverseStage::run_with_dispatcher`] with
+    /// Hierholzer's walk) and hands the trails, the graph and its
+    /// statistics on for contig spelling and reporting.
+    ///
+    /// # Errors
+    ///
+    /// As [`TraverseStage::run_with_dispatcher`].
+    pub fn run(
+        self,
+        ctrl: &mut Controller,
+        dispatcher: &ParallelDispatcher,
+        opt: OptLevel,
+    ) -> Result<TraverseArtifact> {
+        let (trails, stats) = TraverseStage::run_with_dispatcher(
+            ctrl,
+            dispatcher,
+            &self.graph,
+            self.work_out,
+            self.work_in,
+            EulerAlgorithm::Hierholzer,
+            opt,
+        )?;
         Ok(TraverseArtifact {
             trails,
             stats,
@@ -504,7 +487,6 @@ mod tests {
 
     #[test]
     fn traverse_exec_matches_direct_run() {
-        use crate::stages::Stage as _;
         let g = graph_of("CGTGCGTGCTTACGGA", 5);
         let (mut ctrl_a, work_out_a) = setup();
         let work_in_a = ctrl_a.subarray_handle(0, 2, 0, 1).unwrap();
@@ -522,9 +504,8 @@ mod tests {
 
         let (mut ctrl_b, work_out_b) = setup();
         let work_in_b = ctrl_b.subarray_handle(0, 2, 0, 1).unwrap();
-        let config = crate::config::PimAssemblerConfig::small_test(5);
         let partitioning = crate::partition::IntervalBlockPartitioner::new(2, 64).partition(&g);
-        let mut exec = TraverseExec::new(
+        let exec = TraverseExec::new(
             g.clone(),
             partitioning,
             crate::graph_stage::GraphStats::default(),
@@ -532,12 +513,7 @@ mod tests {
             work_out_b,
             work_in_b,
         );
-        assert!(!exec.is_done());
-        let mut env =
-            crate::stages::StageEnv { ctrl: &mut ctrl_b, dispatcher: &dispatcher, config: &config };
-        exec.advance(&mut env, ()).unwrap();
-        assert!(exec.is_done());
-        let art = exec.into_artifact(&mut env).unwrap();
+        let art = exec.run(&mut ctrl_b, &dispatcher, OptLevel::O0).unwrap();
         assert_eq!(art.trails, trails_ref);
         assert_eq!(art.stats, stats_ref);
         assert_eq!(*ctrl_b.stats(), *ctrl_a.stats());

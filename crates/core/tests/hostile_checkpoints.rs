@@ -1,0 +1,162 @@
+//! Hostile checkpoints: a resume from a corrupted or hand-edited
+//! checkpoint must return a typed error (or resume), never panic.
+//!
+//! Each `*_is_a_checkpoint_error` test edits one field of a real mid-run
+//! checkpoint to a value that used to panic `Session::resume`; the
+//! proptest rewrites one number of a real checkpoint at random.
+
+use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
+
+use proptest::prelude::*;
+use rand::SeedableRng;
+use rand_chacha::ChaCha8Rng;
+
+use pim_assembler::checkpoint::{prepare_dir, StageCheckpoint, CHECKPOINT_FILE};
+use pim_assembler::{PimAssembler, PimAssemblerConfig, PimError, Session};
+use pim_genome::reads::{Read, ReadSimulator};
+use pim_genome::sequence::DnaSequence;
+
+const CHUNK: usize = 8;
+
+fn config() -> PimAssemblerConfig {
+    PimAssemblerConfig::small_test(13).with_chunk_reads(CHUNK).unwrap()
+}
+
+fn reads() -> Vec<Read> {
+    let mut rng = ChaCha8Rng::seed_from_u64(16);
+    let genome = DnaSequence::random(&mut rng, 500);
+    ReadSimulator::new(60, 25.0).simulate(&genome, &mut rng)
+}
+
+fn temp_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("pim-hostile-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    prepare_dir(&dir, false).unwrap();
+    dir
+}
+
+/// A real checkpoint: the hashmap stage after 3 chunks, or (`traverse`)
+/// the graph/traverse boundary.
+fn checkpoint(tag: &str, traverse: bool) -> StageCheckpoint {
+    let dir = temp_dir(tag);
+    {
+        let mut asm = PimAssembler::new(config());
+        let mut session = Session::start(&mut asm, Some(dir.clone())).unwrap();
+        let reads = reads();
+        let chunks = if traverse { usize::MAX } else { 3 };
+        for chunk in reads.chunks(CHUNK).take(chunks) {
+            session.feed(chunk).unwrap();
+        }
+        if traverse {
+            session.seal().unwrap();
+            session.advance_graph().unwrap();
+        }
+    }
+    let cp = StageCheckpoint::load(&dir).unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+    cp
+}
+
+/// Writes `text` as the checkpoint in `dir` and resumes from it.
+fn resume_from(dir: &Path, text: &str) -> Result<(), PimError> {
+    std::fs::write(dir.join(CHECKPOINT_FILE), text).unwrap();
+    Session::resume(&mut PimAssembler::new(config()), dir).map(drop)
+}
+
+fn assert_checkpoint_error(tag: &str, cp: &StageCheckpoint) {
+    let dir = temp_dir(tag);
+    let err = resume_from(&dir, &cp.to_text()).unwrap_err();
+    assert!(matches!(err, PimError::Checkpoint { .. }), "{err}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Rewrites field `index` of the first `hash` entry
+/// (`sub row packed k count`).
+fn edit_first_hash_entry(cp: &mut StageCheckpoint, index: usize, value: usize) {
+    let entry = &mut cp.lists.get_mut("hash").unwrap()[0];
+    let mut fields: Vec<String> = entry.split_whitespace().map(String::from).collect();
+    fields[index] = value.to_string();
+    *entry = fields.join(" ");
+}
+
+#[test]
+fn out_of_range_subarray_ledger_is_a_checkpoint_error() {
+    let mut cp = checkpoint("ledger", false);
+    let name = cp.ledgers.keys().find(|name| name.starts_with("sub.")).unwrap().clone();
+    let ledger = cp.ledgers.remove(&name).unwrap();
+    cp.ledgers.insert("sub.99999999".into(), ledger);
+    assert_checkpoint_error("ledger", &cp);
+}
+
+#[test]
+fn hash_entry_past_the_partition_is_a_checkpoint_error() {
+    let mut cp = checkpoint("sub-index", false);
+    edit_first_hash_entry(&mut cp, 0, config().hash_subarrays);
+    assert_checkpoint_error("sub-index", &cp);
+}
+
+#[test]
+fn hash_entry_past_the_kmer_region_is_a_checkpoint_error() {
+    // Row 1000 of the sub-array's 1024 lies past its 976-row k-mer region.
+    let mut cp = checkpoint("row", false);
+    edit_first_hash_entry(&mut cp, 1, 1000);
+    assert_checkpoint_error("row", &cp);
+}
+
+/// Interesting replacement values: region and partition boundaries,
+/// word-size edges, and the extremes.
+const PROBES: [u64; 16] =
+    [0, 1, 2, 7, 8, 12, 13, 255, 256, 975, 976, 1000, 1024, 32768, 1 << 40, u64::MAX];
+
+/// `text` with the number in token `token` of line `line` (both taken
+/// modulo their counts) replaced by `value`: the token's first run of
+/// digits, or the whole token when it has none.
+fn mutate(text: &str, line: usize, token: usize, value: u64) -> String {
+    let mut lines: Vec<String> = text.lines().map(String::from).collect();
+    let n = lines.len();
+    let target = &mut lines[line % n];
+    let mut tokens: Vec<String> = target.split_whitespace().map(String::from).collect();
+    if tokens.is_empty() {
+        return text.to_string();
+    }
+    let n = tokens.len();
+    let tok = &mut tokens[token % n];
+    *tok = match tok.find(|c: char| c.is_ascii_digit()) {
+        Some(start) => {
+            let end =
+                tok[start..].find(|c: char| !c.is_ascii_digit()).map_or(tok.len(), |e| start + e);
+            format!("{}{value}{}", &tok[..start], &tok[end..])
+        }
+        None => value.to_string(),
+    };
+    *target = tokens.join(" ");
+    lines.join("\n") + "\n"
+}
+
+fn base_texts() -> &'static [String; 2] {
+    static TEXTS: OnceLock<[String; 2]> = OnceLock::new();
+    TEXTS.get_or_init(|| {
+        [checkpoint("base-hashmap", false).to_text(), checkpoint("base-traverse", true).to_text()]
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn resume_never_panics_on_a_mutated_checkpoint(
+        traverse in any::<bool>(),
+        line in any::<usize>(),
+        token in any::<usize>(),
+        probe in 0usize..20,
+        random in any::<u64>(),
+    ) {
+        let text = &base_texts()[usize::from(traverse)];
+        let value = PROBES.get(probe).copied().unwrap_or(random);
+        let dir = temp_dir(&format!("prop-{traverse}"));
+        // Either outcome is fine; a panic fails the property.
+        let _ = resume_from(&dir, &mutate(text, line, token, value));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}

@@ -91,7 +91,9 @@ fn kill_and_resume(
                 }
             }
             None => {
-                session.feed_chunked(reads, Some(chunk)).unwrap();
+                for c in reads.chunks(chunk) {
+                    session.feed(c).unwrap();
+                }
                 session.seal().unwrap();
                 if graph_done {
                     session.advance_graph().unwrap();
@@ -103,7 +105,7 @@ fn kill_and_resume(
     let resumed_config =
         config.with_chunk_reads(resume_chunk).unwrap().with_workers(resume_workers);
     let mut asm = PimAssembler::new(resumed_config);
-    let run = asm.resume_assemble(reads, dir).unwrap();
+    let run = Session::resume(&mut asm, dir).unwrap().run(reads).unwrap();
     (run, asm)
 }
 
@@ -179,7 +181,7 @@ fn double_kill_resume_chain_composes() {
         }
     }
     let mut asm = PimAssembler::new(config.with_chunk_reads(13).unwrap());
-    let run = asm.resume_assemble(&reads, &dir).unwrap();
+    let run = Session::resume(&mut asm, &dir).unwrap().run(&reads).unwrap();
     assert_identical(&ref_run, &ref_asm, &run, &asm);
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -231,6 +231,24 @@ impl EnergyLedger {
         }
     }
 
+    /// [`EnergyLedger::merge`] for untrusted ledgers (read back from a
+    /// checkpoint, say): `None` when a per-class total or a cross-class
+    /// total ([`EnergyLedger::total_time_ps`] and friends) of the merged
+    /// ledger would overflow `u64`.
+    pub fn checked_merge(&self, other: &EnergyLedger) -> Option<EnergyLedger> {
+        let mut out = *self;
+        let mut sums = [0u64; 3];
+        for (mine, theirs) in out.classes.iter_mut().zip(other.classes.iter()) {
+            mine.count = mine.count.checked_add(theirs.count)?;
+            mine.time_ps = mine.time_ps.checked_add(theirs.time_ps)?;
+            mine.energy_fj = mine.energy_fj.checked_add(theirs.energy_fj)?;
+            for (sum, value) in sums.iter_mut().zip([mine.count, mine.time_ps, mine.energy_fj]) {
+                *sum = sum.checked_add(value)?;
+            }
+        }
+        Some(out)
+    }
+
     /// The delta accumulated since `baseline` (a prior snapshot of this
     /// ledger).
     ///
@@ -298,6 +316,23 @@ mod tests {
 
     fn costs() -> CommandCosts {
         CommandCosts::new(&TimingParams::default(), &EnergyParams::default(), 256)
+    }
+
+    #[test]
+    fn checked_merge_refuses_overflowing_totals() {
+        let mut a = EnergyLedger::default();
+        a.charge(CommandClass::Aap, &costs());
+        let mut doubled = a;
+        doubled.merge(&a);
+        assert_eq!(a.checked_merge(&a), Some(doubled));
+        let mut huge = EnergyLedger::default();
+        huge.set_class(
+            CommandClass::Read,
+            ClassTotals { count: u64::MAX, time_ps: 0, energy_fj: 0 },
+        );
+        // Per class: MAX + MAX reads. Across classes: MAX reads + 1 AAP.
+        assert_eq!(huge.checked_merge(&huge), None);
+        assert_eq!(huge.checked_merge(&a), None);
     }
 
     #[test]

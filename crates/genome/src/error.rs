@@ -34,6 +34,13 @@ pub enum GenomeError {
         /// What went wrong.
         reason: &'static str,
     },
+    /// FASTQ input was malformed.
+    MalformedFastq {
+        /// Line number (1-based).
+        line: usize,
+        /// What went wrong.
+        reason: &'static str,
+    },
     /// An I/O error, stringified (keeps the error type `Clone + Eq`).
     Io(String),
 }
@@ -52,6 +59,9 @@ impl fmt::Display for GenomeError {
             }
             GenomeError::MalformedFasta { line, reason } => {
                 write!(f, "malformed fasta at line {line}: {reason}")
+            }
+            GenomeError::MalformedFastq { line, reason } => {
+                write!(f, "malformed fastq at line {line}: {reason}")
             }
             GenomeError::Io(msg) => write!(f, "io error: {msg}"),
         }
@@ -75,6 +85,8 @@ mod tests {
         assert!(GenomeError::InvalidBase { ch: 'N', position: 4 }.to_string().contains("'N'"));
         assert!(GenomeError::UnsupportedK { k: 40 }.to_string().contains("40"));
         assert!(GenomeError::SequenceTooShort { len: 3, needed: 16 }.to_string().contains("16"));
+        let fastq = GenomeError::MalformedFastq { line: 4, reason: "missing quality line" };
+        assert_eq!(fastq.to_string(), "malformed fastq at line 4: missing quality line");
     }
 
     #[test]

@@ -48,7 +48,7 @@ impl FastqRecord {
 ///
 /// # Errors
 ///
-/// * [`GenomeError::MalformedFasta`] for structural problems (missing `@`,
+/// * [`GenomeError::MalformedFastq`] for structural problems (missing `@`,
 ///   `+` separator, or length mismatch between bases and qualities),
 /// * [`GenomeError::InvalidBase`] for characters that are neither
 ///   `ACGTacgt` nor ambiguity codes,
@@ -106,20 +106,20 @@ impl<R: BufRead> FastqRecords<R> {
     fn parse_record(&mut self, n: usize, header: &str) -> Result<()> {
         let name = header
             .strip_prefix('@')
-            .ok_or(GenomeError::MalformedFasta { line: n + 1, reason: "expected '@' header" })?
+            .ok_or(GenomeError::MalformedFastq { line: n + 1, reason: "expected '@' header" })?
             .trim()
             .to_string();
         let (_, seq_line) = self
             .lines
             .next()
-            .ok_or(GenomeError::MalformedFasta { line: n + 2, reason: "missing sequence line" })?;
+            .ok_or(GenomeError::MalformedFastq { line: n + 2, reason: "missing sequence line" })?;
         let seq_line = seq_line?;
         let (_, plus) = self
             .lines
             .next()
-            .ok_or(GenomeError::MalformedFasta { line: n + 3, reason: "missing '+' separator" })?;
+            .ok_or(GenomeError::MalformedFastq { line: n + 3, reason: "missing '+' separator" })?;
         if !plus?.starts_with('+') {
-            return Err(GenomeError::MalformedFasta {
+            return Err(GenomeError::MalformedFastq {
                 line: n + 3,
                 reason: "expected '+' separator",
             });
@@ -127,10 +127,10 @@ impl<R: BufRead> FastqRecords<R> {
         let (_, qual_line) = self
             .lines
             .next()
-            .ok_or(GenomeError::MalformedFasta { line: n + 4, reason: "missing quality line" })?;
+            .ok_or(GenomeError::MalformedFastq { line: n + 4, reason: "missing quality line" })?;
         let qual_line = qual_line?;
         if qual_line.len() != seq_line.len() {
-            return Err(GenomeError::MalformedFasta {
+            return Err(GenomeError::MalformedFastq {
                 line: n + 4,
                 reason: "quality length differs from sequence length",
             });
@@ -258,22 +258,22 @@ mod tests {
     fn structural_errors_detected() {
         assert!(matches!(
             read_fastq("ACGT\n".as_bytes()),
-            Err(GenomeError::MalformedFasta { reason: "expected '@' header", .. })
+            Err(GenomeError::MalformedFastq { reason: "expected '@' header", .. })
         ));
         assert!(matches!(
             read_fastq("@x\nACGT\nIIII\nIIII\n".as_bytes()),
-            Err(GenomeError::MalformedFasta { reason: "expected '+' separator", .. })
+            Err(GenomeError::MalformedFastq { reason: "expected '+' separator", .. })
         ));
         assert!(matches!(
             read_fastq("@x\nACGT\n+\nII\n".as_bytes()),
-            Err(GenomeError::MalformedFasta {
+            Err(GenomeError::MalformedFastq {
                 reason: "quality length differs from sequence length",
                 ..
             })
         ));
         assert!(matches!(
             read_fastq("@x\nACGT\n+\n".as_bytes()),
-            Err(GenomeError::MalformedFasta { reason: "missing quality line", .. })
+            Err(GenomeError::MalformedFastq { reason: "missing quality line", .. })
         ));
     }
 
@@ -355,7 +355,7 @@ mod tests {
     #[test]
     fn streaming_surfaces_errors_and_stops() {
         let mut it = fastq_records("ACGT\n".as_bytes());
-        assert!(matches!(it.next(), Some(Err(GenomeError::MalformedFasta { .. }))));
+        assert!(matches!(it.next(), Some(Err(GenomeError::MalformedFastq { .. }))));
         assert!(it.next().is_none());
     }
 

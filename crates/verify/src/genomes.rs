@@ -56,15 +56,22 @@ pub struct TestCase {
     pub reads: Vec<Read>,
 }
 
+/// Length of the simulated reads; a genome must be at least this long.
+pub const READ_LEN: usize = 50;
+
 /// Generates the `scenario` input of roughly `genome_len` bases,
 /// deterministically from `seed`.
+///
+/// # Panics
+///
+/// Panics if `genome_len < READ_LEN`.
 pub fn generate(scenario: Scenario, genome_len: usize, seed: u64) -> TestCase {
     let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x7E57_CA5E);
     let genome = match scenario {
         Scenario::Random | Scenario::LowCoverage => DnaSequence::random(&mut rng, genome_len),
         Scenario::RepeatHeavy => repeat_heavy(&mut rng, genome_len),
     };
-    let reads = ReadSimulator::new(50, scenario.coverage()).simulate(&genome, &mut rng);
+    let reads = ReadSimulator::new(READ_LEN, scenario.coverage()).simulate(&genome, &mut rng);
     TestCase { scenario, genome, reads }
 }
 

@@ -151,7 +151,7 @@ fn verify_cell(
         // Dropping the session here is the simulated kill.
     }
     let mut resumed_asm = PimAssembler::new(streamed_config);
-    let resumed = resumed_asm.resume_assemble(&case.reads, &dir)?;
+    let resumed = Session::resume(&mut resumed_asm, &dir)?.run(&case.reads)?;
     diff_runs(&reference, &ref_asm, &resumed, &resumed_asm, &mut compared, &mut notes);
     let _ = std::fs::remove_dir_all(&dir);
 
