@@ -15,8 +15,6 @@
 //!   waveforms of a single-cycle in-memory XNOR2,
 //! * [`variation`] — the 10 000-trial Monte-Carlo process-variation study of
 //!   Table I (TRA vs two-row activation, ±5 % … ±30 %),
-//! * [`noise`] — the bit-line noise sources of Fig. 4 (WL-BL, BL-substrate,
-//!   BL-BL coupling),
 //! * [`area`] — the transistor-count area-overhead model (~5 % of chip area,
 //!   §II-B *Area Overhead*).
 //!
@@ -33,8 +31,6 @@
 
 pub mod area;
 pub mod charge_sharing;
-pub mod noise;
-pub mod retention;
 pub mod transient;
 pub mod variation;
 pub mod vtc;

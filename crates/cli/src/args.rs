@@ -69,24 +69,17 @@ impl ParsedArgs {
         out
     }
 
-    /// A numeric option with a default.
-    ///
-    /// # Panics
-    ///
-    /// Panics with a readable message when the value does not parse.
-    pub fn get_num<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
+    /// A numeric option with a default; a value that does not parse is an
+    /// error naming the option and the value.
+    pub fn get_num<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
         match self.options.get(key) {
-            Some(v) => v.parse().unwrap_or_else(|_| panic!("--{key} expects a number, got {v:?}")),
-            None => default,
+            Some(v) => v.parse().map_err(|_| format!("--{key} expects a number, got {v:?}")),
+            None => Ok(default),
         }
     }
 
     /// [`ParsedArgs::get_num`] restricted to the values `valid` accepts;
     /// any other value is an error naming the valid `range`.
-    ///
-    /// # Panics
-    ///
-    /// As [`ParsedArgs::get_num`], when the value does not parse.
     pub fn get_num_where<T: std::str::FromStr + std::fmt::Display + Copy>(
         &self,
         key: &str,
@@ -94,7 +87,7 @@ impl ParsedArgs {
         valid: impl Fn(T) -> bool,
         range: &str,
     ) -> Result<T, String> {
-        let value = self.get_num(key, default);
+        let value = self.get_num(key, default)?;
         if valid(value) {
             Ok(value)
         } else {
@@ -131,8 +124,8 @@ mod tests {
     #[test]
     fn options_and_flags() {
         let a = parse("assemble in.fa --k 21 --min-count 2 --correct --output out.fa");
-        assert_eq!(a.get_num("k", 0usize), 21);
-        assert_eq!(a.get_num("min-count", 1u64), 2);
+        assert_eq!(a.get_num("k", 0usize), Ok(21));
+        assert_eq!(a.get_num("min-count", 1u64), Ok(2));
         assert!(a.has_flag("correct"));
         assert_eq!(a.get_str("output"), Some("out.fa"));
     }
@@ -140,13 +133,13 @@ mod tests {
     #[test]
     fn defaults_apply() {
         let a = parse("assemble in.fa");
-        assert_eq!(a.get_num("k", 17usize), 17);
+        assert_eq!(a.get_num("k", 17usize), Ok(17));
         assert!(!a.has_flag("correct"));
     }
 
     #[test]
-    #[should_panic(expected = "expects a number")]
-    fn bad_number_panics() {
-        parse("assemble --k banana").get_num::<usize>("k", 0);
+    fn bad_number_is_an_error_naming_the_option() {
+        let err = parse("assemble --k banana").get_num::<usize>("k", 0).unwrap_err();
+        assert_eq!(err, "--k expects a number, got \"banana\"");
     }
 }

@@ -204,10 +204,8 @@ pub fn assemble(args: &ParsedArgs) -> CliResult {
     use pim_assembler::Session;
     let input = args.positional.first().ok_or("assemble needs an input reads file")?;
     let k = k_arg(args, 17)?;
-    let chunk_reads: Option<usize> = args
-        .options
-        .get("chunk-reads")
-        .map(|v| v.parse().unwrap_or_else(|_| panic!("--chunk-reads expects a number, got {v:?}")));
+    let chunk_reads: Option<usize> =
+        args.get_str("chunk-reads").map(|_| args.get_num("chunk-reads", 0)).transpose()?;
     let checkpoint_dir = args.get_str("checkpoint-dir");
     let resume_dir = args.get_str("resume");
     if checkpoint_dir.is_some() && resume_dir.is_some() {
@@ -221,7 +219,7 @@ pub fn assemble(args: &ParsedArgs) -> CliResult {
         );
     }
 
-    let workers: usize = args.get_num("workers", 1);
+    let workers: usize = args.get_num("workers", 1)?;
     if workers == 0 {
         return Err("--workers must be at least 1".into());
     }
@@ -236,7 +234,7 @@ pub fn assemble(args: &ParsedArgs) -> CliResult {
         &format!("in 1..={total}"),
     )?;
     let mut config = PimAssemblerConfig::paper(k)
-        .with_min_count(args.get_num("min-count", 1))
+        .with_min_count(args.get_num("min-count", 1)?)
         .with_pd(pd)
         .with_hash_subarrays(subarrays)
         .with_workers(workers)
@@ -298,8 +296,11 @@ pub fn assemble(args: &ParsedArgs) -> CliResult {
             r.hashmap.wall_s, r.debruijn.wall_s, r.traverse.wall_s
         );
         println!(
-            "  power {:.1} W | energy {:.3} J | MBR {:.1}% | RUR {:.1}%",
-            r.power_w, r.energy_j, r.mbr_percent, r.rur_percent
+            "  power {:.1} W | energy {:.3} mJ | MBR {:.1}% | RUR {:.1}%",
+            r.power_w,
+            r.commands.energy_nj * 1e-6,
+            r.mbr_percent,
+            r.rur_percent
         );
         let chr14 = r.extrapolate_chr14();
         println!("  chr14-scale extrapolation: {:.1} s @ {:.1} W", chr14.total_s(), chr14.power_w);
@@ -344,7 +345,7 @@ pub fn simulate(args: &ParsedArgs) -> CliResult {
         );
     }
     let coverage = coverage_arg(args, 25.0)?;
-    let seed: u64 = args.get_num("seed", 42);
+    let seed: u64 = args.get_num("seed", 42)?;
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let reads = ReadSimulator::new(101, coverage).simulate(genome, &mut rng);
     let out = args.get_str("output").unwrap_or("reads.fasta");
@@ -435,13 +436,13 @@ pub fn map(args: &ParsedArgs) -> CliResult {
         read_len,
         coverage: coverage_arg(args, 4.0)?,
         error_rate: error_rate_arg(args, 0.02)?,
-        seed: args.get_num("seed", defaults.seed),
+        seed: args.get_num("seed", defaults.seed)?,
         backend: match args.get_str("backend") {
             Some(name) => parse_backend(name)?,
             None => defaults.backend,
         },
         opt: parse_opt_level(args)?,
-        workers: args.get_num("workers", 0),
+        workers: args.get_num("workers", 0)?,
         fault_rate: args.get_num_where("faults", 0.0, |r| (0.0..=1.0).contains(&r), "in [0, 1]")?,
         ..defaults
     };
@@ -507,8 +508,8 @@ pub fn verify(args: &ParsedArgs) -> CliResult {
     let options = SuiteOptions {
         genome_len: genome_len_arg(args, defaults.genome_len)?,
         k: k_arg(args, defaults.k)?,
-        min_count: args.get_num("min-count", defaults.min_count),
-        seed: args.get_num("seed", defaults.seed),
+        min_count: args.get_num("min-count", defaults.min_count)?,
+        seed: args.get_num("seed", defaults.seed)?,
         fault_rates: fault_rates_arg(args, "1e-4")?,
     };
     let report = standard_suite(&options);
@@ -542,7 +543,7 @@ fn verify_mapping(args: &ParsedArgs) -> CliResult {
         )?,
         coverage: coverage_arg(args, defaults.coverage)?,
         error_rate: error_rate_arg(args, defaults.error_rate)?,
-        seed: args.get_num("seed", defaults.seed),
+        seed: args.get_num("seed", defaults.seed)?,
         opt: parse_opt_level(args)?,
         backends,
         fault_rates: fault_rates_arg(args, "1e-3")?,
@@ -565,7 +566,7 @@ fn verify_resume(args: &ParsedArgs) -> CliResult {
     let options = ResumeSuiteOptions {
         genome_len: genome_len_arg(args, defaults.genome_len)?,
         k: k_arg(args, defaults.k)?,
-        seed: args.get_num("seed", defaults.seed),
+        seed: args.get_num("seed", defaults.seed)?,
         ..defaults
     };
     let report = VerifyReport { oracles: resume_suite(&options), ..VerifyReport::default() };
@@ -587,8 +588,8 @@ fn verify_backends(args: &ParsedArgs) -> CliResult {
     let options = BackendSuiteOptions {
         genome_len: genome_len_arg(args, defaults.genome_len)?,
         k: k_arg(args, defaults.k)?,
-        min_count: args.get_num("min-count", defaults.min_count),
-        seed: args.get_num("seed", defaults.seed),
+        min_count: args.get_num("min-count", defaults.min_count)?,
+        seed: args.get_num("seed", defaults.seed)?,
         opt: parse_opt_level(args)?,
     };
     let report = match name {
@@ -615,8 +616,8 @@ pub fn ir(args: &ParsedArgs) -> CliResult {
         None => BackendKind::PimAssembler,
     };
     let opt = parse_opt_level(args)?;
-    let cols: usize = args.get_num("cols", 256);
-    let slots: usize = args.get_num("slots", pim_dram::geometry::COMPUTE_ROWS);
+    let cols: usize = args.get_num("cols", 256)?;
+    let slots: usize = args.get_num("slots", pim_dram::geometry::COMPUTE_ROWS)?;
     if cols == 0 || slots == 0 {
         return Err("--cols and --slots must be at least 1".into());
     }
@@ -1064,7 +1065,25 @@ mod tests {
     /// error message.
     fn rejected(cmd: fn(&ParsedArgs) -> CliResult, argv: &[&str]) -> String {
         let args = ParsedArgs::parse(argv.iter().map(|a| a.to_string()));
-        cmd(&args).expect_err("out-of-range value must be rejected").to_string()
+        cmd(&args).expect_err("malformed or out-of-range value must be rejected").to_string()
+    }
+
+    #[test]
+    fn assemble_rejects_a_malformed_k() {
+        let err = rejected(assemble, &["assemble", "r.fa", "--k", "banana"]);
+        assert_eq!(err, "--k expects a number, got \"banana\"");
+    }
+
+    #[test]
+    fn assemble_rejects_a_malformed_chunk_size() {
+        let err = rejected(assemble, &["assemble", "r.fa", "--chunk-reads", "x"]);
+        assert_eq!(err, "--chunk-reads expects a number, got \"x\"");
+    }
+
+    #[test]
+    fn map_rejects_a_negative_seed() {
+        let err = rejected(map, &["map", "--seed", "-1"]);
+        assert_eq!(err, "--seed expects a number, got \"-1\"");
     }
 
     #[test]

@@ -41,8 +41,7 @@ pub struct StageCheckpoint {
     /// run completed).
     pub stage: String,
     /// Progress cursor inside the current stage (reads consumed for the
-    /// hashmap stage, pairs anchored for scaffold, reads mapped for
-    /// mapping; 0 for single-chunk stages).
+    /// hashmap stage; 0 for single-chunk stages).
     pub cursor: u64,
     /// Scalar facts (read totals, stage statistics, …).
     pub fields: BTreeMap<String, u64>,

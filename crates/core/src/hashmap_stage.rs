@@ -19,6 +19,7 @@
 use pim_dram::address::{RowAddr, SubarrayId};
 use pim_dram::bitrow::BitRow;
 use pim_dram::controller::Controller;
+use pim_dram::ledger::CommandClass;
 use pim_dram::port::AapPort;
 use pim_genome::kmer::{Kmer, KmerIter};
 use pim_genome::reads::Read;
@@ -431,7 +432,7 @@ impl PimHashTable {
     ) -> Result<u64> {
         let (vrow, bit) = layout.counter_location(slot);
         let row = port.peek_row(subarray, layout.value_row(vrow))?;
-        port.record_synthetic("AAP", 1);
+        port.record_synthetic(CommandClass::Aap, 1);
         Ok(row.extract(bit, COUNTER_BITS).to_u64())
     }
 
@@ -446,7 +447,7 @@ impl PimHashTable {
         let mut row = port.peek_row(subarray, layout.value_row(vrow))?;
         row.splice(bit, &pim_dram::bitrow::BitRow::from_u64(value, COUNTER_BITS));
         port.poke_row(subarray, layout.value_row(vrow), &row)?;
-        port.record_synthetic("AAP", 1);
+        port.record_synthetic(CommandClass::Aap, 1);
         Ok(())
     }
 
@@ -631,7 +632,7 @@ impl HashmapExec {
         // invisible to the ledger).
         let stream_rows: u64 =
             reads.iter().map(|r| ((r.seq.len() * 2) as u64).div_ceil(cols)).sum();
-        ctrl.record_synthetic("WR", stream_rows);
+        ctrl.record_synthetic(CommandClass::Write, stream_rows);
         let mut kmers = Vec::new();
         for read in reads {
             for kmer in KmerIter::new(&read.seq, self.k)? {

@@ -256,13 +256,6 @@ impl PimReadMapper {
         &self.stats
     }
 
-    /// Overwrites the statistics accumulator — checkpoint resume support:
-    /// after a charged index rebuild the session wipes the accounting and
-    /// reinstates the checkpointed counters through this.
-    pub fn restore_stats(&mut self, stats: MapStats) {
-        self.stats = stats;
-    }
-
     /// The mapper (layout + sub-array partition) in use.
     pub fn mapper(&self) -> &KmerMapper {
         &self.mapper
@@ -799,63 +792,6 @@ impl MappingExec {
         let stats = *self.mapper.stats();
         (self.hits, stats)
     }
-
-    /// Serializes the resume state into `cp`: the hits so far (list
-    /// `hits`) and the funnel statistics. The caller sets the cursor
-    /// (reads mapped).
-    pub fn save(&self, cp: &mut crate::checkpoint::StageCheckpoint) {
-        let lines = self
-            .hits
-            .iter()
-            .flatten()
-            .map(|hit| format!("{} {} {}", hit.read_id, hit.position, hit.score))
-            .collect();
-        cp.lists.insert("hits".into(), lines);
-        let s = self.mapper.stats();
-        cp.fields.insert("map.reads".into(), s.reads);
-        cp.fields.insert("map.seeded".into(), s.seeded);
-        cp.fields.insert("map.candidates".into(), s.candidates);
-        cp.fields.insert("map.survivors".into(), s.survivors);
-        cp.fields.insert("map.dp_cells".into(), s.dp_cells);
-        cp.fields.insert("map.mapped".into(), s.mapped);
-        cp.fields.insert("map.shadow_mismatches".into(), s.shadow_mismatches);
-    }
-
-    /// Restores the resume state (accumulated hits + statistics + cursor)
-    /// from a checkpoint written by [`MappingExec::save`] into an
-    /// executor over a freshly rebuilt index. The index rebuild itself is
-    /// charged — the caller wipes and restores accounting around it.
-    ///
-    /// # Errors
-    ///
-    /// [`crate::error::PimError::Checkpoint`] on a malformed payload.
-    pub fn restore(
-        mut mapper: PimReadMapper,
-        cp: &crate::checkpoint::StageCheckpoint,
-    ) -> Result<Self> {
-        let malformed =
-            |line: &str| PimError::Checkpoint { reason: format!("bad mapping hit entry `{line}`") };
-        let mut hits = vec![None; cp.cursor as usize];
-        for line in cp.lists.get("hits").map_or(&[][..], Vec::as_slice) {
-            let mut p = line.split_whitespace();
-            let mut next = || p.next().ok_or_else(|| malformed(line));
-            let read_id: usize = next()?.parse().map_err(|_| malformed(line))?;
-            let position: usize = next()?.parse().map_err(|_| malformed(line))?;
-            let score: i32 = next()?.parse().map_err(|_| malformed(line))?;
-            let slot = hits.get_mut(read_id).ok_or_else(|| malformed(line))?;
-            *slot = Some(MappingHit { read_id, position, score });
-        }
-        mapper.restore_stats(MapStats {
-            reads: cp.field("map.reads"),
-            seeded: cp.field("map.seeded"),
-            candidates: cp.field("map.candidates"),
-            survivors: cp.field("map.survivors"),
-            dp_cells: cp.field("map.dp_cells"),
-            mapped: cp.field("map.mapped"),
-            shadow_mismatches: cp.field("map.shadow_mismatches"),
-        });
-        Ok(MappingExec { mapper, hits, sealed: false })
-    }
 }
 
 /// The `banded_global` scoring whose score is the negated unit-cost
@@ -1122,61 +1058,6 @@ mod tests {
             let (a, b) = (chunked.metrics.unwrap(), reference.metrics.clone().unwrap());
             assert_eq!(a.counters, b.counters, "chunk_reads={n}");
         }
-    }
-
-    #[test]
-    fn mapping_exec_restore_resumes_identically() {
-        let config = MappingRunConfig { error_rate: 0.03, ..small_config() };
-        let (genome, reads) = simulate(&config);
-        let g = DramGeometry::paper_assembly();
-        let dispatcher = ParallelDispatcher::serial();
-        let build = |ctrl: &mut Controller| {
-            PimReadMapper::build(
-                ctrl,
-                KmerMapper::new(&g, config.subarrays, config.bucket_rows),
-                &genome,
-                config.read_len,
-                config.mapping,
-                config.backend,
-                config.opt,
-            )
-            .unwrap()
-        };
-
-        // Uninterrupted reference.
-        let mut ctrl_ref = Controller::with_profile(g, &config.backend.profile());
-        ctrl_ref.set_stage(Stage::Mapping);
-        let mut pim_ref = build(&mut ctrl_ref);
-        let hits_ref = pim_ref.map_batch(&mut ctrl_ref, &dispatcher, &reads).unwrap();
-
-        // First half, then checkpoint.
-        let mut ctrl = Controller::with_profile(g, &config.backend.profile());
-        ctrl.set_stage(Stage::Mapping);
-        let mut exec = MappingExec::new(build(&mut ctrl));
-        let mid = reads.len() / 2;
-        exec.feed(&mut ctrl, &dispatcher, &reads[..mid]).unwrap();
-        let mut cp = crate::checkpoint::StageCheckpoint::new("fp", "mapping", mid as u64);
-        exec.save(&mut cp);
-        let saved_global = *ctrl.global_ledger();
-        let saved_subs: Vec<_> =
-            ctrl.touched_subarrays().map(|id| (id, *ctrl.subarray_ledger(id).unwrap())).collect();
-        drop(ctrl);
-
-        // Resume on a fresh controller: the charged index rebuild restores
-        // the DRAM content, then the wipe + accounting restore reinstates
-        // the checkpointed ledgers exactly.
-        let mut ctrl2 = Controller::with_profile(g, &config.backend.profile());
-        let pim2 = build(&mut ctrl2);
-        ctrl2.take_stats();
-        ctrl2.set_stage(Stage::Mapping);
-        ctrl2.restore_accounting(saved_global, &saved_subs).unwrap();
-        let mut exec2 = MappingExec::restore(pim2, &cp).unwrap();
-        exec2.feed(&mut ctrl2, &dispatcher, &reads[mid..]).unwrap();
-        exec2.seal();
-        let (hits, stats) = exec2.finish();
-        assert_eq!(hits, hits_ref);
-        assert_eq!(stats, *pim_ref.stats());
-        assert_eq!(*ctrl2.stats(), *ctrl_ref.stats());
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //! simulator (§II-B item 3).
 //!
 //! The functional pipeline counts every command per stage; this module
-//! turns those counts into wall-clock, power, energy, MBR, and RUR, and
+//! turns those counts into wall-clock, power, MBR, and RUR, and
 //! extrapolates a measured scaled run to the paper's chromosome-14 scale.
+//! Energy is the ledger's own total (`commands.energy_nj`).
 //! The parallelism constants come from
 //! [`pim_platforms::assembly_model::PimAssemblyModel`] so the measured and
 //! analytic paths stay consistent.
@@ -28,7 +29,8 @@ pub struct StagePerf {
 /// The complete performance report of one pipeline run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PerfReport {
-    /// All commands of the run.
+    /// All commands of the run, with the ledger's serial latency and
+    /// energy.
     pub commands: CommandStats,
     /// Stage 1: k-mer analysis.
     pub hashmap: StagePerf,
@@ -42,8 +44,6 @@ pub struct PerfReport {
     pub parallel_chains: f64,
     /// Average power (W).
     pub power_w: f64,
-    /// Total energy (J).
-    pub energy_j: f64,
     /// Memory Bottleneck Ratio (%).
     pub mbr_percent: f64,
     /// Resource Utilization Ratio (%).
@@ -81,7 +81,6 @@ impl PerfReport {
         let mut commands = stages[0];
         commands.merge(&stages[1]);
         commands.merge(&stages[2]);
-        let total_wall = hashmap.wall_s + debruijn.wall_s + traverse.wall_s;
         let power_w = model.static_w + model.chain_w * model.active_chains();
         let mbr = mbr_from_commands(&commands, &config.timing);
         PerfReport {
@@ -92,7 +91,6 @@ impl PerfReport {
             pd: config.pd,
             parallel_chains: chains,
             power_w,
-            energy_j: total_wall * power_w,
             mbr_percent: mbr,
             rur_percent: (100.0 - mbr) * 0.76,
             measured_parallelism: None,
@@ -146,20 +144,16 @@ fn mbr_from_commands(c: &CommandStats, timing: &TimingParams) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pim_dram::energy::EnergyParams;
+    use pim_dram::ledger::{CommandClass, CommandCosts, EnergyLedger};
 
     fn fake_stage(aap: u64, aap2: u64, writes: u64) -> CommandStats {
-        let mut s = CommandStats::default();
-        let t = TimingParams::ddr4_2133();
-        for _ in 0..aap {
-            s.record_raw("AAP", t.aap_ns(), 2.0);
-        }
-        for _ in 0..aap2 {
-            s.record_raw("AAP2", t.aap_ns(), 2.3);
-        }
-        for _ in 0..writes {
-            s.record_raw("WR", t.row_write_ns(256), 1.5);
-        }
-        s
+        let costs = CommandCosts::new(&TimingParams::ddr4_2133(), &EnergyParams::ddr4_45nm(), 256);
+        let mut ledger = EnergyLedger::default();
+        ledger.charge_many(CommandClass::Aap, &costs, aap);
+        ledger.charge_many(CommandClass::Aap2, &costs, aap2);
+        ledger.charge_many(CommandClass::Write, &costs, writes);
+        ledger.to_stats()
     }
 
     fn workload() -> AssemblyWorkload {

@@ -19,6 +19,7 @@
 
 use pim_dram::address::{RowAddr, SubarrayId};
 use pim_dram::bitrow::BitRow;
+use pim_dram::ledger::CommandClass;
 use pim_dram::port::AapPort;
 
 use crate::dpu::Dpu;
@@ -28,7 +29,7 @@ use crate::template::{CompiledTemplate, Kernel, TemplateKey};
 
 /// Upper bound on the probe kernel's role count across backends (the
 /// Ambit rewrite is the widest: 3 data roles + zero constant + scratch
-/// slots ≤ 8). Lets non-default backends bind roles on the stack.
+/// slots ≤ 8). Lets every backend bind its roles on the stack.
 const MAX_PROBE_ROLES: usize = 16;
 
 /// Executes `PIM_XNOR` comparisons against a staged query.
@@ -94,7 +95,7 @@ impl PimComparator {
         image: &BitRow,
     ) -> Result<()> {
         ctrl.poke_row(subarray, temp_row, image)?;
-        ctrl.record_synthetic("AAP", 1);
+        ctrl.record_synthetic(CommandClass::Aap, 1);
         ctrl.aap_copy(subarray, temp_row, ctrl.compute_row(0))?;
         Ok(())
     }
@@ -118,16 +119,9 @@ impl PimComparator {
         candidate: RowAddr,
         scratch: RowAddr,
     ) -> Result<bool> {
-        if self.backend() == BackendKind::PimAssembler {
-            // Hot path: the canonical role order [a, b, dst, x1, x2],
-            // bound on the stack with no per-role dispatch.
-            let rows = [temp_row, candidate, scratch, ctrl.compute_row(0), ctrl.compute_row(1)];
-            let xnor = self.xnor.execute_sensed(ctrl, subarray, &rows)?;
-            return Ok(Dpu::and_reduce(ctrl, &xnor));
-        }
-        // Retargeted path: bind the backend's role table by class — the
-        // query and candidate are the inputs in declaration order, scratch
-        // is the output, zero roles bind the configured zero row.
+        // Bind the backend's role table by class: the query and candidate
+        // are the inputs in declaration order, scratch is the output, zero
+        // roles bind the configured zero row.
         let mut rows = [RowAddr(0); MAX_PROBE_ROLES];
         let n = self
             .xnor

@@ -30,7 +30,7 @@ use std::sync::Arc;
 
 use pim_dram::address::SubarrayId;
 use pim_dram::controller::Controller;
-use pim_dram::ledger::EnergyLedger;
+use pim_dram::ledger::{CommandClass, EnergyLedger, COMMAND_CLASSES};
 use pim_genome::assemble::Assembly;
 use pim_genome::contig::Contig;
 use pim_genome::reads::Read;
@@ -177,20 +177,41 @@ fn partition_intervals(geometry: &pim_dram::geometry::DramGeometry) -> usize {
 /// are summed wholesale — they sit outside the deterministic contract
 /// (`dispatch.max_queue_depth` becomes a sum of per-segment maxima, which
 /// is documented and acceptable there).
+///
+/// # Errors
+///
+/// [`PimError::Checkpoint`] when a checkpointed value would overflow its
+/// counter.
 fn fold_base(
     base_counters: &BTreeMap<String, u64>,
     base_host: &BTreeMap<String, u64>,
     snap: &mut MetricsSnapshot,
-) {
+) -> Result<()> {
+    fn add(into: &mut BTreeMap<String, u64>, key: &str, value: u64) -> Result<()> {
+        let slot = into.entry(key.to_string()).or_insert(0);
+        *slot = slot.checked_add(value).ok_or_else(|| PimError::Checkpoint {
+            reason: format!("checkpointed metric `{key}` overflows 64 bits"),
+        })?;
+        Ok(())
+    }
     for (key, value) in base_counters {
-        if key.starts_with("total.") {
-            continue;
+        if !key.starts_with("total.") {
+            add(&mut snap.counters, key, *value)?;
         }
-        *snap.counters.entry(key.clone()).or_insert(0) += value;
     }
     for (key, value) in base_host {
-        *snap.host.entry(key.clone()).or_insert(0) += value;
+        add(&mut snap.host, key, *value)?;
     }
+    Ok(())
+}
+
+/// Whether `later` holds at least `earlier`'s totals in every class — true
+/// of any two cumulative ledger snapshots of one run, in that order.
+fn ledger_at_least(later: &EnergyLedger, earlier: &EnergyLedger) -> bool {
+    COMMAND_CLASSES.iter().all(|&class| {
+        let (a, b) = (earlier.class(class), later.class(class));
+        a.count <= b.count && a.time_ps <= b.time_ps && a.energy_fj <= b.energy_fj
+    })
 }
 
 /// Where a session currently stands.
@@ -415,12 +436,32 @@ impl<'a> Session<'a> {
                 subs.push((SubarrayId::from_linear_index(&geometry, idx), *ledger));
             }
         }
+        // Every checkpointed ledger is a charge history under this
+        // configuration's cost table; an edited count would otherwise
+        // reach the report's scheduler, which walks every command.
+        let costs = *asm.ctrl.costs();
+        let uncharged = cp.ledgers.iter().find(|(_, l)| !l.is_charged_at(&costs));
+        if let Some((name, _)) = uncharged {
+            return Err(PimError::Checkpoint {
+                reason: format!("ledger `{name}` is not a charge history at this cost table"),
+            });
+        }
         // Untrusted integers: every total the restored accounting derives
         // (per class and across classes) must stay representable.
-        let overflows = |l: &EnergyLedger| EnergyLedger::default().checked_merge(l).is_none();
-        let total = subs.iter().try_fold(global, |total, (_, l)| total.checked_merge(l));
-        if total.is_none() || [s1, s2].iter().flatten().any(overflows) {
+        let mut ledgers = std::iter::once(&global).chain(subs.iter().map(|(_, l)| l));
+        let Some(total) = ledgers.try_fold(EnergyLedger::default(), |t, l| t.checked_merge(l))
+        else {
             return Err(PimError::Checkpoint { reason: "ledger totals overflow 64 bits".into() });
+        };
+        // `finish` takes each stage's delta as the difference of
+        // consecutive boundaries, so they must be cumulative: s1 ≤ s2 ≤
+        // the restored total, per class (which also keeps the boundaries'
+        // own totals representable).
+        let boundaries: Vec<EnergyLedger> = [s1, s2, Some(total)].into_iter().flatten().collect();
+        if boundaries.windows(2).any(|w| !ledger_at_least(&w[1], &w[0])) {
+            return Err(PimError::Checkpoint {
+                reason: "stage-boundary ledgers out of order (need s1 <= s2 <= total)".into(),
+            });
         }
         asm.ctrl.restore_accounting(global, &subs)?;
         asm.ctrl.set_stage(match &phase {
@@ -579,7 +620,7 @@ impl<'a> Session<'a> {
                     // invalidating row touch in the graph region.
                     let dropped = (before_edges - simplified.edge_count()) as u64;
                     ctrl.dpu_ops(dropped);
-                    ctrl.record_synthetic("AAP", dropped);
+                    ctrl.record_synthetic(CommandClass::Aap, dropped);
                     graph = simplified;
                     let f = config.geometry.cols.min(config.geometry.rows);
                     partitioning = crate::partition::IntervalBlockPartitioner::new(
@@ -705,7 +746,7 @@ impl<'a> Session<'a> {
                     snap.host.insert("spans.dropped".to_string(), spans.dropped());
                 }
                 snap.floats.insert("measured_parallelism".to_string(), sched.effective_parallelism);
-                fold_base(&self.base_counters, &self.base_host, &mut snap);
+                fold_base(&self.base_counters, &self.base_host, &mut snap)?;
                 report = report.with_metrics(snap);
             }
 
@@ -769,7 +810,7 @@ impl<'a> Session<'a> {
                     snap.host.insert("spans.recorded".to_string(), spans.len() as u64);
                     snap.host.insert("spans.dropped".to_string(), spans.dropped());
                 }
-                fold_base(&self.base_counters, &self.base_host, &mut snap);
+                fold_base(&self.base_counters, &self.base_host, &mut snap)?;
                 // `total.*` counters are ledger-derived at render time;
                 // the checkpoint stores only additive segment data.
                 snap.counters.retain(|key, _| !key.starts_with("total."));
@@ -865,7 +906,7 @@ mod tests {
         assert!(r.traverse.wall_s > 0.0);
         // Hashmap dominates (the paper's >80% claim for stages 1–2).
         assert!(r.hashmap.wall_s > r.traverse.wall_s);
-        assert!(r.power_w > 0.0 && r.energy_j > 0.0);
+        assert!(r.power_w > 0.0 && r.commands.energy_nj > 0.0);
         assert!((0.0..=100.0).contains(&r.mbr_percent));
         // The scheduled ground truth is attached and shows real sub-array
         // overlap (the hash partition alone spans 8 sub-arrays).

@@ -1,4 +1,4 @@
-//! Compiled AAP program templates (the IR lowering backend's cache layer).
+//! Compiled AAP program templates (the IR lowering backend's execution layer).
 //!
 //! The assembly stages execute the same small AAP kernels — the 3-command
 //! `PIM_XNOR` comparison, the 11-command full-adder slice — millions of
@@ -20,18 +20,17 @@
 //! replaces the old `Kernel::roles()` constants). The lowered ops are
 //! pinned byte-identical to the historical tables by the tests below.
 //!
-//! [`TemplateCache`] memoizes compilations per shape; the per-class
-//! command counts of a template ([`CompiledTemplate::command_counts`])
-//! are precomputed at compile time, which is what lets callers account
-//! repeated executions in one batched `charge_many`-style synthetic
-//! charge when they replay a template analytically instead of executing
-//! it (see [`pim_dram::port::AapPort::record_synthetic`]).
-
-use std::collections::HashMap;
+//! The per-class command counts of a template
+//! ([`CompiledTemplate::command_counts`]) are precomputed at compile
+//! time, which is what lets callers account repeated executions in one
+//! batched `charge_many`-style synthetic charge when they replay a
+//! template analytically instead of executing it (see
+//! [`pim_dram::port::AapPort::record_synthetic`]).
 
 use pim_dram::address::{RowAddr, SubarrayId};
 use pim_dram::bitrow::BitRow;
 use pim_dram::geometry::COMPUTE_ROWS;
+use pim_dram::ledger::CommandClass;
 use pim_dram::port::AapPort;
 
 use crate::error::{PimError, Result};
@@ -86,12 +85,11 @@ pub struct TemplateKey {
     /// once per touched row when the template executes.
     pub size: usize,
     /// The lowering backend the shape compiles for (see
-    /// [`crate::ir::BackendKind`]); each backend gets its own cache entry
-    /// since the lowered command sequences differ.
+    /// [`crate::ir::BackendKind`]); the lowered command sequences differ
+    /// per backend.
     pub backend: BackendKind,
-    /// The optimization level the shape compiles at; `O0` and `O2` get
-    /// distinct cache entries since the lowered command sequences differ
-    /// (see [`crate::ir::OptLevel`]).
+    /// The optimization level the shape compiles at; `O0` and `O2` lower
+    /// to different command sequences (see [`crate::ir::OptLevel`]).
     pub opt: OptLevel,
 }
 
@@ -178,9 +176,9 @@ impl CompiledTemplate {
     /// see [`pim_dram::port::AapPort::record_synthetic`]).
     pub fn charge_executions(&self, port: &mut impl AapPort, n: u64) {
         let (aap, aap2, aap3) = self.command_counts();
-        port.record_synthetic("AAP", aap * n);
-        port.record_synthetic("AAP2", aap2 * n);
-        port.record_synthetic("AAP3", aap3 * n);
+        port.record_synthetic(CommandClass::Aap, aap * n);
+        port.record_synthetic(CommandClass::Aap2, aap2 * n);
+        port.record_synthetic(CommandClass::Aap3, aap3 * n);
     }
 
     /// Number of spill roles the lowered kernel carries (zero for every
@@ -305,50 +303,6 @@ impl CompiledTemplate {
     ) -> Result<BitRow> {
         self.check_arity(rows)?;
         self.inner.execute_sensed(port, subarray, rows)
-    }
-}
-
-/// Memoizing compile cache, one entry per [`TemplateKey`].
-#[derive(Debug, Clone, Default)]
-pub struct TemplateCache {
-    templates: HashMap<TemplateKey, CompiledTemplate>,
-    hits: u64,
-    misses: u64,
-}
-
-impl TemplateCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        TemplateCache::default()
-    }
-
-    /// The compiled template for `key`, compiling on first use.
-    pub fn get(&mut self, key: TemplateKey) -> &CompiledTemplate {
-        match self.templates.entry(key) {
-            std::collections::hash_map::Entry::Occupied(e) => {
-                self.hits += 1;
-                e.into_mut()
-            }
-            std::collections::hash_map::Entry::Vacant(e) => {
-                self.misses += 1;
-                e.insert(CompiledTemplate::compile(key))
-            }
-        }
-    }
-
-    /// `(hits, misses)` — misses are compilations.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
-    }
-
-    /// Distinct shapes compiled so far.
-    pub fn len(&self) -> usize {
-        self.templates.len()
-    }
-
-    /// Whether no shape has been compiled yet.
-    pub fn is_empty(&self) -> bool {
-        self.templates.is_empty()
     }
 }
 
@@ -520,49 +474,25 @@ mod tests {
     }
 
     #[test]
-    fn cache_compiles_each_shape_once() {
-        let mut cache = TemplateCache::new();
-        let cols = 256;
-        for _ in 0..10 {
-            cache.get(xnor_key(cols));
-        }
-        cache.get(TemplateKey::new(Kernel::FullAdder, cols, cols));
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.stats(), (9, 2));
-    }
-
-    #[test]
-    fn backends_get_distinct_cache_entries_with_distinct_command_mixes() {
-        let mut cache = TemplateCache::new();
-        let cols = 256;
-        for backend in BackendKind::ALL {
-            cache.get(xnor_key(cols).with_backend(backend));
-            cache.get(xnor_key(cols).with_backend(backend));
-        }
-        assert_eq!(cache.len(), BackendKind::ALL.len());
-        let pa = cache.get(xnor_key(cols)).command_counts();
-        let ambit = cache.get(xnor_key(cols).with_backend(BackendKind::AmbitTra)).command_counts();
-        let mram = cache.get(xnor_key(cols).with_backend(BackendKind::PandaMram)).command_counts();
+    fn backends_compile_to_distinct_command_mixes() {
+        let counts = |backend| {
+            CompiledTemplate::compile(xnor_key(256).with_backend(backend)).command_counts()
+        };
+        let pa = counts(BackendKind::PimAssembler);
         assert_eq!(pa, (2, 1, 0));
-        assert_ne!(ambit, pa);
-        assert_eq!(mram, (0, 1, 0));
+        assert_ne!(counts(BackendKind::AmbitTra), pa);
+        assert_eq!(counts(BackendKind::PandaMram), (0, 1, 0));
     }
 
     #[test]
-    fn opt_levels_get_distinct_cache_entries_and_shorter_streams() {
-        let mut cache = TemplateCache::new();
+    fn opt_levels_compile_to_shorter_streams() {
         let key = TemplateKey::new(Kernel::FullAdder, 256, 256);
-        cache.get(key);
-        cache.get(key.with_opt(OptLevel::O2));
-        cache.get(key.with_opt(OptLevel::O2));
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.stats(), (1, 2));
-        let o0 = cache.get(key).command_counts();
-        let o2 = cache.get(key.with_opt(OptLevel::O2)).command_counts();
-        assert_eq!(o0, (8, 1, 2), "O0 stays the paper's literal stream");
-        assert_eq!(o2, (6, 2, 1), "O2 drops to the xor-cascade form");
+        let o0 = CompiledTemplate::compile(key);
+        let o2 = CompiledTemplate::compile(key.with_opt(OptLevel::O2));
+        assert_eq!(o0.command_counts(), (8, 1, 2), "O0 stays the paper's literal stream");
+        assert_eq!(o2.command_counts(), (6, 2, 1), "O2 drops to the xor-cascade form");
         // Same binding surface either way: callers need not change.
-        assert_eq!(cache.get(key.with_opt(OptLevel::O2)).role_count(), 9);
+        assert_eq!(o2.role_count(), 9);
     }
 
     #[test]

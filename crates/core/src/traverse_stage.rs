@@ -15,6 +15,7 @@
 use pim_dram::address::{RowAddr, SubarrayId};
 use pim_dram::bitrow::BitRow;
 use pim_dram::controller::Controller;
+use pim_dram::ledger::CommandClass;
 use pim_dram::port::AapPort;
 use pim_genome::debruijn::DeBruijnGraph;
 use pim_genome::euler::{eulerian_trails, EulerAlgorithm, Trail};
@@ -207,8 +208,8 @@ impl TraverseStage {
             ctrl.record_value(HistKey::TraverseTrailLen, (trail.len().saturating_sub(1)) as u64);
         }
         // Each traversal step chases one edge: a row read + a DPU branch.
-        ctrl.record_synthetic("RD", edges_walked);
-        ctrl.record_synthetic("DPU", edges_walked);
+        ctrl.record_synthetic(CommandClass::Read, edges_walked);
+        ctrl.record_synthetic(CommandClass::Dpu, edges_walked);
         Ok((
             trails,
             TraverseStats {

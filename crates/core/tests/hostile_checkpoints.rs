@@ -1,9 +1,11 @@
 //! Hostile checkpoints: a resume from a corrupted or hand-edited
-//! checkpoint must return a typed error (or resume), never panic.
+//! checkpoint must return a typed error (or resume), never panic — and a
+//! resumed session must run to completion the same way.
 //!
 //! Each `*_is_a_checkpoint_error` test edits one field of a real mid-run
-//! checkpoint to a value that used to panic `Session::resume`; the
-//! proptest rewrites one number of a real checkpoint at random.
+//! checkpoint to a value that used to panic `Session::resume` or the
+//! resumed run; the proptest rewrites one number of a real checkpoint at
+//! random.
 
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
@@ -14,6 +16,7 @@ use rand_chacha::ChaCha8Rng;
 
 use pim_assembler::checkpoint::{prepare_dir, StageCheckpoint, CHECKPOINT_FILE};
 use pim_assembler::{PimAssembler, PimAssemblerConfig, PimError, Session};
+use pim_dram::ledger::CommandClass;
 use pim_genome::reads::{Read, ReadSimulator};
 use pim_genome::sequence::DnaSequence;
 
@@ -38,10 +41,10 @@ fn temp_dir(tag: &str) -> PathBuf {
 
 /// A real checkpoint: the hashmap stage after 3 chunks, or (`traverse`)
 /// the graph/traverse boundary.
-fn checkpoint(tag: &str, traverse: bool) -> StageCheckpoint {
+fn checkpoint(tag: &str, traverse: bool, config: PimAssemblerConfig) -> StageCheckpoint {
     let dir = temp_dir(tag);
     {
-        let mut asm = PimAssembler::new(config());
+        let mut asm = PimAssembler::new(config);
         let mut session = Session::start(&mut asm, Some(dir.clone())).unwrap();
         let reads = reads();
         let chunks = if traverse { usize::MAX } else { 3 };
@@ -58,17 +61,35 @@ fn checkpoint(tag: &str, traverse: bool) -> StageCheckpoint {
     cp
 }
 
-/// Writes `text` as the checkpoint in `dir` and resumes from it.
-fn resume_from(dir: &Path, text: &str) -> Result<(), PimError> {
+/// Writes `text` as the checkpoint in `dir` and resumes from it under
+/// `config`; with `complete`, the resumed session then re-feeds the read
+/// stream and finishes.
+fn resume_from(
+    dir: &Path,
+    text: &str,
+    config: PimAssemblerConfig,
+    complete: bool,
+) -> Result<(), PimError> {
     std::fs::write(dir.join(CHECKPOINT_FILE), text).unwrap();
-    Session::resume(&mut PimAssembler::new(config()), dir).map(drop)
+    let mut asm = PimAssembler::new(config);
+    let session = Session::resume(&mut asm, dir)?;
+    if complete {
+        session.run(&reads())?;
+    }
+    Ok(())
+}
+
+/// Resuming `cp` under `config` (and, with `complete`, running it to the
+/// end) fails with a checkpoint error.
+fn assert_run_error(tag: &str, cp: &StageCheckpoint, config: PimAssemblerConfig, complete: bool) {
+    let dir = temp_dir(tag);
+    let err = resume_from(&dir, &cp.to_text(), config, complete).unwrap_err();
+    assert!(matches!(err, PimError::Checkpoint { .. }), "{err}");
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 fn assert_checkpoint_error(tag: &str, cp: &StageCheckpoint) {
-    let dir = temp_dir(tag);
-    let err = resume_from(&dir, &cp.to_text()).unwrap_err();
-    assert!(matches!(err, PimError::Checkpoint { .. }), "{err}");
-    std::fs::remove_dir_all(&dir).unwrap();
+    assert_run_error(tag, cp, config(), false);
 }
 
 /// Rewrites field `index` of the first `hash` entry
@@ -82,7 +103,7 @@ fn edit_first_hash_entry(cp: &mut StageCheckpoint, index: usize, value: usize) {
 
 #[test]
 fn out_of_range_subarray_ledger_is_a_checkpoint_error() {
-    let mut cp = checkpoint("ledger", false);
+    let mut cp = checkpoint("ledger", false, config());
     let name = cp.ledgers.keys().find(|name| name.starts_with("sub.")).unwrap().clone();
     let ledger = cp.ledgers.remove(&name).unwrap();
     cp.ledgers.insert("sub.99999999".into(), ledger);
@@ -91,7 +112,7 @@ fn out_of_range_subarray_ledger_is_a_checkpoint_error() {
 
 #[test]
 fn hash_entry_past_the_partition_is_a_checkpoint_error() {
-    let mut cp = checkpoint("sub-index", false);
+    let mut cp = checkpoint("sub-index", false, config());
     edit_first_hash_entry(&mut cp, 0, config().hash_subarrays);
     assert_checkpoint_error("sub-index", &cp);
 }
@@ -99,9 +120,44 @@ fn hash_entry_past_the_partition_is_a_checkpoint_error() {
 #[test]
 fn hash_entry_past_the_kmer_region_is_a_checkpoint_error() {
     // Row 1000 of the sub-array's 1024 lies past its 976-row k-mer region.
-    let mut cp = checkpoint("row", false);
+    let mut cp = checkpoint("row", false, config());
     edit_first_hash_entry(&mut cp, 1, 1000);
     assert_checkpoint_error("row", &cp);
+}
+
+#[test]
+fn edited_ledger_count_is_a_checkpoint_error() {
+    // A ledger whose count disagrees with its charged latency and energy
+    // was edited: a raised count would reach the report's scheduler,
+    // which walks every command.
+    let mut cp = checkpoint("count", false, config());
+    let ledger = cp.ledgers.values_mut().find(|l| l.class(CommandClass::Aap).count > 0).unwrap();
+    let mut aap = ledger.class(CommandClass::Aap);
+    aap.count += 1 << 40;
+    ledger.set_class(CommandClass::Aap, aap);
+    assert_checkpoint_error("count", &cp);
+}
+
+#[test]
+fn out_of_order_stage_boundaries_are_a_checkpoint_error() {
+    // `finish` takes the graph stage's commands as s2 − s1: swapped
+    // boundaries underflowed there.
+    let mut cp = checkpoint("boundaries", true, config());
+    let (s1, s2) = (cp.ledgers["s1"], cp.ledgers["s2"]);
+    assert_ne!(s1, s2);
+    cp.ledgers.insert("s1".into(), s2);
+    cp.ledgers.insert("s2".into(), s1);
+    assert_run_error("boundaries", &cp, config(), true);
+}
+
+#[test]
+fn overflowing_checkpointed_metric_is_a_checkpoint_error() {
+    // The next checkpoint write folds the saved counters into the live
+    // ones: a saturated counter overflowed there.
+    let observed = config().with_observability(true);
+    let mut cp = checkpoint("metric", false, observed);
+    *cp.counters.get_mut("hashmap.aap").unwrap() = u64::MAX;
+    assert_run_error("metric", &cp, observed, true);
 }
 
 /// Interesting replacement values: region and partition boundaries,
@@ -137,7 +193,10 @@ fn mutate(text: &str, line: usize, token: usize, value: u64) -> String {
 fn base_texts() -> &'static [String; 2] {
     static TEXTS: OnceLock<[String; 2]> = OnceLock::new();
     TEXTS.get_or_init(|| {
-        [checkpoint("base-hashmap", false).to_text(), checkpoint("base-traverse", true).to_text()]
+        [
+            checkpoint("base-hashmap", false, config()).to_text(),
+            checkpoint("base-traverse", true, config()).to_text(),
+        ]
     })
 }
 
@@ -155,8 +214,10 @@ proptest! {
         let text = &base_texts()[usize::from(traverse)];
         let value = PROBES.get(probe).copied().unwrap_or(random);
         let dir = temp_dir(&format!("prop-{traverse}"));
-        // Either outcome is fine; a panic fails the property.
-        let _ = resume_from(&dir, &mutate(text, line, token, value));
+        // Either outcome is fine; a panic fails the property. A traverse
+        // checkpoint already covers the read stream, so its resumed
+        // session also runs the last stage and builds the report.
+        let _ = resume_from(&dir, &mutate(text, line, token, value), config(), traverse);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -344,18 +344,13 @@ impl SubarrayContext {
         self.obsv.record(Metric::DpuOps, n);
     }
 
-    /// Records `count` synthetic commands without executing them (the
-    /// context-local counterpart of the controller's `record_synthetic`).
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unknown mnemonic.
-    pub fn record_synthetic(&mut self, mnemonic: &str, count: u64) {
+    /// Records `count` synthetic commands of `class` without executing
+    /// them (the context-local counterpart of the controller's
+    /// `record_synthetic`).
+    pub fn record_synthetic(&mut self, class: CommandClass, count: u64) {
         if count == 0 {
             return;
         }
-        let class = CommandClass::from_mnemonic(mnemonic)
-            .unwrap_or_else(|| panic!("unknown command mnemonic {mnemonic:?}"));
         self.ledger.charge_many(class, &self.costs, count);
         record_class_obsv(&mut self.obsv, class, count);
     }
@@ -459,8 +454,8 @@ mod tests {
     #[test]
     fn synthetic_commands_hit_the_ledger() {
         let mut ctx = context();
-        ctx.record_synthetic("AAP", 3);
-        ctx.record_synthetic("RD", 0);
+        ctx.record_synthetic(CommandClass::Aap, 3);
+        ctx.record_synthetic(CommandClass::Read, 0);
         ctx.dpu_ops(2);
         let s = ctx.stats();
         assert_eq!((s.aap, s.reads, s.dpu), (3, 0, 2));
@@ -477,7 +472,7 @@ mod tests {
         let (x1, x2) = (ctx.compute_row(0), ctx.compute_row(1));
         ctx.aap2(SaMode::Xnor, [x1, x2], 5).unwrap();
         ctx.aap2_discard(SaMode::Xnor, [x1, x2], 6).unwrap();
-        ctx.record_synthetic("AAP3", 2);
+        ctx.record_synthetic(CommandClass::Aap3, 2);
         let c = &ctx.obsv().counters;
         assert_eq!(c.get(Metric::HostWrites), 2);
         assert_eq!(c.get(Metric::AapCopy), 2);

@@ -626,21 +626,15 @@ impl Controller {
         self.stats_cache = self.total.to_stats();
     }
 
-    /// Records `count` synthetic commands of the given mnemonic without
-    /// executing them — used when a stage's traffic is accounted
-    /// analytically (e.g. degree accumulation of a graph too large for the
-    /// functional dense mapping). Synthetic commands are charged to the
-    /// controller's global ledger and are not traced.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unknown mnemonic.
-    pub fn record_synthetic(&mut self, mnemonic: &str, count: u64) {
+    /// Records `count` synthetic commands of `class` without executing
+    /// them — used when a stage's traffic is accounted analytically (e.g.
+    /// degree accumulation of a graph too large for the functional dense
+    /// mapping). Synthetic commands are charged to the controller's global
+    /// ledger and are not traced.
+    pub fn record_synthetic(&mut self, class: CommandClass, count: u64) {
         if count == 0 {
             return;
         }
-        let class = CommandClass::from_mnemonic(mnemonic)
-            .unwrap_or_else(|| panic!("unknown command mnemonic {mnemonic:?}"));
         self.global.charge_many(class, &self.costs, count);
         self.total.charge_many(class, &self.costs, count);
         crate::context::record_class_obsv(&mut self.global_obsv, class, count);
@@ -996,7 +990,7 @@ mod tests {
         c.write_row(id, 0, &BitRow::ones(cols)).unwrap();
         c.aap_copy(id, 0, 1).unwrap();
         c.dpu_ops(3);
-        c.record_synthetic("AAP", 2);
+        c.record_synthetic(CommandClass::Aap, 2);
         let mut sum = *c.global_ledger();
         for sid in c.touched_subarrays().collect::<Vec<_>>() {
             sum.merge(c.subarray_ledger(sid).unwrap());
@@ -1012,7 +1006,7 @@ mod tests {
         c.enable_metrics();
         // Setup-stage traffic.
         c.write_row(id, 0, &BitRow::ones(cols)).unwrap();
-        c.record_synthetic("WR", 3);
+        c.record_synthetic(CommandClass::Write, 3);
         c.set_stage(Stage::Hashmap);
         // Hashmap-stage traffic, partly on a detached context.
         c.aap_copy(id, 0, 1).unwrap();
@@ -1053,7 +1047,7 @@ mod tests {
         c.write_row(id, 0, &BitRow::ones(cols)).unwrap();
         c.aap_copy(id, 0, 1).unwrap();
         c.dpu_ops(3);
-        c.record_synthetic("AAP2", 2);
+        c.record_synthetic(CommandClass::Aap2, 2);
 
         let global = *c.global_ledger();
         let contexts: Vec<_> = c

@@ -249,6 +249,18 @@ impl EnergyLedger {
         Some(out)
     }
 
+    /// Whether every class's latency and energy are exactly its count of
+    /// unit charges at `costs`: true of any ledger built by charging and
+    /// merging under one cost table, so a ledger read back from a
+    /// checkpoint that fails it was edited or corrupted.
+    pub fn is_charged_at(&self, costs: &CommandCosts) -> bool {
+        COMMAND_CLASSES.iter().all(|&class| {
+            let (totals, unit) = (self.class(class), costs.unit(class));
+            totals.count.checked_mul(unit.time_ps) == Some(totals.time_ps)
+                && totals.count.checked_mul(unit.energy_fj) == Some(totals.energy_fj)
+        })
+    }
+
     /// The delta accumulated since `baseline` (a prior snapshot of this
     /// ledger).
     ///
@@ -333,6 +345,22 @@ mod tests {
         // Per class: MAX + MAX reads. Across classes: MAX reads + 1 AAP.
         assert_eq!(huge.checked_merge(&huge), None);
         assert_eq!(huge.checked_merge(&a), None);
+    }
+
+    #[test]
+    fn charged_ledgers_are_consistent_with_their_cost_table() {
+        let c = costs();
+        let mut ledger = EnergyLedger::default();
+        assert!(ledger.is_charged_at(&c));
+        ledger.charge_many(CommandClass::Aap2, &c, 7);
+        let mut merged = ledger;
+        merged.merge(&ledger);
+        assert!(merged.is_charged_at(&c));
+        let mut edited = merged;
+        let mut aap2 = edited.class(CommandClass::Aap2);
+        aap2.count += 1;
+        edited.set_class(CommandClass::Aap2, aap2);
+        assert!(!edited.is_charged_at(&c));
     }
 
     #[test]

@@ -50,7 +50,6 @@
 //! ```
 
 pub mod address;
-pub mod address_map;
 pub mod bitrow;
 pub mod command;
 pub mod context;
@@ -60,7 +59,6 @@ pub mod energy;
 pub mod error;
 pub mod fault;
 pub mod geometry;
-pub mod hierarchy;
 pub mod ledger;
 pub mod port;
 pub mod profile;
@@ -83,7 +81,7 @@ pub use geometry::DramGeometry;
 pub use ledger::{CommandClass, CommandCosts, EnergyLedger};
 pub use port::AapPort;
 pub use profile::{ActivationModel, BackendProfile};
-pub use stats::{CommandStats, EnergyStats};
+pub use stats::CommandStats;
 
 /// Re-export of the observability layer the command surface feeds
 /// ([`context::SubarrayContext`] / [`controller::Controller`] counters,

@@ -15,6 +15,7 @@ use crate::context::SubarrayContext;
 use crate::controller::Controller;
 use crate::error::{DramError, Result};
 use crate::geometry::DramGeometry;
+use crate::ledger::CommandClass;
 use crate::sense_amp::SaMode;
 use pim_obsv::{HistKey, Metric};
 
@@ -163,13 +164,9 @@ pub trait AapPort {
         }
     }
 
-    /// Records `count` synthetic commands of `mnemonic` without executing
+    /// Records `count` synthetic commands of `class` without executing
     /// them.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unknown mnemonic.
-    fn record_synthetic(&mut self, mnemonic: &str, count: u64);
+    fn record_synthetic(&mut self, class: CommandClass, count: u64);
 
     /// Adds `n` to a stage-level observability metric (hash probes, graph
     /// k-mers, …). Default is a no-op so mock ports need not care; the
@@ -251,8 +248,8 @@ impl AapPort for Controller {
         Controller::dpu_op(self)
     }
 
-    fn record_synthetic(&mut self, mnemonic: &str, count: u64) {
-        Controller::record_synthetic(self, mnemonic, count)
+    fn record_synthetic(&mut self, class: CommandClass, count: u64) {
+        Controller::record_synthetic(self, class, count)
     }
 
     fn record_metric(&mut self, metric: Metric, n: u64) {
@@ -351,8 +348,8 @@ impl AapPort for SubarrayContext {
         SubarrayContext::dpu_op(self)
     }
 
-    fn record_synthetic(&mut self, mnemonic: &str, count: u64) {
-        SubarrayContext::record_synthetic(self, mnemonic, count)
+    fn record_synthetic(&mut self, class: CommandClass, count: u64) {
+        SubarrayContext::record_synthetic(self, class, count)
     }
 
     fn record_metric(&mut self, metric: Metric, n: u64) {

@@ -3,12 +3,10 @@
 //! Processing-in-DRAM does not suspend retention requirements: every row —
 //! including the compute rows — must be refreshed each tREFI window, and
 //! during tRFC the banks are unavailable for AAP issue. The refresh model
-//! quantifies the throughput tax and energy floor this imposes, which the
-//! performance model folds into wall-clock estimates.
+//! quantifies the throughput tax this imposes, which the performance model
+//! folds into wall-clock estimates.
 
-use crate::energy::EnergyParams;
 use crate::error::{DramError, Result};
-use crate::timing::TimingParams;
 
 /// Refresh parameters of a DDR4-class device.
 ///
@@ -27,8 +25,6 @@ pub struct RefreshParams {
     pub t_refi_ns: f64,
     /// Refresh cycle time (ns) — bank unavailable.
     pub t_rfc_ns: f64,
-    /// Energy of one REF command across the device (nJ).
-    pub ref_energy_nj: f64,
 }
 
 impl RefreshParams {
@@ -39,9 +35,9 @@ impl RefreshParams {
     ///
     /// # Errors
     ///
-    /// [`DramError::InvalidParameter`] when any timing is non-positive,
-    /// the refresh energy is negative, or `t_rfc_ns >= t_refi_ns`.
-    pub fn new(t_refi_ns: f64, t_rfc_ns: f64, ref_energy_nj: f64) -> Result<Self> {
+    /// [`DramError::InvalidParameter`] when any timing is non-positive or
+    /// `t_rfc_ns >= t_refi_ns`.
+    pub fn new(t_refi_ns: f64, t_rfc_ns: f64) -> Result<Self> {
         if !(t_refi_ns.is_finite() && t_refi_ns > 0.0) {
             return Err(DramError::InvalidParameter { what: "tREFI must be positive and finite" });
         }
@@ -53,23 +49,12 @@ impl RefreshParams {
                 what: "tRFC must be below tREFI (availability tax would reach 100%)",
             });
         }
-        if !(ref_energy_nj.is_finite() && ref_energy_nj >= 0.0) {
-            return Err(DramError::InvalidParameter {
-                what: "refresh energy must be non-negative and finite",
-            });
-        }
-        Ok(RefreshParams { t_refi_ns, t_rfc_ns, ref_energy_nj })
+        Ok(RefreshParams { t_refi_ns, t_rfc_ns })
     }
 
     /// DDR4 at normal temperature: tREFI = 7.8 µs, tRFC = 350 ns (8 Gb).
     pub fn ddr4() -> Self {
-        RefreshParams::new(7_800.0, 350.0, 190.0).expect("DDR4 defaults are valid")
-    }
-
-    /// DDR4 in extended-temperature mode (tREFI halves — refresh costs
-    /// double, relevant for a compute-heavy DRAM running warm).
-    pub fn ddr4_extended_temperature() -> Self {
-        RefreshParams::new(3_900.0, 350.0, 190.0).expect("DDR4 defaults are valid")
+        RefreshParams::new(7_800.0, 350.0).expect("DDR4 defaults are valid")
     }
 
     /// Fraction of time the array is blocked by refresh
@@ -96,43 +81,12 @@ impl RefreshParams {
         );
         seconds / (1.0 - tax)
     }
-
-    /// Background refresh power of the device (W): one REF per tREFI.
-    pub fn refresh_power_w(&self) -> f64 {
-        self.ref_energy_nj / self.t_refi_ns
-    }
-
-    /// Refresh commands issued over `seconds` of operation.
-    pub fn refresh_commands(&self, seconds: f64) -> u64 {
-        (seconds * 1e9 / self.t_refi_ns) as u64
-    }
-
-    /// Total refresh energy over `seconds` (J).
-    pub fn refresh_energy_j(&self, seconds: f64) -> f64 {
-        self.refresh_commands(seconds) as f64 * self.ref_energy_nj * 1e-9
-    }
 }
 
 impl Default for RefreshParams {
     fn default() -> Self {
         RefreshParams::ddr4()
     }
-}
-
-/// Sanity coupling with the main parameter sets: refresh power should be a
-/// modest addition to the background power already modeled per bank.
-pub fn refresh_fraction_of_background(
-    refresh: &RefreshParams,
-    energy: &EnergyParams,
-    banks: usize,
-) -> f64 {
-    let background_w = banks as f64 * energy.background_mw_per_bank / 1000.0;
-    refresh.refresh_power_w() / background_w
-}
-
-/// Effective AAP issue rate (commands/s) after the refresh tax.
-pub fn effective_aap_rate(timing: &TimingParams, refresh: &RefreshParams) -> f64 {
-    (1.0 - refresh.availability_tax()) / (timing.aap_ns() * 1e-9)
 }
 
 #[cfg(test)]
@@ -143,13 +97,6 @@ mod tests {
     fn ddr4_tax_is_about_4_5_percent() {
         let r = RefreshParams::ddr4();
         assert!((r.availability_tax() - 0.0449).abs() < 0.001);
-    }
-
-    #[test]
-    fn extended_temperature_doubles_the_tax() {
-        let n = RefreshParams::ddr4();
-        let x = RefreshParams::ddr4_extended_temperature();
-        assert!((x.availability_tax() / n.availability_tax() - 2.0).abs() < 1e-9);
     }
 
     #[test]
@@ -167,26 +114,19 @@ mod tests {
         // refreshing; previously this silently produced a negative
         // wall-clock from inflate_seconds.
         assert!(matches!(
-            RefreshParams::new(350.0, 350.0, 190.0),
+            RefreshParams::new(350.0, 350.0),
             Err(DramError::InvalidParameter { .. })
         ));
         assert!(matches!(
-            RefreshParams::new(100.0, 350.0, 190.0),
+            RefreshParams::new(100.0, 350.0),
             Err(DramError::InvalidParameter { .. })
         ));
         assert!(matches!(
-            RefreshParams::new(-7800.0, 350.0, 190.0),
+            RefreshParams::new(-7800.0, 350.0),
             Err(DramError::InvalidParameter { .. })
         ));
-        assert!(matches!(
-            RefreshParams::new(7800.0, 0.0, 190.0),
-            Err(DramError::InvalidParameter { .. })
-        ));
-        assert!(matches!(
-            RefreshParams::new(7800.0, 350.0, f64::NAN),
-            Err(DramError::InvalidParameter { .. })
-        ));
-        assert!(RefreshParams::new(7800.0, 350.0, 190.0).is_ok());
+        assert!(matches!(RefreshParams::new(7800.0, 0.0), Err(DramError::InvalidParameter { .. })));
+        assert!(RefreshParams::new(7800.0, 350.0).is_ok());
     }
 
     #[test]
@@ -194,30 +134,7 @@ mod tests {
     fn handbuilt_degenerate_struct_cannot_inflate_silently() {
         // Public fields allow bypassing `new`; the inflation guard still
         // refuses to return a negative wall-clock.
-        let r = RefreshParams { t_refi_ns: 100.0, t_rfc_ns: 350.0, ref_energy_nj: 190.0 };
+        let r = RefreshParams { t_refi_ns: 100.0, t_rfc_ns: 350.0 };
         let _ = r.inflate_seconds(10.0);
-    }
-
-    #[test]
-    fn refresh_energy_scales_linearly() {
-        let r = RefreshParams::ddr4();
-        let e1 = r.refresh_energy_j(10.0);
-        let e2 = r.refresh_energy_j(20.0);
-        assert!((e2 / e1 - 2.0).abs() < 0.01);
-    }
-
-    #[test]
-    fn effective_rate_below_raw_rate() {
-        let t = TimingParams::ddr4_2133();
-        let r = RefreshParams::ddr4();
-        let raw = 1.0 / (t.aap_ns() * 1e-9);
-        assert!(effective_aap_rate(&t, &r) < raw);
-    }
-
-    #[test]
-    fn refresh_power_is_fraction_of_background() {
-        let f =
-            refresh_fraction_of_background(&RefreshParams::ddr4(), &EnergyParams::ddr4_45nm(), 256);
-        assert!(f > 0.0 && f < 0.05, "refresh share {f}");
     }
 }

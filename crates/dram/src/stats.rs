@@ -1,13 +1,12 @@
 //! Command, latency, and energy accounting.
 //!
-//! The controller records every issued command here. The behavioural
+//! [`CommandStats`] is the floating-point view of the controller's integer
+//! ledger ([`crate::ledger::EnergyLedger::to_stats`]). The behavioural
 //! performance model in the `pim-assembler` crate turns these counters into
 //! execution-time and power estimates (the role of the paper's Matlab
 //! simulator, §II-B item 3).
 
 use std::fmt;
-
-use crate::command::DramCommand;
 
 /// Counters for each command class plus accumulated serial latency/energy.
 ///
@@ -19,10 +18,13 @@ use crate::command::DramCommand;
 /// # Examples
 ///
 /// ```
-/// use pim_dram::stats::CommandStats;
+/// use pim_dram::ledger::{CommandClass, CommandCosts, EnergyLedger};
+/// use pim_dram::{energy::EnergyParams, timing::TimingParams};
 ///
-/// let mut s = CommandStats::default();
-/// s.record_raw("AAP2", 47.0, 2.3);
+/// let costs = CommandCosts::new(&TimingParams::default(), &EnergyParams::default(), 256);
+/// let mut ledger = EnergyLedger::default();
+/// ledger.charge(CommandClass::Aap2, &costs);
+/// let s = ledger.to_stats();
 /// assert_eq!(s.aap2, 1);
 /// assert!(s.serial_ns > 0.0);
 /// ```
@@ -47,27 +49,6 @@ pub struct CommandStats {
 }
 
 impl CommandStats {
-    /// Records one command with its latency and energy.
-    pub fn record(&mut self, cmd: &DramCommand, latency_ns: f64, energy_nj: f64) {
-        self.record_raw(cmd.mnemonic(), latency_ns, energy_nj);
-    }
-
-    /// Records by mnemonic (for synthetic accounting where no concrete
-    /// command value exists, e.g. replicated parallel issues).
-    pub fn record_raw(&mut self, mnemonic: &str, latency_ns: f64, energy_nj: f64) {
-        match mnemonic {
-            "RD" => self.reads += 1,
-            "WR" => self.writes += 1,
-            "AAP" => self.aap += 1,
-            "AAP2" => self.aap2 += 1,
-            "AAP3" => self.aap3 += 1,
-            "DPU" => self.dpu += 1,
-            other => panic!("unknown command mnemonic {other:?}"),
-        }
-        self.serial_ns += latency_ns;
-        self.energy_nj += energy_nj;
-    }
-
     /// Total commands of all classes.
     pub fn total_commands(&self) -> u64 {
         self.reads + self.writes + self.aap + self.aap2 + self.aap3 + self.dpu
@@ -126,34 +107,22 @@ impl fmt::Display for CommandStats {
     }
 }
 
-/// Alias retained for discoverability: energy lives inside [`CommandStats`].
-pub type EnergyStats = CommandStats;
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::address::RowAddr;
-
-    #[test]
-    fn record_classifies_commands() {
-        let mut s = CommandStats::default();
-        s.record(&DramCommand::Read { src: RowAddr(0) }, 10.0, 1.0);
-        s.record(&DramCommand::Aap { src: RowAddr(0), dst: RowAddr(1) }, 47.0, 2.0);
-        s.record(&DramCommand::DpuOp, 1.0, 0.1);
-        assert_eq!(s.reads, 1);
-        assert_eq!(s.aap, 1);
-        assert_eq!(s.dpu, 1);
-        assert_eq!(s.total_commands(), 3);
-        assert!((s.serial_ns - 58.0).abs() < 1e-9);
-    }
 
     #[test]
     fn merge_and_since_are_inverse() {
-        let mut a = CommandStats::default();
-        a.record_raw("AAP2", 47.0, 2.3);
-        let snapshot = a;
-        a.record_raw("AAP3", 47.0, 2.6);
-        a.record_raw("WR", 30.0, 1.5);
+        let snapshot =
+            CommandStats { aap2: 1, serial_ns: 47.0, energy_nj: 2.5, ..Default::default() };
+        let mut a = snapshot;
+        a.merge(&CommandStats {
+            aap3: 1,
+            writes: 1,
+            serial_ns: 77.0,
+            energy_nj: 4.0,
+            ..Default::default()
+        });
         let delta = a.since(&snapshot);
         assert_eq!(delta.aap3, 1);
         assert_eq!(delta.writes, 1);
@@ -161,12 +130,6 @@ mod tests {
         let mut rebuilt = snapshot;
         rebuilt.merge(&delta);
         assert_eq!(rebuilt, a);
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown command mnemonic")]
-    fn unknown_mnemonic_panics() {
-        CommandStats::default().record_raw("XYZ", 1.0, 1.0);
     }
 
     #[test]

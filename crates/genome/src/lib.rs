@@ -13,16 +13,20 @@
 //!
 //! * [`base`] / [`sequence`] — 2-bit packed DNA (T=00, G=01, A=10, C=11, the
 //!   encoding of Fig. 7),
-//! * [`fasta`] — minimal FASTA I/O for interchange,
+//! * [`fasta`] / [`fastq`] — minimal FASTA and FASTQ I/O for interchange,
 //! * [`reads`] — uniform short-read simulator with an optional substitution
-//!   error model (the paper samples 45.7 M × 101 bp reads from chr14),
+//!   error model (the paper samples 45.7 M × 101 bp reads from chr14);
+//!   [`simulate`] plants repeat families into synthetic genomes,
+//! * [`correction`] — k-mer-spectrum read error correction (extension),
 //! * [`kmer`] — packed k-mers (k ≤ 32) and iterators,
 //! * [`hash_table`] — the `Hashmap(S, k)` procedure of Fig. 5b as an
 //!   open-addressing counting table,
 //! * [`debruijn`] — the `DeBruijn(Hashmap, k)` graph-construction procedure,
+//! * [`simplify`] — tip clipping and bubble popping on the graph,
 //! * [`euler`] — `Traverse(G)`: Fleury (as the paper names) and Hierholzer
 //!   Eulerian-path algorithms,
-//! * [`contig`] / [`stats`] — contig spelling and assembly metrics (N50 …),
+//! * [`contig`] / [`stats`] — contig spelling and assembly metrics (N50 …);
+//!   [`align`] — banded global alignment for validating contigs,
 //! * [`assemble`] — the end-to-end software assembler,
 //! * [`scaffold`] — paired-read scaffolding (stage 3, the paper's future
 //!   work, implemented here as an extension).
@@ -44,10 +48,8 @@
 pub mod align;
 pub mod assemble;
 pub mod base;
-pub mod bloom;
 pub mod contig;
 pub mod correction;
-pub mod coverage;
 pub mod debruijn;
 pub mod error;
 pub mod euler;

@@ -194,26 +194,6 @@ impl InDramPlatform {
         let rows = (bits as f64 / self.spec.bits_per_parallel_op()).ceil();
         rows * self.costs.cost(op)
     }
-
-    /// Estimated seconds for this design to replay measured controller
-    /// traffic — the merged [`pim_dram::stats::CommandStats`] a pipeline
-    /// run (serial or dispatched) accumulates. Recorded `AAP` copies are
-    /// plain RowClones on every design; each `AAP2` two-row activation
-    /// replays as the design's logic tail beyond its operand copies
-    /// (single-cycle on PIM-Assembler, the multi-cycle X(N)OR composition
-    /// on the baselines), and each `AAP3` as the majority tail. Host row
-    /// reads/writes cost one row cycle each; DPU scalar ops ride the
-    /// command bus and are latency-hidden.
-    pub fn replay_seconds(&self, stats: &pim_dram::stats::CommandStats) -> f64 {
-        let c = &self.costs;
-        let logic_tail = (c.xnor - 2.0 * c.copy).max(1.0);
-        let maj_tail = (c.maj3 - 3.0 * c.copy).max(1.0);
-        let row_ops = stats.aap as f64 * c.copy
-            + stats.aap2 as f64 * logic_tail
-            + stats.aap3 as f64 * maj_tail
-            + (stats.reads + stats.writes) as f64;
-        row_ops * self.spec.aap_ns * 1e-9
-    }
 }
 
 impl Platform for InDramPlatform {
@@ -299,29 +279,6 @@ mod tests {
             let w = p.bulk_power_w();
             assert!(w.is_finite() && w > 0.0);
         }
-    }
-
-    #[test]
-    fn replay_tracks_design_logic_costs() {
-        let mut stats = pim_dram::stats::CommandStats::default();
-        for _ in 0..200 {
-            stats.record_raw("AAP", 47.0, 2.0);
-        }
-        for _ in 0..100 {
-            stats.record_raw("AAP2", 47.0, 2.3);
-        }
-        for _ in 0..10 {
-            stats.record_raw("RD", 60.0, 3.0);
-        }
-        let pa = InDramPlatform::pim_assembler().replay_seconds(&stats);
-        let ambit = InDramPlatform::ambit().replay_seconds(&stats);
-        let d3 = InDramPlatform::drisa_3t1c().replay_seconds(&stats);
-        // Single-cycle XNOR2: the same traffic replays strictly faster on
-        // PIM-Assembler, and the gap widens with the design's XNOR cost.
-        assert!(pa < ambit && ambit < d3, "{pa} {ambit} {d3}");
-        // P-A: 200 copies + 100 single-cycle activations + 10 reads.
-        let expected = 310.0 * InDramPlatform::pim_assembler().spec().aap_ns * 1e-9;
-        assert!((pa - expected).abs() < 1e-15, "{pa} vs {expected}");
     }
 
     #[test]

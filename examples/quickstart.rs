@@ -42,8 +42,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         r.parallel_chains
     );
     println!(
-        "power {:.1} W | energy {:.3} J | MBR {:.1}% | RUR {:.1}%",
-        r.power_w, r.energy_j, r.mbr_percent, r.rur_percent
+        "power {:.1} W | energy {:.3} mJ | MBR {:.1}% | RUR {:.1}%",
+        r.power_w,
+        r.commands.energy_nj * 1e-6,
+        r.mbr_percent,
+        r.rur_percent
     );
     Ok(())
 }
