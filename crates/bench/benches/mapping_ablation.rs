@@ -7,11 +7,12 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
+use pim_assembler::dispatch::ParallelDispatcher;
 use pim_assembler::hashmap_stage::PimHashTable;
 use pim_assembler::mapping::KmerMapper;
 use pim_dram::controller::Controller;
 use pim_dram::geometry::DramGeometry;
-use pim_genome::kmer::KmerIter;
+use pim_genome::kmer::{Kmer, KmerIter};
 use pim_genome::sequence::DnaSequence;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -25,9 +26,8 @@ fn run_with_bucket_rows(seq: &DnaSequence, bucket_rows: usize) -> u64 {
     let g = DramGeometry::paper_assembly();
     let mut ctrl = Controller::new(g);
     let mut table = PimHashTable::new(KmerMapper::new(&g, 4, bucket_rows));
-    for kmer in KmerIter::new(seq, 13).unwrap() {
-        table.insert(&mut ctrl, kmer).unwrap();
-    }
+    let kmers: Vec<Kmer> = KmerIter::new(seq, 13).unwrap().collect();
+    table.insert(&mut ctrl, &ParallelDispatcher::serial(), &kmers).unwrap();
     table.stats().probes
 }
 

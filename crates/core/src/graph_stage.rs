@@ -31,9 +31,9 @@ pub struct GraphStats {
     pub mem_inserts: u64,
 }
 
-/// Full output of a retaining graph build: the graph, its partitioning,
-/// the stage statistics, and the post-filter survivors in scan order
-/// (the checkpoint payload [`GraphStage::rebuild`] replays on resume).
+/// Full output of a graph build: the graph, its partitioning, the stage
+/// statistics, and the post-filter survivors in scan order (the
+/// checkpoint payload [`GraphStage::rebuild`] replays on resume).
 pub type GraphBuildOutput = (DeBruijnGraph, Partitioning, GraphStats, Vec<(Kmer, u64)>);
 
 /// Builds the de Bruijn graph from the PIM hash table.
@@ -41,45 +41,27 @@ pub type GraphBuildOutput = (DeBruijnGraph, Partitioning, GraphStats, Vec<(Kmer,
 pub struct GraphStage;
 
 impl GraphStage {
-    /// Scans `table`, filters by `min_count`, materializes the graph, and
-    /// partitions it for the traverse mapping.
+    /// Scans `table` (dispatched across its sub-arrays, see
+    /// [`PimHashTable::scan`]), filters by `min_count`, materializes the
+    /// graph, and partitions it for the traverse mapping.
     ///
     /// `graph_region` designates the sub-array whose k-mer region receives
     /// the `MEM_insert` writes (cycling when full — the functional graph
     /// lives in the returned structure, the writes account the hardware
-    /// traffic).
+    /// traffic). Those writes address a single region, so they stay on the
+    /// controller; the graph and command totals are the same for any
+    /// worker count.
+    ///
+    /// The post-filter survivors come back in scan order: the checkpoint
+    /// payload from which [`GraphStage::rebuild`] reconstructs the
+    /// identical graph on resume (node ids are assigned by first-reference
+    /// order during `add_kmer`, so replaying the same entry order
+    /// reproduces the same numbering).
     ///
     /// # Errors
     ///
     /// Propagates DRAM addressing errors.
     pub fn build(
-        ctrl: &mut Controller,
-        table: &PimHashTable,
-        min_count: u64,
-        graph_region: SubarrayId,
-        intervals: usize,
-    ) -> Result<(DeBruijnGraph, Partitioning, GraphStats)> {
-        let entries = table.scan(ctrl)?;
-        let (graph, partitioning, stats, _) =
-            Self::construct(ctrl, table, entries, min_count, graph_region, intervals)?;
-        Ok((graph, partitioning, stats))
-    }
-
-    /// [`GraphStage::build`] with the hash-table scan dispatched across
-    /// sub-arrays (see [`PimHashTable::scan_with_dispatcher`]), also
-    /// returning the post-filter survivors in scan order — the checkpoint
-    /// payload from which [`GraphStage::rebuild`] reconstructs the
-    /// identical graph on resume (node ids are assigned by
-    /// first-reference order during `add_kmer`, so replaying the same
-    /// entry order reproduces the same numbering). The graph construction
-    /// and `MEM_insert` writes stay serial — they address a single graph
-    /// region — so the graph and command totals are identical to
-    /// [`GraphStage::build`] for any worker count.
-    ///
-    /// # Errors
-    ///
-    /// Propagates DRAM addressing errors.
-    pub fn build_retaining(
         ctrl: &mut Controller,
         dispatcher: &ParallelDispatcher,
         table: &PimHashTable,
@@ -87,7 +69,7 @@ impl GraphStage {
         graph_region: SubarrayId,
         intervals: usize,
     ) -> Result<GraphBuildOutput> {
-        let entries = table.scan_with_dispatcher(ctrl, dispatcher)?;
+        let entries = table.scan(ctrl, dispatcher)?;
         Self::construct(ctrl, table, entries, min_count, graph_region, intervals)
     }
 
@@ -197,26 +179,27 @@ mod tests {
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
-    fn build_from(
-        seq: &str,
-        k: usize,
-        min_count: u64,
-    ) -> (DeBruijnGraph, Partitioning, GraphStats) {
-        let g = DramGeometry::paper_assembly();
-        let mut ctrl = Controller::new(g);
-        let mut table = PimHashTable::new(KmerMapper::new(&g, 4, 8));
+    fn loaded_table(ctrl: &mut Controller, seq: &str, k: usize, subarrays: usize) -> PimHashTable {
+        let mut table = PimHashTable::new(KmerMapper::new(ctrl.geometry(), subarrays, 8));
         let seq: DnaSequence = seq.parse().unwrap();
-        for kmer in KmerIter::new(&seq, k).unwrap() {
-            table.insert(&mut ctrl, kmer).unwrap();
-        }
+        let kmers: Vec<Kmer> = KmerIter::new(&seq, k).unwrap().collect();
+        table.insert(ctrl, &ParallelDispatcher::serial(), &kmers).unwrap();
+        table
+    }
+
+    fn build_from(seq: &str, k: usize, min_count: u64) -> GraphBuildOutput {
+        let mut ctrl = Controller::new(DramGeometry::paper_assembly());
+        let table = loaded_table(&mut ctrl, seq, k, 4);
         let region = ctrl.subarray_handle(0, 1, 0, 0).unwrap();
-        GraphStage::build(&mut ctrl, &table, min_count, region, 2).unwrap()
+        GraphStage::build(&mut ctrl, &ParallelDispatcher::serial(), &table, min_count, region, 2)
+            .unwrap()
     }
 
     #[test]
     fn graph_matches_software_construction() {
-        let (graph, _, stats) = build_from("CGTGCGTGCTT", 5, 1);
+        let (graph, _, stats, survivors) = build_from("CGTGCGTGCTT", 5, 1);
         assert_eq!(graph.edge_count(), 6);
+        assert_eq!(survivors.len(), 6);
         assert_eq!(stats.edges_inserted, 6);
         assert_eq!(stats.mem_inserts, 18);
         assert_eq!(stats.scanned, 6);
@@ -224,7 +207,7 @@ mod tests {
 
     #[test]
     fn min_count_filters_edges() {
-        let (graph, _, stats) = build_from("CGTGCGTGCTT", 5, 2);
+        let (graph, _, stats, _) = build_from("CGTGCGTGCTT", 5, 2);
         assert_eq!(graph.edge_count(), 1); // only CGTGC has count 2
         assert_eq!(stats.edges_inserted, 1);
     }
@@ -233,7 +216,7 @@ mod tests {
     fn partitioning_covers_the_graph() {
         let mut rng = ChaCha8Rng::seed_from_u64(9);
         let seq = DnaSequence::random(&mut rng, 600).to_string();
-        let (graph, part, _) = build_from(&seq, 9, 1);
+        let (graph, part, _, _) = build_from(&seq, 9, 1);
         assert_eq!(part.total_edges(), graph.edge_count());
         assert_eq!(part.interval_of.len(), graph.node_count());
     }
@@ -244,7 +227,9 @@ mod tests {
         let mut ctrl = Controller::new(g);
         let table = PimHashTable::new(KmerMapper::new(&g, 2, 8));
         let region = ctrl.subarray_handle(0, 1, 0, 0).unwrap();
-        let (graph, part, stats) = GraphStage::build(&mut ctrl, &table, 1, region, 2).unwrap();
+        let (graph, part, stats, _) =
+            GraphStage::build(&mut ctrl, &ParallelDispatcher::serial(), &table, 1, region, 2)
+                .unwrap();
         assert_eq!(graph.edge_count(), 0);
         assert_eq!(stats.scanned, 0);
         assert_eq!(part.total_edges(), 0);
@@ -252,16 +237,13 @@ mod tests {
 
     #[test]
     fn mem_inserts_are_charged_as_writes() {
-        let g = DramGeometry::paper_assembly();
-        let mut ctrl = Controller::new(g);
-        let mut table = PimHashTable::new(KmerMapper::new(&g, 2, 8));
-        let seq: DnaSequence = "ACGTTGCA".parse().unwrap();
-        for kmer in KmerIter::new(&seq, 4).unwrap() {
-            table.insert(&mut ctrl, kmer).unwrap();
-        }
+        let mut ctrl = Controller::new(DramGeometry::paper_assembly());
+        let table = loaded_table(&mut ctrl, "ACGTTGCA", 4, 2);
         let before = *ctrl.stats();
         let region = ctrl.subarray_handle(0, 1, 0, 0).unwrap();
-        let (_, _, stats) = GraphStage::build(&mut ctrl, &table, 1, region, 1).unwrap();
+        let (_, _, stats, _) =
+            GraphStage::build(&mut ctrl, &ParallelDispatcher::serial(), &table, 1, region, 1)
+                .unwrap();
         let d = ctrl.stats().since(&before);
         assert_eq!(d.writes, stats.mem_inserts);
         assert!(d.reads >= stats.scanned); // table scan reads

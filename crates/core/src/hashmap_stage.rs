@@ -10,11 +10,12 @@
 //! occupancy in its bucket pointers).
 //!
 //! Because a k-mer only ever touches its home sub-array, the whole stage is
-//! embarrassingly parallel across sub-arrays: [`PimHashTable::insert_batch`]
+//! embarrassingly parallel across sub-arrays: [`PimHashTable::insert`]
 //! groups a k-mer stream by home sub-array and drives each group through a
 //! detached [`pim_dram::context::SubarrayContext`] under a
 //! [`ParallelDispatcher`], producing byte-identical table state and command
-//! totals to the serial insert order.
+//! totals for any worker count ([`ParallelDispatcher::serial`] runs the
+//! same partitions on the calling thread).
 
 use pim_dram::address::{RowAddr, SubarrayId};
 use pim_dram::bitrow::BitRow;
@@ -57,13 +58,28 @@ pub struct HashStats {
 impl HashStats {
     /// Accumulates another counter set (per-sub-array partial results
     /// merging into the stage total; plain integer addition, so the merge
-    /// is order-independent).
-    pub fn merge(&mut self, other: &HashStats) {
-        self.inserted_total += other.inserted_total;
-        self.distinct += other.distinct;
-        self.probes += other.probes;
-        self.hits += other.hits;
-        self.shadow_mismatches += other.shadow_mismatches;
+    /// is order-independent). Leaves `self` unchanged on error.
+    ///
+    /// # Errors
+    ///
+    /// [`PimError::Checkpoint`] naming the `hash.*` checkpoint field whose
+    /// total would overflow 64 bits: live counting cannot get there, a
+    /// resumed checkpoint with an edited statistic can.
+    pub fn merge(&mut self, other: &HashStats) -> Result<()> {
+        let mut merged = *self;
+        for (name, total, add) in [
+            ("inserted_total", &mut merged.inserted_total, other.inserted_total),
+            ("distinct", &mut merged.distinct, other.distinct),
+            ("probes", &mut merged.probes, other.probes),
+            ("hits", &mut merged.hits, other.hits),
+            ("shadow_mismatches", &mut merged.shadow_mismatches, other.shadow_mismatches),
+        ] {
+            *total = total.checked_add(add).ok_or_else(|| PimError::Checkpoint {
+                reason: format!("checkpointed `hash.{name}` overflows 64 bits"),
+            })?;
+        }
+        *self = merged;
+        Ok(())
     }
 
     /// Writes the statistics into `cp` as `{prefix}.*` fields.
@@ -98,6 +114,7 @@ impl HashStats {
 /// # Examples
 ///
 /// ```
+/// use pim_assembler::dispatch::ParallelDispatcher;
 /// use pim_assembler::{hashmap_stage::PimHashTable, mapping::KmerMapper};
 /// use pim_dram::{controller::Controller, geometry::DramGeometry};
 ///
@@ -105,8 +122,8 @@ impl HashStats {
 /// let mut ctrl = Controller::new(g);
 /// let mut table = PimHashTable::new(KmerMapper::new(&g, 2, 8));
 /// let kmer: pim_genome::Kmer = "CGTGCGTGCTTACGGA".parse()?;
-/// assert_eq!(table.insert(&mut ctrl, kmer)?, 1);
-/// assert_eq!(table.insert(&mut ctrl, kmer)?, 2);
+/// table.insert(&mut ctrl, &ParallelDispatcher::serial(), &[kmer, kmer])?;
+/// assert_eq!(table.count(&mut ctrl, &kmer)?, 2);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -153,40 +170,23 @@ impl PimHashTable {
         &self.stats
     }
 
-    /// Inserts one occurrence of `kmer`, returning its new frequency.
-    ///
-    /// # Errors
-    ///
-    /// * [`PimError::SubarrayFull`] when the home sub-array's k-mer region
-    ///   overflows.
-    /// * DRAM addressing errors.
-    pub fn insert(&mut self, ctrl: &mut impl AapPort, kmer: Kmer) -> Result<u64> {
-        let (sub_idx, _) = self.mapper.home(&kmer);
-        let mut image = BitRow::zeros(ctrl.geometry().cols);
-        Self::insert_one(
-            ctrl,
-            &self.mapper,
-            &self.comparator,
-            sub_idx,
-            &mut self.slots[sub_idx],
-            &mut self.stats,
-            kmer,
-            &mut image,
-        )
-    }
-
     /// Inserts a k-mer stream, dispatching each home sub-array's share as
     /// an independent partition. The interleaving across sub-arrays is
-    /// immaterial — they share no rows and no shadow slots — so the final
-    /// table state, stage statistics, and command totals are identical to
-    /// inserting the stream serially, for any worker count.
+    /// immaterial — they share no rows and no shadow slots — and each
+    /// sub-array sees its k-mers in arrival order, so the final table
+    /// state, stage statistics, and command totals are identical for any
+    /// worker count and any split of the stream into calls.
     ///
     /// # Errors
     ///
-    /// Every partition runs to its own first failure (independent
-    /// sub-arrays have no rollback); the first failing partition's error —
-    /// in home-sub-array order — is returned.
-    pub fn insert_batch(
+    /// * [`PimError::SubarrayFull`] when a home sub-array's k-mer region
+    ///   overflows. Every partition runs to its own first failure
+    ///   (independent sub-arrays have no rollback); the first failing
+    ///   partition's error — in home-sub-array order — is returned.
+    /// * [`PimError::Checkpoint`] when a statistic restored from a
+    ///   checkpoint overflows (see [`HashStats::merge`]).
+    /// * DRAM addressing errors.
+    pub fn insert(
         &mut self,
         ctrl: &mut Controller,
         dispatcher: &ParallelDispatcher,
@@ -231,10 +231,8 @@ impl PimHashTable {
         let mut first_err = None;
         for (sub_idx, slots, stats, err) in results {
             self.slots[sub_idx] = slots;
-            self.stats.merge(&stats);
-            if first_err.is_none() {
-                first_err = err;
-            }
+            let merged = self.stats.merge(&stats).err();
+            first_err = first_err.or(err).or(merged);
         }
         match first_err {
             Some(e) => Err(e),
@@ -279,27 +277,14 @@ impl PimHashTable {
 
     /// All stored entries `(kmer, count)`, charging one row read per stored
     /// k-mer and per touched value row — the scan the graph stage performs.
+    /// Each occupied sub-array is scanned as an independent partition;
+    /// partitions concatenate in sub-array order, so entry order and
+    /// command totals are the same for any worker count.
     ///
     /// # Errors
     ///
     /// Propagates DRAM addressing errors.
-    pub fn scan(&self, ctrl: &mut impl AapPort) -> Result<Vec<(Kmer, u64)>> {
-        let mut out = Vec::new();
-        for sub_idx in 0..self.slots.len() {
-            Self::scan_subarray(ctrl, &self.mapper, sub_idx, &self.slots[sub_idx], &mut out)?;
-        }
-        Ok(out)
-    }
-
-    /// [`PimHashTable::scan`] with each occupied sub-array scanned as an
-    /// independent partition. Entry order and command totals match the
-    /// serial scan exactly (partitions run and concatenate in sub-array
-    /// order).
-    ///
-    /// # Errors
-    ///
-    /// Propagates DRAM addressing errors.
-    pub fn scan_with_dispatcher(
+    pub fn scan(
         &self,
         ctrl: &mut Controller,
         dispatcher: &ParallelDispatcher,
@@ -322,8 +307,7 @@ impl PimHashTable {
 
     /// The per-sub-array insert procedure: stage, probe, count/insert.
     /// Takes the sub-array's shadow slots and a stats accumulator
-    /// explicitly so the same code path runs against the controller façade
-    /// and against a detached context on a worker thread.
+    /// explicitly, since it runs on a detached context that owns neither.
     #[allow(clippy::too_many_arguments)]
     fn insert_one(
         port: &mut impl AapPort,
@@ -617,8 +601,9 @@ impl HashmapExec {
     ///
     /// # Errors
     ///
-    /// [`PimError::SubarrayFull`] when the hash partition overflows, plus
-    /// DRAM addressing errors.
+    /// [`PimError::SubarrayFull`] when the hash partition overflows,
+    /// [`PimError::Checkpoint`] when a count restored from a checkpoint
+    /// overflows, plus DRAM addressing errors.
     pub fn feed(
         &mut self,
         ctrl: &mut Controller,
@@ -639,9 +624,11 @@ impl HashmapExec {
                 kmers.push(kmer);
             }
         }
-        self.table.insert_batch(ctrl, dispatcher, &kmers)?;
+        self.table.insert(ctrl, dispatcher, &kmers)?;
         self.reads_consumed += reads.len() as u64;
-        self.kmer_count += kmers.len() as u64;
+        self.kmer_count = self.kmer_count.checked_add(kmers.len() as u64).ok_or_else(|| {
+            PimError::Checkpoint { reason: "checkpointed `kmer_count` overflows 64 bits".into() }
+        })?;
         Ok(kmers.len() as u64)
     }
 
@@ -728,14 +715,20 @@ mod tests {
         (ctrl, table)
     }
 
+    fn kmers_of(seq: &DnaSequence, k: usize) -> Vec<Kmer> {
+        KmerIter::new(seq, k).unwrap().collect()
+    }
+
+    fn serial() -> ParallelDispatcher {
+        ParallelDispatcher::serial()
+    }
+
     #[test]
     fn fig5b_worked_example() {
         // S = CGTGCGTGCTT, k = 5 — the hash table of Fig. 5b.
         let (mut ctrl, mut table) = setup();
         let s: DnaSequence = "CGTGCGTGCTT".parse().unwrap();
-        for kmer in KmerIter::new(&s, 5).unwrap() {
-            table.insert(&mut ctrl, kmer).unwrap();
-        }
+        table.insert(&mut ctrl, &serial(), &kmers_of(&s, 5)).unwrap();
         assert_eq!(table.count(&mut ctrl, &"CGTGC".parse().unwrap()).unwrap(), 2);
         assert_eq!(table.count(&mut ctrl, &"GTGCG".parse().unwrap()).unwrap(), 1);
         assert_eq!(table.count(&mut ctrl, &"TGCTT".parse().unwrap()).unwrap(), 1);
@@ -753,10 +746,8 @@ mod tests {
         let mut soft = KmerCounter::new(k).unwrap();
         soft.count_sequence(&seq).unwrap();
         // Rebuild the table at k=11 (mapper is k-agnostic).
-        for kmer in KmerIter::new(&seq, k).unwrap() {
-            table.insert(&mut ctrl, kmer).unwrap();
-        }
-        let scanned = table.scan(&mut ctrl).unwrap();
+        table.insert(&mut ctrl, &serial(), &kmers_of(&seq, k)).unwrap();
+        let scanned = table.scan(&mut ctrl, &serial()).unwrap();
         assert_eq!(scanned.len(), soft.distinct());
         for (kmer, count) in scanned {
             assert_eq!(count, soft.count(&kmer), "{kmer}");
@@ -768,9 +759,7 @@ mod tests {
         let (mut ctrl, mut table) = setup();
         let kmer: Kmer = "ACGTACGTACGTACGT".parse().unwrap();
         let max = table.mapper().layout().max_count();
-        for _ in 0..(max + 10) {
-            table.insert(&mut ctrl, kmer).unwrap();
-        }
+        table.insert(&mut ctrl, &serial(), &vec![kmer; max as usize + 10]).unwrap();
         assert_eq!(table.count(&mut ctrl, &kmer).unwrap(), max);
     }
 
@@ -779,7 +768,7 @@ mod tests {
         let (mut ctrl, mut table) = setup();
         let kmer: Kmer = "TTTTGGGGCCCCAAAA".parse().unwrap();
         let before = *ctrl.stats();
-        table.insert(&mut ctrl, kmer).unwrap();
+        table.insert(&mut ctrl, &serial(), &[kmer]).unwrap();
         let d = ctrl.stats().since(&before);
         // Fresh insert in an empty bucket: temp staging (in-DRAM AAP) +
         // x1 clone + slot clone + counter-row activation — all in-array.
@@ -787,7 +776,7 @@ mod tests {
         assert_eq!(d.aap, 4);
         assert_eq!(d.aap2, 0); // no stored rows yet → no comparisons
         let before = *ctrl.stats();
-        table.insert(&mut ctrl, kmer).unwrap();
+        table.insert(&mut ctrl, &serial(), &[kmer]).unwrap();
         let d = ctrl.stats().since(&before);
         assert_eq!(d.aap2, 1); // one PIM_XNOR probe
         assert!(d.dpu >= 2); // AND-reduce + increment
@@ -798,9 +787,7 @@ mod tests {
         let (mut ctrl, mut table) = setup();
         let mut rng = ChaCha8Rng::seed_from_u64(6);
         let seq = DnaSequence::random(&mut rng, 2000);
-        for kmer in KmerIter::new(&seq, 13).unwrap() {
-            table.insert(&mut ctrl, kmer).unwrap();
-        }
+        table.insert(&mut ctrl, &serial(), &kmers_of(&seq, 13)).unwrap();
         let s = table.stats();
         assert!(s.probes > 0);
         let avg = s.probes as f64 / s.inserted_total as f64;
@@ -817,8 +804,9 @@ mod tests {
         let mut inserted = 0usize;
         let mut err = None;
         for v in 0..(capacity as u64 + 5) {
-            match table.insert(&mut ctrl, Kmer::from_packed(v * 7 + 1, 12).unwrap()) {
-                Ok(_) => inserted += 1,
+            let kmer = Kmer::from_packed(v * 7 + 1, 12).unwrap();
+            match table.insert(&mut ctrl, &serial(), &[kmer]) {
+                Ok(()) => inserted += 1,
                 Err(e) => {
                     err = Some(e);
                     break;
@@ -830,70 +818,63 @@ mod tests {
     }
 
     #[test]
-    fn batch_insert_is_identical_to_serial_insert() {
+    fn insert_is_identical_for_any_worker_count_and_split() {
         let mut rng = ChaCha8Rng::seed_from_u64(21);
         let seq = DnaSequence::random(&mut rng, 900);
-        let kmers: Vec<Kmer> = KmerIter::new(&seq, 13).unwrap().collect();
+        let kmers = kmers_of(&seq, 13);
 
-        let (mut serial_ctrl, mut serial_table) = setup();
+        // Reference: one k-mer per call on the calling thread — the
+        // arrival order every sub-array must see.
+        let (mut ref_ctrl, mut reference) = setup();
         for &kmer in &kmers {
-            serial_table.insert(&mut serial_ctrl, kmer).unwrap();
+            reference.insert(&mut ref_ctrl, &serial(), &[kmer]).unwrap();
         }
         // Snapshot before scanning: the scan itself charges row reads.
-        let serial_stats = *serial_ctrl.stats();
-        let serial_ledger = *serial_ctrl.ledger();
-        let serial_scan = serial_table.scan(&mut serial_ctrl).unwrap();
+        let ref_stats = *ref_ctrl.stats();
+        let ref_ledger = *ref_ctrl.ledger();
+        let ref_scan = reference.scan(&mut ref_ctrl, &serial()).unwrap();
 
         for workers in [1, 4] {
             let (mut ctrl, mut table) = setup();
-            table
-                .insert_batch(&mut ctrl, &ParallelDispatcher::with_workers(workers), &kmers)
-                .unwrap();
-            assert_eq!(table.stats(), serial_table.stats(), "workers={workers}");
-            assert_eq!(*ctrl.stats(), serial_stats, "workers={workers}");
-            assert_eq!(*ctrl.ledger(), serial_ledger, "workers={workers}");
-            assert_eq!(table.scan(&mut ctrl).unwrap(), serial_scan, "workers={workers}");
+            table.insert(&mut ctrl, &ParallelDispatcher::with_workers(workers), &kmers).unwrap();
+            assert_eq!(table.stats(), reference.stats(), "workers={workers}");
+            assert_eq!(*ctrl.stats(), ref_stats, "workers={workers}");
+            assert_eq!(*ctrl.ledger(), ref_ledger, "workers={workers}");
+            assert_eq!(table.scan(&mut ctrl, &serial()).unwrap(), ref_scan, "workers={workers}");
         }
     }
 
     #[test]
-    fn dispatched_scan_matches_serial_scan() {
+    fn scan_is_identical_for_any_worker_count() {
         let (mut ctrl, mut table) = setup();
         let mut rng = ChaCha8Rng::seed_from_u64(22);
         let seq = DnaSequence::random(&mut rng, 500);
-        for kmer in KmerIter::new(&seq, 12).unwrap() {
-            table.insert(&mut ctrl, kmer).unwrap();
-        }
+        table.insert(&mut ctrl, &serial(), &kmers_of(&seq, 12)).unwrap();
         let before = *ctrl.stats();
-        let serial = table.scan(&mut ctrl).unwrap();
+        let serial_scan = table.scan(&mut ctrl, &serial()).unwrap();
         let serial_delta = ctrl.stats().since(&before);
         let before = *ctrl.stats();
-        let dispatched =
-            table.scan_with_dispatcher(&mut ctrl, &ParallelDispatcher::with_workers(4)).unwrap();
-        let dispatched_delta = ctrl.stats().since(&before);
-        assert_eq!(serial, dispatched);
-        assert_eq!(serial_delta, dispatched_delta);
+        let pooled = table.scan(&mut ctrl, &ParallelDispatcher::with_workers(4)).unwrap();
+        let pooled_delta = ctrl.stats().since(&before);
+        assert_eq!(serial_scan, pooled);
+        assert_eq!(serial_delta, pooled_delta);
     }
 
     #[test]
     fn export_restore_round_trips_without_charging() {
         let mut rng = ChaCha8Rng::seed_from_u64(33);
         let seq = DnaSequence::random(&mut rng, 700);
-        let kmers: Vec<Kmer> = KmerIter::new(&seq, 13).unwrap().collect();
+        let kmers = kmers_of(&seq, 13);
 
         // Uninterrupted reference: all k-mers through one table.
         let (mut ref_ctrl, mut reference) = setup();
-        for &kmer in &kmers {
-            reference.insert(&mut ref_ctrl, kmer).unwrap();
-        }
+        reference.insert(&mut ref_ctrl, &serial(), &kmers).unwrap();
 
         // Interrupted run: first half, export, restore on fresh hardware,
         // second half.
         let (mut ctrl_a, mut table_a) = setup();
         let half = kmers.len() / 2;
-        for &kmer in &kmers[..half] {
-            table_a.insert(&mut ctrl_a, kmer).unwrap();
-        }
+        table_a.insert(&mut ctrl_a, &serial(), &kmers[..half]).unwrap();
         let before_export = *ctrl_a.stats();
         let entries = table_a.export_entries(&mut ctrl_a).unwrap();
         assert_eq!(*ctrl_a.stats(), before_export, "export must not charge");
@@ -911,13 +892,11 @@ mod tests {
         .unwrap();
         assert!(ctrl_b.ledger().is_empty(), "restore must not charge");
         assert_eq!(restored.stats(), table_a.stats());
-        for &kmer in &kmers[half..] {
-            restored.insert(&mut ctrl_b, kmer).unwrap();
-        }
+        restored.insert(&mut ctrl_b, &serial(), &kmers[half..]).unwrap();
         assert_eq!(restored.stats(), reference.stats());
         assert_eq!(
-            restored.scan(&mut ctrl_b).unwrap(),
-            reference.scan(&mut ref_ctrl).unwrap(),
+            restored.scan(&mut ctrl_b, &serial()).unwrap(),
+            reference.scan(&mut ref_ctrl, &serial()).unwrap(),
             "restored table must continue byte-identically"
         );
     }
@@ -930,9 +909,20 @@ mod tests {
         let capacity = table.mapper().layout().kmer_rows();
         let kmers: Vec<Kmer> =
             (0..(capacity as u64 + 5)).map(|v| Kmer::from_packed(v * 7 + 1, 12).unwrap()).collect();
-        let err = table.insert_batch(&mut ctrl, &ParallelDispatcher::serial(), &kmers).unwrap_err();
+        let err = table.insert(&mut ctrl, &serial(), &kmers).unwrap_err();
         assert!(matches!(err, PimError::SubarrayFull { .. }));
         // The shadow directory survived the failure: the table still scans.
-        assert_eq!(table.scan(&mut ctrl).unwrap().len(), capacity);
+        assert_eq!(table.scan(&mut ctrl, &serial()).unwrap().len(), capacity);
+    }
+
+    #[test]
+    fn overflowing_merge_names_the_field_and_keeps_the_totals() {
+        let mut stats = HashStats { probes: u64::MAX, ..HashStats::default() };
+        let before = stats;
+        let err = stats.merge(&HashStats { inserted_total: 1, probes: 1, ..HashStats::default() });
+        let err = err.unwrap_err();
+        assert!(matches!(err, PimError::Checkpoint { .. }), "{err}");
+        assert!(err.to_string().contains("hash.probes"), "{err}");
+        assert_eq!(stats, before, "a failed merge must not apply part of the sum");
     }
 }

@@ -7,7 +7,7 @@
 //! the sub-array exposes compute rows, the farthest-next-use temp is
 //! *spilled to copy* — RowCloned out to an allocator-introduced spill row
 //! and RowCloned back before its next read. Spilling changes the command
-//! trace (extra type-1 AAPs) but never the resulting array state.
+//! sequence (extra type-1 AAPs) but never the resulting array state.
 //!
 //! Lowest-free + expire-at-last-use reproduces the historical hand
 //! assignments for both canonical kernels byte-for-byte, which is what

@@ -2,11 +2,11 @@
 //!
 //! The Modified Row Decoder only multi-activates the eight compute rows,
 //! rejects duplicate rows in one activation set, and the sense amp cannot
-//! evaluate `Memory`/`Carry` for a two-source AAP. `pim-verify` checks all
-//! of this on recorded command traces *after* execution; this pass checks
-//! the same rules on the IR *before* any command is emitted, so an illegal
-//! kernel fails with a typed [`IrError`] carrying its source-kernel span
-//! instead of a runtime trace violation.
+//! evaluate `Memory`/`Carry` for a two-source AAP. The DRAM model checks
+//! all of this on every command it executes (`pim_dram::subarray`); this
+//! pass checks the same rules on the IR *before* any command is emitted,
+//! so an illegal kernel fails with a typed [`IrError`] carrying its
+//! source-kernel span instead of a runtime DRAM error.
 
 use pim_dram::sense_amp::SaMode;
 

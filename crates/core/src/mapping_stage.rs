@@ -944,7 +944,7 @@ pub struct MappingRunReport {
 /// # Errors
 ///
 /// Index build or mapping errors (overflowing seed regions, DRAM
-/// addressing failures).
+/// addressing failures); an invalid `fault_rate`.
 pub fn run_mapping(
     config: &MappingRunConfig,
     genome: &DnaSequence,
@@ -954,7 +954,7 @@ pub fn run_mapping(
     let mut ctrl = Controller::with_profile(g, &config.backend.profile());
     ctrl.enable_metrics();
     if config.fault_rate > 0.0 {
-        ctrl.inject_faults(FaultConfig::new(config.fault_rate, config.fault_seed));
+        ctrl.inject_faults(FaultConfig::new(config.fault_rate, config.fault_seed)?);
     }
     ctrl.set_stage(Stage::Mapping);
 

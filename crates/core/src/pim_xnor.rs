@@ -14,8 +14,8 @@
 //! holds the [`Kernel::Xnor`] template lowered through the [`crate::ir`]
 //! pipeline, and every probe executes that one compiled kernel (sensing
 //! the final XNOR so the DPU can reduce its read-out). Sensed and discard
-//! AAPs charge identically, so the command trace is byte-identical to the
-//! pre-IR direct-port sequence.
+//! AAPs charge identically, so the command sequence is the same as the
+//! pre-IR direct-port one.
 
 use pim_dram::address::{RowAddr, SubarrayId};
 use pim_dram::bitrow::BitRow;

@@ -8,8 +8,8 @@
 //! primitives.
 //!
 //! Every run goes through a [`Session`]: a resumable run that advances
-//! the stage executors ([`HashmapExec`], then
-//! [`GraphStage::build_retaining`], then [`TraverseExec`]) chunk by chunk,
+//! the stage executors ([`HashmapExec`], then [`GraphStage::build`], then
+//! [`TraverseExec`]) chunk by chunk,
 //! optionally persists a [`StageCheckpoint`] after every chunk and stage
 //! boundary, and can be reconstructed from disk with [`Session::resume`].
 //! `assemble` is `Session::start(..)?.run(reads)`. The load-bearing
@@ -585,6 +585,12 @@ impl<'a> Session<'a> {
         &self.violations
     }
 
+    /// The memory controller the session drives (inspection between
+    /// stages, e.g. ledger conservation at a stage boundary).
+    pub fn controller(&self) -> &Controller {
+        &self.asm.ctrl
+    }
+
     /// Runs the graph stage if it is pending, writing the
     /// `stage = traverse` checkpoint at its boundary. A no-op at any
     /// other phase; [`Session::finish`] calls this itself, but exposing
@@ -603,15 +609,14 @@ impl<'a> Session<'a> {
                 let PimAssembler { config, ctrl, dispatcher, spans } = &mut *self.asm;
                 ctrl.set_stage(Stage::Graph);
                 let stage_start = spans.as_deref().map(SpanRecorder::now_ns);
-                let (mut graph, mut partitioning, graph_stats, survivors) =
-                    GraphStage::build_retaining(
-                        ctrl,
-                        dispatcher,
-                        &table,
-                        config.min_count,
-                        aux_subarray(config, 0),
-                        partition_intervals(&config.geometry),
-                    )?;
+                let (mut graph, mut partitioning, graph_stats, survivors) = GraphStage::build(
+                    ctrl,
+                    dispatcher,
+                    &table,
+                    config.min_count,
+                    aux_subarray(config, 0),
+                    partition_intervals(&config.geometry),
+                )?;
                 if let Some(max_tip) = config.simplify_tips {
                     let before_edges = graph.edge_count();
                     let (simplified, _) =
@@ -1054,7 +1059,7 @@ mod tests {
         let dir = temp_dir("faults");
         prepare_dir(&dir, false).unwrap();
         let mut asm = PimAssembler::new(PimAssemblerConfig::small_test(13));
-        asm.inject_faults(pim_dram::fault::FaultConfig::new(0.001, 42));
+        asm.inject_faults(pim_dram::fault::FaultConfig::new(0.001, 42).unwrap());
         let err = match Session::start(&mut asm, Some(dir.clone())) {
             Err(err) => err,
             Ok(_) => panic!("fault-armed session must not checkpoint"),

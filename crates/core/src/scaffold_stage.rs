@@ -17,6 +17,7 @@ use pim_genome::scaffold::{ReadPair, Scaffold, Scaffolder};
 use pim_genome::DnaSequence;
 use pim_obsv::{Metric, Stage};
 
+use crate::dispatch::ParallelDispatcher;
 use crate::dpu::Dpu;
 use crate::error::Result;
 use crate::hashmap_stage::PimHashTable;
@@ -63,13 +64,15 @@ impl ScaffoldStage {
         let mut stats = ScaffoldStats::default();
         let mut table = PimHashTable::new(mapper);
         let mut sidecar: HashMap<u64, (usize, usize)> = HashMap::new();
+        let mut kmers = Vec::new();
         for (ci, c) in contigs.iter().enumerate() {
             for (off, kmer) in KmerIter::new(c.sequence(), k)?.enumerate() {
-                table.insert(ctrl, kmer)?;
-                stats.index_kmers += 1;
+                kmers.push(kmer);
                 sidecar.entry(kmer.packed()).or_insert((ci, off));
             }
         }
+        table.insert(ctrl, &ParallelDispatcher::serial(), &kmers)?;
+        stats.index_kmers = kmers.len() as u64;
         for p in pairs {
             let a = anchor(ctrl, &mut table, &sidecar, &p.r1.seq, k)?;
             let b = anchor(ctrl, &mut table, &sidecar, &p.r2.seq, k)?;

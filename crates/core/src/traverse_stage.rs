@@ -49,21 +49,28 @@ pub struct TraverseStats {
 pub struct TraverseStage;
 
 impl TraverseStage {
-    /// Computes `(out_degrees, in_degrees)` of `graph` with `PIM_Add`,
-    /// every full-adder slice (dense path) or synthetic charge (fallback
-    /// path) lowered for `backend` at optimization level `opt`.
+    /// Computes `(out_degrees, in_degrees, dense)` of `graph` with
+    /// `PIM_Add`, every full-adder slice (dense path) or synthetic charge
+    /// (fallback path) lowered for `backend` at optimization level `opt`.
     ///
-    /// Uses the dense Fig. 8 mapping in `work` when the graph fits
-    /// (`nodes ≤ min(cols, rows/3)`), otherwise accounts the same command
-    /// volume synthetically.
+    /// When the graph fits the dense Fig. 8 mapping
+    /// (`nodes ≤ min(cols, rows/3)`), the out- and in-degree passes run as
+    /// two dispatcher partitions, out-degrees in `work[0]` and in-degrees
+    /// in `work[1]`; they write disjoint sub-arrays, so the degrees and
+    /// command totals are the same for any worker count. Larger graphs get
+    /// their degrees in software and the same command volume accounted
+    /// synthetically on the controller.
     ///
     /// # Errors
     ///
-    /// Propagates DRAM addressing and scratch errors.
+    /// [`pim_dram::DramError::SubarrayDetached`] (wrapped) if the two work
+    /// sub-arrays coincide on the dense path; otherwise DRAM addressing
+    /// and scratch errors.
     pub fn degrees(
-        ctrl: &mut impl AapPort,
+        ctrl: &mut Controller,
+        dispatcher: &ParallelDispatcher,
         graph: &DeBruijnGraph,
-        work: SubarrayId,
+        work: [SubarrayId; 2],
         backend: BackendKind,
         opt: OptLevel,
     ) -> Result<(Vec<u64>, Vec<u64>, bool)> {
@@ -72,8 +79,14 @@ impl TraverseStage {
         let rows = ctrl.geometry().rows;
         if n > 0 && n <= cols && 3 * n + 8 < rows {
             // Column sums of Aᵀ rows give out-degrees; of A rows, in-degrees.
-            let out = Self::dense_degree_pass(ctrl, graph, work, true, backend, opt)?;
-            let inc = Self::dense_degree_pass(ctrl, graph, work, false, backend, opt)?;
+            let partitions = vec![(work[0], true), (work[1], false)];
+            let mut passes =
+                dispatcher.run_partitions(ctrl, partitions, move |ctx, transpose| {
+                    let work = ctx.id();
+                    Self::dense_degree_pass(ctx, graph, work, transpose, backend, opt)
+                })?;
+            let inc = passes.pop().expect("two partitions dispatched");
+            let out = passes.pop().expect("two partitions dispatched");
             Ok((out, inc, true))
         } else {
             // Synthetic accounting: the same adjacency-row reduction the
@@ -94,91 +107,29 @@ impl TraverseStage {
         }
     }
 
-    /// Runs the full traverse stage: degrees, start selection, Euler walk.
+    /// Runs the full traverse stage: degrees ([`TraverseStage::degrees`]),
+    /// start selection, Euler walk.
     ///
     /// # Errors
     ///
-    /// Propagates DRAM addressing and scratch errors.
+    /// As [`TraverseStage::degrees`].
     pub fn run(
         ctrl: &mut Controller,
+        dispatcher: &ParallelDispatcher,
         graph: &DeBruijnGraph,
-        work: SubarrayId,
+        work: [SubarrayId; 2],
         algorithm: EulerAlgorithm,
+        backend: BackendKind,
+        opt: OptLevel,
     ) -> Result<(Vec<Trail>, TraverseStats)> {
-        let (out, inc, dense) =
-            Self::degrees(ctrl, graph, work, BackendKind::PimAssembler, OptLevel::O0)?;
+        let (out, inc, dense) = Self::degrees(ctrl, dispatcher, graph, work, backend, opt)?;
         Self::walk(ctrl, graph, &out, &inc, dense, algorithm)
     }
 
-    /// [`TraverseStage::run`] with the two dense degree passes (out- and
-    /// in-degrees) dispatched as independent partitions over two *distinct*
-    /// work sub-arrays. The passes write disjoint sub-arrays and the walk
-    /// itself is host-side, so the trails and command totals are identical
-    /// to running the same two passes serially, for any worker count.
-    ///
-    /// # Errors
-    ///
-    /// [`pim_dram::DramError::SubarrayDetached`] (wrapped) if
-    /// `work_out == work_in`; otherwise DRAM addressing and scratch errors.
-    pub fn run_with_dispatcher(
-        ctrl: &mut Controller,
-        dispatcher: &ParallelDispatcher,
-        graph: &DeBruijnGraph,
-        work_out: SubarrayId,
-        work_in: SubarrayId,
-        algorithm: EulerAlgorithm,
-        opt: OptLevel,
-    ) -> Result<(Vec<Trail>, TraverseStats)> {
-        let (out, inc, dense) =
-            Self::degrees_with_dispatcher(ctrl, dispatcher, graph, work_out, work_in, opt)?;
-        Self::walk(ctrl, graph, &out, &inc, dense, algorithm)
-    }
-
-    /// [`TraverseStage::degrees`] with the out- and in-degree passes as two
-    /// dispatcher partitions (out-degrees in `work_out`, in-degrees in
-    /// `work_in`). The synthetic fallback for oversized graphs is inherently
-    /// serial bookkeeping and runs on the controller directly.
-    ///
-    /// # Errors
-    ///
-    /// As [`TraverseStage::run_with_dispatcher`].
-    pub fn degrees_with_dispatcher(
-        ctrl: &mut Controller,
-        dispatcher: &ParallelDispatcher,
-        graph: &DeBruijnGraph,
-        work_out: SubarrayId,
-        work_in: SubarrayId,
-        opt: OptLevel,
-    ) -> Result<(Vec<u64>, Vec<u64>, bool)> {
-        let n = graph.node_count();
-        let cols = ctrl.geometry().cols;
-        let rows = ctrl.geometry().rows;
-        if n > 0 && n <= cols && 3 * n + 8 < rows {
-            let partitions = vec![(work_out, true), (work_in, false)];
-            let mut passes =
-                dispatcher.run_partitions(ctrl, partitions, move |ctx, transpose| {
-                    let work = ctx.id();
-                    Self::dense_degree_pass(
-                        ctx,
-                        graph,
-                        work,
-                        transpose,
-                        BackendKind::PimAssembler,
-                        opt,
-                    )
-                })?;
-            let inc = passes.pop().expect("two partitions dispatched");
-            let out = passes.pop().expect("two partitions dispatched");
-            Ok((out, inc, true))
-        } else {
-            Self::degrees(ctrl, graph, work_out, BackendKind::PimAssembler, opt)
-        }
-    }
-
-    /// The host-side tail shared by the serial and dispatched runs: start
-    /// selection, Euler walk, and per-edge traversal accounting.
+    /// The host-side tail of the stage: start selection, Euler walk, and
+    /// per-edge traversal accounting.
     fn walk(
-        ctrl: &mut impl AapPort,
+        ctrl: &mut Controller,
         graph: &DeBruijnGraph,
         out: &[u64],
         inc: &[u64],
@@ -325,26 +276,26 @@ impl TraverseExec {
         cp.fields.insert("graph.mem_inserts".into(), self.graph_stats.mem_inserts);
     }
 
-    /// Runs the stage ([`TraverseStage::run_with_dispatcher`] with
-    /// Hierholzer's walk) and hands the trails, the graph and its
+    /// Runs the stage ([`TraverseStage::run`] with Hierholzer's walk, on
+    /// the PIM-Assembler backend) and hands the trails, the graph and its
     /// statistics on for contig spelling and reporting.
     ///
     /// # Errors
     ///
-    /// As [`TraverseStage::run_with_dispatcher`].
+    /// As [`TraverseStage::run`].
     pub fn run(
         self,
         ctrl: &mut Controller,
         dispatcher: &ParallelDispatcher,
         opt: OptLevel,
     ) -> Result<TraverseArtifact> {
-        let (trails, stats) = TraverseStage::run_with_dispatcher(
+        let (trails, stats) = TraverseStage::run(
             ctrl,
             dispatcher,
             &self.graph,
-            self.work_out,
-            self.work_in,
+            [self.work_out, self.work_in],
             EulerAlgorithm::Hierholzer,
+            BackendKind::PimAssembler,
             opt,
         )?;
         Ok(TraverseArtifact {
@@ -366,10 +317,12 @@ mod tests {
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
-    fn setup() -> (Controller, SubarrayId) {
+    /// A controller plus the two work sub-arrays of the degree passes.
+    fn setup() -> (Controller, [SubarrayId; 2]) {
         let ctrl = Controller::new(DramGeometry::paper_assembly());
-        let id = ctrl.subarray_handle(0, 2, 0, 0).unwrap();
-        (ctrl, id)
+        let work =
+            [ctrl.subarray_handle(0, 2, 0, 0).unwrap(), ctrl.subarray_handle(0, 2, 0, 1).unwrap()];
+        (ctrl, work)
     }
 
     fn graph_of(seq: &str, k: usize) -> DeBruijnGraph {
@@ -379,15 +332,41 @@ mod tests {
         DeBruijnGraph::from_counter(&c, 1)
     }
 
+    fn degrees_of(
+        ctrl: &mut Controller,
+        g: &DeBruijnGraph,
+        work: [SubarrayId; 2],
+    ) -> (Vec<u64>, Vec<u64>, bool) {
+        let serial = ParallelDispatcher::serial();
+        TraverseStage::degrees(ctrl, &serial, g, work, BackendKind::PimAssembler, OptLevel::O0)
+            .unwrap()
+    }
+
+    fn run_on(
+        ctrl: &mut Controller,
+        dispatcher: &ParallelDispatcher,
+        g: &DeBruijnGraph,
+        work: [SubarrayId; 2],
+    ) -> Result<(Vec<Trail>, TraverseStats)> {
+        let algorithm = EulerAlgorithm::Hierholzer;
+        TraverseStage::run(
+            ctrl,
+            dispatcher,
+            g,
+            work,
+            algorithm,
+            BackendKind::PimAssembler,
+            OptLevel::O0,
+        )
+    }
+
     #[test]
     fn fig8_style_degree_accumulation() {
         // A small graph: degrees via the dense PIM mapping must equal the
         // graph's own counters.
         let (mut ctrl, work) = setup();
         let g = graph_of("CGTGCGTGCTTACGGA", 5);
-        let (out, inc, dense) =
-            TraverseStage::degrees(&mut ctrl, &g, work, BackendKind::PimAssembler, OptLevel::O0)
-                .unwrap();
+        let (out, inc, dense) = degrees_of(&mut ctrl, &g, work);
         assert!(dense);
         for v in 0..g.node_count() {
             assert_eq!(out[v], g.out_degree(v) as u64, "out {v}");
@@ -404,9 +383,7 @@ mod tests {
         let seq = DnaSequence::random(&mut rng, 150).to_string();
         let g = graph_of(&seq, 6);
         assert!(g.node_count() <= 256, "test graph too large");
-        let (out, inc, dense) =
-            TraverseStage::degrees(&mut ctrl, &g, work, BackendKind::PimAssembler, OptLevel::O0)
-                .unwrap();
+        let (out, inc, dense) = degrees_of(&mut ctrl, &g, work);
         assert!(dense);
         for v in 0..g.node_count() {
             assert_eq!(out[v], g.out_degree(v) as u64);
@@ -422,9 +399,7 @@ mod tests {
         let g = graph_of(&seq, 11);
         assert!(g.node_count() > 256);
         let before = *ctrl.stats();
-        let (_, _, dense) =
-            TraverseStage::degrees(&mut ctrl, &g, work, BackendKind::PimAssembler, OptLevel::O0)
-                .unwrap();
+        let (_, _, dense) = degrees_of(&mut ctrl, &g, work);
         assert!(!dense);
         let d = ctrl.stats().since(&before);
         assert!(d.aap3 > 0 && d.aap2 > 0, "synthetic accounting missing: {d}");
@@ -434,8 +409,7 @@ mod tests {
     fn run_produces_covering_trails() {
         let (mut ctrl, work) = setup();
         let g = graph_of("ATTGCCGGAACT", 4);
-        let (trails, stats) =
-            TraverseStage::run(&mut ctrl, &g, work, EulerAlgorithm::Hierholzer).unwrap();
+        let (trails, stats) = run_on(&mut ctrl, &ParallelDispatcher::serial(), &g, work).unwrap();
         assert!(pim_genome::euler::trails_cover_all_edges(&g, &trails));
         assert_eq!(stats.edges_walked as usize, g.edge_count());
         assert!(stats.dense_mapping);
@@ -446,20 +420,11 @@ mod tests {
         let g = graph_of("CGTGCGTGCTTACGGA", 5);
         let (mut serial_ctrl, work) = setup();
         let (trails_s, stats_s) =
-            TraverseStage::run(&mut serial_ctrl, &g, work, EulerAlgorithm::Hierholzer).unwrap();
-        for workers in [1, 2] {
-            let (mut ctrl, work_out) = setup();
-            let work_in = ctrl.subarray_handle(0, 2, 0, 1).unwrap();
-            let (trails, stats) = TraverseStage::run_with_dispatcher(
-                &mut ctrl,
-                &ParallelDispatcher::with_workers(workers),
-                &g,
-                work_out,
-                work_in,
-                EulerAlgorithm::Hierholzer,
-                OptLevel::O0,
-            )
-            .unwrap();
+            run_on(&mut serial_ctrl, &ParallelDispatcher::serial(), &g, work).unwrap();
+        for workers in [2, 4] {
+            let (mut ctrl, work) = setup();
+            let pool = ParallelDispatcher::with_workers(workers);
+            let (trails, stats) = run_on(&mut ctrl, &pool, &g, work).unwrap();
             assert_eq!(trails, trails_s, "workers={workers}");
             assert_eq!(stats, stats_s, "workers={workers}");
             assert_eq!(*ctrl.stats(), *serial_ctrl.stats(), "workers={workers}");
@@ -469,17 +434,8 @@ mod tests {
     #[test]
     fn dispatched_run_rejects_identical_work_subarrays() {
         let g = graph_of("CGTGCGTGCTTACGGA", 5);
-        let (mut ctrl, work) = setup();
-        let err = TraverseStage::run_with_dispatcher(
-            &mut ctrl,
-            &ParallelDispatcher::serial(),
-            &g,
-            work,
-            work,
-            EulerAlgorithm::Hierholzer,
-            OptLevel::O0,
-        )
-        .unwrap_err();
+        let (mut ctrl, [work, _]) = setup();
+        let err = run_on(&mut ctrl, &ParallelDispatcher::serial(), &g, [work, work]).unwrap_err();
         assert!(matches!(
             err,
             crate::error::PimError::Dram(pim_dram::DramError::SubarrayDetached { .. })
@@ -489,30 +445,19 @@ mod tests {
     #[test]
     fn traverse_exec_matches_direct_run() {
         let g = graph_of("CGTGCGTGCTTACGGA", 5);
-        let (mut ctrl_a, work_out_a) = setup();
-        let work_in_a = ctrl_a.subarray_handle(0, 2, 0, 1).unwrap();
+        let (mut ctrl_a, work) = setup();
         let dispatcher = ParallelDispatcher::serial();
-        let (trails_ref, stats_ref) = TraverseStage::run_with_dispatcher(
-            &mut ctrl_a,
-            &dispatcher,
-            &g,
-            work_out_a,
-            work_in_a,
-            EulerAlgorithm::Hierholzer,
-            OptLevel::O0,
-        )
-        .unwrap();
+        let (trails_ref, stats_ref) = run_on(&mut ctrl_a, &dispatcher, &g, work).unwrap();
 
-        let (mut ctrl_b, work_out_b) = setup();
-        let work_in_b = ctrl_b.subarray_handle(0, 2, 0, 1).unwrap();
+        let (mut ctrl_b, [work_out, work_in]) = setup();
         let partitioning = crate::partition::IntervalBlockPartitioner::new(2, 64).partition(&g);
         let exec = TraverseExec::new(
             g.clone(),
             partitioning,
             crate::graph_stage::GraphStats::default(),
             Vec::new(),
-            work_out_b,
-            work_in_b,
+            work_out,
+            work_in,
         );
         let art = exec.run(&mut ctrl_b, &dispatcher, OptLevel::O0).unwrap();
         assert_eq!(art.trails, trails_ref);
@@ -524,8 +469,7 @@ mod tests {
     fn empty_graph_is_handled() {
         let (mut ctrl, work) = setup();
         let g = DeBruijnGraph::from_kmers(4, std::iter::empty());
-        let (trails, stats) =
-            TraverseStage::run(&mut ctrl, &g, work, EulerAlgorithm::Hierholzer).unwrap();
+        let (trails, stats) = run_on(&mut ctrl, &ParallelDispatcher::serial(), &g, work).unwrap();
         assert!(trails.is_empty());
         assert_eq!(stats.edges_walked, 0);
     }

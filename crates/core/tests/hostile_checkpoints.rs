@@ -160,6 +160,24 @@ fn overflowing_checkpointed_metric_is_a_checkpoint_error() {
     assert_run_error("metric", &cp, observed, true);
 }
 
+#[test]
+fn overflowing_hash_statistics_are_a_checkpoint_error() {
+    // The resumed run adds the next chunks' counts to the checkpointed
+    // totals: a saturated one overflowed there (a panic in debug builds,
+    // a silent wrap in release builds).
+    let base = checkpoint("hash-stats", false, config());
+    for field in ["hash.inserted_total", "hash.distinct", "hash.probes", "hash.hits", "kmer_count"]
+    {
+        let mut cp = base.clone();
+        *cp.fields.get_mut(field).unwrap() = u64::MAX;
+        let dir = temp_dir("hash-stats");
+        let err = resume_from(&dir, &cp.to_text(), config(), true).unwrap_err();
+        assert!(matches!(err, PimError::Checkpoint { .. }), "{field}: {err}");
+        assert!(err.to_string().contains(field), "{field}: {err}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
 /// Interesting replacement values: region and partition boundaries,
 /// word-size edges, and the extremes.
 const PROBES: [u64; 16] =

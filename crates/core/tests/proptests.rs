@@ -5,6 +5,7 @@ use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
+use pim_assembler::dispatch::ParallelDispatcher;
 use pim_assembler::hashmap_stage::PimHashTable;
 use pim_assembler::ir::{BackendKind, OptLevel};
 use pim_assembler::mapping::KmerMapper;
@@ -32,11 +33,13 @@ proptest! {
         let mut ctrl = Controller::new(g);
         let mut table = PimHashTable::new(KmerMapper::new(&g, 4, 8));
         let mut soft = KmerCounter::new(k).unwrap();
-        for kmer in KmerIter::new(&seq, k).unwrap() {
-            table.insert(&mut ctrl, kmer).unwrap();
+        let kmers: Vec<_> = KmerIter::new(&seq, k).unwrap().collect();
+        for &kmer in &kmers {
             soft.insert(kmer);
         }
-        let scanned = table.scan(&mut ctrl).unwrap();
+        let serial = ParallelDispatcher::serial();
+        table.insert(&mut ctrl, &serial, &kmers).unwrap();
+        let scanned = table.scan(&mut ctrl, &serial).unwrap();
         prop_assert_eq!(scanned.len(), soft.distinct());
         for (kmer, count) in scanned {
             prop_assert_eq!(count, soft.count(&kmer));
@@ -154,7 +157,6 @@ proptest! {
     }
 }
 
-use pim_assembler::dispatch::ParallelDispatcher;
 use pim_dram::port::AapPort;
 use pim_dram::sense_amp::SaMode;
 

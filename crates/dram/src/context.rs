@@ -7,7 +7,12 @@
 //! address-mapping façade over a set of contexts; a parallel dispatcher
 //! can *detach* a context ([`crate::controller::Controller::detach_context`]),
 //! drive it from a worker thread, and reattach it, with the context's
-//! integer ledger merging back into the controller's totals exactly.
+//! integer ledger merging back into the controller's totals exactly. That
+//! detached route is the one every pipeline stage takes, so the command
+//! legality rules live here, on the executing path: a multi-row
+//! activation must name distinct compute rows the modified row decoder
+//! can raise together, and a two-row activation must sense in a two-row
+//! mode. An illegal command returns an error before anything is charged.
 
 use crate::address::{RowAddr, SubarrayId};
 use crate::bitrow::BitRow;
@@ -42,9 +47,7 @@ pub(crate) fn record_class_obsv(obsv: &mut ContextObsv, class: CommandClass, cou
 /// (`write_row`, `aap_copy`, `aap2`, …) with identical semantics and
 /// identical unit costs, so a command sequence produces the same array
 /// bytes and the same ledger totals whether it runs through the controller
-/// or through a detached context. Context execution is not traced; the
-/// controller's [`crate::trace::CommandTrace`] covers only commands issued
-/// through the façade.
+/// or through a detached context.
 #[derive(Debug, Clone)]
 pub struct SubarrayContext {
     id: SubarrayId,
@@ -433,8 +436,8 @@ mod tests {
     fn discard_variants_keep_fault_stream_in_lock_step() {
         let mut a = context();
         let mut b = context();
-        a.set_fault_injector(Some(FaultInjector::new(&FaultConfig::new(0.05, 7), 0)));
-        b.set_fault_injector(Some(FaultInjector::new(&FaultConfig::new(0.05, 7), 0)));
+        a.set_fault_injector(Some(FaultInjector::new(&FaultConfig::new(0.05, 7).unwrap(), 0)));
+        b.set_fault_injector(Some(FaultInjector::new(&FaultConfig::new(0.05, 7).unwrap(), 0)));
         let cols = a.geometry().cols;
         let x = BitRow::from_fn(cols, |i| i % 2 == 0);
         for ctx in [&mut a, &mut b] {
@@ -449,6 +452,43 @@ mod tests {
         b.aap2_discard(SaMode::Xnor, [x1, x2], 5).unwrap();
         assert_eq!(a.fault_flips(), b.fault_flips());
         assert_eq!(a.read_row(5).unwrap(), b.read_row(5).unwrap());
+    }
+
+    #[test]
+    fn illegal_activations_are_rejected_without_charging() {
+        let mut ctx = context();
+        let cols = ctx.geometry().cols;
+        let (x1, x2, x3) = (ctx.compute_row(0), ctx.compute_row(1), ctx.compute_row(2));
+        ctx.write_row(1, &BitRow::from_fn(cols, |i| i % 2 == 0)).unwrap();
+        ctx.aap_copy(1, x1).unwrap();
+        ctx.aap_copy(1, x2).unwrap();
+        let data = RowAddr(1);
+        let (ledger, obsv) = (*ctx.ledger(), *ctx.obsv());
+        let rows: Vec<BitRow> =
+            (0..ctx.geometry().rows).map(|r| ctx.peek_row(r).unwrap()).collect();
+
+        let pairs = [
+            (SaMode::Xnor, [data, x2], "data-row source"),
+            (SaMode::Xnor, [x1, x1], "repeated source"),
+            (SaMode::Memory, [x1, x2], "memory mode"),
+            (SaMode::Carry, [x1, x2], "carry mode"),
+        ];
+        for (mode, srcs, what) in pairs {
+            assert!(ctx.aap2(mode, srcs, 5).is_err(), "aap2 {what}");
+            assert!(ctx.aap2_discard(mode, srcs, 5).is_err(), "aap2_discard {what}");
+        }
+        for (srcs, what) in [([data, x2, x3], "data-row source"), ([x1, x3, x1], "repeated source")]
+        {
+            assert!(ctx.aap3_carry(srcs, 6).is_err(), "aap3_carry {what}");
+        }
+        assert_eq!(*ctx.ledger(), ledger, "a rejected command must not charge");
+        assert_eq!(*ctx.obsv(), obsv, "a rejected command must not count");
+        for (r, row) in rows.iter().enumerate() {
+            assert_eq!(ctx.peek_row(r).unwrap(), *row, "row {r} changed");
+        }
+        // The same operands in a legal shape execute and charge.
+        ctx.aap2(SaMode::Xnor, [x1, x2], 5).unwrap();
+        assert_eq!(ctx.ledger().total_commands(), ledger.total_commands() + 1);
     }
 
     #[test]

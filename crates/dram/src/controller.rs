@@ -4,23 +4,23 @@
 //! per-sub-array execution contexts ([`SubarrayContext`]): it validates
 //! addresses, routes each command to the owning context (which executes it
 //! bit-accurately and charges its local [`EnergyLedger`]), and maintains
-//! the merged totals, the derived [`CommandStats`] view, and the optional
-//! [`CommandTrace`]. The three AAP instruction types of §II-B map directly
-//! onto [`Controller::aap_copy`], [`Controller::aap2`], and
-//! [`Controller::aap3_carry`].
+//! the merged totals and the derived [`CommandStats`] view. The three AAP
+//! instruction types of §II-B map directly onto [`Controller::aap_copy`],
+//! [`Controller::aap2`], and [`Controller::aap3_carry`].
 //!
-//! For parallel dispatch a context can be *detached*
-//! ([`Controller::detach_context`]), driven from a worker thread through
-//! the [`crate::port::AapPort`] surface, and *reattached*
-//! ([`Controller::reattach_context`]); the work done while detached merges
-//! back into the controller's integer totals exactly, independent of
-//! reattach order. Commands executed on detached contexts are not traced.
+//! The pipeline stages run on detached contexts: a parallel dispatcher
+//! checks a context out ([`Controller::detach_context`]), drives it from
+//! a worker thread through the [`crate::port::AapPort`] surface, and
+//! reattaches it ([`Controller::reattach_context`]); the work done while
+//! detached merges back into the controller's integer totals exactly,
+//! independent of reattach order. Either route checks every command
+//! against the same row decoders and sense-amp modes in
+//! [`crate::subarray::Subarray`] before charging it.
 
 use std::collections::BTreeMap;
 
 use crate::address::{RowAddr, SubarrayId};
 use crate::bitrow::BitRow;
-use crate::command::DramCommand;
 use crate::context::SubarrayContext;
 use crate::energy::EnergyParams;
 use crate::error::{DramError, Result};
@@ -32,7 +32,6 @@ use crate::sense_amp::SaMode;
 use crate::stats::CommandStats;
 use crate::subarray::Subarray;
 use crate::timing::TimingParams;
-use crate::trace::CommandTrace;
 use pim_obsv::{
     ContextObsv, CounterSet, HistKey, Metric, MetricsRegistry, MetricsSnapshot, ScopeId, Stage,
 };
@@ -79,7 +78,6 @@ pub struct Controller {
     /// Floating-point view of `total`, refreshed after every mutation so
     /// [`Controller::stats`] can hand out a reference.
     stats_cache: CommandStats,
-    trace: Option<CommandTrace>,
     /// Armed fault model, applied to every context (see [`crate::fault`]).
     fault: Option<FaultConfig>,
     /// Observability counters for globally-charged traffic (DPU ops,
@@ -132,7 +130,6 @@ impl Controller {
             global: EnergyLedger::default(),
             total: EnergyLedger::default(),
             stats_cache: CommandStats::default(),
-            trace: None,
             fault: None,
             global_obsv: ContextObsv::default(),
             stage: Stage::Setup,
@@ -289,24 +286,6 @@ impl Controller {
         self.contexts.values().map(SubarrayContext::fault_flips).sum()
     }
 
-    /// Enables command tracing, keeping the most recent `capacity` commands
-    /// (see [`CommandTrace`]). Pass 0 to count drops without retaining.
-    /// Only commands issued through the controller are traced; work on
-    /// detached contexts is not.
-    pub fn enable_trace(&mut self, capacity: usize) {
-        self.trace = Some(CommandTrace::new(capacity));
-    }
-
-    /// Disables tracing and returns the collected trace, if any.
-    pub fn take_trace(&mut self) -> Option<CommandTrace> {
-        self.trace.take()
-    }
-
-    /// The active trace, if tracing is enabled.
-    pub fn command_trace(&self) -> Option<&CommandTrace> {
-        self.trace.as_ref()
-    }
-
     /// The configured geometry.
     pub fn geometry(&self) -> &DramGeometry {
         &self.geometry
@@ -411,7 +390,7 @@ impl Controller {
     ) -> Result<()> {
         let row = row.into();
         self.live_context(id)?.write_row(row, data)?;
-        self.account(Some(id), &DramCommand::Write { dst: row });
+        self.account(Some(id), CommandClass::Write);
         Ok(())
     }
 
@@ -424,7 +403,7 @@ impl Controller {
     pub fn read_row(&mut self, id: SubarrayId, row: impl Into<RowAddr>) -> Result<BitRow> {
         let row = row.into();
         let data = self.live_context(id)?.read_row(row)?;
-        self.account(Some(id), &DramCommand::Read { src: row });
+        self.account(Some(id), CommandClass::Read);
         Ok(data)
     }
 
@@ -470,7 +449,7 @@ impl Controller {
     ) -> Result<()> {
         let (src, dst) = (src.into(), dst.into());
         self.live_context(id)?.aap_copy(src, dst)?;
-        self.account(Some(id), &DramCommand::Aap { src, dst });
+        self.account(Some(id), CommandClass::Aap);
         Ok(())
     }
 
@@ -491,12 +470,12 @@ impl Controller {
     ) -> Result<BitRow> {
         let dst = dst.into();
         let out = self.live_context(id)?.aap2(mode, srcs, dst)?;
-        self.account(Some(id), &DramCommand::Aap2 { srcs, dst, mode });
+        self.account(Some(id), CommandClass::Aap2);
         Ok(out)
     }
 
     /// Type-2 AAP whose sensed output the caller does not need. Identical
-    /// array state, accounting, and trace as [`Controller::aap2`], but the
+    /// array state and accounting as [`Controller::aap2`], but the
     /// sensed result row is never materialized — the allocation-free bulk
     /// path executors use when they drop the return value.
     ///
@@ -512,7 +491,7 @@ impl Controller {
     ) -> Result<()> {
         let dst = dst.into();
         self.live_context(id)?.aap2_discard(mode, srcs, dst)?;
-        self.account(Some(id), &DramCommand::Aap2 { srcs, dst, mode });
+        self.account(Some(id), CommandClass::Aap2);
         Ok(())
     }
 
@@ -559,7 +538,7 @@ impl Controller {
     ) -> Result<BitRow> {
         let dst = dst.into();
         let out = self.live_context(id)?.aap3_carry(srcs, dst)?;
-        self.account(Some(id), &DramCommand::Aap3 { srcs, dst, mode: SaMode::Carry });
+        self.account(Some(id), CommandClass::Aap3);
         Ok(out)
     }
 
@@ -577,7 +556,7 @@ impl Controller {
     ) -> Result<()> {
         let dst = dst.into();
         self.live_context(id)?.aap3_carry_discard(srcs, dst)?;
-        self.account(Some(id), &DramCommand::Aap3 { srcs, dst, mode: SaMode::Carry });
+        self.account(Some(id), CommandClass::Aap3);
         Ok(())
     }
 
@@ -604,22 +583,12 @@ impl Controller {
     /// Records one DPU scalar operation (MAT-level digital processing unit).
     pub fn dpu_op(&mut self) {
         self.global_obsv.record(Metric::DpuOps, 1);
-        self.account(None, &DramCommand::DpuOp);
+        self.account(None, CommandClass::Dpu);
     }
 
-    /// Records `n` DPU scalar operations.
-    ///
-    /// Without tracing this is a single batched ledger charge
-    /// (`charge_many`, exactly `n` single charges by construction); with
-    /// tracing enabled it issues per-op so every command lands in the
-    /// trace individually.
+    /// Records `n` DPU scalar operations as one batched ledger charge
+    /// (`charge_many`, exactly `n` single charges by construction).
     pub fn dpu_ops(&mut self, n: u64) {
-        if self.trace.is_some() {
-            for _ in 0..n {
-                self.dpu_op();
-            }
-            return;
-        }
         self.global.charge_many(CommandClass::Dpu, &self.costs, n);
         self.total.charge_many(CommandClass::Dpu, &self.costs, n);
         self.global_obsv.record(Metric::DpuOps, n);
@@ -630,7 +599,7 @@ impl Controller {
     /// them — used when a stage's traffic is accounted analytically (e.g.
     /// degree accumulation of a graph too large for the functional dense
     /// mapping). Synthetic commands are charged to the controller's global
-    /// ledger and are not traced.
+    /// ledger.
     pub fn record_synthetic(&mut self, class: CommandClass, count: u64) {
         if count == 0 {
             return;
@@ -792,17 +761,13 @@ impl Controller {
             .collect()
     }
 
-    fn account(&mut self, id: Option<SubarrayId>, cmd: &DramCommand) {
-        let class = CommandClass::of(cmd);
+    fn account(&mut self, id: Option<SubarrayId>, class: CommandClass) {
         if id.is_none() {
             // Sub-array commands were already charged to their context.
             self.global.charge(class, &self.costs);
         }
         self.total.charge(class, &self.costs);
         self.stats_cache = self.total.to_stats();
-        if let Some(trace) = &mut self.trace {
-            trace.record(self.total.total_time_ps(), id, *cmd);
-        }
     }
 }
 
@@ -881,24 +846,6 @@ mod tests {
     }
 
     #[test]
-    fn trace_records_issued_commands() {
-        let (mut c, id) = ctrl();
-        c.enable_trace(8);
-        let cols = c.geometry().cols;
-        c.write_row(id, 0, &BitRow::ones(cols)).unwrap();
-        c.aap_copy(id, 0, 1).unwrap();
-        c.dpu_op();
-        let trace = c.take_trace().unwrap();
-        assert_eq!(trace.len(), 3);
-        let kinds: Vec<&str> = trace.entries().map(|e| e.command.mnemonic()).collect();
-        assert_eq!(kinds, vec!["WR", "AAP", "DPU"]);
-        // DPU is global (no sub-array).
-        assert!(trace.entries().last().unwrap().subarray.is_none());
-        // Tracing disabled after take.
-        assert!(c.command_trace().is_none());
-    }
-
-    #[test]
     fn take_stats_resets() {
         let (mut c, id) = ctrl();
         let cols = c.geometry().cols;
@@ -968,7 +915,7 @@ mod tests {
     fn fault_injection_corrupts_readouts_but_not_stored_state() {
         let (mut c, id) = ctrl();
         let cols = c.geometry().cols;
-        c.inject_faults(crate::fault::FaultConfig::new(1.0, 9));
+        c.inject_faults(crate::fault::FaultConfig::new(1.0, 9).unwrap());
         c.write_row(id, 0, &BitRow::zeros(cols)).unwrap();
         let read = c.read_row(id, 0).unwrap();
         assert!(read.all_ones(), "rate-1.0 injection must flip every sensed bit");

@@ -16,6 +16,7 @@
 //! interleaving.
 
 use crate::bitrow::BitRow;
+use crate::error::{DramError, Result};
 
 /// Fault-injection configuration: per-bit flip probability and seed.
 ///
@@ -24,8 +25,10 @@ use crate::bitrow::BitRow;
 /// ```
 /// use pim_dram::fault::FaultConfig;
 ///
-/// let cfg = FaultConfig::new(1e-3, 42);
+/// let cfg = FaultConfig::new(1e-3, 42)?;
 /// assert_eq!(cfg.flip_rate, 1e-3);
+/// assert!(FaultConfig::new(f64::NAN, 42).is_err());
+/// # Ok::<(), pim_dram::DramError>(())
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultConfig {
@@ -38,15 +41,17 @@ pub struct FaultConfig {
 impl FaultConfig {
     /// Creates a configuration.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics unless `flip_rate` is in `[0, 1]` and finite.
-    pub fn new(flip_rate: f64, seed: u64) -> Self {
-        assert!(
-            flip_rate.is_finite() && (0.0..=1.0).contains(&flip_rate),
-            "flip rate must be in [0, 1], got {flip_rate}"
-        );
-        FaultConfig { flip_rate, seed }
+    /// [`DramError::InvalidParameter`] unless `flip_rate` is a probability
+    /// (in `[0, 1]`, so not NaN).
+    pub fn new(flip_rate: f64, seed: u64) -> Result<Self> {
+        if !(0.0..=1.0).contains(&flip_rate) {
+            return Err(DramError::InvalidParameter {
+                what: "fault flip rate must be a probability in [0, 1]",
+            });
+        }
+        Ok(FaultConfig { flip_rate, seed })
     }
 }
 
@@ -121,7 +126,7 @@ mod tests {
 
     #[test]
     fn zero_rate_never_flips() {
-        let mut inj = FaultInjector::new(&FaultConfig::new(0.0, 1), 0);
+        let mut inj = FaultInjector::new(&FaultConfig::new(0.0, 1).unwrap(), 0);
         let mut row = BitRow::from_fn(256, |i| i % 3 == 0);
         let orig = row.clone();
         for _ in 0..50 {
@@ -134,7 +139,7 @@ mod tests {
 
     #[test]
     fn full_rate_flips_everything() {
-        let mut inj = FaultInjector::new(&FaultConfig::new(1.0, 2), 0);
+        let mut inj = FaultInjector::new(&FaultConfig::new(1.0, 2).unwrap(), 0);
         let mut row = BitRow::zeros(128);
         inj.corrupt(&mut row);
         assert!(row.all_ones());
@@ -143,7 +148,7 @@ mod tests {
 
     #[test]
     fn flip_rate_is_statistically_honest() {
-        let mut inj = FaultInjector::new(&FaultConfig::new(0.01, 3), 0);
+        let mut inj = FaultInjector::new(&FaultConfig::new(0.01, 3).unwrap(), 0);
         let mut row = BitRow::zeros(256);
         for _ in 0..1000 {
             inj.corrupt(&mut row);
@@ -156,7 +161,7 @@ mod tests {
 
     #[test]
     fn streams_are_independent_and_deterministic() {
-        let cfg = FaultConfig::new(0.05, 7);
+        let cfg = FaultConfig::new(0.05, 7).unwrap();
         let run = |stream: u64| {
             let mut inj = FaultInjector::new(&cfg, stream);
             let mut row = BitRow::zeros(256);
@@ -168,8 +173,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "flip rate")]
     fn out_of_range_rate_rejected() {
-        let _ = FaultConfig::new(1.5, 0);
+        for rate in [f64::NAN, -0.1, 1.5, f64::INFINITY] {
+            let err = FaultConfig::new(rate, 0).unwrap_err();
+            assert!(matches!(err, DramError::InvalidParameter { .. }), "{rate}: {err}");
+            assert!(err.to_string().contains("flip rate"), "{err}");
+        }
+        assert!(FaultConfig::new(0.0, 0).is_ok() && FaultConfig::new(1.0, 0).is_ok());
     }
 }

@@ -9,13 +9,20 @@
 //! The floating-point [`CommandStats`] view the rest of the stack consumes
 //! is derived from the integer totals at read time, so any interleaving of
 //! the same command multiset produces the same `CommandStats`, bit for bit.
+//!
+//! The classes are PIM-Assembler's command set (§II-B *Software Support*):
+//! the three `AAP` shapes differ only in the number of simultaneously
+//! activated source rows — `AAP(src, des)` copies (RowClone-FPM),
+//! `AAP(src1, src2, des)` is a two-row activation (XNOR/NOR/NAND) and
+//! `AAP(src1, src2, src3, des)` an Ambit TRA (majority / carry). `RD`/`WR`
+//! move a row between the array and the host; `DPU` is one MAT-level
+//! digital processing-unit operation.
 
-use crate::command::DramCommand;
 use crate::energy::EnergyParams;
 use crate::stats::CommandStats;
 use crate::timing::TimingParams;
 
-/// The six accounting classes of [`DramCommand`].
+/// The six accounting classes of the PIM-DRAM command set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CommandClass {
     /// Row read to the host (`RD`).
@@ -43,19 +50,7 @@ pub const COMMAND_CLASSES: [CommandClass; 6] = [
 ];
 
 impl CommandClass {
-    /// The class of a concrete command.
-    pub fn of(cmd: &DramCommand) -> Self {
-        match cmd {
-            DramCommand::Read { .. } => CommandClass::Read,
-            DramCommand::Write { .. } => CommandClass::Write,
-            DramCommand::Aap { .. } => CommandClass::Aap,
-            DramCommand::Aap2 { .. } => CommandClass::Aap2,
-            DramCommand::Aap3 { .. } => CommandClass::Aap3,
-            DramCommand::DpuOp => CommandClass::Dpu,
-        }
-    }
-
-    /// Parses a [`DramCommand::mnemonic`] string.
+    /// Parses a [`CommandClass::mnemonic`] string.
     pub fn from_mnemonic(mnemonic: &str) -> Option<Self> {
         Some(match mnemonic {
             "RD" => CommandClass::Read,
@@ -77,6 +72,34 @@ impl CommandClass {
             CommandClass::Aap2 => "AAP2",
             CommandClass::Aap3 => "AAP3",
             CommandClass::Dpu => "DPU",
+        }
+    }
+
+    /// Latency of one command of this class in nanoseconds for a row of
+    /// `cols` bits.
+    fn latency_ns(self, timing: &TimingParams, cols: usize) -> f64 {
+        match self {
+            CommandClass::Read => timing.row_read_ns(cols),
+            CommandClass::Write => timing.row_write_ns(cols),
+            // All AAP shapes take the same tRAS + tRP window: the extra
+            // source rows are raised in the same activation (that is the
+            // point of the modified row decoder).
+            CommandClass::Aap | CommandClass::Aap2 | CommandClass::Aap3 => timing.aap_ns(),
+            // DPU scalar ops run at the array command clock.
+            CommandClass::Dpu => timing.t_ck_ns,
+        }
+    }
+
+    /// Energy of one command of this class in nanojoules for a row of
+    /// `cols` bits.
+    fn energy_nj(self, energy: &EnergyParams, cols: usize) -> f64 {
+        match self {
+            CommandClass::Read => energy.row_read_nj(cols),
+            CommandClass::Write => energy.row_write_nj(cols),
+            CommandClass::Aap => energy.aap_nj(),
+            CommandClass::Aap2 => energy.aap2_nj(),
+            CommandClass::Aap3 => energy.aap3_nj(),
+            CommandClass::Dpu => energy.dpu_op_nj,
         }
     }
 
@@ -117,10 +140,9 @@ impl CommandCosts {
     pub fn new(timing: &TimingParams, energy: &EnergyParams, cols: usize) -> Self {
         let mut units = [UnitCost::default(); 6];
         for class in COMMAND_CLASSES {
-            let probe = probe_command(class);
             units[class.index()] = UnitCost {
-                time_ps: (probe.latency_ns(timing, cols) * 1e3).round() as u64,
-                energy_fj: (probe.energy_nj(energy, cols) * 1e6).round() as u64,
+                time_ps: (class.latency_ns(timing, cols) * 1e3).round() as u64,
+                energy_fj: (class.energy_nj(energy, cols) * 1e6).round() as u64,
             };
         }
         CommandCosts { units }
@@ -129,28 +151,6 @@ impl CommandCosts {
     /// The unit cost of one command of `class`.
     pub fn unit(&self, class: CommandClass) -> UnitCost {
         self.units[class.index()]
-    }
-}
-
-/// A representative command of a class (costs depend only on the class).
-fn probe_command(class: CommandClass) -> DramCommand {
-    use crate::address::RowAddr;
-    use crate::sense_amp::SaMode;
-    match class {
-        CommandClass::Read => DramCommand::Read { src: RowAddr(0) },
-        CommandClass::Write => DramCommand::Write { dst: RowAddr(0) },
-        CommandClass::Aap => DramCommand::Aap { src: RowAddr(0), dst: RowAddr(0) },
-        CommandClass::Aap2 => DramCommand::Aap2 {
-            srcs: [RowAddr(0), RowAddr(1)],
-            dst: RowAddr(0),
-            mode: SaMode::Xnor,
-        },
-        CommandClass::Aap3 => DramCommand::Aap3 {
-            srcs: [RowAddr(0), RowAddr(1), RowAddr(2)],
-            dst: RowAddr(0),
-            mode: SaMode::Carry,
-        },
-        CommandClass::Dpu => DramCommand::DpuOp,
     }
 }
 
@@ -367,7 +367,6 @@ mod tests {
     fn classes_roundtrip_through_mnemonics() {
         for class in COMMAND_CLASSES {
             assert_eq!(CommandClass::from_mnemonic(class.mnemonic()), Some(class));
-            assert_eq!(CommandClass::of(&probe_command(class)), class);
         }
         assert_eq!(CommandClass::from_mnemonic("NOP"), None);
     }
@@ -383,6 +382,22 @@ mod tests {
         // AAP2/AAP3 cost strictly more energy than AAP.
         assert!(c.unit(CommandClass::Aap).energy_fj < c.unit(CommandClass::Aap2).energy_fj);
         assert!(c.unit(CommandClass::Aap2).energy_fj < c.unit(CommandClass::Aap3).energy_fj);
+    }
+
+    #[test]
+    fn class_costs_follow_the_activation_shape() {
+        let (t, e) = (TimingParams::ddr4_2133(), EnergyParams::ddr4_45nm());
+        // One tRAS + tRP window for every AAP shape.
+        let aap = CommandClass::Aap.latency_ns(&t, 256);
+        assert_eq!(CommandClass::Aap2.latency_ns(&t, 256), aap);
+        assert_eq!(CommandClass::Aap3.latency_ns(&t, 256), aap);
+        // Energy grows with the number of activated rows.
+        let energy = |class: CommandClass| class.energy_nj(&e, 256);
+        assert!(energy(CommandClass::Aap) < energy(CommandClass::Aap2));
+        assert!(energy(CommandClass::Aap2) < energy(CommandClass::Aap3));
+        // A DPU op is fast and cheap.
+        assert!(CommandClass::Dpu.latency_ns(&t, 256) < 2.0);
+        assert!(energy(CommandClass::Dpu) < 0.1);
     }
 
     #[test]

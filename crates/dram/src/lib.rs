@@ -51,7 +51,6 @@
 
 pub mod address;
 pub mod bitrow;
-pub mod command;
 pub mod context;
 pub mod controller;
 pub mod decoder;
@@ -68,11 +67,9 @@ pub mod sense_amp;
 pub mod stats;
 pub mod subarray;
 pub mod timing;
-pub mod trace;
 
 pub use address::{RowAddr, SubarrayId};
 pub use bitrow::BitRow;
-pub use command::DramCommand;
 pub use context::SubarrayContext;
 pub use controller::Controller;
 pub use error::{DramError, Result};

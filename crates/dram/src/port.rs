@@ -3,7 +3,7 @@
 //! Kernel code (PIM_XNOR comparison, PIM_Add carry-save trees, DPU
 //! reductions) is written once against [`AapPort`] and runs unchanged
 //! through either the [`crate::controller::Controller`] façade (serial,
-//! traced, globally accounted) or a detached
+//! globally accounted) or a detached
 //! [`crate::context::SubarrayContext`] (thread-local, ledger accounted).
 //! Both implementations execute bit-identically and charge identical
 //! integer unit costs, which is what makes parallel dispatch equivalence

@@ -10,6 +10,7 @@
 //! disagreement between two backends — or between any backend and the
 //! software oracle — is a lowering bug, never tolerance noise.
 
+use pim_assembler::dispatch::ParallelDispatcher;
 use pim_assembler::hashmap_stage::PimHashTable;
 use pim_assembler::ir::{BackendKind, OptLevel};
 use pim_assembler::mapping::KmerMapper;
@@ -20,9 +21,9 @@ use pim_dram::geometry::DramGeometry;
 use pim_dram::stats::CommandStats;
 use pim_genome::debruijn::DeBruijnGraph;
 use pim_genome::hash_table::KmerCounter;
-use pim_genome::kmer::KmerIter;
 
 use crate::genomes::{generate, Scenario, TestCase};
+use crate::oracle::read_kmers;
 use crate::report::{OracleReport, VerifyReport};
 
 /// A controller whose substrate matches `backend`: the profile sets the
@@ -45,17 +46,14 @@ pub fn hashmap_backend_oracle(
     let geometry = *ctrl.geometry();
     let mut table = PimHashTable::with_backend(KmerMapper::new(&geometry, 4, 8), backend, opt);
     let mut soft = KmerCounter::new(k)?;
-    for read in &case.reads {
-        if read.seq.len() < k {
-            continue;
-        }
-        for kmer in KmerIter::new(&read.seq, k)? {
-            table.insert(&mut ctrl, kmer)?;
-            soft.insert(kmer);
-        }
+    let kmers = read_kmers(case, k)?;
+    for &kmer in &kmers {
+        soft.insert(kmer);
     }
+    let serial = ParallelDispatcher::serial();
+    table.insert(&mut ctrl, &serial, &kmers)?;
 
-    let mut scanned = table.scan(&mut ctrl)?;
+    let mut scanned = table.scan(&mut ctrl, &serial)?;
     scanned.sort_by_key(|(kmer, _)| kmer.packed());
     let mut expected: Vec<(u64, u64)> =
         soft.entries().iter().map(|e| (e.kmer.packed(), e.count)).collect();
@@ -106,8 +104,10 @@ pub fn traverse_backend_oracle(
     let graph = DeBruijnGraph::from_counter(&counter, min_count);
 
     let mut ctrl = backend_controller(backend, DramGeometry::paper_assembly());
-    let work = ctrl.subarray_handle(0, 1, 0, 0)?;
-    let (out, inc, _dense) = TraverseStage::degrees(&mut ctrl, &graph, work, backend, opt)?;
+    let work = [ctrl.subarray_handle(0, 1, 0, 0)?, ctrl.subarray_handle(0, 1, 0, 1)?];
+    let serial = ParallelDispatcher::serial();
+    let (out, inc, _dense) =
+        TraverseStage::degrees(&mut ctrl, &serial, &graph, work, backend, opt)?;
 
     let mut mismatches = 0;
     let mut notes = Vec::new();

@@ -9,7 +9,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use pim_assembler::{PimAssembler, PimAssemblerConfig};
+use pim_assembler::{PimAssembler, PimAssemblerConfig, PimError};
 use pim_circuits::variation::{ActivationMethod, MonteCarlo};
 use pim_dram::fault::FaultConfig;
 use pim_genome::stats::genome_fraction;
@@ -45,8 +45,12 @@ pub fn run_campaign(case: &TestCase, k: usize, rates: &[f64], seed: u64) -> Vec<
         .map(|&flip_rate| {
             let outcome = catch_unwind(AssertUnwindSafe(|| {
                 let mut asm = PimAssembler::new(config);
-                asm.inject_faults(FaultConfig::new(flip_rate, seed));
-                let run = asm.assemble(&case.reads);
+                // A rate that is not a probability errors the run.
+                let run =
+                    FaultConfig::new(flip_rate, seed).map_err(PimError::from).and_then(|fault| {
+                        asm.inject_faults(fault);
+                        asm.assemble(&case.reads)
+                    });
                 (run, asm.fault_flips())
             }));
             match outcome {
@@ -116,6 +120,15 @@ mod tests {
                 r.genome_fraction,
                 r.clean_genome_fraction
             );
+        }
+    }
+
+    #[test]
+    fn a_rate_that_is_not_a_probability_errors_the_run() {
+        let case = generate(Scenario::Random, 300, 33);
+        for r in run_campaign(&case, 9, &[f64::NAN, -0.1, 1.5], 7) {
+            assert!(r.graceful() && r.errored, "rate {}", r.flip_rate);
+            assert_eq!(r.flips, 0);
         }
     }
 

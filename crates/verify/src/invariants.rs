@@ -1,17 +1,14 @@
-//! Command-trace invariant checking.
+//! Pipeline invariant checking on the production path.
 //!
-//! Runs the three PIM stages serially against a traced controller and then
-//! replays the recorded command stream through independent legality checks:
+//! Runs the assembly exactly as a [`Session`] runs it — every stage
+//! dispatched over a two-worker pool, so stage work executes on detached
+//! sub-array contexts and merges back on reattach — with observability on,
+//! and checks:
 //!
-//! * **Row-decoder legality** — every multi-row activation (`AAP2`/`AAP3`)
-//!   must name rows the [`ModifiedRowDecoder`] can raise simultaneously
-//!   (only the 8 compute rows are wired for it), with no duplicates.
-//! * **Sense-amp mode legality** — two-row activations only in two-row
-//!   modes, triple-row activations only in `Carry`.
-//! * **Timestamp monotonicity** — the schedule never runs backwards.
-//! * **Ledger conservation** — at a checkpoint after every stage, the
+//! * **Ledger conservation** — at each of the three stage boundaries the
 //!   controller's global ledger plus every attached per-sub-array ledger
-//!   must equal its merged total, integer-exactly.
+//!   must equal its merged total, integer-exactly, with no context left
+//!   detached.
 //! * **Stage budgets** — the run's `pim-obsv` metrics snapshot must stay
 //!   within the command bounds the compiled AAP templates predict
 //!   ([`pim_assembler::budget::pipeline_budget`]): e.g. stage-1 `AAP2`
@@ -20,25 +17,16 @@
 //!   `pim_assembler::ir` lowering pipeline reports for each kernel, so
 //!   they track the compiled programs rather than hand-written tables.
 //!
-//! The first two checks are the runtime mirror of the IR legalizer
-//! (`pim_assembler::ir::legalize`): any program built through the IR path
-//! fails at compile time before it could ever violate them here, and this
-//! replay exists to catch raw-port call sites and fault-injected drift.
+//! Command legality needs no replay here. The IR legalizer
+//! (`pim_assembler::ir::legalize`) rejects an illegal program at compile
+//! time, and [`pim_dram::subarray::Subarray`] checks every command it
+//! executes before the command is charged: a multi-row activation must name
+//! distinct compute rows the modified row decoder can raise together, and a
+//! two-row activation must sense in a two-row mode.
 
 use pim_assembler::budget::pipeline_budget;
-use pim_assembler::graph_stage::GraphStage;
-use pim_assembler::hashmap_stage::PimHashTable;
-use pim_assembler::mapping::KmerMapper;
-use pim_assembler::traverse_stage::TraverseStage;
-use pim_assembler::Result;
-use pim_dram::command::DramCommand;
+use pim_assembler::{PimAssembler, PimAssemblerConfig, Result, Session};
 use pim_dram::controller::Controller;
-use pim_dram::decoder::ModifiedRowDecoder;
-use pim_dram::geometry::DramGeometry;
-use pim_dram::sense_amp::SaMode;
-use pim_genome::euler::EulerAlgorithm;
-use pim_genome::kmer::KmerIter;
-use pim_obsv::Stage;
 
 use crate::genomes::TestCase;
 use crate::report::InvariantReport;
@@ -46,6 +34,10 @@ use crate::report::InvariantReport;
 /// Violation descriptions kept (the violation *count* is what fails the
 /// report; these are for diagnosis).
 const MAX_VIOLATIONS: usize = 20;
+
+/// Workers the checked run dispatches over: more than one, so stage work
+/// really detaches from the controller and reattaches.
+const WORKERS: usize = 2;
 
 fn violation(out: &mut Vec<String>, text: String) {
     if out.len() < MAX_VIOLATIONS {
@@ -74,20 +66,18 @@ fn ledger_conserved(ctrl: &Controller) -> bool {
         && energy == total.total_energy_fj()
 }
 
-/// Runs hashmap → graph → traverse serially on a traced controller and
-/// checks every recorded command against the invariants above.
-///
-/// The serial entry points are used deliberately: dispatcher paths execute
-/// on detached contexts whose commands bypass the controller-side trace.
+/// Runs hashmap → graph → traverse through a two-worker [`Session`] and
+/// checks the invariants above.
 ///
 /// # Errors
 ///
 /// Propagates stage errors (the invariant check requires a healthy run).
 pub fn check_pipeline(case: &TestCase, k: usize, min_count: u64) -> Result<InvariantReport> {
-    let geometry = DramGeometry::paper_assembly();
-    let mut ctrl = Controller::new(geometry);
-    ctrl.enable_trace(1 << 20);
-    ctrl.enable_metrics();
+    let config = PimAssemblerConfig::small_test(k)
+        .with_min_count(min_count)
+        .with_workers(WORKERS)
+        .with_observability(true);
+    let mut asm = PimAssembler::new(config);
     let mut violations = Vec::new();
     let mut ledger_checkpoints = 0;
     let mut checkpoint = |ctrl: &Controller, stage: &str, violations: &mut Vec<String>| {
@@ -97,86 +87,26 @@ pub fn check_pipeline(case: &TestCase, k: usize, min_count: u64) -> Result<Invar
         }
     };
 
-    // Stage 1: hashmap.
-    ctrl.set_stage(Stage::Hashmap);
-    let mut table = PimHashTable::new(KmerMapper::new(&geometry, 4, 8));
-    for read in &case.reads {
-        if read.seq.len() < k {
-            continue;
-        }
-        for kmer in KmerIter::new(&read.seq, k)? {
-            table.insert(&mut ctrl, kmer)?;
-        }
-    }
-    checkpoint(&ctrl, "hashmap", &mut violations);
-
-    // Stage 2: graph construction.
-    ctrl.set_stage(Stage::Graph);
-    let graph_region = ctrl.subarray_handle(0, 1, 0, 0)?;
-    let (graph, _partitioning, _stats) =
-        GraphStage::build(&mut ctrl, &table, min_count, graph_region, 4)?;
-    checkpoint(&ctrl, "graph", &mut violations);
-
-    // Stage 3: traversal.
-    ctrl.set_stage(Stage::Traverse);
-    let work = ctrl.subarray_handle(0, 2, 0, 0)?;
-    TraverseStage::run(&mut ctrl, &graph, work, EulerAlgorithm::Hierholzer)?;
-    checkpoint(&ctrl, "traverse", &mut violations);
+    let mut session = Session::start(&mut asm, None)?;
+    session.feed(&case.reads)?;
+    session.seal()?;
+    checkpoint(session.controller(), "hashmap", &mut violations);
+    session.advance_graph()?;
+    checkpoint(session.controller(), "graph", &mut violations);
+    let run = session.finish()?;
+    checkpoint(asm.controller(), "traverse", &mut violations);
 
     // Stage budgets: the metrics snapshot must stay within the command
     // bounds the compiled templates predict for this workload.
-    let budget = pipeline_budget(geometry.cols);
-    let budget_lines_checked = budget.len();
-    let snapshot = ctrl.metrics_snapshot().expect("metrics were enabled");
-    for v in budget.check(&snapshot) {
+    let budget = pipeline_budget(config.geometry.cols);
+    let snapshot = run.report.metrics.as_ref().expect("observability was on");
+    for v in budget.check(snapshot) {
         violation(&mut violations, v);
     }
-
-    // Replay the trace through the legality checks.
-    let trace = ctrl.take_trace().expect("trace was enabled");
-    let decoder = ModifiedRowDecoder::new(geometry);
-    let mut commands_checked = 0;
-    let mut last_ps = 0u64;
-    for entry in trace.entries() {
-        commands_checked += 1;
-        if entry.at_ps < last_ps {
-            violation(
-                &mut violations,
-                format!("timestamp regression: {} ps after {} ps", entry.at_ps, last_ps),
-            );
-        }
-        last_ps = entry.at_ps;
-        match entry.command {
-            DramCommand::Aap2 { srcs, mode, .. } => {
-                if let Err(e) = decoder.activate_pair(srcs) {
-                    violation(&mut violations, format!("illegal AAP2 activation: {e}"));
-                }
-                if !matches!(
-                    mode,
-                    SaMode::Nor | SaMode::Nand | SaMode::Xor | SaMode::Xnor | SaMode::CarrySum
-                ) {
-                    violation(&mut violations, format!("AAP2 in non-two-row SA mode {mode:?}"));
-                }
-            }
-            DramCommand::Aap3 { srcs, mode, .. } => {
-                if let Err(e) = decoder.activate_triple(srcs) {
-                    violation(&mut violations, format!("illegal AAP3 activation: {e}"));
-                }
-                if mode != SaMode::Carry {
-                    violation(&mut violations, format!("AAP3 in SA mode {mode:?} (must be Carry)"));
-                }
-            }
-            DramCommand::Read { .. }
-            | DramCommand::Write { .. }
-            | DramCommand::Aap { .. }
-            | DramCommand::DpuOp => {}
-        }
-    }
     Ok(InvariantReport {
-        commands_checked,
-        trace_dropped: trace.dropped(),
+        commands_checked: asm.controller().ledger().total_commands(),
         ledger_checkpoints,
-        budget_lines_checked,
+        budget_lines_checked: budget.len(),
         violations,
     })
 }
@@ -185,14 +115,14 @@ pub fn check_pipeline(case: &TestCase, k: usize, min_count: u64) -> Result<Invar
 mod tests {
     use super::*;
     use crate::genomes::{generate, Scenario};
+    use pim_dram::geometry::DramGeometry;
 
     #[test]
-    fn full_pipeline_trace_satisfies_all_invariants() {
+    fn full_pipeline_satisfies_all_invariants() {
         let case = generate(Scenario::Random, 400, 21);
         let report = check_pipeline(&case, 9, 1).unwrap();
         assert!(report.passed(), "violations: {:?}", report.violations);
-        assert!(report.commands_checked > 1000, "expected a substantial trace");
-        assert_eq!(report.trace_dropped, 0);
+        assert!(report.commands_checked > 1000, "expected a substantial run");
         assert_eq!(report.ledger_checkpoints, 3);
         assert!(report.budget_lines_checked >= 5, "stage budgets were evaluated");
     }

@@ -9,10 +9,10 @@
 //!    (hashmap, graph, traverse, scaffold) executed against the DRAM model
 //!    and compared *bit for bit* with the pure-software golden reference
 //!    from `pim-genome`, over random and adversarial inputs ([`genomes`]).
-//! 2. **Trace invariants** ([`invariants`]) — a serial traced pipeline run
-//!    replayed through independent legality checks: modified-row-decoder
-//!    activation legality, sense-amp mode legality, timestamp
-//!    monotonicity, and integer-exact energy-ledger conservation.
+//! 2. **Pipeline invariants** ([`invariants`]) — the production pipeline,
+//!    a [`pim_assembler::Session`] dispatched over two workers, checked
+//!    for integer-exact energy-ledger conservation at every stage boundary
+//!    and for the template-derived stage command budgets.
 //! 3. **Fault injection** ([`fault`]) — sense-amp read-out bit flips at a
 //!    configurable rate (optionally derived from the circuit-level
 //!    variation model), verifying the pipeline detects corruption or
@@ -75,7 +75,7 @@ impl Default for SuiteOptions {
 }
 
 /// Runs the whole verification suite: all four oracles over all three
-/// scenarios, the trace invariant check, and a fault campaign.
+/// scenarios, the pipeline invariant check, and a fault campaign.
 ///
 /// Stage errors are folded into the report as failed oracles rather than
 /// propagated, so a single call always yields a complete picture.
@@ -105,7 +105,6 @@ pub fn standard_suite(options: &SuiteOptions) -> VerifyReport {
         invariants::check_pipeline(&invariant_case, options.k, options.min_count).unwrap_or_else(
             |e| InvariantReport {
                 commands_checked: 0,
-                trace_dropped: 0,
                 ledger_checkpoints: 0,
                 budget_lines_checked: 0,
                 violations: vec![format!("pipeline error: {e}")],

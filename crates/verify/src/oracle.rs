@@ -5,12 +5,15 @@
 //! and energy, but the data path produces real values. Any disagreement
 //! with the software toolkit is therefore a bug (or injected corruption),
 //! never tolerance noise, which is what makes exact differential checking
-//! viable.
+//! viable. The stages run through the same dispatched entry points the
+//! pipeline uses, on [`ParallelDispatcher::serial`].
 
 use std::collections::BTreeMap;
 
+use pim_assembler::dispatch::ParallelDispatcher;
 use pim_assembler::graph_stage::GraphStage;
 use pim_assembler::hashmap_stage::PimHashTable;
+use pim_assembler::ir::{BackendKind, OptLevel};
 use pim_assembler::mapping::KmerMapper;
 use pim_assembler::scaffold_stage::ScaffoldStage;
 use pim_assembler::traverse_stage::TraverseStage;
@@ -20,7 +23,7 @@ use pim_dram::geometry::DramGeometry;
 use pim_genome::debruijn::DeBruijnGraph;
 use pim_genome::euler::{eulerian_trails, trails_cover_all_edges, EulerAlgorithm};
 use pim_genome::hash_table::KmerCounter;
-use pim_genome::kmer::KmerIter;
+use pim_genome::kmer::{Kmer, KmerIter};
 use pim_genome::scaffold::{simulate_pairs, Scaffolder};
 use pim_genome::{AssemblyConfig, SoftwareAssembler};
 use rand::SeedableRng;
@@ -38,6 +41,15 @@ fn note(notes: &mut Vec<String>, text: String) {
     }
 }
 
+/// Every k-mer of the case's reads, in read order.
+pub(crate) fn read_kmers(case: &TestCase, k: usize) -> Result<Vec<Kmer>> {
+    let mut kmers = Vec::new();
+    for read in &case.reads {
+        kmers.extend(KmerIter::new(&read.seq, k)?);
+    }
+    Ok(kmers)
+}
+
 /// Feeds every read k-mer into both tables, returning them loaded.
 fn load_tables(
     ctrl: &mut Controller,
@@ -47,15 +59,11 @@ fn load_tables(
     let geometry = *ctrl.geometry();
     let mut table = PimHashTable::new(KmerMapper::new(&geometry, 4, 8));
     let mut soft = KmerCounter::new(k)?;
-    for read in &case.reads {
-        if read.seq.len() < k {
-            continue;
-        }
-        for kmer in KmerIter::new(&read.seq, k)? {
-            table.insert(ctrl, kmer)?;
-            soft.insert(kmer);
-        }
+    let kmers = read_kmers(case, k)?;
+    for &kmer in &kmers {
+        soft.insert(kmer);
     }
+    table.insert(ctrl, &ParallelDispatcher::serial(), &kmers)?;
     Ok((table, soft))
 }
 
@@ -65,7 +73,7 @@ pub fn hashmap_oracle(case: &TestCase, k: usize) -> Result<OracleReport> {
     let mut ctrl = Controller::new(DramGeometry::paper_assembly());
     let (table, soft) = load_tables(&mut ctrl, case, k)?;
 
-    let mut scanned = table.scan(&mut ctrl)?;
+    let mut scanned = table.scan(&mut ctrl, &ParallelDispatcher::serial())?;
     scanned.sort_by_key(|(kmer, _)| kmer.packed());
     let mut expected: Vec<(u64, u64)> =
         soft.entries().iter().map(|e| (e.kmer.packed(), e.count)).collect();
@@ -119,8 +127,9 @@ pub fn graph_oracle(case: &TestCase, k: usize, min_count: u64) -> Result<OracleR
     let mut ctrl = Controller::new(DramGeometry::paper_assembly());
     let (table, soft) = load_tables(&mut ctrl, case, k)?;
     let graph_region = ctrl.subarray_handle(0, 1, 0, 0)?;
-    let (pim_graph, _partitioning, _stats) =
-        GraphStage::build(&mut ctrl, &table, min_count, graph_region, 4)?;
+    let serial = ParallelDispatcher::serial();
+    let (pim_graph, _partitioning, _stats, _survivors) =
+        GraphStage::build(&mut ctrl, &serial, &table, min_count, graph_region, 4)?;
     let soft_graph = DeBruijnGraph::from_counter(&soft, min_count);
 
     let pim_edges = edge_map(&pim_graph);
@@ -179,8 +188,16 @@ pub fn traverse_oracle(case: &TestCase, k: usize, min_count: u64) -> Result<Orac
     let graph = DeBruijnGraph::from_counter(&counter, min_count);
 
     let mut ctrl = Controller::new(DramGeometry::paper_assembly());
-    let work = ctrl.subarray_handle(0, 1, 0, 0)?;
-    let (trails, stats) = TraverseStage::run(&mut ctrl, &graph, work, EulerAlgorithm::Hierholzer)?;
+    let work = [ctrl.subarray_handle(0, 1, 0, 0)?, ctrl.subarray_handle(0, 1, 0, 1)?];
+    let (trails, stats) = TraverseStage::run(
+        &mut ctrl,
+        &ParallelDispatcher::serial(),
+        &graph,
+        work,
+        EulerAlgorithm::Hierholzer,
+        BackendKind::PimAssembler,
+        OptLevel::O0,
+    )?;
     let expected = eulerian_trails(&graph, EulerAlgorithm::Hierholzer);
 
     let mut mismatches = 0;
@@ -277,10 +294,10 @@ mod tests {
         // with full-rate faults and the oracle must report mismatches.
         let case = generate(Scenario::Random, 300, 13);
         let mut ctrl = Controller::new(DramGeometry::paper_assembly());
-        ctrl.inject_faults(pim_dram::fault::FaultConfig::new(0.02, 99));
+        ctrl.inject_faults(pim_dram::fault::FaultConfig::new(0.02, 99).unwrap());
         let outcome = (|| -> Result<usize> {
             let (table, soft) = load_tables(&mut ctrl, &case, 9)?;
-            let mut scanned = table.scan(&mut ctrl)?;
+            let mut scanned = table.scan(&mut ctrl, &ParallelDispatcher::serial())?;
             scanned.sort_by_key(|(kmer, _)| kmer.packed());
             let mut expected: Vec<(u64, u64)> =
                 soft.entries().iter().map(|e| (e.kmer.packed(), e.count)).collect();

@@ -24,21 +24,19 @@ impl OracleReport {
     }
 }
 
-/// Outcome of the command-trace invariant check over a traced serial run.
+/// Outcome of the pipeline invariant check over a dispatched
+/// [`pim_assembler::Session`] run.
 #[derive(Debug, Clone)]
 pub struct InvariantReport {
-    /// Trace entries examined.
-    pub commands_checked: usize,
-    /// Entries the bounded trace dropped (0 means full coverage).
-    pub trace_dropped: u64,
+    /// Commands the run issued — the ledger the conservation checks
+    /// balanced.
+    pub commands_checked: u64,
     /// Ledger-conservation checkpoints taken (one per pipeline stage).
     pub ledger_checkpoints: usize,
     /// Template-derived stage budget lines evaluated against the run's
     /// metrics snapshot (see `pim_assembler::budget::pipeline_budget`).
     pub budget_lines_checked: usize,
-    /// Invariant violations found (row-decoder legality, sense-amp mode
-    /// legality, timestamp monotonicity, ledger conservation, stage
-    /// budgets).
+    /// Invariant violations found (ledger conservation, stage budgets).
     pub violations: Vec<String>,
 }
 
@@ -90,7 +88,7 @@ impl FaultRunReport {
 pub struct VerifyReport {
     /// Differential oracle outcomes.
     pub oracles: Vec<OracleReport>,
-    /// Trace invariant outcome (absent when the check was skipped).
+    /// Pipeline invariant outcome (absent when the check was skipped).
     pub invariants: Option<InvariantReport>,
     /// Fault-injection outcomes, one per flip rate.
     pub faults: Vec<FaultRunReport>,
@@ -124,12 +122,11 @@ impl fmt::Display for VerifyReport {
             }
         }
         if let Some(inv) = &self.invariants {
-            writeln!(f, "== trace invariants ==")?;
+            writeln!(f, "== pipeline invariants ==")?;
             writeln!(
                 f,
-                "  {} commands checked, {} dropped, {} ledger checkpoints, {} budget lines  [{}]",
+                "  {} commands checked, {} ledger checkpoints, {} budget lines  [{}]",
                 inv.commands_checked,
-                inv.trace_dropped,
                 inv.ledger_checkpoints,
                 inv.budget_lines_checked,
                 if inv.passed() { "ok" } else { "FAIL" }

@@ -10,7 +10,7 @@
 //! * [`genome`] — the genome-assembly algorithm toolkit,
 //! * [`platforms`] — CPU/GPU/HMC/Ambit/DRISA baseline models,
 //! * [`assembler`] — the PIM-Assembler core (mapping, kernels, pipeline),
-//! * [`verify`] — differential oracles, trace invariants, fault injection.
+//! * [`verify`] — differential oracles, pipeline invariants, fault injection.
 //!
 //! See `README.md` for a tour and `DESIGN.md` for the paper-to-module map.
 

@@ -1,6 +1,7 @@
 //! Cross-crate equivalence: every PIM primitive must agree with its
 //! software counterpart when driven through the full stack.
 
+use pim_assembler_suite::assembler::dispatch::ParallelDispatcher;
 use pim_assembler_suite::assembler::hashmap_stage::PimHashTable;
 use pim_assembler_suite::assembler::ir::{BackendKind, OptLevel};
 use pim_assembler_suite::assembler::mapping::KmerMapper;
@@ -12,7 +13,7 @@ use pim_assembler_suite::dram::geometry::DramGeometry;
 use pim_assembler_suite::dram::RowAddr;
 use pim_assembler_suite::genome::debruijn::DeBruijnGraph;
 use pim_assembler_suite::genome::hash_table::KmerCounter;
-use pim_assembler_suite::genome::kmer::KmerIter;
+use pim_assembler_suite::genome::kmer::{Kmer, KmerIter};
 use pim_assembler_suite::genome::sequence::DnaSequence;
 use rand::Rng;
 use rand::SeedableRng;
@@ -28,11 +29,13 @@ fn pim_hash_table_equals_software_counter_many_seeds() {
         let mut ctrl = Controller::new(g);
         let mut table = PimHashTable::new(KmerMapper::new(&g, 4, 8));
         let mut soft = KmerCounter::new(k).unwrap();
-        for kmer in KmerIter::new(&seq, k).unwrap() {
-            table.insert(&mut ctrl, kmer).unwrap();
+        let kmers: Vec<Kmer> = KmerIter::new(&seq, k).unwrap().collect();
+        for &kmer in &kmers {
             soft.insert(kmer);
         }
-        let scanned = table.scan(&mut ctrl).unwrap();
+        let serial = ParallelDispatcher::serial();
+        table.insert(&mut ctrl, &serial, &kmers).unwrap();
+        let scanned = table.scan(&mut ctrl, &serial).unwrap();
         assert_eq!(scanned.len(), soft.distinct(), "seed {seed}");
         for (kmer, count) in scanned {
             assert_eq!(count, soft.count(&kmer), "seed {seed} kmer {kmer}");
@@ -85,9 +88,11 @@ fn pim_degree_accumulation_equals_graph_degrees() {
         let graph = DeBruijnGraph::from_counter(&c, 1);
         let g = DramGeometry::paper_assembly();
         let mut ctrl = Controller::new(g);
-        let work = ctrl.subarray_handle(0, 1, 0, 0).unwrap();
+        let work =
+            [ctrl.subarray_handle(0, 1, 0, 0).unwrap(), ctrl.subarray_handle(0, 1, 0, 1).unwrap()];
         let (out, inc, dense) = TraverseStage::degrees(
             &mut ctrl,
+            &ParallelDispatcher::serial(),
             &graph,
             work,
             BackendKind::PimAssembler,
@@ -112,9 +117,8 @@ fn correlated_mapping_beats_naive_probes() {
     let probes_with = |bucket_rows: usize| {
         let mut ctrl = Controller::new(g);
         let mut table = PimHashTable::new(KmerMapper::new(&g, 4, bucket_rows));
-        for kmer in KmerIter::new(&seq, 13).unwrap() {
-            table.insert(&mut ctrl, kmer).unwrap();
-        }
+        let kmers: Vec<Kmer> = KmerIter::new(&seq, 13).unwrap().collect();
+        table.insert(&mut ctrl, &ParallelDispatcher::serial(), &kmers).unwrap();
         table.stats().probes
     };
     let bucketed = probes_with(8);
