@@ -31,6 +31,17 @@ pub enum PimError {
         /// Maximum supported.
         max: usize,
     },
+    /// A read-mapper input whose length does not fit the index's fixed
+    /// read length: a mapped read of another length, or a reference
+    /// shorter than one read.
+    SequenceLength {
+        /// Which input: `"read"` or `"reference"`.
+        what: &'static str,
+        /// Its length in bases.
+        len: usize,
+        /// The index's read length in bases.
+        expected: usize,
+    },
     /// A graph too large for the dense adjacency mapping of the traverse
     /// stage.
     GraphTooLarge {
@@ -80,6 +91,9 @@ impl fmt::Display for PimError {
                  more hash sub-arrays (--subarrays, or PimAssemblerConfig::with_hash_subarrays)"
             ),
             PimError::KTooLarge { k, max } => write!(f, "k={k} exceeds supported maximum {max}"),
+            PimError::SequenceLength { what, len, expected } => {
+                write!(f, "{what} is {len} bp but the mapping index takes {expected} bp reads")
+            }
             PimError::GraphTooLarge { nodes, max } => {
                 write!(f, "graph with {nodes} nodes exceeds dense mapping limit {max}")
             }
@@ -146,6 +160,8 @@ mod tests {
         assert!(e.to_string().contains("more hash sub-arrays (--subarrays"), "{e}");
         let e = PimError::KTooLarge { k: 200, max: 128 };
         assert!(e.to_string().contains("128"));
+        let e = PimError::SequenceLength { what: "read", len: 20, expected: 24 };
+        assert_eq!(e.to_string(), "read is 20 bp but the mapping index takes 24 bp reads");
         let e = PimError::InvalidChunkSize;
         assert!(e.to_string().contains("chunk_reads"));
         let e = PimError::CheckpointDirNotEmpty { path: "ckpt".into() };

@@ -2,22 +2,27 @@
 //!
 //! The stage opens the platform beyond assembly: simulated reads stream
 //! against a reference whose seed k-mers are staged into their home
-//! sub-arrays exactly like the stage-1 hash table. Mapping a read is a
-//! three-step funnel, each step running on the array:
+//! sub-arrays exactly like the stage-1 hash table. Reads partition by
+//! their seed's home sub-array, and each sub-array runs a three-step
+//! funnel over *all* the reads of one batch homed on it, each step on the
+//! array:
 //!
-//! 1. **Seed lookup** — the read's leading k-mer probes its home bucket
+//! 1. **Seed lookup** — each read's leading k-mer probes its home bucket
 //!    with `PIM_XNOR` ([`PimComparator`]), yielding the reference
 //!    positions that share the seed.
-//! 2. **Hamming filter** — every candidate window is laid out *one
-//!    candidate per column*: the window's packed bits become bit-plane
-//!    rows, each plane is XNOR-matched against the read's broadcast bit,
-//!    and the 7:3 popcount kernel plus a full-adder column sum reduce the
-//!    match planes to a per-candidate match count. Candidates whose
-//!    packed-bit Hamming distance exceeds the threshold drop out.
-//! 3. **DP refinement** — surviving inexact candidates run a banded
-//!    unit-cost edit-distance wavefront, still column-parallel: the host
-//!    supplies the `insert`/`delete`/`substitute` operand bit-planes for
-//!    each band cell (host-mediated shift network) and the array computes
+//! 2. **Hamming filter** — the `(read, position)` candidates of every
+//!    read in the group are packed in stream order *one candidate per
+//!    column*, `cols` per pass. Per bit-plane the host writes the
+//!    windows' bits and each column's own read bit as two rows, `PIM_XNOR`
+//!    matches them, and the 7:3 popcount kernel plus a full-adder column
+//!    sum reduce the match planes to a per-candidate match count.
+//!    Candidates whose packed-bit Hamming distance exceeds the threshold
+//!    drop out.
+//! 3. **DP refinement** — the inexact survivors of the whole group run a
+//!    banded unit-cost edit-distance wavefront in lockstep, `cols` per
+//!    pass: the host supplies each column's `insert`/`delete`/`substitute`
+//!    operand bit-planes for each band cell (host-mediated shift network;
+//!    `substitute` compares the column's own read) and the array computes
 //!    the three-way minimum with the MSB-first `dp-cell` comparison
 //!    kernel and the `min-select` mux. The sensed distance drives the
 //!    final hit; [`pim_genome::align::banded_global`] with zero match
@@ -25,11 +30,14 @@
 //!
 //! As with the assembly stages the PIM verdicts drive all control flow;
 //! host-side shadows only *detect* corruption ([`MapStats`]'s
-//! `shadow_mismatches`), so fault injection raises detection counters
-//! instead of producing silent wrong mappings. Reads partition by their
-//! seed's home sub-array and dispatch over [`ParallelDispatcher`], with
-//! results, statistics, and command totals byte-identical to the serial
-//! order for any worker count.
+//! `shadow_mismatches`), checked per column, so a fault flags the
+//! candidate it hit instead of producing a silent wrong mapping. The
+//! sub-array groups dispatch over [`ParallelDispatcher`], with results,
+//! statistics, and command totals byte-identical to the serial order for
+//! any worker count. The batching window is one
+//! [`PimReadMapper::map_batch`] call: hits and [`MapStats`] do not depend
+//! on how a read stream is split into batches, but the number of passes,
+//! and so the device cost, does (see [`MappingExec`]).
 
 use pim_dram::address::{RowAddr, SubarrayId};
 use pim_dram::bitrow::BitRow;
@@ -106,7 +114,10 @@ pub struct MapStats {
     pub candidates: u64,
     /// Candidates surviving the Hamming filter.
     pub survivors: u64,
-    /// Band cells evaluated by the in-DRAM DP wavefront.
+    /// Band cells evaluated by the in-DRAM DP wavefront, per candidate:
+    /// a lockstep pass over `n` candidates evaluates `n` cells per band
+    /// position, so the count does not depend on how candidates share
+    /// passes.
     pub dp_cells: u64,
     /// Reads that produced a final mapping.
     pub mapped: u64,
@@ -139,6 +150,14 @@ struct MappingKernels {
     min_select: CompiledTemplate,
 }
 
+/// One column of a packed Hamming or DP pass: a reference position
+/// offered to the read at `slot` of its home sub-array's group.
+#[derive(Debug, Clone, Copy)]
+struct Candidate {
+    slot: usize,
+    position: usize,
+}
+
 /// The in-DRAM read mapper: seed index + the three-step mapping funnel.
 #[derive(Debug, Clone)]
 pub struct PimReadMapper {
@@ -168,7 +187,10 @@ impl PimReadMapper {
     ///
     /// # Errors
     ///
-    /// * [`PimError::KTooLarge`] if `2·read_len` exceeds the row width.
+    /// * [`PimError::KTooLarge`] if `2·read_len` exceeds the row width or
+    ///   the seed is longer than a read.
+    /// * [`PimError::SequenceLength`] if the reference is shorter than
+    ///   one read.
     /// * [`PimError::SubarrayFull`] if a seed region overflows.
     /// * Genome errors for degenerate seed/reference shapes.
     pub fn build(
@@ -185,8 +207,15 @@ impl PimReadMapper {
         if 2 * read_len > cols {
             return Err(PimError::KTooLarge { k: read_len, max: cols / 2 });
         }
-        if config.seed_len > read_len || reference.len() < read_len {
+        if config.seed_len > read_len {
             return Err(PimError::KTooLarge { k: config.seed_len, max: read_len });
+        }
+        if reference.len() < read_len {
+            return Err(PimError::SequenceLength {
+                what: "reference",
+                len: reference.len(),
+                expected: read_len,
+            });
         }
         let zero_row = layout.temp_row(layout.temp_rows() - 1);
         let comparator = PimComparator::new(cols, backend, zero_row, opt);
@@ -262,15 +291,18 @@ impl PimReadMapper {
     }
 
     /// Maps a batch of reads, dispatching each home sub-array's share as
-    /// an independent partition. Returns one entry per read, in read
-    /// order — `None` for reads the funnel rejects. State, statistics,
-    /// and command totals are identical for any worker count.
+    /// an independent partition whose reads share that sub-array's
+    /// Hamming and DP passes. Returns one entry per read, in read order —
+    /// `None` for reads the funnel rejects. State, statistics, and
+    /// command totals are identical for any worker count; hits and
+    /// statistics are also identical for any split of a read stream into
+    /// batches, while command totals grow with the number of batches.
     ///
     /// # Errors
     ///
     /// The first failing partition's error, in home-sub-array order; a
     /// read whose length differs from the index's `read_len` fails with
-    /// [`PimError::KTooLarge`].
+    /// [`PimError::SequenceLength`].
     pub fn map_batch(
         &mut self,
         ctrl: &mut Controller,
@@ -279,14 +311,18 @@ impl PimReadMapper {
     ) -> Result<Vec<Option<MappingHit>>> {
         for read in reads {
             if read.seq.len() != self.read_len {
-                return Err(PimError::KTooLarge { k: read.seq.len(), max: self.read_len });
+                return Err(PimError::SequenceLength {
+                    what: "read",
+                    len: read.seq.len(),
+                    expected: self.read_len,
+                });
             }
         }
-        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); self.slots.len()];
+        let mut groups: Vec<Vec<(usize, &Read)>> = vec![Vec::new(); self.slots.len()];
         for (idx, read) in reads.iter().enumerate() {
             let seed = Kmer::from_sequence(&read.seq, 0, self.config.seed_len)?;
             let (sub_idx, _) = self.mapper.home(&seed);
-            groups[sub_idx].push(idx);
+            groups[sub_idx].push((idx, read));
         }
         let mut partitions = Vec::new();
         for (sub_idx, group) in groups.into_iter().enumerate() {
@@ -296,82 +332,76 @@ impl PimReadMapper {
             partitions.push((self.mapper.subarrays()[sub_idx], (sub_idx, group)));
         }
         let this = &*self;
-        let results = dispatcher.run_partitions(ctrl, partitions, |ctx, payload| {
-            let (sub_idx, group): (usize, Vec<usize>) = payload;
-            let mut stats = MapStats::default();
-            let mut hits = Vec::new();
-            let mut first_err = None;
-            for read_idx in group {
-                match this.map_one(ctx, sub_idx, read_idx, &reads[read_idx], &mut stats) {
-                    Ok(hit) => hits.push((read_idx, hit)),
-                    Err(e) => {
-                        first_err = Some(e);
-                        break;
-                    }
-                }
-            }
-            Ok((hits, stats, first_err))
+        let results = dispatcher.run_partitions(ctrl, partitions, |ctx, (sub_idx, group)| {
+            this.map_group(ctx, sub_idx, &group)
         })?;
         let mut out = vec![None; reads.len()];
-        let mut first_err = None;
-        for (hits, stats, err) in results {
-            for (idx, hit) in hits {
-                out[idx] = hit;
+        for (hits, stats) in results {
+            for hit in hits {
+                out[hit.read_id] = Some(hit);
             }
             self.stats.merge(&stats);
-            if first_err.is_none() {
-                first_err = err;
-            }
         }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(out),
-        }
+        Ok(out)
     }
 
-    /// The full per-read funnel on one sub-array (runs against the
-    /// controller façade or a detached worker context alike).
-    fn map_one(
+    /// The funnel for every read of one batch homed on `sub_idx` (runs
+    /// against the controller façade or a detached worker context alike):
+    /// seed lookup per read in stream order, then ⌈C/cols⌉ Hamming passes
+    /// over all C candidates, then ⌈S/cols⌉ lockstep DP passes over all S
+    /// inexact survivors. `group` pairs each read with its batch index.
+    fn map_group(
         &self,
         port: &mut impl AapPort,
         sub_idx: usize,
-        read_idx: usize,
-        read: &Read,
-        stats: &mut MapStats,
-    ) -> Result<Option<MappingHit>> {
-        stats.reads += 1;
-        port.record_metric(Metric::MapReads, 1);
-        let candidates = self.seed_candidates(port, sub_idx, read, stats)?;
-        port.record_value(HistKey::MapCandidates, candidates.len() as u64);
-        if candidates.is_empty() {
-            return Ok(None);
-        }
-        stats.seeded += 1;
-        stats.candidates += candidates.len() as u64;
-
-        let mut best: Option<(i32, usize)> = None;
+        group: &[(usize, &Read)],
+    ) -> Result<(Vec<MappingHit>, MapStats)> {
         let cols = port.geometry().cols;
-        for chunk in candidates.chunks(cols) {
-            let survivors = self.hamming_filter(port, sub_idx, read, chunk, stats)?;
-            stats.survivors += survivors.len() as u64;
-            let exact: Vec<usize> = survivors.iter().filter(|s| s.1 == 0).map(|s| s.0).collect();
-            let inexact: Vec<usize> = survivors.iter().filter(|s| s.1 > 0).map(|s| s.0).collect();
-            for &pos in &exact {
-                Self::offer(&mut best, 0, pos);
+        let mut stats = MapStats::default();
+        let mut candidates = Vec::new();
+        for (slot, &(_, read)) in group.iter().enumerate() {
+            stats.reads += 1;
+            port.record_metric(Metric::MapReads, 1);
+            let positions = self.seed_candidates(port, sub_idx, read, &mut stats)?;
+            port.record_value(HistKey::MapCandidates, positions.len() as u64);
+            if !positions.is_empty() {
+                stats.seeded += 1;
+                stats.candidates += positions.len() as u64;
+                candidates
+                    .extend(positions.into_iter().map(|position| Candidate { slot, position }));
             }
-            for dp_chunk in inexact.chunks(cols) {
-                let dists = self.dp_refine(port, sub_idx, read, dp_chunk, stats)?;
-                for (&pos, &d) in dp_chunk.iter().zip(dists.iter()) {
-                    if d < DP_INF {
-                        Self::offer(&mut best, -(d as i32), pos);
-                    }
+        }
+
+        let mut best: Vec<Option<(i32, usize)>> = vec![None; group.len()];
+        let mut inexact = Vec::new();
+        for pass in candidates.chunks(cols) {
+            for (cand, dist) in self.hamming_filter(port, sub_idx, group, pass, &mut stats)? {
+                stats.survivors += 1;
+                if dist == 0 {
+                    Self::offer(&mut best[cand.slot], 0, cand.position);
+                } else {
+                    inexact.push(cand);
                 }
             }
         }
-        Ok(best.map(|(score, position)| {
-            stats.mapped += 1;
-            MappingHit { read_id: read_idx, position, score }
-        }))
+        for pass in inexact.chunks(cols) {
+            let dists = self.dp_refine(port, sub_idx, group, pass, &mut stats)?;
+            for (cand, &d) in pass.iter().zip(&dists) {
+                if d < DP_INF {
+                    Self::offer(&mut best[cand.slot], -(d as i32), cand.position);
+                }
+            }
+        }
+
+        let hits: Vec<MappingHit> = group
+            .iter()
+            .zip(best)
+            .filter_map(|(&(read_id, _), best)| {
+                best.map(|(score, position)| MappingHit { read_id, position, score })
+            })
+            .collect();
+        stats.mapped += hits.len() as u64;
+        Ok((hits, stats))
     }
 
     /// Keeps the better `(score, position)` — higher score wins, ties go
@@ -426,43 +456,40 @@ impl PimReadMapper {
         Ok(Vec::new())
     }
 
-    /// Step 2 — the columnar Hamming filter over one candidate chunk
-    /// (≤ `cols` candidates, one per column). Returns the surviving
-    /// `(position, packed_bit_distance)` pairs.
+    /// Step 2 — the columnar Hamming filter over one pass of ≤ `cols`
+    /// candidates, one per column, drawn from any reads of the group.
+    /// Returns the surviving candidates with their packed-bit distances.
     fn hamming_filter(
         &self,
         port: &mut impl AapPort,
         sub_idx: usize,
-        read: &Read,
-        chunk: &[usize],
+        group: &[(usize, &Read)],
+        pass: &[Candidate],
         stats: &mut MapStats,
-    ) -> Result<Vec<(usize, u32)>> {
+    ) -> Result<Vec<(Candidate, u32)>> {
         let layout = *self.mapper.layout();
         let cols = layout.cols();
         let subarray = self.mapper.subarrays()[sub_idx];
         let plane_count = 2 * self.read_len;
-        let read_bits = read.seq.to_row_bits(self.read_len);
-        let window_bits: Vec<Vec<bool>> = chunk
+        let read_bits: Vec<Vec<bool>> =
+            pass.iter().map(|c| group[c.slot].1.seq.to_row_bits(self.read_len)).collect();
+        let window_bits: Vec<Vec<bool>> = pass
             .iter()
-            .map(|&p| self.reference.subsequence(p, self.read_len).to_row_bits(self.read_len))
+            .map(|c| {
+                self.reference.subsequence(c.position, self.read_len).to_row_bits(self.read_len)
+            })
             .collect();
 
         let mut scratch = ScratchSpace::new(self.seed_rows, layout.kmer_rows());
         let mut rows = [RowAddr(0); MAX_MAP_ROLES];
 
-        // Broadcast constants for the per-plane XNOR: an all-ones row and
-        // a written all-zero row (the direct-activation backends open
-        // data rows themselves, so the kernel's zero role must not double
-        // as an input row).
-        let ones_row = scratch.alloc()?;
-        port.write_row(subarray, ones_row, &BitRow::ones(cols))?;
-        let zeros_row = scratch.alloc()?;
-        port.write_row(subarray, zeros_row, &BitRow::zeros(cols))?;
+        // Per plane, the windows' bits and each column's own read bit are
+        // written to two data rows for the XNOR (never the kernel's zero
+        // role, which a direct-activation backend opens in the same
+        // activation set).
         let wplane_row = scratch.alloc()?;
+        let rplane_row = scratch.alloc()?;
 
-        // Distinct zero pads for the final partial popcount group: a
-        // triple-row activation may contain several pads at once.
-        let mut pads: Vec<RowAddr> = Vec::new();
         let spill_rows: Vec<RowAddr> = (0..self.kernels.popcount.spill_role_count())
             .map(|_| scratch.alloc())
             .collect::<Result<_>>()?;
@@ -470,15 +497,16 @@ impl PimReadMapper {
         let mut ones_planes = Vec::new();
         let mut twos_planes = Vec::new();
         let mut fours_planes = Vec::new();
-        let mut group: Vec<RowAddr> = Vec::new();
+        let mut group_rows: Vec<RowAddr> = Vec::new();
         for j in 0..plane_count {
-            let wplane = BitRow::from_fn(cols, |c| c < chunk.len() && window_bits[c][j]);
+            let wplane = BitRow::from_fn(cols, |c| c < pass.len() && window_bits[c][j]);
             port.write_row(subarray, wplane_row, &wplane)?;
-            let const_row = if read_bits[j] { ones_row } else { zeros_row };
+            let rplane = BitRow::from_fn(cols, |c| c < pass.len() && read_bits[c][j]);
+            port.write_row(subarray, rplane_row, &rplane)?;
             let match_row = scratch.alloc()?;
             let n = self.kernels.xnor.bind_roles_into(
                 port,
-                &[wplane_row, const_row],
+                &[wplane_row, rplane_row],
                 &[match_row],
                 self.zero_row,
                 &[],
@@ -486,24 +514,20 @@ impl PimReadMapper {
             )?;
             self.kernels.xnor.execute(port, subarray, &rows[..n])?;
             port.record_metric(Metric::MapMatchPlanes, 1);
-            group.push(match_row);
-            if group.len() == POPCOUNT_FAN_IN || j + 1 == plane_count {
-                while group.len() < POPCOUNT_FAN_IN {
-                    let pad = match pads.get(POPCOUNT_FAN_IN - 1 - group.len()) {
-                        Some(&row) => row,
-                        None => {
-                            let row = scratch.alloc()?;
-                            port.write_row(subarray, row, &BitRow::zeros(cols))?;
-                            pads.push(row);
-                            row
-                        }
-                    };
-                    group.push(pad);
+            group_rows.push(match_row);
+            if group_rows.len() == POPCOUNT_FAN_IN || j + 1 == plane_count {
+                // Only the last group can be short. Its pads are distinct
+                // written zero rows: a triple-row activation may open
+                // several pads at once.
+                while group_rows.len() < POPCOUNT_FAN_IN {
+                    let pad = scratch.alloc()?;
+                    port.write_row(subarray, pad, &BitRow::zeros(cols))?;
+                    group_rows.push(pad);
                 }
                 let (o, t, f) = (scratch.alloc()?, scratch.alloc()?, scratch.alloc()?);
                 let n = self.kernels.popcount.bind_roles_into(
                     port,
-                    &group,
+                    &group_rows,
                     &[o, t, f],
                     self.zero_row,
                     &spill_rows,
@@ -514,10 +538,8 @@ impl PimReadMapper {
                 ones_planes.push(o);
                 twos_planes.push(t);
                 fours_planes.push(f);
-                for row in group.drain(..) {
-                    if !pads.contains(&row) {
-                        scratch.release(row);
-                    }
+                for row in group_rows.drain(..) {
+                    scratch.release(row);
                 }
             }
         }
@@ -541,33 +563,35 @@ impl PimReadMapper {
         }
 
         let mut survivors = Vec::new();
-        for (c, &pos) in chunk.iter().enumerate() {
+        for (c, &cand) in pass.iter().enumerate() {
             let matched = totals[c].min(plane_count as u64) as u32;
             let dist = plane_count as u32 - matched;
             let expected =
-                read_bits.iter().zip(window_bits[c].iter()).filter(|(r, w)| r != w).count() as u32;
+                read_bits[c].iter().zip(window_bits[c].iter()).filter(|(r, w)| r != w).count()
+                    as u32;
             if dist != expected {
                 stats.shadow_mismatches += 1;
             }
             if dist <= self.config.max_mismatch_bits {
-                survivors.push((pos, dist));
+                survivors.push((cand, dist));
             }
         }
         Ok(survivors)
     }
 
-    /// Step 3 — banded unit-cost edit distance for one chunk of inexact
-    /// survivors, column-parallel across candidates. The host supplies
-    /// the three operand planes per band cell from the previously sensed
-    /// wavefront (the host-mediated shift network) and the array computes
-    /// `min(ins, del, sub)` bit-serially; the sensed result is the next
-    /// wavefront value. Returns each candidate's distance.
+    /// Step 3 — banded unit-cost edit distance for one pass of ≤ `cols`
+    /// inexact survivors, run in lockstep one candidate per column. The
+    /// host supplies the three operand planes per band cell from the
+    /// previously sensed wavefront (the host-mediated shift network; each
+    /// column's `sub` operand compares that column's own read) and the
+    /// array computes `min(ins, del, sub)` bit-serially; the sensed result
+    /// is the next wavefront value. Returns each candidate's distance.
     fn dp_refine(
         &self,
         port: &mut impl AapPort,
         sub_idx: usize,
-        read: &Read,
-        chunk: &[usize],
+        group: &[(usize, &Read)],
+        pass: &[Candidate],
         stats: &mut MapStats,
     ) -> Result<Vec<u32>> {
         const W: usize = MAPPING_VALUE_BITS;
@@ -578,6 +602,7 @@ impl PimReadMapper {
         let width = 2 * band + 1;
         let n = self.read_len; // read length (rows of the DP matrix)
         let m = self.read_len; // window length (columns)
+        let reads: Vec<&Read> = pass.iter().map(|c| group[c.slot].1).collect();
 
         let mut scratch = ScratchSpace::new(self.seed_rows, layout.kmer_rows());
         let alloc_planes = |scratch: &mut ScratchSpace| -> Result<Vec<RowAddr>> {
@@ -588,8 +613,9 @@ impl PimReadMapper {
         let pc = alloc_planes(&mut scratch)?; // sub operands
         let pm = alloc_planes(&mut scratch)?; // min(ins, del)
         let pr = alloc_planes(&mut scratch)?; // min3 result
-                                              // Written zero rows seeding the dec/win masks (distinct rows: a
-                                              // direct-activation backend may open both in one activation set).
+
+        // Written zero rows seeding the dec/win masks (distinct rows: a
+        // direct-activation backend may open both in one activation set).
         let dz = scratch.alloc()?;
         port.write_row(subarray, dz, &BitRow::zeros(cols))?;
         let wz = scratch.alloc()?;
@@ -598,12 +624,12 @@ impl PimReadMapper {
 
         // prev/cur wavefronts per diagonal offset `d` (j = i + d - band),
         // one value vector per candidate column. Row 0: D[0][j] = j.
-        let inf_row = vec![DP_INF; chunk.len()];
+        let inf_row = vec![DP_INF; pass.len()];
         let mut prev: Vec<Vec<u32>> = (0..width)
             .map(|d| {
                 let j = d as i64 - band as i64;
                 if (0..=m as i64).contains(&j) {
-                    vec![j as u32; chunk.len()]
+                    vec![j as u32; pass.len()]
                 } else {
                     inf_row.clone()
                 }
@@ -623,19 +649,22 @@ impl PimReadMapper {
                 }
                 let j = j as usize;
                 if j == 0 {
-                    cur[d] = vec![i as u32; chunk.len()];
+                    cur[d] = vec![i as u32; pass.len()];
                     continue;
                 }
                 // Per-candidate operand values from the sensed wavefront.
-                let ins: Vec<u32> = (0..chunk.len())
+                let ins: Vec<u32> = (0..pass.len())
                     .map(|c| if d > 0 { bump(cur[d - 1][c]) } else { DP_INF })
                     .collect();
-                let del: Vec<u32> = (0..chunk.len())
+                let del: Vec<u32> = (0..pass.len())
                     .map(|c| if d + 1 < width { bump(prev[d + 1][c]) } else { DP_INF })
                     .collect();
-                let sub: Vec<u32> = (0..chunk.len())
-                    .map(|c| {
-                        let neq = read.seq.get(i - 1) != self.reference.get(chunk[c] + j - 1);
+                let sub: Vec<u32> = pass
+                    .iter()
+                    .zip(&reads)
+                    .enumerate()
+                    .map(|(c, (cand, read))| {
+                        let neq = read.seq.get(i - 1) != self.reference.get(cand.position + j - 1);
                         (prev[d][c] + u32::from(neq)).min(DP_INF)
                     })
                     .collect();
@@ -646,7 +675,7 @@ impl PimReadMapper {
                 self.pim_min2(port, subarray, &pm, &pc, &pr, dz, wz, &decwin)?;
                 // Sense the result planes: these values *are* the next
                 // wavefront (fault flips propagate into the distance).
-                let mut vals = vec![0u32; chunk.len()];
+                let mut vals = vec![0u32; pass.len()];
                 for (w, &row) in pr.iter().enumerate() {
                     let plane = port.read_row(subarray, row)?;
                     for (c, v) in vals.iter_mut().enumerate() {
@@ -654,20 +683,20 @@ impl PimReadMapper {
                     }
                 }
                 cur[d] = vals;
-                stats.dp_cells += 1;
+                stats.dp_cells += pass.len() as u64;
                 port.record_metric(Metric::MapDpWavefronts, 1);
             }
             std::mem::swap(&mut prev, &mut cur);
         }
 
         // End cell (n, m) sits at d = m - n + band = band.
-        let dists: Vec<u32> = (0..chunk.len()).map(|c| prev[band][c]).collect();
-        for (c, &pos) in chunk.iter().enumerate() {
-            let window = self.reference.subsequence(pos, self.read_len);
+        let dists: Vec<u32> = (0..pass.len()).map(|c| prev[band][c]).collect();
+        for ((cand, read), &dist) in pass.iter().zip(&reads).zip(&dists) {
+            let window = self.reference.subsequence(cand.position, self.read_len);
             let expected = banded_global(&read.seq, &window, band, unit_scoring())
                 .map(|a| (-a.score) as u32)
                 .unwrap_or(DP_INF);
-            if dists[c] != expected {
+            if dist != expected {
                 stats.shadow_mismatches += 1;
             }
         }
@@ -740,12 +769,19 @@ impl PimReadMapper {
 }
 
 /// The mapping executor of the staged engine: chunked read mapping over a
-/// built [`PimReadMapper`]. [`MappingHit::read_id`] is batch-relative, so
-/// each chunk's hits are rebased by the stream offset before
-/// accumulation; mapping is per-read independent and [`MapStats::merge`]
-/// is an order-independent sum, so any chunking of the same read stream
-/// is byte-identical to one [`PimReadMapper::map_batch`] call (asserted
-/// in tests).
+/// built [`PimReadMapper`]. Each [`MappingExec::feed`] is one
+/// [`PimReadMapper::map_batch`] call and so one batching window: the
+/// reads of a feed that share a home sub-array share its Hamming and DP
+/// passes. [`MappingHit::read_id`] is batch-relative, so each chunk's
+/// hits are rebased by the stream offset before accumulation.
+///
+/// Hits and [`MapStats`] do not depend on the chunking: every candidate
+/// is filtered and refined alone in its column, and [`MapStats::merge`]
+/// is an order-independent sum. Device cost does depend on it. Every
+/// pass has a fixed cost, and a sub-array with C candidates runs
+/// ⌈C/cols⌉ filter passes in one feed but Σ⌈Cᵢ/cols⌉ over chunks, so
+/// passes, commands, time and energy are lowest with the whole stream in
+/// one feed and never lower for a finer split (pinned in tests).
 #[derive(Debug, Clone)]
 pub struct MappingExec {
     mapper: PimReadMapper,
@@ -815,7 +851,6 @@ pub fn software_map(
         let Ok(seed) = Kmer::from_sequence(reference, p, config.seed_len) else { continue };
         index.entry(seed.packed()).or_default().push(p);
     }
-    let plane_count = 2 * read_len;
     reads
         .iter()
         .enumerate()
@@ -850,7 +885,6 @@ pub fn software_map(
                     best = Some((score, pos));
                 }
             }
-            let _ = plane_count;
             best.map(|(score, position)| MappingHit { read_id: read_idx, position, score })
         })
         .collect()
@@ -889,10 +923,6 @@ pub struct MappingRunConfig {
     pub fault_rate: f64,
     /// Fault-injection RNG seed.
     pub fault_seed: u64,
-    /// Streamed execution: map reads in chunks of this size instead of
-    /// one batch (`None` = one-shot). Results, statistics, and command
-    /// totals are byte-identical for any chunk size.
-    pub chunk_reads: Option<usize>,
 }
 
 impl Default for MappingRunConfig {
@@ -911,7 +941,6 @@ impl Default for MappingRunConfig {
             mapping: MappingConfig::default(),
             fault_rate: 0.0,
             fault_seed: 7,
-            chunk_reads: None,
         }
     }
 }
@@ -936,7 +965,7 @@ pub struct MappingRunReport {
 }
 
 /// Runs the full mapping workload over a pre-simulated `genome` + read
-/// set: build the index, map every read, and compare against
+/// set: build the index, map every read in one batch, and compare against
 /// [`software_map`]. Callers with an RNG (bench, verify, the CLI)
 /// simulate the inputs from the config's `genome_len`/`coverage`/
 /// `error_rate`/`seed` fields.
@@ -974,14 +1003,7 @@ pub fn run_mapping(
         ParallelDispatcher::with_workers(config.workers)
     };
     let mut exec = MappingExec::new(pim);
-    match config.chunk_reads {
-        None => exec.feed(&mut ctrl, &dispatcher, reads)?,
-        Some(n) => {
-            for chunk in reads.chunks(n.max(1)) {
-                exec.feed(&mut ctrl, &dispatcher, chunk)?;
-            }
-        }
-    }
+    exec.feed(&mut ctrl, &dispatcher, reads)?;
     exec.seal();
     let (hits, stats) = exec.finish();
     let software = software_map(genome, reads, config.read_len, &config.mapping);
@@ -1046,17 +1068,143 @@ mod tests {
         assert_eq!(report.stats.shadow_mismatches, 0);
     }
 
+    /// Maps `reads` through one [`MappingExec`], `chunk` reads per feed,
+    /// on a fresh metrics-enabled controller (as [`run_mapping`] does
+    /// with the whole stream in one feed).
+    fn map_in_chunks(
+        config: &MappingRunConfig,
+        genome: &DnaSequence,
+        reads: &[Read],
+        chunk: usize,
+    ) -> (Vec<Option<MappingHit>>, MapStats, MetricsSnapshot) {
+        let g = DramGeometry::paper_assembly();
+        let mut ctrl = Controller::with_profile(g, &config.backend.profile());
+        ctrl.enable_metrics();
+        ctrl.set_stage(Stage::Mapping);
+        let mapper = KmerMapper::new(&g, config.subarrays, config.bucket_rows);
+        let pim = PimReadMapper::build(
+            &mut ctrl,
+            mapper,
+            genome,
+            config.read_len,
+            config.mapping,
+            config.backend,
+            config.opt,
+        )
+        .unwrap();
+        let mut exec = MappingExec::new(pim);
+        for part in reads.chunks(chunk) {
+            exec.feed(&mut ctrl, &ParallelDispatcher::serial(), part).unwrap();
+        }
+        exec.seal();
+        let (hits, stats) = exec.finish();
+        (hits, stats, ctrl.metrics_snapshot().unwrap())
+    }
+
     #[test]
     fn chunked_mapping_matches_one_shot() {
-        let base = MappingRunConfig { error_rate: 0.02, ..small_config() };
-        let reference = run(&base).unwrap();
-        assert!(reference.agreement);
+        // One feed is one batching window. Hits, statistics and the
+        // per-read counters do not depend on the chunking; every other
+        // counter follows the passes, which can only grow when a
+        // sub-array's reads are split over more feeds (⌈ΣC/cols⌉ ≤
+        // Σ⌈Cᵢ/cols⌉, and every pass has a fixed cost).
+        let config = MappingRunConfig { error_rate: 0.02, ..small_config() };
+        let (genome, reads) = simulate(&config);
+        let one_shot = run_mapping(&config, &genome, &reads).unwrap();
+        assert!(one_shot.agreement);
+        let whole = one_shot.metrics.unwrap();
+        let per_read = |key: &str| {
+            key.ends_with(".map_reads")
+                || key.ends_with(".map_seed_probes")
+                || key.starts_with("hist.map_candidates.")
+        };
         for n in [1, 3, 7] {
-            let chunked = run(&MappingRunConfig { chunk_reads: Some(n), ..base }).unwrap();
-            assert_eq!(chunked.hits, reference.hits, "chunk_reads={n}");
-            assert_eq!(chunked.stats, reference.stats, "chunk_reads={n}");
-            let (a, b) = (chunked.metrics.unwrap(), reference.metrics.clone().unwrap());
-            assert_eq!(a.counters, b.counters, "chunk_reads={n}");
+            let (hits, stats, chunked) = map_in_chunks(&config, &genome, &reads, n);
+            assert_eq!(hits, one_shot.hits, "chunk={n}");
+            assert_eq!(stats, one_shot.stats, "chunk={n}");
+            assert!(chunked.counters.keys().eq(whole.counters.keys()), "chunk={n}");
+            for (key, &value) in &whole.counters {
+                let got = chunked.counter(key);
+                if per_read(key) {
+                    assert_eq!(got, value, "chunk={n}: per-read counter {key}");
+                } else {
+                    assert!(got >= value, "chunk={n}: {key} = {got}, one-shot {value}");
+                }
+            }
+            if n == 1 {
+                let planes = |m: &MetricsSnapshot| m.counter("mapping.map_match_planes");
+                assert!(planes(&whole) < planes(&chunked), "one feed shared no pass");
+            }
+        }
+    }
+
+    /// A repeat-heavy reference of `len` bases: copies of one random
+    /// motif, each followed by its own random spacer.
+    fn motif_reference(
+        rng: &mut ChaCha8Rng,
+        motif_len: usize,
+        spacer_len: usize,
+        len: usize,
+    ) -> DnaSequence {
+        let motif = DnaSequence::random(rng, motif_len);
+        let mut genome = DnaSequence::new();
+        while genome.len() < len {
+            genome.extend_from(&motif);
+            genome.extend_from(&DnaSequence::random(rng, spacer_len));
+        }
+        genome.subsequence(0, len)
+    }
+
+    #[test]
+    fn one_reads_candidates_straddle_two_filter_passes() {
+        // 3 kbp of 40 bp motif + 20 bp spacer: 50 motif copies. A read
+        // sampled at offset 16 of a copy seeds inside the motif, so it has
+        // one candidate per copy, and its window runs into the copy's own
+        // spacer, so the filter separates the copies. Eight such reads
+        // share one seed and so one home sub-array: 400 candidates in
+        // one feed, and the sixth read's (columns 250..300) straddle the
+        // first and second filter pass. That read is exact and its own
+        // window sits in column 255, so its hit must survive the second
+        // pass. Even copies carry a substitution past the seed, so the DP
+        // path runs on both sides of the boundary too.
+        const MOTIF: usize = 40;
+        const PERIOD: usize = 60;
+        const READ_LEN: usize = 32;
+        let mut rng = ChaCha8Rng::seed_from_u64(19);
+        let genome = motif_reference(&mut rng, MOTIF, PERIOD - MOTIF, 3_000);
+        let mut reads: Vec<Read> = (0..8)
+            .map(|copy| {
+                let origin = copy * PERIOD + 16;
+                let mut seq = DnaSequence::new();
+                for i in 0..READ_LEN {
+                    let base = genome.get(origin + i);
+                    seq.push(if copy % 2 == 0 && i == 20 { base.complement() } else { base });
+                }
+                Read { id: copy, seq, origin }
+            })
+            .collect();
+        reads.extend(
+            ReadSimulator::new(READ_LEN, 0.5).with_error_rate(0.02).simulate(&genome, &mut rng),
+        );
+        let base =
+            MappingRunConfig { read_len: READ_LEN, subarrays: 16, ..MappingRunConfig::default() };
+        let software = software_map(&genome, &reads, READ_LEN, &base.mapping);
+        let planes_per_pass = 2 * READ_LEN as u64;
+        for backend in BackendKind::ALL {
+            for opt in [OptLevel::O0, OptLevel::O2] {
+                let report =
+                    run_mapping(&MappingRunConfig { backend, opt, ..base }, &genome, &reads)
+                        .unwrap();
+                assert_eq!(report.hits, software, "{backend} at {opt}");
+                assert_eq!(report.stats.shadow_mismatches, 0, "{backend} at {opt}");
+                let metrics = report.metrics.unwrap();
+                let most_passes = (0..16)
+                    .map(|s| metrics.counter(&format!("mapping.sub{s:05}.map_match_planes")))
+                    .max()
+                    .unwrap()
+                    / planes_per_pass;
+                assert!(most_passes >= 2, "{backend} at {opt}: no sub-array ran two passes");
+            }
         }
     }
 
@@ -1090,9 +1238,23 @@ mod tests {
             OptLevel::O0,
         )
         .unwrap();
-        let bad = Read { id: 0, seq: DnaSequence::random(&mut rng, 30), origin: 0 };
+        let bad = Read { id: 0, seq: DnaSequence::random(&mut rng, 20), origin: 0 };
         let err = pim.map_batch(&mut ctrl, &ParallelDispatcher::serial(), &[bad]).unwrap_err();
-        assert!(matches!(err, PimError::KTooLarge { .. }));
+        assert_eq!(err, PimError::SequenceLength { what: "read", len: 20, expected: 24 });
+        assert_eq!(err.to_string(), "read is 20 bp but the mapping index takes 24 bp reads");
+
+        let short = DnaSequence::random(&mut rng, 10);
+        let err = PimReadMapper::build(
+            &mut ctrl,
+            KmerMapper::new(&g, 2, 8),
+            &short,
+            24,
+            MappingConfig { seed_len: 12, ..MappingConfig::default() },
+            BackendKind::PimAssembler,
+            OptLevel::O0,
+        )
+        .unwrap_err();
+        assert_eq!(err, PimError::SequenceLength { what: "reference", len: 10, expected: 24 });
     }
 
     #[test]

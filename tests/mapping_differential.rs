@@ -4,7 +4,8 @@
 //! every lowering backend at both optimization levels, over random,
 //! repeat-heavy, and low-coverage read sets; serial dispatch must equal
 //! the worker pool; and fault injection must raise detection counters
-//! rather than produce silent wrong mappings.
+//! rather than produce silent wrong mappings, also where several reads
+//! share one filter pass.
 //!
 //! This is the integration-level face of the `pim-verify` mapping
 //! oracles: where those drive the suite through its own scenario
@@ -107,6 +108,15 @@ fn fault_injection_raises_detection_counters_not_silent_wrong_mappings() {
         let config = MappingRunConfig { fault_rate: 2e-3, fault_seed, ..base_config() };
         let report = run(&config, &genome, &reads);
         assert!(report.fault_flips > 0, "fault model injected nothing");
+        // Fewer match planes than one filter pass per seeded read: the
+        // campaign runs on passes shared by several reads, so detection
+        // must work per column.
+        let planes = report.metrics.as_ref().unwrap().counter("mapping.map_match_planes");
+        assert!(
+            planes < report.stats.seeded * 2 * READ_LEN as u64,
+            "seed {fault_seed}: {planes} match planes for {} seeded reads",
+            report.stats.seeded
+        );
         let disagreements = report.hits.iter().zip(software.iter()).filter(|(p, s)| p != s).count();
         if disagreements > 0 {
             assert!(
