@@ -6,6 +6,7 @@ use std::io::BufReader;
 use std::path::Path;
 
 use pim_assembler::{PimAssembler, PimAssemblerConfig};
+use pim_dram::geometry::DramGeometry;
 use pim_genome::correction::ReadCorrector;
 use pim_genome::fasta::{read_fasta, write_fasta, FastaRecord};
 use pim_genome::fastq::read_fastq;
@@ -66,7 +67,8 @@ SIMULATE OPTIONS:
 
 MAP OPTIONS:
   --genome-len N   synthetic reference length (default 300)
-  --read-len N     simulated read length (default 32, max cols/2)
+  --read-len N     simulated read length (default 32; 16..=128, the
+                   seed length to half a row)
   --coverage X     read coverage depth (default 4)
   --error-rate X   per-base substitution error rate (default 0.02;
                    errors route survivors through the DP refiner)
@@ -86,6 +88,8 @@ VERIFY OPTIONS:
   --k N            k-mer length driven through the stages (default 9)
   --min-count N    graph-stage k-mer count threshold (default 1)
   --genome-len N   synthetic genome length per scenario (default 400)
+  --read-len N     with --stage mapping: simulated read length (default
+                   24; 2..=min(--genome-len, 128))
   --seed N         base RNG seed (default 42)
   --faults LIST    comma-separated sense-amp flip rates to campaign over
                    (default 1e-4; pass `none` to skip fault injection)
@@ -425,7 +429,13 @@ fn metrics_stats(path: &str) -> CliResult {
 pub fn map(args: &ParsedArgs) -> CliResult {
     use pim_assembler::mapping_stage::{run_mapping, MappingRunConfig};
     let defaults = MappingRunConfig::default();
-    let read_len = args.get_num_where("read-len", defaults.read_len, |n| n >= 1, "at least 1")?;
+    let (min, max) = (defaults.mapping.seed_len, DramGeometry::paper_assembly().cols / 2);
+    let read_len = args.get_num_where(
+        "read-len",
+        defaults.read_len,
+        |n| (min..=max).contains(&n),
+        &format!("in {min}..={max} (the seed length to half a row)"),
+    )?;
     let config = MappingRunConfig {
         genome_len: args.get_num_where(
             "genome-len",
@@ -533,13 +543,16 @@ fn verify_mapping(args: &ParsedArgs) -> CliResult {
         Some(name) => vec![parse_backend(name)?],
     };
     let genome_len = genome_len_arg(args, defaults.genome_len)?;
+    // The suite seeds with half the read (at most 16 bp), so a read needs
+    // 2 bp; it must also fit the reference and half a row.
+    let max = genome_len.min(DramGeometry::paper_assembly().cols / 2);
     let options = MappingSuiteOptions {
         genome_len,
         read_len: args.get_num_where(
             "read-len",
             defaults.read_len,
-            |n| (1..=genome_len).contains(&n),
-            &format!("in 1..=--genome-len ({genome_len})"),
+            |n| (2..=max).contains(&n),
+            &format!("in 2..={max} (up to the smaller of --genome-len and half a row)"),
         )?,
         coverage: coverage_arg(args, defaults.coverage)?,
         error_rate: error_rate_arg(args, defaults.error_rate)?,
@@ -1111,9 +1124,33 @@ mod tests {
     }
 
     #[test]
-    fn map_rejects_zero_read_length() {
-        let err = rejected(map, &["map", "--read-len", "0"]);
-        assert_eq!(err, "--read-len must be at least 1, got 0");
+    fn map_rejects_read_lengths_outside_seed_to_half_a_row() {
+        for len in ["0", "10", "129"] {
+            let err = rejected(map, &["map", "--read-len", len]);
+            assert_eq!(
+                err,
+                format!(
+                    "--read-len must be in 16..=128 (the seed length to half a row), got {len}"
+                )
+            );
+        }
+    }
+
+    #[test]
+    fn verify_mapping_rejects_read_lengths_before_running() {
+        let range = "(up to the smaller of --genome-len and half a row)";
+        for (argv, expected) in [
+            (&["--read-len", "1"][..], format!("--read-len must be in 2..=128 {range}, got 1")),
+            (&["--read-len", "129"], format!("--read-len must be in 2..=128 {range}, got 129")),
+            (
+                &["--genome-len", "100", "--read-len", "101"],
+                format!("--read-len must be in 2..=100 {range}, got 101"),
+            ),
+        ] {
+            let argv: Vec<&str> =
+                ["verify", "--stage", "mapping"].iter().chain(argv).copied().collect();
+            assert_eq!(rejected(verify, &argv), expected);
+        }
     }
 
     #[test]

@@ -24,11 +24,18 @@ pub enum PimError {
         /// Rows available in its k-mer region.
         capacity: usize,
     },
-    /// A k too large for one row (> 128 bp) or outside the packed range.
-    KTooLarge {
-        /// The requested k.
-        k: usize,
-        /// Maximum supported.
+    /// A read-mapper length the seed index cannot take: a read length
+    /// shorter than the seed or longer than half the row width (two bits
+    /// per base), or a reference too long for the index's 32-bit
+    /// positions.
+    LengthOutOfRange {
+        /// What is out of range: `"read length"` or `"reference length"`.
+        what: &'static str,
+        /// The length in bases.
+        len: usize,
+        /// Shortest supported length.
+        min: usize,
+        /// Longest supported length.
         max: usize,
     },
     /// A read-mapper input whose length does not fit the index's fixed
@@ -90,7 +97,9 @@ impl fmt::Display for PimError {
                 "sub-array {subarray} k-mer region full ({capacity} rows); spread the k-mers over \
                  more hash sub-arrays (--subarrays, or PimAssemblerConfig::with_hash_subarrays)"
             ),
-            PimError::KTooLarge { k, max } => write!(f, "k={k} exceeds supported maximum {max}"),
+            PimError::LengthOutOfRange { what, len, min, max } => {
+                write!(f, "{what} {len} bp is outside the supported range {min}..={max} bp")
+            }
             PimError::SequenceLength { what, len, expected } => {
                 write!(f, "{what} is {len} bp but the mapping index takes {expected} bp reads")
             }
@@ -158,10 +167,10 @@ mod tests {
         let e = PimError::SubarrayFull { subarray: 3, capacity: 976 };
         assert!(e.to_string().contains("976"));
         assert!(e.to_string().contains("more hash sub-arrays (--subarrays"), "{e}");
-        let e = PimError::KTooLarge { k: 200, max: 128 };
-        assert!(e.to_string().contains("128"));
         let e = PimError::SequenceLength { what: "read", len: 20, expected: 24 };
         assert_eq!(e.to_string(), "read is 20 bp but the mapping index takes 24 bp reads");
+        let e = PimError::LengthOutOfRange { what: "read length", len: 10, min: 16, max: 128 };
+        assert_eq!(e.to_string(), "read length 10 bp is outside the supported range 16..=128 bp");
         let e = PimError::InvalidChunkSize;
         assert!(e.to_string().contains("chunk_reads"));
         let e = PimError::CheckpointDirNotEmpty { path: "ckpt".into() };
@@ -175,7 +184,7 @@ mod tests {
         use std::error::Error;
         let e: PimError = DramError::RowOutOfRange { row: 1, rows: 1 }.into();
         assert!(e.source().is_some());
-        assert!(PimError::KTooLarge { k: 1, max: 2 }.source().is_none());
+        assert!(PimError::InvalidChunkSize.source().is_none());
     }
 
     #[test]

@@ -2,37 +2,43 @@
 //!
 //! The stage opens the platform beyond assembly: simulated reads stream
 //! against a reference whose seed k-mers are staged into their home
-//! sub-arrays exactly like the stage-1 hash table. Reads partition by
-//! their seed's home sub-array, and each sub-array runs a three-step
-//! funnel over *all* the reads of one batch homed on it, each step on the
-//! array:
+//! sub-arrays exactly like the stage-1 hash table. One
+//! [`PimReadMapper::map_batch`] runs a three-phase funnel over the whole
+//! batch, each phase one dispatched batch on the array:
 //!
 //! 1. **Seed lookup** — each read's leading k-mer probes its home bucket
-//!    with `PIM_XNOR` ([`PimComparator`]), yielding the reference
-//!    positions that share the seed.
-//! 2. **Hamming filter** — the `(read, position)` candidates of every
-//!    read in the group are packed in stream order *one candidate per
-//!    column*, `cols` per pass. Per bit-plane the host writes the
-//!    windows' bits and each column's own read bit as two rows, `PIM_XNOR`
-//!    matches them, and the 7:3 popcount kernel plus a full-adder column
-//!    sum reduce the match planes to a per-candidate match count.
-//!    Candidates whose packed-bit Hamming distance exceeds the threshold
-//!    drop out.
-//! 3. **DP refinement** — the inexact survivors of the whole group run a
-//!    banded unit-cost edit-distance wavefront in lockstep, `cols` per
-//!    pass: the host supplies each column's `insert`/`delete`/`substitute`
-//!    operand bit-planes for each band cell (host-mediated shift network;
-//!    `substitute` compares the column's own read) and the array computes
-//!    the three-way minimum with the MSB-first `dp-cell` comparison
-//!    kernel and the `min-select` mux. The sensed distance drives the
-//!    final hit; [`pim_genome::align::banded_global`] with zero match
-//!    score and unit penalties is the exact software shadow.
+//!    with `PIM_XNOR` ([`PimComparator`]) on its home sub-array, yielding
+//!    the reference positions that share the seed.
+//! 2. **Hamming filter** — the C `(read, position)` candidates of the
+//!    whole batch are packed in read order *one candidate per column*
+//!    into ⌈C/cols⌉ passes. Per bit-plane the host writes the windows'
+//!    bits and each column's own read bit as two rows, `PIM_XNOR` matches
+//!    them, and the 7:3 popcount kernel plus a full-adder column sum
+//!    reduce the match planes to a per-candidate match count. Candidates
+//!    whose packed-bit Hamming distance exceeds the threshold drop out.
+//! 3. **DP refinement** — the S inexact survivors of the whole batch, in
+//!    the same order, run a banded unit-cost edit-distance wavefront in
+//!    lockstep over ⌈S/cols⌉ passes: the host supplies each column's
+//!    `insert`/`delete`/`substitute` operand bit-planes for each band cell
+//!    (host-mediated shift network; `substitute` compares the column's
+//!    own read) and the array computes the three-way minimum with the
+//!    MSB-first `dp-cell` comparison kernel and the `min-select` mux. The
+//!    sensed distance drives the final hit;
+//!    [`pim_genome::align::banded_global`] with zero match score and unit
+//!    penalties is the exact software shadow.
+//!
+//! Pass p of phases 2 and 3 runs on the index's sub-array p mod N, for N
+//! index sub-arrays. The host writes every window and read plane a pass
+//! reads, so once a seed's positions have been read no pass depends on
+//! the seeds a sub-array stores. Each of these phases dispatches one
+//! partition per sub-array it uses, and that partition runs its passes in
+//! pass order.
 //!
 //! As with the assembly stages the PIM verdicts drive all control flow;
 //! host-side shadows only *detect* corruption ([`MapStats`]'s
 //! `shadow_mismatches`), checked per column, so a fault flags the
 //! candidate it hit instead of producing a silent wrong mapping. The
-//! sub-array groups dispatch over [`ParallelDispatcher`], with results,
+//! partitions dispatch over [`ParallelDispatcher`], with results,
 //! statistics, and command totals byte-identical to the serial order for
 //! any worker count. The batching window is one
 //! [`PimReadMapper::map_batch`] call: hits and [`MapStats`] do not depend
@@ -41,6 +47,7 @@
 
 use pim_dram::address::{RowAddr, SubarrayId};
 use pim_dram::bitrow::BitRow;
+use pim_dram::context::SubarrayContext;
 use pim_dram::controller::Controller;
 use pim_dram::fault::FaultConfig;
 use pim_dram::geometry::DramGeometry;
@@ -151,14 +158,34 @@ struct MappingKernels {
 }
 
 /// One column of a packed Hamming or DP pass: a reference position
-/// offered to the read at `slot` of its home sub-array's group.
+/// offered to the batch's read number `read`.
 #[derive(Debug, Clone, Copy)]
 struct Candidate {
-    slot: usize,
+    read: usize,
     position: usize,
 }
 
-/// The in-DRAM read mapper: seed index + the three-step mapping funnel.
+/// The host's shadow of the seed index, flat over every `(sub-array,
+/// row)` seed slot: entry `sub·seed_rows + row` holds the packed seed
+/// stored in that row and, CSR-style, its ascending reference positions
+/// `positions[offsets[e]..offsets[e + 1]]`. A row is empty exactly when
+/// it stores no position.
+#[derive(Debug, Clone)]
+struct SeedDirectory {
+    seeds: Vec<u64>,
+    offsets: Vec<u32>,
+    positions: Vec<u32>,
+}
+
+impl SeedDirectory {
+    /// The reference positions stored under entry `e` (empty for an
+    /// empty row).
+    fn positions(&self, e: usize) -> &[u32] {
+        &self.positions[self.offsets[e] as usize..self.offsets[e + 1] as usize]
+    }
+}
+
+/// The in-DRAM read mapper: seed index + the three-phase mapping funnel.
 #[derive(Debug, Clone)]
 pub struct PimReadMapper {
     mapper: KmerMapper,
@@ -169,12 +196,9 @@ pub struct PimReadMapper {
     reference: DnaSequence,
     read_len: usize,
     /// Rows `[0, seed_rows)` of each k-mer region hold seed rows; the
-    /// rest is the per-read plane scratch pool.
+    /// rest is the per-pass plane scratch pool.
     seed_rows: usize,
-    /// Shadow seed directory: `slots[subarray][row] = Some(seed)`.
-    slots: Vec<Vec<Option<Kmer>>>,
-    /// Reference positions stored under each seed row, in ascending order.
-    positions: Vec<Vec<Vec<usize>>>,
+    directory: SeedDirectory,
     zero_row: RowAddr,
     stats: MapStats,
 }
@@ -187,8 +211,9 @@ impl PimReadMapper {
     ///
     /// # Errors
     ///
-    /// * [`PimError::KTooLarge`] if `2·read_len` exceeds the row width or
-    ///   the seed is longer than a read.
+    /// * [`PimError::LengthOutOfRange`] if `read_len` is shorter than the
+    ///   seed or longer than half the row width (two bits per base), or
+    ///   the reference is too long for the index's 32-bit positions.
     /// * [`PimError::SequenceLength`] if the reference is shorter than
     ///   one read.
     /// * [`PimError::SubarrayFull`] if a seed region overflows.
@@ -204,11 +229,13 @@ impl PimReadMapper {
     ) -> Result<Self> {
         let layout = *mapper.layout();
         let cols = layout.cols();
-        if 2 * read_len > cols {
-            return Err(PimError::KTooLarge { k: read_len, max: cols / 2 });
-        }
-        if config.seed_len > read_len {
-            return Err(PimError::KTooLarge { k: config.seed_len, max: read_len });
+        if !(config.seed_len..=cols / 2).contains(&read_len) {
+            return Err(PimError::LengthOutOfRange {
+                what: "read length",
+                len: read_len,
+                min: config.seed_len,
+                max: cols / 2,
+            });
         }
         if reference.len() < read_len {
             return Err(PimError::SequenceLength {
@@ -227,8 +254,8 @@ impl PimReadMapper {
             min_select: CompiledTemplate::compile(key(Kernel::MinSelect)),
         };
         let seed_rows = layout.kmer_rows() / 2;
-        let num_subs = mapper.subarrays().len();
-        let mut this = PimReadMapper {
+        let directory = Self::build_directory(ctrl, &mapper, reference, read_len, &config)?;
+        Ok(PimReadMapper {
             mapper,
             comparator,
             kernels,
@@ -237,42 +264,69 @@ impl PimReadMapper {
             reference: reference.clone(),
             read_len,
             seed_rows,
-            slots: vec![vec![None; seed_rows]; num_subs],
-            positions: vec![vec![Vec::new(); seed_rows]; num_subs],
+            directory,
             zero_row,
             stats: MapStats::default(),
-        };
-        let mut image = BitRow::zeros(cols);
-        for p in 0..=(reference.len() - read_len) {
-            let seed = Kmer::from_sequence(reference, p, config.seed_len)?;
-            let (sub_idx, bucket) = this.mapper.home(&seed);
-            let subarray = this.mapper.subarrays()[sub_idx];
-            let start = bucket % seed_rows;
-            let mut stored = false;
-            for step in 0..seed_rows {
-                let row = (start + step) % seed_rows;
-                match this.slots[sub_idx][row] {
-                    Some(existing) if existing == seed => {
-                        this.positions[sub_idx][row].push(p);
-                        stored = true;
-                        break;
-                    }
-                    Some(_) => continue,
-                    None => {
-                        this.mapper.row_image_into(&seed, &mut image);
-                        ctrl.write_row(subarray, RowAddr(row), &image)?;
-                        this.slots[sub_idx][row] = Some(seed);
-                        this.positions[sub_idx][row].push(p);
-                        stored = true;
-                        break;
-                    }
-                }
-            }
-            if !stored {
-                return Err(PimError::SubarrayFull { subarray: sub_idx, capacity: seed_rows });
-            }
+        })
+    }
+
+    /// Stores the seed of every read-length window of `reference` in its
+    /// home bucket (linear probing within the sub-array's seed rows, one
+    /// charged row write per new seed) and returns the host directory.
+    /// `offsets` counts each entry's positions during placement, is
+    /// prefix-summed into end offsets, and becomes the start offsets as
+    /// the positions are filled back to front.
+    fn build_directory(
+        ctrl: &mut Controller,
+        mapper: &KmerMapper,
+        reference: &DnaSequence,
+        read_len: usize,
+        config: &MappingConfig,
+    ) -> Result<SeedDirectory> {
+        if u32::try_from(reference.len()).is_err() {
+            return Err(PimError::LengthOutOfRange {
+                what: "reference length",
+                len: reference.len(),
+                min: read_len,
+                max: u32::MAX as usize,
+            });
         }
-        Ok(this)
+        let layout = mapper.layout();
+        let seed_rows = layout.kmer_rows() / 2;
+        let entries = mapper.subarrays().len() * seed_rows;
+        let mut seeds = vec![0u64; entries];
+        let mut offsets = vec![0u32; entries + 1];
+        let windows = reference.len() - read_len + 1;
+        let mut entry_of = Vec::with_capacity(windows);
+        let mut image = BitRow::zeros(layout.cols());
+        for p in 0..windows {
+            let seed = Kmer::from_sequence(reference, p, config.seed_len)?;
+            let (sub_idx, bucket) = mapper.home(&seed);
+            let base = sub_idx * seed_rows;
+            let start = bucket % seed_rows;
+            let row = (0..seed_rows)
+                .map(|step| (start + step) % seed_rows)
+                .find(|&row| offsets[base + row] == 0 || seeds[base + row] == seed.packed())
+                .ok_or(PimError::SubarrayFull { subarray: sub_idx, capacity: seed_rows })?;
+            let e = base + row;
+            if offsets[e] == 0 {
+                mapper.row_image_into(&seed, &mut image);
+                ctrl.write_row(mapper.subarrays()[sub_idx], RowAddr(row), &image)?;
+                seeds[e] = seed.packed();
+            }
+            offsets[e] += 1;
+            entry_of.push(e);
+        }
+        for e in 1..=entries {
+            offsets[e] += offsets[e - 1];
+        }
+        let mut positions = vec![0u32; windows];
+        for (p, &e) in entry_of.iter().enumerate().rev() {
+            offsets[e] -= 1;
+            // Checked above: every position fits in u32.
+            positions[offsets[e] as usize] = p as u32;
+        }
+        Ok(SeedDirectory { seeds, offsets, positions })
     }
 
     /// The lowering backend the mapping kernels run on.
@@ -290,19 +344,21 @@ impl PimReadMapper {
         &self.mapper
     }
 
-    /// Maps a batch of reads, dispatching each home sub-array's share as
-    /// an independent partition whose reads share that sub-array's
-    /// Hamming and DP passes. Returns one entry per read, in read order —
-    /// `None` for reads the funnel rejects. State, statistics, and
-    /// command totals are identical for any worker count; hits and
+    /// Maps a batch of reads in three dispatched phases: seed lookups on
+    /// each read's home sub-array, then ⌈C/cols⌉ Hamming passes over the
+    /// batch's C candidates in read order, then ⌈S/cols⌉ lockstep DP
+    /// passes over its S inexact survivors. Pass p of a phase runs on the
+    /// index's sub-array p mod N. Returns one entry per read, in read
+    /// order — `None` for reads the funnel rejects. State, statistics,
+    /// and command totals are identical for any worker count; hits and
     /// statistics are also identical for any split of a read stream into
     /// batches, while command totals grow with the number of batches.
     ///
     /// # Errors
     ///
-    /// The first failing partition's error, in home-sub-array order; a
-    /// read whose length differs from the index's `read_len` fails with
-    /// [`PimError::SequenceLength`].
+    /// The first failing partition's error, in sub-array order within the
+    /// first failing phase; a read whose length differs from the index's
+    /// `read_len` fails with [`PimError::SequenceLength`].
     pub fn map_batch(
         &mut self,
         ctrl: &mut Controller,
@@ -318,90 +374,129 @@ impl PimReadMapper {
                 });
             }
         }
-        let mut groups: Vec<Vec<(usize, &Read)>> = vec![Vec::new(); self.slots.len()];
-        for (idx, read) in reads.iter().enumerate() {
-            let seed = Kmer::from_sequence(&read.seq, 0, self.config.seed_len)?;
-            let (sub_idx, _) = self.mapper.home(&seed);
-            groups[sub_idx].push((idx, read));
-        }
-        let mut partitions = Vec::new();
-        for (sub_idx, group) in groups.into_iter().enumerate() {
-            if group.is_empty() {
-                continue;
-            }
-            partitions.push((self.mapper.subarrays()[sub_idx], (sub_idx, group)));
-        }
         let this = &*self;
-        let results = dispatcher.run_partitions(ctrl, partitions, |ctx, (sub_idx, group)| {
-            this.map_group(ctx, sub_idx, &group)
-        })?;
-        let mut out = vec![None; reads.len()];
-        for (hits, stats) in results {
-            for hit in hits {
-                out[hit.read_id] = Some(hit);
-            }
-            self.stats.merge(&stats);
-        }
-        Ok(out)
-    }
-
-    /// The funnel for every read of one batch homed on `sub_idx` (runs
-    /// against the controller façade or a detached worker context alike):
-    /// seed lookup per read in stream order, then ⌈C/cols⌉ Hamming passes
-    /// over all C candidates, then ⌈S/cols⌉ lockstep DP passes over all S
-    /// inexact survivors. `group` pairs each read with its batch index.
-    fn map_group(
-        &self,
-        port: &mut impl AapPort,
-        sub_idx: usize,
-        group: &[(usize, &Read)],
-    ) -> Result<(Vec<MappingHit>, MapStats)> {
-        let cols = port.geometry().cols;
         let mut stats = MapStats::default();
-        let mut candidates = Vec::new();
-        for (slot, &(_, read)) in group.iter().enumerate() {
-            stats.reads += 1;
-            port.record_metric(Metric::MapReads, 1);
-            let positions = self.seed_candidates(port, sub_idx, read, &mut stats)?;
-            port.record_value(HistKey::MapCandidates, positions.len() as u64);
-            if !positions.is_empty() {
-                stats.seeded += 1;
-                stats.candidates += positions.len() as u64;
-                candidates
-                    .extend(positions.into_iter().map(|position| Candidate { slot, position }));
-            }
-        }
 
-        let mut best: Vec<Option<(i32, usize)>> = vec![None; group.len()];
-        let mut inexact = Vec::new();
-        for pass in candidates.chunks(cols) {
-            for (cand, dist) in self.hamming_filter(port, sub_idx, group, pass, &mut stats)? {
-                stats.survivors += 1;
-                if dist == 0 {
-                    Self::offer(&mut best[cand.slot], 0, cand.position);
-                } else {
-                    inexact.push(cand);
-                }
+        // Phase 1: seed lookups, one partition per home sub-array.
+        let mut groups: Vec<Vec<(usize, Kmer)>> = vec![Vec::new(); this.mapper.subarrays().len()];
+        for (idx, read) in reads.iter().enumerate() {
+            let seed = Kmer::from_sequence(&read.seq, 0, this.config.seed_len)?;
+            groups[this.mapper.home(&seed).0].push((idx, seed));
+        }
+        let partitions = groups
+            .into_iter()
+            .enumerate()
+            .filter(|(_, group)| !group.is_empty())
+            .map(|(sub_idx, group)| (this.mapper.subarrays()[sub_idx], (sub_idx, group)))
+            .collect();
+        let lookups = dispatcher.run_partitions(ctrl, partitions, |ctx, (sub_idx, group)| {
+            this.seed_group(ctx, sub_idx, &group)
+        })?;
+        let mut entries = vec![None; reads.len()];
+        for (matched, part_stats) in lookups {
+            stats.merge(&part_stats);
+            for (idx, e) in matched {
+                entries[idx] = Some(e);
             }
         }
-        for pass in inexact.chunks(cols) {
-            let dists = self.dp_refine(port, sub_idx, group, pass, &mut stats)?;
-            for (cand, &d) in pass.iter().zip(&dists) {
-                if d < DP_INF {
-                    Self::offer(&mut best[cand.slot], -(d as i32), cand.position);
-                }
-            }
-        }
-
-        let hits: Vec<MappingHit> = group
+        let candidates: Vec<Candidate> = entries
             .iter()
-            .zip(best)
-            .filter_map(|(&(read_id, _), best)| {
+            .enumerate()
+            .flat_map(|(read, e)| {
+                let positions = e.map_or(&[][..], |e| this.directory.positions(e));
+                positions.iter().map(move |&p| Candidate { read, position: p as usize })
+            })
+            .collect();
+
+        // Phase 2: the batch's Hamming filter passes.
+        let filtered = this.run_pooled(
+            ctrl,
+            dispatcher,
+            &candidates,
+            &mut stats,
+            |ctx, subarray, pass, stats| this.hamming_filter(ctx, subarray, reads, pass, stats),
+        )?;
+        let mut best: Vec<Option<(i32, usize)>> = vec![None; reads.len()];
+        let mut inexact = Vec::new();
+        for (cand, dist) in filtered.into_iter().flatten() {
+            stats.survivors += 1;
+            if dist == 0 {
+                Self::offer(&mut best[cand.read], 0, cand.position);
+            } else {
+                inexact.push(cand);
+            }
+        }
+
+        // Phase 3: the batch's DP passes.
+        let refined = this.run_pooled(
+            ctrl,
+            dispatcher,
+            &inexact,
+            &mut stats,
+            |ctx, subarray, pass, stats| this.dp_refine(ctx, subarray, reads, pass, stats),
+        )?;
+        for (cand, d) in inexact.iter().zip(refined.into_iter().flatten()) {
+            if d < DP_INF {
+                Self::offer(&mut best[cand.read], -(d as i32), cand.position);
+            }
+        }
+
+        let hits: Vec<Option<MappingHit>> = best
+            .into_iter()
+            .enumerate()
+            .map(|(read_id, best)| {
                 best.map(|(score, position)| MappingHit { read_id, position, score })
             })
             .collect();
-        stats.mapped += hits.len() as u64;
-        Ok((hits, stats))
+        stats.mapped += hits.iter().flatten().count() as u64;
+        self.stats.merge(&stats);
+        Ok(hits)
+    }
+
+    /// Packs `items` one per column into ⌈len/cols⌉ passes and runs pass
+    /// p on the index's sub-array p mod N as one dispatched batch: one
+    /// partition per sub-array used, each running its passes in pass
+    /// order. Returns the pass results in pass order and folds every
+    /// partition's statistics into `stats`.
+    fn run_pooled<T, R>(
+        &self,
+        ctrl: &mut Controller,
+        dispatcher: &ParallelDispatcher,
+        items: &[T],
+        stats: &mut MapStats,
+        run_pass: impl Fn(&mut SubarrayContext, SubarrayId, &[T], &mut MapStats) -> Result<R> + Sync,
+    ) -> Result<Vec<R>>
+    where
+        T: Sync,
+        R: Send,
+    {
+        if items.is_empty() {
+            return Ok(Vec::new());
+        }
+        let cols = self.mapper.layout().cols();
+        let subarrays = self.mapper.subarrays();
+        let passes = items.len().div_ceil(cols);
+        let mut partitions: Vec<_> =
+            subarrays.iter().take(passes).map(|&id| (id, Vec::new())).collect();
+        for (p, pass) in items.chunks(cols).enumerate() {
+            partitions[p % subarrays.len()].1.push((p, pass));
+        }
+        let results = dispatcher.run_partitions(ctrl, partitions, |ctx, passes| {
+            let subarray = ctx.id();
+            let mut part_stats = MapStats::default();
+            let out = passes
+                .into_iter()
+                .map(|(p, pass)| Ok((p, run_pass(ctx, subarray, pass, &mut part_stats)?)))
+                .collect::<Result<Vec<_>>>()?;
+            Ok((out, part_stats))
+        })?;
+        let mut ordered = Vec::with_capacity(passes);
+        for (out, part_stats) in results {
+            stats.merge(&part_stats);
+            ordered.extend(out);
+        }
+        ordered.sort_unstable_by_key(|&(p, _)| p);
+        Ok(ordered.into_iter().map(|(_, r)| r).collect())
     }
 
     /// Keeps the better `(score, position)` — higher score wins, ties go
@@ -416,28 +511,56 @@ impl PimReadMapper {
         }
     }
 
-    /// Step 1 — seed lookup: probe the home bucket with `PIM_XNOR` until
-    /// the stored seed matches (or an empty row ends the chain) and
-    /// return the positions stored under the matched row.
-    fn seed_candidates(
+    /// Phase 1 for the reads of one batch homed on `sub_idx`, in stream
+    /// order (`group` pairs each read's batch index with its seed).
+    /// Returns the batch index and directory entry of every read whose
+    /// seed matched.
+    fn seed_group(
         &self,
         port: &mut impl AapPort,
         sub_idx: usize,
-        read: &Read,
+        group: &[(usize, Kmer)],
+    ) -> Result<(Vec<(usize, usize)>, MapStats)> {
+        let mut stats = MapStats::default();
+        let mut matched = Vec::new();
+        for &(idx, seed) in group {
+            stats.reads += 1;
+            port.record_metric(Metric::MapReads, 1);
+            let entry = self.seed_lookup(port, sub_idx, &seed, &mut stats)?;
+            let count = entry.map_or(0, |e| self.directory.positions(e).len());
+            port.record_value(HistKey::MapCandidates, count as u64);
+            if let Some(e) = entry {
+                stats.seeded += 1;
+                stats.candidates += count as u64;
+                matched.push((idx, e));
+            }
+        }
+        Ok((matched, stats))
+    }
+
+    /// Seed lookup: probe the home bucket with `PIM_XNOR` until the
+    /// stored seed matches (or an empty row ends the chain) and return
+    /// the directory entry of the matched row.
+    fn seed_lookup(
+        &self,
+        port: &mut impl AapPort,
+        sub_idx: usize,
+        seed: &Kmer,
         stats: &mut MapStats,
-    ) -> Result<Vec<usize>> {
+    ) -> Result<Option<usize>> {
         let layout = *self.mapper.layout();
-        let seed = Kmer::from_sequence(&read.seq, 0, self.config.seed_len)?;
-        let (_, bucket) = self.mapper.home(&seed);
+        let (_, bucket) = self.mapper.home(seed);
         let subarray = self.mapper.subarrays()[sub_idx];
-        let image = self.mapper.row_image(&seed, layout.cols());
+        let image = self.mapper.row_image(seed, layout.cols());
         self.comparator.stage_query(port, subarray, layout.temp_row(0), &image)?;
+        let base = sub_idx * self.seed_rows;
         let start = bucket % self.seed_rows;
         for step in 0..self.seed_rows {
             let row = (start + step) % self.seed_rows;
-            let Some(stored) = self.slots[sub_idx][row] else {
-                return Ok(Vec::new());
-            };
+            let e = base + row;
+            if self.directory.positions(e).is_empty() {
+                return Ok(None);
+            }
             port.record_metric(Metric::MapSeedProbes, 1);
             let matched = self.comparator.compare(
                 port,
@@ -446,33 +569,32 @@ impl PimReadMapper {
                 RowAddr(row),
                 layout.temp_row(1),
             )?;
-            if matched != (stored == seed) {
+            if matched != (self.directory.seeds[e] == seed.packed()) {
                 stats.shadow_mismatches += 1;
             }
             if matched {
-                return Ok(self.positions[sub_idx][row].clone());
+                return Ok(Some(e));
             }
         }
-        Ok(Vec::new())
+        Ok(None)
     }
 
-    /// Step 2 — the columnar Hamming filter over one pass of ≤ `cols`
-    /// candidates, one per column, drawn from any reads of the group.
+    /// Phase 2 — the columnar Hamming filter over one pass of ≤ `cols`
+    /// candidates, one per column, drawn from any reads of the batch.
     /// Returns the surviving candidates with their packed-bit distances.
     fn hamming_filter(
         &self,
         port: &mut impl AapPort,
-        sub_idx: usize,
-        group: &[(usize, &Read)],
+        subarray: SubarrayId,
+        reads: &[Read],
         pass: &[Candidate],
         stats: &mut MapStats,
     ) -> Result<Vec<(Candidate, u32)>> {
         let layout = *self.mapper.layout();
         let cols = layout.cols();
-        let subarray = self.mapper.subarrays()[sub_idx];
         let plane_count = 2 * self.read_len;
         let read_bits: Vec<Vec<bool>> =
-            pass.iter().map(|c| group[c.slot].1.seq.to_row_bits(self.read_len)).collect();
+            pass.iter().map(|c| reads[c.read].seq.to_row_bits(self.read_len)).collect();
         let window_bits: Vec<Vec<bool>> = pass
             .iter()
             .map(|c| {
@@ -579,7 +701,7 @@ impl PimReadMapper {
         Ok(survivors)
     }
 
-    /// Step 3 — banded unit-cost edit distance for one pass of ≤ `cols`
+    /// Phase 3 — banded unit-cost edit distance for one pass of ≤ `cols`
     /// inexact survivors, run in lockstep one candidate per column. The
     /// host supplies the three operand planes per band cell from the
     /// previously sensed wavefront (the host-mediated shift network; each
@@ -589,20 +711,19 @@ impl PimReadMapper {
     fn dp_refine(
         &self,
         port: &mut impl AapPort,
-        sub_idx: usize,
-        group: &[(usize, &Read)],
+        subarray: SubarrayId,
+        reads: &[Read],
         pass: &[Candidate],
         stats: &mut MapStats,
     ) -> Result<Vec<u32>> {
         const W: usize = MAPPING_VALUE_BITS;
         let layout = *self.mapper.layout();
         let cols = layout.cols();
-        let subarray = self.mapper.subarrays()[sub_idx];
         let band = self.config.band;
         let width = 2 * band + 1;
         let n = self.read_len; // read length (rows of the DP matrix)
         let m = self.read_len; // window length (columns)
-        let reads: Vec<&Read> = pass.iter().map(|c| group[c.slot].1).collect();
+        let reads: Vec<&Read> = pass.iter().map(|c| &reads[c.read]).collect();
 
         let mut scratch = ScratchSpace::new(self.seed_rows, layout.kmer_rows());
         let alloc_planes = |scratch: &mut ScratchSpace| -> Result<Vec<RowAddr>> {
@@ -770,18 +891,19 @@ impl PimReadMapper {
 
 /// The mapping executor of the staged engine: chunked read mapping over a
 /// built [`PimReadMapper`]. Each [`MappingExec::feed`] is one
-/// [`PimReadMapper::map_batch`] call and so one batching window: the
-/// reads of a feed that share a home sub-array share its Hamming and DP
-/// passes. [`MappingHit::read_id`] is batch-relative, so each chunk's
-/// hits are rebased by the stream offset before accumulation.
+/// [`PimReadMapper::map_batch`] call and so one batching window: all the
+/// candidates of a feed share its Hamming passes, and all its inexact
+/// survivors share its DP passes, pass p on the index's sub-array p mod
+/// N. [`MappingHit::read_id`] is batch-relative, so each chunk's hits
+/// are rebased by the stream offset before accumulation.
 ///
 /// Hits and [`MapStats`] do not depend on the chunking: every candidate
 /// is filtered and refined alone in its column, and [`MapStats::merge`]
 /// is an order-independent sum. Device cost does depend on it. Every
-/// pass has a fixed cost, and a sub-array with C candidates runs
-/// ⌈C/cols⌉ filter passes in one feed but Σ⌈Cᵢ/cols⌉ over chunks, so
-/// passes, commands, time and energy are lowest with the whole stream in
-/// one feed and never lower for a finer split (pinned in tests).
+/// pass has a fixed cost, and C candidates take ⌈C/cols⌉ filter passes
+/// in one feed but Σ⌈Cᵢ/cols⌉ over chunks, so passes, commands, time and
+/// energy are lowest with the whole stream in one feed and never lower
+/// for a finer split (pinned in tests).
 #[derive(Debug, Clone)]
 pub struct MappingExec {
     mapper: PimReadMapper,
@@ -899,7 +1021,7 @@ pub fn software_map(
 pub struct MappingRunConfig {
     /// Reference genome length (bases).
     pub genome_len: usize,
-    /// Simulated read length (must satisfy `2·read_len ≤ cols`).
+    /// Simulated read length (from the seed length to `cols/2`).
     pub read_len: usize,
     /// Read coverage depth.
     pub coverage: f64,
@@ -1105,9 +1227,11 @@ mod tests {
     fn chunked_mapping_matches_one_shot() {
         // One feed is one batching window. Hits, statistics and the
         // per-read counters do not depend on the chunking; every other
-        // counter follows the passes, which can only grow when a
-        // sub-array's reads are split over more feeds (⌈ΣC/cols⌉ ≤
-        // Σ⌈Cᵢ/cols⌉, and every pass has a fixed cost).
+        // counter follows the passes, which can only grow when a batch
+        // is split over more feeds (⌈ΣC/cols⌉ ≤ Σ⌈Cᵢ/cols⌉, and every
+        // pass has a fixed cost). At this size each phase of every feed
+        // fits one pass, on sub-array 0, so the bound holds per
+        // sub-array too.
         let config = MappingRunConfig { error_rate: 0.02, ..small_config() };
         let (genome, reads) = simulate(&config);
         let one_shot = run_mapping(&config, &genome, &reads).unwrap();
@@ -1197,13 +1321,11 @@ mod tests {
                         .unwrap();
                 assert_eq!(report.hits, software, "{backend} at {opt}");
                 assert_eq!(report.stats.shadow_mismatches, 0, "{backend} at {opt}");
-                let metrics = report.metrics.unwrap();
-                let most_passes = (0..16)
-                    .map(|s| metrics.counter(&format!("mapping.sub{s:05}.map_match_planes")))
-                    .max()
-                    .unwrap()
-                    / planes_per_pass;
-                assert!(most_passes >= 2, "{backend} at {opt}: no sub-array ran two passes");
+                let planes = report.metrics.unwrap().counter("mapping.map_match_planes");
+                assert!(
+                    planes >= 2 * planes_per_pass,
+                    "{backend} at {opt}: the batch ran fewer than two filter passes"
+                );
             }
         }
     }
@@ -1263,16 +1385,82 @@ mod tests {
         let mut ctrl = Controller::new(g);
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         let genome = DnaSequence::random(&mut rng, 400);
-        let err = PimReadMapper::build(
-            &mut ctrl,
-            KmerMapper::new(&g, 2, 8),
-            &genome,
-            200,
-            MappingConfig::default(),
-            BackendKind::PimAssembler,
-            OptLevel::O0,
-        )
-        .unwrap_err();
-        assert!(matches!(err, PimError::KTooLarge { .. }));
+        // Longer than half a 256-column row, and shorter than the 16 bp seed.
+        for (read_len, message) in [
+            (200, "read length 200 bp is outside the supported range 16..=128 bp"),
+            (10, "read length 10 bp is outside the supported range 16..=128 bp"),
+        ] {
+            let err = PimReadMapper::build(
+                &mut ctrl,
+                KmerMapper::new(&g, 2, 8),
+                &genome,
+                read_len,
+                MappingConfig::default(),
+                BackendKind::PimAssembler,
+                OptLevel::O0,
+            )
+            .unwrap_err();
+            assert_eq!(
+                err,
+                PimError::LengthOutOfRange {
+                    what: "read length",
+                    len: read_len,
+                    min: 16,
+                    max: 128
+                }
+            );
+            assert_eq!(err.to_string(), message);
+        }
+    }
+
+    /// Band cells one DP pass evaluates: every `(i, j)` of the band with
+    /// `1 ≤ i ≤ n` and `1 ≤ j ≤ n` (column 0 is seeded by the host).
+    fn band_cells(n: usize, band: usize) -> u64 {
+        (1..=n).map(|i| (i.saturating_sub(band).max(1)..=(i + band).min(n)).count() as u64).sum()
+    }
+
+    #[test]
+    fn map_dp_sized_batch_runs_pooled_passes() {
+        // The benchmark's read-mapping shape: 3 kbp, 64 bp reads at 10×
+        // with 2% substitutions, 16 index sub-arrays. Its ~350 candidates
+        // take ⌈C/256⌉ = 2 filter passes and its ~220 inexact survivors
+        // one DP pass for the whole batch; packed per home sub-array they
+        // took 16 of each.
+        let config = MappingRunConfig {
+            genome_len: 3_000,
+            read_len: 64,
+            coverage: 10.0,
+            error_rate: 0.02,
+            seed: 11,
+            subarrays: 16,
+            ..MappingRunConfig::default()
+        };
+        let (genome, reads) = simulate(&config);
+        let report = run_mapping(&config, &genome, &reads).unwrap();
+        assert_eq!(report.hits, software_map(&genome, &reads, 64, &config.mapping));
+        assert_eq!(report.stats.shadow_mismatches, 0);
+        let cols = DramGeometry::paper_assembly().cols as u64;
+        let candidates = report.stats.candidates;
+        assert!(candidates > cols, "{candidates} candidates fill only one filter pass");
+        let per_pass = band_cells(64, config.mapping.band);
+        assert_eq!(report.stats.dp_cells % per_pass, 0);
+        let inexact = report.stats.dp_cells / per_pass;
+        assert!(inexact > 0, "no DP pass ran");
+
+        let metrics = report.metrics.unwrap();
+        let planes_per_pass = 2 * 64;
+        assert_eq!(
+            metrics.counter("mapping.map_match_planes"),
+            candidates.div_ceil(cols) * planes_per_pass
+        );
+        assert_eq!(metrics.counter("mapping.map_dp_wavefronts"), inexact.div_ceil(cols) * per_pass);
+        // Pass p runs on sub-array p mod 16: filter passes 0 and 1, on
+        // both sub-arrays alike with a worker per partition.
+        for (sub, planes) in [(0, planes_per_pass), (1, planes_per_pass), (2, 0)] {
+            let key = format!("mapping.sub{sub:05}.map_match_planes");
+            assert_eq!(metrics.counter(&key), planes, "{key}");
+        }
+        let pooled = run_mapping(&MappingRunConfig { workers: 2, ..config }, &genome, &reads);
+        assert_eq!(pooled.unwrap().metrics.unwrap().counters, metrics.counters);
     }
 }
