@@ -16,8 +16,9 @@ pub struct ParsedArgs {
     pub flags: Vec<String>,
 }
 
-/// Option keys that take a value (everything else starting with `--` is a
-/// switch).
+/// Option keys that take a value, for any command (everything else
+/// starting with `--` is a switch). Which of them a command accepts is
+/// [`ParsedArgs::check_known`]'s business.
 const VALUE_KEYS: [&str; 25] = [
     "k",
     "opt-level",
@@ -104,6 +105,35 @@ impl ParsedArgs {
     pub fn has_flag(&self, flag: &str) -> bool {
         self.flags.iter().any(|f| f == flag)
     }
+
+    /// Rejects any `--name` the command does not accept: `options` take a
+    /// value, `switches` do not. The error names the first offender —
+    /// switches in command-line order, then options by name. (A mistyped
+    /// option parses as a switch, and its value as a stray positional.)
+    pub fn check_known(&self, options: &[&str], switches: &[&str]) -> Result<(), String> {
+        let mut keys: Vec<&String> = self.options.keys().collect();
+        keys.sort();
+        let unknown = self
+            .flags
+            .iter()
+            .find(|f| !switches.contains(&f.as_str()))
+            .or_else(|| keys.into_iter().find(|k| !options.contains(&k.as_str())));
+        match unknown {
+            None => Ok(()),
+            Some(name) => {
+                let command = if self.command.is_empty() { "pim-asm" } else { &self.command };
+                let mut accepted: Vec<String> = options
+                    .iter()
+                    .map(|o| format!("--{o}"))
+                    .chain(switches.iter().map(|s| format!("--{s}")))
+                    .collect();
+                accepted.sort();
+                let accepted =
+                    if accepted.is_empty() { "none".to_string() } else { accepted.join(", ") };
+                Err(format!("unknown option --{name} for {command} (accepted: {accepted})"))
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -135,6 +165,22 @@ mod tests {
         let a = parse("assemble in.fa");
         assert_eq!(a.get_num("k", 17usize), Ok(17));
         assert!(!a.has_flag("correct"));
+    }
+
+    #[test]
+    fn unknown_switches_and_misplaced_options_are_named() {
+        let a = parse("assemble r.fa --checkpoint-dri D");
+        assert_eq!(a.positional, vec!["r.fa", "D"], "the typo's value is a stray positional");
+        let err = a.check_known(&["checkpoint-dir"], &["force"]).unwrap_err();
+        assert_eq!(
+            err,
+            "unknown option --checkpoint-dri for assemble (accepted: --checkpoint-dir, --force)"
+        );
+        let err = parse("simulate g.fa --k 5").check_known(&["seed"], &[]).unwrap_err();
+        assert!(err.starts_with("unknown option --k for simulate"), "{err}");
+        let err = parse("throughput --fast").check_known(&[], &[]).unwrap_err();
+        assert_eq!(err, "unknown option --fast for throughput (accepted: none)");
+        assert_eq!(parse("assemble r.fa --k 5 --force").check_known(&["k"], &["force"]), Ok(()));
     }
 
     #[test]

@@ -85,20 +85,28 @@ VERIFY OPTIONS:
                    differential + fault suite; `resume` pins streamed /
                    checkpointed / resumed byte-identity over the
                    worker x opt-level matrix
-  --k N            k-mer length driven through the stages (default 9)
-  --min-count N    graph-stage k-mer count threshold (default 1)
-  --genome-len N   synthetic genome length per scenario (default 400)
-  --read-len N     with --stage mapping: simulated read length (default
-                   24; 2..=min(--genome-len, 128))
-  --seed N         base RNG seed (default 42)
-  --faults LIST    comma-separated sense-amp flip rates to campaign over
-                   (default 1e-4; pass `none` to skip fault injection)
   --backend NAME   run the cross-backend differential suite instead:
                    pim-assembler, ambit-tra, panda-mram, or `all` to
                    compare every backend's command mix in one run
-                   (with --stage mapping: which backends to verify)
-  --opt-level N    IR optimization level for the backend suite's stage
-                   kernels: 0 (default) or 2; answers must be identical
+                   (with --stage mapping: which backends to verify,
+                   default all)
+  --k N            k-mer length driven through the stages (default 9;
+                   13 with --stage resume)
+  --min-count N    graph-stage k-mer count threshold (default 1)
+  --genome-len N   synthetic genome length per scenario (default 400;
+                   300 with --backend, 240 with --stage mapping)
+  --read-len N     with --stage mapping: simulated read length (default
+                   24; 2..=min(--genome-len, 128))
+  --coverage X     with --stage mapping: read coverage depth (default 3)
+  --error-rate X   with --stage mapping: per-base substitution error
+                   rate (default 0.03)
+  --seed N         base RNG seed (default 42)
+  --faults LIST    comma-separated sense-amp flip rates to campaign over
+                   (default 1e-4; 1e-3 with --stage mapping; pass `none`
+                   to skip fault injection)
+  --opt-level N    IR optimization level for the backend and mapping
+                   suites' stage kernels: 0 (default) or 2; answers must
+                   be identical
 
 IR OPTIONS:
   --kernel NAME    canonical kernel to dump (xnor, full-adder)
@@ -111,6 +119,103 @@ IR OPTIONS:
 ";
 
 type CliResult = Result<(), Box<dyn Error>>;
+
+/// Each subcommand with the options (taking a value) and the switches it
+/// accepts; `--help` is accepted everywhere. Every name is documented in
+/// [`USAGE`], and any other `--name` is an error naming it.
+const COMMANDS: [(&str, &[&str], &[&str]); 9] = [
+    (
+        "assemble",
+        &[
+            "k",
+            "min-count",
+            "simplify",
+            "pd",
+            "subarrays",
+            "workers",
+            "chunk-reads",
+            "checkpoint-dir",
+            "resume",
+            "output",
+            "metrics-out",
+            "trace-out",
+        ],
+        &["correct", "force", "report"],
+    ),
+    ("simulate", &["coverage", "seed", "output"], &[]),
+    ("stats", &["metrics"], &[]),
+    ("throughput", &[], &[]),
+    (
+        "map",
+        &[
+            "genome-len",
+            "read-len",
+            "coverage",
+            "error-rate",
+            "seed",
+            "backend",
+            "opt-level",
+            "workers",
+            "faults",
+        ],
+        &[],
+    ),
+    (
+        "verify",
+        &[
+            "stage",
+            "backend",
+            "k",
+            "min-count",
+            "genome-len",
+            "read-len",
+            "coverage",
+            "error-rate",
+            "seed",
+            "faults",
+            "opt-level",
+        ],
+        &[],
+    ),
+    ("ir", &["kernel", "backend", "cols", "slots", "opt-level"], &[]),
+    ("help", &[], &[]),
+    ("", &[], &[]),
+];
+
+/// Whether `name` is a subcommand (`""`, no command, prints the help).
+pub fn is_command(name: &str) -> bool {
+    COMMANDS.iter().any(|&(command, ..)| command == name)
+}
+
+/// Runs the parsed command line: prints [`USAGE`] for `help`, no command
+/// or `--help`, and otherwise checks the options against the command's
+/// set before running it.
+///
+/// # Errors
+///
+/// An unknown command or option, and whatever the command returns.
+pub fn run(args: &ParsedArgs) -> CliResult {
+    let &(_, options, switches) = COMMANDS
+        .iter()
+        .find(|&&(command, ..)| command == args.command)
+        .ok_or_else(|| format!("unknown command {:?}", args.command))?;
+    let switches: Vec<&str> = switches.iter().copied().chain(["help"]).collect();
+    args.check_known(options, &switches)?;
+    let command = if args.has_flag("help") { "help" } else { args.command.as_str() };
+    match command {
+        "assemble" => assemble(args),
+        "stats" => stats(args),
+        "simulate" => simulate(args),
+        "throughput" => throughput(),
+        "map" => map(args),
+        "verify" => verify(args),
+        "ir" => ir(args),
+        _ => {
+            print!("{USAGE}");
+            Ok(())
+        }
+    }
+}
 
 /// Resolves a `--backend` value, naming the valid set on failure.
 fn parse_backend(name: &str) -> Result<pim_assembler::ir::BackendKind, Box<dyn Error>> {
@@ -149,10 +254,11 @@ fn error_rate_arg(args: &ParsedArgs, default: f64) -> Result<f64, String> {
 
 /// `--faults LIST`: comma-separated sense-amp flip rates, each in
 /// [0, 1]; `none` is the empty campaign.
-fn fault_rates_arg(args: &ParsedArgs, default: &str) -> Result<Vec<f64>, String> {
-    match args.get_str("faults").unwrap_or(default) {
-        "none" => Ok(Vec::new()),
-        list => list
+fn fault_rates_arg(args: &ParsedArgs, default: &[f64]) -> Result<Vec<f64>, String> {
+    match args.get_str("faults") {
+        None => Ok(default.to_vec()),
+        Some("none") => Ok(Vec::new()),
+        Some(list) => list
             .split(',')
             .map(|r| {
                 r.trim().parse::<f64>().ok().filter(|r| (0.0..=1.0).contains(r)).ok_or_else(|| {
@@ -520,7 +626,7 @@ pub fn verify(args: &ParsedArgs) -> CliResult {
         k: k_arg(args, defaults.k)?,
         min_count: args.get_num("min-count", defaults.min_count)?,
         seed: args.get_num("seed", defaults.seed)?,
-        fault_rates: fault_rates_arg(args, "1e-4")?,
+        fault_rates: fault_rates_arg(args, &defaults.fault_rates)?,
     };
     let report = standard_suite(&options);
     println!("{report}");
@@ -559,7 +665,7 @@ fn verify_mapping(args: &ParsedArgs) -> CliResult {
         seed: args.get_num("seed", defaults.seed)?,
         opt: parse_opt_level(args)?,
         backends,
-        fault_rates: fault_rates_arg(args, "1e-3")?,
+        fault_rates: fault_rates_arg(args, &defaults.fault_rates)?,
     };
     let report = pim_verify::mapping_suite(&options);
     println!("{report}");
@@ -1175,6 +1281,137 @@ mod tests {
     fn verify_rejects_unsupported_k() {
         let err = rejected(verify, &["verify", "--k", "40"]);
         assert_eq!(err, "--k must be in 2..=32, got 40");
+    }
+
+    #[test]
+    fn every_command_rejects_a_mistyped_option() {
+        let ckpt = tmp("typo_ckpt");
+        let _ = std::fs::remove_dir_all(&ckpt);
+        let ckpt = ckpt.to_str().unwrap();
+        for (argv, typo) in [
+            (&["assemble", "r.fa", "--checkpoint-dri", ckpt][..], "--checkpoint-dri"),
+            (&["assemble", "r.fa", "--seed", "3"], "--seed"),
+            (&["simulate", "g.fa", "--coverag", "5"], "--coverag"),
+            (&["stats", "c.fa", "--metric", "m.json"], "--metric"),
+            (&["throughput", "--verbose"], "--verbose"),
+            (&["map", "--genome-length", "300"], "--genome-length"),
+            (&["verify", "--stages", "mapping"], "--stages"),
+            (&["verify", "--report"], "--report"),
+            (&["ir", "--kernal", "xnor"], "--kernal"),
+            (&["help", "--bogus"], "--bogus"),
+            (&["--bogus"], "--bogus"),
+        ] {
+            let args = ParsedArgs::parse(argv.iter().map(|a| a.to_string()));
+            let err = run(&args).expect_err("an unknown option must be rejected").to_string();
+            assert!(err.starts_with(&format!("unknown option {typo} for ")), "{argv:?}: {err}");
+        }
+        assert!(!Path::new(ckpt).exists(), "a rejected command must write nothing");
+    }
+
+    /// The entries of one USAGE options section: `(name, takes a value,
+    /// description)`, the description's continuation lines joined.
+    fn usage_entries(section: &str) -> Vec<(String, bool, String)> {
+        let body = USAGE.split(&format!("{section}:\n")).nth(1).expect("section present");
+        let mut entries: Vec<(String, bool, String)> = Vec::new();
+        for line in body.lines().take_while(|line| !line.is_empty()) {
+            if let Some(entry) = line.strip_prefix("  --") {
+                let mut words = entry.split_whitespace();
+                let name = words.next().unwrap().to_string();
+                let next = words.next().unwrap_or("");
+                let takes_value = !next.is_empty() && next.chars().all(|c| c.is_ascii_uppercase());
+                entries.push((name, takes_value, entry.to_string()));
+            } else {
+                let (.., text) = entries.last_mut().expect("continuation follows an entry");
+                text.push(' ');
+                text.push_str(line.trim());
+            }
+        }
+        entries
+    }
+
+    #[test]
+    fn every_documented_option_is_accepted() {
+        for (section, command) in [
+            ("ASSEMBLE OPTIONS", "assemble"),
+            ("STATS OPTIONS", "stats"),
+            ("SIMULATE OPTIONS", "simulate"),
+            ("MAP OPTIONS", "map"),
+            ("VERIFY OPTIONS", "verify"),
+            ("IR OPTIONS", "ir"),
+        ] {
+            let entries = usage_entries(section);
+            let &(_, options, switches) = COMMANDS.iter().find(|c| c.0 == command).unwrap();
+            for (name, takes_value, _) in &entries {
+                let mut argv = vec![command.to_string(), format!("--{name}")];
+                if *takes_value {
+                    argv.push("1".into());
+                }
+                let args = ParsedArgs::parse(argv);
+                assert_eq!(args.check_known(options, switches), Ok(()), "{command} --{name}");
+            }
+            // And nothing is accepted that the help does not document.
+            for name in options.iter().chain(switches) {
+                assert!(entries.iter().any(|(n, ..)| n == name), "{command} --{name} undocumented");
+            }
+        }
+        // `--help` prints the usage under any command instead of running it.
+        for command in ["assemble", "throughput", "help", ""] {
+            let args = ParsedArgs::parse([command, "--help"].map(String::from));
+            run(&args).unwrap_or_else(|e| panic!("{command} --help: {e}"));
+        }
+    }
+
+    #[test]
+    fn verify_usage_states_each_modes_defaults() {
+        use pim_verify::{BackendSuiteOptions, MappingSuiteOptions, ResumeSuiteOptions};
+        let entries = usage_entries("VERIFY OPTIONS");
+        let entry = |name: &str| {
+            entries.iter().find(|(n, ..)| n == name).map(|(.., text)| text.clone()).unwrap()
+        };
+        let standard = pim_verify::SuiteOptions::default();
+        let backend = BackendSuiteOptions::default();
+        let mapping = MappingSuiteOptions::default();
+        let resume = ResumeSuiteOptions::default();
+        // A mode's default is stated when it differs from the standard
+        // suite's.
+        let states = |name: &str, value: String, standard: String, mode: &str| {
+            let text = entry(name);
+            let phrase = format!("{value} with {mode}");
+            assert!(
+                value == standard || text.contains(&phrase),
+                "--{name} must say `{phrase}`: {text}"
+            );
+        };
+        let genome_len = entry("genome-len");
+        assert!(genome_len.contains(&format!("(default {};", standard.genome_len)), "{genome_len}");
+        let s = standard.genome_len.to_string();
+        states("genome-len", backend.genome_len.to_string(), s.clone(), "--backend");
+        states("genome-len", mapping.genome_len.to_string(), s.clone(), "--stage mapping");
+        states("genome-len", resume.genome_len.to_string(), s, "--stage resume");
+        let k = entry("k");
+        assert!(k.contains(&format!("(default {};", standard.k)), "{k}");
+        states("k", backend.k.to_string(), standard.k.to_string(), "--backend");
+        states("k", resume.k.to_string(), standard.k.to_string(), "--stage resume");
+        let min_count = entry("min-count");
+        assert!(min_count.contains(&format!("(default {})", standard.min_count)), "{min_count}");
+        states("min-count", backend.min_count.to_string(), "1".into(), "--backend");
+        for (name, value) in [
+            ("read-len", mapping.read_len.to_string()),
+            ("coverage", mapping.coverage.to_string()),
+            ("error-rate", mapping.error_rate.to_string()),
+        ] {
+            let text = entry(name);
+            assert!(text.contains("with --stage mapping"), "{text}");
+            assert!(text.contains(&format!("(default {value}")), "--{name}: {text}");
+        }
+        let rates = |rates: &[f64]| rates.iter().map(|r| format!("{r:e}")).collect::<Vec<_>>();
+        let faults = entry("faults");
+        assert!(faults.contains(&format!("(default {};", rates(&standard.fault_rates).join(","))));
+        let mapping_rates = rates(&mapping.fault_rates).join(",");
+        assert!(faults.contains(&format!("{mapping_rates} with --stage mapping")), "{faults}");
+        for seed in [backend.seed, mapping.seed, resume.seed] {
+            assert_eq!(seed, standard.seed, "--seed states one default for every mode");
+        }
     }
 
     #[test]

@@ -19,6 +19,9 @@
 //!         [--backend <pim-assembler|ambit-tra|panda-mram>]
 //! pim-asm help
 //! ```
+//!
+//! Each command accepts only its own options; any other `--name` is an
+//! error naming it (exit status 1).
 
 mod args;
 mod commands;
@@ -27,25 +30,12 @@ use args::ParsedArgs;
 
 fn main() {
     let parsed = ParsedArgs::parse(std::env::args().skip(1));
-    let result = match parsed.command.as_str() {
-        "assemble" => commands::assemble(&parsed),
-        "stats" => commands::stats(&parsed),
-        "simulate" => commands::simulate(&parsed),
-        "throughput" => commands::throughput(),
-        "map" => commands::map(&parsed),
-        "verify" => commands::verify(&parsed),
-        "ir" => commands::ir(&parsed),
-        "" | "help" | "--help" => {
-            print!("{}", commands::USAGE);
-            Ok(())
-        }
-        other => {
-            eprintln!("unknown command {other:?}\n");
-            eprint!("{}", commands::USAGE);
-            std::process::exit(2);
-        }
-    };
-    if let Err(e) = result {
+    if !commands::is_command(&parsed.command) {
+        eprintln!("unknown command {:?}\n", parsed.command);
+        eprint!("{}", commands::USAGE);
+        std::process::exit(2);
+    }
+    if let Err(e) = commands::run(&parsed) {
         eprintln!("error: {e}");
         std::process::exit(1);
     }

@@ -48,8 +48,9 @@ pub struct StageCheckpoint {
     /// Named ledgers: `global`, `sub.<linear>` per touched sub-array, and
     /// the cumulative stage boundaries `s1` / `s2` when sealed.
     pub ledgers: BTreeMap<String, EnergyLedger>,
-    /// Stage-specific list payloads, one opaque line per item.
-    pub lists: BTreeMap<String, Vec<String>>,
+    /// Stage-specific list payloads: one text block per list, holding one
+    /// newline-terminated line per item (see [`push_list_line`]).
+    pub lists: BTreeMap<String, String>,
     /// Deterministic metrics counters accumulated up to the checkpoint.
     pub counters: BTreeMap<String, u64>,
     /// Host (non-contract) metrics accumulated up to the checkpoint.
@@ -86,7 +87,8 @@ impl StageCheckpoint {
 
     /// Renders the checkpoint to its text form.
     pub fn to_text(&self) -> String {
-        let mut out = String::new();
+        let list_bytes: usize = self.lists.values().map(String::len).sum();
+        let mut out = String::with_capacity(list_bytes + 4096);
         let _ = writeln!(out, "schema = {CHECKPOINT_SCHEMA}");
         let _ = writeln!(out, "config = {}", self.fingerprint);
         let _ = writeln!(out, "stage = {}", self.stage);
@@ -105,11 +107,9 @@ impl StageCheckpoint {
                     writeln!(out, "{} {} {} {}", class.mnemonic(), t.count, t.time_ps, t.energy_fj);
             }
         }
-        for (name, lines) in &self.lists {
+        for (name, block) in &self.lists {
             let _ = writeln!(out, "[list {name}]");
-            for line in lines {
-                let _ = writeln!(out, "{line}");
-            }
+            out.push_str(block);
         }
         if !self.counters.is_empty() {
             let _ = writeln!(out, "[counters]");
@@ -154,7 +154,7 @@ impl StageCheckpoint {
                     cp.ledgers.insert(ledger.to_string(), EnergyLedger::default());
                     Section::Ledger(ledger.to_string())
                 } else if let Some(list) = name.strip_prefix("list ") {
-                    cp.lists.insert(list.to_string(), Vec::new());
+                    cp.lists.insert(list.to_string(), String::new());
                     Section::List(list.to_string())
                 } else {
                     match name {
@@ -196,7 +196,7 @@ impl StageCheckpoint {
                     map.insert(key.to_string(), parse_u64(value)?);
                 }
                 Section::Ledger(name) => {
-                    if let Ok(("end", CHECKPOINT_SCHEMA)) = split_kv(line) {
+                    if is_trailer(line) {
                         sealed = true;
                         continue;
                     }
@@ -213,14 +213,13 @@ impl StageCheckpoint {
                     ledger.set_class(class, totals);
                 }
                 Section::List(name) => {
-                    if let Ok(("end", CHECKPOINT_SCHEMA)) = split_kv(line) {
+                    if is_trailer(line) {
                         sealed = true;
                         continue;
                     }
-                    cp.lists
-                        .get_mut(name)
-                        .expect("section inserted on entry")
-                        .push(line.to_string());
+                    let block = cp.lists.get_mut(name).expect("section inserted on entry");
+                    block.push_str(line);
+                    block.push('\n');
                 }
             }
         }
@@ -312,6 +311,51 @@ fn corrupt(reason: String) -> PimError {
     PimError::Checkpoint { reason }
 }
 
+/// Appends one list item to `block`: `fields` in decimal, separated by
+/// single spaces, then a newline. The line is built on the stack and
+/// appended in one piece, so rendering a list allocates nothing beyond
+/// the block itself.
+///
+/// # Examples
+///
+/// ```
+/// use pim_assembler::checkpoint::push_list_line;
+///
+/// let mut block = String::new();
+/// push_list_line(&mut block, &[0, 17, u64::MAX]);
+/// assert_eq!(block, "0 17 18446744073709551615\n");
+/// ```
+pub fn push_list_line(block: &mut String, fields: &[u64]) {
+    // Room for a separator, 20 digits (`u64::MAX`) and the newline.
+    const FIELD: usize = 22;
+    let mut line = [0u8; 128];
+    let mut len = 0;
+    for (i, &value) in fields.iter().enumerate() {
+        if len + FIELD > line.len() {
+            block.push_str(std::str::from_utf8(&line[..len]).expect("ASCII digits"));
+            len = 0;
+        }
+        if i > 0 {
+            line[len] = b' ';
+            len += 1;
+        }
+        let digits = value.checked_ilog10().map_or(1, |d| d as usize + 1);
+        let mut rest = value;
+        for at in (len..len + digits).rev() {
+            line[at] = b'0' + (rest % 10) as u8;
+            rest /= 10;
+        }
+        len += digits;
+    }
+    line[len] = b'\n';
+    block.push_str(std::str::from_utf8(&line[..=len]).expect("ASCII digits"));
+}
+
+/// Whether `line` is the `end = <schema>` trailer.
+fn is_trailer(line: &str) -> bool {
+    line.strip_prefix("end = ") == Some(CHECKPOINT_SCHEMA)
+}
+
 fn split_kv(line: &str) -> Result<(&str, &str)> {
     line.split_once(" = ").ok_or_else(|| corrupt(format!("malformed line `{line}`")))
 }
@@ -345,7 +389,8 @@ mod tests {
         cp.fields.insert("kmer_count".into(), 1234);
         cp.ledgers.insert("global".into(), ledger);
         cp.ledgers.insert("sub.3".into(), ledger);
-        cp.lists.insert("hash".into(), vec!["0 5 1234 15 2".into(), "1 9 99 15 1".into()]);
+        cp.lists.insert("hash".into(), "0 5 1234 15 2\n1 9 99 15 1\n".into());
+        cp.lists.insert("empty".into(), String::new());
         cp.counters.insert("hashmap.aap".into(), 17);
         cp.host.insert("dispatch.batches".into(), 2);
         cp
@@ -358,6 +403,23 @@ mod tests {
         assert_eq!(parsed, cp);
         assert_eq!(parsed.ledger("global").unwrap(), cp.ledgers["global"]);
         assert_eq!(parsed.field("kmer_count"), 1234);
+    }
+
+    #[test]
+    fn list_lines_render_like_format() {
+        // Every digit count, and lines long enough to flush the line
+        // buffer part-way.
+        let mut values = vec![0, u64::MAX];
+        for digits in 1..20 {
+            let p = 10u64.pow(digits);
+            values.extend([p - 1, p, p + 1]);
+        }
+        for fields in 0..=values.len() {
+            let mut block = String::from("[list x]\n");
+            push_list_line(&mut block, &values[..fields]);
+            let line: Vec<String> = values[..fields].iter().map(u64::to_string).collect();
+            assert_eq!(block, format!("[list x]\n{}\n", line.join(" ")), "{fields} fields");
+        }
     }
 
     #[test]

@@ -92,7 +92,7 @@ impl GraphStage {
         (graph, partitioning)
     }
 
-    /// Parses the `graph` checkpoint list written by
+    /// Parses the `graph` checkpoint list block written by
     /// [`crate::traverse_stage::TraverseExec::save`] (`packed k count`
     /// per line) back into the survivor entries.
     ///
@@ -100,9 +100,9 @@ impl GraphStage {
     ///
     /// [`crate::error::PimError::Checkpoint`] on any malformed line or a
     /// k-mer whose length is not `k`.
-    pub fn parse_survivors(lines: &[String], k: usize) -> Result<Vec<(Kmer, u64)>> {
-        let mut survivors = Vec::with_capacity(lines.len());
-        for line in lines {
+    pub fn parse_survivors(block: &str, k: usize) -> Result<Vec<(Kmer, u64)>> {
+        let mut survivors = Vec::new();
+        for line in block.lines() {
             let malformed = || crate::error::PimError::Checkpoint {
                 reason: format!("malformed graph survivor line `{line}`"),
             };

@@ -26,7 +26,7 @@ use pim_genome::kmer::{Kmer, KmerIter};
 use pim_genome::reads::Read;
 use pim_obsv::{HistKey, Metric};
 
-use crate::checkpoint::StageCheckpoint;
+use crate::checkpoint::{push_list_line, StageCheckpoint};
 use crate::config::PimAssemblerConfig;
 use crate::dispatch::ParallelDispatcher;
 use crate::dpu::Dpu;
@@ -435,41 +435,19 @@ impl PimHashTable {
         Ok(())
     }
 
-    /// Exports every stored entry with its physical placement —
-    /// `(sub-array index, row, k-mer, count)` — through the uncharged
+    /// Writes every stored entry with its physical placement into list
+    /// `list` of `cp`, one `sub row packed k count` line per entry, in
+    /// sub-array and row order. Reads device state through the uncharged
     /// debug port, so taking a checkpoint perturbs neither the ledger nor
-    /// the metrics. Together with [`PimHashTable::restore_entries`] this
-    /// is the table's checkpoint round-trip: a slot's DRAM row image is
-    /// exactly [`KmerMapper::row_image`] of its k-mer and the counter is
-    /// an 8-bit field in the value region, so the full device state is
-    /// reconstructible from these tuples. (Fault injection corrupts
+    /// the metrics; each value row (one counter per k-mer slot) is read
+    /// once. Together with [`PimHashTable::load_entries`] and
+    /// [`PimHashTable::restore_entries`] this is the table's checkpoint
+    /// round-trip: a slot's DRAM row image is exactly
+    /// [`KmerMapper::row_image`] of its k-mer and the counter is an 8-bit
+    /// field in the value region, so the full device state is
+    /// reconstructible from these lines. (Fault injection corrupts
     /// read-outs, not this invariant's stored state, but checkpointed
     /// sessions do not support fault campaigns — see the pipeline docs.)
-    ///
-    /// # Errors
-    ///
-    /// Propagates DRAM addressing errors.
-    pub fn export_entries(
-        &self,
-        port: &mut impl AapPort,
-    ) -> Result<Vec<(usize, usize, Kmer, u64)>> {
-        let layout = *self.mapper.layout();
-        let mut out = Vec::new();
-        for (sub_idx, slots) in self.slots.iter().enumerate() {
-            let subarray = self.mapper.subarrays()[sub_idx];
-            for (row, slot) in slots.iter().enumerate() {
-                let Some(kmer) = slot else { continue };
-                let (vrow, bit) = layout.counter_location(row);
-                let value_row = port.peek_row(subarray, layout.value_row(vrow))?;
-                let count = value_row.extract(bit, COUNTER_BITS).to_u64();
-                out.push((sub_idx, row, *kmer, count));
-            }
-        }
-        Ok(out)
-    }
-
-    /// Writes [`PimHashTable::export_entries`] into list `list` of `cp`,
-    /// one `sub row packed k count` line per entry.
     ///
     /// # Errors
     ///
@@ -480,14 +458,27 @@ impl PimHashTable {
         cp: &mut StageCheckpoint,
         list: &str,
     ) -> Result<()> {
-        let lines = self
-            .export_entries(port)?
-            .iter()
-            .map(|(sub, row, kmer, count)| {
-                format!("{sub} {row} {} {} {count}", kmer.packed(), kmer.k())
-            })
-            .collect();
-        cp.lists.insert(list.into(), lines);
+        let layout = *self.mapper.layout();
+        let mut block = String::new();
+        for (sub_idx, slots) in self.slots.iter().enumerate() {
+            let subarray = self.mapper.subarrays()[sub_idx];
+            // Slots map onto value rows in ascending order, so the row
+            // last read serves every slot until the index moves on.
+            let mut value_row = (usize::MAX, BitRow::zeros(0));
+            for (row, slot) in slots.iter().enumerate() {
+                let Some(kmer) = slot else { continue };
+                let (vrow, bit) = layout.counter_location(row);
+                if value_row.0 != vrow {
+                    value_row = (vrow, port.peek_row(subarray, layout.value_row(vrow))?);
+                }
+                let count = value_row.1.bits_u64(bit, COUNTER_BITS);
+                push_list_line(
+                    &mut block,
+                    &[sub_idx as u64, row as u64, kmer.packed(), kmer.k() as u64, count],
+                );
+            }
+        }
+        cp.lists.insert(list.into(), block);
         Ok(())
     }
 
@@ -506,7 +497,7 @@ impl PimHashTable {
         let malformed =
             |line: &str| PimError::Checkpoint { reason: format!("bad `{list}` entry `{line}`") };
         let mut entries = Vec::new();
-        for line in cp.lists.get(list).map_or(&[][..], Vec::as_slice) {
+        for line in cp.lists.get(list).map_or("", String::as_str).lines() {
             let mut p = line.split_whitespace();
             let mut next = || p.next().ok_or_else(|| malformed(line));
             let sub_idx: usize = next()?.parse().map_err(|_| malformed(line))?;
@@ -524,9 +515,11 @@ impl PimHashTable {
     }
 
     /// Rebuilds a checkpointed table: shadow slots, k-mer row images and
-    /// counter fields are restored through the uncharged debug port, and
-    /// the statistics accumulator is set to the checkpointed values.
-    /// Charges nothing — the session restores accounting separately via
+    /// counter fields are restored through the uncharged debug port (one
+    /// write per k-mer row, and one per value row for entries in
+    /// [`PimHashTable::save_entries`] order), and the statistics
+    /// accumulator is set to the checkpointed values. Charges nothing —
+    /// the session restores accounting separately via
     /// [`Controller::restore_accounting`].
     ///
     /// # Errors
@@ -546,6 +539,9 @@ impl PimHashTable {
         let layout = *table.mapper.layout();
         let cols = port.geometry().cols;
         let mut image = BitRow::zeros(cols);
+        // The value row being filled: `(sub-array, value row index, row)`,
+        // written back once the entries move on to another value row.
+        let mut value_row: Option<(SubarrayId, usize, BitRow)> = None;
         for &(sub_idx, row, kmer, count) in entries {
             let subarray = match table.mapper.subarrays().get(sub_idx) {
                 Some(&id) if row < layout.kmer_rows() && count <= layout.max_count() => id,
@@ -564,10 +560,21 @@ impl PimHashTable {
             table.mapper.row_image_into(&kmer, &mut image);
             port.poke_row(subarray, RowAddr(row), &image)?;
             let (vrow, bit) = layout.counter_location(row);
-            let mut value_row = port.peek_row(subarray, layout.value_row(vrow))?;
-            value_row.splice(bit, &BitRow::from_u64(count, COUNTER_BITS));
-            port.poke_row(subarray, layout.value_row(vrow), &value_row)?;
+            let mut current = match value_row.take() {
+                Some((id, v, data)) if (id, v) == (subarray, vrow) => data,
+                other => {
+                    if let Some((id, v, data)) = other {
+                        port.poke_row(id, layout.value_row(v), &data)?;
+                    }
+                    port.peek_row(subarray, layout.value_row(vrow))?
+                }
+            };
+            current.splice(bit, &BitRow::from_u64(count, COUNTER_BITS));
+            value_row = Some((subarray, vrow, current));
             table.slots[sub_idx][row] = Some(kmer);
+        }
+        if let Some((id, v, data)) = value_row {
+            port.poke_row(id, layout.value_row(v), &data)?;
         }
         table.stats = stats;
         Ok(table)
@@ -861,7 +868,7 @@ mod tests {
     }
 
     #[test]
-    fn export_restore_round_trips_without_charging() {
+    fn save_load_restore_round_trips_without_charging() {
         let mut rng = ChaCha8Rng::seed_from_u64(33);
         let seq = DnaSequence::random(&mut rng, 700);
         let kmers = kmers_of(&seq, 13);
@@ -870,14 +877,17 @@ mod tests {
         let (mut ref_ctrl, mut reference) = setup();
         reference.insert(&mut ref_ctrl, &serial(), &kmers).unwrap();
 
-        // Interrupted run: first half, export, restore on fresh hardware,
-        // second half.
+        // Interrupted run: first half, save, load and restore on fresh
+        // hardware, second half.
         let (mut ctrl_a, mut table_a) = setup();
         let half = kmers.len() / 2;
         table_a.insert(&mut ctrl_a, &serial(), &kmers[..half]).unwrap();
-        let before_export = *ctrl_a.stats();
-        let entries = table_a.export_entries(&mut ctrl_a).unwrap();
-        assert_eq!(*ctrl_a.stats(), before_export, "export must not charge");
+        let before_save = *ctrl_a.stats();
+        let mut cp = StageCheckpoint::new("fp", "hashmap", 0);
+        table_a.save_entries(&mut ctrl_a, &mut cp, "hash").unwrap();
+        assert_eq!(*ctrl_a.stats(), before_save, "saving must not charge");
+        let entries = PimHashTable::load_entries(&cp, "hash", 13).unwrap();
+        assert_eq!(entries.len() as u64, table_a.stats().distinct);
 
         let g = DramGeometry::paper_assembly();
         let mut ctrl_b = Controller::new(g);
@@ -892,6 +902,9 @@ mod tests {
         .unwrap();
         assert!(ctrl_b.ledger().is_empty(), "restore must not charge");
         assert_eq!(restored.stats(), table_a.stats());
+        let mut resaved = StageCheckpoint::new("fp", "hashmap", 0);
+        restored.save_entries(&mut ctrl_b, &mut resaved, "hash").unwrap();
+        assert_eq!(resaved.lists, cp.lists, "a restored table saves the same block");
         restored.insert(&mut ctrl_b, &serial(), &kmers[half..]).unwrap();
         assert_eq!(restored.stats(), reference.stats());
         assert_eq!(
@@ -899,6 +912,48 @@ mod tests {
             reference.scan(&mut ref_ctrl, &serial()).unwrap(),
             "restored table must continue byte-identically"
         );
+    }
+
+    /// The hash list as it was rendered before list blocks: one
+    /// `format!` line per entry, the count read through a row clone and
+    /// `extract`. The oracle [`PimHashTable::save_entries`] must match.
+    fn per_entry_rendering(table: &PimHashTable, ctrl: &mut Controller) -> String {
+        let layout = *table.mapper().layout();
+        let mut lines = Vec::new();
+        for (sub, slots) in table.slots.iter().enumerate() {
+            let subarray = table.mapper().subarrays()[sub];
+            for (row, slot) in slots.iter().enumerate() {
+                let Some(kmer) = slot else { continue };
+                let (vrow, bit) = layout.counter_location(row);
+                let value_row = ctrl.peek_row(subarray, layout.value_row(vrow)).unwrap();
+                let count = value_row.extract(bit, COUNTER_BITS).to_u64();
+                lines.push(format!("{sub} {row} {} {} {count}", kmer.packed(), kmer.k()));
+            }
+        }
+        lines.iter().map(|line| format!("{line}\n")).collect()
+    }
+
+    #[test]
+    fn save_entries_matches_the_per_entry_rendering() {
+        let (mut ctrl, mut table) = setup();
+        let mut cp = StageCheckpoint::new("fp", "hashmap", 0);
+        table.save_entries(&mut ctrl, &mut cp, "hash").unwrap();
+        assert_eq!(cp.lists["hash"], "", "an empty table saves an empty block");
+        assert_eq!(per_entry_rendering(&table, &mut ctrl), "");
+
+        // Mostly count-1 k-mers from a random sequence, plus one k-mer
+        // driven past the counter's saturation at 255.
+        let mut rng = ChaCha8Rng::seed_from_u64(34);
+        let mut kmers = kmers_of(&DnaSequence::random(&mut rng, 1500), 15);
+        let max = table.mapper().layout().max_count() as usize;
+        kmers.extend(std::iter::repeat_n(kmers[7], max + 3));
+        table.insert(&mut ctrl, &serial(), &kmers).unwrap();
+        table.save_entries(&mut ctrl, &mut cp, "hash").unwrap();
+        let block = &cp.lists["hash"];
+        assert_eq!(*block, per_entry_rendering(&table, &mut ctrl));
+        let counts: Vec<&str> =
+            block.lines().map(|line| line.rsplit(' ').next().unwrap()).collect();
+        assert!(counts.contains(&"1") && counts.contains(&"255"), "{counts:?}");
     }
 
     #[test]

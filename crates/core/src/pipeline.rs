@@ -366,10 +366,10 @@ impl<'a> Session<'a> {
                     )
                 }
                 "traverse" => {
-                    let lines = cp.lists.get("graph").ok_or_else(|| PimError::Checkpoint {
+                    let block = cp.lists.get("graph").ok_or_else(|| PimError::Checkpoint {
                         reason: "traverse checkpoint is missing the graph survivor list".into(),
                     })?;
-                    let survivors = GraphStage::parse_survivors(lines, config.k)?;
+                    let survivors = GraphStage::parse_survivors(block, config.k)?;
                     let intervals = partition_intervals(&config.geometry);
                     let f = config.geometry.cols.min(config.geometry.rows);
                     let (mut graph, mut partitioning) =

@@ -265,12 +265,14 @@ impl TraverseExec {
     /// Serializes the resume state into `cp`: the survivor list (list
     /// `graph`) and the graph-stage statistics.
     pub fn save(&self, cp: &mut crate::checkpoint::StageCheckpoint) {
-        let lines = self
-            .survivors
-            .iter()
-            .map(|(kmer, count)| format!("{} {} {count}", kmer.packed(), kmer.k()))
-            .collect();
-        cp.lists.insert("graph".into(), lines);
+        let mut block = String::new();
+        for (kmer, count) in &self.survivors {
+            crate::checkpoint::push_list_line(
+                &mut block,
+                &[kmer.packed(), kmer.k() as u64, *count],
+            );
+        }
+        cp.lists.insert("graph".into(), block);
         cp.fields.insert("graph.scanned".into(), self.graph_stats.scanned);
         cp.fields.insert("graph.edges_inserted".into(), self.graph_stats.edges_inserted);
         cp.fields.insert("graph.mem_inserts".into(), self.graph_stats.mem_inserts);

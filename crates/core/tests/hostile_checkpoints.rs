@@ -93,12 +93,13 @@ fn assert_checkpoint_error(tag: &str, cp: &StageCheckpoint) {
 }
 
 /// Rewrites field `index` of the first `hash` entry
-/// (`sub row packed k count`).
+/// (`sub row packed k count`), the first line of the list's block.
 fn edit_first_hash_entry(cp: &mut StageCheckpoint, index: usize, value: usize) {
-    let entry = &mut cp.lists.get_mut("hash").unwrap()[0];
-    let mut fields: Vec<String> = entry.split_whitespace().map(String::from).collect();
+    let block = cp.lists.get_mut("hash").unwrap();
+    let (first, rest) = block.split_once('\n').unwrap();
+    let mut fields: Vec<String> = first.split_whitespace().map(String::from).collect();
     fields[index] = value.to_string();
-    *entry = fields.join(" ");
+    *block = format!("{}\n{rest}", fields.join(" "));
 }
 
 #[test]

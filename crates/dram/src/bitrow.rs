@@ -297,6 +297,37 @@ impl BitRow {
         BitRow::from_fn(len, |i| self.get(offset + i))
     }
 
+    /// The `len` bits starting at `offset` as a little-endian integer:
+    /// `extract(offset, len).to_u64()` without building the row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len > 64` or `offset + len > self.len()`.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use pim_dram::bitrow::BitRow;
+    ///
+    /// let row = BitRow::from_fn(128, |i| i == 62 || i == 65);
+    /// assert_eq!(row.bits_u64(60, 8), 0b10_0100);
+    /// ```
+    pub fn bits_u64(&self, offset: usize, len: usize) -> u64 {
+        assert!(len <= WORD_BITS && offset + len <= self.len, "bit field out of range");
+        if len == 0 {
+            return 0;
+        }
+        let (word, shift) = (offset / WORD_BITS, offset % WORD_BITS);
+        let mut value = self.words[word] >> shift;
+        if shift + len > WORD_BITS {
+            value |= self.words[word + 1] << (WORD_BITS - shift);
+        }
+        if len < WORD_BITS {
+            value &= (1u64 << len) - 1;
+        }
+        value
+    }
+
     /// Collects the bits into a `Vec<bool>` (index 0 first).
     pub fn to_bit_vec(&self) -> Vec<bool> {
         (0..self.len).map(|i| self.get(i)).collect()
@@ -435,6 +466,22 @@ mod tests {
         let payload = BitRow::from_u64(0b101101, 6);
         r.splice(10, &payload);
         assert_eq!(r.extract(10, 6), payload);
+    }
+
+    #[test]
+    fn bit_fields_read_what_extract_reads() {
+        // Fields inside one word, straddling a word boundary, and a whole
+        // 64-bit word, on a row whose width is not a multiple of 64.
+        let r = BitRow::from_fn(200, |i| (i * 7 + i / 3) % 5 < 2);
+        for offset in 0..=200 {
+            for len in 0..=64.min(200 - offset) {
+                assert_eq!(
+                    r.bits_u64(offset, len),
+                    r.extract(offset, len).to_u64(),
+                    "offset {offset} len {len}"
+                );
+            }
+        }
     }
 
     #[test]

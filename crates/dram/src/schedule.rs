@@ -19,6 +19,9 @@
 //! needs O(sub-arrays) memory, not O(commands). Time stays O(commands): each
 //! command is still issued on its own, from a ring of queues kept in
 //! `(free time, queue index)` order instead of a scan over every queue.
+//! Re-queueing is O(1) whenever the issuing queue's new free time sorts
+//! last, which is the bus-bound steady state (the queues take turns); only
+//! the other cases pay an ordered insert.
 //!
 //! The encoding changes no result bit. Every float operation happens in the
 //! order it would on fully expanded queues of one latency per command: the
@@ -52,6 +55,28 @@ fn latencies(queue: &CommandQueue) -> impl Iterator<Item = f64> + '_ {
     queue.iter().flat_map(|&(commands, latency)| iter::repeat_n(latency, commands as usize))
 }
 
+/// A queue's position: the run it issues from and the commands left in it.
+struct RunCursor<'a> {
+    runs: &'a [(u64, f64)],
+    left: u64,
+}
+
+impl<'a> RunCursor<'a> {
+    fn new(runs: &'a [(u64, f64)]) -> Self {
+        RunCursor { runs, left: runs.first().map_or(0, |&(n, _)| n) }
+    }
+
+    /// The next command's latency, or `None` once the queue is drained.
+    fn next_latency(&mut self) -> Option<f64> {
+        while self.left == 0 {
+            self.runs = self.runs.get(1..).filter(|rest| !rest.is_empty())?;
+            self.left = self.runs[0].0;
+        }
+        self.left -= 1;
+        Some(self.runs[0].1)
+    }
+}
+
 /// Schedules `queues` under per-sub-array serialization and a shared
 /// command bus issuing one command per `issue_ns`.
 ///
@@ -69,7 +94,7 @@ fn latencies(queue: &CommandQueue) -> impl Iterator<Item = f64> + '_ {
 pub fn schedule(queues: &[CommandQueue], issue_ns: f64) -> Schedule {
     let serial_ns: f64 = queues.iter().flat_map(latencies).sum();
     let commands: usize = queues.iter().flatten().map(|&(n, _)| n as usize).sum();
-    let mut pending: Vec<_> = queues.iter().map(latencies).collect();
+    let mut cursors: Vec<RunCursor> = queues.iter().map(|q| RunCursor::new(q)).collect();
     // Queues by `(free_at, index)`: the front is the earliest-ready one. A
     // command is ready when its sub-array is free; it starts when both the
     // sub-array and the bus are free.
@@ -77,19 +102,20 @@ pub fn schedule(queues: &[CommandQueue], issue_ns: f64) -> Schedule {
     let mut bus_free = 0f64;
     let mut makespan = 0f64;
     while let Some((free_at, q)) = ring.pop_front() {
-        let Some(latency) = pending[q].next() else {
+        let Some(latency) = cursors[q].next_latency() else {
             continue; // drained: the queue leaves the ring
         };
         let start = free_at.max(bus_free);
         bus_free = start + issue_ns;
         let free_at = start + latency;
         makespan = makespan.max(free_at);
-        // The new free time is usually the latest, so scan from the back.
-        let at = ring
-            .iter()
-            .rposition(|&(f, p)| f.total_cmp(&free_at).then(p.cmp(&q)).is_lt())
-            .map_or(0, |i| i + 1);
-        ring.insert(at, (free_at, q));
+        let before = |&(f, p): &(f64, usize)| f.total_cmp(&free_at).then(p.cmp(&q)).is_lt();
+        if ring.back().is_none_or(before) {
+            ring.push_back((free_at, q));
+        } else {
+            let at = ring.iter().rposition(before).map_or(0, |i| i + 1);
+            ring.insert(at, (free_at, q));
+        }
     }
     Schedule {
         makespan_ns: makespan,
@@ -185,18 +211,87 @@ mod tests {
         for case in 0..3000 {
             let queues = random_queues(&mut rng);
             let issue = rng.gen_range(0.25..8.0);
-            let got = schedule(&queues, issue);
-            let expanded: Vec<Vec<f64>> = queues.iter().map(|q| latencies(q).collect()).collect();
-            let want = reference(&expanded, issue);
-            assert_eq!(got.commands, want.commands, "case {case}: {queues:?}");
-            for (name, g, w) in [
-                ("makespan_ns", got.makespan_ns, want.makespan_ns),
-                ("serial_ns", got.serial_ns, want.serial_ns),
-                ("effective_parallelism", got.effective_parallelism, want.effective_parallelism),
-            ] {
-                assert_eq!(g.to_bits(), w.to_bits(), "case {case} {name}: {g} vs {w}, {queues:?}");
-            }
+            assert_matches_reference(&queues, issue, &format!("case {case}: {queues:?}"));
         }
+    }
+
+    /// Asserts `schedule` equals the per-command greedy bit for bit.
+    fn assert_matches_reference(queues: &[CommandQueue], issue: f64, case: &str) {
+        let got = schedule(queues, issue);
+        let expanded: Vec<Vec<f64>> = queues.iter().map(|q| latencies(q).collect()).collect();
+        let want = reference(&expanded, issue);
+        assert_eq!(got.commands, want.commands, "{case}");
+        for (name, g, w) in [
+            ("makespan_ns", got.makespan_ns, want.makespan_ns),
+            ("serial_ns", got.serial_ns, want.serial_ns),
+            ("effective_parallelism", got.effective_parallelism, want.effective_parallelism),
+        ] {
+            assert_eq!(g.to_bits(), w.to_bits(), "{case} {name}: {g} vs {w}");
+        }
+    }
+
+    /// What [`queues_from_totals`] makes of a run's per-sub-array
+    /// traffic: `queues` single-run queues of about `commands` commands
+    /// whose average latencies scatter around `latency_ns`.
+    fn production_queues(
+        rng: &mut ChaCha8Rng,
+        queues: usize,
+        commands: u64,
+        latency_ns: f64,
+    ) -> Vec<CommandQueue> {
+        let totals: Vec<(u64, f64)> = (0..queues)
+            .map(|_| {
+                let n = rng.gen_range(commands * 49 / 50..=commands * 51 / 50);
+                (n, n as f64 * latency_ns * rng.gen_range(0.97..1.03))
+            })
+            .collect();
+        queues_from_totals(&totals)
+    }
+
+    // The report's scheduler sees one run per touched sub-array: 17 long
+    // queues on a streamed run, 129 shorter ones on a batch run. Issuing
+    // every 3 tCK against ~47 ns AAPs keeps about 16.8 sub-arrays busy,
+    // so both shapes are bus-bound and the queues take turns (each
+    // re-queue goes to the back of the ring). A faster bus makes the same
+    // shapes sub-array-bound.
+
+    #[test]
+    fn streamed_run_queues_match_the_per_command_greedy() {
+        let t = TimingParams::ddr4_2133();
+        let (aap, bus) = (t.aap_ns(), 3.0 * t.t_ck_ns);
+        let mut rng = ChaCha8Rng::seed_from_u64(0x5C4E_D017);
+        let queues = production_queues(&mut rng, 17, 50_000, aap);
+        assert!(aap / bus < 17.0);
+        assert_matches_reference(&queues, bus, "17 queues, bus-bound");
+        assert!(aap / 0.5 > 17.0);
+        assert_matches_reference(&queues, 0.5, "17 queues, sub-array-bound");
+    }
+
+    #[test]
+    fn batch_run_queues_match_the_per_command_greedy() {
+        let t = TimingParams::ddr4_2133();
+        let mut rng = ChaCha8Rng::seed_from_u64(0x5C4E_D129);
+        let queues = production_queues(&mut rng, 129, 2_000, t.aap_ns());
+        assert_matches_reference(&queues, 3.0 * t.t_ck_ns, "129 queues, bus-bound");
+    }
+
+    #[test]
+    fn staggered_drains_and_tied_free_times_match_the_per_command_greedy() {
+        // Queues that drain at different times: each holds half the
+        // commands of the one before it, cycling.
+        let t = TimingParams::ddr4_2133();
+        let (aap, bus) = (t.aap_ns(), 3.0 * t.t_ck_ns);
+        let totals: Vec<(u64, f64)> =
+            (0..17).map(|i| (20_000 >> (i % 6), (20_000 >> (i % 6)) as f64 * aap)).collect();
+        assert_matches_reference(&queues_from_totals(&totals), bus, "staggered drains");
+        // Latencies that are whole multiples of the issue interval: a
+        // queue that issued later with a shorter latency frees up at the
+        // same time as an earlier one (ties go to the lower index).
+        let tied: Vec<CommandQueue> =
+            (0..17).map(|i| vec![(8_000 - 300 * i as u64, 3.0 * (15 + i % 3) as f64)]).collect();
+        assert_matches_reference(&tied, 3.0, "tied free times, bus-bound");
+        // A free bus: every queue issues at once and frees up at once.
+        assert_matches_reference(&uniform_queues(17, 8_000, aap), 0.0, "all free times tied");
     }
 
     #[test]

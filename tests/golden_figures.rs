@@ -12,7 +12,8 @@
 //! ```
 //!
 //! The diff is reported per key, so an unintentional drift names the
-//! exact figure cell that moved.
+//! exact figure cell that moved. Checkpoint goldens (`*.ckpt`) pin the
+//! on-disk checkpoint text byte for byte instead.
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -48,20 +49,26 @@ fn looks_like_float(value: &str) -> bool {
     value.contains('.') || value.contains('e') || value.contains('E')
 }
 
-fn assert_matches_golden(name: &str, actual: &str) {
+/// The golden text of `name`, or `None` after writing `actual` in its
+/// place under `GOLDEN_BLESS`.
+fn golden_or_bless(name: &str, actual: &str) -> Option<String> {
     let path = golden_dir().join(name);
     if std::env::var_os("GOLDEN_BLESS").is_some() {
         fs::create_dir_all(golden_dir()).expect("create tests/golden");
         fs::write(&path, actual).expect("write golden file");
         eprintln!("blessed {}", path.display());
-        return;
+        return None;
     }
-    let expected = fs::read_to_string(&path).unwrap_or_else(|_| {
+    Some(fs::read_to_string(&path).unwrap_or_else(|_| {
         panic!(
             "missing golden file {}; bless it with `GOLDEN_BLESS=1 cargo test --test golden_figures`",
             path.display()
         )
-    });
+    }))
+}
+
+fn assert_matches_golden(name: &str, actual: &str) {
+    let Some(expected) = golden_or_bless(name, actual) else { return };
     let exp = entries(&expected);
     let act = entries(actual);
     let missing: Vec<_> = exp.keys().filter(|k| !act.contains_key(*k)).collect();
@@ -119,6 +126,68 @@ fn pipeline_metrics_match_golden() {
 #[test]
 fn mapping_metrics_match_golden() {
     assert_matches_golden("mapping_metrics.json", &pim_bench::golden::mapping_metrics_golden(42));
+}
+
+/// Byte-exact goldens (checkpoint text), on the same bless path: every
+/// byte must match, and a drift names its first differing line.
+fn assert_bytes_match_golden(name: &str, actual: &str) {
+    let Some(expected) = golden_or_bless(name, actual) else { return };
+    if expected != actual {
+        let lines = expected.lines().count().max(actual.lines().count());
+        let drift = (0..lines)
+            .map(|i| (i, expected.lines().nth(i), actual.lines().nth(i)))
+            .find(|(_, e, a)| e != a)
+            .map_or("a line ending".to_string(), |(i, e, a)| {
+                format!("line {}: golden {e:?} vs rendered {a:?}", i + 1)
+            });
+        panic!("{name}: bytes drifted at {drift}; if intentional, re-bless with GOLDEN_BLESS=1");
+    }
+}
+
+/// The checkpoint a streamed session leaves on disk for the hostile
+/// checkpoint suite's input (500 bp genome, k = 13, chunks of 8 reads):
+/// the hashmap stage after 3 chunks, or (`traverse`) the graph/traverse
+/// boundary.
+fn checkpoint_text(tag: &str, traverse: bool) -> String {
+    use pim_assembler::checkpoint::{prepare_dir, CHECKPOINT_FILE};
+    use pim_assembler::{PimAssembler, PimAssemblerConfig, Session};
+    use pim_genome::reads::ReadSimulator;
+    use pim_genome::sequence::DnaSequence;
+    use rand::SeedableRng;
+
+    const CHUNK: usize = 8;
+    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(16);
+    let genome = DnaSequence::random(&mut rng, 500);
+    let reads = ReadSimulator::new(60, 25.0).simulate(&genome, &mut rng);
+    let dir = std::env::temp_dir().join(format!("pim-golden-{tag}-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&dir);
+    prepare_dir(&dir, false).unwrap();
+    {
+        let config = PimAssemblerConfig::small_test(13).with_chunk_reads(CHUNK).unwrap();
+        let mut asm = PimAssembler::new(config);
+        let mut session = Session::start(&mut asm, Some(dir.clone())).unwrap();
+        let chunks = if traverse { usize::MAX } else { 3 };
+        for chunk in reads.chunks(CHUNK).take(chunks) {
+            session.feed(chunk).unwrap();
+        }
+        if traverse {
+            session.seal().unwrap();
+            session.advance_graph().unwrap();
+        }
+    }
+    let text = fs::read_to_string(dir.join(CHECKPOINT_FILE)).unwrap();
+    fs::remove_dir_all(&dir).unwrap();
+    text
+}
+
+#[test]
+fn hashmap_checkpoint_matches_golden() {
+    assert_bytes_match_golden("hashmap_checkpoint.ckpt", &checkpoint_text("hashmap", false));
+}
+
+#[test]
+fn traverse_checkpoint_matches_golden() {
+    assert_bytes_match_golden("traverse_checkpoint.ckpt", &checkpoint_text("traverse", true));
 }
 
 #[test]
