@@ -14,6 +14,8 @@ pub struct ParsedArgs {
     pub options: HashMap<String, String>,
     /// Bare `--flag` switches.
     pub flags: Vec<String>,
+    /// A value option given last, with no value after it.
+    pub missing_value: Option<String>,
 }
 
 /// Option keys that take a value, for any command (everything else
@@ -55,8 +57,11 @@ impl ParsedArgs {
         while let Some(arg) = iter.next() {
             if let Some(key) = arg.strip_prefix("--") {
                 if VALUE_KEYS.contains(&key) {
-                    if let Some(value) = iter.next() {
-                        out.options.insert(key.to_string(), value);
+                    match iter.next() {
+                        Some(value) => {
+                            out.options.insert(key.to_string(), value);
+                        }
+                        None => out.missing_value = Some(key.to_string()),
                     }
                 } else {
                     out.flags.push(key.to_string());
@@ -106,31 +111,50 @@ impl ParsedArgs {
         self.flags.iter().any(|f| f == flag)
     }
 
-    /// Rejects any `--name` the command does not accept: `options` take a
-    /// value, `switches` do not. The error names the first offender —
-    /// switches in command-line order, then options by name. (A mistyped
-    /// option parses as a switch, and its value as a stray positional.)
-    pub fn check_known(&self, options: &[&str], switches: &[&str]) -> Result<(), String> {
-        let mut keys: Vec<&String> = self.options.keys().collect();
+    /// Rejects a command line the command cannot run as given, naming the
+    /// first offender:
+    /// * any `--name` the command does not accept (`options` take a value,
+    ///   `switches` do not): switches in command-line order, then options
+    ///   by name. A mistyped option parses as a switch, and its value as a
+    ///   stray positional, so this check comes first;
+    /// * an accepted option given last without its value;
+    /// * a positional argument past the first `positionals`.
+    pub fn check_known(
+        &self,
+        positionals: usize,
+        options: &[&str],
+        switches: &[&str],
+    ) -> Result<(), String> {
+        let command = if self.command.is_empty() { "pim-asm" } else { &self.command };
+        let mut keys: Vec<&String> = self.options.keys().chain(&self.missing_value).collect();
         keys.sort();
         let unknown = self
             .flags
             .iter()
             .find(|f| !switches.contains(&f.as_str()))
             .or_else(|| keys.into_iter().find(|k| !options.contains(&k.as_str())));
-        match unknown {
+        if let Some(name) = unknown {
+            let mut accepted: Vec<String> = options
+                .iter()
+                .map(|o| format!("--{o}"))
+                .chain(switches.iter().map(|s| format!("--{s}")))
+                .collect();
+            accepted.sort();
+            let accepted =
+                if accepted.is_empty() { "none".to_string() } else { accepted.join(", ") };
+            return Err(format!("unknown option --{name} for {command} (accepted: {accepted})"));
+        }
+        if let Some(key) = &self.missing_value {
+            return Err(format!("--{key} needs a value"));
+        }
+        match self.positional.get(positionals) {
             None => Ok(()),
-            Some(name) => {
-                let command = if self.command.is_empty() { "pim-asm" } else { &self.command };
-                let mut accepted: Vec<String> = options
-                    .iter()
-                    .map(|o| format!("--{o}"))
-                    .chain(switches.iter().map(|s| format!("--{s}")))
-                    .collect();
-                accepted.sort();
-                let accepted =
-                    if accepted.is_empty() { "none".to_string() } else { accepted.join(", ") };
-                Err(format!("unknown option --{name} for {command} (accepted: {accepted})"))
+            Some(extra) => {
+                let takes = match positionals {
+                    0 => "none".to_string(),
+                    n => format!("at most {n}"),
+                };
+                Err(format!("unexpected argument {extra:?} for {command} (it takes {takes})"))
             }
         }
     }
@@ -171,16 +195,28 @@ mod tests {
     fn unknown_switches_and_misplaced_options_are_named() {
         let a = parse("assemble r.fa --checkpoint-dri D");
         assert_eq!(a.positional, vec!["r.fa", "D"], "the typo's value is a stray positional");
-        let err = a.check_known(&["checkpoint-dir"], &["force"]).unwrap_err();
+        let err = a.check_known(1, &["checkpoint-dir"], &["force"]).unwrap_err();
         assert_eq!(
             err,
             "unknown option --checkpoint-dri for assemble (accepted: --checkpoint-dir, --force)"
         );
-        let err = parse("simulate g.fa --k 5").check_known(&["seed"], &[]).unwrap_err();
+        let err = parse("simulate g.fa --k 5").check_known(1, &["seed"], &[]).unwrap_err();
         assert!(err.starts_with("unknown option --k for simulate"), "{err}");
-        let err = parse("throughput --fast").check_known(&[], &[]).unwrap_err();
+        let err = parse("throughput --fast").check_known(0, &[], &[]).unwrap_err();
         assert_eq!(err, "unknown option --fast for throughput (accepted: none)");
-        assert_eq!(parse("assemble r.fa --k 5 --force").check_known(&["k"], &["force"]), Ok(()));
+        assert_eq!(parse("assemble r.fa --k 5 --force").check_known(1, &["k"], &["force"]), Ok(()));
+    }
+
+    #[test]
+    fn a_value_option_given_last_needs_its_value() {
+        let a = parse("assemble r.fa --subarrays 8 --k");
+        assert_eq!(a.missing_value.as_deref(), Some("k"));
+        assert_eq!(a.get_num("k", 17usize), Ok(17), "parsing alone records no value");
+        let err = a.check_known(1, &["k", "subarrays"], &[]).unwrap_err();
+        assert_eq!(err, "--k needs a value");
+        // An option the command does not take is unknown, value or not.
+        let err = parse("simulate g.fa --k").check_known(1, &["seed"], &[]).unwrap_err();
+        assert!(err.starts_with("unknown option --k for simulate"), "{err}");
     }
 
     #[test]

@@ -73,6 +73,8 @@ MAP OPTIONS:
   --error-rate X   per-base substitution error rate (default 0.02;
                    errors route survivors through the DP refiner)
   --seed N         RNG seed for the genome + read simulation (default 42)
+  --subarrays N    sub-arrays the seed index spreads over (default 4;
+                   more when a longer reference fills their k-mer regions)
   --backend NAME   lowering backend for the mapping kernels:
                    pim-assembler (default), ambit-tra, panda-mram
   --opt-level N    IR optimization level: 0 (default) or 2
@@ -120,13 +122,24 @@ IR OPTIONS:
 
 type CliResult = Result<(), Box<dyn Error>>;
 
-/// Each subcommand with the options (taking a value) and the switches it
-/// accepts; `--help` is accepted everywhere. Every name is documented in
-/// [`USAGE`], and any other `--name` is an error naming it.
-const COMMANDS: [(&str, &[&str], &[&str]); 9] = [
-    (
-        "assemble",
-        &[
+/// One subcommand's command line: how many positional arguments it
+/// takes, the options (taking a value) and the switches it accepts;
+/// `--help` is accepted everywhere.
+struct CommandSpec {
+    name: &'static str,
+    positionals: usize,
+    options: &'static [&'static str],
+    switches: &'static [&'static str],
+}
+
+/// Every subcommand. Every option is documented in [`USAGE`], and any
+/// other `--name`, a value option without its value, or a positional past
+/// the command's count is an error naming it.
+const COMMANDS: [CommandSpec; 9] = [
+    CommandSpec {
+        name: "assemble",
+        positionals: 1,
+        options: &[
             "k",
             "min-count",
             "simplify",
@@ -140,29 +153,37 @@ const COMMANDS: [(&str, &[&str], &[&str]); 9] = [
             "metrics-out",
             "trace-out",
         ],
-        &["correct", "force", "report"],
-    ),
-    ("simulate", &["coverage", "seed", "output"], &[]),
-    ("stats", &["metrics"], &[]),
-    ("throughput", &[], &[]),
-    (
-        "map",
-        &[
+        switches: &["correct", "force", "report"],
+    },
+    CommandSpec {
+        name: "simulate",
+        positionals: 1,
+        options: &["coverage", "seed", "output"],
+        switches: &[],
+    },
+    CommandSpec { name: "stats", positionals: 1, options: &["metrics"], switches: &[] },
+    CommandSpec { name: "throughput", positionals: 0, options: &[], switches: &[] },
+    CommandSpec {
+        name: "map",
+        positionals: 0,
+        options: &[
             "genome-len",
             "read-len",
             "coverage",
             "error-rate",
             "seed",
+            "subarrays",
             "backend",
             "opt-level",
             "workers",
             "faults",
         ],
-        &[],
-    ),
-    (
-        "verify",
-        &[
+        switches: &[],
+    },
+    CommandSpec {
+        name: "verify",
+        positionals: 0,
+        options: &[
             "stage",
             "backend",
             "k",
@@ -175,32 +196,40 @@ const COMMANDS: [(&str, &[&str], &[&str]); 9] = [
             "faults",
             "opt-level",
         ],
-        &[],
-    ),
-    ("ir", &["kernel", "backend", "cols", "slots", "opt-level"], &[]),
-    ("help", &[], &[]),
-    ("", &[], &[]),
+        switches: &[],
+    },
+    CommandSpec {
+        name: "ir",
+        positionals: 0,
+        options: &["kernel", "backend", "cols", "slots", "opt-level"],
+        switches: &[],
+    },
+    CommandSpec { name: "help", positionals: 0, options: &[], switches: &[] },
+    CommandSpec { name: "", positionals: 0, options: &[], switches: &[] },
 ];
+
+/// The spec of subcommand `name`, if it is one.
+fn spec(name: &str) -> Option<&'static CommandSpec> {
+    COMMANDS.iter().find(|c| c.name == name)
+}
 
 /// Whether `name` is a subcommand (`""`, no command, prints the help).
 pub fn is_command(name: &str) -> bool {
-    COMMANDS.iter().any(|&(command, ..)| command == name)
+    spec(name).is_some()
 }
 
-/// Runs the parsed command line: prints [`USAGE`] for `help`, no command
-/// or `--help`, and otherwise checks the options against the command's
-/// set before running it.
+/// Runs the parsed command line: checks it against the command's
+/// [`CommandSpec`], then prints [`USAGE`] for `help`, no command or
+/// `--help`, and otherwise runs the command.
 ///
 /// # Errors
 ///
-/// An unknown command or option, and whatever the command returns.
+/// An unknown command or option, a value option without its value, an
+/// extra positional argument, and whatever the command returns.
 pub fn run(args: &ParsedArgs) -> CliResult {
-    let &(_, options, switches) = COMMANDS
-        .iter()
-        .find(|&&(command, ..)| command == args.command)
-        .ok_or_else(|| format!("unknown command {:?}", args.command))?;
-    let switches: Vec<&str> = switches.iter().copied().chain(["help"]).collect();
-    args.check_known(options, &switches)?;
+    let spec = spec(&args.command).ok_or_else(|| format!("unknown command {:?}", args.command))?;
+    let switches: Vec<&str> = spec.switches.iter().copied().chain(["help"]).collect();
+    args.check_known(spec.positionals, spec.options, &switches)?;
     let command = if args.has_flag("help") { "help" } else { args.command.as_str() };
     match command {
         "assemble" => assemble(args),
@@ -535,7 +564,8 @@ fn metrics_stats(path: &str) -> CliResult {
 pub fn map(args: &ParsedArgs) -> CliResult {
     use pim_assembler::mapping_stage::{run_mapping, MappingRunConfig};
     let defaults = MappingRunConfig::default();
-    let (min, max) = (defaults.mapping.seed_len, DramGeometry::paper_assembly().cols / 2);
+    let geometry = DramGeometry::paper_assembly();
+    let (min, max) = (defaults.mapping.seed_len, geometry.cols / 2);
     let read_len = args.get_num_where(
         "read-len",
         defaults.read_len,
@@ -553,6 +583,12 @@ pub fn map(args: &ParsedArgs) -> CliResult {
         coverage: coverage_arg(args, 4.0)?,
         error_rate: error_rate_arg(args, 0.02)?,
         seed: args.get_num("seed", defaults.seed)?,
+        subarrays: args.get_num_where(
+            "subarrays",
+            defaults.subarrays,
+            |n| (1..=geometry.total_subarrays()).contains(&n),
+            &format!("in 1..={}", geometry.total_subarrays()),
+        )?,
         backend: match args.get_str("backend") {
             Some(name) => parse_backend(name)?,
             None => defaults.backend,
@@ -1266,6 +1302,21 @@ mod tests {
     }
 
     #[test]
+    fn map_spreads_a_longer_reference_over_more_subarrays() {
+        // A 3 kbp reference overflows the default 4 sub-arrays' k-mer
+        // regions; the error names an option `map` takes, and that option
+        // maps it.
+        let argv = ["map", "--genome-len", "3000", "--read-len", "64", "--coverage", "10"];
+        let err = rejected(map, &argv);
+        assert!(err.contains("k-mer region full") && err.contains("--subarrays"), "{err}");
+        let argv: Vec<&str> = argv.iter().copied().chain(["--subarrays", "16"]).collect();
+        let args = ParsedArgs::parse(argv.iter().map(|a| a.to_string()));
+        run(&args).unwrap_or_else(|e| panic!("map --subarrays 16: {e}"));
+        let err = rejected(map, &["map", "--subarrays", "0"]);
+        assert!(err.starts_with("--subarrays must be in 1..="), "{err}");
+    }
+
+    #[test]
     fn map_rejects_genomes_shorter_than_a_read() {
         let err = rejected(map, &["map", "--genome-len", "10"]);
         assert_eq!(err, "--genome-len must be at least --read-len (32), got 10");
@@ -1308,6 +1359,40 @@ mod tests {
         assert!(!Path::new(ckpt).exists(), "a rejected command must write nothing");
     }
 
+    #[test]
+    fn every_command_rejects_a_missing_value_and_a_stray_positional() {
+        // Each command's positionals filled, then one more; and each value
+        // option given last without its value. Both exit before running.
+        let error = |argv: &[String]| {
+            let args = ParsedArgs::parse(argv.iter().cloned());
+            run(&args).expect_err("the command line must be rejected").to_string()
+        };
+        for spec in COMMANDS.iter().filter(|spec| !spec.name.is_empty()) {
+            let mut argv = vec![spec.name.to_string()];
+            argv.extend((0..spec.positionals).map(|i| format!("in{i}.fa")));
+            let mut stray = argv.clone();
+            stray.push("extra.fa".into());
+            let err = error(&stray);
+            assert!(
+                err.starts_with(&format!("unexpected argument \"extra.fa\" for {}", spec.name)),
+                "{stray:?}: {err}"
+            );
+            for option in spec.options {
+                let mut last = argv.clone();
+                last.push(format!("--{option}"));
+                assert_eq!(error(&last), format!("--{option} needs a value"), "{last:?}");
+            }
+        }
+        // The reproductions: `--k` last no longer assembles at the default
+        // k, and a second input file is not ignored.
+        let err = error(&["assemble", "r.fa", "--subarrays", "8", "--k"].map(String::from));
+        assert_eq!(err, "--k needs a value");
+        let err = error(&["assemble", "r.fa", "extra.fa"].map(String::from));
+        assert_eq!(err, "unexpected argument \"extra.fa\" for assemble (it takes at most 1)");
+        let err = error(&["map", "extra.fa"].map(String::from));
+        assert_eq!(err, "unexpected argument \"extra.fa\" for map (it takes none)");
+    }
+
     /// The entries of one USAGE options section: `(name, takes a value,
     /// description)`, the description's continuation lines joined.
     fn usage_entries(section: &str) -> Vec<(String, bool, String)> {
@@ -1340,17 +1425,18 @@ mod tests {
             ("IR OPTIONS", "ir"),
         ] {
             let entries = usage_entries(section);
-            let &(_, options, switches) = COMMANDS.iter().find(|c| c.0 == command).unwrap();
+            let spec = spec(command).unwrap();
             for (name, takes_value, _) in &entries {
                 let mut argv = vec![command.to_string(), format!("--{name}")];
                 if *takes_value {
                     argv.push("1".into());
                 }
                 let args = ParsedArgs::parse(argv);
-                assert_eq!(args.check_known(options, switches), Ok(()), "{command} --{name}");
+                let accepted = args.check_known(spec.positionals, spec.options, spec.switches);
+                assert_eq!(accepted, Ok(()), "{command} --{name}");
             }
             // And nothing is accepted that the help does not document.
-            for name in options.iter().chain(switches) {
+            for name in spec.options.iter().chain(spec.switches) {
                 assert!(entries.iter().any(|(n, ..)| n == name), "{command} --{name} undocumented");
             }
         }

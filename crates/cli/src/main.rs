@@ -10,7 +10,7 @@
 //! pim-asm stats <contigs.fasta>
 //! pim-asm throughput
 //! pim-asm map [--genome-len 300] [--read-len 32] [--coverage 4]
-//!         [--error-rate 0.02] [--seed 42] [--workers 0] [--faults 0]
+//!         [--error-rate 0.02] [--seed 42] [--subarrays 4] [--workers 0] [--faults 0]
 //!         [--backend <pim-assembler|ambit-tra|panda-mram>] [--opt-level <0|2>]
 //! pim-asm verify [--k 9] [--genome-len 400] [--seed 42] [--faults 1e-4]
 //!         [--stage <mapping|resume>]
@@ -20,8 +20,9 @@
 //! pim-asm help
 //! ```
 //!
-//! Each command accepts only its own options; any other `--name` is an
-//! error naming it (exit status 1).
+//! Each command accepts only its own options and positional arguments;
+//! any other `--name`, a value option given last without its value, or an
+//! extra positional is an error naming it (exit status 1).
 
 mod args;
 mod commands;

@@ -8,33 +8,28 @@
 //! through the executing [`AapPort`] — the controller's global ledger, or
 //! a detached sub-array context's local ledger under parallel dispatch.
 
-use pim_dram::bitrow::BitRow;
 use pim_dram::port::AapPort;
 
 /// The DPU: scalar reduction and arithmetic next to the sub-arrays.
+///
+/// The AND-reduction of a probe's XNOR row (Fig. 7) is charged by
+/// [`crate::pim_xnor::PimComparator::compare`], which reduces the sensed
+/// row in the sub-array's row buffer ([`AapPort::aap2_all_ones`]).
 ///
 /// # Examples
 ///
 /// ```
 /// use pim_assembler::dpu::Dpu;
-/// use pim_dram::{bitrow::BitRow, controller::Controller, geometry::DramGeometry};
+/// use pim_dram::{controller::Controller, geometry::DramGeometry};
 ///
 /// let mut ctrl = Controller::new(DramGeometry::tiny());
-/// let all_match = Dpu::and_reduce(&mut ctrl, &BitRow::ones(64));
-/// assert!(all_match);
+/// assert_eq!(Dpu::increment_saturating(&mut ctrl, 7, 255), 8);
 /// assert_eq!(ctrl.stats().dpu, 1);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Dpu;
 
 impl Dpu {
-    /// AND-reduces an XNOR result row: `true` iff every bit matched
-    /// (the `ki = kj` decision of Fig. 7). One DPU operation.
-    pub fn and_reduce(ctrl: &mut impl AapPort, row: &BitRow) -> bool {
-        ctrl.dpu_op();
-        row.all_ones()
-    }
-
     /// Scalar increment of a frequency counter, saturating at `max`
     /// (the `New_freq` update of Fig. 5b). One DPU operation.
     pub fn increment_saturating(ctrl: &mut impl AapPort, value: u64, max: u64) -> u64 {
@@ -58,16 +53,6 @@ mod tests {
 
     fn ctrl() -> Controller {
         Controller::new(DramGeometry::tiny())
-    }
-
-    #[test]
-    fn and_reduce_detects_mismatch() {
-        let mut c = ctrl();
-        let mut row = BitRow::ones(64);
-        row.set(13, false);
-        assert!(!Dpu::and_reduce(&mut c, &row));
-        assert!(Dpu::and_reduce(&mut c, &BitRow::ones(64)));
-        assert_eq!(c.stats().dpu, 2);
     }
 
     #[test]

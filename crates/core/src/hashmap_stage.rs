@@ -144,14 +144,10 @@ impl PimHashTable {
     }
 
     /// [`PimHashTable::new`] with the probe kernel lowered for `backend`
-    /// at optimization level `opt`. Zero-constant roles (the Ambit
-    /// rewrite) bind the last temp row, which the stage never writes, so
-    /// it holds the power-on zero state.
+    /// at optimization level `opt`.
     pub fn with_backend(mapper: KmerMapper, backend: BackendKind, opt: OptLevel) -> Self {
         let slots = vec![vec![None; mapper.layout().kmer_rows()]; mapper.subarrays().len()];
-        let layout = *mapper.layout();
-        let zero_row = layout.temp_row(layout.temp_rows() - 1);
-        let comparator = PimComparator::new(layout.cols(), backend, zero_row, opt);
+        let comparator = PimComparator::new(mapper.geometry(), backend, opt);
         PimHashTable { mapper, comparator, slots, stats: HashStats::default() }
     }
 
@@ -252,19 +248,13 @@ impl PimHashTable {
         let (sub_idx, bucket_row) = self.mapper.home(kmer);
         let subarray = self.mapper.subarrays()[sub_idx];
         let image = self.mapper.row_image(kmer, cols);
-        self.comparator.stage_query(ctrl, subarray, layout.temp_row(0), &image)?;
+        self.comparator.stage_query(ctrl, subarray, &image)?;
         let kmer_rows = layout.kmer_rows();
         for step in 0..kmer_rows {
             let row = (bucket_row + step) % kmer_rows;
             match self.slots[sub_idx][row] {
                 Some(_) => {
-                    let matched = self.comparator.compare(
-                        ctrl,
-                        subarray,
-                        layout.temp_row(0),
-                        RowAddr(row),
-                        layout.temp_row(1),
-                    )?;
+                    let matched = self.comparator.compare(ctrl, subarray, RowAddr(row))?;
                     if matched {
                         return Self::read_counter_at(ctrl, &layout, subarray, row);
                     }
@@ -327,7 +317,7 @@ impl PimHashTable {
         port.record_metric(Metric::HashInserts, 1);
 
         // Stage the query once (temp write + clone into x1).
-        comparator.stage_query(port, subarray, layout.temp_row(0), image)?;
+        comparator.stage_query(port, subarray, image)?;
 
         // Linear probe from the bucket start, wrapping across the region.
         let kmer_rows = layout.kmer_rows();
@@ -339,13 +329,7 @@ impl PimHashTable {
                 Some(stored) => {
                     stats.probes += 1;
                     local_probes += 1;
-                    let matched = comparator.compare(
-                        port,
-                        subarray,
-                        layout.temp_row(0),
-                        RowAddr(row),
-                        layout.temp_row(1),
-                    )?;
+                    let matched = comparator.compare(port, subarray, RowAddr(row))?;
                     if matched != (stored == kmer) {
                         // The array mis-compared (possible under fault
                         // injection). Record the detection but follow the
@@ -407,7 +391,9 @@ impl PimHashTable {
 
     /// Counter access stays inside the sub-array: the value row activates
     /// locally (one AAP-class command) and the DPU reads/updates the 8-bit
-    /// field through the sense amplifiers — no host round-trip.
+    /// field through the sense amplifiers — no host round-trip. On the
+    /// host the field moves in place (uncharged field access), and the
+    /// command is charged on its own.
     fn read_counter_at(
         port: &mut impl AapPort,
         layout: &SubarrayLayout,
@@ -415,9 +401,9 @@ impl PimHashTable {
         slot: usize,
     ) -> Result<u64> {
         let (vrow, bit) = layout.counter_location(slot);
-        let row = port.peek_row(subarray, layout.value_row(vrow))?;
+        let count = port.peek_field(subarray, layout.value_row(vrow), bit, COUNTER_BITS)?;
         port.record_synthetic(CommandClass::Aap, 1);
-        Ok(row.extract(bit, COUNTER_BITS).to_u64())
+        Ok(count)
     }
 
     fn write_counter_at(
@@ -428,9 +414,7 @@ impl PimHashTable {
         value: u64,
     ) -> Result<()> {
         let (vrow, bit) = layout.counter_location(slot);
-        let mut row = port.peek_row(subarray, layout.value_row(vrow))?;
-        row.splice(bit, &pim_dram::bitrow::BitRow::from_u64(value, COUNTER_BITS));
-        port.poke_row(subarray, layout.value_row(vrow), &row)?;
+        port.poke_field(subarray, layout.value_row(vrow), bit, COUNTER_BITS, value)?;
         port.record_synthetic(CommandClass::Aap, 1);
         Ok(())
     }
@@ -516,10 +500,9 @@ impl PimHashTable {
 
     /// Rebuilds a checkpointed table: shadow slots, k-mer row images and
     /// counter fields are restored through the uncharged debug port (one
-    /// write per k-mer row, and one per value row for entries in
-    /// [`PimHashTable::save_entries`] order), and the statistics
-    /// accumulator is set to the checkpointed values. Charges nothing —
-    /// the session restores accounting separately via
+    /// row write per k-mer row and one field write per counter), and the
+    /// statistics accumulator is set to the checkpointed values. Charges
+    /// nothing — the session restores accounting separately via
     /// [`Controller::restore_accounting`].
     ///
     /// # Errors
@@ -539,9 +522,6 @@ impl PimHashTable {
         let layout = *table.mapper.layout();
         let cols = port.geometry().cols;
         let mut image = BitRow::zeros(cols);
-        // The value row being filled: `(sub-array, value row index, row)`,
-        // written back once the entries move on to another value row.
-        let mut value_row: Option<(SubarrayId, usize, BitRow)> = None;
         for &(sub_idx, row, kmer, count) in entries {
             let subarray = match table.mapper.subarrays().get(sub_idx) {
                 Some(&id) if row < layout.kmer_rows() && count <= layout.max_count() => id,
@@ -560,21 +540,8 @@ impl PimHashTable {
             table.mapper.row_image_into(&kmer, &mut image);
             port.poke_row(subarray, RowAddr(row), &image)?;
             let (vrow, bit) = layout.counter_location(row);
-            let mut current = match value_row.take() {
-                Some((id, v, data)) if (id, v) == (subarray, vrow) => data,
-                other => {
-                    if let Some((id, v, data)) = other {
-                        port.poke_row(id, layout.value_row(v), &data)?;
-                    }
-                    port.peek_row(subarray, layout.value_row(vrow))?
-                }
-            };
-            current.splice(bit, &BitRow::from_u64(count, COUNTER_BITS));
-            value_row = Some((subarray, vrow, current));
+            port.poke_field(subarray, layout.value_row(vrow), bit, COUNTER_BITS, count)?;
             table.slots[sub_idx][row] = Some(kmer);
-        }
-        if let Some((id, v, data)) = value_row {
-            port.poke_row(id, layout.value_row(v), &data)?;
         }
         table.stats = stats;
         Ok(table)

@@ -45,7 +45,6 @@ pub mod peephole;
 pub mod program;
 
 use pim_dram::address::{RowAddr, SubarrayId};
-use pim_dram::bitrow::BitRow;
 use pim_dram::port::AapPort;
 use pim_dram::sense_amp::SaMode;
 
@@ -222,10 +221,12 @@ impl CompiledKernel {
     }
 
     /// Executes the kernel like [`CompiledKernel::execute`], but senses
-    /// the final command and returns its read-out. The final op must be a
-    /// two-source AAP (the shape of every comparison kernel); the sensed
-    /// and discard variants charge identically, so accounting stays
-    /// byte-identical to [`CompiledKernel::execute`].
+    /// the final command and AND-reduces its read-out: returns whether
+    /// every sensed bit is one. The final op must be a two-source AAP (the
+    /// shape of every comparison kernel); it issues as
+    /// [`AapPort::aap2_all_ones`], which charges exactly like the `aap2`
+    /// that [`CompiledKernel::execute`] would discard, so the ledger is
+    /// byte-identical to it.
     ///
     /// # Errors
     ///
@@ -235,12 +236,12 @@ impl CompiledKernel {
     ///
     /// Panics on arity mismatch or when the lowered kernel does not end
     /// in a [`LoweredOp::TwoSrc`].
-    pub fn execute_sensed(
+    pub fn execute_all_ones(
         &self,
         port: &mut impl AapPort,
         subarray: SubarrayId,
         rows: &[RowAddr],
-    ) -> crate::error::Result<BitRow> {
+    ) -> crate::error::Result<bool> {
         assert_eq!(rows.len(), self.roles.len(), "kernel arity mismatch");
         let (last, head) = self.ops.split_last().expect("sensed kernel has at least one op");
         let &LoweredOp::TwoSrc { srcs, dst, mode } = last else {
@@ -254,8 +255,7 @@ impl CompiledKernel {
         for _ in 0..self.reps.saturating_sub(1) {
             issue(port, subarray, rows, last)?;
         }
-        let out = port.aap2(subarray, mode, [rows[srcs[0]], rows[srcs[1]]], rows[dst])?;
-        Ok(out)
+        Ok(port.aap2_all_ones(subarray, mode, [rows[srcs[0]], rows[srcs[1]]], rows[dst])?)
     }
 
     /// Renders the lowered kernel (role table, allocation map, ops, and
@@ -492,6 +492,7 @@ fn compile_backend_inner(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pim_dram::bitrow::BitRow;
     use pim_dram::controller::Controller;
     use pim_dram::geometry::DramGeometry;
 
@@ -532,15 +533,23 @@ mod tests {
     fn sensed_execution_charges_like_discard_execution() {
         let cols = DramGeometry::paper_assembly().cols;
         let kernel = compile(&kernels::xnor(), &LowerOptions::for_row(cols)).unwrap();
-        let (mut sensed, id) = setup();
-        let (mut discarded, _) = setup();
-        let rows =
-            [RowAddr(1), RowAddr(2), RowAddr(9), sensed.compute_row(0), sensed.compute_row(1)];
-        let out = kernel.execute_sensed(&mut sensed, id, &rows).unwrap();
-        kernel.execute(&mut discarded, id, &rows).unwrap();
-        assert_eq!(*sensed.stats(), *discarded.stats());
-        assert_eq!(sensed.ledger(), discarded.ledger());
-        assert_eq!(out, sensed.peek_row(id, 9).unwrap());
+        let a = BitRow::from_fn(cols, |i| i % 3 == 0);
+        for (b, equal) in [(a.clone(), true), (BitRow::from_fn(cols, |i| i == 255), false)] {
+            let (mut sensed, id) = setup();
+            let (mut discarded, _) = setup();
+            for ctrl in [&mut sensed, &mut discarded] {
+                ctrl.write_row(id, 1, &a).unwrap();
+                ctrl.write_row(id, 2, &b).unwrap();
+            }
+            let rows =
+                [RowAddr(1), RowAddr(2), RowAddr(9), sensed.compute_row(0), sensed.compute_row(1)];
+            let all_ones = kernel.execute_all_ones(&mut sensed, id, &rows).unwrap();
+            kernel.execute(&mut discarded, id, &rows).unwrap();
+            assert_eq!(*sensed.stats(), *discarded.stats());
+            assert_eq!(sensed.ledger(), discarded.ledger());
+            assert_eq!(all_ones, equal);
+            assert_eq!(all_ones, sensed.peek_row(id, 9).unwrap().all_ones());
+        }
     }
 
     #[test]

@@ -33,6 +33,7 @@ use crate::layout::SubarrayLayout;
 /// ```
 #[derive(Debug, Clone)]
 pub struct KmerMapper {
+    geometry: DramGeometry,
     subarrays: Vec<SubarrayId>,
     layout: SubarrayLayout,
     bucket_rows: usize,
@@ -57,7 +58,12 @@ impl KmerMapper {
         let subarrays =
             (0..num_subarrays).map(|i| SubarrayId::from_linear_index(geometry, i)).collect();
         let buckets_per_subarray = (layout.kmer_rows() / bucket_rows).max(1);
-        KmerMapper { subarrays, layout, bucket_rows, buckets_per_subarray }
+        KmerMapper { geometry: *geometry, subarrays, layout, bucket_rows, buckets_per_subarray }
+    }
+
+    /// The geometry the partition and layout were derived from.
+    pub fn geometry(&self) -> &DramGeometry {
+        &self.geometry
     }
 
     /// The allocated sub-array handles.

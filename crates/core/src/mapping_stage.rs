@@ -245,7 +245,7 @@ impl PimReadMapper {
             });
         }
         let zero_row = layout.temp_row(layout.temp_rows() - 1);
-        let comparator = PimComparator::new(cols, backend, zero_row, opt);
+        let comparator = PimComparator::new(mapper.geometry(), backend, opt);
         let key = |k: Kernel| TemplateKey::new(k, cols, cols).with_backend(backend).with_opt(opt);
         let kernels = MappingKernels {
             xnor: CompiledTemplate::compile(key(Kernel::Xnor)),
@@ -552,7 +552,7 @@ impl PimReadMapper {
         let (_, bucket) = self.mapper.home(seed);
         let subarray = self.mapper.subarrays()[sub_idx];
         let image = self.mapper.row_image(seed, layout.cols());
-        self.comparator.stage_query(port, subarray, layout.temp_row(0), &image)?;
+        self.comparator.stage_query(port, subarray, &image)?;
         let base = sub_idx * self.seed_rows;
         let start = bucket % self.seed_rows;
         for step in 0..self.seed_rows {
@@ -562,13 +562,7 @@ impl PimReadMapper {
                 return Ok(None);
             }
             port.record_metric(Metric::MapSeedProbes, 1);
-            let matched = self.comparator.compare(
-                port,
-                subarray,
-                layout.temp_row(0),
-                RowAddr(row),
-                layout.temp_row(1),
-            )?;
+            let matched = self.comparator.compare(port, subarray, RowAddr(row))?;
             if matched != (self.directory.seeds[e] == seed.packed()) {
                 stats.shadow_mismatches += 1;
             }
@@ -627,7 +621,7 @@ impl PimReadMapper {
             port.write_row(subarray, rplane_row, &rplane)?;
             let match_row = scratch.alloc()?;
             let n = self.kernels.xnor.bind_roles_into(
-                port,
+                port.geometry(),
                 &[wplane_row, rplane_row],
                 &[match_row],
                 self.zero_row,
@@ -648,7 +642,7 @@ impl PimReadMapper {
                 }
                 let (o, t, f) = (scratch.alloc()?, scratch.alloc()?, scratch.alloc()?);
                 let n = self.kernels.popcount.bind_roles_into(
-                    port,
+                    port.geometry(),
                     &group_rows,
                     &[o, t, f],
                     self.zero_row,
@@ -862,7 +856,7 @@ impl PimReadMapper {
         for w in (0..MAPPING_VALUE_BITS).rev() {
             let (win_out, dec_out) = (decwin[2 * pp], decwin[2 * pp + 1]);
             let n = self.kernels.dp_cell.bind_roles_into(
-                port,
+                port.geometry(),
                 &[a[w], b[w], dec_in, win_in],
                 &[win_out, dec_out],
                 self.zero_row,
@@ -876,7 +870,7 @@ impl PimReadMapper {
         }
         for w in 0..MAPPING_VALUE_BITS {
             let n = self.kernels.min_select.bind_roles_into(
-                port,
+                port.geometry(),
                 &[a[w], b[w], win_in],
                 &[out[w]],
                 self.zero_row,

@@ -106,8 +106,14 @@ impl PimAdder {
             TemplateKey::new(Kernel::FullAdder, cols, cols).with_backend(backend).with_opt(opt),
         );
         let mut rows = [RowAddr(0); MAX_ADDER_ROLES];
-        let n =
-            adder.bind_roles_into(ctrl, &[a, b, c], &[sum_dst, carry_dst], zero, &[], &mut rows)?;
+        let n = adder.bind_roles_into(
+            ctrl.geometry(),
+            &[a, b, c],
+            &[sum_dst, carry_dst],
+            zero,
+            &[],
+            &mut rows,
+        )?;
         adder.execute(ctrl, subarray, &rows[..n])
     }
 
@@ -176,7 +182,7 @@ impl PimAdder {
                 let sum_row = scratch.alloc()?;
                 let carry_row = scratch.alloc()?;
                 let n = adder.bind_roles_into(
-                    ctrl,
+                    ctrl.geometry(),
                     &[p1.row, p2.row, p3.row],
                     &[sum_row, carry_row],
                     zero,
@@ -236,7 +242,7 @@ impl PimAdder {
             let sum_row = scratch.alloc()?;
             let carry_row = scratch.alloc()?;
             let n = adder.bind_roles_into(
-                ctrl,
+                ctrl.geometry(),
                 &[a.row, b.row, c.row],
                 &[sum_row, carry_row],
                 zero,

@@ -12,19 +12,20 @@
 //!
 //! The comparison program itself is not hand-rolled here: the comparator
 //! holds the [`Kernel::Xnor`] template lowered through the [`crate::ir`]
-//! pipeline, and every probe executes that one compiled kernel (sensing
-//! the final XNOR so the DPU can reduce its read-out). Sensed and discard
-//! AAPs charge identically, so the command sequence is the same as the
-//! pre-IR direct-port one.
+//! pipeline, and every probe executes that one compiled kernel, sensing
+//! the final XNOR and AND-reducing the read-out in place (no row is copied
+//! out of the sub-array). Sensed and discard AAPs charge identically, so
+//! the command sequence is the same as the pre-IR direct-port one.
 
 use pim_dram::address::{RowAddr, SubarrayId};
 use pim_dram::bitrow::BitRow;
+use pim_dram::geometry::DramGeometry;
 use pim_dram::ledger::CommandClass;
 use pim_dram::port::AapPort;
 
-use crate::dpu::Dpu;
 use crate::error::Result;
 use crate::ir::{BackendKind, OptLevel, RowClass};
+use crate::layout::SubarrayLayout;
 use crate::template::{CompiledTemplate, Kernel, TemplateKey};
 
 /// Upper bound on the probe kernel's role count across backends (the
@@ -35,25 +36,33 @@ const MAX_PROBE_ROLES: usize = 16;
 /// Executes `PIM_XNOR` comparisons against a staged query.
 ///
 /// The comparator owns the IR-compiled XNOR kernel for its row width plus
-/// the staging convention: queries are staged once per k-mer (amortizing
-/// the temp write across the bucket scan), then compared against any
-/// number of candidate rows by re-executing the compiled kernel.
+/// the staging convention: queries are staged once per k-mer in temp row
+/// 0 of the Fig. 6 layout (amortizing the write across the bucket scan),
+/// then compared against any number of candidate rows by re-executing the
+/// compiled kernel, which senses into temp row 1. Zero-constant roles (the
+/// Ambit rewrite's row-init constant) bind the last temp row, which no
+/// stage writes, so it holds the power-on zero state. The role table is
+/// bound once, at construction; a probe only patches in its candidate row.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PimComparator {
     xnor: CompiledTemplate,
-    /// Row bound to [`RowClass::Zero`] roles (the Ambit rewrite's row-init
-    /// constant). Must address a row the stage never writes, so it still
-    /// holds the all-zero power-on state.
-    zero_row: RowAddr,
+    /// The kernel's role bindings, the first `role_count` entries; the
+    /// candidate role's entry is a placeholder each probe overwrites.
+    rows: [RowAddr; MAX_PROBE_ROLES],
+    role_count: usize,
+    /// Index of the candidate role: the kernel's second input.
+    candidate: usize,
+    /// The temp row queries are staged in.
+    query_row: RowAddr,
 }
 
 impl PimComparator {
-    /// Compiles the comparator's XNOR kernel for rows of `cols` bits on
+    /// Compiles the comparator's XNOR kernel for `geometry`'s rows on
     /// `backend` at IR optimization level `opt` (probe results are
-    /// identical at every level). `zero_row` backs any zero-constant roles
-    /// the backend's lowering introduces (pass any never-written data row;
-    /// ignored by lowerings without such roles).
-    pub fn new(cols: usize, backend: BackendKind, zero_row: RowAddr, opt: OptLevel) -> Self {
+    /// identical at every level), and binds its roles to the geometry's
+    /// layout and compute rows.
+    pub fn new(geometry: &DramGeometry, backend: BackendKind, opt: OptLevel) -> Self {
+        let cols = geometry.cols;
         let xnor = CompiledTemplate::compile(
             TemplateKey::new(Kernel::Xnor, cols, cols).with_backend(backend).with_opt(opt),
         );
@@ -62,7 +71,30 @@ impl PimComparator {
             xnor.roles().iter().all(|r| r.class != RowClass::Spill),
             "probe kernel must lower spill-free on every backend"
         );
-        PimComparator { xnor, zero_row }
+        let layout = SubarrayLayout::new(geometry);
+        let query_row = layout.temp_row(0);
+        let zero_row = layout.temp_row(layout.temp_rows() - 1);
+        let mut rows = [RowAddr(0); MAX_PROBE_ROLES];
+        // The query row stands in for the candidate until a probe names it.
+        let role_count = xnor
+            .bind_roles_into(
+                geometry,
+                &[query_row, query_row],
+                &[layout.temp_row(1)],
+                zero_row,
+                &[],
+                &mut rows,
+            )
+            .expect("MAX_PROBE_ROLES bounds the role table by construction");
+        let candidate = xnor
+            .roles()
+            .iter()
+            .enumerate()
+            .filter(|(_, role)| role.class == RowClass::Input)
+            .nth(1)
+            .map(|(i, _)| i)
+            .expect("the XNOR kernel compares two inputs");
+        PimComparator { xnor, rows, role_count, candidate, query_row }
     }
 
     /// The compiled XNOR kernel the comparator probes with.
@@ -75,8 +107,8 @@ impl PimComparator {
         self.xnor.backend()
     }
 
-    /// Stages a query row image into a temp row and clones it into compute
-    /// row `x1`. The staging itself is an in-DRAM movement from the
+    /// Stages a query row image into the query temp row and clones it into
+    /// compute row `x1`. The staging itself is an in-DRAM movement from the
     /// sequence bank (Fig. 6: "the ctrl first reads and parses the short
     /// reads from the original sequence bank to the specific sub-array"),
     /// charged as one AAP-class transfer rather than a host write. This is
@@ -91,17 +123,17 @@ impl PimComparator {
         &self,
         ctrl: &mut impl AapPort,
         subarray: SubarrayId,
-        temp_row: RowAddr,
         image: &BitRow,
     ) -> Result<()> {
-        ctrl.poke_row(subarray, temp_row, image)?;
+        ctrl.poke_row(subarray, self.query_row, image)?;
         ctrl.record_synthetic(CommandClass::Aap, 1);
-        ctrl.aap_copy(subarray, temp_row, ctrl.compute_row(0))?;
+        ctrl.aap_copy(subarray, self.query_row, ctrl.compute_row(0))?;
         Ok(())
     }
 
-    /// Compares the staged query against `candidate`; `scratch` receives
-    /// the XNOR row. Returns `true` on a full-row match.
+    /// Compares the staged query against `candidate`: the XNOR row goes to
+    /// the scratch temp row, and the DPU's AND unit reduces the sensed
+    /// read-out. Returns `true` on a full-row match.
     ///
     /// The XNOR two-row activation destroys compute rows `x1`/`x2`, so the
     /// query is re-cloned from its temp row before each comparison — the
@@ -115,27 +147,13 @@ impl PimComparator {
         &self,
         ctrl: &mut impl AapPort,
         subarray: SubarrayId,
-        temp_row: RowAddr,
         candidate: RowAddr,
-        scratch: RowAddr,
     ) -> Result<bool> {
-        // Bind the backend's role table by class: the query and candidate
-        // are the inputs in declaration order, scratch is the output, zero
-        // roles bind the configured zero row.
-        let mut rows = [RowAddr(0); MAX_PROBE_ROLES];
-        let n = self
-            .xnor
-            .bind_roles_into(
-                ctrl,
-                &[temp_row, candidate],
-                &[scratch],
-                self.zero_row,
-                &[],
-                &mut rows,
-            )
-            .expect("MAX_PROBE_ROLES bounds the role table by construction");
-        let xnor = self.xnor.execute_sensed(ctrl, subarray, &rows[..n])?;
-        Ok(Dpu::and_reduce(ctrl, &xnor))
+        let mut rows = self.rows;
+        rows[self.candidate] = candidate;
+        let matched = self.xnor.execute_all_ones(ctrl, subarray, &rows[..self.role_count])?;
+        ctrl.dpu_op();
+        Ok(matched)
     }
 }
 
@@ -152,7 +170,7 @@ mod tests {
         let g = DramGeometry::paper_assembly();
         let ctrl = Controller::new(g);
         let id = ctrl.subarray_handle(0, 0, 0, 0).unwrap();
-        let cmp = PimComparator::new(g.cols, BackendKind::PimAssembler, RowAddr(0), OptLevel::O0);
+        let cmp = PimComparator::new(&g, BackendKind::PimAssembler, OptLevel::O0);
         (ctrl, id, SubarrayLayout::new(&g), KmerMapper::new(&g, 1, 8), cmp)
     }
 
@@ -163,16 +181,8 @@ mod tests {
         let image = mapper.row_image(&kmer, 256);
         // Store the k-mer in slot 0, stage the same k-mer as a query.
         ctrl.write_row(id, layout.kmer_row(0).unwrap(), &image).unwrap();
-        cmp.stage_query(&mut ctrl, id, layout.temp_row(0), &image).unwrap();
-        let matched = cmp
-            .compare(
-                &mut ctrl,
-                id,
-                layout.temp_row(0),
-                layout.kmer_row(0).unwrap(),
-                layout.temp_row(1),
-            )
-            .unwrap();
+        cmp.stage_query(&mut ctrl, id, &image).unwrap();
+        let matched = cmp.compare(&mut ctrl, id, layout.kmer_row(0).unwrap()).unwrap();
         assert!(matched);
     }
 
@@ -182,16 +192,8 @@ mod tests {
         let a: Kmer = "CGTGCGTGCTTACGGA".parse().unwrap();
         let b: Kmer = "CGTGCGTGCTTACGGC".parse().unwrap(); // last base differs
         ctrl.write_row(id, layout.kmer_row(0).unwrap(), &mapper.row_image(&a, 256)).unwrap();
-        cmp.stage_query(&mut ctrl, id, layout.temp_row(0), &mapper.row_image(&b, 256)).unwrap();
-        let matched = cmp
-            .compare(
-                &mut ctrl,
-                id,
-                layout.temp_row(0),
-                layout.kmer_row(0).unwrap(),
-                layout.temp_row(1),
-            )
-            .unwrap();
+        cmp.stage_query(&mut ctrl, id, &mapper.row_image(&b, 256)).unwrap();
+        let matched = cmp.compare(&mut ctrl, id, layout.kmer_row(0).unwrap()).unwrap();
         assert!(!matched);
     }
 
@@ -208,19 +210,10 @@ mod tests {
                 .unwrap();
         }
         ctrl.write_row(id, layout.kmer_row(4).unwrap(), &image).unwrap();
-        cmp.stage_query(&mut ctrl, id, layout.temp_row(0), &image).unwrap();
+        cmp.stage_query(&mut ctrl, id, &image).unwrap();
         let mut matches = Vec::new();
         for slot in 0..5usize {
-            matches.push(
-                cmp.compare(
-                    &mut ctrl,
-                    id,
-                    layout.temp_row(0),
-                    layout.kmer_row(slot).unwrap(),
-                    layout.temp_row(1),
-                )
-                .unwrap(),
-            );
+            matches.push(cmp.compare(&mut ctrl, id, layout.kmer_row(slot).unwrap()).unwrap());
         }
         assert_eq!(matches, vec![false, false, false, false, true]);
     }
@@ -231,16 +224,9 @@ mod tests {
         let q: Kmer = "ACGTACGTACGTACGT".parse().unwrap();
         let image = mapper.row_image(&q, 256);
         ctrl.write_row(id, layout.kmer_row(0).unwrap(), &image).unwrap();
-        cmp.stage_query(&mut ctrl, id, layout.temp_row(0), &image).unwrap();
+        cmp.stage_query(&mut ctrl, id, &image).unwrap();
         let before = *ctrl.stats();
-        cmp.compare(
-            &mut ctrl,
-            id,
-            layout.temp_row(0),
-            layout.kmer_row(0).unwrap(),
-            layout.temp_row(1),
-        )
-        .unwrap();
+        cmp.compare(&mut ctrl, id, layout.kmer_row(0).unwrap()).unwrap();
         let delta = ctrl.stats().since(&before);
         assert_eq!(delta.aap, 2); // query re-clone + candidate clone
         assert_eq!(delta.aap2, 1); // the XNOR
@@ -260,7 +246,7 @@ mod tests {
             let id = ctrl.subarray_handle(0, 0, 0, 0).unwrap();
             let layout = SubarrayLayout::new(&g);
             let mapper = KmerMapper::new(&g, 1, 8);
-            let cmp = PimComparator::new(g.cols, backend, layout.temp_row(7), OptLevel::O0);
+            let cmp = PimComparator::new(&g, backend, OptLevel::O0);
             assert_eq!(cmp.backend(), backend);
 
             let stored: Kmer = "CGTGCGTGCTTACGGA".parse().unwrap();
@@ -268,17 +254,8 @@ mod tests {
             ctrl.write_row(id, layout.kmer_row(0).unwrap(), &mapper.row_image(&stored, 256))
                 .unwrap();
             for (query, expect) in [(stored, true), (other, false)] {
-                cmp.stage_query(&mut ctrl, id, layout.temp_row(0), &mapper.row_image(&query, 256))
-                    .unwrap();
-                let matched = cmp
-                    .compare(
-                        &mut ctrl,
-                        id,
-                        layout.temp_row(0),
-                        layout.kmer_row(0).unwrap(),
-                        layout.temp_row(1),
-                    )
-                    .unwrap();
+                cmp.stage_query(&mut ctrl, id, &mapper.row_image(&query, 256)).unwrap();
+                let matched = cmp.compare(&mut ctrl, id, layout.kmer_row(0).unwrap()).unwrap();
                 assert_eq!(matched, expect, "{backend}: query {query}");
             }
             // The command mix is backend-specific: Ambit spends strictly

@@ -28,8 +28,7 @@
 //! [`pim_dram::port::AapPort::record_synthetic`]).
 
 use pim_dram::address::{RowAddr, SubarrayId};
-use pim_dram::bitrow::BitRow;
-use pim_dram::geometry::COMPUTE_ROWS;
+use pim_dram::geometry::{DramGeometry, COMPUTE_ROWS};
 use pim_dram::ledger::CommandClass;
 use pim_dram::port::AapPort;
 
@@ -193,7 +192,7 @@ impl CompiledTemplate {
     /// into `rows`: [`ir::RowClass::Input`] roles consume `inputs` in
     /// declaration order, [`ir::RowClass::Output`] roles consume `outputs`,
     /// [`ir::RowClass::Zero`] roles bind `zero` (which must address an
-    /// all-zero row), [`ir::RowClass::Temp`] roles bind the port's
+    /// all-zero row), [`ir::RowClass::Temp`] roles bind the geometry's
     /// compute rows in slot order, and [`ir::RowClass::Spill`] roles
     /// consume `spills` (caller-owned scratch data rows; see
     /// [`CompiledTemplate::spill_role_count`]). Returns the role count
@@ -212,7 +211,7 @@ impl CompiledTemplate {
     /// class's role count, `provided` the rows supplied for it).
     pub fn bind_roles_into(
         &self,
-        port: &impl AapPort,
+        geometry: &DramGeometry,
         inputs: &[RowAddr],
         outputs: &[RowAddr],
         zero: RowAddr,
@@ -237,7 +236,7 @@ impl CompiledTemplate {
                 ir::RowClass::Zero => Some(zero),
                 ir::RowClass::Temp => {
                     nt += 1;
-                    Some(port.compute_row(nt - 1))
+                    Some(RowAddr(geometry.compute_row(nt - 1)))
                 }
                 ir::RowClass::Spill => take(spills, &mut ns),
             };
@@ -283,10 +282,10 @@ impl CompiledTemplate {
         self.inner.execute(port, subarray, rows)
     }
 
-    /// Executes the template, sensing the final command and returning its
-    /// read-out (the comparison-kernel path; see
-    /// [`crate::ir::CompiledKernel::execute_sensed`]). Accounting is
-    /// byte-identical to [`CompiledTemplate::execute`].
+    /// Executes the template, sensing the final command and AND-reducing
+    /// its read-out: whether every sensed bit is one (the comparison-kernel
+    /// path; see [`crate::ir::CompiledKernel::execute_all_ones`]). The
+    /// ledger is byte-identical to [`CompiledTemplate::execute`].
     ///
     /// # Errors
     ///
@@ -295,14 +294,14 @@ impl CompiledTemplate {
     /// # Panics
     ///
     /// Panics if the lowered kernel does not end in a two-source AAP.
-    pub fn execute_sensed(
+    pub fn execute_all_ones(
         &self,
         port: &mut impl AapPort,
         subarray: SubarrayId,
         rows: &[RowAddr],
-    ) -> Result<BitRow> {
+    ) -> Result<bool> {
         self.check_arity(rows)?;
-        self.inner.execute_sensed(port, subarray, rows)
+        self.inner.execute_all_ones(port, subarray, rows)
     }
 }
 
@@ -428,9 +427,9 @@ mod tests {
         outputs: &[RowAddr],
         spills: &[RowAddr],
     ) -> Result<usize> {
-        let (ctrl, _) = setup();
+        let g = DramGeometry::paper_assembly();
         let mut rows = [RowAddr(0); 32];
-        template.bind_roles_into(&ctrl, inputs, outputs, RowAddr(4), spills, &mut rows)
+        template.bind_roles_into(&g, inputs, outputs, RowAddr(4), spills, &mut rows)
     }
 
     #[test]
@@ -572,20 +571,21 @@ mod tests {
     fn sensed_template_execution_charges_identically() {
         let cols = DramGeometry::paper_assembly().cols;
         let a = BitRow::from_fn(cols, |i| i % 5 == 0);
-        let b = BitRow::from_fn(cols, |i| i % 7 == 0);
-        let (mut sensed, id) = setup();
-        let (mut discarded, _) = setup();
-        for ctrl in [&mut sensed, &mut discarded] {
-            ctrl.write_row(id, 1, &a).unwrap();
-            ctrl.write_row(id, 2, &b).unwrap();
-        }
-        let rows =
-            [RowAddr(1), RowAddr(2), RowAddr(9), sensed.compute_row(0), sensed.compute_row(1)];
         let template = CompiledTemplate::compile(xnor_key(cols));
-        let out = template.execute_sensed(&mut sensed, id, &rows).unwrap();
-        template.execute(&mut discarded, id, &rows).unwrap();
-        assert_eq!(out, a.xnor(&b));
-        assert_eq!(*sensed.stats(), *discarded.stats());
-        assert_eq!(sensed.ledger(), discarded.ledger());
+        for (b, equal) in [(BitRow::from_fn(cols, |i| i % 7 == 0), false), (a.clone(), true)] {
+            let (mut sensed, id) = setup();
+            let (mut discarded, _) = setup();
+            for ctrl in [&mut sensed, &mut discarded] {
+                ctrl.write_row(id, 1, &a).unwrap();
+                ctrl.write_row(id, 2, &b).unwrap();
+            }
+            let rows =
+                [RowAddr(1), RowAddr(2), RowAddr(9), sensed.compute_row(0), sensed.compute_row(1)];
+            let all_ones = template.execute_all_ones(&mut sensed, id, &rows).unwrap();
+            template.execute(&mut discarded, id, &rows).unwrap();
+            assert_eq!(all_ones, equal);
+            assert_eq!(sensed.peek_row(id, 9).unwrap(), a.xnor(&b));
+            assert_identical(&mut sensed, &mut discarded, id);
+        }
     }
 }

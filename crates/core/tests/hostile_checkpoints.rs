@@ -233,10 +233,12 @@ proptest! {
         let text = &base_texts()[usize::from(traverse)];
         let value = PROBES.get(probe).copied().unwrap_or(random);
         let dir = temp_dir(&format!("prop-{traverse}"));
-        // Either outcome is fine; a panic fails the property. A traverse
-        // checkpoint already covers the read stream, so its resumed
-        // session also runs the last stage and builds the report.
-        let _ = resume_from(&dir, &mutate(text, line, token, value), config(), traverse);
+        // Either outcome is fine; a panic fails the property. Every case
+        // that resumes runs to the end: a hashmap checkpoint re-feeds the
+        // rest of the read stream, so the mutated table goes through the
+        // probe path, and every resumed session runs the last stage and
+        // builds the report.
+        let _ = resume_from(&dir, &mutate(text, line, token, value), config(), true);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

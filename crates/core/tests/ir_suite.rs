@@ -332,7 +332,7 @@ proptest! {
                 ctrl.write_row(id, 2, &b).unwrap();
                 ctrl.write_row(id, 4, &BitRow::zeros(cols)).unwrap();
                 let n = xnor
-                    .bind_roles_into(&ctrl, &[RowAddr(1), RowAddr(2)], &[RowAddr(9)], RowAddr(4), &[], &mut rows)
+                    .bind_roles_into(ctrl.geometry(), &[RowAddr(1), RowAddr(2)], &[RowAddr(9)], RowAddr(4), &[], &mut rows)
                     .unwrap();
                 xnor.execute(&mut ctrl, id, &rows[..n]).unwrap();
                 prop_assert_eq!(
@@ -356,7 +356,7 @@ proptest! {
                 ctrl.write_row(id, 4, &BitRow::zeros(cols)).unwrap();
                 let n = adder
                     .bind_roles_into(
-                        &ctrl,
+                        ctrl.geometry(),
                         &[RowAddr(1), RowAddr(2), RowAddr(3)],
                         &[RowAddr(10), RowAddr(11)],
                         RowAddr(4),

@@ -63,7 +63,8 @@ fn run_kernel(
     let spills: Vec<RowAddr> =
         (0..t.spill_role_count()).map(|i| RowAddr(2 + inputs.len() + n_outputs + i)).collect();
     let mut rows = [RowAddr(0); MAX_ROLES];
-    let n = t.bind_roles_into(&ctrl, &input_addrs, &outs, zero, &spills, &mut rows).unwrap();
+    let n =
+        t.bind_roles_into(ctrl.geometry(), &input_addrs, &outs, zero, &spills, &mut rows).unwrap();
     t.execute(&mut ctrl, id, &rows[..n]).unwrap();
     outs.iter().map(|&o| ctrl.peek_row(id, o).unwrap()).collect()
 }

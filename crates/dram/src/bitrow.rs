@@ -192,23 +192,6 @@ impl BitRow {
         out
     }
 
-    /// Overwrites `self` with the content of `src` — a word-level
-    /// `copy_from_slice`, the allocation-free row transfer the functional
-    /// AAP model is built on.
-    ///
-    /// # Panics
-    ///
-    /// Panics if widths differ (this and all `*_into` kernels below).
-    pub fn copy_from(&mut self, src: &Self) {
-        assert_eq!(self.len, src.len, "bit row width mismatch");
-        self.words.copy_from_slice(&src.words);
-    }
-
-    /// Clears every bit, keeping the width.
-    pub fn clear(&mut self) {
-        self.words.fill(0);
-    }
-
     /// Clears the row and loads `value`'s low `len` bits at offset 0 —
     /// the allocation-free form of `splice(0, &BitRow::from_u64(value,
     /// len))` on a zeroed row.
@@ -223,41 +206,6 @@ impl BitRow {
         if len > 0 {
             self.words[0] = if len == 64 { value } else { value & ((1u64 << len) - 1) };
         }
-    }
-
-    /// `self = !(a | b)` without allocating.
-    pub fn nor_into(&mut self, a: &Self, b: &Self) {
-        self.zip_into(a, b, |x, y| !(x | y));
-        self.mask_tail();
-    }
-
-    /// `self = !(a & b)` without allocating.
-    pub fn nand_into(&mut self, a: &Self, b: &Self) {
-        self.zip_into(a, b, |x, y| !(x & y));
-        self.mask_tail();
-    }
-
-    /// `self = a ^ b` without allocating.
-    pub fn xor_into(&mut self, a: &Self, b: &Self) {
-        self.zip_into(a, b, |x, y| x ^ y);
-    }
-
-    /// `self = !(a ^ b)` without allocating — the in-place form of the
-    /// single-cycle comparison primitive.
-    pub fn xnor_into(&mut self, a: &Self, b: &Self) {
-        self.zip_into(a, b, |x, y| !(x ^ y));
-        self.mask_tail();
-    }
-
-    /// `self = a ^ b ^ c` without allocating (the full-adder sum).
-    pub fn xor3_into(&mut self, a: &Self, b: &Self, c: &Self) {
-        self.zip3_into(a, b, c, |x, y, z| x ^ y ^ z);
-    }
-
-    /// `self = MAJ(a, b, c)` without allocating — the in-place form of the
-    /// TRA carry primitive.
-    pub fn maj3_into(&mut self, a: &Self, b: &Self, c: &Self) {
-        self.zip3_into(a, b, c, |x, y, z| (x & y) | (x & z) | (y & z));
     }
 
     /// Number of set bits.
@@ -314,18 +262,7 @@ impl BitRow {
     /// ```
     pub fn bits_u64(&self, offset: usize, len: usize) -> u64 {
         assert!(len <= WORD_BITS && offset + len <= self.len, "bit field out of range");
-        if len == 0 {
-            return 0;
-        }
-        let (word, shift) = (offset / WORD_BITS, offset % WORD_BITS);
-        let mut value = self.words[word] >> shift;
-        if shift + len > WORD_BITS {
-            value |= self.words[word + 1] << (WORD_BITS - shift);
-        }
-        if len < WORD_BITS {
-            value &= (1u64 << len) - 1;
-        }
-        value
+        read_field(&self.words, offset, len)
     }
 
     /// Collects the bits into a `Vec<bool>` (index 0 first).
@@ -338,6 +275,18 @@ impl BitRow {
         &self.words
     }
 
+    /// A `len`-bit row holding `words` (one row of a sub-array's word
+    /// slab; tail bits beyond `len` must be zero).
+    pub(crate) fn from_words(len: usize, words: &[u64]) -> Self {
+        debug_assert_eq!(words.len(), len.div_ceil(WORD_BITS), "word count of a {len} bit row");
+        BitRow { len, words: words.to_vec() }
+    }
+
+    /// Mutable backing words; the caller keeps the tail bits zero.
+    pub(crate) fn words_mut(&mut self) -> &mut [u64] {
+        &mut self.words
+    }
+
     fn zip_with(&self, other: &Self, f: impl Fn(u64, u64) -> u64) -> Self {
         assert_eq!(self.len, other.len, "bit row width mismatch");
         let mut out = BitRow::zeros(self.len);
@@ -347,23 +296,6 @@ impl BitRow {
         out
     }
 
-    fn zip_into(&mut self, a: &Self, b: &Self, f: impl Fn(u64, u64) -> u64) {
-        assert_eq!(self.len, a.len, "bit row width mismatch");
-        assert_eq!(self.len, b.len, "bit row width mismatch");
-        for i in 0..self.words.len() {
-            self.words[i] = f(a.words[i], b.words[i]);
-        }
-    }
-
-    fn zip3_into(&mut self, a: &Self, b: &Self, c: &Self, f: impl Fn(u64, u64, u64) -> u64) {
-        assert_eq!(self.len, a.len, "bit row width mismatch");
-        assert_eq!(self.len, b.len, "bit row width mismatch");
-        assert_eq!(self.len, c.len, "bit row width mismatch");
-        for i in 0..self.words.len() {
-            self.words[i] = f(a.words[i], b.words[i], c.words[i]);
-        }
-    }
-
     fn mask_tail(&mut self) {
         let rem = self.len % WORD_BITS;
         if rem != 0 {
@@ -371,6 +303,45 @@ impl BitRow {
                 *last &= (1u64 << rem) - 1;
             }
         }
+    }
+}
+
+/// The `len ≤ 64` bits starting at bit `offset` of a packed word slice,
+/// as a little-endian integer. The caller checks the range.
+pub(crate) fn read_field(words: &[u64], offset: usize, len: usize) -> u64 {
+    if len == 0 {
+        return 0;
+    }
+    let (word, shift) = (offset / WORD_BITS, offset % WORD_BITS);
+    let mut value = words[word] >> shift;
+    if shift + len > WORD_BITS {
+        value |= words[word + 1] << (WORD_BITS - shift);
+    }
+    value & field_mask(len)
+}
+
+/// Overwrites the `len ≤ 64` bits starting at bit `offset` of a packed
+/// word slice with the low `len` bits of `value`, leaving every other bit
+/// alone. The caller checks the range.
+pub(crate) fn write_field(words: &mut [u64], offset: usize, len: usize, value: u64) {
+    if len == 0 {
+        return;
+    }
+    let (word, shift) = (offset / WORD_BITS, offset % WORD_BITS);
+    let (mask, value) = (field_mask(len), value & field_mask(len));
+    words[word] = (words[word] & !(mask << shift)) | (value << shift);
+    if shift + len > WORD_BITS {
+        let spill = WORD_BITS - shift;
+        words[word + 1] = (words[word + 1] & !(mask >> spill)) | (value >> spill);
+    }
+}
+
+/// The low `len` bits set (`len ≤ 64`).
+fn field_mask(len: usize) -> u64 {
+    if len >= WORD_BITS {
+        u64::MAX
+    } else {
+        (1u64 << len) - 1
     }
 }
 
@@ -498,37 +469,20 @@ mod tests {
     }
 
     #[test]
-    fn into_kernels_match_allocating_ops() {
-        let a = BitRow::from_fn(130, |i| i % 2 == 0);
-        let b = BitRow::from_fn(130, |i| i % 3 == 0);
-        let c = BitRow::from_fn(130, |i| i % 5 == 0);
-        let mut out = BitRow::zeros(130);
-        out.xnor_into(&a, &b);
-        assert_eq!(out, a.xnor(&b));
-        out.nor_into(&a, &b);
-        assert_eq!(out, a.or(&b).not());
-        out.nand_into(&a, &b);
-        assert_eq!(out, a.and(&b).not());
-        out.xor_into(&a, &b);
-        assert_eq!(out, a.xor(&b));
-        out.maj3_into(&a, &b, &c);
-        assert_eq!(out, BitRow::maj3(&a, &b, &c));
-        out.xor3_into(&a, &b, &c);
-        assert_eq!(out, a.xor(&b).xor(&c));
-        out.copy_from(&a);
-        assert_eq!(out, a);
-    }
-
-    #[test]
-    fn into_kernels_keep_tail_bits_zero() {
-        // NOR of two all-zero 67-bit rows is all ones; the 61 tail bits of
-        // the second word must stay clear so equality/count stay exact.
-        let z = BitRow::zeros(67);
-        let mut out = BitRow::zeros(67);
-        out.nor_into(&z, &z);
-        assert_eq!(out, BitRow::ones(67));
-        assert_eq!(out.count_ones(), 67);
-        assert_eq!(out.as_words()[1], (1u64 << 3) - 1);
+    fn field_writes_touch_only_their_bits() {
+        // Fields inside one word, straddling a word boundary, and a whole
+        // word, on a row whose width is not a multiple of 64: a write
+        // lands exactly where splice puts it and reads back.
+        let base = BitRow::from_fn(200, |i| (i * 5 + i / 7) % 3 == 0);
+        for (offset, len) in [(0, 8), (60, 8), (64, 64), (100, 64), (136, 64), (199, 1), (7, 0)] {
+            let value = 0xA5C3_96E1_0F3C_5AA5u64;
+            let mut words = base.as_words().to_vec();
+            write_field(&mut words, offset, len, value);
+            let mut expect = base.clone();
+            expect.splice(offset, &BitRow::from_u64(value, len));
+            assert_eq!(words, expect.as_words(), "offset {offset} len {len}");
+            assert_eq!(read_field(&words, offset, len), BitRow::from_u64(value, len).to_u64());
+        }
     }
 
     #[test]

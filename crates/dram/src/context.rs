@@ -220,6 +220,34 @@ impl SubarrayContext {
         self.subarray.write(row.into(), data)
     }
 
+    /// Reads the `len ≤ 64` bits at bit `offset` of a row *without*
+    /// charging a command; callers that model the access charge it with
+    /// [`SubarrayContext::record_synthetic`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates sub-array addressing and field-range errors.
+    pub fn peek_field(&self, row: impl Into<RowAddr>, offset: usize, len: usize) -> Result<u64> {
+        self.subarray.read_field(row.into(), offset, len)
+    }
+
+    /// Overwrites the `len ≤ 64` bits at bit `offset` of a row with the
+    /// low bits of `value`, *without* charging a command (see
+    /// [`SubarrayContext::peek_field`]).
+    ///
+    /// # Errors
+    ///
+    /// Propagates sub-array addressing and field-range errors.
+    pub fn poke_field(
+        &mut self,
+        row: impl Into<RowAddr>,
+        offset: usize,
+        len: usize,
+        value: u64,
+    ) -> Result<()> {
+        self.subarray.write_field(row.into(), offset, len, value)
+    }
+
     /// Type-1 AAP: in-array copy (RowClone-FPM).
     ///
     /// # Errors
@@ -244,11 +272,39 @@ impl SubarrayContext {
         srcs: [RowAddr; 2],
         dst: impl Into<RowAddr>,
     ) -> Result<BitRow> {
-        let out = self.subarray.op2(mode, srcs, dst.into())?;
+        self.subarray.op2(mode, srcs, dst.into())?;
         self.charge(CommandClass::Aap2);
         self.note(Metric::Aap2, 3);
         self.obsv.record(Metric::SensedReads, 1);
+        let out = self.subarray.sensed();
         Ok(self.sense(out))
+    }
+
+    /// Type-2 AAP whose sensed output the DPU AND-reduces: whether every
+    /// sensed bit is one, read from the sub-array's row buffer without
+    /// copying the row out. Identical array state and accounting as
+    /// [`SubarrayContext::aap2`], sensed read-out included. When fault
+    /// injection is armed the sensed copy is taken and reduced instead,
+    /// so the injector draws the same stream positions and flips the same
+    /// bits.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`SubarrayContext::aap2`].
+    pub fn aap2_all_ones(
+        &mut self,
+        mode: SaMode,
+        srcs: [RowAddr; 2],
+        dst: impl Into<RowAddr>,
+    ) -> Result<bool> {
+        if self.fault.is_some() {
+            return self.aap2(mode, srcs, dst).map(|out| out.all_ones());
+        }
+        self.subarray.op2(mode, srcs, dst.into())?;
+        self.charge(CommandClass::Aap2);
+        self.note(Metric::Aap2, 3);
+        self.obsv.record(Metric::SensedReads, 1);
+        Ok(self.subarray.sensed_all_ones())
     }
 
     /// Type-2 AAP whose sensed output the caller does not need. Identical
@@ -270,7 +326,7 @@ impl SubarrayContext {
         if self.fault.is_some() {
             return self.aap2(mode, srcs, dst).map(|_| ());
         }
-        self.subarray.op2_apply(mode, srcs, dst.into())?;
+        self.subarray.op2(mode, srcs, dst.into())?;
         self.charge(CommandClass::Aap2);
         self.note(Metric::Aap2, 3);
         self.obsv.record(Metric::DiscardReads, 1);
@@ -301,10 +357,11 @@ impl SubarrayContext {
     ///
     /// Propagates decoder and addressing errors.
     pub fn aap3_carry(&mut self, srcs: [RowAddr; 3], dst: impl Into<RowAddr>) -> Result<BitRow> {
-        let out = self.subarray.op3_carry(srcs, dst.into())?;
+        self.subarray.op3_carry(srcs, dst.into())?;
         self.charge(CommandClass::Aap3);
         self.note(Metric::Aap3, 4);
         self.obsv.record(Metric::SensedReads, 1);
+        let out = self.subarray.sensed();
         Ok(self.sense(out))
     }
 
@@ -323,7 +380,7 @@ impl SubarrayContext {
         if self.fault.is_some() {
             return self.aap3_carry(srcs, dst).map(|_| ());
         }
-        self.subarray.op3_carry_apply(srcs, dst.into())?;
+        self.subarray.op3_carry(srcs, dst.into())?;
         self.charge(CommandClass::Aap3);
         self.note(Metric::Aap3, 4);
         self.obsv.record(Metric::DiscardReads, 1);
@@ -425,6 +482,8 @@ mod tests {
         b.aap2_discard(SaMode::Xnor, [x1, x2], 5).unwrap();
         a.aap3_carry([x1, x2, x3], 6).unwrap();
         b.aap3_carry_discard([x1, x2, x3], 6).unwrap();
+        let sensed = a.aap2(SaMode::Nand, [x1, x2], 7).unwrap();
+        assert_eq!(b.aap2_all_ones(SaMode::Nand, [x1, x2], 7).unwrap(), sensed.all_ones());
         assert_eq!(a.ledger(), b.ledger());
         for row in 0..a.geometry().rows {
             assert_eq!(a.peek_row(row).unwrap(), b.peek_row(row).unwrap());
@@ -452,6 +511,28 @@ mod tests {
         b.aap2_discard(SaMode::Xnor, [x1, x2], 5).unwrap();
         assert_eq!(a.fault_flips(), b.fault_flips());
         assert_eq!(a.read_row(5).unwrap(), b.read_row(5).unwrap());
+        // Returning-then-reduced vs reducing: the same verdict from the
+        // same corrupted read-out, the same flips, and the same stream
+        // position for the next read. An XNOR of equal rows senses all
+        // ones, so a flip anywhere turns the verdict; at a 5% rate about
+        // one 64-bit read-out in 27 comes through clean, so over 200
+        // rounds both verdicts occur.
+        let mut verdicts = [0u32; 2];
+        for round in 0..200 {
+            for ctx in [&mut a, &mut b] {
+                ctx.aap_copy(1, x1).unwrap();
+                ctx.aap_copy(1, x2).unwrap();
+            }
+            let sensed = a.aap2(SaMode::Xnor, [x1, x2], 5).unwrap().all_ones();
+            let reduced = b.aap2_all_ones(SaMode::Xnor, [x1, x2], 5).unwrap();
+            assert_eq!(sensed, reduced, "round {round}");
+            assert_eq!(a.fault_flips(), b.fault_flips(), "round {round}");
+            assert_eq!(a.read_row(5).unwrap(), b.read_row(5).unwrap(), "round {round}");
+            verdicts[usize::from(reduced)] += 1;
+        }
+        assert!(verdicts.iter().all(|&n| n > 0), "both verdicts occur: {verdicts:?}");
+        assert_eq!(a.ledger(), b.ledger());
+        assert_eq!(a.obsv(), b.obsv());
     }
 
     #[test]
@@ -476,6 +557,7 @@ mod tests {
         for (mode, srcs, what) in pairs {
             assert!(ctx.aap2(mode, srcs, 5).is_err(), "aap2 {what}");
             assert!(ctx.aap2_discard(mode, srcs, 5).is_err(), "aap2_discard {what}");
+            assert!(ctx.aap2_all_ones(mode, srcs, 5).is_err(), "aap2_all_ones {what}");
         }
         for (srcs, what) in [([data, x2, x3], "data-row source"), ([x1, x3, x1], "repeated source")]
         {

@@ -435,6 +435,40 @@ impl Controller {
         self.live_context(id)?.poke_row(row, data)
     }
 
+    /// Reads the `len ≤ 64` bits at bit `offset` of a row *without*
+    /// charging a command (pair with [`Controller::record_synthetic`]).
+    ///
+    /// # Errors
+    ///
+    /// Propagates sub-array addressing and field-range errors; fails on
+    /// detached sub-arrays.
+    pub fn peek_field(
+        &mut self,
+        id: SubarrayId,
+        row: impl Into<RowAddr>,
+        offset: usize,
+        len: usize,
+    ) -> Result<u64> {
+        self.live_context(id)?.peek_field(row, offset, len)
+    }
+
+    /// Overwrites the `len ≤ 64` bits at bit `offset` of a row with the
+    /// low bits of `value`, *without* charging a command.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Controller::peek_field`].
+    pub fn poke_field(
+        &mut self,
+        id: SubarrayId,
+        row: impl Into<RowAddr>,
+        offset: usize,
+        len: usize,
+        value: u64,
+    ) -> Result<()> {
+        self.live_context(id)?.poke_field(row, offset, len, value)
+    }
+
     /// Type-1 AAP: in-array copy (RowClone-FPM).
     ///
     /// # Errors
@@ -472,6 +506,27 @@ impl Controller {
         let out = self.live_context(id)?.aap2(mode, srcs, dst)?;
         self.account(Some(id), CommandClass::Aap2);
         Ok(out)
+    }
+
+    /// Type-2 AAP whose sensed output the DPU AND-reduces: whether every
+    /// sensed bit is one, without copying the row out (see
+    /// [`SubarrayContext::aap2_all_ones`]). Accounting is identical to
+    /// [`Controller::aap2`].
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Controller::aap2`].
+    pub fn aap2_all_ones(
+        &mut self,
+        id: SubarrayId,
+        mode: SaMode,
+        srcs: [RowAddr; 2],
+        dst: impl Into<RowAddr>,
+    ) -> Result<bool> {
+        let dst = dst.into();
+        let all_ones = self.live_context(id)?.aap2_all_ones(mode, srcs, dst)?;
+        self.account(Some(id), CommandClass::Aap2);
+        Ok(all_ones)
     }
 
     /// Type-2 AAP whose sensed output the caller does not need. Identical

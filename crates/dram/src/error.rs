@@ -41,6 +41,16 @@ pub enum DramError {
         /// Expected width in bits (sub-array columns).
         expected: usize,
     },
+    /// A bit field of a row reached past the row width, or was wider than
+    /// the 64 bits one field access moves.
+    FieldOutOfRange {
+        /// First bit of the field.
+        offset: usize,
+        /// Field width in bits.
+        len: usize,
+        /// Row width in bits (sub-array columns).
+        cols: usize,
+    },
     /// Multi-row activation requested on rows not wired to the modified
     /// row decoder (only the 8 compute rows support it — paper §II-A).
     NotComputeRow {
@@ -90,6 +100,11 @@ impl fmt::Display for DramError {
             DramError::WidthMismatch { provided, expected } => {
                 write!(f, "row width {provided} does not match sub-array width {expected}")
             }
+            DramError::FieldOutOfRange { offset, len, cols } => write!(
+                f,
+                "{len}-bit field at bit {offset} does not fit a {cols}-bit row (fields are at \
+                 most 64 bits)"
+            ),
             DramError::NotComputeRow { row } => {
                 write!(f, "row {row} is not wired to the modified row decoder")
             }
@@ -138,6 +153,7 @@ mod tests {
             DramError::AddressOutOfRange { component: "bank", index: 9, limit: 8 },
             DramError::RowOutOfRange { row: 1, rows: 1 },
             DramError::WidthMismatch { provided: 1, expected: 256 },
+            DramError::FieldOutOfRange { offset: 250, len: 8, cols: 256 },
             DramError::NotComputeRow { row: 3 },
             DramError::BadActivationCount { requested: 4, supported: "2 or 3" },
             DramError::DuplicateSourceRow { row: 1016 },

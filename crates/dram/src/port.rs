@@ -67,6 +67,35 @@ pub trait AapPort {
     /// Propagates addressing/width/ownership errors.
     fn poke_row(&mut self, id: SubarrayId, row: RowAddr, data: &BitRow) -> Result<()>;
 
+    /// Reads the `len ≤ 64` bits at bit `offset` of a row without
+    /// charging a command (pair with [`AapPort::record_synthetic`]).
+    ///
+    /// # Errors
+    ///
+    /// Propagates addressing/field-range/ownership errors.
+    fn peek_field(
+        &mut self,
+        id: SubarrayId,
+        row: RowAddr,
+        offset: usize,
+        len: usize,
+    ) -> Result<u64>;
+
+    /// Overwrites the `len ≤ 64` bits at bit `offset` of a row with the
+    /// low bits of `value`, without charging a command.
+    ///
+    /// # Errors
+    ///
+    /// Propagates addressing/field-range/ownership errors.
+    fn poke_field(
+        &mut self,
+        id: SubarrayId,
+        row: RowAddr,
+        offset: usize,
+        len: usize,
+        value: u64,
+    ) -> Result<()>;
+
     /// Type-1 AAP: in-array copy.
     ///
     /// # Errors
@@ -103,6 +132,25 @@ pub trait AapPort {
     /// Same as [`AapPort::aap2`].
     fn aap2_sum(&mut self, id: SubarrayId, srcs: [RowAddr; 2], dst: RowAddr) -> Result<BitRow> {
         self.aap2(id, SaMode::CarrySum, srcs, dst)
+    }
+
+    /// Type-2 AAP whose sensed output is AND-reduced: whether every sensed
+    /// bit is one (the DPU's `ki = kj` decision of Fig. 7). Charges and
+    /// counts exactly like [`AapPort::aap2`], the sensed read-out
+    /// included; implementations backed by the functional model reduce
+    /// the row buffer in place instead of copying the row out.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`AapPort::aap2`].
+    fn aap2_all_ones(
+        &mut self,
+        id: SubarrayId,
+        mode: SaMode,
+        srcs: [RowAddr; 2],
+        dst: RowAddr,
+    ) -> Result<bool> {
+        self.aap2(id, mode, srcs, dst).map(|out| out.all_ones())
     }
 
     /// Type-2 AAP whose sensed output the caller does not need.
@@ -203,6 +251,27 @@ impl AapPort for Controller {
         Controller::poke_row(self, id, row, data)
     }
 
+    fn peek_field(
+        &mut self,
+        id: SubarrayId,
+        row: RowAddr,
+        offset: usize,
+        len: usize,
+    ) -> Result<u64> {
+        Controller::peek_field(self, id, row, offset, len)
+    }
+
+    fn poke_field(
+        &mut self,
+        id: SubarrayId,
+        row: RowAddr,
+        offset: usize,
+        len: usize,
+        value: u64,
+    ) -> Result<()> {
+        Controller::poke_field(self, id, row, offset, len, value)
+    }
+
     fn aap_copy(&mut self, id: SubarrayId, src: RowAddr, dst: RowAddr) -> Result<()> {
         Controller::aap_copy(self, id, src, dst)
     }
@@ -215,6 +284,16 @@ impl AapPort for Controller {
         dst: RowAddr,
     ) -> Result<BitRow> {
         Controller::aap2(self, id, mode, srcs, dst)
+    }
+
+    fn aap2_all_ones(
+        &mut self,
+        id: SubarrayId,
+        mode: SaMode,
+        srcs: [RowAddr; 2],
+        dst: RowAddr,
+    ) -> Result<bool> {
+        Controller::aap2_all_ones(self, id, mode, srcs, dst)
     }
 
     fn aap2_discard(
@@ -296,6 +375,29 @@ impl AapPort for SubarrayContext {
         SubarrayContext::poke_row(self, row, data)
     }
 
+    fn peek_field(
+        &mut self,
+        id: SubarrayId,
+        row: RowAddr,
+        offset: usize,
+        len: usize,
+    ) -> Result<u64> {
+        self.own(id)?;
+        SubarrayContext::peek_field(self, row, offset, len)
+    }
+
+    fn poke_field(
+        &mut self,
+        id: SubarrayId,
+        row: RowAddr,
+        offset: usize,
+        len: usize,
+        value: u64,
+    ) -> Result<()> {
+        self.own(id)?;
+        SubarrayContext::poke_field(self, row, offset, len, value)
+    }
+
     fn aap_copy(&mut self, id: SubarrayId, src: RowAddr, dst: RowAddr) -> Result<()> {
         self.own(id)?;
         SubarrayContext::aap_copy(self, src, dst)
@@ -310,6 +412,17 @@ impl AapPort for SubarrayContext {
     ) -> Result<BitRow> {
         self.own(id)?;
         SubarrayContext::aap2(self, mode, srcs, dst)
+    }
+
+    fn aap2_all_ones(
+        &mut self,
+        id: SubarrayId,
+        mode: SaMode,
+        srcs: [RowAddr; 2],
+        dst: RowAddr,
+    ) -> Result<bool> {
+        self.own(id)?;
+        SubarrayContext::aap2_all_ones(self, mode, srcs, dst)
     }
 
     fn aap2_discard(

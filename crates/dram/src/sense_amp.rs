@@ -19,6 +19,7 @@
 //! `pim-circuits` crate.
 
 use crate::bitrow::BitRow;
+use crate::error::{DramError, Result};
 
 /// Operating mode of the reconfigurable sense amplifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -104,29 +105,37 @@ impl EnableSignals {
 
 /// Row-wide digital sense-amplifier model.
 ///
-/// Holds the per-column D-latch state used by the addition datapath. All
-/// logic functions operate on whole rows ([`BitRow`]) because the SA is
-/// replicated per bit-line.
+/// Holds the per-column D-latch state used by the addition datapath. The
+/// SA is replicated per bit-line, so every mode evaluates 64 bit-lines at
+/// a time over packed row words (a sub-array row's slice of its word
+/// slab), with the tail past the row width kept zero.
 ///
 /// # Examples
 ///
 /// ```
-/// use pim_dram::{bitrow::BitRow, sense_amp::SenseAmpArray};
+/// use pim_dram::sense_amp::{SaMode, SenseAmpArray};
 ///
-/// let mut sa = SenseAmpArray::new(4);
-/// let a = BitRow::from_bits([false, false, true, true]);
-/// let b = BitRow::from_bits([false, true, false, true]);
-/// assert_eq!(sa.two_row_xnor(&a, &b).to_bit_vec(), vec![true, false, false, true]);
+/// let sa = SenseAmpArray::new(4);
+/// let mut out = [0u64];
+/// sa.two_row(SaMode::Xnor, &[0b1100], &[0b1010], &mut out)?;
+/// assert_eq!(out, [0b1001]);
+/// # Ok::<(), pim_dram::DramError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SenseAmpArray {
     latch: BitRow,
+    /// The valid bit-lines of the last row word.
+    tail: u64,
 }
 
 impl SenseAmpArray {
     /// Creates a SA array for a sub-array of `cols` bit-lines, latch cleared.
     pub fn new(cols: usize) -> Self {
-        SenseAmpArray { latch: BitRow::zeros(cols) }
+        let tail = match cols % 64 {
+            0 => u64::MAX,
+            rem => (1u64 << rem) - 1,
+        };
+        SenseAmpArray { latch: BitRow::zeros(cols), tail }
     }
 
     /// Current latch content (the carry row of an in-flight addition).
@@ -134,84 +143,80 @@ impl SenseAmpArray {
         &self.latch
     }
 
+    /// The valid bit-lines of a row's last word (all of them when the row
+    /// width is a multiple of 64).
+    pub(crate) fn tail_mask(&self) -> u64 {
+        self.tail
+    }
+
     /// Clears the latch (issued by the controller before a new addition).
     pub fn reset_latch(&mut self) {
-        self.latch = BitRow::zeros(self.latch.len());
+        self.latch.words_mut().fill(0);
     }
 
-    /// Two-row activation sensed through the low-Vs inverter: NOR2.
-    pub fn two_row_nor(&self, a: &BitRow, b: &BitRow) -> BitRow {
-        a.or(b).not()
+    /// Senses a two-row activation of the rows `a` and `b` in `mode` into
+    /// `out`:
+    /// * NOR2 through the low-Vs inverter, NAND2 through the high-Vs one;
+    /// * XOR2 through the add-on AND gate (`NAND2 AND NOT(NOR2)`, one XOR
+    ///   per word), XNOR2 as its complement on BL̄;
+    /// * the adder's sum, the XOR of both rows and the latched carry.
+    ///
+    /// # Errors
+    ///
+    /// [`DramError::BadActivationCount`] for [`SaMode::Memory`] and
+    /// [`SaMode::Carry`], which a two-row activation cannot sense; `out`
+    /// is then untouched.
+    pub fn two_row(&self, mode: SaMode, a: &[u64], b: &[u64], out: &mut [u64]) -> Result<()> {
+        match mode {
+            SaMode::Nor => zip2(a, b, out, |x, y| !(x | y)),
+            SaMode::Nand => zip2(a, b, out, |x, y| !(x & y)),
+            SaMode::Xor => zip2(a, b, out, |x, y| x ^ y),
+            SaMode::Xnor => zip2(a, b, out, |x, y| !(x ^ y)),
+            SaMode::CarrySum => zip3(a, b, self.latch.as_words(), out, |x, y, z| x ^ y ^ z),
+            SaMode::Memory | SaMode::Carry => {
+                return Err(DramError::BadActivationCount {
+                    requested: 2,
+                    supported: "logic modes only",
+                })
+            }
+        }
+        if let Some(last) = out.last_mut() {
+            *last &= self.tail;
+        }
+        Ok(())
     }
 
-    /// Two-row activation sensed through the high-Vs inverter: NAND2.
-    pub fn two_row_nand(&self, a: &BitRow, b: &BitRow) -> BitRow {
-        a.and(b).not()
+    /// Senses a triple-row activation (Ambit TRA) into `out`: the 3-input
+    /// majority, latched as the carry for a following
+    /// [`SaMode::CarrySum`] two-row activation.
+    pub fn triple_row_carry(&mut self, a: &[u64], b: &[u64], c: &[u64], out: &mut [u64]) {
+        zip3(a, b, c, out, |x, y, z| (x & y) | (x & z) | (y & z));
+        self.latch.words_mut().copy_from_slice(out);
     }
+}
 
-    /// Two-row activation through the add-on AND gate: XOR2
-    /// (`NAND2 AND NOT(NOR2)` per Fig. 2a).
-    pub fn two_row_xor(&self, a: &BitRow, b: &BitRow) -> BitRow {
-        self.two_row_nand(a, b).and(&self.two_row_nor(a, b).not())
+fn zip2(a: &[u64], b: &[u64], out: &mut [u64], f: impl Fn(u64, u64) -> u64) {
+    for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
+        *o = f(x, y);
     }
+}
 
-    /// Two-row activation, complement routed to BL̄: XNOR2 in one cycle.
-    pub fn two_row_xnor(&mut self, a: &BitRow, b: &BitRow) -> BitRow {
-        self.two_row_xor(a, b).not()
-    }
-
-    /// Triple-row activation (Ambit TRA): 3-input majority, latched as the
-    /// carry for a following [`SenseAmpArray::sum_from_latch`].
-    pub fn triple_row_carry(&mut self, a: &BitRow, b: &BitRow, c: &BitRow) -> BitRow {
-        let carry = BitRow::maj3(a, b, c);
-        self.latch = carry.clone();
-        carry
-    }
-
-    /// Sum output: XOR of the two operands and the latched carry from the
-    /// previous cycle (the add-on XOR gate with `Latch_En` asserted).
-    pub fn sum_from_latch(&self, a: &BitRow, b: &BitRow) -> BitRow {
-        a.xor(b).xor(&self.latch)
-    }
-
-    /// In-place [`SenseAmpArray::two_row_nor`]: senses into `out` without
-    /// allocating.
-    pub fn two_row_nor_into(&self, a: &BitRow, b: &BitRow, out: &mut BitRow) {
-        out.nor_into(a, b);
-    }
-
-    /// In-place [`SenseAmpArray::two_row_nand`].
-    pub fn two_row_nand_into(&self, a: &BitRow, b: &BitRow, out: &mut BitRow) {
-        out.nand_into(a, b);
-    }
-
-    /// In-place [`SenseAmpArray::two_row_xor`] (`NAND2 AND NOT(NOR2)`
-    /// collapses to one XOR pass over the backing words).
-    pub fn two_row_xor_into(&self, a: &BitRow, b: &BitRow, out: &mut BitRow) {
-        out.xor_into(a, b);
-    }
-
-    /// In-place [`SenseAmpArray::two_row_xnor`].
-    pub fn two_row_xnor_into(&self, a: &BitRow, b: &BitRow, out: &mut BitRow) {
-        out.xnor_into(a, b);
-    }
-
-    /// In-place [`SenseAmpArray::triple_row_carry`]: senses the majority
-    /// into `out` and latches it, without allocating.
-    pub fn triple_row_carry_into(&mut self, a: &BitRow, b: &BitRow, c: &BitRow, out: &mut BitRow) {
-        out.maj3_into(a, b, c);
-        self.latch.copy_from(out);
-    }
-
-    /// In-place [`SenseAmpArray::sum_from_latch`].
-    pub fn sum_from_latch_into(&self, a: &BitRow, b: &BitRow, out: &mut BitRow) {
-        out.xor3_into(a, b, &self.latch);
+fn zip3(a: &[u64], b: &[u64], c: &[u64], out: &mut [u64], f: impl Fn(u64, u64, u64) -> u64) {
+    for (((o, &x), &y), &z) in out.iter_mut().zip(a).zip(b).zip(c) {
+        *o = f(x, y, z);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Senses `mode` over two 4-bit rows on a fresh SA.
+    fn sense(sa: &SenseAmpArray, mode: SaMode, a: &BitRow, b: &BitRow) -> BitRow {
+        let mut out = [0u64];
+        sa.two_row(mode, a.as_words(), b.as_words(), &mut out).unwrap();
+        BitRow::from_fn(a.len(), |i| (out[0] >> i) & 1 == 1)
+    }
 
     fn rows4() -> (BitRow, BitRow) {
         (
@@ -225,16 +230,14 @@ mod tests {
         let sa = SenseAmpArray::new(4);
         let (a, b) = rows4();
         // Fig. 2b: Di Dj -> out1 (NOR via low-Vs), out2 (NAND via high-Vs).
-        assert_eq!(sa.two_row_nor(&a, &b).to_bit_vec(), vec![true, false, false, false]);
-        assert_eq!(sa.two_row_nand(&a, &b).to_bit_vec(), vec![true, true, true, false]);
-        assert_eq!(sa.two_row_xor(&a, &b).to_bit_vec(), vec![false, true, true, false]);
-    }
-
-    #[test]
-    fn xnor_is_xor_complement() {
-        let mut sa = SenseAmpArray::new(4);
-        let (a, b) = rows4();
-        assert_eq!(sa.two_row_xnor(&a, &b), sa.two_row_xor(&a, &b).not());
+        assert_eq!(sense(&sa, SaMode::Nor, &a, &b).to_bit_vec(), vec![true, false, false, false]);
+        assert_eq!(sense(&sa, SaMode::Nand, &a, &b).to_bit_vec(), vec![true, true, true, false]);
+        assert_eq!(sense(&sa, SaMode::Xor, &a, &b).to_bit_vec(), vec![false, true, true, false]);
+        // XOR2 is NAND2 AND NOT(NOR2) (Fig. 2a); XNOR2 its complement.
+        let nand_and_not_nor =
+            sense(&sa, SaMode::Nand, &a, &b).and(&sense(&sa, SaMode::Nor, &a, &b).not());
+        assert_eq!(sense(&sa, SaMode::Xor, &a, &b), nand_and_not_nor);
+        assert_eq!(sense(&sa, SaMode::Xnor, &a, &b), nand_and_not_nor.not());
     }
 
     #[test]
@@ -244,45 +247,48 @@ mod tests {
         let a = BitRow::from_bits([false, false, false, false, true, true, true, true]);
         let b = BitRow::from_bits([false, false, true, true, false, false, true, true]);
         let cin = BitRow::from_bits([false, true, false, true, false, true, false, true]);
+        let mut out = [0u64];
         // With the incoming carry latched (as the controller sequences it),
         // the add-on XOR produces sum = a ^ b ^ cin …
-        sa.triple_row_carry(&cin, &cin, &cin); // latch := cin
-        assert_eq!(sa.sum_from_latch(&a, &b), a.xor(&b).xor(&cin));
+        let c = cin.as_words();
+        sa.triple_row_carry(c, c, c, &mut out); // latch := cin
+        assert_eq!(sense(&sa, SaMode::CarrySum, &a, &b), a.xor(&b).xor(&cin));
         // … and the TRA produces the carry-out MAJ(a, b, cin).
-        sa.triple_row_carry(&a, &b, &cin);
-        assert_eq!(
-            sa.latch().to_bit_vec(),
-            vec![false, false, false, true, false, true, true, true]
-        );
+        sa.triple_row_carry(a.as_words(), b.as_words(), c, &mut out);
+        assert_eq!(sa.latch(), &BitRow::maj3(&a, &b, &cin));
+        assert_eq!(out, sa.latch().as_words());
     }
 
     #[test]
-    fn in_place_sensing_matches_allocating_sensing() {
-        let mut sa = SenseAmpArray::new(4);
-        let mut sa_into = SenseAmpArray::new(4);
-        let (a, b) = rows4();
-        let c = BitRow::from_bits([true, false, false, true]);
-        let mut out = BitRow::zeros(4);
-        sa_into.two_row_nor_into(&a, &b, &mut out);
-        assert_eq!(out, sa.two_row_nor(&a, &b));
-        sa_into.two_row_nand_into(&a, &b, &mut out);
-        assert_eq!(out, sa.two_row_nand(&a, &b));
-        sa_into.two_row_xor_into(&a, &b, &mut out);
-        assert_eq!(out, sa.two_row_xor(&a, &b));
-        sa_into.two_row_xnor_into(&a, &b, &mut out);
-        assert_eq!(out, sa.two_row_xnor(&a, &b));
-        sa_into.triple_row_carry_into(&a, &b, &c, &mut out);
-        assert_eq!(out, sa.triple_row_carry(&a, &b, &c));
-        assert_eq!(sa_into.latch(), sa.latch());
-        sa_into.sum_from_latch_into(&a, &b, &mut out);
-        assert_eq!(out, sa.sum_from_latch(&a, &b));
+    fn complemented_modes_keep_the_tail_clear() {
+        // NOR of two all-zero 67-bit rows is all ones; the 61 tail bits of
+        // the second word stay clear, so row equality stays exact.
+        let sa = SenseAmpArray::new(67);
+        let zeros = BitRow::zeros(67);
+        let mut out = [u64::MAX; 2];
+        for mode in [SaMode::Nor, SaMode::Nand, SaMode::Xnor] {
+            sa.two_row(mode, zeros.as_words(), zeros.as_words(), &mut out).unwrap();
+            assert_eq!(out, [u64::MAX, 0b111], "{mode:?}");
+        }
+    }
+
+    #[test]
+    fn memory_and_carry_modes_are_not_two_row_senses() {
+        let sa = SenseAmpArray::new(64);
+        let mut out = [7u64];
+        for mode in [SaMode::Memory, SaMode::Carry] {
+            let err = sa.two_row(mode, &[0], &[0], &mut out).unwrap_err();
+            assert!(matches!(err, DramError::BadActivationCount { requested: 2, .. }));
+        }
+        assert_eq!(out, [7], "a rejected mode senses nothing");
     }
 
     #[test]
     fn latch_reset() {
         let mut sa = SenseAmpArray::new(4);
         let (a, b) = rows4();
-        sa.triple_row_carry(&a, &b, &a);
+        let mut out = [0u64];
+        sa.triple_row_carry(a.as_words(), b.as_words(), a.as_words(), &mut out);
         assert!(!sa.latch().all_zeros());
         sa.reset_latch();
         assert!(sa.latch().all_zeros());

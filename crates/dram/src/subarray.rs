@@ -9,7 +9,7 @@
 //! originals in the data rows stay intact.
 
 use crate::address::RowAddr;
-use crate::bitrow::BitRow;
+use crate::bitrow::{self, BitRow};
 use crate::decoder::{ModifiedRowDecoder, RowDecoder};
 use crate::error::{DramError, Result};
 use crate::geometry::DramGeometry;
@@ -17,6 +17,11 @@ use crate::profile::ActivationModel;
 use crate::sense_amp::{SaMode, SenseAmpArray};
 
 /// One computational sub-array: rows of bits plus its reconfigurable SA.
+///
+/// The rows live in one word slab, `rows × ⌈cols/64⌉` packed words, and
+/// every command is a loop over row word slices. [`BitRow`] is the type at
+/// the host boundary only: [`Subarray::write`], [`Subarray::read`] and a
+/// sensed read-out a caller keeps ([`Subarray::sensed`]).
 ///
 /// # Examples
 ///
@@ -32,14 +37,18 @@ use crate::sense_amp::{SaMode, SenseAmpArray};
 #[derive(Debug, Clone)]
 pub struct Subarray {
     geometry: DramGeometry,
-    rows: Vec<BitRow>,
+    /// Packed words per row.
+    words: usize,
+    /// Every row, row-major: row `r` is `cells[r * words..(r + 1) * words]`,
+    /// with the bits past `cols` zero.
+    cells: Vec<u64>,
     sa: SenseAmpArray,
     rd: RowDecoder,
     mrd: ModifiedRowDecoder,
-    /// Sense-amp staging row: multi-row activations resolve into this
-    /// scratch row, which then fans out to the activated rows and `dst` by
-    /// word copy. Models the row buffer; never observable through reads.
-    scratch: BitRow,
+    /// Sense-amp staging row (the row buffer): a multi-row activation
+    /// resolves into these words, which then fan out to the activated rows
+    /// and `dst` by word copy. Holds the last activation's sensed value.
+    scratch: Vec<u64>,
     /// Physical activation semantics: destructive charge sharing (DRAM)
     /// writes the resolved value back into every activated source row;
     /// non-destructive sensing (MRAM) leaves sources intact.
@@ -61,13 +70,15 @@ impl Subarray {
             ActivationModel::DestructiveCharge => ModifiedRowDecoder::new(geometry),
             ActivationModel::NondestructiveSense => ModifiedRowDecoder::with_data_rows(geometry),
         };
+        let words = geometry.cols.div_ceil(64);
         Subarray {
             geometry,
-            rows: vec![BitRow::zeros(geometry.cols); geometry.rows],
+            words,
+            cells: vec![0; geometry.rows * words],
             sa: SenseAmpArray::new(geometry.cols),
             rd: RowDecoder::new(geometry),
             mrd,
-            scratch: BitRow::zeros(geometry.cols),
+            scratch: vec![0; words],
             activation,
         }
     }
@@ -82,6 +93,11 @@ impl Subarray {
         &self.geometry
     }
 
+    /// The slab range of `row` (a row the decoders accepted).
+    fn span(&self, row: RowAddr) -> std::ops::Range<usize> {
+        row.0 * self.words..(row.0 + 1) * self.words
+    }
+
     /// Reads a row (host access through the row buffer).
     ///
     /// # Errors
@@ -89,7 +105,7 @@ impl Subarray {
     /// Returns [`DramError::RowOutOfRange`] for invalid rows.
     pub fn read(&self, row: RowAddr) -> Result<BitRow> {
         self.rd.activate(row)?;
-        Ok(self.rows[row.0].clone())
+        Ok(BitRow::from_words(self.geometry.cols, &self.cells[self.span(row)]))
     }
 
     /// Writes a row (host access through the row buffer).
@@ -106,7 +122,56 @@ impl Subarray {
                 expected: self.geometry.cols,
             });
         }
-        self.rows[row.0].copy_from(data);
+        let span = self.span(row);
+        self.cells[span].copy_from_slice(data.as_words());
+        Ok(())
+    }
+
+    /// Checks that a `len`-bit field at bit `offset` fits `row`, and
+    /// returns the row's slab range.
+    fn field_span(
+        &self,
+        row: RowAddr,
+        offset: usize,
+        len: usize,
+    ) -> Result<std::ops::Range<usize>> {
+        self.rd.activate(row)?;
+        let cols = self.geometry.cols;
+        if len > 64 || offset.checked_add(len).is_none_or(|end| end > cols) {
+            return Err(DramError::FieldOutOfRange { offset, len, cols });
+        }
+        Ok(self.span(row))
+    }
+
+    /// Reads the `len ≤ 64` bits at bit `offset` of `row` as a
+    /// little-endian integer (host access to part of a row; the caller
+    /// charges what the access costs).
+    ///
+    /// # Errors
+    ///
+    /// * [`DramError::RowOutOfRange`] for invalid rows.
+    /// * [`DramError::FieldOutOfRange`] if the field is wider than 64 bits
+    ///   or reaches past the row.
+    pub fn read_field(&self, row: RowAddr, offset: usize, len: usize) -> Result<u64> {
+        let span = self.field_span(row, offset, len)?;
+        Ok(bitrow::read_field(&self.cells[span], offset, len))
+    }
+
+    /// Overwrites the `len ≤ 64` bits at bit `offset` of `row` with the low
+    /// `len` bits of `value`; every other bit of the row keeps its value.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Subarray::read_field`].
+    pub fn write_field(
+        &mut self,
+        row: RowAddr,
+        offset: usize,
+        len: usize,
+        value: u64,
+    ) -> Result<()> {
+        let span = self.field_span(row, offset, len)?;
+        bitrow::write_field(&mut self.cells[span], offset, len, value);
         Ok(())
     }
 
@@ -118,64 +183,32 @@ impl Subarray {
     pub fn copy(&mut self, src: RowAddr, dst: RowAddr) -> Result<()> {
         self.rd.activate(src)?;
         self.rd.activate(dst)?;
-        // Word-copy between two rows of the same backing vector; a split
-        // borrow keeps this allocation-free.
-        if src.0 != dst.0 {
-            let (lo, hi) = self.rows.split_at_mut(src.0.max(dst.0));
-            if src.0 < dst.0 {
-                hi[0].copy_from(&lo[src.0]);
-            } else {
-                lo[dst.0].copy_from(&hi[0]);
-            }
-        }
+        let span = self.span(src);
+        self.cells.copy_within(span, dst.0 * self.words);
         Ok(())
     }
 
-    /// Two-row activation (type-2 AAP): evaluates `mode` over the two source
-    /// compute rows, writes the result to both sources (destructive) and to
-    /// `dst`.
+    /// Two-row activation (type-2 AAP): senses `mode` over the two source
+    /// compute rows into the row buffer, then writes the result to both
+    /// sources (destructive) and to `dst`. [`Subarray::sensed`] reads the
+    /// result back.
     ///
     /// # Errors
     ///
     /// * [`DramError::NotComputeRow`] if a source is not a compute row.
     /// * [`DramError::DuplicateSourceRow`] if the sources coincide.
     /// * [`DramError::RowOutOfRange`] for invalid rows.
-    pub fn op2(&mut self, mode: SaMode, srcs: [RowAddr; 2], dst: RowAddr) -> Result<BitRow> {
-        self.op2_apply(mode, srcs, dst)?;
-        Ok(self.rows[dst.0].clone())
-    }
-
-    /// [`Subarray::op2`] without materializing the result: the activation
-    /// resolves into the scratch row and fans out by word copy, leaving the
-    /// array in exactly the same state with zero allocation. This is the
-    /// hot-path form bulk executors use when they drop the result.
+    /// * [`DramError::BadActivationCount`] for a mode a two-row activation
+    ///   cannot sense.
     ///
-    /// # Errors
-    ///
-    /// Same as [`Subarray::op2`].
-    pub fn op2_apply(&mut self, mode: SaMode, srcs: [RowAddr; 2], dst: RowAddr) -> Result<()> {
+    /// A rejected activation changes nothing.
+    pub fn op2(&mut self, mode: SaMode, srcs: [RowAddr; 2], dst: RowAddr) -> Result<()> {
         self.mrd.activate_pair(srcs)?;
         self.rd.activate(dst)?;
-        let Subarray { rows, sa, scratch, activation, .. } = self;
-        let (a, b) = (&rows[srcs[0].0], &rows[srcs[1].0]);
-        match mode {
-            SaMode::Nor => sa.two_row_nor_into(a, b, scratch),
-            SaMode::Nand => sa.two_row_nand_into(a, b, scratch),
-            SaMode::Xor => sa.two_row_xor_into(a, b, scratch),
-            SaMode::Xnor => sa.two_row_xnor_into(a, b, scratch),
-            SaMode::CarrySum => sa.sum_from_latch_into(a, b, scratch),
-            SaMode::Memory | SaMode::Carry => {
-                return Err(DramError::BadActivationCount {
-                    requested: 2,
-                    supported: "logic modes only",
-                })
-            }
-        }
-        if *activation == ActivationModel::DestructiveCharge {
-            rows[srcs[0].0].copy_from(scratch);
-            rows[srcs[1].0].copy_from(scratch);
-        }
-        rows[dst.0].copy_from(scratch);
+        let [a, b] = srcs.map(|row| self.span(row));
+        let Subarray { cells, sa, scratch, .. } = self;
+        sa.two_row(mode, &cells[a], &cells[b], scratch)?;
+        self.fan_out(&srcs, dst);
         Ok(())
     }
 
@@ -186,30 +219,40 @@ impl Subarray {
     /// # Errors
     ///
     /// Same classes as [`Subarray::op2`], over three source rows.
-    pub fn op3_carry(&mut self, srcs: [RowAddr; 3], dst: RowAddr) -> Result<BitRow> {
-        self.op3_carry_apply(srcs, dst)?;
-        Ok(self.rows[dst.0].clone())
-    }
-
-    /// [`Subarray::op3_carry`] without materializing the carry (see
-    /// [`Subarray::op2_apply`]); the SA latch is updated identically.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Subarray::op3_carry`].
-    pub fn op3_carry_apply(&mut self, srcs: [RowAddr; 3], dst: RowAddr) -> Result<()> {
+    pub fn op3_carry(&mut self, srcs: [RowAddr; 3], dst: RowAddr) -> Result<()> {
         self.mrd.activate_triple(srcs)?;
         self.rd.activate(dst)?;
-        let Subarray { rows, sa, scratch, activation, .. } = self;
-        let (a, b, c) = (&rows[srcs[0].0], &rows[srcs[1].0], &rows[srcs[2].0]);
-        sa.triple_row_carry_into(a, b, c, scratch);
-        if *activation == ActivationModel::DestructiveCharge {
-            for s in srcs {
-                rows[s.0].copy_from(scratch);
+        let [a, b, c] = srcs.map(|row| self.span(row));
+        let Subarray { cells, sa, scratch, .. } = self;
+        sa.triple_row_carry(&cells[a], &cells[b], &cells[c], scratch);
+        self.fan_out(&srcs, dst);
+        Ok(())
+    }
+
+    /// Drives the row buffer into the activated rows (destructive
+    /// activation only) and into `dst`.
+    fn fan_out(&mut self, srcs: &[RowAddr], dst: RowAddr) {
+        if self.activation == ActivationModel::DestructiveCharge {
+            for &src in srcs {
+                let span = self.span(src);
+                self.cells[span].copy_from_slice(&self.scratch);
             }
         }
-        rows[dst.0].copy_from(scratch);
-        Ok(())
+        let span = self.span(dst);
+        self.cells[span].copy_from_slice(&self.scratch);
+    }
+
+    /// The last activation's sensed value, copied out of the row buffer
+    /// (all zeros before the first activation).
+    pub fn sensed(&self) -> BitRow {
+        BitRow::from_words(self.geometry.cols, &self.scratch)
+    }
+
+    /// Whether every bit of the last activation's sensed value is one,
+    /// read straight from the row buffer.
+    pub fn sensed_all_ones(&self) -> bool {
+        let Some((&last, head)) = self.scratch.split_last() else { return true };
+        head.iter().all(|&w| w == u64::MAX) && last == self.sa.tail_mask()
     }
 
     /// Clears the SA carry latch (start of a fresh addition).
@@ -241,8 +284,8 @@ mod tests {
         s.write(RowAddr(2), &b).unwrap();
         s.copy(RowAddr(1), compute(&g, 0)).unwrap();
         s.copy(RowAddr(2), compute(&g, 1)).unwrap();
-        let r = s.op2(SaMode::Xnor, [compute(&g, 0), compute(&g, 1)], RowAddr(5)).unwrap();
-        assert_eq!(r, a.xnor(&b));
+        s.op2(SaMode::Xnor, [compute(&g, 0), compute(&g, 1)], RowAddr(5)).unwrap();
+        assert_eq!(s.sensed(), a.xnor(&b));
         assert_eq!(s.read(RowAddr(5)).unwrap(), a.xnor(&b));
         // Originals untouched; compute rows destroyed (hold the result).
         assert_eq!(s.read(RowAddr(1)).unwrap(), a);
@@ -285,8 +328,8 @@ mod tests {
         s.copy(RowAddr(1), compute(&g, 0)).unwrap();
         s.copy(RowAddr(2), compute(&g, 1)).unwrap();
         s.copy(RowAddr(3), compute(&g, 2)).unwrap();
-        let carry =
-            s.op3_carry([compute(&g, 0), compute(&g, 1), compute(&g, 2)], RowAddr(8)).unwrap();
+        s.op3_carry([compute(&g, 0), compute(&g, 1), compute(&g, 2)], RowAddr(8)).unwrap();
+        let carry = s.sensed();
         assert_eq!(carry, BitRow::maj3(&a, &b, &cin));
         assert_eq!(s.latch(), &carry);
         // Hmm: sum needs cin latched, so the controller latches cin first in
@@ -304,8 +347,8 @@ mod tests {
         s.write(RowAddr(1), &a).unwrap();
         s.write(RowAddr(2), &b).unwrap();
         // Data rows activate directly; sensing preserves the operands.
-        let r = s.op2(SaMode::Xnor, [RowAddr(1), RowAddr(2)], RowAddr(5)).unwrap();
-        assert_eq!(r, a.xnor(&b));
+        s.op2(SaMode::Xnor, [RowAddr(1), RowAddr(2)], RowAddr(5)).unwrap();
+        assert_eq!(s.sensed(), a.xnor(&b));
         assert_eq!(s.read(RowAddr(1)).unwrap(), a);
         assert_eq!(s.read(RowAddr(2)).unwrap(), b);
         // TRA latches the majority without disturbing the sources.
@@ -323,6 +366,55 @@ mod tests {
         let mut s = Subarray::new(g);
         let err = s.write(RowAddr(0), &BitRow::zeros(g.cols + 1)).unwrap_err();
         assert!(matches!(err, DramError::WidthMismatch { .. }));
+    }
+
+    #[test]
+    fn fields_read_and_write_part_of_a_row() {
+        let g = DramGeometry { cols: 200, ..DramGeometry::tiny() };
+        let mut s = Subarray::new(g);
+        let base = BitRow::from_fn(g.cols, |i| i % 3 == 0);
+        s.write(RowAddr(4), &base).unwrap();
+        s.write_field(RowAddr(4), 60, 8, 0x1A5).unwrap();
+        let mut expect = base.clone();
+        expect.splice(60, &BitRow::from_u64(0xA5, 8));
+        assert_eq!(s.read(RowAddr(4)).unwrap(), expect);
+        assert_eq!(s.read_field(RowAddr(4), 60, 8).unwrap(), 0xA5);
+        assert_eq!(s.read_field(RowAddr(4), 136, 64).unwrap(), expect.bits_u64(136, 64));
+        for (offset, len) in [(193, 8), (0, 65), (usize::MAX, 2)] {
+            let err = s.read_field(RowAddr(4), offset, len).unwrap_err();
+            assert!(matches!(err, DramError::FieldOutOfRange { cols: 200, .. }), "{err}");
+            let err = s.write_field(RowAddr(4), offset, len, 0).unwrap_err();
+            assert!(matches!(err, DramError::FieldOutOfRange { .. }), "{err}");
+        }
+        assert!(matches!(s.read_field(RowAddr(32), 0, 8), Err(DramError::RowOutOfRange { .. })));
+        assert_eq!(s.read(RowAddr(4)).unwrap(), expect, "a rejected field write changes nothing");
+    }
+
+    #[test]
+    fn sensed_all_ones_reduces_the_row_buffer() {
+        for cols in [64, 200, 256] {
+            let g = DramGeometry { cols, ..DramGeometry::tiny() };
+            let mut s = Subarray::new(g);
+            let (x1, x2) = (compute(&g, 0), compute(&g, 1));
+            let a = BitRow::from_fn(cols, |i| i % 5 == 0);
+            for (other, all_ones) in [(a.clone(), true), (a.not(), false)] {
+                s.write(RowAddr(1), &a).unwrap();
+                s.write(RowAddr(2), &other).unwrap();
+                s.copy(RowAddr(1), x1).unwrap();
+                s.copy(RowAddr(2), x2).unwrap();
+                s.op2(SaMode::Xnor, [x1, x2], RowAddr(5)).unwrap();
+                assert_eq!(s.sensed_all_ones(), all_ones, "{cols} columns");
+                assert_eq!(s.sensed().all_ones(), all_ones, "{cols} columns");
+            }
+            // One mismatching bit in the masked tail word is a mismatch.
+            let mut b = a.clone();
+            b.set(cols - 1, !b.get(cols - 1));
+            s.write(RowAddr(2), &b).unwrap();
+            s.copy(RowAddr(1), x1).unwrap();
+            s.copy(RowAddr(2), x2).unwrap();
+            s.op2(SaMode::Xnor, [x1, x2], RowAddr(5)).unwrap();
+            assert!(!s.sensed_all_ones(), "{cols} columns");
+        }
     }
 
     #[test]

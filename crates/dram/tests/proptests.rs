@@ -1,6 +1,8 @@
 //! Property-based tests: the in-memory primitives executed through the full
 //! controller path must agree with plain software bitwise logic for
-//! arbitrary row contents.
+//! arbitrary row contents, and the word-slab sub-array must agree with a
+//! per-row model built from `BitRow`'s allocating ops on arbitrary command
+//! sequences.
 
 use proptest::prelude::*;
 
@@ -8,6 +10,7 @@ use pim_dram::address::RowAddr;
 use pim_dram::bitrow::BitRow;
 use pim_dram::controller::Controller;
 use pim_dram::geometry::DramGeometry;
+use pim_dram::profile::ActivationModel;
 use pim_dram::sense_amp::SaMode;
 use pim_dram::subarray::Subarray;
 
@@ -197,76 +200,6 @@ proptest! {
         prop_assert!(merged.since(&merged).is_empty());
     }
 
-    // ── In-place kernels and scratch-row activations (PR 3 hot path) ───
-
-    #[test]
-    fn in_place_bitrow_kernels_match_allocating(a in bits(96), b in bits(96), d in bits(96)) {
-        // 96 bits spans a word boundary with a masked tail — the case the
-        // word-at-a-time kernels must get right.
-        let (ra, rb, rd) = (BitRow::from_bits(a), BitRow::from_bits(b), BitRow::from_bits(d));
-        let mut out = BitRow::ones(96); // stale content must be fully overwritten
-        out.nor_into(&ra, &rb);
-        prop_assert_eq!(&out, &ra.or(&rb).not());
-        out.nand_into(&ra, &rb);
-        prop_assert_eq!(&out, &ra.and(&rb).not());
-        out.xor_into(&ra, &rb);
-        prop_assert_eq!(&out, &ra.xor(&rb));
-        out.xnor_into(&ra, &rb);
-        prop_assert_eq!(&out, &ra.xnor(&rb));
-        out.xor3_into(&ra, &rb, &rd);
-        prop_assert_eq!(&out, &ra.xor(&rb).xor(&rd));
-        out.maj3_into(&ra, &rb, &rd);
-        prop_assert_eq!(&out, &BitRow::maj3(&ra, &rb, &rd));
-    }
-
-    #[test]
-    fn scratch_row_apply_leaves_identical_subarray_state(
-        a in bits(DramGeometry::tiny().cols),
-        b in bits(DramGeometry::tiny().cols),
-        d in bits(DramGeometry::tiny().cols),
-        mode_ix in 0usize..5,
-    ) {
-        // The allocating op2/op3_carry and their scratch-row _apply forms
-        // must leave every row, and the SA latch, bit-for-bit identical.
-        let g = DramGeometry::tiny();
-        let mode =
-            [SaMode::Nor, SaMode::Nand, SaMode::Xor, SaMode::Xnor, SaMode::CarrySum][mode_ix];
-        let mut alloc = Subarray::new(g);
-        let mut apply = Subarray::new(g);
-        for s in [&mut alloc, &mut apply] {
-            s.write(RowAddr(1), &BitRow::from_bits(a.clone())).unwrap();
-            s.write(RowAddr(2), &BitRow::from_bits(b.clone())).unwrap();
-            s.write(RowAddr(3), &BitRow::from_bits(d.clone())).unwrap();
-            for (row, x) in [(1usize, 0usize), (2, 1), (3, 2)] {
-                s.copy(RowAddr(row), RowAddr(g.compute_row(x))).unwrap();
-            }
-        }
-        let x: Vec<RowAddr> = (0..3).map(|i| RowAddr(g.compute_row(i))).collect();
-
-        let sensed = alloc.op2(mode, [x[0], x[1]], RowAddr(5)).unwrap();
-        apply.op2_apply(mode, [x[0], x[1]], RowAddr(5)).unwrap();
-        prop_assert_eq!(&apply.read(RowAddr(5)).unwrap(), &sensed);
-
-        // Re-stage the (identically destroyed) operands and run the TRA.
-        for s in [&mut alloc, &mut apply] {
-            for (row, x) in [(1usize, 0usize), (2, 1), (3, 2)] {
-                s.copy(RowAddr(row), RowAddr(g.compute_row(x))).unwrap();
-            }
-        }
-        let carried = alloc.op3_carry([x[0], x[1], x[2]], RowAddr(6)).unwrap();
-        apply.op3_carry_apply([x[0], x[1], x[2]], RowAddr(6)).unwrap();
-        prop_assert_eq!(&apply.read(RowAddr(6)).unwrap(), &carried);
-
-        for r in 0..g.rows {
-            prop_assert_eq!(
-                alloc.read(RowAddr(r)).unwrap(),
-                apply.read(RowAddr(r)).unwrap(),
-                "row {} diverged", r
-            );
-        }
-        prop_assert_eq!(alloc.latch(), apply.latch());
-    }
-
     #[test]
     fn stats_merge_is_order_independent(a in charges(), b in charges()) {
         // The f64 CommandStats::merge the pipeline uses for stage deltas
@@ -305,4 +238,219 @@ fn ledger_of(counts: &[u64], costs: &CommandCosts) -> EnergyLedger {
         ledger.charge_many(class, costs, count);
     }
     ledger
+}
+
+// ── The word slab against a per-row reference model ───────────────────
+
+/// Every sense-amp mode, legal for a two-row activation or not.
+const MODES: [SaMode; 7] = [
+    SaMode::Memory,
+    SaMode::Nor,
+    SaMode::Nand,
+    SaMode::Xor,
+    SaMode::Xnor,
+    SaMode::Carry,
+    SaMode::CarrySum,
+];
+
+/// One command of a generated sequence; rows index [`row_choices`].
+#[derive(Debug, Clone, Copy)]
+enum Cmd {
+    Write { row: usize, fill: u64 },
+    Field { row: usize, offset: usize, len: usize, value: u64 },
+    Copy { src: usize, dst: usize },
+    Op2 { mode: SaMode, srcs: [usize; 2], dst: usize },
+    Op3 { srcs: [usize; 3], dst: usize },
+    ResetLatch,
+}
+
+/// The rows a command may name: four data rows, four compute rows and
+/// one past the sub-array. Data-row sources are illegal under
+/// destructive activation, repeated sources always are.
+fn row_choices(g: &DramGeometry) -> [usize; 9] {
+    [0, 1, 2, 3, g.compute_row(0), g.compute_row(1), g.compute_row(2), g.compute_row(3), g.rows]
+}
+
+/// Decodes one generated word into a command.
+fn decode(w: u64) -> Cmd {
+    let field = |shift: u32, n: u64| ((w >> shift) % n) as usize;
+    match w % 6 {
+        0 => Cmd::Write { row: field(3, 9), fill: w >> 8 },
+        1 => Cmd::Field {
+            row: field(3, 9),
+            offset: field(8, 264),
+            len: field(17, 66),
+            value: w.rotate_left(29),
+        },
+        2 => Cmd::Copy { src: field(3, 9), dst: field(8, 9) },
+        3 => Cmd::Op2 {
+            mode: MODES[field(3, 7)],
+            srcs: [field(8, 9), field(13, 9)],
+            dst: field(18, 9),
+        },
+        4 => Cmd::Op3 { srcs: [field(3, 9), field(8, 9), field(13, 9)], dst: field(18, 9) },
+        _ => Cmd::ResetLatch,
+    }
+}
+
+/// A row's content from a generated word: all zeros, all ones, or a
+/// pseudo-random pattern (so complemented modes meet the masked tail).
+fn fill_row(cols: usize, fill: u64) -> BitRow {
+    match fill % 4 {
+        0 => BitRow::zeros(cols),
+        1 => BitRow::ones(cols),
+        _ => BitRow::from_fn(cols, |i| {
+            let x = fill ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            (x ^ (x >> 29)).wrapping_mul(0xBF58_476D_1CE4_E5B9) >> 63 == 1
+        }),
+    }
+}
+
+/// The per-row model: one `BitRow` per row, the SA latch, and the
+/// activation rules, with every sense mode built from `BitRow`'s
+/// allocating ops. A rejected command returns `None` and changes nothing.
+struct RowModel {
+    g: DramGeometry,
+    rows: Vec<BitRow>,
+    latch: BitRow,
+    destructive: bool,
+}
+
+impl RowModel {
+    fn new(g: DramGeometry, destructive: bool) -> Self {
+        RowModel {
+            g,
+            rows: vec![BitRow::zeros(g.cols); g.rows],
+            latch: BitRow::zeros(g.cols),
+            destructive,
+        }
+    }
+
+    /// Whether `srcs` is a legal multi-row activation set.
+    fn activates(&self, srcs: &[usize]) -> bool {
+        let distinct = srcs.iter().enumerate().all(|(i, s)| !srcs[..i].contains(s));
+        distinct
+            && srcs
+                .iter()
+                .all(|&s| s < self.g.rows && (!self.destructive || self.g.is_compute_row(s)))
+    }
+
+    fn op2(&mut self, mode: SaMode, srcs: [usize; 2], dst: usize) -> Option<BitRow> {
+        if !self.activates(&srcs) || dst >= self.g.rows {
+            return None;
+        }
+        let (a, b) = (&self.rows[srcs[0]], &self.rows[srcs[1]]);
+        let out = match mode {
+            SaMode::Nor => a.or(b).not(),
+            SaMode::Nand => a.and(b).not(),
+            SaMode::Xor => a.xor(b),
+            SaMode::Xnor => a.xnor(b),
+            SaMode::CarrySum => a.xor(b).xor(&self.latch),
+            SaMode::Memory | SaMode::Carry => return None,
+        };
+        self.drive(&srcs, dst, &out);
+        Some(out)
+    }
+
+    fn op3(&mut self, srcs: [usize; 3], dst: usize) -> Option<BitRow> {
+        if !self.activates(&srcs) || dst >= self.g.rows {
+            return None;
+        }
+        let out = BitRow::maj3(&self.rows[srcs[0]], &self.rows[srcs[1]], &self.rows[srcs[2]]);
+        self.latch = out.clone();
+        self.drive(&srcs, dst, &out);
+        Some(out)
+    }
+
+    fn drive(&mut self, srcs: &[usize], dst: usize, out: &BitRow) {
+        if self.destructive {
+            for &s in srcs {
+                self.rows[s] = out.clone();
+            }
+        }
+        self.rows[dst] = out.clone();
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn slab_subarray_matches_the_per_row_model(
+        width in 0usize..3,
+        destructive in any::<bool>(),
+        words in proptest::collection::vec(any::<u64>(), 1..48),
+    ) {
+        // 64 columns fill their one word; 200 leave a masked 8-bit tail
+        // word; 256 fill four words.
+        let cols = [64, 200, 256][width];
+        let g = DramGeometry { cols, ..DramGeometry::tiny() };
+        let activation = if destructive {
+            ActivationModel::DestructiveCharge
+        } else {
+            ActivationModel::NondestructiveSense
+        };
+        let mut slab = Subarray::with_activation(g, activation);
+        let mut model = RowModel::new(g, destructive);
+        let rows = row_choices(&g);
+        for (step, cmd) in words.into_iter().map(decode).enumerate() {
+            match cmd {
+                Cmd::Write { row, fill } => {
+                    let data = fill_row(cols, fill);
+                    let ok = slab.write(RowAddr(rows[row]), &data).is_ok();
+                    prop_assert_eq!(ok, rows[row] < g.rows, "step {}: {:?}", step, cmd);
+                    if ok {
+                        model.rows[rows[row]] = data;
+                    }
+                }
+                Cmd::Field { row, offset, len, value } => {
+                    let r = rows[row];
+                    let fits = r < g.rows && len <= 64 && offset + len <= cols;
+                    let written = slab.write_field(RowAddr(r), offset, len, value).is_ok();
+                    prop_assert_eq!(written, fits, "step {}: {:?}", step, cmd);
+                    if fits {
+                        model.rows[r].splice(offset, &BitRow::from_u64(value, len));
+                        let read = slab.read_field(RowAddr(r), offset, len).unwrap();
+                        prop_assert_eq!(read, model.rows[r].extract(offset, len).to_u64());
+                    }
+                }
+                Cmd::Copy { src, dst } => {
+                    let (s, d) = (rows[src], rows[dst]);
+                    let ok = slab.copy(RowAddr(s), RowAddr(d)).is_ok();
+                    prop_assert_eq!(ok, s < g.rows && d < g.rows, "step {}: {:?}", step, cmd);
+                    if ok {
+                        model.rows[d] = model.rows[s].clone();
+                    }
+                }
+                Cmd::Op2 { mode, srcs, dst } => {
+                    let srcs = srcs.map(|i| rows[i]);
+                    let expect = model.op2(mode, srcs, rows[dst]);
+                    let sensed = slab
+                        .op2(mode, srcs.map(RowAddr), RowAddr(rows[dst]))
+                        .map(|()| (slab.sensed(), slab.sensed_all_ones()));
+                    let expect = expect.map(|row| {
+                        let all_ones = row.all_ones();
+                        (row, all_ones)
+                    });
+                    prop_assert_eq!(sensed.ok(), expect, "step {}: {:?}", step, cmd);
+                }
+                Cmd::Op3 { srcs, dst } => {
+                    let srcs = srcs.map(|i| rows[i]);
+                    let expect = model.op3(srcs, rows[dst]);
+                    let sensed = slab
+                        .op3_carry(srcs.map(RowAddr), RowAddr(rows[dst]))
+                        .map(|()| slab.sensed());
+                    prop_assert_eq!(sensed.ok(), expect, "step {}: {:?}", step, cmd);
+                }
+                Cmd::ResetLatch => {
+                    slab.reset_latch();
+                    model.latch = BitRow::zeros(cols);
+                }
+            }
+            for (r, row) in model.rows.iter().enumerate() {
+                prop_assert_eq!(&slab.read(RowAddr(r)).unwrap(), row, "step {} row {}", step, r);
+            }
+            prop_assert_eq!(slab.latch(), &model.latch, "step {}: latch", step);
+        }
+    }
 }

@@ -106,8 +106,11 @@ impl Metric {
         }
     }
 
+    /// Position in [`Metric::ALL`]: the declaration order, which `ALL`
+    /// follows (pinned by a test).
+    #[inline]
     fn index(self) -> usize {
-        Self::ALL.iter().position(|m| *m == self).expect("metric present in ALL")
+        self as usize
     }
 }
 
@@ -207,8 +210,11 @@ impl HistKey {
         }
     }
 
+    /// Position in [`HistKey::ALL`]: the declaration order, which `ALL`
+    /// follows (pinned by a test).
+    #[inline]
     fn index(self) -> usize {
-        Self::ALL.iter().position(|k| *k == self).expect("key present in ALL")
+        self as usize
     }
 }
 
@@ -379,6 +385,18 @@ mod tests {
         assert_eq!(h.total_samples(), 7);
         assert_eq!(h.bucket(10), 1); // 1023 in [512, 1024)
         assert_eq!(h.bucket(11), 1); // 1024 in [1024, 2048)
+    }
+
+    #[test]
+    fn indices_are_positions_in_all() {
+        // `index` is the declaration order; `ALL` must list every variant
+        // in that order so counters land in their canonical slots.
+        for (i, metric) in Metric::ALL.iter().enumerate() {
+            assert_eq!(metric.index(), i, "{metric:?}");
+        }
+        for (i, key) in HistKey::ALL.iter().enumerate() {
+            assert_eq!(key.index(), i, "{key:?}");
+        }
     }
 
     #[test]

@@ -7,12 +7,19 @@ use pim_assembler_suite::circuits::charge_sharing::ChargeSharing;
 use pim_assembler_suite::circuits::transient::TransientSim;
 use pim_assembler_suite::circuits::vtc::{Inverter, InverterKind};
 use pim_assembler_suite::dram::bitrow::BitRow;
-use pim_assembler_suite::dram::sense_amp::SenseAmpArray;
+use pim_assembler_suite::dram::sense_amp::{SaMode, SenseAmpArray};
+
+/// The digital SA model's two-row `mode` output for a single bit pair:
+/// the sensing the sub-arrays execute.
+fn digital(mode: SaMode, a: bool, b: bool) -> bool {
+    let mut out = [0u64];
+    SenseAmpArray::new(1).two_row(mode, &[u64::from(a)], &[u64::from(b)], &mut out).unwrap();
+    out[0] == 1
+}
 
 /// Digital XNOR via the SA model for a single bit pair.
 fn digital_xnor(a: bool, b: bool) -> bool {
-    let mut sa = SenseAmpArray::new(1);
-    sa.two_row_xnor(&BitRow::from_bits([a]), &BitRow::from_bits([b])).get(0)
+    digital(SaMode::Xnor, a, b)
 }
 
 /// Analog XNOR: charge share the two cells, classify with the shifted-VTC
@@ -69,13 +76,11 @@ fn nor_nand_detectors_agree_with_digital_gates() {
     let cs = ChargeSharing::ideal(1.0);
     let lo = Inverter::new(InverterKind::LowVs, 1.0);
     let hi = Inverter::new(InverterKind::HighVs, 1.0);
-    let sa = SenseAmpArray::new(1);
     for a in [false, true] {
         for b in [false, true] {
             let v = cs.two_row_voltage(usize::from(a) + usize::from(b));
-            let (ra, rb) = (BitRow::from_bits([a]), BitRow::from_bits([b]));
-            assert_eq!(lo.digital(v), sa.two_row_nor(&ra, &rb).get(0), "NOR {a}{b}");
-            assert_eq!(hi.digital(v), sa.two_row_nand(&ra, &rb).get(0), "NAND {a}{b}");
+            assert_eq!(lo.digital(v), digital(SaMode::Nor, a, b), "NOR {a}{b}");
+            assert_eq!(hi.digital(v), digital(SaMode::Nand, a, b), "NAND {a}{b}");
         }
     }
 }
