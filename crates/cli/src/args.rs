@@ -14,7 +14,8 @@ pub struct ParsedArgs {
     pub options: HashMap<String, String>,
     /// Bare `--flag` switches.
     pub flags: Vec<String>,
-    /// A value option given last, with no value after it.
+    /// The first value option given without a value: last on the line,
+    /// or followed by another `--name`.
     pub missing_value: Option<String>,
 }
 
@@ -57,11 +58,13 @@ impl ParsedArgs {
         while let Some(arg) = iter.next() {
             if let Some(key) = arg.strip_prefix("--") {
                 if VALUE_KEYS.contains(&key) {
-                    match iter.next() {
+                    match iter.next_if(|value| !value.starts_with("--")) {
                         Some(value) => {
                             out.options.insert(key.to_string(), value);
                         }
-                        None => out.missing_value = Some(key.to_string()),
+                        None => {
+                            out.missing_value.get_or_insert_with(|| key.to_string());
+                        }
                     }
                 } else {
                     out.flags.push(key.to_string());
@@ -117,7 +120,8 @@ impl ParsedArgs {
     ///   `switches` do not): switches in command-line order, then options
     ///   by name. A mistyped option parses as a switch, and its value as a
     ///   stray positional, so this check comes first;
-    /// * an accepted option given last without its value;
+    /// * an accepted option given without its value (last, or before
+    ///   another `--name`);
     /// * a positional argument past the first `positionals`.
     pub fn check_known(
         &self,
@@ -217,6 +221,21 @@ mod tests {
         // An option the command does not take is unknown, value or not.
         let err = parse("simulate g.fa --k").check_known(1, &["seed"], &[]).unwrap_err();
         assert!(err.starts_with("unknown option --k for simulate"), "{err}");
+    }
+
+    #[test]
+    fn a_value_option_does_not_swallow_the_next_option() {
+        let a = parse("assemble r.fa --output --report");
+        assert_eq!(a.get_str("output"), None, "--report is not a file name");
+        assert!(a.has_flag("report"));
+        assert_eq!(a.missing_value.as_deref(), Some("output"));
+        let err = a.check_known(1, &["output"], &["report"]).unwrap_err();
+        assert_eq!(err, "--output needs a value");
+        // The first value-less option is the one named; a value that only
+        // starts with one dash is still a value.
+        let a = parse("map --seed --k --workers -1");
+        assert_eq!(a.missing_value.as_deref(), Some("seed"));
+        assert_eq!(a.get_str("workers"), Some("-1"));
     }
 
     #[test]

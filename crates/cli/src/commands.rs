@@ -1387,6 +1387,10 @@ mod tests {
         // k, and a second input file is not ignored.
         let err = error(&["assemble", "r.fa", "--subarrays", "8", "--k"].map(String::from));
         assert_eq!(err, "--k needs a value");
+        // A value option followed by another option takes no value from it:
+        // `--output --report` no longer writes the contigs to `--report`.
+        let err = error(&["assemble", "r.fa", "--output", "--report"].map(String::from));
+        assert_eq!(err, "--output needs a value");
         let err = error(&["assemble", "r.fa", "extra.fa"].map(String::from));
         assert_eq!(err, "unexpected argument \"extra.fa\" for assemble (it takes at most 1)");
         let err = error(&["map", "extra.fa"].map(String::from));

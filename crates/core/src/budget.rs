@@ -321,7 +321,7 @@ mod tests {
         let mut exec = HashmapExec::new(&config);
         let mut chunks = 0;
         for chunk in reads.chunks(8) {
-            let before = *ctrl.stats();
+            let before = ctrl.stats();
             let offered = exec.feed(&mut ctrl, &dispatcher, chunk).unwrap();
             let delta = ctrl.stats().since(&before);
             assert_eq!(bound.check(&delta, offered), None, "chunk {chunks}");

@@ -21,6 +21,11 @@
 //! partitions — regardless of worker count or interleaving. The serial
 //! fallback (`workers == 1`) runs the identical context-based path, so
 //! `serial()` vs `parallel()` differ only in wall-clock.
+//!
+//! A context is the only thing that executes a command, so this is the
+//! batch route onto the array; a step that touches one sub-array takes
+//! the single-context form, [`Controller::with_context`]. Both join the
+//! controller's totals through [`Controller::reattach_context`].
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -427,7 +432,6 @@ mod tests {
     use pim_dram::address::RowAddr;
     use pim_dram::bitrow::BitRow;
     use pim_dram::geometry::DramGeometry;
-    use pim_dram::port::AapPort;
     use pim_dram::sense_amp::SaMode;
     use pim_dram::DramError;
 
@@ -438,24 +442,32 @@ mod tests {
         (ctrl, ids)
     }
 
-    /// A small per-sub-array program, issued on `port`: copy two data
-    /// rows into compute rows, XNOR them into a data row.
-    fn program(port: &mut impl AapPort, id: SubarrayId, salt: usize) -> Result<()> {
-        let (x0, x1) = (port.compute_row(0), port.compute_row(1));
-        port.aap_copy(id, RowAddr(salt % 4), x0)?;
-        port.aap_copy(id, RowAddr(salt % 4 + 1), x1)?;
-        port.aap2_discard(id, SaMode::Xnor, [x0, x1], RowAddr(8 + salt % 3))?;
+    /// A small per-sub-array program: copy two data rows into compute
+    /// rows, XNOR them into a data row.
+    fn program(ctx: &mut SubarrayContext, salt: usize) -> Result<()> {
+        let (x0, x1) = (ctx.compute_row(0), ctx.compute_row(1));
+        ctx.aap_copy(RowAddr(salt % 4), x0)?;
+        ctx.aap_copy(RowAddr(salt % 4 + 1), x1)?;
+        ctx.aap2_discard(SaMode::Xnor, [x0, x1], RowAddr(8 + salt % 3))?;
         Ok(())
     }
 
     fn seed_rows(ctrl: &mut Controller, ids: &[SubarrayId]) {
         let cols = ctrl.geometry().cols;
         for (n, &id) in ids.iter().enumerate() {
-            for row in 0..6 {
-                let data = BitRow::from_fn(cols, |i| (i + row + n) % 3 == 0);
-                ctrl.write_row(id, row, &data).unwrap();
-            }
+            ctrl.with_context(id, |ctx| {
+                (0..6).try_for_each(|row| {
+                    ctx.write_row(row, &BitRow::from_fn(cols, |i| (i + row + n) % 3 == 0))
+                })
+            })
+            .unwrap();
         }
+    }
+
+    /// One unit write to row 0 of `id`.
+    fn write_zeros(ctrl: &mut Controller, id: SubarrayId) {
+        let cols = ctrl.geometry().cols;
+        ctrl.with_context(id, |ctx| ctx.write_row(0, &BitRow::zeros(cols))).unwrap();
     }
 
     /// Runs [`program`] once per sub-array (salted by its index) as one
@@ -466,9 +478,7 @@ mod tests {
         ids: &[SubarrayId],
     ) {
         let partitions: Vec<(SubarrayId, usize)> = ids.iter().copied().zip(0..).collect();
-        dispatcher
-            .run_partitions(ctrl, partitions, |ctx, salt| program(ctx, ctx.id(), salt))
-            .unwrap();
+        dispatcher.run_partitions(ctrl, partitions, program).unwrap();
     }
 
     #[test]
@@ -481,14 +491,15 @@ mod tests {
         dispatch_programs(&ParallelDispatcher::serial(), &mut serial_ctrl, &ids);
         dispatch_programs(&ParallelDispatcher::with_workers(4), &mut par_ctrl, &ids);
 
-        assert_eq!(*serial_ctrl.stats(), *par_ctrl.stats());
+        assert_eq!(serial_ctrl.stats(), par_ctrl.stats());
         assert_eq!(serial_ctrl.ledger(), par_ctrl.ledger());
         let rows = serial_ctrl.geometry().rows;
         for &id in &ids {
+            let (a, b) = (serial_ctrl.context(id).unwrap(), par_ctrl.context(id).unwrap());
             for row in 0..rows {
                 assert_eq!(
-                    serial_ctrl.peek_row(id, row).unwrap(),
-                    par_ctrl.peek_row(id, row).unwrap(),
+                    a.peek_row(row).unwrap(),
+                    b.peek_row(row).unwrap(),
                     "row {row} of {id} diverged"
                 );
             }
@@ -496,18 +507,21 @@ mod tests {
     }
 
     #[test]
-    fn dispatched_execution_matches_direct_controller_execution() {
+    fn dispatched_execution_matches_one_checkout_per_subarray() {
         let (mut direct, ids) = subarrays(4);
         let (mut dispatched, _) = subarrays(4);
         seed_rows(&mut direct, &ids);
         seed_rows(&mut dispatched, &ids);
 
         for (salt, &id) in ids.iter().enumerate() {
-            program(&mut direct, id, salt).unwrap();
+            direct.with_context(id, |ctx| program(ctx, salt)).unwrap();
         }
         dispatch_programs(&ParallelDispatcher::with_workers(2), &mut dispatched, &ids);
 
-        assert_eq!(*direct.stats(), *dispatched.stats());
+        assert_eq!(direct.ledger(), dispatched.ledger());
+        for &id in &ids {
+            assert_eq!(direct.subarray_ledger(id), dispatched.subarray_ledger(id));
+        }
     }
 
     #[test]
@@ -535,8 +549,7 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, PimError::Dram(DramError::SubarrayDetached { .. })));
         // All contexts were returned: the controller is fully usable.
-        let cols = ctrl.geometry().cols;
-        ctrl.write_row(ids[0], 0, &BitRow::zeros(cols)).unwrap();
+        write_zeros(&mut ctrl, ids[0]);
         assert_eq!(ctrl.stats().writes, 1);
     }
 
@@ -563,7 +576,7 @@ mod tests {
             );
             // Successful partitions (0 and 2) landed; failed ones did not.
             assert_eq!(ctrl.stats().writes, 2, "workers={workers}");
-            ctrl.write_row(ids[1], 0, &BitRow::zeros(cols)).unwrap();
+            write_zeros(&mut ctrl, ids[1]);
         }
     }
 
@@ -593,7 +606,7 @@ mod tests {
             // stays fully usable and no sub-array is stranded detached.
             assert_eq!(ctrl.stats().writes, 4, "workers={workers}");
             for &id in &ids {
-                ctrl.write_row(id, 0, &BitRow::zeros(cols)).unwrap();
+                write_zeros(&mut ctrl, id);
             }
             assert_eq!(ctrl.stats().writes, 8, "workers={workers}");
         }

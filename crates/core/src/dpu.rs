@@ -5,16 +5,15 @@
 //! the hashmap stage "a built-in AND unit in DPU readily takes all the
 //! XNOR results to determine the next memory operation" (Fig. 7), and the
 //! scalar frequency increments run here too. Every DPU operation is charged
-//! through the executing [`AapPort`] — the controller's global ledger, or
-//! a detached sub-array context's local ledger under parallel dispatch.
+//! to the ledger of the sub-array context it serves.
 
-use pim_dram::port::AapPort;
+use pim_dram::context::SubarrayContext;
 
 /// The DPU: scalar reduction and arithmetic next to the sub-arrays.
 ///
 /// The AND-reduction of a probe's XNOR row (Fig. 7) is charged by
 /// [`crate::pim_xnor::PimComparator::compare`], which reduces the sensed
-/// row in the sub-array's row buffer ([`AapPort::aap2_all_ones`]).
+/// row in the sub-array's row buffer ([`SubarrayContext::aap2_all_ones`]).
 ///
 /// # Examples
 ///
@@ -23,8 +22,11 @@ use pim_dram::port::AapPort;
 /// use pim_dram::{controller::Controller, geometry::DramGeometry};
 ///
 /// let mut ctrl = Controller::new(DramGeometry::tiny());
-/// assert_eq!(Dpu::increment_saturating(&mut ctrl, 7, 255), 8);
+/// let mut ctx = ctrl.detach_context(ctrl.subarray_handle(0, 0, 0, 0)?)?;
+/// assert_eq!(Dpu::increment_saturating(&mut ctx, 7, 255), 8);
+/// ctrl.reattach_context(ctx)?;
 /// assert_eq!(ctrl.stats().dpu, 1);
+/// # Ok::<(), pim_dram::DramError>(())
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Dpu;
@@ -32,15 +34,15 @@ pub struct Dpu;
 impl Dpu {
     /// Scalar increment of a frequency counter, saturating at `max`
     /// (the `New_freq` update of Fig. 5b). One DPU operation.
-    pub fn increment_saturating(ctrl: &mut impl AapPort, value: u64, max: u64) -> u64 {
-        ctrl.dpu_op();
+    pub fn increment_saturating(ctx: &mut SubarrayContext, value: u64, max: u64) -> u64 {
+        ctx.dpu_op();
         value.saturating_add(1).min(max)
     }
 
     /// Scalar comparison used by the controller's branch decisions.
     /// One DPU operation.
-    pub fn is_zero(ctrl: &mut impl AapPort, value: u64) -> bool {
-        ctrl.dpu_op();
+    pub fn is_zero(ctx: &mut SubarrayContext, value: u64) -> bool {
+        ctx.dpu_op();
         value == 0
     }
 }
@@ -51,20 +53,22 @@ mod tests {
     use pim_dram::controller::Controller;
     use pim_dram::geometry::DramGeometry;
 
-    fn ctrl() -> Controller {
-        Controller::new(DramGeometry::tiny())
+    fn ctx() -> SubarrayContext {
+        let mut ctrl = Controller::new(DramGeometry::tiny());
+        let sub = ctrl.subarray_handle(0, 0, 0, 0).unwrap();
+        ctrl.detach_context(sub).unwrap()
     }
 
     #[test]
     fn increment_saturates() {
-        let mut c = ctrl();
+        let mut c = ctx();
         assert_eq!(Dpu::increment_saturating(&mut c, 3, 255), 4);
         assert_eq!(Dpu::increment_saturating(&mut c, 255, 255), 255);
     }
 
     #[test]
     fn is_zero() {
-        let mut c = ctrl();
+        let mut c = ctx();
         assert!(Dpu::is_zero(&mut c, 0));
         assert!(!Dpu::is_zero(&mut c, 7));
         assert_eq!(c.stats().dpu, 2);

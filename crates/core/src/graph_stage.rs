@@ -8,13 +8,14 @@
 //! paper's "massive number of iteratively-used MEM_insert" operations.
 
 use pim_dram::address::{RowAddr, SubarrayId};
+use pim_dram::bitrow::BitRow;
 use pim_dram::controller::Controller;
 use pim_genome::debruijn::DeBruijnGraph;
 use pim_genome::kmer::Kmer;
 use pim_obsv::Metric;
 
 use crate::dispatch::ParallelDispatcher;
-use crate::error::Result;
+use crate::error::{PimError, Result};
 use crate::hashmap_stage::PimHashTable;
 use crate::layout::SubarrayLayout;
 use crate::mapping::KmerMapper;
@@ -48,9 +49,9 @@ impl GraphStage {
     /// `graph_region` designates the sub-array whose k-mer region receives
     /// the `MEM_insert` writes (cycling when full — the functional graph
     /// lives in the returned structure, the writes account the hardware
-    /// traffic). Those writes address a single region, so they stay on the
-    /// controller; the graph and command totals are the same for any
-    /// worker count.
+    /// traffic). Those writes address a single region, so they run in one
+    /// checkout of its context after the filter; the graph and command
+    /// totals are the same for any worker count.
     ///
     /// The post-filter survivors come back in scan order: the checkpoint
     /// payload from which [`GraphStage::rebuild`] reconstructs the
@@ -136,11 +137,7 @@ impl GraphStage {
         let mut stats = GraphStats { scanned: entries.len() as u64, ..GraphStats::default() };
 
         let mut graph: Option<DeBruijnGraph> = None;
-        let mut write_cursor = 0usize;
         let mut survivors = Vec::new();
-        // One image buffer for the whole construction loop (it used to be
-        // re-allocated three times per surviving k-mer).
-        let mut image = pim_dram::bitrow::BitRow::zeros(cols);
         for (kmer, count) in entries {
             if count < min_count {
                 continue;
@@ -149,17 +146,24 @@ impl GraphStage {
                 .get_or_insert_with(|| DeBruijnGraph::from_kmers(kmer.k(), std::iter::empty()));
             g.add_kmer(kmer, count);
             survivors.push((kmer, count));
-            stats.edges_inserted += 1;
-            mapper.row_image_into(&kmer, &mut image);
-            // MEM_insert: node_1, node_2, and the edge-list entry — three
-            // row writes into the graph region (Fig. 5's pseudocode inserts
-            // all three).
-            for _ in 0..3 {
-                let row = RowAddr(write_cursor % layout.kmer_rows());
-                ctrl.write_row(graph_region, row, &image)?;
-                write_cursor += 1;
-                stats.mem_inserts += 1;
-            }
+        }
+        stats.edges_inserted = survivors.len() as u64;
+        if !survivors.is_empty() {
+            ctrl.with_context(graph_region, |ctx| {
+                let mut image = BitRow::zeros(cols);
+                for (kmer, _) in &survivors {
+                    mapper.row_image_into(kmer, &mut image);
+                    // MEM_insert: node_1, node_2, and the edge-list entry —
+                    // three row writes into the graph region (Fig. 5's
+                    // pseudocode inserts all three).
+                    for _ in 0..3 {
+                        let row = RowAddr(stats.mem_inserts as usize % layout.kmer_rows());
+                        ctx.write_row(row, &image)?;
+                        stats.mem_inserts += 1;
+                    }
+                }
+                Ok::<_, PimError>(())
+            })?;
         }
         ctrl.record_metric(Metric::GraphKmers, stats.edges_inserted);
         let graph = graph.unwrap_or_else(|| DeBruijnGraph::from_kmers(2, std::iter::empty()));
@@ -239,7 +243,7 @@ mod tests {
     fn mem_inserts_are_charged_as_writes() {
         let mut ctrl = Controller::new(DramGeometry::paper_assembly());
         let table = loaded_table(&mut ctrl, "ACGTTGCA", 4, 2);
-        let before = *ctrl.stats();
+        let before = ctrl.stats();
         let region = ctrl.subarray_handle(0, 1, 0, 0).unwrap();
         let (_, _, stats, _) =
             GraphStage::build(&mut ctrl, &ParallelDispatcher::serial(), &table, 1, region, 1)

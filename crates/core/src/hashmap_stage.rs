@@ -19,9 +19,10 @@
 
 use pim_dram::address::{RowAddr, SubarrayId};
 use pim_dram::bitrow::BitRow;
+use pim_dram::context::SubarrayContext;
 use pim_dram::controller::Controller;
 use pim_dram::ledger::CommandClass;
-use pim_dram::port::AapPort;
+use pim_dram::DramError;
 use pim_genome::kmer::{Kmer, KmerIter};
 use pim_genome::reads::Read;
 use pim_obsv::{HistKey, Metric};
@@ -123,7 +124,8 @@ impl HashStats {
 /// let mut table = PimHashTable::new(KmerMapper::new(&g, 2, 8));
 /// let kmer: pim_genome::Kmer = "CGTGCGTGCTTACGGA".parse()?;
 /// table.insert(&mut ctrl, &ParallelDispatcher::serial(), &[kmer, kmer])?;
-/// assert_eq!(table.count(&mut ctrl, &kmer)?, 2);
+/// let count = ctrl.with_context(table.home_subarray(&kmer), |ctx| table.count(ctx, &kmer))?;
+/// assert_eq!(count, 2);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -236,27 +238,35 @@ impl PimHashTable {
         }
     }
 
-    /// Reads the frequency of `kmer` (0 if absent), charging the probe
-    /// commands like a real query.
+    /// The sub-array `kmer` is stored in: the context
+    /// [`PimHashTable::count`] probes.
+    pub fn home_subarray(&self, kmer: &Kmer) -> SubarrayId {
+        self.mapper.subarrays()[self.mapper.home(kmer).0]
+    }
+
+    /// Reads the frequency of `kmer` (0 if absent) on `ctx`, its home
+    /// sub-array, charging the probe commands like a real query.
     ///
     /// # Errors
     ///
-    /// Propagates DRAM addressing errors.
-    pub fn count(&mut self, ctrl: &mut impl AapPort, kmer: &Kmer) -> Result<u64> {
-        let cols = ctrl.geometry().cols;
+    /// [`DramError::SubarrayDetached`] (wrapped) when `ctx` is not
+    /// [`PimHashTable::home_subarray`] of `kmer`; DRAM addressing errors.
+    pub fn count(&self, ctx: &mut SubarrayContext, kmer: &Kmer) -> Result<u64> {
         let layout = *self.mapper.layout();
         let (sub_idx, bucket_row) = self.mapper.home(kmer);
-        let subarray = self.mapper.subarrays()[sub_idx];
-        let image = self.mapper.row_image(kmer, cols);
-        self.comparator.stage_query(ctrl, subarray, &image)?;
+        let home = self.mapper.subarrays()[sub_idx];
+        if ctx.id() != home {
+            return Err(DramError::SubarrayDetached { subarray: home }.into());
+        }
+        let image = self.mapper.row_image(kmer, layout.cols());
+        self.comparator.stage_query(ctx, &image)?;
         let kmer_rows = layout.kmer_rows();
         for step in 0..kmer_rows {
             let row = (bucket_row + step) % kmer_rows;
             match self.slots[sub_idx][row] {
                 Some(_) => {
-                    let matched = self.comparator.compare(ctrl, subarray, RowAddr(row))?;
-                    if matched {
-                        return Self::read_counter_at(ctrl, &layout, subarray, row);
+                    if self.comparator.compare(ctx, RowAddr(row))? {
+                        return Self::read_counter_at(ctx, &layout, row);
                     }
                 }
                 None => return Ok(0),
@@ -289,7 +299,7 @@ impl PimHashTable {
         let (mapper, slots) = (&self.mapper, &self.slots);
         let pieces = dispatcher.run_partitions(ctrl, partitions, |ctx, sub_idx| {
             let mut out = Vec::new();
-            Self::scan_subarray(ctx, mapper, sub_idx, &slots[sub_idx], &mut out)?;
+            Self::scan_subarray(ctx, mapper.layout(), &slots[sub_idx], &mut out)?;
             Ok(out)
         })?;
         Ok(pieces.into_iter().flatten().collect())
@@ -300,7 +310,7 @@ impl PimHashTable {
     /// explicitly, since it runs on a detached context that owns neither.
     #[allow(clippy::too_many_arguments)]
     fn insert_one(
-        port: &mut impl AapPort,
+        ctx: &mut SubarrayContext,
         mapper: &KmerMapper,
         comparator: &PimComparator,
         sub_idx: usize,
@@ -311,13 +321,12 @@ impl PimHashTable {
     ) -> Result<u64> {
         let layout = *mapper.layout();
         let (_, bucket_row) = mapper.home(&kmer);
-        let subarray = mapper.subarrays()[sub_idx];
         mapper.row_image_into(&kmer, image);
         stats.inserted_total += 1;
-        port.record_metric(Metric::HashInserts, 1);
+        ctx.record_metric(Metric::HashInserts, 1);
 
         // Stage the query once (temp write + clone into x1).
-        comparator.stage_query(port, subarray, image)?;
+        comparator.stage_query(ctx, image)?;
 
         // Linear probe from the bucket start, wrapping across the region.
         let kmer_rows = layout.kmer_rows();
@@ -329,7 +338,7 @@ impl PimHashTable {
                 Some(stored) => {
                     stats.probes += 1;
                     local_probes += 1;
-                    let matched = comparator.compare(port, subarray, RowAddr(row))?;
+                    let matched = comparator.compare(ctx, RowAddr(row))?;
                     if matched != (stored == kmer) {
                         // The array mis-compared (possible under fault
                         // injection). Record the detection but follow the
@@ -338,9 +347,9 @@ impl PimHashTable {
                     }
                     if matched {
                         stats.hits += 1;
-                        let current = Self::read_counter_at(port, &layout, subarray, row)?;
-                        let next = Dpu::increment_saturating(port, current, layout.max_count());
-                        Self::write_counter_at(port, &layout, subarray, row, next)?;
+                        let current = Self::read_counter_at(ctx, &layout, row)?;
+                        let next = Dpu::increment_saturating(ctx, current, layout.max_count());
+                        Self::write_counter_at(ctx, &layout, row, next)?;
                         outcome = Some(next);
                         break;
                     }
@@ -348,41 +357,38 @@ impl PimHashTable {
                 None => {
                     // MEM_insert: clone the staged temp row into the slot
                     // and initialize the counter.
-                    port.aap_copy(subarray, layout.temp_row(0), RowAddr(row))?;
+                    ctx.aap_copy(layout.temp_row(0), RowAddr(row))?;
                     slots[row] = Some(kmer);
                     stats.distinct += 1;
-                    Self::write_counter_at(port, &layout, subarray, row, 1)?;
+                    Self::write_counter_at(ctx, &layout, row, 1)?;
                     outcome = Some(1);
                     break;
                 }
             }
         }
-        port.record_metric(Metric::HashProbes, local_probes);
-        port.record_value(HistKey::HashProbeLen, local_probes);
+        ctx.record_metric(Metric::HashProbes, local_probes);
+        ctx.record_value(HistKey::HashProbeLen, local_probes);
         outcome.ok_or(PimError::SubarrayFull { subarray: sub_idx, capacity: kmer_rows })
     }
 
     /// One sub-array's share of the table scan, appending to `out`.
     fn scan_subarray(
-        port: &mut impl AapPort,
-        mapper: &KmerMapper,
-        sub_idx: usize,
+        ctx: &mut SubarrayContext,
+        layout: &SubarrayLayout,
         slots: &[Option<Kmer>],
         out: &mut Vec<(Kmer, u64)>,
     ) -> Result<()> {
-        let layout = *mapper.layout();
-        let cols = port.geometry().cols;
-        let subarray = mapper.subarrays()[sub_idx];
+        let cols = layout.cols();
         for (row, slot) in slots.iter().enumerate() {
             let Some(kmer) = slot else { continue };
             // Read the k-mer row and decode it from the DRAM image itself
             // (not the shadow directory), so any bit corruption in the
             // array genuinely flows into the downstream graph stage.
-            let image = port.read_row(subarray, RowAddr(row))?;
+            let image = ctx.read_row(RowAddr(row))?;
             let decoded = Kmer::from_packed(image.extract(0, 2 * kmer.k()).to_u64(), kmer.k())
                 .expect("2k extracted bits always form a valid packed k-mer");
             let (vrow, bit) = layout.counter_location(row);
-            let value_row = port.read_row(subarray, layout.value_row(vrow))?;
+            let value_row = ctx.read_row(layout.value_row(vrow))?;
             let count = value_row.extract(bit, COUNTER_BITS.min(cols - bit)).to_u64();
             out.push((decoded, count));
         }
@@ -395,36 +401,35 @@ impl PimHashTable {
     /// host the field moves in place (uncharged field access), and the
     /// command is charged on its own.
     fn read_counter_at(
-        port: &mut impl AapPort,
+        ctx: &mut SubarrayContext,
         layout: &SubarrayLayout,
-        subarray: SubarrayId,
         slot: usize,
     ) -> Result<u64> {
         let (vrow, bit) = layout.counter_location(slot);
-        let count = port.peek_field(subarray, layout.value_row(vrow), bit, COUNTER_BITS)?;
-        port.record_synthetic(CommandClass::Aap, 1);
+        let count = ctx.peek_field(layout.value_row(vrow), bit, COUNTER_BITS)?;
+        ctx.record_synthetic(CommandClass::Aap, 1);
         Ok(count)
     }
 
     fn write_counter_at(
-        port: &mut impl AapPort,
+        ctx: &mut SubarrayContext,
         layout: &SubarrayLayout,
-        subarray: SubarrayId,
         slot: usize,
         value: u64,
     ) -> Result<()> {
         let (vrow, bit) = layout.counter_location(slot);
-        port.poke_field(subarray, layout.value_row(vrow), bit, COUNTER_BITS, value)?;
-        port.record_synthetic(CommandClass::Aap, 1);
+        ctx.poke_field(layout.value_row(vrow), bit, COUNTER_BITS, value)?;
+        ctx.record_synthetic(CommandClass::Aap, 1);
         Ok(())
     }
 
     /// Writes every stored entry with its physical placement into list
     /// `list` of `cp`, one `sub row packed k count` line per entry, in
-    /// sub-array and row order. Reads device state through the uncharged
-    /// debug port, so taking a checkpoint perturbs neither the ledger nor
-    /// the metrics; each value row (one counter per k-mer slot) is read
-    /// once. Together with [`PimHashTable::load_entries`] and
+    /// sub-array and row order. Reads device state through the attached
+    /// contexts' uncharged debug view ([`Controller::context`]), so taking
+    /// a checkpoint perturbs neither the ledger nor the metrics; each value
+    /// row (one counter per k-mer slot) is read once. Together with
+    /// [`PimHashTable::load_entries`] and
     /// [`PimHashTable::restore_entries`] this is the table's checkpoint
     /// round-trip: a slot's DRAM row image is exactly
     /// [`KmerMapper::row_image`] of its k-mer and the counter is an 8-bit
@@ -435,10 +440,11 @@ impl PimHashTable {
     ///
     /// # Errors
     ///
-    /// Propagates DRAM addressing errors.
+    /// [`DramError::SubarrayDetached`] (wrapped) for an occupied sub-array
+    /// that is not attached; DRAM addressing errors.
     pub fn save_entries(
         &self,
-        port: &mut impl AapPort,
+        ctrl: &Controller,
         cp: &mut StageCheckpoint,
         list: &str,
     ) -> Result<()> {
@@ -446,6 +452,8 @@ impl PimHashTable {
         let mut block = String::new();
         for (sub_idx, slots) in self.slots.iter().enumerate() {
             let subarray = self.mapper.subarrays()[sub_idx];
+            let attached =
+                || ctrl.context(subarray).ok_or(DramError::SubarrayDetached { subarray });
             // Slots map onto value rows in ascending order, so the row
             // last read serves every slot until the index moves on.
             let mut value_row = (usize::MAX, BitRow::zeros(0));
@@ -453,7 +461,7 @@ impl PimHashTable {
                 let Some(kmer) = slot else { continue };
                 let (vrow, bit) = layout.counter_location(row);
                 if value_row.0 != vrow {
-                    value_row = (vrow, port.peek_row(subarray, layout.value_row(vrow))?);
+                    value_row = (vrow, attached()?.peek_row(layout.value_row(vrow))?);
                 }
                 let count = value_row.1.bits_u64(bit, COUNTER_BITS);
                 push_list_line(
@@ -499,11 +507,12 @@ impl PimHashTable {
     }
 
     /// Rebuilds a checkpointed table: shadow slots, k-mer row images and
-    /// counter fields are restored through the uncharged debug port (one
-    /// row write per k-mer row and one field write per counter), and the
-    /// statistics accumulator is set to the checkpointed values. Charges
-    /// nothing — the session restores accounting separately via
-    /// [`Controller::restore_accounting`].
+    /// counter fields are restored through each sub-array context's
+    /// uncharged debug view (one row write per k-mer row and one field
+    /// write per counter, one checkout per run of one sub-array's
+    /// entries), and the statistics accumulator is set to the checkpointed
+    /// values. Charges nothing — the session restores accounting
+    /// separately via [`Controller::restore_accounting`].
     ///
     /// # Errors
     ///
@@ -514,34 +523,43 @@ impl PimHashTable {
         mapper: KmerMapper,
         backend: BackendKind,
         opt: OptLevel,
-        port: &mut impl AapPort,
+        ctrl: &mut Controller,
         entries: &[(usize, usize, Kmer, u64)],
         stats: HashStats,
     ) -> Result<Self> {
         let mut table = PimHashTable::with_backend(mapper, backend, opt);
         let layout = *table.mapper.layout();
-        let cols = port.geometry().cols;
-        let mut image = BitRow::zeros(cols);
-        for &(sub_idx, row, kmer, count) in entries {
-            let subarray = match table.mapper.subarrays().get(sub_idx) {
-                Some(&id) if row < layout.kmer_rows() && count <= layout.max_count() => id,
-                _ => {
-                    return Err(PimError::Checkpoint {
-                        reason: format!(
-                            "hash entry (sub-array {sub_idx}, row {row}, count {count}) lies \
-                             outside the table: {} sub-arrays of {} k-mer rows, counts up to {}",
-                            table.slots.len(),
-                            layout.kmer_rows(),
-                            layout.max_count()
-                        ),
-                    })
+        let subarrays = table.slots.len();
+        let mut image = BitRow::zeros(layout.cols());
+        // Saved entries come in sub-array order, so each run of one
+        // sub-array's entries is one checkout of its context.
+        for run in entries.chunk_by(|a, b| a.0 == b.0) {
+            let sub_idx = run[0].0;
+            let outside = run.iter().find(|&&(_, row, _, count)| {
+                sub_idx >= subarrays || row >= layout.kmer_rows() || count > layout.max_count()
+            });
+            if let Some(&(sub_idx, row, _, count)) = outside {
+                return Err(PimError::Checkpoint {
+                    reason: format!(
+                        "hash entry (sub-array {sub_idx}, row {row}, count {count}) lies \
+                         outside the table: {subarrays} sub-arrays of {} k-mer rows, counts up \
+                         to {}",
+                        layout.kmer_rows(),
+                        layout.max_count()
+                    ),
+                });
+            }
+            let (mapper, slots) = (&table.mapper, &mut table.slots[sub_idx]);
+            ctrl.with_context(mapper.subarrays()[sub_idx], |ctx| {
+                for &(_, row, kmer, count) in run {
+                    mapper.row_image_into(&kmer, &mut image);
+                    ctx.poke_row(RowAddr(row), &image)?;
+                    let (vrow, bit) = layout.counter_location(row);
+                    ctx.poke_field(layout.value_row(vrow), bit, COUNTER_BITS, count)?;
+                    slots[row] = Some(kmer);
                 }
-            };
-            table.mapper.row_image_into(&kmer, &mut image);
-            port.poke_row(subarray, RowAddr(row), &image)?;
-            let (vrow, bit) = layout.counter_location(row);
-            port.poke_field(subarray, layout.value_row(vrow), bit, COUNTER_BITS, count)?;
-            table.slots[sub_idx][row] = Some(kmer);
+                Ok::<_, PimError>(())
+            })?;
         }
         table.stats = stats;
         Ok(table)
@@ -628,12 +646,12 @@ impl HashmapExec {
 
     /// Serializes the resume state into `cp`: the table entries (list
     /// `hash`), its statistics and the k-mer count. Reads device state
-    /// through the uncharged debug port only.
+    /// through the uncharged debug view only.
     ///
     /// # Errors
     ///
     /// DRAM addressing errors while exporting device state.
-    pub fn save(&self, ctrl: &mut Controller, cp: &mut StageCheckpoint) -> Result<()> {
+    pub fn save(&self, ctrl: &Controller, cp: &mut StageCheckpoint) -> Result<()> {
         self.table.save_entries(ctrl, cp, "hash")?;
         self.table.stats().save(cp, "hash");
         cp.fields.insert("kmer_count".into(), self.kmer_count);
@@ -697,18 +715,37 @@ mod tests {
         ParallelDispatcher::serial()
     }
 
+    /// `table.count` on the k-mer's home sub-array.
+    fn count(ctrl: &mut Controller, table: &PimHashTable, kmer: &Kmer) -> u64 {
+        ctrl.with_context(table.home_subarray(kmer), |ctx| table.count(ctx, kmer)).unwrap()
+    }
+
     #[test]
     fn fig5b_worked_example() {
         // S = CGTGCGTGCTT, k = 5 — the hash table of Fig. 5b.
         let (mut ctrl, mut table) = setup();
         let s: DnaSequence = "CGTGCGTGCTT".parse().unwrap();
         table.insert(&mut ctrl, &serial(), &kmers_of(&s, 5)).unwrap();
-        assert_eq!(table.count(&mut ctrl, &"CGTGC".parse().unwrap()).unwrap(), 2);
-        assert_eq!(table.count(&mut ctrl, &"GTGCG".parse().unwrap()).unwrap(), 1);
-        assert_eq!(table.count(&mut ctrl, &"TGCTT".parse().unwrap()).unwrap(), 1);
-        assert_eq!(table.count(&mut ctrl, &"AAAAA".parse().unwrap()).unwrap(), 0);
+        assert_eq!(count(&mut ctrl, &table, &"CGTGC".parse().unwrap()), 2);
+        assert_eq!(count(&mut ctrl, &table, &"GTGCG".parse().unwrap()), 1);
+        assert_eq!(count(&mut ctrl, &table, &"TGCTT".parse().unwrap()), 1);
+        assert_eq!(count(&mut ctrl, &table, &"AAAAA".parse().unwrap()), 0);
         assert_eq!(table.stats().distinct, 6);
         assert_eq!(table.stats().inserted_total, 7);
+    }
+
+    #[test]
+    fn count_runs_only_on_the_home_subarray() {
+        let (mut ctrl, mut table) = setup();
+        let kmer: Kmer = "CGTGC".parse().unwrap();
+        table.insert(&mut ctrl, &serial(), &[kmer]).unwrap();
+        let home = table.home_subarray(&kmer);
+        let other = *table.mapper().subarrays().iter().find(|&&id| id != home).unwrap();
+        let before = ctrl.stats();
+        let err = ctrl.with_context(other, |ctx| table.count(ctx, &kmer)).unwrap_err();
+        assert_eq!(err, PimError::Dram(DramError::SubarrayDetached { subarray: home }));
+        assert_eq!(ctrl.stats(), before, "a rejected query charges nothing");
+        assert_eq!(count(&mut ctrl, &table, &kmer), 1);
     }
 
     #[test]
@@ -734,14 +771,14 @@ mod tests {
         let kmer: Kmer = "ACGTACGTACGTACGT".parse().unwrap();
         let max = table.mapper().layout().max_count();
         table.insert(&mut ctrl, &serial(), &vec![kmer; max as usize + 10]).unwrap();
-        assert_eq!(table.count(&mut ctrl, &kmer).unwrap(), max);
+        assert_eq!(count(&mut ctrl, &table, &kmer), max);
     }
 
     #[test]
     fn commands_are_charged_per_insert() {
         let (mut ctrl, mut table) = setup();
         let kmer: Kmer = "TTTTGGGGCCCCAAAA".parse().unwrap();
-        let before = *ctrl.stats();
+        let before = ctrl.stats();
         table.insert(&mut ctrl, &serial(), &[kmer]).unwrap();
         let d = ctrl.stats().since(&before);
         // Fresh insert in an empty bucket: temp staging (in-DRAM AAP) +
@@ -749,7 +786,7 @@ mod tests {
         assert_eq!(d.writes, 0);
         assert_eq!(d.aap, 4);
         assert_eq!(d.aap2, 0); // no stored rows yet → no comparisons
-        let before = *ctrl.stats();
+        let before = ctrl.stats();
         table.insert(&mut ctrl, &serial(), &[kmer]).unwrap();
         let d = ctrl.stats().since(&before);
         assert_eq!(d.aap2, 1); // one PIM_XNOR probe
@@ -804,7 +841,7 @@ mod tests {
             reference.insert(&mut ref_ctrl, &serial(), &[kmer]).unwrap();
         }
         // Snapshot before scanning: the scan itself charges row reads.
-        let ref_stats = *ref_ctrl.stats();
+        let ref_stats = ref_ctrl.stats();
         let ref_ledger = *ref_ctrl.ledger();
         let ref_scan = reference.scan(&mut ref_ctrl, &serial()).unwrap();
 
@@ -812,7 +849,7 @@ mod tests {
             let (mut ctrl, mut table) = setup();
             table.insert(&mut ctrl, &ParallelDispatcher::with_workers(workers), &kmers).unwrap();
             assert_eq!(table.stats(), reference.stats(), "workers={workers}");
-            assert_eq!(*ctrl.stats(), ref_stats, "workers={workers}");
+            assert_eq!(ctrl.stats(), ref_stats, "workers={workers}");
             assert_eq!(*ctrl.ledger(), ref_ledger, "workers={workers}");
             assert_eq!(table.scan(&mut ctrl, &serial()).unwrap(), ref_scan, "workers={workers}");
         }
@@ -824,10 +861,10 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(22);
         let seq = DnaSequence::random(&mut rng, 500);
         table.insert(&mut ctrl, &serial(), &kmers_of(&seq, 12)).unwrap();
-        let before = *ctrl.stats();
+        let before = ctrl.stats();
         let serial_scan = table.scan(&mut ctrl, &serial()).unwrap();
         let serial_delta = ctrl.stats().since(&before);
-        let before = *ctrl.stats();
+        let before = ctrl.stats();
         let pooled = table.scan(&mut ctrl, &ParallelDispatcher::with_workers(4)).unwrap();
         let pooled_delta = ctrl.stats().since(&before);
         assert_eq!(serial_scan, pooled);
@@ -849,10 +886,10 @@ mod tests {
         let (mut ctrl_a, mut table_a) = setup();
         let half = kmers.len() / 2;
         table_a.insert(&mut ctrl_a, &serial(), &kmers[..half]).unwrap();
-        let before_save = *ctrl_a.stats();
+        let before_save = ctrl_a.stats();
         let mut cp = StageCheckpoint::new("fp", "hashmap", 0);
-        table_a.save_entries(&mut ctrl_a, &mut cp, "hash").unwrap();
-        assert_eq!(*ctrl_a.stats(), before_save, "saving must not charge");
+        table_a.save_entries(&ctrl_a, &mut cp, "hash").unwrap();
+        assert_eq!(ctrl_a.stats(), before_save, "saving must not charge");
         let entries = PimHashTable::load_entries(&cp, "hash", 13).unwrap();
         assert_eq!(entries.len() as u64, table_a.stats().distinct);
 
@@ -870,7 +907,7 @@ mod tests {
         assert!(ctrl_b.ledger().is_empty(), "restore must not charge");
         assert_eq!(restored.stats(), table_a.stats());
         let mut resaved = StageCheckpoint::new("fp", "hashmap", 0);
-        restored.save_entries(&mut ctrl_b, &mut resaved, "hash").unwrap();
+        restored.save_entries(&ctrl_b, &mut resaved, "hash").unwrap();
         assert_eq!(resaved.lists, cp.lists, "a restored table saves the same block");
         restored.insert(&mut ctrl_b, &serial(), &kmers[half..]).unwrap();
         assert_eq!(restored.stats(), reference.stats());
@@ -884,7 +921,7 @@ mod tests {
     /// The hash list as it was rendered before list blocks: one
     /// `format!` line per entry, the count read through a row clone and
     /// `extract`. The oracle [`PimHashTable::save_entries`] must match.
-    fn per_entry_rendering(table: &PimHashTable, ctrl: &mut Controller) -> String {
+    fn per_entry_rendering(table: &PimHashTable, ctrl: &Controller) -> String {
         let layout = *table.mapper().layout();
         let mut lines = Vec::new();
         for (sub, slots) in table.slots.iter().enumerate() {
@@ -892,7 +929,8 @@ mod tests {
             for (row, slot) in slots.iter().enumerate() {
                 let Some(kmer) = slot else { continue };
                 let (vrow, bit) = layout.counter_location(row);
-                let value_row = ctrl.peek_row(subarray, layout.value_row(vrow)).unwrap();
+                let value_row =
+                    ctrl.context(subarray).unwrap().peek_row(layout.value_row(vrow)).unwrap();
                 let count = value_row.extract(bit, COUNTER_BITS).to_u64();
                 lines.push(format!("{sub} {row} {} {} {count}", kmer.packed(), kmer.k()));
             }
@@ -904,9 +942,9 @@ mod tests {
     fn save_entries_matches_the_per_entry_rendering() {
         let (mut ctrl, mut table) = setup();
         let mut cp = StageCheckpoint::new("fp", "hashmap", 0);
-        table.save_entries(&mut ctrl, &mut cp, "hash").unwrap();
+        table.save_entries(&ctrl, &mut cp, "hash").unwrap();
         assert_eq!(cp.lists["hash"], "", "an empty table saves an empty block");
-        assert_eq!(per_entry_rendering(&table, &mut ctrl), "");
+        assert_eq!(per_entry_rendering(&table, &ctrl), "");
 
         // Mostly count-1 k-mers from a random sequence, plus one k-mer
         // driven past the counter's saturation at 255.
@@ -915,9 +953,9 @@ mod tests {
         let max = table.mapper().layout().max_count() as usize;
         kmers.extend(std::iter::repeat_n(kmers[7], max + 3));
         table.insert(&mut ctrl, &serial(), &kmers).unwrap();
-        table.save_entries(&mut ctrl, &mut cp, "hash").unwrap();
+        table.save_entries(&ctrl, &mut cp, "hash").unwrap();
         let block = &cp.lists["hash"];
-        assert_eq!(*block, per_entry_rendering(&table, &mut ctrl));
+        assert_eq!(*block, per_entry_rendering(&table, &ctrl));
         let counts: Vec<&str> =
             block.lines().map(|line| line.rsplit(' ').next().unwrap()).collect();
         assert!(counts.contains(&"1") && counts.contains(&"255"), "{counts:?}");

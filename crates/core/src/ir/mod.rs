@@ -19,7 +19,7 @@
 //!   CompiledKernel (role-indexed LoweredOps + CompileReport)
 //!        │
 //!        ▼
-//!   execute on an AapPort (CompiledKernel::execute)
+//!   execute on a SubarrayContext (CompiledKernel::execute)
 //! ```
 //!
 //! The [`LoweredOp`]s are the paper's §II-B AAP instructions (types 1–3)
@@ -44,8 +44,8 @@ pub mod opt;
 pub mod peephole;
 pub mod program;
 
-use pim_dram::address::{RowAddr, SubarrayId};
-use pim_dram::port::AapPort;
+use pim_dram::address::RowAddr;
+use pim_dram::context::SubarrayContext;
 use pim_dram::sense_amp::SaMode;
 
 pub use alloc::{allocate, AllocStats, Allocation, TempAssignment};
@@ -193,28 +193,23 @@ impl CompiledKernel {
         self.report.command_counts
     }
 
-    /// Executes the kernel on `port` with the given role bindings, all
+    /// Executes the kernel on `ctx` with the given role bindings, all
     /// commands through the discard AAP variants (allocation-free).
     ///
     /// # Errors
     ///
-    /// DRAM addressing/decoder errors from the underlying port.
+    /// DRAM addressing/decoder errors from the sub-array.
     ///
     /// # Panics
     ///
     /// Panics if `rows.len() != self.role_count()` — callers that need a
     /// typed arity error wrap this (see
     /// [`crate::template::CompiledTemplate::execute`]).
-    pub fn execute(
-        &self,
-        port: &mut impl AapPort,
-        subarray: SubarrayId,
-        rows: &[RowAddr],
-    ) -> crate::error::Result<()> {
+    pub fn execute(&self, ctx: &mut SubarrayContext, rows: &[RowAddr]) -> crate::error::Result<()> {
         assert_eq!(rows.len(), self.roles.len(), "kernel arity mismatch");
         for op in &self.ops {
             for _ in 0..self.reps {
-                issue(port, subarray, rows, op)?;
+                issue(ctx, rows, op)?;
             }
         }
         Ok(())
@@ -224,13 +219,13 @@ impl CompiledKernel {
     /// the final command and AND-reduces its read-out: returns whether
     /// every sensed bit is one. The final op must be a two-source AAP (the
     /// shape of every comparison kernel); it issues as
-    /// [`AapPort::aap2_all_ones`], which charges exactly like the `aap2`
-    /// that [`CompiledKernel::execute`] would discard, so the ledger is
-    /// byte-identical to it.
+    /// [`SubarrayContext::aap2_all_ones`], which charges exactly like the
+    /// `aap2` that [`CompiledKernel::execute`] would discard, so the ledger
+    /// is byte-identical to it.
     ///
     /// # Errors
     ///
-    /// DRAM addressing/decoder errors from the underlying port.
+    /// DRAM addressing/decoder errors from the sub-array.
     ///
     /// # Panics
     ///
@@ -238,8 +233,7 @@ impl CompiledKernel {
     /// in a [`LoweredOp::TwoSrc`].
     pub fn execute_all_ones(
         &self,
-        port: &mut impl AapPort,
-        subarray: SubarrayId,
+        ctx: &mut SubarrayContext,
         rows: &[RowAddr],
     ) -> crate::error::Result<bool> {
         assert_eq!(rows.len(), self.roles.len(), "kernel arity mismatch");
@@ -249,13 +243,13 @@ impl CompiledKernel {
         };
         for op in head {
             for _ in 0..self.reps {
-                issue(port, subarray, rows, op)?;
+                issue(ctx, rows, op)?;
             }
         }
         for _ in 0..self.reps.saturating_sub(1) {
-            issue(port, subarray, rows, last)?;
+            issue(ctx, rows, last)?;
         }
-        Ok(port.aap2_all_ones(subarray, mode, [rows[srcs[0]], rows[srcs[1]]], rows[dst])?)
+        Ok(ctx.aap2_all_ones(mode, [rows[srcs[0]], rows[srcs[1]]], rows[dst])?)
     }
 
     /// Renders the lowered kernel (role table, allocation map, ops, and
@@ -352,23 +346,14 @@ impl CompiledKernel {
     }
 }
 
-fn issue(
-    port: &mut impl AapPort,
-    subarray: SubarrayId,
-    rows: &[RowAddr],
-    op: &LoweredOp,
-) -> crate::error::Result<()> {
+fn issue(ctx: &mut SubarrayContext, rows: &[RowAddr], op: &LoweredOp) -> crate::error::Result<()> {
     match *op {
-        LoweredOp::Copy { src, dst } => port.aap_copy(subarray, rows[src], rows[dst])?,
+        LoweredOp::Copy { src, dst } => ctx.aap_copy(rows[src], rows[dst])?,
         LoweredOp::TwoSrc { srcs, dst, mode } => {
-            port.aap2_discard(subarray, mode, [rows[srcs[0]], rows[srcs[1]]], rows[dst])?;
+            ctx.aap2_discard(mode, [rows[srcs[0]], rows[srcs[1]]], rows[dst])?;
         }
         LoweredOp::ThreeSrc { srcs, dst } => {
-            port.aap3_carry_discard(
-                subarray,
-                [rows[srcs[0]], rows[srcs[1]], rows[srcs[2]]],
-                rows[dst],
-            )?;
+            ctx.aap3_carry_discard([rows[srcs[0]], rows[srcs[1]], rows[srcs[2]]], rows[dst])?;
         }
     }
     Ok(())
@@ -496,10 +481,10 @@ mod tests {
     use pim_dram::controller::Controller;
     use pim_dram::geometry::DramGeometry;
 
-    fn setup() -> (Controller, SubarrayId) {
-        let ctrl = Controller::new(DramGeometry::paper_assembly());
+    fn setup() -> SubarrayContext {
+        let mut ctrl = Controller::new(DramGeometry::paper_assembly());
         let id = ctrl.subarray_handle(0, 0, 0, 0).unwrap();
-        (ctrl, id)
+        ctrl.detach_context(id).unwrap()
     }
 
     #[test]
@@ -535,20 +520,18 @@ mod tests {
         let kernel = compile(&kernels::xnor(), &LowerOptions::for_row(cols)).unwrap();
         let a = BitRow::from_fn(cols, |i| i % 3 == 0);
         for (b, equal) in [(a.clone(), true), (BitRow::from_fn(cols, |i| i == 255), false)] {
-            let (mut sensed, id) = setup();
-            let (mut discarded, _) = setup();
-            for ctrl in [&mut sensed, &mut discarded] {
-                ctrl.write_row(id, 1, &a).unwrap();
-                ctrl.write_row(id, 2, &b).unwrap();
+            let (mut sensed, mut discarded) = (setup(), setup());
+            for ctx in [&mut sensed, &mut discarded] {
+                ctx.write_row(1, &a).unwrap();
+                ctx.write_row(2, &b).unwrap();
             }
             let rows =
                 [RowAddr(1), RowAddr(2), RowAddr(9), sensed.compute_row(0), sensed.compute_row(1)];
-            let all_ones = kernel.execute_all_ones(&mut sensed, id, &rows).unwrap();
-            kernel.execute(&mut discarded, id, &rows).unwrap();
-            assert_eq!(*sensed.stats(), *discarded.stats());
+            let all_ones = kernel.execute_all_ones(&mut sensed, &rows).unwrap();
+            kernel.execute(&mut discarded, &rows).unwrap();
             assert_eq!(sensed.ledger(), discarded.ledger());
             assert_eq!(all_ones, equal);
-            assert_eq!(all_ones, sensed.peek_row(id, 9).unwrap().all_ones());
+            assert_eq!(all_ones, sensed.peek_row(9).unwrap().all_ones());
         }
     }
 

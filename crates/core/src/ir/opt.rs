@@ -986,20 +986,19 @@ mod tests {
             .unwrap();
         for seed in 0..4u64 {
             let mk = || {
-                let ctrl = Controller::new(DramGeometry::paper_assembly());
+                let mut ctrl = Controller::new(DramGeometry::paper_assembly());
                 let id = ctrl.subarray_handle(0, 0, 0, 0).unwrap();
-                (ctrl, id)
+                ctrl.detach_context(id).unwrap()
             };
-            let (mut c0, id) = mk();
-            let (mut c2, _) = mk();
-            for ctrl in [&mut c0, &mut c2] {
+            let (mut c0, mut c2) = (mk(), mk());
+            for ctx in [&mut c0, &mut c2] {
                 for r in 1..=3usize {
                     let row = BitRow::from_fn(cols, |i| {
                         (i as u64 * 7 + r as u64 + seed).is_multiple_of(3)
                     });
-                    ctrl.write_row(id, r, &row).unwrap();
+                    ctx.write_row(r, &row).unwrap();
                 }
-                ctrl.write_row(id, 4, &BitRow::zeros(cols)).unwrap();
+                ctx.write_row(4, &BitRow::zeros(cols)).unwrap();
             }
             let rows = [
                 RowAddr(1),
@@ -1012,12 +1011,12 @@ mod tests {
                 c0.compute_row(1),
                 c0.compute_row(2),
             ];
-            o0.execute(&mut c0, id, &rows).unwrap();
-            o2.execute(&mut c2, id, &rows).unwrap();
+            o0.execute(&mut c0, &rows).unwrap();
+            o2.execute(&mut c2, &rows).unwrap();
             for row in [1usize, 2, 3, 4, 10, 11] {
                 assert_eq!(
-                    c0.peek_row(id, row).unwrap(),
-                    c2.peek_row(id, row).unwrap(),
+                    c0.peek_row(row).unwrap(),
+                    c2.peek_row(row).unwrap(),
                     "row {row} diverged at seed {seed}"
                 );
             }

@@ -45,13 +45,12 @@
 //! on how a read stream is split into batches, but the number of passes,
 //! and so the device cost, does (see [`MappingExec`]).
 
-use pim_dram::address::{RowAddr, SubarrayId};
+use pim_dram::address::RowAddr;
 use pim_dram::bitrow::BitRow;
 use pim_dram::context::SubarrayContext;
 use pim_dram::controller::Controller;
 use pim_dram::fault::FaultConfig;
 use pim_dram::geometry::DramGeometry;
-use pim_dram::port::AapPort;
 use pim_genome::align::{banded_global, Scoring};
 use pim_genome::kmer::Kmer;
 use pim_genome::reads::Read;
@@ -275,7 +274,8 @@ impl PimReadMapper {
     /// charged row write per new seed) and returns the host directory.
     /// `offsets` counts each entry's positions during placement, is
     /// prefix-summed into end offsets, and becomes the start offsets as
-    /// the positions are filled back to front.
+    /// the positions are filled back to front. The seed rows are written
+    /// after placement, in one checkout per index sub-array.
     fn build_directory(
         ctrl: &mut Controller,
         mapper: &KmerMapper,
@@ -298,7 +298,6 @@ impl PimReadMapper {
         let mut offsets = vec![0u32; entries + 1];
         let windows = reference.len() - read_len + 1;
         let mut entry_of = Vec::with_capacity(windows);
-        let mut image = BitRow::zeros(layout.cols());
         for p in 0..windows {
             let seed = Kmer::from_sequence(reference, p, config.seed_len)?;
             let (sub_idx, bucket) = mapper.home(&seed);
@@ -310,12 +309,26 @@ impl PimReadMapper {
                 .ok_or(PimError::SubarrayFull { subarray: sub_idx, capacity: seed_rows })?;
             let e = base + row;
             if offsets[e] == 0 {
-                mapper.row_image_into(&seed, &mut image);
-                ctrl.write_row(mapper.subarrays()[sub_idx], RowAddr(row), &image)?;
                 seeds[e] = seed.packed();
             }
             offsets[e] += 1;
             entry_of.push(e);
+        }
+        // Every stored seed (a non-zero count) is one charged row write.
+        let mut image = BitRow::zeros(layout.cols());
+        for (sub_idx, &id) in mapper.subarrays().iter().enumerate() {
+            let sub_entries = sub_idx * seed_rows..(sub_idx + 1) * seed_rows;
+            if offsets[sub_entries.clone()].iter().all(|&n| n == 0) {
+                continue;
+            }
+            ctrl.with_context(id, |ctx| {
+                for (row, e) in sub_entries.enumerate().filter(|&(_, e)| offsets[e] > 0) {
+                    mapper
+                        .row_image_into(&Kmer::from_packed(seeds[e], config.seed_len)?, &mut image);
+                    ctx.write_row(RowAddr(row), &image)?;
+                }
+                Ok::<_, PimError>(())
+            })?;
         }
         for e in 1..=entries {
             offsets[e] += offsets[e - 1];
@@ -409,13 +422,10 @@ impl PimReadMapper {
             .collect();
 
         // Phase 2: the batch's Hamming filter passes.
-        let filtered = this.run_pooled(
-            ctrl,
-            dispatcher,
-            &candidates,
-            &mut stats,
-            |ctx, subarray, pass, stats| this.hamming_filter(ctx, subarray, reads, pass, stats),
-        )?;
+        let filtered =
+            this.run_pooled(ctrl, dispatcher, &candidates, &mut stats, |ctx, pass, stats| {
+                this.hamming_filter(ctx, reads, pass, stats)
+            })?;
         let mut best: Vec<Option<(i32, usize)>> = vec![None; reads.len()];
         let mut inexact = Vec::new();
         for (cand, dist) in filtered.into_iter().flatten() {
@@ -428,13 +438,10 @@ impl PimReadMapper {
         }
 
         // Phase 3: the batch's DP passes.
-        let refined = this.run_pooled(
-            ctrl,
-            dispatcher,
-            &inexact,
-            &mut stats,
-            |ctx, subarray, pass, stats| this.dp_refine(ctx, subarray, reads, pass, stats),
-        )?;
+        let refined =
+            this.run_pooled(ctrl, dispatcher, &inexact, &mut stats, |ctx, pass, stats| {
+                this.dp_refine(ctx, reads, pass, stats)
+            })?;
         for (cand, d) in inexact.iter().zip(refined.into_iter().flatten()) {
             if d < DP_INF {
                 Self::offer(&mut best[cand.read], -(d as i32), cand.position);
@@ -464,7 +471,7 @@ impl PimReadMapper {
         dispatcher: &ParallelDispatcher,
         items: &[T],
         stats: &mut MapStats,
-        run_pass: impl Fn(&mut SubarrayContext, SubarrayId, &[T], &mut MapStats) -> Result<R> + Sync,
+        run_pass: impl Fn(&mut SubarrayContext, &[T], &mut MapStats) -> Result<R> + Sync,
     ) -> Result<Vec<R>>
     where
         T: Sync,
@@ -482,11 +489,10 @@ impl PimReadMapper {
             partitions[p % subarrays.len()].1.push((p, pass));
         }
         let results = dispatcher.run_partitions(ctrl, partitions, |ctx, passes| {
-            let subarray = ctx.id();
             let mut part_stats = MapStats::default();
             let out = passes
                 .into_iter()
-                .map(|(p, pass)| Ok((p, run_pass(ctx, subarray, pass, &mut part_stats)?)))
+                .map(|(p, pass)| Ok((p, run_pass(ctx, pass, &mut part_stats)?)))
                 .collect::<Result<Vec<_>>>()?;
             Ok((out, part_stats))
         })?;
@@ -517,7 +523,7 @@ impl PimReadMapper {
     /// seed matched.
     fn seed_group(
         &self,
-        port: &mut impl AapPort,
+        ctx: &mut SubarrayContext,
         sub_idx: usize,
         group: &[(usize, Kmer)],
     ) -> Result<(Vec<(usize, usize)>, MapStats)> {
@@ -525,10 +531,10 @@ impl PimReadMapper {
         let mut matched = Vec::new();
         for &(idx, seed) in group {
             stats.reads += 1;
-            port.record_metric(Metric::MapReads, 1);
-            let entry = self.seed_lookup(port, sub_idx, &seed, &mut stats)?;
+            ctx.record_metric(Metric::MapReads, 1);
+            let entry = self.seed_lookup(ctx, sub_idx, &seed, &mut stats)?;
             let count = entry.map_or(0, |e| self.directory.positions(e).len());
-            port.record_value(HistKey::MapCandidates, count as u64);
+            ctx.record_value(HistKey::MapCandidates, count as u64);
             if let Some(e) = entry {
                 stats.seeded += 1;
                 stats.candidates += count as u64;
@@ -543,16 +549,15 @@ impl PimReadMapper {
     /// the directory entry of the matched row.
     fn seed_lookup(
         &self,
-        port: &mut impl AapPort,
+        ctx: &mut SubarrayContext,
         sub_idx: usize,
         seed: &Kmer,
         stats: &mut MapStats,
     ) -> Result<Option<usize>> {
         let layout = *self.mapper.layout();
         let (_, bucket) = self.mapper.home(seed);
-        let subarray = self.mapper.subarrays()[sub_idx];
         let image = self.mapper.row_image(seed, layout.cols());
-        self.comparator.stage_query(port, subarray, &image)?;
+        self.comparator.stage_query(ctx, &image)?;
         let base = sub_idx * self.seed_rows;
         let start = bucket % self.seed_rows;
         for step in 0..self.seed_rows {
@@ -561,8 +566,8 @@ impl PimReadMapper {
             if self.directory.positions(e).is_empty() {
                 return Ok(None);
             }
-            port.record_metric(Metric::MapSeedProbes, 1);
-            let matched = self.comparator.compare(port, subarray, RowAddr(row))?;
+            ctx.record_metric(Metric::MapSeedProbes, 1);
+            let matched = self.comparator.compare(ctx, RowAddr(row))?;
             if matched != (self.directory.seeds[e] == seed.packed()) {
                 stats.shadow_mismatches += 1;
             }
@@ -578,8 +583,7 @@ impl PimReadMapper {
     /// Returns the surviving candidates with their packed-bit distances.
     fn hamming_filter(
         &self,
-        port: &mut impl AapPort,
-        subarray: SubarrayId,
+        ctx: &mut SubarrayContext,
         reads: &[Read],
         pass: &[Candidate],
         stats: &mut MapStats,
@@ -616,20 +620,20 @@ impl PimReadMapper {
         let mut group_rows: Vec<RowAddr> = Vec::new();
         for j in 0..plane_count {
             let wplane = BitRow::from_fn(cols, |c| c < pass.len() && window_bits[c][j]);
-            port.write_row(subarray, wplane_row, &wplane)?;
+            ctx.write_row(wplane_row, &wplane)?;
             let rplane = BitRow::from_fn(cols, |c| c < pass.len() && read_bits[c][j]);
-            port.write_row(subarray, rplane_row, &rplane)?;
+            ctx.write_row(rplane_row, &rplane)?;
             let match_row = scratch.alloc()?;
             let n = self.kernels.xnor.bind_roles_into(
-                port.geometry(),
+                ctx.geometry(),
                 &[wplane_row, rplane_row],
                 &[match_row],
                 self.zero_row,
                 &[],
                 &mut rows,
             )?;
-            self.kernels.xnor.execute(port, subarray, &rows[..n])?;
-            port.record_metric(Metric::MapMatchPlanes, 1);
+            self.kernels.xnor.execute(ctx, &rows[..n])?;
+            ctx.record_metric(Metric::MapMatchPlanes, 1);
             group_rows.push(match_row);
             if group_rows.len() == POPCOUNT_FAN_IN || j + 1 == plane_count {
                 // Only the last group can be short. Its pads are distinct
@@ -637,20 +641,20 @@ impl PimReadMapper {
                 // several pads at once.
                 while group_rows.len() < POPCOUNT_FAN_IN {
                     let pad = scratch.alloc()?;
-                    port.write_row(subarray, pad, &BitRow::zeros(cols))?;
+                    ctx.write_row(pad, &BitRow::zeros(cols))?;
                     group_rows.push(pad);
                 }
                 let (o, t, f) = (scratch.alloc()?, scratch.alloc()?, scratch.alloc()?);
                 let n = self.kernels.popcount.bind_roles_into(
-                    port.geometry(),
+                    ctx.geometry(),
                     &group_rows,
                     &[o, t, f],
                     self.zero_row,
                     &spill_rows,
                     &mut rows,
                 )?;
-                self.kernels.popcount.execute(port, subarray, &rows[..n])?;
-                port.record_metric(Metric::MapPopcountOps, 1);
+                self.kernels.popcount.execute(ctx, &rows[..n])?;
+                ctx.record_metric(Metric::MapPopcountOps, 1);
                 ones_planes.push(o);
                 twos_planes.push(t);
                 fours_planes.push(f);
@@ -665,8 +669,7 @@ impl PimReadMapper {
         let mut totals = vec![0u64; cols];
         for (planes, weight) in [(&ones_planes, 1u64), (&twos_planes, 2), (&fours_planes, 4)] {
             let summed = PimAdder::column_sum(
-                port,
-                subarray,
+                ctx,
                 self.backend(),
                 self.opt,
                 planes,
@@ -704,8 +707,7 @@ impl PimReadMapper {
     /// is the next wavefront value. Returns each candidate's distance.
     fn dp_refine(
         &self,
-        port: &mut impl AapPort,
-        subarray: SubarrayId,
+        ctx: &mut SubarrayContext,
         reads: &[Read],
         pass: &[Candidate],
         stats: &mut MapStats,
@@ -732,9 +734,9 @@ impl PimReadMapper {
         // Written zero rows seeding the dec/win masks (distinct rows: a
         // direct-activation backend may open both in one activation set).
         let dz = scratch.alloc()?;
-        port.write_row(subarray, dz, &BitRow::zeros(cols))?;
+        ctx.write_row(dz, &BitRow::zeros(cols))?;
         let wz = scratch.alloc()?;
-        port.write_row(subarray, wz, &BitRow::zeros(cols))?;
+        ctx.write_row(wz, &BitRow::zeros(cols))?;
         let decwin = [scratch.alloc()?, scratch.alloc()?, scratch.alloc()?, scratch.alloc()?];
 
         // prev/cur wavefronts per diagonal offset `d` (j = i + d - band),
@@ -783,23 +785,23 @@ impl PimReadMapper {
                         (prev[d][c] + u32::from(neq)).min(DP_INF)
                     })
                     .collect();
-                self.write_value_planes(port, subarray, &pa, &ins)?;
-                self.write_value_planes(port, subarray, &pb, &del)?;
-                self.write_value_planes(port, subarray, &pc, &sub)?;
-                self.pim_min2(port, subarray, &pa, &pb, &pm, dz, wz, &decwin)?;
-                self.pim_min2(port, subarray, &pm, &pc, &pr, dz, wz, &decwin)?;
+                self.write_value_planes(ctx, &pa, &ins)?;
+                self.write_value_planes(ctx, &pb, &del)?;
+                self.write_value_planes(ctx, &pc, &sub)?;
+                self.pim_min2(ctx, &pa, &pb, &pm, dz, wz, &decwin)?;
+                self.pim_min2(ctx, &pm, &pc, &pr, dz, wz, &decwin)?;
                 // Sense the result planes: these values *are* the next
                 // wavefront (fault flips propagate into the distance).
                 let mut vals = vec![0u32; pass.len()];
                 for (w, &row) in pr.iter().enumerate() {
-                    let plane = port.read_row(subarray, row)?;
+                    let plane = ctx.read_row(row)?;
                     for (c, v) in vals.iter_mut().enumerate() {
                         *v |= u32::from(plane.get(c)) << w;
                     }
                 }
                 cur[d] = vals;
                 stats.dp_cells += pass.len() as u64;
-                port.record_metric(Metric::MapDpWavefronts, 1);
+                ctx.record_metric(Metric::MapDpWavefronts, 1);
             }
             std::mem::swap(&mut prev, &mut cur);
         }
@@ -822,15 +824,14 @@ impl PimReadMapper {
     /// bit-plane rows (LSB first).
     fn write_value_planes(
         &self,
-        port: &mut impl AapPort,
-        subarray: SubarrayId,
+        ctx: &mut SubarrayContext,
         planes: &[RowAddr],
         vals: &[u32],
     ) -> Result<()> {
-        let cols = port.geometry().cols;
+        let cols = ctx.geometry().cols;
         for (w, &row) in planes.iter().enumerate() {
             let plane = BitRow::from_fn(cols, |c| c < vals.len() && (vals[c] >> w) & 1 == 1);
-            port.write_row(subarray, row, &plane)?;
+            ctx.write_row(row, &plane)?;
         }
         Ok(())
     }
@@ -841,8 +842,7 @@ impl PimReadMapper {
     #[allow(clippy::too_many_arguments)]
     fn pim_min2(
         &self,
-        port: &mut impl AapPort,
-        subarray: SubarrayId,
+        ctx: &mut SubarrayContext,
         a: &[RowAddr],
         b: &[RowAddr],
         out: &[RowAddr],
@@ -856,28 +856,28 @@ impl PimReadMapper {
         for w in (0..MAPPING_VALUE_BITS).rev() {
             let (win_out, dec_out) = (decwin[2 * pp], decwin[2 * pp + 1]);
             let n = self.kernels.dp_cell.bind_roles_into(
-                port.geometry(),
+                ctx.geometry(),
                 &[a[w], b[w], dec_in, win_in],
                 &[win_out, dec_out],
                 self.zero_row,
                 &[],
                 &mut rows,
             )?;
-            self.kernels.dp_cell.execute(port, subarray, &rows[..n])?;
+            self.kernels.dp_cell.execute(ctx, &rows[..n])?;
             dec_in = dec_out;
             win_in = win_out;
             pp ^= 1;
         }
         for w in 0..MAPPING_VALUE_BITS {
             let n = self.kernels.min_select.bind_roles_into(
-                port.geometry(),
+                ctx.geometry(),
                 &[a[w], b[w], win_in],
                 &[out[w]],
                 self.zero_row,
                 &[],
                 &mut rows,
             )?;
-            self.kernels.min_select.execute(port, subarray, &rows[..n])?;
+            self.kernels.min_select.execute(ctx, &rows[..n])?;
         }
         Ok(())
     }

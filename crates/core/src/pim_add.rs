@@ -15,9 +15,9 @@
 //!    `a ⊕ b ⊕ latch` in one cycle,
 //! 3. **carry cycle**: `TRA(a, b, c)` gives the majority in one cycle.
 
-use pim_dram::address::{RowAddr, SubarrayId};
+use pim_dram::address::RowAddr;
 use pim_dram::bitrow::BitRow;
-use pim_dram::port::AapPort;
+use pim_dram::context::SubarrayContext;
 
 use crate::error::{PimError, Result};
 use crate::ir::{BackendKind, OptLevel};
@@ -90,8 +90,7 @@ impl PimAdder {
     /// Propagates DRAM addressing errors.
     #[allow(clippy::too_many_arguments)] // one parameter per hardware row operand
     pub fn full_add(
-        ctrl: &mut impl AapPort,
-        subarray: SubarrayId,
+        ctx: &mut SubarrayContext,
         backend: BackendKind,
         opt: OptLevel,
         a: RowAddr,
@@ -101,20 +100,20 @@ impl PimAdder {
         sum_dst: RowAddr,
         carry_dst: RowAddr,
     ) -> Result<()> {
-        let cols = ctrl.geometry().cols;
+        let cols = ctx.geometry().cols;
         let adder = CompiledTemplate::compile(
             TemplateKey::new(Kernel::FullAdder, cols, cols).with_backend(backend).with_opt(opt),
         );
         let mut rows = [RowAddr(0); MAX_ADDER_ROLES];
         let n = adder.bind_roles_into(
-            ctrl.geometry(),
+            ctx.geometry(),
             &[a, b, c],
             &[sum_dst, carry_dst],
             zero,
             &[],
             &mut rows,
         )?;
-        adder.execute(ctrl, subarray, &rows[..n])
+        adder.execute(ctx, &rows[..n])
     }
 
     /// Column-parallel sum of single-bit addend rows (the degree
@@ -132,8 +131,7 @@ impl PimAdder {
     /// * [`PimError::SubarrayFull`] if the scratch pool is too small.
     /// * DRAM addressing errors.
     pub fn column_sum(
-        ctrl: &mut impl AapPort,
-        subarray: SubarrayId,
+        ctx: &mut SubarrayContext,
         backend: BackendKind,
         opt: OptLevel,
         addends: &[RowAddr],
@@ -149,7 +147,7 @@ impl PimAdder {
         // per-step role binding is a fixed-size stack array filled by
         // class (for PIM-Assembler it reproduces the canonical
         // `[a, b, c, zero, sum, carry, x1, x2, x3]` order exactly).
-        let cols = ctrl.geometry().cols;
+        let cols = ctx.geometry().cols;
         let adder = CompiledTemplate::compile(
             TemplateKey::new(Kernel::FullAdder, cols, cols).with_backend(backend).with_opt(opt),
         );
@@ -182,14 +180,14 @@ impl PimAdder {
                 let sum_row = scratch.alloc()?;
                 let carry_row = scratch.alloc()?;
                 let n = adder.bind_roles_into(
-                    ctrl.geometry(),
+                    ctx.geometry(),
                     &[p1.row, p2.row, p3.row],
                     &[sum_row, carry_row],
                     zero,
                     &[],
                     &mut rows,
                 )?;
-                adder.execute(ctrl, subarray, &rows[..n])?;
+                adder.execute(ctx, &rows[..n])?;
                 for p in [p1, p2, p3] {
                     if p.owned {
                         scratch.release(p.row);
@@ -218,46 +216,44 @@ impl PimAdder {
                 if w >= weights.len() {
                     break;
                 }
-                planes.push(BitRow::zeros(ctrl.geometry().cols));
+                planes.push(BitRow::zeros(ctx.geometry().cols));
                 w += 1;
                 continue;
             }
             let a = operands[0];
             let b = match operands.get(1) {
                 Some(p) => *p,
-                None if direct_activation => Pending {
-                    row: Self::pad_zero(ctrl, subarray, cols, scratch, &mut pads[0])?,
-                    owned: false,
-                },
+                None if direct_activation => {
+                    Pending { row: Self::pad_zero(ctx, cols, scratch, &mut pads[0])?, owned: false }
+                }
                 None => Pending { row: zero, owned: false },
             };
             let c = match operands.get(2) {
                 Some(p) => *p,
-                None if direct_activation => Pending {
-                    row: Self::pad_zero(ctrl, subarray, cols, scratch, &mut pads[1])?,
-                    owned: false,
-                },
+                None if direct_activation => {
+                    Pending { row: Self::pad_zero(ctx, cols, scratch, &mut pads[1])?, owned: false }
+                }
                 None => Pending { row: zero, owned: false },
             };
             let sum_row = scratch.alloc()?;
             let carry_row = scratch.alloc()?;
             let n = adder.bind_roles_into(
-                ctrl.geometry(),
+                ctx.geometry(),
                 &[a.row, b.row, c.row],
                 &[sum_row, carry_row],
                 zero,
                 &[],
                 &mut rows,
             )?;
-            adder.execute(ctrl, subarray, &rows[..n])?;
+            adder.execute(ctx, &rows[..n])?;
             for p in operands {
                 if p.owned {
                     scratch.release(p.row);
                 }
             }
-            planes.push(ctrl.peek_row(subarray, sum_row)?);
+            planes.push(ctx.peek_row(sum_row)?);
             scratch.release(sum_row);
-            let carry_bits = ctrl.peek_row(subarray, carry_row)?;
+            let carry_bits = ctx.peek_row(carry_row)?;
             if carry_bits.all_zeros() && w + 1 >= weights.len() {
                 scratch.release(carry_row);
                 break;
@@ -274,8 +270,7 @@ impl PimAdder {
     /// Returns the lazily-initialized all-zero padding row in `slot`,
     /// allocating it from `scratch` and zeroing it on first use.
     fn pad_zero(
-        ctrl: &mut impl AapPort,
-        subarray: SubarrayId,
+        ctx: &mut SubarrayContext,
         cols: usize,
         scratch: &mut ScratchSpace,
         slot: &mut Option<RowAddr>,
@@ -284,7 +279,7 @@ impl PimAdder {
             return Ok(r);
         }
         let r = scratch.alloc()?;
-        ctrl.write_row(subarray, r, &BitRow::zeros(cols))?;
+        ctx.write_row(r, &BitRow::zeros(cols))?;
         *slot = Some(r);
         Ok(r)
     }
@@ -310,26 +305,29 @@ mod tests {
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
-    fn setup() -> (Controller, SubarrayId) {
-        let ctrl = Controller::new(DramGeometry::paper_assembly());
+    /// A context of `ctrl`'s first sub-array.
+    fn context(mut ctrl: Controller) -> SubarrayContext {
         let id = ctrl.subarray_handle(0, 0, 0, 0).unwrap();
-        (ctrl, id)
+        ctrl.detach_context(id).unwrap()
+    }
+
+    fn setup() -> SubarrayContext {
+        context(Controller::new(DramGeometry::paper_assembly()))
     }
 
     #[test]
     fn full_add_is_a_bitwise_full_adder() {
-        let (mut ctrl, id) = setup();
-        let cols = ctrl.geometry().cols;
+        let mut ctx = setup();
+        let cols = ctx.geometry().cols;
         let a = BitRow::from_fn(cols, |i| i % 2 == 0);
         let b = BitRow::from_fn(cols, |i| i % 3 == 0);
         let c = BitRow::from_fn(cols, |i| i % 5 == 0);
-        ctrl.write_row(id, 10, &a).unwrap();
-        ctrl.write_row(id, 11, &b).unwrap();
-        ctrl.write_row(id, 12, &c).unwrap();
-        ctrl.write_row(id, 13, &BitRow::zeros(cols)).unwrap(); // zero row
+        ctx.write_row(10, &a).unwrap();
+        ctx.write_row(11, &b).unwrap();
+        ctx.write_row(12, &c).unwrap();
+        ctx.write_row(13, &BitRow::zeros(cols)).unwrap(); // zero row
         PimAdder::full_add(
-            &mut ctrl,
-            id,
+            &mut ctx,
             BackendKind::PimAssembler,
             OptLevel::O0,
             RowAddr(10),
@@ -340,14 +338,14 @@ mod tests {
             RowAddr(21),
         )
         .unwrap();
-        assert_eq!(ctrl.peek_row(id, 20).unwrap(), a.xor(&b).xor(&c));
-        assert_eq!(ctrl.peek_row(id, 21).unwrap(), BitRow::maj3(&a, &b, &c));
+        assert_eq!(ctx.peek_row(20).unwrap(), a.xor(&b).xor(&c));
+        assert_eq!(ctx.peek_row(21).unwrap(), BitRow::maj3(&a, &b, &c));
     }
 
     #[test]
     fn column_sum_matches_integer_sums() {
-        let (mut ctrl, id) = setup();
-        let cols = ctrl.geometry().cols;
+        let mut ctx = setup();
+        let cols = ctx.geometry().cols;
         let mut rng = ChaCha8Rng::seed_from_u64(3);
         let n = 9; // forces two carry-save levels + ripple
         let mut rows = Vec::new();
@@ -357,14 +355,13 @@ mod tests {
             for (j, e) in expected.iter_mut().enumerate() {
                 *e += bits.get(j) as u64;
             }
-            ctrl.write_row(id, r, &bits).unwrap();
+            ctx.write_row(r, &bits).unwrap();
             rows.push(RowAddr(r));
         }
-        ctrl.write_row(id, 100, &BitRow::zeros(cols)).unwrap();
+        ctx.write_row(100, &BitRow::zeros(cols)).unwrap();
         let mut scratch = ScratchSpace::new(200, 300);
         let planes = PimAdder::column_sum(
-            &mut ctrl,
-            id,
+            &mut ctx,
             BackendKind::PimAssembler,
             OptLevel::O0,
             &rows,
@@ -377,15 +374,14 @@ mod tests {
 
     #[test]
     fn column_sum_of_single_row_is_identity() {
-        let (mut ctrl, id) = setup();
-        let cols = ctrl.geometry().cols;
+        let mut ctx = setup();
+        let cols = ctx.geometry().cols;
         let bits = BitRow::from_fn(cols, |i| i % 7 == 0);
-        ctrl.write_row(id, 0, &bits).unwrap();
-        ctrl.write_row(id, 100, &BitRow::zeros(cols)).unwrap();
+        ctx.write_row(0, &bits).unwrap();
+        ctx.write_row(100, &BitRow::zeros(cols)).unwrap();
         let mut scratch = ScratchSpace::new(200, 220);
         let planes = PimAdder::column_sum(
-            &mut ctrl,
-            id,
+            &mut ctx,
             BackendKind::PimAssembler,
             OptLevel::O0,
             &[RowAddr(0)],
@@ -401,11 +397,10 @@ mod tests {
 
     #[test]
     fn column_sum_empty_input() {
-        let (mut ctrl, id) = setup();
+        let mut ctx = setup();
         let mut scratch = ScratchSpace::new(200, 210);
         let planes = PimAdder::column_sum(
-            &mut ctrl,
-            id,
+            &mut ctx,
             BackendKind::PimAssembler,
             OptLevel::O0,
             &[],
@@ -418,17 +413,16 @@ mod tests {
 
     #[test]
     fn scratch_exhaustion_is_detected() {
-        let (mut ctrl, id) = setup();
-        let cols = ctrl.geometry().cols;
+        let mut ctx = setup();
+        let cols = ctx.geometry().cols;
         for r in 0..12usize {
-            ctrl.write_row(id, r, &BitRow::ones(cols)).unwrap();
+            ctx.write_row(r, &BitRow::ones(cols)).unwrap();
         }
-        ctrl.write_row(id, 100, &BitRow::zeros(cols)).unwrap();
+        ctx.write_row(100, &BitRow::zeros(cols)).unwrap();
         let rows: Vec<RowAddr> = (0..12).map(RowAddr).collect();
         let mut scratch = ScratchSpace::new(200, 202); // far too small
         let err = PimAdder::column_sum(
-            &mut ctrl,
-            id,
+            &mut ctx,
             BackendKind::PimAssembler,
             OptLevel::O0,
             &rows,
@@ -453,13 +447,12 @@ mod tests {
     fn retargeted_column_sum_matches_integer_sums() {
         for backend in [BackendKind::AmbitTra, BackendKind::PandaMram] {
             let g = DramGeometry::paper_assembly();
-            let mut ctrl = match backend {
+            let mut ctx = context(match backend {
                 BackendKind::PandaMram => {
                     Controller::with_profile(g, &pim_dram::profile::BackendProfile::panda_mram())
                 }
                 _ => Controller::new(g),
-            };
-            let id = ctrl.subarray_handle(0, 0, 0, 0).unwrap();
+            });
             let cols = g.cols;
             let mut rng = ChaCha8Rng::seed_from_u64(7);
             let mut rows = Vec::new();
@@ -469,14 +462,13 @@ mod tests {
                 for (j, e) in expected.iter_mut().enumerate() {
                     *e += bits.get(j) as u64;
                 }
-                ctrl.write_row(id, r, &bits).unwrap();
+                ctx.write_row(r, &bits).unwrap();
                 rows.push(RowAddr(r));
             }
-            ctrl.write_row(id, 100, &BitRow::zeros(cols)).unwrap();
+            ctx.write_row(100, &BitRow::zeros(cols)).unwrap();
             let mut scratch = ScratchSpace::new(200, 300);
             let planes = PimAdder::column_sum(
-                &mut ctrl,
-                id,
+                &mut ctx,
                 backend,
                 OptLevel::O0,
                 &rows,
@@ -492,16 +484,15 @@ mod tests {
     fn addition_counts_2m_class_cycles() {
         // The paper's 2×m claim counts the sum + carry activations per bit;
         // our functional sequence adds the operand staging copies on top.
-        let (mut ctrl, id) = setup();
-        let cols = ctrl.geometry().cols;
-        ctrl.write_row(id, 0, &BitRow::ones(cols)).unwrap();
-        ctrl.write_row(id, 1, &BitRow::ones(cols)).unwrap();
-        ctrl.write_row(id, 100, &BitRow::zeros(cols)).unwrap();
-        let before = *ctrl.stats();
+        let mut ctx = setup();
+        let cols = ctx.geometry().cols;
+        ctx.write_row(0, &BitRow::ones(cols)).unwrap();
+        ctx.write_row(1, &BitRow::ones(cols)).unwrap();
+        ctx.write_row(100, &BitRow::zeros(cols)).unwrap();
+        let before = ctx.stats();
         let mut scratch = ScratchSpace::new(200, 230);
         PimAdder::column_sum(
-            &mut ctrl,
-            id,
+            &mut ctx,
             BackendKind::PimAssembler,
             OptLevel::O0,
             &[RowAddr(0), RowAddr(1)],
@@ -509,7 +500,7 @@ mod tests {
             &mut scratch,
         )
         .unwrap();
-        let d = ctrl.stats().since(&before);
+        let d = ctx.stats().since(&before);
         // Two one-bit addends: one ripple step producing sum+carry, then a
         // final step for the carry plane: 2 sum cycles (AAP2) + up to 4 TRA
         // (2 latch loads + 2 carries).

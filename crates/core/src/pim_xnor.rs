@@ -15,13 +15,13 @@
 //! pipeline, and every probe executes that one compiled kernel, sensing
 //! the final XNOR and AND-reducing the read-out in place (no row is copied
 //! out of the sub-array). Sensed and discard AAPs charge identically, so
-//! the command sequence is the same as the pre-IR direct-port one.
+//! the command sequence is the same as issuing each AAP by hand.
 
-use pim_dram::address::{RowAddr, SubarrayId};
+use pim_dram::address::RowAddr;
 use pim_dram::bitrow::BitRow;
+use pim_dram::context::SubarrayContext;
 use pim_dram::geometry::DramGeometry;
 use pim_dram::ledger::CommandClass;
-use pim_dram::port::AapPort;
 
 use crate::error::Result;
 use crate::ir::{BackendKind, OptLevel, RowClass};
@@ -113,21 +113,16 @@ impl PimComparator {
     /// reads from the original sequence bank to the specific sub-array"),
     /// charged as one AAP-class transfer rather than a host write. This is
     /// a single primitive, not a kernel program, so it issues directly on
-    /// the port (a one-copy IR program would be peephole-eliminated as a
-    /// dead scratch write).
+    /// the context (a one-copy IR program would be peephole-eliminated as
+    /// a dead scratch write).
     ///
     /// # Errors
     ///
     /// Propagates DRAM addressing errors.
-    pub fn stage_query(
-        &self,
-        ctrl: &mut impl AapPort,
-        subarray: SubarrayId,
-        image: &BitRow,
-    ) -> Result<()> {
-        ctrl.poke_row(subarray, self.query_row, image)?;
-        ctrl.record_synthetic(CommandClass::Aap, 1);
-        ctrl.aap_copy(subarray, self.query_row, ctrl.compute_row(0))?;
+    pub fn stage_query(&self, ctx: &mut SubarrayContext, image: &BitRow) -> Result<()> {
+        ctx.poke_row(self.query_row, image)?;
+        ctx.record_synthetic(CommandClass::Aap, 1);
+        ctx.aap_copy(self.query_row, ctx.compute_row(0))?;
         Ok(())
     }
 
@@ -143,16 +138,11 @@ impl PimComparator {
     /// # Errors
     ///
     /// Propagates DRAM addressing errors.
-    pub fn compare(
-        &self,
-        ctrl: &mut impl AapPort,
-        subarray: SubarrayId,
-        candidate: RowAddr,
-    ) -> Result<bool> {
+    pub fn compare(&self, ctx: &mut SubarrayContext, candidate: RowAddr) -> Result<bool> {
         let mut rows = self.rows;
         rows[self.candidate] = candidate;
-        let matched = self.xnor.execute_all_ones(ctrl, subarray, &rows[..self.role_count])?;
-        ctrl.dpu_op();
+        let matched = self.xnor.execute_all_ones(ctx, &rows[..self.role_count])?;
+        ctx.dpu_op();
         Ok(matched)
     }
 }
@@ -166,34 +156,38 @@ mod tests {
     use pim_dram::geometry::DramGeometry;
     use pim_genome::kmer::Kmer;
 
-    fn setup() -> (Controller, SubarrayId, SubarrayLayout, KmerMapper, PimComparator) {
-        let g = DramGeometry::paper_assembly();
-        let ctrl = Controller::new(g);
+    /// A context of `ctrl`'s first sub-array.
+    fn context(mut ctrl: Controller) -> SubarrayContext {
         let id = ctrl.subarray_handle(0, 0, 0, 0).unwrap();
+        ctrl.detach_context(id).unwrap()
+    }
+
+    fn setup() -> (SubarrayContext, SubarrayLayout, KmerMapper, PimComparator) {
+        let g = DramGeometry::paper_assembly();
         let cmp = PimComparator::new(&g, BackendKind::PimAssembler, OptLevel::O0);
-        (ctrl, id, SubarrayLayout::new(&g), KmerMapper::new(&g, 1, 8), cmp)
+        (context(Controller::new(g)), SubarrayLayout::new(&g), KmerMapper::new(&g, 1, 8), cmp)
     }
 
     #[test]
     fn equal_kmers_match() {
-        let (mut ctrl, id, layout, mapper, cmp) = setup();
+        let (mut ctx, layout, mapper, cmp) = setup();
         let kmer: Kmer = "CGTGCGTGCTTACGGA".parse().unwrap();
         let image = mapper.row_image(&kmer, 256);
         // Store the k-mer in slot 0, stage the same k-mer as a query.
-        ctrl.write_row(id, layout.kmer_row(0).unwrap(), &image).unwrap();
-        cmp.stage_query(&mut ctrl, id, &image).unwrap();
-        let matched = cmp.compare(&mut ctrl, id, layout.kmer_row(0).unwrap()).unwrap();
+        ctx.write_row(layout.kmer_row(0).unwrap(), &image).unwrap();
+        cmp.stage_query(&mut ctx, &image).unwrap();
+        let matched = cmp.compare(&mut ctx, layout.kmer_row(0).unwrap()).unwrap();
         assert!(matched);
     }
 
     #[test]
     fn different_kmers_mismatch() {
-        let (mut ctrl, id, layout, mapper, cmp) = setup();
+        let (mut ctx, layout, mapper, cmp) = setup();
         let a: Kmer = "CGTGCGTGCTTACGGA".parse().unwrap();
         let b: Kmer = "CGTGCGTGCTTACGGC".parse().unwrap(); // last base differs
-        ctrl.write_row(id, layout.kmer_row(0).unwrap(), &mapper.row_image(&a, 256)).unwrap();
-        cmp.stage_query(&mut ctrl, id, &mapper.row_image(&b, 256)).unwrap();
-        let matched = cmp.compare(&mut ctrl, id, layout.kmer_row(0).unwrap()).unwrap();
+        ctx.write_row(layout.kmer_row(0).unwrap(), &mapper.row_image(&a, 256)).unwrap();
+        cmp.stage_query(&mut ctx, &mapper.row_image(&b, 256)).unwrap();
+        let matched = cmp.compare(&mut ctx, layout.kmer_row(0).unwrap()).unwrap();
         assert!(!matched);
     }
 
@@ -201,33 +195,32 @@ mod tests {
     fn query_survives_repeated_comparisons() {
         // The staged temp row must remain intact across destructive
         // compute-row operations so the bucket scan can continue.
-        let (mut ctrl, id, layout, mapper, cmp) = setup();
+        let (mut ctx, layout, mapper, cmp) = setup();
         let q: Kmer = "AAAACCCCGGGGTTTT".parse().unwrap();
         let image = mapper.row_image(&q, 256);
         for slot in 0..4usize {
             let other = Kmer::from_packed(0x1234_5678 + slot as u64, 16).unwrap();
-            ctrl.write_row(id, layout.kmer_row(slot).unwrap(), &mapper.row_image(&other, 256))
-                .unwrap();
+            ctx.write_row(layout.kmer_row(slot).unwrap(), &mapper.row_image(&other, 256)).unwrap();
         }
-        ctrl.write_row(id, layout.kmer_row(4).unwrap(), &image).unwrap();
-        cmp.stage_query(&mut ctrl, id, &image).unwrap();
+        ctx.write_row(layout.kmer_row(4).unwrap(), &image).unwrap();
+        cmp.stage_query(&mut ctx, &image).unwrap();
         let mut matches = Vec::new();
         for slot in 0..5usize {
-            matches.push(cmp.compare(&mut ctrl, id, layout.kmer_row(slot).unwrap()).unwrap());
+            matches.push(cmp.compare(&mut ctx, layout.kmer_row(slot).unwrap()).unwrap());
         }
         assert_eq!(matches, vec![false, false, false, false, true]);
     }
 
     #[test]
     fn command_counts_per_probe() {
-        let (mut ctrl, id, layout, mapper, cmp) = setup();
+        let (mut ctx, layout, mapper, cmp) = setup();
         let q: Kmer = "ACGTACGTACGTACGT".parse().unwrap();
         let image = mapper.row_image(&q, 256);
-        ctrl.write_row(id, layout.kmer_row(0).unwrap(), &image).unwrap();
-        cmp.stage_query(&mut ctrl, id, &image).unwrap();
-        let before = *ctrl.stats();
-        cmp.compare(&mut ctrl, id, layout.kmer_row(0).unwrap()).unwrap();
-        let delta = ctrl.stats().since(&before);
+        ctx.write_row(layout.kmer_row(0).unwrap(), &image).unwrap();
+        cmp.stage_query(&mut ctx, &image).unwrap();
+        let before = ctx.stats();
+        cmp.compare(&mut ctx, layout.kmer_row(0).unwrap()).unwrap();
+        let delta = ctx.stats().since(&before);
         assert_eq!(delta.aap, 2); // query re-clone + candidate clone
         assert_eq!(delta.aap2, 1); // the XNOR
         assert_eq!(delta.dpu, 1); // the AND reduction
@@ -237,13 +230,12 @@ mod tests {
     fn retargeted_comparators_agree_with_the_default_backend() {
         let g = DramGeometry::paper_assembly();
         for backend in [BackendKind::AmbitTra, BackendKind::PandaMram] {
-            let mut ctrl = match backend {
+            let mut ctx = context(match backend {
                 BackendKind::PandaMram => {
                     Controller::with_profile(g, &pim_dram::profile::BackendProfile::panda_mram())
                 }
                 _ => Controller::new(g),
-            };
-            let id = ctrl.subarray_handle(0, 0, 0, 0).unwrap();
+            });
             let layout = SubarrayLayout::new(&g);
             let mapper = KmerMapper::new(&g, 1, 8);
             let cmp = PimComparator::new(&g, backend, OptLevel::O0);
@@ -251,11 +243,10 @@ mod tests {
 
             let stored: Kmer = "CGTGCGTGCTTACGGA".parse().unwrap();
             let other: Kmer = "CGTGCGTGCTTACGGC".parse().unwrap();
-            ctrl.write_row(id, layout.kmer_row(0).unwrap(), &mapper.row_image(&stored, 256))
-                .unwrap();
+            ctx.write_row(layout.kmer_row(0).unwrap(), &mapper.row_image(&stored, 256)).unwrap();
             for (query, expect) in [(stored, true), (other, false)] {
-                cmp.stage_query(&mut ctrl, id, &mapper.row_image(&query, 256)).unwrap();
-                let matched = cmp.compare(&mut ctrl, id, layout.kmer_row(0).unwrap()).unwrap();
+                cmp.stage_query(&mut ctx, &mapper.row_image(&query, 256)).unwrap();
+                let matched = cmp.compare(&mut ctx, layout.kmer_row(0).unwrap()).unwrap();
                 assert_eq!(matched, expect, "{backend}: query {query}");
             }
             // The command mix is backend-specific: Ambit spends strictly
@@ -270,7 +261,7 @@ mod tests {
 
     #[test]
     fn probe_commands_come_from_the_compiled_kernel() {
-        let (_, _, _, _, cmp) = setup();
+        let (_, _, _, cmp) = setup();
         assert_eq!(cmp.kernel().command_counts(), (2, 1, 0));
         assert_eq!(cmp.kernel().role_count(), 5);
     }

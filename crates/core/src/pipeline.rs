@@ -20,9 +20,9 @@
 //! level. Three substrate properties earn it: per-chunk work
 //! concatenates to the one-shot work order (the dispatcher preserves
 //! per-sub-array arrival order), ledger charging is an order-independent
-//! integer sum, and checkpoint restore goes through the uncharged debug
-//! port (`peek_row` / `poke_row`), so saving and reloading state perturbs
-//! no accounting.
+//! integer sum, and checkpoint save and restore go through the contexts'
+//! uncharged debug view (`peek_row` / `poke_row`), so saving and reloading
+//! state perturbs no accounting.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -205,6 +205,38 @@ fn fold_base(
     Ok(())
 }
 
+/// The session's metrics snapshot: the controller's, with the dispatcher's
+/// counters and the span counts in the host section and the checkpointed
+/// base folded in. `None` while metrics are off.
+///
+/// # Errors
+///
+/// As [`fold_base`].
+fn session_snapshot(
+    ctrl: &mut Controller,
+    dispatcher: &ParallelDispatcher,
+    spans: Option<&SpanRecorder>,
+    base_counters: &BTreeMap<String, u64>,
+    base_host: &BTreeMap<String, u64>,
+) -> Result<Option<MetricsSnapshot>> {
+    let Some(mut snap) = ctrl.metrics_snapshot() else { return Ok(None) };
+    // Dispatcher batch counts depend on how the stream was chunked, so
+    // all dispatch telemetry lives in the host section, outside the
+    // worker- and chunk-invariant contract.
+    for (name, value) in dispatcher.metrics().deterministic_counters() {
+        snap.host.insert(format!("dispatch.{name}"), value);
+    }
+    for (name, value) in dispatcher.metrics().host_counters() {
+        snap.host.insert(format!("dispatch.{name}"), value);
+    }
+    if let Some(spans) = spans {
+        snap.host.insert("spans.recorded".to_string(), spans.len() as u64);
+        snap.host.insert("spans.dropped".to_string(), spans.dropped());
+    }
+    fold_base(base_counters, base_host, &mut snap)?;
+    Ok(Some(snap))
+}
+
 /// Whether `later` holds at least `earlier`'s totals in every class — true
 /// of any two cumulative ledger snapshots of one run, in that order.
 fn ledger_at_least(later: &EnergyLedger, earlier: &EnergyLedger) -> bool {
@@ -244,8 +276,8 @@ enum Phase {
 /// (atomically — a kill mid-write leaves the previous checkpoint valid).
 /// Accounting is checkpointed as exact integer [`EnergyLedger`]s and
 /// restored via [`Controller::restore_accounting`]; device state is
-/// restored through the uncharged debug port; deterministic metrics are
-/// folded across segments. The result is byte-identical to an
+/// restored through the contexts' uncharged debug view; deterministic
+/// metrics are folded across segments. The result is byte-identical to an
 /// uninterrupted one-shot run.
 pub struct Session<'a> {
     asm: &'a mut PimAssembler,
@@ -317,9 +349,9 @@ impl<'a> Session<'a> {
 
     /// Reconstructs an interrupted session from the checkpoint in `dir`.
     ///
-    /// Device state is rebuilt through the uncharged debug port, exact
-    /// accounting is restored with [`Controller::restore_accounting`], and
-    /// checkpointed metrics become the fold base for the final snapshot.
+    /// Device state is rebuilt through the contexts' uncharged debug view,
+    /// exact accounting is restored with [`Controller::restore_accounting`],
+    /// and checkpointed metrics become the fold base for the final snapshot.
     /// The caller then re-feeds the *same* read stream; reads the cursor
     /// already covers are skipped without charging.
     ///
@@ -521,7 +553,7 @@ impl<'a> Session<'a> {
             let PimAssembler { ctrl, dispatcher, spans, .. } = &mut *self.asm;
             let Phase::Ingest(exec) = &mut self.phase else { unreachable!() };
             let t0 = chunked.then(|| spans.as_deref().map(SpanRecorder::now_ns)).flatten();
-            let before = *ctrl.stats();
+            let before = ctrl.stats();
             let offered = exec.feed(ctrl, dispatcher, reads)?;
             let delta = ctrl.stats().since(&before);
             if let Some(violation) = self.bound.check(&delta, offered) {
@@ -735,23 +767,11 @@ impl<'a> Session<'a> {
             let sched = pim_dram::schedule::schedule(&queues, 3.0 * config.timing.t_ck_ns);
             let mut report = PerfReport::new(config, [s1, s2, s3], workload)
                 .with_measured_parallelism(sched.effective_parallelism);
-            if let Some(mut snap) = ctrl.metrics_snapshot() {
-                // Dispatcher batch counts depend on how the stream was
-                // chunked, so since the staged-engine refactor all
-                // dispatch telemetry lives in the host section, outside
-                // the worker- and chunk-invariant contract.
-                for (name, value) in dispatcher.metrics().deterministic_counters() {
-                    snap.host.insert(format!("dispatch.{name}"), value);
-                }
-                for (name, value) in dispatcher.metrics().host_counters() {
-                    snap.host.insert(format!("dispatch.{name}"), value);
-                }
-                if let Some(spans) = spans.as_deref() {
-                    snap.host.insert("spans.recorded".to_string(), spans.len() as u64);
-                    snap.host.insert("spans.dropped".to_string(), spans.dropped());
-                }
+            let (counters, host) = (&self.base_counters, &self.base_host);
+            if let Some(mut snap) =
+                session_snapshot(ctrl, dispatcher, spans.as_deref(), counters, host)?
+            {
                 snap.floats.insert("measured_parallelism".to_string(), sched.effective_parallelism);
-                fold_base(&self.base_counters, &self.base_host, &mut snap)?;
                 report = report.with_metrics(snap);
             }
 
@@ -804,18 +824,10 @@ impl<'a> Session<'a> {
             if let Some(s2) = self.s2 {
                 cp.ledgers.insert("s2".into(), s2);
             }
-            if let Some(mut snap) = ctrl.metrics_snapshot() {
-                for (name, value) in dispatcher.metrics().deterministic_counters() {
-                    snap.host.insert(format!("dispatch.{name}"), value);
-                }
-                for (name, value) in dispatcher.metrics().host_counters() {
-                    snap.host.insert(format!("dispatch.{name}"), value);
-                }
-                if let Some(spans) = spans.as_deref() {
-                    snap.host.insert("spans.recorded".to_string(), spans.len() as u64);
-                    snap.host.insert("spans.dropped".to_string(), spans.dropped());
-                }
-                fold_base(&self.base_counters, &self.base_host, &mut snap)?;
+            let (counters, host) = (&self.base_counters, &self.base_host);
+            if let Some(mut snap) =
+                session_snapshot(ctrl, dispatcher, spans.as_deref(), counters, host)?
+            {
                 // `total.*` counters are ledger-derived at render time;
                 // the checkpoint stores only additive segment data.
                 snap.counters.retain(|key, _| !key.starts_with("total."));

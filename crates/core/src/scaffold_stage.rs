@@ -19,7 +19,7 @@ use pim_obsv::{Metric, Stage};
 
 use crate::dispatch::ParallelDispatcher;
 use crate::dpu::Dpu;
-use crate::error::Result;
+use crate::error::{PimError, Result};
 use crate::hashmap_stage::PimHashTable;
 use crate::mapping::KmerMapper;
 
@@ -74,8 +74,8 @@ impl ScaffoldStage {
         table.insert(ctrl, &ParallelDispatcher::serial(), &kmers)?;
         stats.index_kmers = kmers.len() as u64;
         for p in pairs {
-            let a = anchor(ctrl, &mut table, &sidecar, &p.r1.seq, k)?;
-            let b = anchor(ctrl, &mut table, &sidecar, &p.r2.seq, k)?;
+            let a = anchor(ctrl, &table, &sidecar, &p.r1.seq, k)?;
+            let b = anchor(ctrl, &table, &sidecar, &p.r2.seq, k)?;
             stats.anchor_queries += 2;
             if a.is_some() && b.is_some() {
                 stats.pairs_anchored += 1;
@@ -89,10 +89,11 @@ impl ScaffoldStage {
     }
 }
 
-/// Anchors a read by its first k-mer through a charged PIM lookup.
+/// Anchors a read by its first k-mer through a charged PIM lookup on the
+/// k-mer's home sub-array, which also charges the DPU's hit decision.
 fn anchor(
     ctrl: &mut Controller,
-    table: &mut PimHashTable,
+    table: &PimHashTable,
     sidecar: &HashMap<u64, (usize, usize)>,
     seq: &DnaSequence,
     k: usize,
@@ -101,18 +102,18 @@ fn anchor(
         return Ok(None);
     }
     let kmer = Kmer::from_sequence(seq, 0, k)?;
-    let count = table.count(ctrl, &kmer)?;
-    if Dpu::is_zero(ctrl, count) {
-        Ok(None)
-    } else {
-        Ok(sidecar.get(&kmer.packed()).copied())
-    }
+    let hit = ctrl.with_context(table.home_subarray(&kmer), |ctx| {
+        let count = table.count(ctx, &kmer)?;
+        Ok::<_, PimError>(!Dpu::is_zero(ctx, count))
+    })?;
+    Ok(hit.then(|| sidecar.get(&kmer.packed()).copied()).flatten())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use pim_dram::geometry::DramGeometry;
+    use pim_dram::ledger::CommandClass;
     use pim_genome::scaffold::simulate_pairs;
     use pim_genome::sequence::DnaSequence;
     use rand::SeedableRng;
@@ -145,22 +146,53 @@ mod tests {
     }
 
     #[test]
-    fn anchoring_is_charged_on_the_controller() {
+    fn scaffolding_charges_pinned_per_class_totals() {
         let (mut ctrl, genome, mut rng) = setup(2000, 51);
+        ctrl.enable_metrics();
         let contigs = vec![Contig::new(genome.subsequence(0, 1800))];
         let pairs = simulate_pairs(&genome, 50, 300, 50, &mut rng);
-        let before = *ctrl.stats();
         let mapper = KmerMapper::new(ctrl.geometry(), 8, 8);
         let (_, stats) = ScaffoldStage::run(&mut ctrl, mapper, &contigs, &pairs, 15, 3).unwrap();
-        let d = ctrl.stats().since(&before);
-        // Index build + two anchor probes per pair all issue real commands.
-        assert!(
-            d.aap2 >= stats.anchor_queries,
-            "probes {} < queries {}",
-            d.aap2,
-            stats.anchor_queries
+        assert_eq!(
+            stats,
+            ScaffoldStats {
+                index_kmers: 1786,
+                anchor_queries: 100,
+                pairs_anchored: 45,
+                scaffolds: 1
+            }
         );
-        assert!(d.aap > stats.index_kmers, "index build must clone rows");
+        // The merged ledger, class by class: (count, ps, fJ). The index
+        // build and every anchor probe issue real commands.
+        let merged = |class| {
+            let t = ctrl.ledger().class(class);
+            (t.count, t.time_ps, t.energy_fj)
+        };
+        assert_eq!(merged(CommandClass::Read), (0, 0, 0));
+        assert_eq!(merged(CommandClass::Write), (0, 0, 0));
+        assert_eq!(merged(CommandClass::Aap), (11_149, 524_671_940, 23_647_029_000));
+        assert_eq!(merged(CommandClass::Aap2), (1_855, 87_296_300, 4_361_105_000));
+        assert_eq!(merged(CommandClass::Aap3), (0, 0, 0));
+        assert_eq!(merged(CommandClass::Dpu), (2_001, 1_874_937, 40_020_000));
+        // Anchor probes run on their k-mer's home sub-array, which is
+        // charged their staging and DPU work; the controller keeps only
+        // the chaining decisions, one per anchored pair and per contig.
+        let global = ctrl.global_ledger();
+        assert_eq!(global.total_commands(), global.class(CommandClass::Dpu).count);
+        assert_eq!(global.class(CommandClass::Dpu).count, stats.pairs_anchored + 1);
+        let snap = ctrl.metrics_snapshot().unwrap();
+        for (metric, value) in [
+            ("aap", 11_149),
+            ("aap2", 1_855),
+            ("dpu", 2_001),
+            ("hash_inserts", 1_786),
+            ("hash_probes", 1_667),
+            ("row_activations", 27_863),
+            ("scaffold_anchors", 45),
+            ("sensed_reads", 1_855),
+        ] {
+            assert_eq!(snap.counter(&format!("scaffold.{metric}")), value, "scaffold.{metric}");
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! binding concrete rows at call time. Execution goes through the
 //! discard AAP variants, so a template run is allocation-free and
 //! produces byte-identical array state and command accounting to issuing
-//! the same AAPs on the port one by one.
+//! the same AAPs on the sub-array context one by one.
 //!
 //! Since PR 5 the template no longer owns a hand-assigned role table:
 //! the skeleton comes out of [`Kernel::program`]'s typed IR, the
@@ -23,14 +23,15 @@
 //! The per-class command counts of a template
 //! ([`CompiledTemplate::command_counts`]) are precomputed at compile
 //! time, which is what lets callers account repeated executions in one
-//! batched `charge_many`-style synthetic charge when they replay a
-//! template analytically instead of executing it (see
-//! [`pim_dram::port::AapPort::record_synthetic`]).
+//! batched `charge_many`-style synthetic charge on the controller when
+//! they replay a template analytically instead of executing it
+//! ([`CompiledTemplate::charge_executions`]).
 
-use pim_dram::address::{RowAddr, SubarrayId};
+use pim_dram::address::RowAddr;
+use pim_dram::context::SubarrayContext;
+use pim_dram::controller::Controller;
 use pim_dram::geometry::{DramGeometry, COMPUTE_ROWS};
 use pim_dram::ledger::CommandClass;
-use pim_dram::port::AapPort;
 
 use crate::error::{PimError, Result};
 use crate::ir::{
@@ -170,14 +171,15 @@ impl CompiledTemplate {
         self.inner.command_counts()
     }
 
-    /// Charges `n` executions of this template to `port` as synthetic
-    /// commands without executing them (batched `charge_many` accounting;
-    /// see [`pim_dram::port::AapPort::record_synthetic`]).
-    pub fn charge_executions(&self, port: &mut impl AapPort, n: u64) {
+    /// Charges `n` executions of this template to the controller's
+    /// global ledger as synthetic commands without executing them
+    /// (batched `charge_many` accounting; see
+    /// [`Controller::record_synthetic`]).
+    pub fn charge_executions(&self, ctrl: &mut Controller, n: u64) {
         let (aap, aap2, aap3) = self.command_counts();
-        port.record_synthetic(CommandClass::Aap, aap * n);
-        port.record_synthetic(CommandClass::Aap2, aap2 * n);
-        port.record_synthetic(CommandClass::Aap3, aap3 * n);
+        ctrl.record_synthetic(CommandClass::Aap, aap * n);
+        ctrl.record_synthetic(CommandClass::Aap2, aap2 * n);
+        ctrl.record_synthetic(CommandClass::Aap3, aap3 * n);
     }
 
     /// Number of spill roles the lowered kernel carries (zero for every
@@ -262,24 +264,19 @@ impl CompiledTemplate {
         Ok(())
     }
 
-    /// Executes the template on `port` with the given role bindings.
+    /// Executes the template on `ctx` with the given role bindings.
     /// Allocation-free: every command issues through the discard AAP
     /// variants; state and accounting are byte-identical to issuing the
-    /// same AAPs on the port one by one.
+    /// same AAPs on the context one by one.
     ///
     /// # Errors
     ///
     /// * [`PimError::TemplateArity`] if `rows.len()` differs from the
     ///   kernel's role count.
-    /// * DRAM addressing/decoder errors from the underlying port.
-    pub fn execute(
-        &self,
-        port: &mut impl AapPort,
-        subarray: SubarrayId,
-        rows: &[RowAddr],
-    ) -> Result<()> {
+    /// * DRAM addressing/decoder errors from the sub-array.
+    pub fn execute(&self, ctx: &mut SubarrayContext, rows: &[RowAddr]) -> Result<()> {
         self.check_arity(rows)?;
-        self.inner.execute(port, subarray, rows)
+        self.inner.execute(ctx, rows)
     }
 
     /// Executes the template, sensing the final command and AND-reducing
@@ -294,14 +291,9 @@ impl CompiledTemplate {
     /// # Panics
     ///
     /// Panics if the lowered kernel does not end in a two-source AAP.
-    pub fn execute_all_ones(
-        &self,
-        port: &mut impl AapPort,
-        subarray: SubarrayId,
-        rows: &[RowAddr],
-    ) -> Result<bool> {
+    pub fn execute_all_ones(&self, ctx: &mut SubarrayContext, rows: &[RowAddr]) -> Result<bool> {
         self.check_arity(rows)?;
-        self.inner.execute_all_ones(port, subarray, rows)
+        self.inner.execute_all_ones(ctx, rows)
     }
 }
 
@@ -313,37 +305,36 @@ mod tests {
     use pim_dram::geometry::DramGeometry;
     use pim_dram::sense_amp::SaMode;
 
-    fn setup() -> (Controller, SubarrayId) {
-        let ctrl = Controller::new(DramGeometry::paper_assembly());
+    fn setup() -> SubarrayContext {
+        let mut ctrl = Controller::new(DramGeometry::paper_assembly());
         let id = ctrl.subarray_handle(0, 0, 0, 0).unwrap();
-        (ctrl, id)
+        ctrl.detach_context(id).unwrap()
     }
 
     fn xnor_key(cols: usize) -> TemplateKey {
         TemplateKey::new(Kernel::Xnor, cols, cols)
     }
 
-    /// Issues the XNOR kernel's three AAPs directly on `ctrl`, each
+    /// Issues the XNOR kernel's three AAPs directly on `ctx`, each
     /// repeated `reps` times: the reference a template run must match.
-    fn direct_xnor(ctrl: &mut Controller, id: SubarrayId, rows: [RowAddr; 5], reps: usize) {
+    fn direct_xnor(ctx: &mut SubarrayContext, rows: [RowAddr; 5], reps: usize) {
         let [a, b, dst, x1, x2] = rows;
         for _ in 0..reps {
-            ctrl.aap_copy(id, a, x1).unwrap();
+            ctx.aap_copy(a, x1).unwrap();
         }
         for _ in 0..reps {
-            ctrl.aap_copy(id, b, x2).unwrap();
+            ctx.aap_copy(b, x2).unwrap();
         }
         for _ in 0..reps {
-            ctrl.aap2_discard(id, SaMode::Xnor, [x1, x2], dst).unwrap();
+            ctx.aap2_discard(SaMode::Xnor, [x1, x2], dst).unwrap();
         }
     }
 
-    /// Asserts two controllers hold identical totals, ledgers and rows.
-    fn assert_identical(a: &mut Controller, b: &mut Controller, id: SubarrayId) {
-        assert_eq!(*a.stats(), *b.stats());
+    /// Asserts two contexts hold identical ledgers and rows.
+    fn assert_identical(a: &SubarrayContext, b: &SubarrayContext) {
         assert_eq!(a.ledger(), b.ledger());
         for row in 0..a.geometry().rows {
-            assert_eq!(a.peek_row(id, row).unwrap(), b.peek_row(id, row).unwrap(), "row {row}");
+            assert_eq!(a.peek_row(row).unwrap(), b.peek_row(row).unwrap(), "row {row}");
         }
     }
 
@@ -353,20 +344,20 @@ mod tests {
         let a = BitRow::from_fn(cols, |i| i % 2 == 0);
         let b = BitRow::from_fn(cols, |i| i % 3 == 0);
 
-        let (mut templated, id) = setup();
-        let (mut direct, _) = setup();
-        for ctrl in [&mut templated, &mut direct] {
-            ctrl.write_row(id, 1, &a).unwrap();
-            ctrl.write_row(id, 2, &b).unwrap();
+        let mut templated = setup();
+        let mut direct = setup();
+        for ctx in [&mut templated, &mut direct] {
+            ctx.write_row(1, &a).unwrap();
+            ctx.write_row(2, &b).unwrap();
         }
         let rows =
             [RowAddr(1), RowAddr(2), RowAddr(9), direct.compute_row(0), direct.compute_row(1)];
         let template = CompiledTemplate::compile(xnor_key(cols));
-        template.execute(&mut templated, id, &rows).unwrap();
-        direct_xnor(&mut direct, id, rows, 1);
+        template.execute(&mut templated, &rows).unwrap();
+        direct_xnor(&mut direct, rows, 1);
 
-        assert_identical(&mut templated, &mut direct, id);
-        assert_eq!(templated.peek_row(id, 9).unwrap(), a.xnor(&b));
+        assert_identical(&templated, &direct);
+        assert_eq!(templated.peek_row(9).unwrap(), a.xnor(&b));
     }
 
     #[test]
@@ -375,11 +366,11 @@ mod tests {
         let a = BitRow::from_fn(cols, |i| i % 2 == 0);
         let b = BitRow::from_fn(cols, |i| i % 3 == 0);
         let c = BitRow::from_fn(cols, |i| i % 5 == 0);
-        let (mut templated, id) = setup();
-        let (mut direct, _) = setup();
-        for ctrl in [&mut templated, &mut direct] {
+        let mut templated = setup();
+        let mut direct = setup();
+        for ctx in [&mut templated, &mut direct] {
             for (row, data) in [(1, &a), (2, &b), (3, &c), (4, &BitRow::zeros(cols))] {
-                ctrl.write_row(id, row, data).unwrap();
+                ctx.write_row(row, data).unwrap();
             }
         }
         let (ra, rb, rc, zero, sum, carry) =
@@ -387,35 +378,35 @@ mod tests {
         let x = [direct.compute_row(0), direct.compute_row(1), direct.compute_row(2)];
         let template = CompiledTemplate::compile(TemplateKey::new(Kernel::FullAdder, cols, cols));
         template
-            .execute(&mut templated, id, &[ra, rb, rc, zero, sum, carry, x[0], x[1], x[2]])
+            .execute(&mut templated, &[ra, rb, rc, zero, sum, carry, x[0], x[1], x[2]])
             .unwrap();
 
         // Latch cycle, sum cycle, carry cycle: the paper's 11 commands.
         for (src, dst) in [(rc, x[0]), (zero, x[1]), (rc, x[2])] {
-            direct.aap_copy(id, src, dst).unwrap();
+            direct.aap_copy(src, dst).unwrap();
         }
-        direct.aap3_carry_discard(id, x, sum).unwrap();
+        direct.aap3_carry_discard(x, sum).unwrap();
         for (src, dst) in [(ra, x[0]), (rb, x[1])] {
-            direct.aap_copy(id, src, dst).unwrap();
+            direct.aap_copy(src, dst).unwrap();
         }
-        direct.aap2_discard(id, SaMode::CarrySum, [x[0], x[1]], sum).unwrap();
+        direct.aap2_discard(SaMode::CarrySum, [x[0], x[1]], sum).unwrap();
         for (src, dst) in [(ra, x[0]), (rb, x[1]), (rc, x[2])] {
-            direct.aap_copy(id, src, dst).unwrap();
+            direct.aap_copy(src, dst).unwrap();
         }
-        direct.aap3_carry_discard(id, x, carry).unwrap();
+        direct.aap3_carry_discard(x, carry).unwrap();
 
-        assert_identical(&mut templated, &mut direct, id);
-        assert_eq!(templated.peek_row(id, sum).unwrap(), a.xor(&b).xor(&c));
-        assert_eq!(templated.peek_row(id, carry).unwrap(), BitRow::maj3(&a, &b, &c));
+        assert_identical(&templated, &direct);
+        assert_eq!(templated.peek_row(sum).unwrap(), a.xor(&b).xor(&c));
+        assert_eq!(templated.peek_row(carry).unwrap(), BitRow::maj3(&a, &b, &c));
         assert_eq!(template.command_counts(), (8, 1, 2));
     }
 
     #[test]
     fn arity_mismatch_is_an_error() {
         let cols = DramGeometry::paper_assembly().cols;
-        let (mut ctrl, id) = setup();
+        let mut ctx = setup();
         let template = CompiledTemplate::compile(xnor_key(cols));
-        let err = template.execute(&mut ctrl, id, &[RowAddr(0)]).unwrap_err();
+        let err = template.execute(&mut ctx, &[RowAddr(0)]).unwrap_err();
         assert_eq!(err, PimError::TemplateArity { expected: 5, provided: 1 });
         assert!(err.to_string().contains("5"));
     }
@@ -501,13 +492,13 @@ mod tests {
         let template = CompiledTemplate::compile(key);
         assert_eq!(template.command_counts(), (6, 3, 0));
 
-        let (mut templated, id) = setup();
-        let (mut direct, _) = setup();
+        let mut templated = setup();
+        let mut direct = setup();
         let rows =
             [RowAddr(1), RowAddr(2), RowAddr(9), direct.compute_row(0), direct.compute_row(1)];
-        template.execute(&mut templated, id, &rows).unwrap();
-        direct_xnor(&mut direct, id, rows, 3);
-        assert_identical(&mut templated, &mut direct, id);
+        template.execute(&mut templated, &rows).unwrap();
+        direct_xnor(&mut direct, rows, 3);
+        assert_identical(&templated, &direct);
         assert_eq!(templated.stats().aap, 6);
         assert_eq!(templated.stats().aap2, 3);
     }
@@ -517,14 +508,14 @@ mod tests {
         let cols = DramGeometry::paper_assembly().cols;
         let template = CompiledTemplate::compile(xnor_key(cols));
 
-        let (mut executed, id) = setup();
+        let mut executed = setup();
         let rows =
             [RowAddr(1), RowAddr(2), RowAddr(9), executed.compute_row(0), executed.compute_row(1)];
         for _ in 0..5 {
-            template.execute(&mut executed, id, &rows).unwrap();
+            template.execute(&mut executed, &rows).unwrap();
         }
 
-        let (mut charged, _) = setup();
+        let mut charged = Controller::new(DramGeometry::paper_assembly());
         template.charge_executions(&mut charged, 5);
         let (e, c) = (executed.stats(), charged.stats());
         assert_eq!((e.aap, e.aap2, e.aap3), (c.aap, c.aap2, c.aap3));
@@ -573,19 +564,19 @@ mod tests {
         let a = BitRow::from_fn(cols, |i| i % 5 == 0);
         let template = CompiledTemplate::compile(xnor_key(cols));
         for (b, equal) in [(BitRow::from_fn(cols, |i| i % 7 == 0), false), (a.clone(), true)] {
-            let (mut sensed, id) = setup();
-            let (mut discarded, _) = setup();
-            for ctrl in [&mut sensed, &mut discarded] {
-                ctrl.write_row(id, 1, &a).unwrap();
-                ctrl.write_row(id, 2, &b).unwrap();
+            let mut sensed = setup();
+            let mut discarded = setup();
+            for ctx in [&mut sensed, &mut discarded] {
+                ctx.write_row(1, &a).unwrap();
+                ctx.write_row(2, &b).unwrap();
             }
             let rows =
                 [RowAddr(1), RowAddr(2), RowAddr(9), sensed.compute_row(0), sensed.compute_row(1)];
-            let all_ones = template.execute_all_ones(&mut sensed, id, &rows).unwrap();
-            template.execute(&mut discarded, id, &rows).unwrap();
+            let all_ones = template.execute_all_ones(&mut sensed, &rows).unwrap();
+            template.execute(&mut discarded, &rows).unwrap();
             assert_eq!(all_ones, equal);
-            assert_eq!(sensed.peek_row(id, 9).unwrap(), a.xnor(&b));
-            assert_identical(&mut sensed, &mut discarded, id);
+            assert_eq!(sensed.peek_row(9).unwrap(), a.xnor(&b));
+            assert_identical(&sensed, &discarded);
         }
     }
 }

@@ -14,9 +14,9 @@
 
 use pim_dram::address::{RowAddr, SubarrayId};
 use pim_dram::bitrow::BitRow;
+use pim_dram::context::SubarrayContext;
 use pim_dram::controller::Controller;
 use pim_dram::ledger::CommandClass;
-use pim_dram::port::AapPort;
 use pim_genome::debruijn::DeBruijnGraph;
 use pim_genome::euler::{eulerian_trails, EulerAlgorithm, Trail};
 use pim_obsv::{HistKey, Metric};
@@ -82,8 +82,7 @@ impl TraverseStage {
             let partitions = vec![(work[0], true), (work[1], false)];
             let mut passes =
                 dispatcher.run_partitions(ctrl, partitions, move |ctx, transpose| {
-                    let work = ctx.id();
-                    Self::dense_degree_pass(ctx, graph, work, transpose, backend, opt)
+                    Self::dense_degree_pass(ctx, graph, transpose, backend, opt)
                 })?;
             let inc = passes.pop().expect("two partitions dispatched");
             let out = passes.pop().expect("two partitions dispatched");
@@ -173,18 +172,18 @@ impl TraverseStage {
     }
 
     /// One dense degree pass: maps adjacency rows (or their transpose) into
-    /// `work` and column-sums them. Column `j` of the row set `A[i][j]`
-    /// sums to the in-degree of `j`; transposing yields out-degrees.
+    /// the work sub-array `ctx` and column-sums them. Column `j` of the row
+    /// set `A[i][j]` sums to the in-degree of `j`; transposing yields
+    /// out-degrees.
     fn dense_degree_pass(
-        ctrl: &mut impl AapPort,
+        ctx: &mut SubarrayContext,
         graph: &DeBruijnGraph,
-        work: SubarrayId,
         transpose: bool,
         backend: BackendKind,
         opt: OptLevel,
     ) -> Result<Vec<u64>> {
         let n = graph.node_count();
-        let cols = ctrl.geometry().cols;
+        let cols = ctx.geometry().cols;
         // Build adjacency bit rows and write them into the sub-array
         // (Fig. 8 "mapping" step).
         let mut addends = vec![BitRow::zeros(cols); n];
@@ -201,13 +200,13 @@ impl TraverseStage {
         }
         let mut rows = Vec::with_capacity(n);
         for (i, bits) in addends.iter().enumerate() {
-            ctrl.write_row(work, RowAddr(i), bits)?;
+            ctx.write_row(RowAddr(i), bits)?;
             rows.push(RowAddr(i));
         }
         let zero = RowAddr(n);
-        ctrl.write_row(work, zero, &BitRow::zeros(cols))?;
-        let mut scratch = ScratchSpace::new(n + 1, ctrl.geometry().data_rows());
-        let planes = PimAdder::column_sum(ctrl, work, backend, opt, &rows, zero, &mut scratch)?;
+        ctx.write_row(zero, &BitRow::zeros(cols))?;
+        let mut scratch = ScratchSpace::new(n + 1, ctx.geometry().data_rows());
+        let planes = PimAdder::column_sum(ctx, backend, opt, &rows, zero, &mut scratch)?;
         let mut values = PimAdder::decode_columns(&planes);
         values.truncate(n);
         // In-degree of j = Σ_i A[i][j]; out-degree of j = Σ_i A^T[i][j].
@@ -400,7 +399,7 @@ mod tests {
         let seq = DnaSequence::random(&mut rng, 2000).to_string();
         let g = graph_of(&seq, 11);
         assert!(g.node_count() > 256);
-        let before = *ctrl.stats();
+        let before = ctrl.stats();
         let (_, _, dense) = degrees_of(&mut ctrl, &g, work);
         assert!(!dense);
         let d = ctrl.stats().since(&before);
@@ -429,7 +428,7 @@ mod tests {
             let (trails, stats) = run_on(&mut ctrl, &pool, &g, work).unwrap();
             assert_eq!(trails, trails_s, "workers={workers}");
             assert_eq!(stats, stats_s, "workers={workers}");
-            assert_eq!(*ctrl.stats(), *serial_ctrl.stats(), "workers={workers}");
+            assert_eq!(ctrl.stats(), serial_ctrl.stats(), "workers={workers}");
         }
     }
 
@@ -464,7 +463,7 @@ mod tests {
         let art = exec.run(&mut ctrl_b, &dispatcher, OptLevel::O0).unwrap();
         assert_eq!(art.trails, trails_ref);
         assert_eq!(art.stats, stats_ref);
-        assert_eq!(*ctrl_b.stats(), *ctrl_a.stats());
+        assert_eq!(ctrl_b.stats(), ctrl_a.stats());
     }
 
     #[test]

@@ -13,6 +13,7 @@ use pim_assembler::ir::{
 use pim_assembler::template::{CompiledTemplate, Kernel, TemplateKey};
 use pim_dram::address::RowAddr;
 use pim_dram::bitrow::BitRow;
+use pim_dram::context::SubarrayContext;
 use pim_dram::controller::Controller;
 use pim_dram::geometry::DramGeometry;
 use pim_dram::sense_amp::SaMode;
@@ -95,8 +96,7 @@ fn execute_for_state(program: &PimProgram, slots: usize, seed: u64) -> Vec<BitRo
     let g = DramGeometry::paper_assembly();
     let options = LowerOptions { row_bits: g.cols, size: g.cols, compute_slots: slots };
     let kernel = compile(program, &options).expect("generated programs are legal");
-    let mut ctrl = Controller::new(g);
-    let id = ctrl.subarray_handle(0, 0, 0, 0).unwrap();
+    let mut ctx = context(Controller::new(g));
 
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let mut rows = Vec::new();
@@ -105,7 +105,7 @@ fn execute_for_state(program: &PimProgram, slots: usize, seed: u64) -> Vec<BitRo
     for role in kernel.roles() {
         match role.class {
             RowClass::Temp => {
-                rows.push(ctrl.compute_row(next_slot));
+                rows.push(ctx.compute_row(next_slot));
                 next_slot += 1;
             }
             RowClass::Spill => {
@@ -117,15 +117,15 @@ fn execute_for_state(program: &PimProgram, slots: usize, seed: u64) -> Vec<BitRo
                 next_data += 1;
                 if role.class == RowClass::Input {
                     let bits = BitRow::from_fn(g.cols, |_| rand::Rng::gen_bool(&mut rng, 0.5));
-                    ctrl.write_row(id, addr, &bits).unwrap();
+                    ctx.write_row(addr, &bits).unwrap();
                 }
                 fixed.push(addr);
                 rows.push(addr);
             }
         }
     }
-    kernel.execute(&mut ctrl, id, &rows).unwrap();
-    fixed.iter().map(|&addr| ctrl.peek_row(id, addr).unwrap()).collect()
+    kernel.execute(&mut ctx, &rows).unwrap();
+    fixed.iter().map(|&addr| ctx.peek_row(addr).unwrap()).collect()
 }
 
 proptest! {
@@ -293,6 +293,12 @@ fn sa_mode_misuse_fails_at_legalization() {
 /// A controller whose activation semantics match the backend: PANDA MRAM
 /// senses nondestructively (and activates data rows directly); the DRAM
 /// backends run the default destructive-charge substrate.
+/// A context of `ctrl`'s first sub-array.
+fn context(mut ctrl: Controller) -> SubarrayContext {
+    let id = ctrl.subarray_handle(0, 0, 0, 0).unwrap();
+    ctrl.detach_context(id).unwrap()
+}
+
 fn backend_controller(backend: ir::BackendKind, g: DramGeometry) -> Controller {
     match backend {
         ir::BackendKind::PandaMram => {
@@ -326,17 +332,16 @@ proptest! {
                     xnor.roles().iter().all(|r| r.class != RowClass::Spill),
                     "{backend}: xnor must lower spill-free"
                 );
-                let mut ctrl = backend_controller(backend, g);
-                let id = ctrl.subarray_handle(0, 0, 0, 0).unwrap();
-                ctrl.write_row(id, 1, &a).unwrap();
-                ctrl.write_row(id, 2, &b).unwrap();
-                ctrl.write_row(id, 4, &BitRow::zeros(cols)).unwrap();
+                let mut ctx = context(backend_controller(backend, g));
+                ctx.write_row(1, &a).unwrap();
+                ctx.write_row(2, &b).unwrap();
+                ctx.write_row(4, &BitRow::zeros(cols)).unwrap();
                 let n = xnor
-                    .bind_roles_into(ctrl.geometry(), &[RowAddr(1), RowAddr(2)], &[RowAddr(9)], RowAddr(4), &[], &mut rows)
+                    .bind_roles_into(ctx.geometry(), &[RowAddr(1), RowAddr(2)], &[RowAddr(9)], RowAddr(4), &[], &mut rows)
                     .unwrap();
-                xnor.execute(&mut ctrl, id, &rows[..n]).unwrap();
+                xnor.execute(&mut ctx, &rows[..n]).unwrap();
                 prop_assert_eq!(
-                    ctrl.peek_row(id, 9).unwrap(),
+                    ctx.peek_row(9).unwrap(),
                     a.xnor(&b),
                     "{} cols={}: xnor", backend, cols
                 );
@@ -348,15 +353,14 @@ proptest! {
                     adder.roles().iter().all(|r| r.class != RowClass::Spill),
                     "{backend}: full-adder must lower spill-free"
                 );
-                let mut ctrl = backend_controller(backend, g);
-                let id = ctrl.subarray_handle(0, 0, 0, 0).unwrap();
-                ctrl.write_row(id, 1, &a).unwrap();
-                ctrl.write_row(id, 2, &b).unwrap();
-                ctrl.write_row(id, 3, &c).unwrap();
-                ctrl.write_row(id, 4, &BitRow::zeros(cols)).unwrap();
+                let mut ctx = context(backend_controller(backend, g));
+                ctx.write_row(1, &a).unwrap();
+                ctx.write_row(2, &b).unwrap();
+                ctx.write_row(3, &c).unwrap();
+                ctx.write_row(4, &BitRow::zeros(cols)).unwrap();
                 let n = adder
                     .bind_roles_into(
-                        ctrl.geometry(),
+                        ctx.geometry(),
                         &[RowAddr(1), RowAddr(2), RowAddr(3)],
                         &[RowAddr(10), RowAddr(11)],
                         RowAddr(4),
@@ -364,14 +368,14 @@ proptest! {
                         &mut rows,
                     )
                     .unwrap();
-                adder.execute(&mut ctrl, id, &rows[..n]).unwrap();
+                adder.execute(&mut ctx, &rows[..n]).unwrap();
                 prop_assert_eq!(
-                    ctrl.peek_row(id, 10).unwrap(),
+                    ctx.peek_row(10).unwrap(),
                     a.xor(&b).xor(&c),
                     "{} cols={}: sum", backend, cols
                 );
                 prop_assert_eq!(
-                    ctrl.peek_row(id, 11).unwrap(),
+                    ctx.peek_row(11).unwrap(),
                     BitRow::maj3(&a, &b, &c),
                     "{} cols={}: carry", backend, cols
                 );

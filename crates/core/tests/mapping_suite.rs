@@ -12,6 +12,7 @@ use pim_assembler::ir::{self, compile, kernels, LowerOptions, OptLevel, PimProgr
 use pim_assembler::template::{CompiledTemplate, Kernel, TemplateKey};
 use pim_dram::address::RowAddr;
 use pim_dram::bitrow::BitRow;
+use pim_dram::context::SubarrayContext;
 use pim_dram::controller::Controller;
 use pim_dram::geometry::DramGeometry;
 
@@ -21,6 +22,12 @@ const MAX_ROLES: usize = 64;
 
 /// A controller whose activation semantics match the backend (PANDA MRAM
 /// senses nondestructively); mirrors `ir_suite.rs`.
+/// A context of `ctrl`'s first sub-array.
+fn context(mut ctrl: Controller) -> SubarrayContext {
+    let id = ctrl.subarray_handle(0, 0, 0, 0).unwrap();
+    ctrl.detach_context(id).unwrap()
+}
+
 fn backend_controller(backend: ir::BackendKind, g: DramGeometry) -> Controller {
     match backend {
         ir::BackendKind::PandaMram => {
@@ -49,24 +56,23 @@ fn run_kernel(
     let t = CompiledTemplate::compile(
         TemplateKey::new(kernel, cols, cols).with_backend(backend).with_opt(opt),
     );
-    let mut ctrl = backend_controller(backend, g);
-    let id = ctrl.subarray_handle(0, 0, 0, 0).unwrap();
+    let mut ctx = context(backend_controller(backend, g));
     let mut input_addrs = Vec::new();
     for (i, row) in inputs.iter().enumerate() {
         let addr = RowAddr(1 + i);
-        ctrl.write_row(id, addr, row).unwrap();
+        ctx.write_row(addr, row).unwrap();
         input_addrs.push(addr);
     }
     let zero = RowAddr(1 + inputs.len());
-    ctrl.write_row(id, zero, &BitRow::zeros(cols)).unwrap();
+    ctx.write_row(zero, &BitRow::zeros(cols)).unwrap();
     let outs: Vec<RowAddr> = (0..n_outputs).map(|i| RowAddr(2 + inputs.len() + i)).collect();
     let spills: Vec<RowAddr> =
         (0..t.spill_role_count()).map(|i| RowAddr(2 + inputs.len() + n_outputs + i)).collect();
     let mut rows = [RowAddr(0); MAX_ROLES];
     let n =
-        t.bind_roles_into(ctrl.geometry(), &input_addrs, &outs, zero, &spills, &mut rows).unwrap();
-    t.execute(&mut ctrl, id, &rows[..n]).unwrap();
-    outs.iter().map(|&o| ctrl.peek_row(id, o).unwrap()).collect()
+        t.bind_roles_into(ctx.geometry(), &input_addrs, &outs, zero, &spills, &mut rows).unwrap();
+    t.execute(&mut ctx, &rows[..n]).unwrap();
+    outs.iter().map(|&o| ctx.peek_row(o).unwrap()).collect()
 }
 
 fn geometries() -> [(usize, DramGeometry); 2] {
@@ -211,8 +217,7 @@ fn execute_for_state(program: &PimProgram, slots: usize, seed: u64) -> Vec<BitRo
     let g = DramGeometry::paper_assembly();
     let options = LowerOptions { row_bits: g.cols, size: g.cols, compute_slots: slots };
     let kernel = compile(program, &options).expect("mapping kernels are legal");
-    let mut ctrl = Controller::new(g);
-    let id = ctrl.subarray_handle(0, 0, 0, 0).unwrap();
+    let mut ctx = context(Controller::new(g));
 
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let mut rows = Vec::new();
@@ -221,7 +226,7 @@ fn execute_for_state(program: &PimProgram, slots: usize, seed: u64) -> Vec<BitRo
     for role in kernel.roles() {
         match role.class {
             RowClass::Temp => {
-                rows.push(ctrl.compute_row(next_slot));
+                rows.push(ctx.compute_row(next_slot));
                 next_slot += 1;
             }
             RowClass::Spill => {
@@ -233,15 +238,15 @@ fn execute_for_state(program: &PimProgram, slots: usize, seed: u64) -> Vec<BitRo
                 next_data += 1;
                 if role.class == RowClass::Input {
                     let bits = rand_row(g.cols, &mut rng);
-                    ctrl.write_row(id, addr, &bits).unwrap();
+                    ctx.write_row(addr, &bits).unwrap();
                 }
                 fixed.push(addr);
                 rows.push(addr);
             }
         }
     }
-    kernel.execute(&mut ctrl, id, &rows).unwrap();
-    fixed.iter().map(|&addr| ctrl.peek_row(id, addr).unwrap()).collect()
+    kernel.execute(&mut ctx, &rows).unwrap();
+    fixed.iter().map(|&addr| ctx.peek_row(addr).unwrap()).collect()
 }
 
 proptest! {

@@ -50,7 +50,7 @@ proptest! {
     fn column_sum_matches_software_sums(n_rows in 1usize..14, seed in 0u64..500) {
         let g = DramGeometry::paper_assembly();
         let mut ctrl = Controller::new(g);
-        let id = ctrl.subarray_handle(0, 0, 0, 0).unwrap();
+        let mut ctx = ctrl.detach_context(ctrl.subarray_handle(0, 0, 0, 0).unwrap()).unwrap();
         let cols = g.cols;
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let mut expected = vec![0u64; cols];
@@ -60,12 +60,12 @@ proptest! {
             for (j, e) in expected.iter_mut().enumerate() {
                 *e += bits.get(j) as u64;
             }
-            ctrl.write_row(id, r, &bits).unwrap();
+            ctx.write_row(r, &bits).unwrap();
             rows.push(RowAddr(r));
         }
-        ctrl.write_row(id, 40, &BitRow::zeros(cols)).unwrap();
+        ctx.write_row(40, &BitRow::zeros(cols)).unwrap();
         let mut scratch = ScratchSpace::new(50, 500);
-        let planes = PimAdder::column_sum(&mut ctrl, id, BackendKind::PimAssembler, OptLevel::O0, &rows, RowAddr(40), &mut scratch).unwrap();
+        let planes = PimAdder::column_sum(&mut ctx, BackendKind::PimAssembler, OptLevel::O0, &rows, RowAddr(40), &mut scratch).unwrap();
         prop_assert_eq!(PimAdder::decode_columns(&planes), expected);
     }
 
@@ -73,19 +73,19 @@ proptest! {
     fn full_add_is_exact_for_all_row_patterns(pa in 0u64..1024, pb in 0u64..1024, pc in 0u64..1024) {
         let g = DramGeometry::paper_assembly();
         let mut ctrl = Controller::new(g);
-        let id = ctrl.subarray_handle(0, 0, 0, 0).unwrap();
+        let mut ctx = ctrl.detach_context(ctrl.subarray_handle(0, 0, 0, 0).unwrap()).unwrap();
         let cols = g.cols;
         let a = BitRow::from_fn(cols, |i| (pa >> (i % 10)) & 1 == 1);
         let b = BitRow::from_fn(cols, |i| (pb >> (i % 10)) & 1 == 1);
         let c = BitRow::from_fn(cols, |i| (pc >> (i % 10)) & 1 == 1);
-        ctrl.write_row(id, 1, &a).unwrap();
-        ctrl.write_row(id, 2, &b).unwrap();
-        ctrl.write_row(id, 3, &c).unwrap();
-        ctrl.write_row(id, 4, &BitRow::zeros(cols)).unwrap();
-        PimAdder::full_add(&mut ctrl, id, BackendKind::PimAssembler, OptLevel::O0, RowAddr(1), RowAddr(2), RowAddr(3), RowAddr(4), RowAddr(10), RowAddr(11))
+        ctx.write_row(1, &a).unwrap();
+        ctx.write_row(2, &b).unwrap();
+        ctx.write_row(3, &c).unwrap();
+        ctx.write_row(4, &BitRow::zeros(cols)).unwrap();
+        PimAdder::full_add(&mut ctx, BackendKind::PimAssembler, OptLevel::O0, RowAddr(1), RowAddr(2), RowAddr(3), RowAddr(4), RowAddr(10), RowAddr(11))
             .unwrap();
-        prop_assert_eq!(ctrl.peek_row(id, 10).unwrap(), a.xor(&b).xor(&c));
-        prop_assert_eq!(ctrl.peek_row(id, 11).unwrap(), BitRow::maj3(&a, &b, &c));
+        prop_assert_eq!(ctx.peek_row(10).unwrap(), a.xor(&b).xor(&c));
+        prop_assert_eq!(ctx.peek_row(11).unwrap(), BitRow::maj3(&a, &b, &c));
     }
 
     #[test]
@@ -124,14 +124,15 @@ proptest! {
             dispatch_rounds(&ParallelDispatcher::with_workers(workers), &mut parallel, &ids, &ops);
 
             // Cycle/energy totals are bit-identical …
-            prop_assert_eq!(*serial.stats(), *parallel.stats(), "stats, workers={}", workers);
+            prop_assert_eq!(serial.stats(), parallel.stats(), "stats, workers={}", workers);
             prop_assert_eq!(serial.ledger(), parallel.ledger(), "ledger, workers={}", workers);
             // … and every row of every sub-array is byte-identical.
             for &id in &ids {
+                let (a, b) = (serial.context(id).unwrap(), parallel.context(id).unwrap());
                 for row in 0..g.rows {
                     prop_assert_eq!(
-                        serial.peek_row(id, row).unwrap(),
-                        parallel.peek_row(id, row).unwrap(),
+                        a.peek_row(row).unwrap(),
+                        b.peek_row(row).unwrap(),
                         "workers={}", workers
                     );
                 }
@@ -140,7 +141,7 @@ proptest! {
     }
 
     #[test]
-    fn dispatched_stream_matches_direct_controller_path(
+    fn dispatched_stream_matches_one_checkout_per_round(
         ops in proptest::collection::vec(0usize..96, 1..60),
     ) {
         let g = DramGeometry::tiny();
@@ -150,30 +151,30 @@ proptest! {
         let mut direct = seeded(&g, &ids);
         let mut dispatched = seeded(&g, &ids);
         for &op in &ops {
-            issue_round(&mut direct, ids[op % 8], op).unwrap();
+            direct.with_context(ids[op % 8], |ctx| issue_round(ctx, op)).unwrap();
         }
         dispatch_rounds(&ParallelDispatcher::with_workers(3), &mut dispatched, &ids, &ops);
-        prop_assert_eq!(*direct.stats(), *dispatched.stats());
+        prop_assert_eq!(direct.ledger(), dispatched.ledger());
+        for &id in &ids {
+            prop_assert_eq!(direct.subarray_ledger(id), dispatched.subarray_ledger(id));
+        }
     }
 }
 
-use pim_dram::port::AapPort;
+use pim_dram::context::SubarrayContext;
 use pim_dram::sense_amp::SaMode;
 
-/// Issues op code `op`'s copy-copy-logic round on sub-array `id`. Each op
-/// in `0..96` decodes to a `(sub-array, source salt, logic mode)` triple;
-/// the sub-array part (`op % 8`) is resolved to `id` by the caller.
-fn issue_round(
-    port: &mut impl AapPort,
-    id: pim_dram::SubarrayId,
-    op: usize,
-) -> pim_assembler::Result<()> {
+/// Issues op code `op`'s copy-copy-logic round on `ctx`. Each op in
+/// `0..96` decodes to a `(sub-array, source salt, logic mode)` triple; the
+/// sub-array part (`op % 8`) picks the context, which the caller checks
+/// out.
+fn issue_round(ctx: &mut SubarrayContext, op: usize) -> pim_assembler::Result<()> {
     let (salt, mode) = ((op / 8) % 4, op / 32);
     let mode = [SaMode::Xnor, SaMode::Nand, SaMode::Nor][mode];
-    let (x0, x1) = (port.compute_row(0), port.compute_row(1));
-    port.aap_copy(id, RowAddr(salt), x0)?;
-    port.aap_copy(id, RowAddr((salt + 1) % 4), x1)?;
-    port.aap2_discard(id, mode, [x0, x1], RowAddr(8 + salt))?;
+    let (x0, x1) = (ctx.compute_row(0), ctx.compute_row(1));
+    ctx.aap_copy(RowAddr(salt), x0)?;
+    ctx.aap_copy(RowAddr((salt + 1) % 4), x1)?;
+    ctx.aap2_discard(mode, [x0, x1], RowAddr(8 + salt))?;
     Ok(())
 }
 
@@ -196,8 +197,7 @@ fn dispatch_rounds(
     }
     dispatcher
         .run_partitions(ctrl, partitions, |ctx, rounds| {
-            let id = ctx.id();
-            rounds.into_iter().try_for_each(|op| issue_round(ctx, id, op))
+            rounds.into_iter().try_for_each(|op| issue_round(ctx, op))
         })
         .unwrap();
 }
@@ -205,10 +205,12 @@ fn dispatch_rounds(
 fn seeded(g: &DramGeometry, ids: &[pim_dram::SubarrayId]) -> Controller {
     let mut ctrl = Controller::new(*g);
     for (n, &id) in ids.iter().enumerate() {
-        for row in 0..4usize {
-            let data = BitRow::from_fn(g.cols, |i| (i + row + n) % 3 == 0);
-            ctrl.write_row(id, row, &data).unwrap();
-        }
+        ctrl.with_context(id, |ctx| {
+            (0..4usize).try_for_each(|row| {
+                ctx.write_row(row, &BitRow::from_fn(g.cols, |i| (i + row + n) % 3 == 0))
+            })
+        })
+        .unwrap();
     }
     ctrl
 }

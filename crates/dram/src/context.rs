@@ -3,16 +3,17 @@
 //! A [`SubarrayContext`] owns everything one computational sub-array needs
 //! to execute independently of the rest of the hierarchy: the bit-accurate
 //! [`Subarray`] (rows, decoders, reconfigurable sense amplifier) plus a
-//! local [`EnergyLedger`]. The [`crate::controller::Controller`] is a thin
-//! address-mapping façade over a set of contexts; a parallel dispatcher
-//! can *detach* a context ([`crate::controller::Controller::detach_context`]),
-//! drive it from a worker thread, and reattach it, with the context's
-//! integer ledger merging back into the controller's totals exactly. That
-//! detached route is the one every pipeline stage takes, so the command
-//! legality rules live here, on the executing path: a multi-row
-//! activation must name distinct compute rows the modified row decoder
-//! can raise together, and a two-row activation must sense in a two-row
-//! mode. An illegal command returns an error before anything is charged.
+//! local [`EnergyLedger`]. It is the only thing that executes a sub-array
+//! command. The [`crate::controller::Controller`] owns the contexts and
+//! merges their ledgers; work runs on a context checked out of it
+//! ([`crate::controller::Controller::detach_context`] for a parallel
+//! dispatcher, [`crate::controller::Controller::with_context`] for a
+//! serial step), and reattaching merges the context's integer ledger into
+//! the controller's totals exactly. So the command legality rules live
+//! here: a multi-row activation must name distinct compute rows the
+//! modified row decoder can raise together, and a two-row activation must
+//! sense in a two-row mode. An illegal command returns an error before
+//! anything is charged.
 
 use crate::address::{RowAddr, SubarrayId};
 use crate::bitrow::BitRow;
@@ -43,11 +44,10 @@ pub(crate) fn record_class_obsv(obsv: &mut ContextObsv, class: CommandClass, cou
 
 /// One sub-array's state, timing/energy accounting, and command execution.
 ///
-/// The operation set mirrors the controller's per-sub-array surface
-/// (`write_row`, `aap_copy`, `aap2`, …) with identical semantics and
-/// identical unit costs, so a command sequence produces the same array
-/// bytes and the same ledger totals whether it runs through the controller
-/// or through a detached context.
+/// Every kernel takes the context it runs on, so the sub-array a command
+/// addresses is the context's own by construction. Each command charges
+/// the controller's unit costs to the local ledger, so the same command
+/// multiset gives the same merged totals on any split across checkouts.
 #[derive(Debug, Clone)]
 pub struct SubarrayContext {
     id: SubarrayId,
@@ -209,9 +209,10 @@ impl SubarrayContext {
         self.subarray.read(row.into())
     }
 
-    /// Writes a row *without* charging a command; pair with
-    /// [`SubarrayContext::record_synthetic`] as with the controller's
-    /// `poke_row`.
+    /// Writes a row *without* charging a command. Callers pair this with
+    /// [`SubarrayContext::record_synthetic`] when the physical transfer is
+    /// an in-DRAM movement whose cost differs from a host row write (e.g.
+    /// staging a k-mer from the sequence bank into a temp row).
     ///
     /// # Errors
     ///
@@ -405,8 +406,8 @@ impl SubarrayContext {
     }
 
     /// Records `count` synthetic commands of `class` without executing
-    /// them (the context-local counterpart of the controller's
-    /// `record_synthetic`).
+    /// them, charged to this context's ledger (the controller's
+    /// `record_synthetic` charges its global ledger instead).
     pub fn record_synthetic(&mut self, class: CommandClass, count: u64) {
         if count == 0 {
             return;

@@ -1,26 +1,29 @@
 //! The PIM-Assembler memory controller (Ctrl in Fig. 1a).
 //!
-//! The controller is a thin address-mapping façade over a set of
-//! per-sub-array execution contexts ([`SubarrayContext`]): it validates
-//! addresses, routes each command to the owning context (which executes it
-//! bit-accurately and charges its local [`EnergyLedger`]), and maintains
-//! the merged totals and the derived [`CommandStats`] view. The three AAP
-//! instruction types of §II-B map directly onto [`Controller::aap_copy`],
-//! [`Controller::aap2`], and [`Controller::aap3_carry`].
+//! The controller owns one execution context per touched sub-array
+//! ([`SubarrayContext`]) and the merged accounting over them; it executes
+//! no sub-array command itself. Every AAP, row read and row write runs on
+//! a context, which checks it against the sub-array's row decoders and
+//! sense-amp modes ([`crate::subarray::Subarray`]) and charges its local
+//! [`EnergyLedger`]; the three AAP instruction types of §II-B are
+//! [`SubarrayContext::aap_copy`], [`SubarrayContext::aap2`] and
+//! [`SubarrayContext::aap3_carry`].
 //!
-//! The pipeline stages run on detached contexts: a parallel dispatcher
-//! checks a context out ([`Controller::detach_context`]), drives it from
-//! a worker thread through the [`crate::port::AapPort`] surface, and
-//! reattaches it ([`Controller::reattach_context`]); the work done while
-//! detached merges back into the controller's integer totals exactly,
-//! independent of reattach order. Either route checks every command
-//! against the same row decoders and sense-amp modes in
-//! [`crate::subarray::Subarray`] before charging it.
+//! Work reaches a context by checking it out: a parallel dispatcher
+//! detaches one context per partition ([`Controller::detach_context`]),
+//! drives it from a worker thread and reattaches it
+//! ([`Controller::reattach_context`]); a serial step uses
+//! [`Controller::with_context`], which does the same for one sub-array.
+//! Reattaching is the one place sub-array work joins the controller's
+//! integer totals, exactly and independent of reattach order. What the
+//! controller charges itself is work no sub-array owns: DPU scalar
+//! operations ([`Controller::dpu_ops`]) and traffic accounted
+//! analytically ([`Controller::record_synthetic`]).
 
 use std::collections::BTreeMap;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
-use crate::address::{RowAddr, SubarrayId};
-use crate::bitrow::BitRow;
+use crate::address::SubarrayId;
 use crate::context::SubarrayContext;
 use crate::energy::EnergyParams;
 use crate::error::{DramError, Result};
@@ -28,9 +31,7 @@ use crate::fault::{FaultConfig, FaultInjector};
 use crate::geometry::DramGeometry;
 use crate::ledger::{CommandClass, CommandCosts, EnergyLedger};
 use crate::profile::{ActivationModel, BackendProfile};
-use crate::sense_amp::SaMode;
 use crate::stats::CommandStats;
-use crate::subarray::Subarray;
 use crate::timing::TimingParams;
 use pim_obsv::{
     ContextObsv, CounterSet, HistKey, Metric, MetricsRegistry, MetricsSnapshot, ScopeId, Stage,
@@ -50,9 +51,10 @@ struct ObsvState {
     global_mark: CounterSet,
 }
 
-/// Routes commands to per-sub-array contexts with merged accounting.
+/// Owns the per-sub-array contexts and their merged accounting.
 ///
-/// See the crate-level example for a typical copy–copy–XNOR sequence.
+/// See the crate-level example for a copy–copy–XNOR sequence run on a
+/// checked-out context.
 #[derive(Debug, Clone)]
 pub struct Controller {
     geometry: DramGeometry,
@@ -75,9 +77,6 @@ pub struct Controller {
     /// Merged totals: `global` + every context's ledger (attached or
     /// reattached). Maintained incrementally.
     total: EnergyLedger,
-    /// Floating-point view of `total`, refreshed after every mutation so
-    /// [`Controller::stats`] can hand out a reference.
-    stats_cache: CommandStats,
     /// Armed fault model, applied to every context (see [`crate::fault`]).
     fault: Option<FaultConfig>,
     /// Observability counters for globally-charged traffic (DPU ops,
@@ -129,7 +128,6 @@ impl Controller {
             in_flight: BTreeMap::new(),
             global: EnergyLedger::default(),
             total: EnergyLedger::default(),
-            stats_cache: CommandStats::default(),
             fault: None,
             global_obsv: ContextObsv::default(),
             stage: Stage::Setup,
@@ -333,312 +331,18 @@ impl Controller {
         SubarrayId::new(&self.geometry, chip, bank, mat, subarray)
     }
 
-    /// Address of compute row `i` (`x1..x8` ⇒ `i ∈ 0..8`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= 8`.
-    pub fn compute_row(&self, i: usize) -> RowAddr {
-        RowAddr(self.geometry.compute_row(i))
-    }
-
-    /// The attached context owning `id`, materialized on first touch.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DramError::SubarrayDetached`] while `id` is checked out.
-    fn live_context(&mut self, id: SubarrayId) -> Result<&mut SubarrayContext> {
-        if self.in_flight.contains_key(&id) {
-            return Err(DramError::SubarrayDetached { subarray: id });
-        }
-        let (geometry, costs, fault) = (self.geometry, self.costs, self.fault);
-        let activation = self.activation;
-        Ok(self
-            .contexts
-            .entry(id)
-            .or_insert_with(|| Self::fresh_context(id, geometry, costs, activation, fault)))
-    }
-
-    /// A fresh context for `id`, armed with the fault model when one is
-    /// configured.
-    fn fresh_context(
-        id: SubarrayId,
-        geometry: DramGeometry,
-        costs: CommandCosts,
-        activation: ActivationModel,
-        fault: Option<FaultConfig>,
-    ) -> SubarrayContext {
-        let mut ctx = SubarrayContext::new(id, geometry, costs, activation);
-        if let Some(cfg) = fault {
-            let stream = id.linear_index(&geometry) as u64;
-            ctx.set_fault_injector(Some(FaultInjector::new(&cfg, stream)));
-        }
-        ctx
-    }
-
-    /// Writes one row from the host.
-    ///
-    /// # Errors
-    ///
-    /// Propagates sub-array addressing/width errors; fails on detached
-    /// sub-arrays.
-    pub fn write_row(
-        &mut self,
-        id: SubarrayId,
-        row: impl Into<RowAddr>,
-        data: &BitRow,
-    ) -> Result<()> {
-        let row = row.into();
-        self.live_context(id)?.write_row(row, data)?;
-        self.account(Some(id), CommandClass::Write);
-        Ok(())
-    }
-
-    /// Reads one row to the host.
-    ///
-    /// # Errors
-    ///
-    /// Propagates sub-array addressing errors; fails on detached
-    /// sub-arrays.
-    pub fn read_row(&mut self, id: SubarrayId, row: impl Into<RowAddr>) -> Result<BitRow> {
-        let row = row.into();
-        let data = self.live_context(id)?.read_row(row)?;
-        self.account(Some(id), CommandClass::Read);
-        Ok(data)
-    }
-
-    /// Reads a row *without* charging a command (debug/verification view).
-    ///
-    /// # Errors
-    ///
-    /// Propagates sub-array addressing errors; fails on detached
-    /// sub-arrays.
-    pub fn peek_row(&mut self, id: SubarrayId, row: impl Into<RowAddr>) -> Result<BitRow> {
-        self.live_context(id)?.peek_row(row)
-    }
-
-    /// Writes a row *without* charging a command. Callers pair this with
-    /// [`Controller::record_synthetic`] when the physical transfer is an
-    /// in-DRAM movement whose cost differs from a host row write (e.g.
-    /// staging a k-mer from the sequence bank into a temp row).
-    ///
-    /// # Errors
-    ///
-    /// Propagates sub-array addressing/width errors; fails on detached
-    /// sub-arrays.
-    pub fn poke_row(
-        &mut self,
-        id: SubarrayId,
-        row: impl Into<RowAddr>,
-        data: &BitRow,
-    ) -> Result<()> {
-        self.live_context(id)?.poke_row(row, data)
-    }
-
-    /// Reads the `len ≤ 64` bits at bit `offset` of a row *without*
-    /// charging a command (pair with [`Controller::record_synthetic`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates sub-array addressing and field-range errors; fails on
-    /// detached sub-arrays.
-    pub fn peek_field(
-        &mut self,
-        id: SubarrayId,
-        row: impl Into<RowAddr>,
-        offset: usize,
-        len: usize,
-    ) -> Result<u64> {
-        self.live_context(id)?.peek_field(row, offset, len)
-    }
-
-    /// Overwrites the `len ≤ 64` bits at bit `offset` of a row with the
-    /// low bits of `value`, *without* charging a command.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Controller::peek_field`].
-    pub fn poke_field(
-        &mut self,
-        id: SubarrayId,
-        row: impl Into<RowAddr>,
-        offset: usize,
-        len: usize,
-        value: u64,
-    ) -> Result<()> {
-        self.live_context(id)?.poke_field(row, offset, len, value)
-    }
-
-    /// Type-1 AAP: in-array copy (RowClone-FPM).
-    ///
-    /// # Errors
-    ///
-    /// Propagates sub-array addressing errors; fails on detached
-    /// sub-arrays.
-    pub fn aap_copy(
-        &mut self,
-        id: SubarrayId,
-        src: impl Into<RowAddr>,
-        dst: impl Into<RowAddr>,
-    ) -> Result<()> {
-        let (src, dst) = (src.into(), dst.into());
-        self.live_context(id)?.aap_copy(src, dst)?;
-        self.account(Some(id), CommandClass::Aap);
-        Ok(())
-    }
-
-    /// Type-2 AAP: two-row activation evaluating `mode`, result to `dst`
-    /// (and destructively to the source compute rows).
-    ///
-    /// # Errors
-    ///
-    /// Propagates decoder and addressing errors (sources must be compute
-    /// rows; see [`crate::subarray::Subarray::op2`]); fails on detached
-    /// sub-arrays.
-    pub fn aap2(
-        &mut self,
-        id: SubarrayId,
-        mode: SaMode,
-        srcs: [RowAddr; 2],
-        dst: impl Into<RowAddr>,
-    ) -> Result<BitRow> {
-        let dst = dst.into();
-        let out = self.live_context(id)?.aap2(mode, srcs, dst)?;
-        self.account(Some(id), CommandClass::Aap2);
-        Ok(out)
-    }
-
-    /// Type-2 AAP whose sensed output the DPU AND-reduces: whether every
-    /// sensed bit is one, without copying the row out (see
-    /// [`SubarrayContext::aap2_all_ones`]). Accounting is identical to
-    /// [`Controller::aap2`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Controller::aap2`].
-    pub fn aap2_all_ones(
-        &mut self,
-        id: SubarrayId,
-        mode: SaMode,
-        srcs: [RowAddr; 2],
-        dst: impl Into<RowAddr>,
-    ) -> Result<bool> {
-        let dst = dst.into();
-        let all_ones = self.live_context(id)?.aap2_all_ones(mode, srcs, dst)?;
-        self.account(Some(id), CommandClass::Aap2);
-        Ok(all_ones)
-    }
-
-    /// Type-2 AAP whose sensed output the caller does not need. Identical
-    /// array state and accounting as [`Controller::aap2`], but the
-    /// sensed result row is never materialized — the allocation-free bulk
-    /// path executors use when they drop the return value.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Controller::aap2`].
-    pub fn aap2_discard(
-        &mut self,
-        id: SubarrayId,
-        mode: SaMode,
-        srcs: [RowAddr; 2],
-        dst: impl Into<RowAddr>,
-    ) -> Result<()> {
-        let dst = dst.into();
-        self.live_context(id)?.aap2_discard(mode, srcs, dst)?;
-        self.account(Some(id), CommandClass::Aap2);
-        Ok(())
-    }
-
-    /// Single-cycle in-memory XNOR2 (the comparison primitive).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Controller::aap2`].
-    pub fn aap2_xnor(
-        &mut self,
-        id: SubarrayId,
-        srcs: [RowAddr; 2],
-        dst: impl Into<RowAddr>,
-    ) -> Result<BitRow> {
-        self.aap2(id, SaMode::Xnor, srcs, dst)
-    }
-
-    /// Sum cycle of the in-memory adder: XOR of the two source rows and the
-    /// SA-latched carry from the previous [`Controller::aap3_carry`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Controller::aap2`].
-    pub fn aap2_sum(
-        &mut self,
-        id: SubarrayId,
-        srcs: [RowAddr; 2],
-        dst: impl Into<RowAddr>,
-    ) -> Result<BitRow> {
-        self.aap2(id, SaMode::CarrySum, srcs, dst)
-    }
-
-    /// Type-3 AAP (Ambit TRA): 3-input majority / carry, latched in the SA.
-    ///
-    /// # Errors
-    ///
-    /// Propagates decoder and addressing errors; fails on detached
-    /// sub-arrays.
-    pub fn aap3_carry(
-        &mut self,
-        id: SubarrayId,
-        srcs: [RowAddr; 3],
-        dst: impl Into<RowAddr>,
-    ) -> Result<BitRow> {
-        let dst = dst.into();
-        let out = self.live_context(id)?.aap3_carry(srcs, dst)?;
-        self.account(Some(id), CommandClass::Aap3);
-        Ok(out)
-    }
-
-    /// Type-3 AAP whose sensed output the caller does not need (see
-    /// [`Controller::aap2_discard`]).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Controller::aap3_carry`].
-    pub fn aap3_carry_discard(
-        &mut self,
-        id: SubarrayId,
-        srcs: [RowAddr; 3],
-        dst: impl Into<RowAddr>,
-    ) -> Result<()> {
-        let dst = dst.into();
-        self.live_context(id)?.aap3_carry_discard(srcs, dst)?;
-        self.account(Some(id), CommandClass::Aap3);
-        Ok(())
-    }
-
-    /// Clears a sub-array's SA carry latch (start of a new addition).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the sub-array is detached (use
-    /// [`Controller::try_reset_latch`] for a fallible version).
-    pub fn reset_latch(&mut self, id: SubarrayId) {
-        self.try_reset_latch(id).expect("reset_latch on a detached sub-array");
-    }
-
-    /// Fallible variant of [`Controller::reset_latch`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DramError::SubarrayDetached`] while `id` is checked out.
-    pub fn try_reset_latch(&mut self, id: SubarrayId) -> Result<()> {
-        self.live_context(id)?.reset_latch();
-        Ok(())
-    }
-
-    /// Records one DPU scalar operation (MAT-level digital processing unit).
-    pub fn dpu_op(&mut self) {
-        self.global_obsv.record(Metric::DpuOps, 1);
-        self.account(None, CommandClass::Dpu);
+    /// The attached context of `id`, or a fresh one armed with the fault
+    /// model when one is configured (a sub-array is materialized on first
+    /// touch). Callers check first that `id` is not checked out.
+    fn take_context(&mut self, id: SubarrayId) -> SubarrayContext {
+        self.contexts.remove(&id).unwrap_or_else(|| {
+            let mut ctx = SubarrayContext::new(id, self.geometry, self.costs, self.activation);
+            if let Some(cfg) = &self.fault {
+                let stream = id.linear_index(&self.geometry) as u64;
+                ctx.set_fault_injector(Some(FaultInjector::new(cfg, stream)));
+            }
+            ctx
+        })
     }
 
     /// Records `n` DPU scalar operations as one batched ledger charge
@@ -647,7 +351,6 @@ impl Controller {
         self.global.charge_many(CommandClass::Dpu, &self.costs, n);
         self.total.charge_many(CommandClass::Dpu, &self.costs, n);
         self.global_obsv.record(Metric::DpuOps, n);
-        self.stats_cache = self.total.to_stats();
     }
 
     /// Records `count` synthetic commands of `class` without executing
@@ -662,13 +365,12 @@ impl Controller {
         self.global.charge_many(class, &self.costs, count);
         self.total.charge_many(class, &self.costs, count);
         crate::context::record_class_obsv(&mut self.global_obsv, class, count);
-        self.stats_cache = self.total.to_stats();
     }
 
     /// Accumulated command statistics (derived from the merged integer
     /// totals, so equal command multisets give bit-identical stats).
-    pub fn stats(&self) -> &CommandStats {
-        &self.stats_cache
+    pub fn stats(&self) -> CommandStats {
+        self.total.to_stats()
     }
 
     /// The merged integer ledger (global + all contexts).
@@ -694,7 +396,7 @@ impl Controller {
     /// *attached* context's ledger; work on currently detached contexts is
     /// merged when they reattach).
     pub fn take_stats(&mut self) -> CommandStats {
-        let out = self.stats_cache;
+        let out = self.stats();
         self.global = EnergyLedger::default();
         self.total = EnergyLedger::default();
         for ctx in self.contexts.values_mut() {
@@ -706,13 +408,12 @@ impl Controller {
         if let Some(state) = self.obsv.as_deref_mut() {
             *state = ObsvState::default();
         }
-        self.stats_cache = CommandStats::default();
         out
     }
 
     /// Restores checkpointed accounting onto a (typically fresh)
     /// controller: the global ledger plus each listed context's local
-    /// ledger, with the merged total and stats cache recomputed. Contexts
+    /// ledger, with the merged total recomputed. Contexts
     /// are materialized on demand; observability counters are *not*
     /// restored (the session layer folds checkpointed snapshots instead).
     ///
@@ -732,21 +433,21 @@ impl Controller {
         }
         self.global = global;
         for &(id, ledger) in contexts {
-            self.live_context(id)?.set_ledger(ledger);
+            let mut ctx = self.take_context(id);
+            ctx.set_ledger(ledger);
+            self.contexts.insert(id, ctx);
         }
         let mut total = self.global;
         for ctx in self.contexts.values() {
             total.merge(ctx.ledger());
         }
         self.total = total;
-        self.stats_cache = self.total.to_stats();
         Ok(())
     }
 
     /// Checks a context out of the controller for independent (possibly
-    /// cross-thread) execution. Until reattached, every controller
-    /// operation addressing `id` fails with
-    /// [`DramError::SubarrayDetached`].
+    /// cross-thread) execution. Until reattached, a second checkout of `id`
+    /// fails with [`DramError::SubarrayDetached`].
     ///
     /// # Errors
     ///
@@ -756,9 +457,7 @@ impl Controller {
         if self.in_flight.contains_key(&id) {
             return Err(DramError::SubarrayDetached { subarray: id });
         }
-        let ctx = self.contexts.remove(&id).unwrap_or_else(|| {
-            Self::fresh_context(id, self.geometry, self.costs, self.activation, self.fault)
-        });
+        let ctx = self.take_context(id);
         self.in_flight.insert(id, *ctx.ledger());
         Ok(ctx)
     }
@@ -777,20 +476,34 @@ impl Controller {
             self.in_flight.remove(&id).ok_or(DramError::SubarrayDetached { subarray: id })?;
         let delta = ctx.ledger().since(&snapshot);
         self.total.merge(&delta);
-        self.stats_cache = self.total.to_stats();
         self.contexts.insert(id, ctx);
         Ok(())
+    }
+
+    /// Runs `f` on the context of `id`: checks it out, runs the closure
+    /// and reattaches it, also when `f` fails or panics, so the work joins
+    /// the totals through [`Controller::reattach_context`] exactly as a
+    /// dispatched partition's does. Call it once per sub-array per step
+    /// (an index build, a batch of graph-region writes), not per command.
+    ///
+    /// # Errors
+    ///
+    /// [`DramError::SubarrayDetached`] if `id` is already checked out;
+    /// otherwise whatever `f` returns.
+    pub fn with_context<T, E: From<DramError>>(
+        &mut self,
+        id: SubarrayId,
+        f: impl FnOnce(&mut SubarrayContext) -> std::result::Result<T, E>,
+    ) -> std::result::Result<T, E> {
+        let mut ctx = self.detach_context(id)?;
+        let outcome = catch_unwind(AssertUnwindSafe(|| f(&mut ctx)));
+        self.reattach_context(ctx).expect("checked out above");
+        outcome.unwrap_or_else(|payload| resume_unwind(payload))
     }
 
     /// The attached context for `id`, if that sub-array has been touched.
     pub fn context(&self, id: SubarrayId) -> Option<&SubarrayContext> {
         self.contexts.get(&id)
-    }
-
-    /// Read access to a touched sub-array's state (inspection in
-    /// tests/tools); `None` if untouched or detached.
-    pub fn subarray(&self, id: SubarrayId) -> Option<&Subarray> {
-        self.contexts.get(&id).map(SubarrayContext::subarray)
     }
 
     /// A touched sub-array's local ledger; `None` if untouched or
@@ -815,25 +528,26 @@ impl Controller {
             .filter(|&(commands, _)| commands > 0)
             .collect()
     }
-
-    fn account(&mut self, id: Option<SubarrayId>, class: CommandClass) {
-        if id.is_none() {
-            // Sub-array commands were already charged to their context.
-            self.global.charge(class, &self.costs);
-        }
-        self.total.charge(class, &self.costs);
-        self.stats_cache = self.total.to_stats();
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bitrow::BitRow;
 
     fn ctrl() -> (Controller, SubarrayId) {
         let c = Controller::new(DramGeometry::tiny());
         let id = c.subarray_handle(0, 0, 0, 0).unwrap();
         (c, id)
+    }
+
+    /// `global + Σ attached-context ledgers == total`.
+    fn conserved(c: &Controller) -> bool {
+        let mut sum = *c.global_ledger();
+        for id in c.touched_subarrays() {
+            sum.merge(c.subarray_ledger(id).unwrap());
+        }
+        !c.has_detached_contexts() && sum == *c.ledger()
     }
 
     #[test]
@@ -842,55 +556,52 @@ mod tests {
         let cols = c.geometry().cols;
         let a = BitRow::from_fn(cols, |i| i % 2 == 0);
         let b = BitRow::from_fn(cols, |i| i % 3 == 0);
-        c.write_row(id, 1, &a).unwrap();
-        c.write_row(id, 2, &b).unwrap();
-        c.aap_copy(id, 1, c.compute_row(0)).unwrap();
-        c.aap_copy(id, 2, c.compute_row(1)).unwrap();
-        let out = c.aap2_xnor(id, [c.compute_row(0), c.compute_row(1)], 5).unwrap();
+        let out = c
+            .with_context(id, |ctx| {
+                ctx.write_row(1, &a)?;
+                ctx.write_row(2, &b)?;
+                ctx.aap_copy(1, ctx.compute_row(0))?;
+                ctx.aap_copy(2, ctx.compute_row(1))?;
+                ctx.aap2_xnor([ctx.compute_row(0), ctx.compute_row(1)], 5)
+            })
+            .unwrap();
         assert_eq!(out, a.xnor(&b));
         let s = c.stats();
-        assert_eq!(s.writes, 2);
-        assert_eq!(s.aap, 2);
-        assert_eq!(s.aap2, 1);
+        assert_eq!((s.writes, s.aap, s.aap2), (2, 2, 1));
         assert!(s.serial_ns > 0.0 && s.energy_nj > 0.0);
     }
 
     #[test]
-    fn full_adder_through_controller() {
-        // Verify a complete ripple step: given rows A, B and carry-in row C,
+    fn full_adder_through_a_context() {
+        // A complete ripple step: given rows A, B and carry-in row C,
         // carry-out = MAJ(A,B,C), sum = A^B^C, as the paper sequences it:
-        // 1) TRA(A,B,C) latches the carry *and* smashes the compute rows, so
-        //    the controller re-copies A,B for the sum cycle.
+        // TRA(A,B,C) latches the carry *and* smashes the compute rows, so
+        // the controller re-copies A,B for the sum cycle.
         let (mut c, id) = ctrl();
         let cols = c.geometry().cols;
         let a = BitRow::from_fn(cols, |i| (i / 2) % 2 == 0);
         let b = BitRow::from_fn(cols, |i| (i / 3) % 2 == 0);
         let cin = BitRow::zeros(cols);
-        c.write_row(id, 1, &a).unwrap();
-        c.write_row(id, 2, &b).unwrap();
-        c.write_row(id, 3, &cin).unwrap();
-        let (x1, x2, x3) = (c.compute_row(0), c.compute_row(1), c.compute_row(2));
-        // Sum first (carry-in is latched zero after reset), then carry-out.
-        c.reset_latch(id);
-        c.aap_copy(id, 1, x1).unwrap();
-        c.aap_copy(id, 2, x2).unwrap();
-        let sum = c.aap2_sum(id, [x1, x2], 8).unwrap();
+        let (sum, carry) = c
+            .with_context(id, |ctx| {
+                ctx.write_row(1, &a)?;
+                ctx.write_row(2, &b)?;
+                ctx.write_row(3, &cin)?;
+                let (x1, x2, x3) = (ctx.compute_row(0), ctx.compute_row(1), ctx.compute_row(2));
+                // Sum first (carry-in is latched zero after reset), then
+                // carry-out.
+                ctx.reset_latch();
+                ctx.aap_copy(1, x1)?;
+                ctx.aap_copy(2, x2)?;
+                let sum = ctx.aap2_sum([x1, x2], 8)?;
+                ctx.aap_copy(1, x1)?;
+                ctx.aap_copy(2, x2)?;
+                ctx.aap_copy(3, x3)?;
+                Ok::<_, DramError>((sum, ctx.aap3_carry([x1, x2, x3], 9)?))
+            })
+            .unwrap();
         assert_eq!(sum, a.xor(&b).xor(&cin));
-        c.aap_copy(id, 1, x1).unwrap();
-        c.aap_copy(id, 2, x2).unwrap();
-        c.aap_copy(id, 3, x3).unwrap();
-        let carry = c.aap3_carry(id, [x1, x2, x3], 9).unwrap();
         assert_eq!(carry, BitRow::maj3(&a, &b, &cin));
-    }
-
-    #[test]
-    fn peek_does_not_account() {
-        let (mut c, id) = ctrl();
-        let cols = c.geometry().cols;
-        c.write_row(id, 0, &BitRow::ones(cols)).unwrap();
-        let before = *c.stats();
-        let _ = c.peek_row(id, 0).unwrap();
-        assert_eq!(*c.stats(), before);
     }
 
     #[test]
@@ -904,26 +615,27 @@ mod tests {
     fn take_stats_resets() {
         let (mut c, id) = ctrl();
         let cols = c.geometry().cols;
-        c.write_row(id, 0, &BitRow::zeros(cols)).unwrap();
+        c.with_context(id, |ctx| ctx.write_row(0, &BitRow::zeros(cols))).unwrap();
         let taken = c.take_stats();
         assert_eq!(taken.writes, 1);
         assert_eq!(c.stats().total_commands(), 0);
     }
 
     #[test]
-    fn detached_subarray_rejects_controller_ops() {
+    fn detached_subarray_rejects_a_second_checkout() {
         let (mut c, id) = ctrl();
         let cols = c.geometry().cols;
         let ctx = c.detach_context(id).unwrap();
-        let err = c.write_row(id, 0, &BitRow::zeros(cols)).unwrap_err();
+        let err = c.with_context(id, |ctx| ctx.write_row(0, &BitRow::zeros(cols))).unwrap_err();
         assert!(matches!(err, DramError::SubarrayDetached { subarray } if subarray == id));
         // Double detach is also a protocol violation.
         assert!(c.detach_context(id).is_err());
         // Other sub-arrays keep working.
         let other = c.subarray_handle(0, 1, 0, 0).unwrap();
-        c.write_row(other, 0, &BitRow::zeros(cols)).unwrap();
+        c.with_context(other, |ctx| ctx.write_row(0, &BitRow::zeros(cols))).unwrap();
         c.reattach_context(ctx).unwrap();
-        c.write_row(id, 0, &BitRow::zeros(cols)).unwrap();
+        c.with_context(id, |ctx| ctx.write_row(0, &BitRow::zeros(cols))).unwrap();
+        assert_eq!(c.stats().writes, 2);
     }
 
     #[test]
@@ -931,25 +643,31 @@ mod tests {
         let (mut c, id) = ctrl();
         let cols = c.geometry().cols;
         // Prior attached work, so the detach snapshot is non-trivial.
-        c.write_row(id, 0, &BitRow::ones(cols)).unwrap();
-
-        let mut serial = Controller::new(DramGeometry::tiny());
-        serial.write_row(id, 0, &BitRow::ones(cols)).unwrap();
-
+        c.with_context(id, |ctx| ctx.write_row(0, &BitRow::ones(cols))).unwrap();
         let mut ctx = c.detach_context(id).unwrap();
         ctx.write_row(1, &BitRow::zeros(cols)).unwrap();
         ctx.aap_copy(1, ctx.compute_row(0)).unwrap();
         ctx.dpu_op();
         c.reattach_context(ctx).unwrap();
 
-        serial.write_row(id, 1, &BitRow::zeros(cols)).unwrap();
-        serial.aap_copy(id, 1, serial.compute_row(0)).unwrap();
-        serial.dpu_op();
+        // The same commands in one checkout of a fresh controller.
+        let (mut once, _) = ctrl();
+        once.with_context(id, |ctx| {
+            ctx.write_row(0, &BitRow::ones(cols))?;
+            ctx.write_row(1, &BitRow::zeros(cols))?;
+            ctx.aap_copy(1, ctx.compute_row(0))?;
+            ctx.dpu_op();
+            Ok::<_, DramError>(())
+        })
+        .unwrap();
 
-        assert_eq!(*c.stats(), *serial.stats());
-        assert_eq!(c.ledger(), serial.ledger());
+        assert_eq!(c.stats(), once.stats());
+        assert_eq!(c.ledger(), once.ledger());
+        assert_eq!(c.subarray_ledger(id), once.subarray_ledger(id));
         // Array state matches byte for byte.
-        assert_eq!(c.peek_row(id, 1).unwrap(), serial.peek_row(id, 1).unwrap());
+        let (a, b) = (c.context(id).unwrap(), once.context(id).unwrap());
+        assert_eq!(a.peek_row(1).unwrap(), b.peek_row(1).unwrap());
+        assert_eq!(a.peek_row(a.compute_row(0)).unwrap(), b.peek_row(b.compute_row(0)).unwrap());
     }
 
     #[test]
@@ -967,21 +685,70 @@ mod tests {
     }
 
     #[test]
+    fn a_failing_step_stays_attached_with_its_work_merged() {
+        let (mut c, id) = ctrl();
+        let cols = c.geometry().cols;
+        c.dpu_ops(2);
+        let err = c
+            .with_context(id, |ctx| {
+                ctx.write_row(0, &BitRow::ones(cols))?;
+                ctx.aap_copy(0, ctx.compute_row(0))?;
+                ctx.write_row(100_000, &BitRow::ones(cols))
+            })
+            .unwrap_err();
+        assert!(matches!(err, DramError::RowOutOfRange { .. }), "{err:?}");
+        // Attached, and the two commands before the failure are merged.
+        assert!(!c.has_detached_contexts());
+        assert_eq!(c.subarray_ledger(id).unwrap().total_commands(), 2);
+        assert_eq!(c.ledger().total_commands(), 4);
+        assert!(conserved(&c));
+        // A second checkout of the same sub-array sees the work.
+        let row = c.with_context(id, |ctx| ctx.peek_row(0)).unwrap();
+        assert_eq!(row, BitRow::ones(cols));
+        // A double `detach_context` is still rejected.
+        let ctx = c.detach_context(id).unwrap();
+        assert!(matches!(c.detach_context(id), Err(DramError::SubarrayDetached { .. })));
+        c.reattach_context(ctx).unwrap();
+        assert!(conserved(&c));
+    }
+
+    #[test]
+    fn a_panicking_step_is_reattached_before_the_panic_propagates() {
+        let (mut c, id) = ctrl();
+        let cols = c.geometry().cols;
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            c.with_context(id, |ctx| -> Result<()> {
+                ctx.write_row(0, &BitRow::ones(cols))?;
+                panic!("deliberate failure mid-step");
+            })
+        }));
+        let payload = caught.expect_err("the panic propagates");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"deliberate failure mid-step"));
+        assert!(!c.has_detached_contexts());
+        assert_eq!(c.stats().writes, 1);
+        assert!(conserved(&c));
+        c.with_context(id, |ctx| ctx.write_row(1, &BitRow::zeros(cols))).unwrap();
+        assert_eq!(c.stats().writes, 2);
+    }
+
+    #[test]
     fn fault_injection_corrupts_readouts_but_not_stored_state() {
         let (mut c, id) = ctrl();
         let cols = c.geometry().cols;
         c.inject_faults(crate::fault::FaultConfig::new(1.0, 9).unwrap());
-        c.write_row(id, 0, &BitRow::zeros(cols)).unwrap();
-        let read = c.read_row(id, 0).unwrap();
+        let read = c
+            .with_context(id, |ctx| {
+                ctx.write_row(0, &BitRow::zeros(cols))?;
+                ctx.read_row(0)
+            })
+            .unwrap();
         assert!(read.all_ones(), "rate-1.0 injection must flip every sensed bit");
         // The cells themselves are clean: peek is the host debug view and
         // bypasses the sense path.
-        assert_eq!(c.peek_row(id, 0).unwrap(), BitRow::zeros(cols));
+        assert_eq!(c.context(id).unwrap().peek_row(0).unwrap(), BitRow::zeros(cols));
         assert_eq!(c.fault_flips(), cols as u64);
-        // Detached execution inherits the armed model.
-        let mut ctx = c.detach_context(id).unwrap();
-        assert!(ctx.read_row(0).unwrap().all_ones());
-        c.reattach_context(ctx).unwrap();
+        // A later checkout keeps the armed model.
+        assert!(c.with_context(id, |ctx| ctx.read_row(0)).unwrap().all_ones());
         assert_eq!(c.fault_flips(), 2 * cols as u64);
     }
 
@@ -989,16 +756,14 @@ mod tests {
     fn global_ledger_plus_context_ledgers_equals_total() {
         let (mut c, id) = ctrl();
         let cols = c.geometry().cols;
-        c.write_row(id, 0, &BitRow::ones(cols)).unwrap();
-        c.aap_copy(id, 0, 1).unwrap();
+        c.with_context(id, |ctx| {
+            ctx.write_row(0, &BitRow::ones(cols))?;
+            ctx.aap_copy(0, 1)
+        })
+        .unwrap();
         c.dpu_ops(3);
         c.record_synthetic(CommandClass::Aap, 2);
-        let mut sum = *c.global_ledger();
-        for sid in c.touched_subarrays().collect::<Vec<_>>() {
-            sum.merge(c.subarray_ledger(sid).unwrap());
-        }
-        assert!(!c.has_detached_contexts());
-        assert_eq!(sum, *c.ledger());
+        assert!(conserved(&c));
     }
 
     #[test]
@@ -1007,11 +772,11 @@ mod tests {
         let cols = c.geometry().cols;
         c.enable_metrics();
         // Setup-stage traffic.
-        c.write_row(id, 0, &BitRow::ones(cols)).unwrap();
+        c.with_context(id, |ctx| ctx.write_row(0, &BitRow::ones(cols))).unwrap();
         c.record_synthetic(CommandClass::Write, 3);
         c.set_stage(Stage::Hashmap);
-        // Hashmap-stage traffic, partly on a detached context.
-        c.aap_copy(id, 0, 1).unwrap();
+        // Hashmap-stage traffic over two checkouts.
+        c.with_context(id, |ctx| ctx.aap_copy(0, 1)).unwrap();
         let mut ctx = c.detach_context(id).unwrap();
         ctx.aap_copy(0, 2).unwrap();
         ctx.dpu_op();
@@ -1037,7 +802,7 @@ mod tests {
     fn metrics_disabled_returns_no_snapshot() {
         let (mut c, id) = ctrl();
         let cols = c.geometry().cols;
-        c.write_row(id, 0, &BitRow::zeros(cols)).unwrap();
+        c.with_context(id, |ctx| ctx.write_row(0, &BitRow::zeros(cols))).unwrap();
         assert!(!c.metrics_enabled());
         assert!(c.metrics_snapshot().is_none());
     }
@@ -1046,28 +811,27 @@ mod tests {
     fn restore_accounting_reproduces_ledgers_and_stats() {
         let (mut c, id) = ctrl();
         let cols = c.geometry().cols;
-        c.write_row(id, 0, &BitRow::ones(cols)).unwrap();
-        c.aap_copy(id, 0, 1).unwrap();
+        c.with_context(id, |ctx| {
+            ctx.write_row(0, &BitRow::ones(cols))?;
+            ctx.aap_copy(0, 1)
+        })
+        .unwrap();
         c.dpu_ops(3);
         c.record_synthetic(CommandClass::Aap2, 2);
 
         let global = *c.global_ledger();
-        let contexts: Vec<_> = c
-            .touched_subarrays()
-            .collect::<Vec<_>>()
-            .into_iter()
-            .map(|sid| (sid, *c.subarray_ledger(sid).unwrap()))
-            .collect();
+        let contexts: Vec<_> =
+            c.touched_subarrays().map(|sid| (sid, *c.subarray_ledger(sid).unwrap())).collect();
 
         let mut fresh = Controller::new(DramGeometry::tiny());
         fresh.restore_accounting(global, &contexts).unwrap();
         assert_eq!(fresh.ledger(), c.ledger());
         assert_eq!(fresh.global_ledger(), c.global_ledger());
-        assert_eq!(*fresh.stats(), *c.stats());
+        assert_eq!(fresh.stats(), c.stats());
         assert_eq!(fresh.subarray_ledger(id), c.subarray_ledger(id));
         // Accounting keeps accumulating on top of the restored baseline.
-        fresh.dpu_op();
-        c.dpu_op();
+        fresh.dpu_ops(1);
+        c.dpu_ops(1);
         assert_eq!(fresh.ledger(), c.ledger());
     }
 
@@ -1076,7 +840,7 @@ mod tests {
         let (mut c, id) = ctrl();
         let cols = c.geometry().cols;
         c.enable_metrics();
-        c.write_row(id, 0, &BitRow::zeros(cols)).unwrap();
+        c.with_context(id, |ctx| ctx.write_row(0, &BitRow::zeros(cols))).unwrap();
         c.record_value(HistKey::PartitionItems, 4);
         c.record_value(HistKey::HashProbeLen, 1);
         let snap = c.metrics_snapshot().unwrap();
@@ -1090,10 +854,13 @@ mod tests {
         let (mut c, id) = ctrl();
         let other = c.subarray_handle(0, 1, 0, 0).unwrap();
         let cols = c.geometry().cols;
-        c.write_row(id, 0, &BitRow::ones(cols)).unwrap();
-        c.write_row(other, 0, &BitRow::ones(cols)).unwrap();
-        c.aap_copy(other, 0, 1).unwrap();
-        c.dpu_op();
+        c.with_context(id, |ctx| ctx.write_row(0, &BitRow::ones(cols))).unwrap();
+        c.with_context(other, |ctx| {
+            ctx.write_row(0, &BitRow::ones(cols))?;
+            ctx.aap_copy(0, 1)
+        })
+        .unwrap();
+        c.dpu_ops(1);
         let mut sum = *c.subarray_ledger(id).unwrap();
         sum.merge(c.subarray_ledger(other).unwrap());
         // The DPU op lives in the global ledger, not any sub-array's.

@@ -77,11 +77,11 @@ pub enum DramError {
         what: &'static str,
     },
     /// The sub-array is not owned by the executing component: it is
-    /// checked out of the controller into a
-    /// [`crate::context::SubarrayContext`], or a context was handed a
-    /// command addressed to a sub-array it does not own. Raised whenever
-    /// the detach/reattach ownership protocol of parallel dispatch is
-    /// violated.
+    /// already checked out of the controller into a
+    /// [`crate::context::SubarrayContext`], a context was reattached
+    /// without a matching checkout, or work was handed a context other
+    /// than the sub-array it addresses. Raised whenever the
+    /// detach/reattach ownership protocol is violated.
     SubarrayDetached {
         /// The unavailable sub-array.
         subarray: crate::address::SubarrayId,

@@ -21,30 +21,35 @@
 //! * single-cycle **sum** via the SA latch and the add-on XOR gate.
 //!
 //! Every operation is issued as an `ACTIVATE-ACTIVATE-PRECHARGE` (*AAP*)
-//! command through the [`controller::Controller`], which executes it
+//! command on a sub-array's [`context::SubarrayContext`], which executes it
 //! bit-accurately against the stored array content and charges latency from
-//! [`timing::TimingParams`] and energy from [`energy::EnergyParams`].
+//! [`timing::TimingParams`] and energy from [`energy::EnergyParams`]. The
+//! [`controller::Controller`] owns the contexts and merges their ledgers:
+//! work runs on a context checked out of it, one per sub-array.
 //!
 //! ## Example
 //!
 //! ```
-//! use pim_dram::{controller::Controller, geometry::DramGeometry, Result};
+//! use pim_dram::{controller::Controller, geometry::DramGeometry, BitRow};
 //!
-//! # fn main() -> Result<()> {
+//! # fn main() -> pim_dram::Result<()> {
 //! let mut ctrl = Controller::new(DramGeometry::paper_assembly());
 //! let sub = ctrl.subarray_handle(0, 0, 0, 0)?;
 //!
 //! // Write two operand rows, copy them into compute rows x1/x2, XNOR them.
-//! let a = pim_dram::bitrow::BitRow::from_fn(256, |i| i % 3 == 0);
-//! let b = pim_dram::bitrow::BitRow::from_fn(256, |i| i % 5 == 0);
-//! ctrl.write_row(sub, 10, &a)?;
-//! ctrl.write_row(sub, 11, &b)?;
-//! ctrl.aap_copy(sub, 10, ctrl.compute_row(0))?;
-//! ctrl.aap_copy(sub, 11, ctrl.compute_row(1))?;
-//! ctrl.aap2_xnor(sub, [ctrl.compute_row(0), ctrl.compute_row(1)], 20)?;
-//!
-//! let got = ctrl.read_row(sub, 20)?;
+//! let a = BitRow::from_fn(256, |i| i % 3 == 0);
+//! let b = BitRow::from_fn(256, |i| i % 5 == 0);
+//! let got = ctrl.with_context(sub, |ctx| {
+//!     ctx.write_row(10, &a)?;
+//!     ctx.write_row(11, &b)?;
+//!     ctx.aap_copy(10, ctx.compute_row(0))?;
+//!     ctx.aap_copy(11, ctx.compute_row(1))?;
+//!     ctx.aap2_xnor([ctx.compute_row(0), ctx.compute_row(1)], 20)?;
+//!     ctx.read_row(20)
+//! })?;
 //! assert_eq!(got, a.xnor(&b));
+//! // The context's work is merged into the controller's totals.
+//! assert_eq!(ctrl.stats().total_commands(), 6);
 //! # Ok(())
 //! # }
 //! ```
@@ -59,7 +64,6 @@ pub mod error;
 pub mod fault;
 pub mod geometry;
 pub mod ledger;
-pub mod port;
 pub mod profile;
 pub mod refresh;
 pub mod schedule;
@@ -76,7 +80,6 @@ pub use error::{DramError, Result};
 pub use fault::{FaultConfig, FaultInjector};
 pub use geometry::DramGeometry;
 pub use ledger::{CommandClass, CommandCosts, EnergyLedger};
-pub use port::AapPort;
 pub use profile::{ActivationModel, BackendProfile};
 pub use stats::CommandStats;
 

@@ -1,5 +1,5 @@
-//! Property-based tests: the in-memory primitives executed through the full
-//! controller path must agree with plain software bitwise logic for
+//! Property-based tests: the in-memory primitives executed on a sub-array
+//! context checked out of the controller must agree with plain software bitwise logic for
 //! arbitrary row contents, and the word-slab sub-array must agree with a
 //! per-row model built from `BitRow`'s allocating ops on arbitrary command
 //! sequences.
@@ -8,6 +8,7 @@ use proptest::prelude::*;
 
 use pim_dram::address::RowAddr;
 use pim_dram::bitrow::BitRow;
+use pim_dram::context::SubarrayContext;
 use pim_dram::controller::Controller;
 use pim_dram::geometry::DramGeometry;
 use pim_dram::profile::ActivationModel;
@@ -18,37 +19,37 @@ fn bits(len: usize) -> impl Strategy<Value = Vec<bool>> {
     proptest::collection::vec(any::<bool>(), len)
 }
 
-fn setup() -> (Controller, pim_dram::SubarrayId) {
-    let c = Controller::new(DramGeometry::tiny());
+fn setup() -> SubarrayContext {
+    let mut c = Controller::new(DramGeometry::tiny());
     let id = c.subarray_handle(0, 0, 0, 0).unwrap();
-    (c, id)
+    c.detach_context(id).unwrap()
 }
 
 proptest! {
     #[test]
     fn pim_xnor_matches_software(a in bits(64), b in bits(64)) {
-        let (mut c, id) = setup();
+        let mut c = setup();
         let ra = BitRow::from_bits(a);
         let rb = BitRow::from_bits(b);
-        c.write_row(id, 1, &ra).unwrap();
-        c.write_row(id, 2, &rb).unwrap();
-        c.aap_copy(id, 1, c.compute_row(0)).unwrap();
-        c.aap_copy(id, 2, c.compute_row(1)).unwrap();
-        let out = c.aap2_xnor(id, [c.compute_row(0), c.compute_row(1)], 5).unwrap();
+        c.write_row(1, &ra).unwrap();
+        c.write_row(2, &rb).unwrap();
+        c.aap_copy(1, c.compute_row(0)).unwrap();
+        c.aap_copy(2, c.compute_row(1)).unwrap();
+        let out = c.aap2_xnor([c.compute_row(0), c.compute_row(1)], 5).unwrap();
         prop_assert_eq!(out, ra.xnor(&rb));
     }
 
     #[test]
     fn pim_nor_nand_xor_match_software(a in bits(64), b in bits(64)) {
         for mode in [SaMode::Nor, SaMode::Nand, SaMode::Xor] {
-            let (mut c, id) = setup();
+            let mut c = setup();
             let ra = BitRow::from_bits(a.clone());
             let rb = BitRow::from_bits(b.clone());
-            c.write_row(id, 1, &ra).unwrap();
-            c.write_row(id, 2, &rb).unwrap();
-            c.aap_copy(id, 1, c.compute_row(0)).unwrap();
-            c.aap_copy(id, 2, c.compute_row(1)).unwrap();
-            let out = c.aap2(id, mode, [c.compute_row(0), c.compute_row(1)], 5).unwrap();
+            c.write_row(1, &ra).unwrap();
+            c.write_row(2, &rb).unwrap();
+            c.aap_copy(1, c.compute_row(0)).unwrap();
+            c.aap_copy(2, c.compute_row(1)).unwrap();
+            let out = c.aap2(mode, [c.compute_row(0), c.compute_row(1)], 5).unwrap();
             let expect = match mode {
                 SaMode::Nor => ra.or(&rb).not(),
                 SaMode::Nand => ra.and(&rb).not(),
@@ -61,16 +62,16 @@ proptest! {
 
     #[test]
     fn pim_tra_matches_majority(a in bits(64), b in bits(64), d in bits(64)) {
-        let (mut c, id) = setup();
+        let mut c = setup();
         let (ra, rb, rd) = (BitRow::from_bits(a), BitRow::from_bits(b), BitRow::from_bits(d));
-        c.write_row(id, 1, &ra).unwrap();
-        c.write_row(id, 2, &rb).unwrap();
-        c.write_row(id, 3, &rd).unwrap();
+        c.write_row(1, &ra).unwrap();
+        c.write_row(2, &rb).unwrap();
+        c.write_row(3, &rd).unwrap();
         for (row, x) in [(1usize, 0usize), (2, 1), (3, 2)] {
-            c.aap_copy(id, row, c.compute_row(x)).unwrap();
+            c.aap_copy(row, c.compute_row(x)).unwrap();
         }
         let out = c
-            .aap3_carry(id, [c.compute_row(0), c.compute_row(1), c.compute_row(2)], 9)
+            .aap3_carry([c.compute_row(0), c.compute_row(1), c.compute_row(2)], 9)
             .unwrap();
         prop_assert_eq!(out, BitRow::maj3(&ra, &rb, &rd));
     }
@@ -78,34 +79,34 @@ proptest! {
     #[test]
     fn full_adder_slice_is_exact(a in bits(64), b in bits(64), cin in bits(64)) {
         // sum = a ^ b ^ cin with cin latched; carry = MAJ(a, b, cin).
-        let (mut c, id) = setup();
+        let mut c = setup();
         let (ra, rb, rc) = (BitRow::from_bits(a), BitRow::from_bits(b), BitRow::from_bits(cin));
-        c.write_row(id, 1, &ra).unwrap();
-        c.write_row(id, 2, &rb).unwrap();
-        c.write_row(id, 3, &rc).unwrap();
+        c.write_row(1, &ra).unwrap();
+        c.write_row(2, &rb).unwrap();
+        c.write_row(3, &rc).unwrap();
         // Latch cin by TRA(cin, cin-copy …) — hardware latches via the carry
         // path, so emulate the controller's sequencing: TRA over
         // (cin, zeros, cin) majors to cin and latches it.
         let zeros = BitRow::zeros(ra.len());
-        c.write_row(id, 4, &zeros).unwrap();
-        c.aap_copy(id, 3, c.compute_row(0)).unwrap();
-        c.aap_copy(id, 4, c.compute_row(1)).unwrap();
-        c.aap_copy(id, 3, c.compute_row(2)).unwrap();
+        c.write_row(4, &zeros).unwrap();
+        c.aap_copy(3, c.compute_row(0)).unwrap();
+        c.aap_copy(4, c.compute_row(1)).unwrap();
+        c.aap_copy(3, c.compute_row(2)).unwrap();
         let latched = c
-            .aap3_carry(id, [c.compute_row(0), c.compute_row(1), c.compute_row(2)], 10)
+            .aap3_carry([c.compute_row(0), c.compute_row(1), c.compute_row(2)], 10)
             .unwrap();
         prop_assert_eq!(&latched, &rc); // MAJ(cin, 0, cin) = cin
         // Sum cycle.
-        c.aap_copy(id, 1, c.compute_row(0)).unwrap();
-        c.aap_copy(id, 2, c.compute_row(1)).unwrap();
-        let sum = c.aap2_sum(id, [c.compute_row(0), c.compute_row(1)], 11).unwrap();
+        c.aap_copy(1, c.compute_row(0)).unwrap();
+        c.aap_copy(2, c.compute_row(1)).unwrap();
+        let sum = c.aap2_sum([c.compute_row(0), c.compute_row(1)], 11).unwrap();
         prop_assert_eq!(sum, ra.xor(&rb).xor(&rc));
         // Carry cycle.
-        c.aap_copy(id, 1, c.compute_row(0)).unwrap();
-        c.aap_copy(id, 2, c.compute_row(1)).unwrap();
-        c.aap_copy(id, 3, c.compute_row(2)).unwrap();
+        c.aap_copy(1, c.compute_row(0)).unwrap();
+        c.aap_copy(2, c.compute_row(1)).unwrap();
+        c.aap_copy(3, c.compute_row(2)).unwrap();
         let carry = c
-            .aap3_carry(id, [c.compute_row(0), c.compute_row(1), c.compute_row(2)], 12)
+            .aap3_carry([c.compute_row(0), c.compute_row(1), c.compute_row(2)], 12)
             .unwrap();
         prop_assert_eq!(carry, BitRow::maj3(&ra, &rb, &rc));
     }
@@ -152,11 +153,11 @@ proptest! {
 
     #[test]
     fn copy_preserves_content(a in bits(64), src in 0usize..16, dst in 16usize..24) {
-        let (mut c, id) = setup();
+        let mut c = setup();
         let ra = BitRow::from_bits(a);
-        c.write_row(id, src, &ra).unwrap();
-        c.aap_copy(id, src, dst).unwrap();
-        prop_assert_eq!(c.peek_row(id, dst).unwrap(), ra);
+        c.write_row(src, &ra).unwrap();
+        c.aap_copy(src, dst).unwrap();
+        prop_assert_eq!(c.peek_row(dst).unwrap(), ra);
     }
 
     // ── Ledger merge algebra — what parallel dispatch relies on ────────

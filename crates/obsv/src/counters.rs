@@ -3,10 +3,11 @@
 /// One integer metric tracked on the hot path.
 ///
 /// Metrics fall into three families: DRAM command traffic (what the
-/// controller/contexts issue), read-path discipline (sensed vs discarded
-/// sense-amp read-outs, fault detections), and per-stage algorithmic work
-/// (probes, inserts, k-mers, edges, anchors) recorded by the pipeline
-/// stages through `AapPort`.
+/// sub-array contexts execute and the controller charges), read-path
+/// discipline (sensed vs discarded sense-amp read-outs, fault
+/// detections), and per-stage algorithmic work (probes, inserts, k-mers,
+/// edges, anchors) recorded by the pipeline stages on a context or the
+/// controller.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Metric {
     /// Host-visible row reads (`RD`, sensed).

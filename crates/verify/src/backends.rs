@@ -82,7 +82,7 @@ pub fn hashmap_backend_oracle(
             mismatches,
             notes,
         },
-        *ctrl.stats(),
+        ctrl.stats(),
     ))
 }
 
@@ -133,7 +133,7 @@ pub fn traverse_backend_oracle(
             mismatches,
             notes,
         },
-        *ctrl.stats(),
+        ctrl.stats(),
     ))
 }
 

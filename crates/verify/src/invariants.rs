@@ -140,8 +140,11 @@ mod tests {
         assert!(ledger_conserved(&ctrl), "an idle controller is trivially conserved");
         let id = ctrl.subarray_handle(0, 0, 0, 0).unwrap();
         let cols = ctrl.geometry().cols;
-        ctrl.write_row(id, 0, &pim_dram::BitRow::ones(cols)).unwrap();
-        ctrl.read_row(id, 0).unwrap();
+        ctrl.with_context(id, |ctx| {
+            ctx.write_row(0, &pim_dram::BitRow::ones(cols))?;
+            ctx.read_row(0)
+        })
+        .unwrap();
         ctrl.dpu_ops(5);
         assert!(ledger_conserved(&ctrl));
         // A detached context makes conservation undefined → reported false.

@@ -8,9 +8,9 @@ use pim_assembler_suite::assembler::dispatch::ParallelDispatcher;
 use pim_assembler_suite::assembler::{PimAssembler, PimAssemblerConfig, Result};
 use pim_assembler_suite::dram::address::{RowAddr, SubarrayId};
 use pim_assembler_suite::dram::bitrow::BitRow;
+use pim_assembler_suite::dram::context::SubarrayContext;
 use pim_assembler_suite::dram::controller::Controller;
 use pim_assembler_suite::dram::geometry::DramGeometry;
-use pim_assembler_suite::dram::port::AapPort;
 use pim_assembler_suite::dram::sense_amp::SaMode;
 use pim_assembler_suite::genome::reads::ReadSimulator;
 use pim_assembler_suite::genome::sequence::DnaSequence;
@@ -62,14 +62,14 @@ fn pipeline_results_are_identical_for_any_worker_count() {
     }
 }
 
-/// 64 copy-copy-XNOR rounds on sub-array `id`, the way a stage issues
-/// its kernels.
-fn xnor_rounds(port: &mut impl AapPort, id: SubarrayId) -> Result<()> {
-    let (x0, x1) = (port.compute_row(0), port.compute_row(1));
+/// 64 copy-copy-XNOR rounds on one sub-array's context, the way a stage
+/// issues its kernels.
+fn xnor_rounds(ctx: &mut SubarrayContext) -> Result<()> {
+    let (x0, x1) = (ctx.compute_row(0), ctx.compute_row(1));
     for round in 0..64usize {
-        port.aap_copy(id, RowAddr(round % 4), x0)?;
-        port.aap_copy(id, RowAddr((round + 1) % 4), x1)?;
-        port.aap2_discard(id, SaMode::Xnor, [x0, x1], RowAddr(8 + round % 4))?;
+        ctx.aap_copy(RowAddr(round % 4), x0)?;
+        ctx.aap_copy(RowAddr((round + 1) % 4), x1)?;
+        ctx.aap2_discard(SaMode::Xnor, [x0, x1], RowAddr(8 + round % 4))?;
     }
     Ok(())
 }
@@ -86,10 +86,12 @@ fn four_plus_partitions_execute_byte_identically() {
     let seed = |ids: &[SubarrayId]| {
         let mut ctrl = Controller::new(g);
         for (n, &id) in ids.iter().enumerate() {
-            for row in 0..4usize {
-                let data = BitRow::from_fn(g.cols, |i| (i * 7 + row + n) % 5 < 2);
-                ctrl.write_row(id, row, &data).unwrap();
-            }
+            ctrl.with_context(id, |ctx| {
+                (0..4usize).try_for_each(|row| {
+                    ctx.write_row(row, &BitRow::from_fn(g.cols, |i| (i * 7 + row + n) % 5 < 2))
+                })
+            })
+            .unwrap();
         }
         ctrl
     };
@@ -98,7 +100,7 @@ fn four_plus_partitions_execute_byte_identically() {
     assert!(ids.len() >= 4, "must exercise at least four partitions");
     let run = |dispatcher: &ParallelDispatcher, ctrl: &mut Controller| {
         let partitions: Vec<(SubarrayId, ())> = ids.iter().map(|&id| (id, ())).collect();
-        dispatcher.run_partitions(ctrl, partitions, |ctx, ()| xnor_rounds(ctx, ctx.id())).unwrap();
+        dispatcher.run_partitions(ctrl, partitions, |ctx, ()| xnor_rounds(ctx)).unwrap();
     };
 
     let mut serial = seed(&ids);
@@ -107,13 +109,14 @@ fn four_plus_partitions_execute_byte_identically() {
     for workers in [2usize, 4, 8] {
         let mut parallel = seed(&ids);
         run(&ParallelDispatcher::with_workers(workers), &mut parallel);
-        assert_eq!(*serial.stats(), *parallel.stats(), "workers={workers}: command totals");
+        assert_eq!(serial.stats(), parallel.stats(), "workers={workers}: command totals");
         assert_eq!(serial.ledger(), parallel.ledger(), "workers={workers}: cycle/energy ledger");
         for &id in &ids {
+            let (a, b) = (serial.context(id).unwrap(), parallel.context(id).unwrap());
             for row in 0..g.rows {
                 assert_eq!(
-                    serial.peek_row(id, row).unwrap(),
-                    parallel.peek_row(id, row).unwrap(),
+                    a.peek_row(row).unwrap(),
+                    b.peek_row(row).unwrap(),
                     "workers={workers}: row {row} of {id:?} diverged"
                 );
             }

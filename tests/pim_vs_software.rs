@@ -53,27 +53,31 @@ fn pim_column_sum_equals_integer_addition() {
     for trial in 0..5 {
         let n = 2 + trial * 3;
         let mut expected = vec![0u64; cols];
-        let mut rows = Vec::new();
-        for r in 0..n {
-            let bits = BitRow::from_fn(cols, |_| rng.gen_bool(0.4));
+        let addends: Vec<BitRow> =
+            (0..n).map(|_| BitRow::from_fn(cols, |_| rng.gen_bool(0.4))).collect();
+        for bits in &addends {
             for (j, e) in expected.iter_mut().enumerate() {
                 *e += bits.get(j) as u64;
             }
-            ctrl.write_row(id, r, &bits).unwrap();
-            rows.push(RowAddr(r));
         }
-        ctrl.write_row(id, 50, &BitRow::zeros(cols)).unwrap();
-        let mut scratch = ScratchSpace::new(100, 400);
-        let planes = PimAdder::column_sum(
-            &mut ctrl,
-            id,
-            BackendKind::PimAssembler,
-            OptLevel::O0,
-            &rows,
-            RowAddr(50),
-            &mut scratch,
-        )
-        .unwrap();
+        let rows: Vec<RowAddr> = (0..n).map(RowAddr).collect();
+        let planes = ctrl
+            .with_context(id, |ctx| {
+                for (&row, bits) in rows.iter().zip(&addends) {
+                    ctx.write_row(row, bits)?;
+                }
+                ctx.write_row(50, &BitRow::zeros(cols))?;
+                let mut scratch = ScratchSpace::new(100, 400);
+                PimAdder::column_sum(
+                    ctx,
+                    BackendKind::PimAssembler,
+                    OptLevel::O0,
+                    &rows,
+                    RowAddr(50),
+                    &mut scratch,
+                )
+            })
+            .unwrap();
         assert_eq!(PimAdder::decode_columns(&planes), expected, "trial {trial}");
     }
 }
