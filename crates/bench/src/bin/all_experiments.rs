@@ -6,6 +6,7 @@ use pim_bench::{print_claims, scaled_pim_run, seed_from_args, Claim};
 use pim_circuits::area::AreaModel;
 use pim_circuits::transient::TransientSim;
 use pim_circuits::variation::{MonteCarlo, PAPER_TABLE1};
+use pim_dram::CommandClass;
 use pim_platforms::assembly_model::{AssemblyCostModel, GpuAssemblyModel, PimAssemblyModel};
 use pim_platforms::memwall::{mbr_percent, rur_percent};
 use pim_platforms::throughput::ThroughputReport;
@@ -100,7 +101,7 @@ fn main() {
         "\n[functional] scaled pipeline: {} contigs, {} edges, {} AAP2 comparisons executed bit-accurately",
         run.assembly.contigs.len(),
         run.assembly.graph_edges,
-        run.report.commands.aap2
+        run.report.commands.count(CommandClass::Aap2)
     );
 
     let claims = vec![

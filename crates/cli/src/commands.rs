@@ -78,7 +78,7 @@ MAP OPTIONS:
   --backend NAME   lowering backend for the mapping kernels:
                    pim-assembler (default), ambit-tra, panda-mram
   --opt-level N    IR optimization level: 0 (default) or 2
-  --workers N      worker threads for the dispatcher (default 0 = serial;
+  --workers N      worker threads for the dispatcher (default 1;
                    results are identical for any value)
   --faults X       sense-amp flip rate to inject (default none)
 
@@ -271,6 +271,12 @@ fn k_arg(args: &ParsedArgs, default: usize) -> Result<usize, String> {
     args.get_num_where("k", default, |k| (2..=max).contains(&k), &format!("in 2..={max}"))
 }
 
+/// `--workers`: dispatcher threads, at least 1 (the default: the calling
+/// thread alone); the simulated results are identical for any count.
+fn workers_arg(args: &ParsedArgs) -> Result<usize, String> {
+    args.get_num_where("workers", 1, |w| w >= 1, "at least 1")
+}
+
 /// `--coverage`: a positive, finite read depth.
 fn coverage_arg(args: &ParsedArgs, default: f64) -> Result<f64, String> {
     args.get_num_where("coverage", default, |c: f64| c > 0.0 && c.is_finite(), "positive")
@@ -358,10 +364,7 @@ pub fn assemble(args: &ParsedArgs) -> CliResult {
         );
     }
 
-    let workers: usize = args.get_num("workers", 1)?;
-    if workers == 0 {
-        return Err("--workers must be at least 1".into());
-    }
+    let workers = workers_arg(args)?;
     let metrics_out = args.get_str("metrics-out");
     let trace_out = args.get_str("trace-out");
     let pd = args.get_num_where("pd", 2, |pd| pd >= 1, "at least 1")?;
@@ -437,7 +440,7 @@ pub fn assemble(args: &ParsedArgs) -> CliResult {
         println!(
             "  power {:.1} W | energy {:.3} mJ | MBR {:.1}% | RUR {:.1}%",
             r.power_w,
-            r.commands.energy_nj * 1e-6,
+            r.commands.total_energy_fj() as f64 * 1e-12,
             r.mbr_percent,
             r.rur_percent
         );
@@ -594,7 +597,7 @@ pub fn map(args: &ParsedArgs) -> CliResult {
             None => defaults.backend,
         },
         opt: parse_opt_level(args)?,
-        workers: args.get_num("workers", 0)?,
+        workers: workers_arg(args)?,
         fault_rate: args.get_num_where("faults", 0.0, |r| (0.0..=1.0).contains(&r), "in [0, 1]")?,
         ..defaults
     };
@@ -1251,6 +1254,14 @@ mod tests {
     fn assemble_rejects_zero_pd() {
         let err = rejected(assemble, &["assemble", "in.fa", "--pd", "0"]);
         assert_eq!(err, "--pd must be at least 1, got 0");
+    }
+
+    #[test]
+    fn assemble_and_map_reject_zero_workers() {
+        let err = rejected(assemble, &["assemble", "in.fa", "--workers", "0"]);
+        assert_eq!(err, "--workers must be at least 1, got 0");
+        let err = rejected(map, &["map", "--workers", "0"]);
+        assert_eq!(err, "--workers must be at least 1, got 0");
     }
 
     #[test]

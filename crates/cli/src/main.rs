@@ -10,7 +10,7 @@
 //! pim-asm stats <contigs.fasta>
 //! pim-asm throughput
 //! pim-asm map [--genome-len 300] [--read-len 32] [--coverage 4]
-//!         [--error-rate 0.02] [--seed 42] [--subarrays 4] [--workers 0] [--faults 0]
+//!         [--error-rate 0.02] [--seed 42] [--subarrays 4] [--workers 1] [--faults 0]
 //!         [--backend <pim-assembler|ambit-tra|panda-mram>] [--opt-level <0|2>]
 //! pim-asm verify [--k 9] [--genome-len 400] [--seed 42] [--faults 1e-4]
 //!         [--stage <mapping|resume>]

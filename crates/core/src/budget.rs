@@ -15,6 +15,7 @@
 //! [`StageBudget`] lines over the [`pim_obsv`] snapshot keys; the
 //! `pim-verify` invariant checker evaluates them after every pipeline run.
 
+use pim_dram::ledger::{CommandClass, EnergyLedger};
 use pim_obsv::{BudgetLine, StageBudget};
 
 use crate::ir::OptLevel;
@@ -144,7 +145,7 @@ pub fn pipeline_budget_at(cols: usize, opt: OptLevel) -> StageBudget {
 
 /// Per-chunk AAP bound for the streamed hashmap stage, derived from the
 /// compiled probe kernel. The staged [`crate::pipeline::Session`] checks
-/// every ingestion chunk's command-stats delta against it, so a hot-path
+/// every ingestion chunk's ledger delta against it, so a hot-path
 /// regression surfaces at the first offending chunk instead of only in
 /// the end-of-run budget sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -164,17 +165,17 @@ impl ChunkAapBound {
     /// count is recovered from the AAP2 volume, and the AAP volume must
     /// stay within the combined per-unit bound. Returns the violation
     /// description, or `None` when the chunk is in bounds.
-    pub fn check(&self, delta: &pim_dram::stats::CommandStats, inserts: u64) -> Option<String> {
+    pub fn check(&self, delta: &EnergyLedger, inserts: u64) -> Option<String> {
         if self.aap2_per_probe == 0 {
             return None;
         }
-        let probes = delta.aap2 / self.aap2_per_probe;
+        let probes = delta.count(CommandClass::Aap2) / self.aap2_per_probe;
         let bound = inserts * self.aap_per_insert + probes * self.aap_per_probe;
-        (delta.aap > bound).then(|| {
+        let aap = delta.count(CommandClass::Aap);
+        (aap > bound).then(|| {
             format!(
-                "hashmap chunk issued {} AAP commands, bound {bound} \
-                 ({inserts} k-mers offered, {probes} probes)",
-                delta.aap
+                "hashmap chunk issued {aap} AAP commands, bound {bound} \
+                 ({inserts} k-mers offered, {probes} probes)"
             )
         })
     }
@@ -321,19 +322,17 @@ mod tests {
         let mut exec = HashmapExec::new(&config);
         let mut chunks = 0;
         for chunk in reads.chunks(8) {
-            let before = ctrl.stats();
+            let before = *ctrl.ledger();
             let offered = exec.feed(&mut ctrl, &dispatcher, chunk).unwrap();
-            let delta = ctrl.stats().since(&before);
+            let delta = ctrl.ledger().since(&before);
             assert_eq!(bound.check(&delta, offered), None, "chunk {chunks}");
             chunks += 1;
         }
         assert!(chunks > 1, "test must exercise multiple chunks");
         // Drift detection: an AAP volume the offered work cannot explain.
-        let drifted = pim_dram::stats::CommandStats {
-            aap: 1_000_000,
-            aap2: bound.aap2_per_probe * 10,
-            ..Default::default()
-        };
+        let mut drifted = EnergyLedger::default();
+        drifted.charge_many(CommandClass::Aap, ctrl.costs(), 1_000_000);
+        drifted.charge_many(CommandClass::Aap2, ctrl.costs(), bound.aap2_per_probe * 10);
         let violation = bound.check(&drifted, 1).expect("drift must be flagged");
         assert!(violation.contains("hashmap chunk"), "{violation}");
     }

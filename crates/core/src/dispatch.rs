@@ -16,9 +16,9 @@
 //!
 //! Correctness contract: because partitions touch disjoint sub-arrays and
 //! contexts account in integer [`pim_dram::ledger::EnergyLedger`]s, a
-//! parallel run produces **byte-identical** array state and bit-identical
-//! merged [`pim_dram::CommandStats`] to the serial run of the same
-//! partitions — regardless of worker count or interleaving. The serial
+//! parallel run produces **byte-identical** array state and an identical
+//! merged ledger to the serial run of the same partitions — regardless of
+//! worker count or interleaving. The serial
 //! fallback (`workers == 1`) runs the identical context-based path, so
 //! `serial()` vs `parallel()` differ only in wall-clock.
 //!
@@ -433,7 +433,7 @@ mod tests {
     use pim_dram::bitrow::BitRow;
     use pim_dram::geometry::DramGeometry;
     use pim_dram::sense_amp::SaMode;
-    use pim_dram::DramError;
+    use pim_dram::{CommandClass, DramError};
 
     fn subarrays(n: usize) -> (Controller, Vec<SubarrayId>) {
         let g = DramGeometry::tiny();
@@ -491,7 +491,6 @@ mod tests {
         dispatch_programs(&ParallelDispatcher::serial(), &mut serial_ctrl, &ids);
         dispatch_programs(&ParallelDispatcher::with_workers(4), &mut par_ctrl, &ids);
 
-        assert_eq!(serial_ctrl.stats(), par_ctrl.stats());
         assert_eq!(serial_ctrl.ledger(), par_ctrl.ledger());
         let rows = serial_ctrl.geometry().rows;
         for &id in &ids {
@@ -537,7 +536,7 @@ mod tests {
             })
             .unwrap();
         assert_eq!(out, vec![20, 40, 60, 80, 100]);
-        assert_eq!(ctrl.stats().writes, 5);
+        assert_eq!(ctrl.ledger().count(CommandClass::Write), 5);
     }
 
     #[test]
@@ -550,7 +549,7 @@ mod tests {
         assert!(matches!(err, PimError::Dram(DramError::SubarrayDetached { .. })));
         // All contexts were returned: the controller is fully usable.
         write_zeros(&mut ctrl, ids[0]);
-        assert_eq!(ctrl.stats().writes, 1);
+        assert_eq!(ctrl.ledger().count(CommandClass::Write), 1);
     }
 
     #[test]
@@ -575,7 +574,7 @@ mod tests {
                 "workers={workers}"
             );
             // Successful partitions (0 and 2) landed; failed ones did not.
-            assert_eq!(ctrl.stats().writes, 2, "workers={workers}");
+            assert_eq!(ctrl.ledger().count(CommandClass::Write), 2, "workers={workers}");
             write_zeros(&mut ctrl, ids[1]);
         }
     }
@@ -604,11 +603,11 @@ mod tests {
             // Every context was reattached first — including the panicked
             // partition's, with the state it reached — so the controller
             // stays fully usable and no sub-array is stranded detached.
-            assert_eq!(ctrl.stats().writes, 4, "workers={workers}");
+            assert_eq!(ctrl.ledger().count(CommandClass::Write), 4, "workers={workers}");
             for &id in &ids {
                 write_zeros(&mut ctrl, id);
             }
-            assert_eq!(ctrl.stats().writes, 8, "workers={workers}");
+            assert_eq!(ctrl.ledger().count(CommandClass::Write), 8, "workers={workers}");
         }
     }
 }

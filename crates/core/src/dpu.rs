@@ -19,13 +19,13 @@ use pim_dram::context::SubarrayContext;
 ///
 /// ```
 /// use pim_assembler::dpu::Dpu;
-/// use pim_dram::{controller::Controller, geometry::DramGeometry};
+/// use pim_dram::{controller::Controller, geometry::DramGeometry, CommandClass};
 ///
 /// let mut ctrl = Controller::new(DramGeometry::tiny());
 /// let mut ctx = ctrl.detach_context(ctrl.subarray_handle(0, 0, 0, 0)?)?;
 /// assert_eq!(Dpu::increment_saturating(&mut ctx, 7, 255), 8);
 /// ctrl.reattach_context(ctx)?;
-/// assert_eq!(ctrl.stats().dpu, 1);
+/// assert_eq!(ctrl.ledger().count(CommandClass::Dpu), 1);
 /// # Ok::<(), pim_dram::DramError>(())
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -71,6 +71,6 @@ mod tests {
         let mut c = ctx();
         assert!(Dpu::is_zero(&mut c, 0));
         assert!(!Dpu::is_zero(&mut c, 7));
-        assert_eq!(c.stats().dpu, 2);
+        assert_eq!(c.ledger().count(pim_dram::CommandClass::Dpu), 2);
     }
 }

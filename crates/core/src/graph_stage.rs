@@ -178,6 +178,7 @@ mod tests {
     use super::*;
     use crate::mapping::KmerMapper;
     use pim_dram::geometry::DramGeometry;
+    use pim_dram::CommandClass;
     use pim_genome::kmer::KmerIter;
     use pim_genome::sequence::DnaSequence;
     use rand::SeedableRng;
@@ -243,13 +244,13 @@ mod tests {
     fn mem_inserts_are_charged_as_writes() {
         let mut ctrl = Controller::new(DramGeometry::paper_assembly());
         let table = loaded_table(&mut ctrl, "ACGTTGCA", 4, 2);
-        let before = ctrl.stats();
+        let before = *ctrl.ledger();
         let region = ctrl.subarray_handle(0, 1, 0, 0).unwrap();
         let (_, _, stats, _) =
             GraphStage::build(&mut ctrl, &ParallelDispatcher::serial(), &table, 1, region, 1)
                 .unwrap();
-        let d = ctrl.stats().since(&before);
-        assert_eq!(d.writes, stats.mem_inserts);
-        assert!(d.reads >= stats.scanned); // table scan reads
+        let d = ctrl.ledger().since(&before);
+        assert_eq!(d.count(CommandClass::Write), stats.mem_inserts);
+        assert!(d.count(CommandClass::Read) >= stats.scanned); // table scan reads
     }
 }

@@ -741,10 +741,10 @@ mod tests {
         table.insert(&mut ctrl, &serial(), &[kmer]).unwrap();
         let home = table.home_subarray(&kmer);
         let other = *table.mapper().subarrays().iter().find(|&&id| id != home).unwrap();
-        let before = ctrl.stats();
+        let before = *ctrl.ledger();
         let err = ctrl.with_context(other, |ctx| table.count(ctx, &kmer)).unwrap_err();
         assert_eq!(err, PimError::Dram(DramError::SubarrayDetached { subarray: home }));
-        assert_eq!(ctrl.stats(), before, "a rejected query charges nothing");
+        assert_eq!(*ctrl.ledger(), before, "a rejected query charges nothing");
         assert_eq!(count(&mut ctrl, &table, &kmer), 1);
     }
 
@@ -778,19 +778,19 @@ mod tests {
     fn commands_are_charged_per_insert() {
         let (mut ctrl, mut table) = setup();
         let kmer: Kmer = "TTTTGGGGCCCCAAAA".parse().unwrap();
-        let before = ctrl.stats();
+        let before = *ctrl.ledger();
         table.insert(&mut ctrl, &serial(), &[kmer]).unwrap();
-        let d = ctrl.stats().since(&before);
+        let d = ctrl.ledger().since(&before);
         // Fresh insert in an empty bucket: temp staging (in-DRAM AAP) +
         // x1 clone + slot clone + counter-row activation — all in-array.
-        assert_eq!(d.writes, 0);
-        assert_eq!(d.aap, 4);
-        assert_eq!(d.aap2, 0); // no stored rows yet → no comparisons
-        let before = ctrl.stats();
+        assert_eq!(d.count(CommandClass::Write), 0);
+        assert_eq!(d.count(CommandClass::Aap), 4);
+        assert_eq!(d.count(CommandClass::Aap2), 0); // no stored rows yet → no comparisons
+        let before = *ctrl.ledger();
         table.insert(&mut ctrl, &serial(), &[kmer]).unwrap();
-        let d = ctrl.stats().since(&before);
-        assert_eq!(d.aap2, 1); // one PIM_XNOR probe
-        assert!(d.dpu >= 2); // AND-reduce + increment
+        let d = ctrl.ledger().since(&before);
+        assert_eq!(d.count(CommandClass::Aap2), 1); // one PIM_XNOR probe
+        assert!(d.count(CommandClass::Dpu) >= 2); // AND-reduce + increment
     }
 
     #[test]
@@ -841,7 +841,6 @@ mod tests {
             reference.insert(&mut ref_ctrl, &serial(), &[kmer]).unwrap();
         }
         // Snapshot before scanning: the scan itself charges row reads.
-        let ref_stats = ref_ctrl.stats();
         let ref_ledger = *ref_ctrl.ledger();
         let ref_scan = reference.scan(&mut ref_ctrl, &serial()).unwrap();
 
@@ -849,7 +848,6 @@ mod tests {
             let (mut ctrl, mut table) = setup();
             table.insert(&mut ctrl, &ParallelDispatcher::with_workers(workers), &kmers).unwrap();
             assert_eq!(table.stats(), reference.stats(), "workers={workers}");
-            assert_eq!(ctrl.stats(), ref_stats, "workers={workers}");
             assert_eq!(*ctrl.ledger(), ref_ledger, "workers={workers}");
             assert_eq!(table.scan(&mut ctrl, &serial()).unwrap(), ref_scan, "workers={workers}");
         }
@@ -861,12 +859,12 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(22);
         let seq = DnaSequence::random(&mut rng, 500);
         table.insert(&mut ctrl, &serial(), &kmers_of(&seq, 12)).unwrap();
-        let before = ctrl.stats();
+        let before = *ctrl.ledger();
         let serial_scan = table.scan(&mut ctrl, &serial()).unwrap();
-        let serial_delta = ctrl.stats().since(&before);
-        let before = ctrl.stats();
+        let serial_delta = ctrl.ledger().since(&before);
+        let before = *ctrl.ledger();
         let pooled = table.scan(&mut ctrl, &ParallelDispatcher::with_workers(4)).unwrap();
-        let pooled_delta = ctrl.stats().since(&before);
+        let pooled_delta = ctrl.ledger().since(&before);
         assert_eq!(serial_scan, pooled);
         assert_eq!(serial_delta, pooled_delta);
     }
@@ -886,10 +884,10 @@ mod tests {
         let (mut ctrl_a, mut table_a) = setup();
         let half = kmers.len() / 2;
         table_a.insert(&mut ctrl_a, &serial(), &kmers[..half]).unwrap();
-        let before_save = ctrl_a.stats();
+        let before_save = *ctrl_a.ledger();
         let mut cp = StageCheckpoint::new("fp", "hashmap", 0);
         table_a.save_entries(&ctrl_a, &mut cp, "hash").unwrap();
-        assert_eq!(ctrl_a.stats(), before_save, "saving must not charge");
+        assert_eq!(*ctrl_a.ledger(), before_save, "saving must not charge");
         let entries = PimHashTable::load_entries(&cp, "hash", 13).unwrap();
         assert_eq!(entries.len() as u64, table_a.stats().distinct);
 

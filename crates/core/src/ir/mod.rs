@@ -25,9 +25,10 @@
 //! The [`LoweredOp`]s are the paper's §II-B AAP instructions (types 1–3)
 //! over role indices, and [`CompiledKernel::execute`] is their one
 //! executor. [`crate::template::CompiledTemplate`] wraps a
-//! [`CompiledKernel`] for the built-in kernels (adding the memoizing cache
-//! and the historical key/arity API), so there is exactly one source of
-//! truth per kernel command sequence. [`crate::budget::pipeline_budget`]
+//! [`CompiledKernel`] for the built-in kernels (adding the
+//! [`crate::template::TemplateKey`] shape and precomputed command
+//! counts), so there is exactly one source of truth per kernel command
+//! sequence. [`crate::budget::pipeline_budget`]
 //! and the `pim-verify` invariant checker derive their expected command
 //! counts from the [`CompileReport`] pass statistics.
 //!
@@ -53,7 +54,7 @@ pub use backend::{
     AmbitTraBackend, BackendKind, LoweringBackend, PandaMramBackend, PimAssemblerBackend,
 };
 pub use legalize::{legalize, legalize_with, LegalizeStats};
-pub use opt::{fuse, fuse_programs, optimize, OptLevel, OptStats};
+pub use opt::{optimize, OptLevel, OptStats};
 pub use peephole::{peephole, PeepholeStats};
 pub use program::{IrError, IrErrorKind, KernelSpan, PimOp, PimProgram, RowClass, RowDecl, VRow};
 

@@ -34,11 +34,6 @@
 //! commands on PIM-Assembler, 3 on PANDA-MRAM, and a 37-command gate
 //! expansion on Ambit-TRA — each strictly cheaper than that backend's
 //! baseline.
-//!
-//! The module also hosts the cross-kernel **fusion** entry points
-//! ([`fuse_programs`], [`share_staging`]): fused stage kernels share one
-//! zero constant and one allocation, and provably-redundant staging
-//! copies between fused parts are elided under the same evaluator gate.
 
 use pim_dram::profile::ActivationModel;
 use pim_dram::sense_amp::SaMode;
@@ -237,7 +232,7 @@ fn eval_lowered(
 }
 
 /// Runs a source program's virtual-row ops the same way (used for the
-/// reference truth tables and the fusion gate). Sound at VRow granularity
+/// reference truth tables). Sound at VRow granularity
 /// because the allocator never aliases live temps and legalization forces
 /// def-before-read, so slot-level destruction can only hit dead values.
 fn eval_program(
@@ -342,69 +337,6 @@ fn lowered_equivalent(
             && !matches!(cand.ops().last(), Some(&LoweredOp::TwoSrc { dst: d, .. }) if d == dst)
         {
             return false;
-        }
-    }
-    true
-}
-
-/// Exhaustive equivalence of two source programs under both activation
-/// models (the fusion gate: a source-level rewrite must be sound on every
-/// substrate it may later be compiled for).
-fn programs_equivalent(a: &PimProgram, b: &PimProgram) -> bool {
-    let fixed = |p: &PimProgram| {
-        p.rows()
-            .iter()
-            .filter(|d| !matches!(d.class, RowClass::Temp | RowClass::Spill))
-            .cloned()
-            .collect::<Vec<_>>()
-    };
-    if fixed(a) != fixed(b) {
-        return false;
-    }
-    let n = a.rows().iter().filter(|d| d.class == RowClass::Input).count();
-    if n == 0 || n > MAX_INPUTS {
-        return false;
-    }
-    let mask = tt_mask(n);
-    for model in [ActivationModel::DestructiveCharge, ActivationModel::NondestructiveSense] {
-        for (poison, latch0) in SEEDS {
-            let (Some(ra), Some(rb)) =
-                (eval_program(a, model, poison, latch0), eval_program(b, model, poison, latch0))
-            else {
-                return false;
-            };
-            let visible: Vec<usize> = a
-                .rows()
-                .iter()
-                .enumerate()
-                .filter(|(_, d)| {
-                    matches!(d.class, RowClass::Input | RowClass::Zero | RowClass::Output)
-                })
-                .map(|(i, _)| i)
-                .collect();
-            // Caller-visible rows occupy the same declaration indices in
-            // both programs only when their full row tables align, so map
-            // by position among visible rows.
-            let visible_b: Vec<usize> = b
-                .rows()
-                .iter()
-                .enumerate()
-                .filter(|(_, d)| {
-                    matches!(d.class, RowClass::Input | RowClass::Zero | RowClass::Output)
-                })
-                .map(|(i, _)| i)
-                .collect();
-            if visible.len() != visible_b.len() {
-                return false;
-            }
-            for (&ia, &ib) in visible.iter().zip(&visible_b) {
-                if (ra.rows[ia] ^ rb.rows[ib]) & mask != 0 {
-                    return false;
-                }
-            }
-            if (ra.latch ^ rb.latch) & mask != 0 {
-                return false;
-            }
         }
     }
     true
@@ -715,145 +647,6 @@ fn permutations(n: usize) -> Vec<Vec<usize>> {
     out
 }
 
-// ---------------------------------------------------------------------------
-// Cross-kernel fusion
-// ---------------------------------------------------------------------------
-
-/// Fuses `parts` into one program named `name`: rows are unified by
-/// label — a later part's input that names an earlier part's output (or
-/// input) reuses that row, every part shares one zero constant, and temps
-/// stay private per part. The fused program runs through one legalize /
-/// allocate / peephole pass, so temps from different parts share compute
-/// slots and redundant staging is exposed to [`share_staging`].
-pub fn fuse_programs(name: &str, parts: &[&PimProgram]) -> PimProgram {
-    let mut np = PimProgram::new(name);
-    let mut by_label: Vec<(String, super::VRow)> = Vec::new();
-    let mut zero: Option<super::VRow> = None;
-    for (pi, part) in parts.iter().enumerate() {
-        let mut map: Vec<super::VRow> = Vec::with_capacity(part.rows().len());
-        for decl in part.rows() {
-            let v = match decl.class {
-                RowClass::Input => match by_label.iter().find(|(l, _)| *l == decl.label) {
-                    Some((_, v)) => *v,
-                    None => {
-                        let v = np.input(decl.label.clone());
-                        by_label.push((decl.label.clone(), v));
-                        v
-                    }
-                },
-                RowClass::Output => {
-                    let v = np.output(decl.label.clone());
-                    by_label.push((decl.label.clone(), v));
-                    v
-                }
-                RowClass::Zero => match zero {
-                    Some(z) => z,
-                    None => {
-                        let z = np.zero(decl.label.clone());
-                        zero = Some(z);
-                        z
-                    }
-                },
-                RowClass::Temp | RowClass::Spill => np.temp(format!("p{pi}_{}", decl.label)),
-            };
-            map.push(v);
-        }
-        for op in part.ops() {
-            match *op {
-                PimOp::Copy { src, dst } => np.copy(map[src.index()], map[dst.index()]),
-                PimOp::TwoSrc { srcs, dst, mode } => {
-                    np.two_src([map[srcs[0].index()], map[srcs[1].index()]], map[dst.index()], mode)
-                }
-                PimOp::ThreeSrc { srcs, dst } => np.three_src(
-                    [map[srcs[0].index()], map[srcs[1].index()], map[srcs[2].index()]],
-                    map[dst.index()],
-                ),
-            }
-        }
-    }
-    np
-}
-
-/// Fuses two programs (see [`fuse_programs`]).
-pub fn fuse(name: &str, a: &PimProgram, b: &PimProgram) -> PimProgram {
-    fuse_programs(name, &[a, b])
-}
-
-/// Elides provably-redundant staging copies across fused kernel
-/// boundaries: when `copy s -> t` re-stages a value an earlier live temp
-/// `t'` still holds (same source, neither row disturbed since — with
-/// activation-set membership counting as a disturbance, the worst-case
-/// destructive model), the copy is dropped and reads of `t` retargeted to
-/// `t'`. Every elision is individually gated by the exhaustive
-/// `programs_equivalent` proof under *both* activation models, so the
-/// pass is sound on every backend. Returns the rewritten program and the
-/// number of staging copies shared.
-pub fn share_staging(program: &PimProgram) -> (PimProgram, usize) {
-    let mut current = program.clone();
-    let mut shared = 0usize;
-    'outer: loop {
-        let ops = current.ops();
-        for (i, op) in ops.iter().enumerate() {
-            let PimOp::Copy { src, dst } = *op else { continue };
-            if current.class_of(dst) != RowClass::Temp {
-                continue;
-            }
-            // `dst` must be single-assignment for the retarget to be sound.
-            if ops.iter().filter(|o| o.writes() == dst).count() != 1 {
-                continue;
-            }
-            // An earlier staging copy of the same source, still undisturbed.
-            let Some(donor) = (0..i).rev().find_map(|j| {
-                let PimOp::Copy { src: s2, dst: d2 } = ops[j] else { return None };
-                if s2 != src || current.class_of(d2) != RowClass::Temp || d2 == dst {
-                    return None;
-                }
-                let undisturbed = ops[j + 1..i].iter().all(|o| {
-                    o.writes() != d2
-                        && o.writes() != src
-                        && !matches!(o, PimOp::TwoSrc { srcs, .. } if srcs.contains(&d2) || srcs.contains(&src))
-                        && !matches!(o, PimOp::ThreeSrc { srcs, .. } if srcs.contains(&d2) || srcs.contains(&src))
-                });
-                undisturbed.then_some(d2)
-            }) else {
-                continue;
-            };
-            // Build the rewrite: drop op i, read `donor` instead of `dst`.
-            let mut rewritten = PimProgram::new(current.name());
-            for decl in current.rows() {
-                match decl.class {
-                    RowClass::Input => rewritten.input(decl.label.clone()),
-                    RowClass::Output => rewritten.output(decl.label.clone()),
-                    RowClass::Zero => rewritten.zero(decl.label.clone()),
-                    RowClass::Temp => rewritten.temp(decl.label.clone()),
-                    RowClass::Spill => rewritten.temp(decl.label.clone()),
-                };
-            }
-            let subst = |v: super::VRow| if v == dst { donor } else { v };
-            for (j, op) in ops.iter().enumerate() {
-                if j == i {
-                    continue;
-                }
-                match *op {
-                    PimOp::Copy { src, dst } => rewritten.copy(subst(src), dst),
-                    PimOp::TwoSrc { srcs, dst, mode } => {
-                        rewritten.two_src([subst(srcs[0]), subst(srcs[1])], dst, mode)
-                    }
-                    PimOp::ThreeSrc { srcs, dst } => {
-                        rewritten.three_src([subst(srcs[0]), subst(srcs[1]), subst(srcs[2])], dst)
-                    }
-                }
-            }
-            if programs_equivalent(&current, &rewritten) {
-                current = rewritten;
-                shared += 1;
-                continue 'outer;
-            }
-        }
-        return (current, shared);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::super::{compile_backend, compile_backend_opt, kernels};
@@ -1021,103 +814,7 @@ mod tests {
                 );
             }
             // O2 spends strictly fewer commands for the same answer.
-            assert!(c2.stats().total_commands() < c0.stats().total_commands());
-        }
-    }
-
-    #[test]
-    fn fusion_unifies_labels_and_shares_the_zero_row() {
-        let mut p1 = PimProgram::new("cmp1");
-        let a = p1.input("a");
-        let b = p1.input("b");
-        let d1 = p1.output("d1");
-        p1.zero("zero");
-        let t1 = p1.temp("t1");
-        let t2 = p1.temp("t2");
-        p1.copy(a, t1);
-        p1.copy(b, t2);
-        p1.two_src([t1, t2], d1, SaMode::Xnor);
-
-        let mut p2 = PimProgram::new("cmp2");
-        let a2 = p2.input("a");
-        let c = p2.input("c");
-        let d2 = p2.output("d2");
-        p2.zero("zero");
-        let u1 = p2.temp("t1");
-        let u2 = p2.temp("t2");
-        p2.copy(a2, u1);
-        p2.copy(c, u2);
-        p2.two_src([u1, u2], d2, SaMode::Xnor);
-
-        let fused = fuse("cmp-pair", &p1, &p2);
-        // a is shared; one zero row; 3 inputs not 4.
-        let inputs = fused.rows().iter().filter(|d| d.class == RowClass::Input).count();
-        let zeros = fused.rows().iter().filter(|d| d.class == RowClass::Zero).count();
-        assert_eq!((inputs, zeros), (3, 1));
-        assert_eq!(fused.ops().len(), 6);
-
-        let kernel = compile_backend(&fused, &OPTIONS, BackendKind::PimAssembler).unwrap();
-        // One allocation across both parts: temps share the two slots.
-        assert_eq!(kernel.report().alloc.slots_used, 2);
-        let m = tt_mask(3);
-        let state = eval_program(&fused, ActivationModel::DestructiveCharge, 0, 0).unwrap();
-        let (ta, tb, tc) = (tt_input(0), tt_input(1), tt_input(2));
-        let d1_row = fused.rows().iter().position(|d| d.label == "d1").unwrap();
-        let d2_row = fused.rows().iter().position(|d| d.label == "d2").unwrap();
-        assert_eq!(state.rows[d1_row] & m, !(ta ^ tb) & m);
-        assert_eq!(state.rows[d2_row] & m, !(ta ^ tc) & m);
-    }
-
-    #[test]
-    fn share_staging_elides_redundant_copies_under_the_evaluator_gate() {
-        // Two fused parts both staging `a`, with only copy consumers in
-        // between — the second staging copy is provably redundant.
-        let mut p = PimProgram::new("staged");
-        let a = p.input("a");
-        let o1 = p.output("o1");
-        let o2 = p.output("o2");
-        let t1 = p.temp("t1");
-        let t2 = p.temp("t2");
-        p.copy(a, t1);
-        p.copy(t1, o1);
-        p.copy(a, t2);
-        p.copy(t2, o2);
-        let (rewritten, shared) = share_staging(&p);
-        assert_eq!(shared, 1);
-        assert_eq!(rewritten.ops().len(), 3);
-        assert!(programs_equivalent(&p, &rewritten));
-    }
-
-    #[test]
-    fn share_staging_respects_destructive_consumption() {
-        // t1 is consumed by an activation before the re-staging copy: the
-        // value is gone on DRAM, so nothing may be elided.
-        let mut p = PimProgram::new("staged");
-        let a = p.input("a");
-        let b = p.input("b");
-        let o1 = p.output("o1");
-        let o2 = p.output("o2");
-        let t1 = p.temp("t1");
-        let t2 = p.temp("t2");
-        let t3 = p.temp("t3");
-        p.copy(a, t1);
-        p.copy(b, t2);
-        p.two_src([t1, t2], o1, SaMode::Xor);
-        p.copy(a, t3);
-        p.copy(t3, o2);
-        let (rewritten, shared) = share_staging(&p);
-        assert_eq!(shared, 0);
-        assert_eq!(rewritten.ops(), p.ops());
-    }
-
-    #[test]
-    fn fused_canonical_kernels_compile_on_every_backend() {
-        let fused = fuse("xnor+fa", &kernels::xnor(), &kernels::full_adder());
-        for backend in BackendKind::ALL {
-            let kernel = compile_backend(&fused, &OPTIONS, backend).unwrap();
-            assert!(!kernel.ops().is_empty(), "{backend}");
-            // The fused allocation shares compute slots across parts.
-            assert!(kernel.report().alloc.slots_used <= 8, "{backend}");
+            assert!(c2.ledger().total_commands() < c0.ledger().total_commands());
         }
     }
 }

@@ -20,7 +20,7 @@
 //!   pipeline (legalize → virtual-row allocation → peephole), the single
 //!   source of truth for every kernel command sequence; its lowered ops
 //!   are the §II-B AAP instructions (types 1–3),
-//! * [`template`] — compiled, reusable AAP kernel templates (the cached
+//! * [`template`] — compiled, reusable AAP kernel templates (the compiled
 //!   IR kernels the stages execute),
 //! * [`pim_xnor`] — the parallel in-memory comparator (Fig. 7),
 //! * [`pim_add`] — carry-save + bit-serial in-memory addition (Fig. 8),
@@ -52,7 +52,8 @@
 //! let mut assembler = PimAssembler::new(PimAssemblerConfig::small_test(15));
 //! let run = assembler.assemble(&reads)?;
 //! assert!(run.assembly.stats.total_length >= 700);
-//! assert!(run.report.commands.aap2 > 0); // real in-memory comparisons ran
+//! // Real in-memory comparisons ran.
+//! assert!(run.report.commands.count(pim_dram::CommandClass::Aap2) > 0);
 //! # Ok::<(), pim_assembler::PimError>(())
 //! ```
 

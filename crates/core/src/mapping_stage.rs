@@ -1031,7 +1031,7 @@ pub struct MappingRunConfig {
     pub backend: BackendKind,
     /// Optimization level the kernels compile at.
     pub opt: OptLevel,
-    /// Worker threads (0 = serial dispatch).
+    /// Dispatcher worker threads (1 = the calling thread alone).
     pub workers: usize,
     /// Mapping-algorithm parameters.
     pub mapping: MappingConfig,
@@ -1053,7 +1053,7 @@ impl Default for MappingRunConfig {
             bucket_rows: 8,
             backend: BackendKind::PimAssembler,
             opt: OptLevel::O0,
-            workers: 0,
+            workers: 1,
             mapping: MappingConfig::default(),
             fault_rate: 0.0,
             fault_seed: 7,
@@ -1113,11 +1113,7 @@ pub fn run_mapping(
         config.backend,
         config.opt,
     )?;
-    let dispatcher = if config.workers == 0 {
-        ParallelDispatcher::serial()
-    } else {
-        ParallelDispatcher::with_workers(config.workers)
-    };
+    let dispatcher = ParallelDispatcher::with_workers(config.workers.max(1));
     let mut exec = MappingExec::new(pim);
     exec.feed(&mut ctrl, &dispatcher, reads)?;
     exec.seal();

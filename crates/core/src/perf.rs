@@ -1,16 +1,16 @@
 //! Performance estimation — the role of the paper's Matlab behavioral
 //! simulator (§II-B item 3).
 //!
-//! The functional pipeline counts every command per stage; this module
-//! turns those counts into wall-clock, power, MBR, and RUR, and
+//! The functional pipeline charges every command to the integer ledger,
+//! and each stage's commands are the ledger delta across it; this module
+//! turns those per-stage ledgers into wall-clock, power, MBR, and RUR, and
 //! extrapolates a measured scaled run to the paper's chromosome-14 scale.
-//! Energy is the ledger's own total (`commands.energy_nj`).
+//! Energy is the ledger's own total (`commands.total_energy_fj()`).
 //! The parallelism constants come from
 //! [`pim_platforms::assembly_model::PimAssemblyModel`] so the measured and
 //! analytic paths stay consistent.
 
-use pim_dram::stats::CommandStats;
-use pim_dram::timing::TimingParams;
+use pim_dram::ledger::{CommandClass, EnergyLedger};
 use pim_obsv::MetricsSnapshot;
 use pim_platforms::assembly_model::{AssemblyCostModel, PimAssemblyModel, StageBreakdown};
 use pim_platforms::workload::AssemblyWorkload;
@@ -20,8 +20,8 @@ use crate::config::PimAssemblerConfig;
 /// Per-stage command counts and estimated wall-clock.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StagePerf {
-    /// Commands issued by the stage.
-    pub commands: CommandStats,
+    /// Commands issued by the stage, with their latency and energy.
+    pub commands: EnergyLedger,
     /// Estimated wall-clock seconds at the configured parallelism.
     pub wall_s: f64,
 }
@@ -29,9 +29,8 @@ pub struct StagePerf {
 /// The complete performance report of one pipeline run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PerfReport {
-    /// All commands of the run, with the ledger's serial latency and
-    /// energy.
-    pub commands: CommandStats,
+    /// All commands of the run, with their serial latency and energy.
+    pub commands: EnergyLedger,
     /// Stage 1: k-mer analysis.
     pub hashmap: StagePerf,
     /// Stage 2: graph construction.
@@ -62,18 +61,18 @@ pub struct PerfReport {
 }
 
 impl PerfReport {
-    /// Builds a report from per-stage command deltas.
+    /// Builds a report from per-stage ledger deltas.
     pub fn new(
         config: &PimAssemblerConfig,
-        stages: [CommandStats; 3],
+        stages: [EnergyLedger; 3],
         workload: AssemblyWorkload,
     ) -> Self {
         let model = PimAssemblyModel::pim_assembler(config.pd);
         let chains = model.parallel_chains();
         let refresh = pim_dram::refresh::RefreshParams::ddr4();
-        let stage = |s: CommandStats| StagePerf {
-            commands: s,
-            wall_s: refresh.inflate_seconds(s.serial_ns * 1e-9 / chains),
+        let stage = |l: EnergyLedger| StagePerf {
+            commands: l,
+            wall_s: refresh.inflate_seconds(serial_ns(&l) * 1e-9 / chains),
         };
         let hashmap = stage(stages[0]);
         let debruijn = stage(stages[1]);
@@ -82,7 +81,7 @@ impl PerfReport {
         commands.merge(&stages[1]);
         commands.merge(&stages[2]);
         let power_w = model.static_w + model.chain_w * model.active_chains();
-        let mbr = mbr_from_commands(&commands, &config.timing);
+        let mbr = mbr_from_commands(&commands);
         PerfReport {
             commands,
             hashmap,
@@ -126,34 +125,41 @@ impl PerfReport {
     }
 }
 
-/// Measured MBR: the data-movement share of serial command time. Host row
+/// A ledger's serial command latency in nanoseconds.
+fn serial_ns(ledger: &EnergyLedger) -> f64 {
+    ledger.total_time_ps() as f64 / 1e3
+}
+
+/// Measured MBR: the data-movement share of serial command time, each
+/// class's share taken from the ledger's own picoseconds. Host row
 /// reads/writes move data by definition. Of the RowClone copies, roughly
 /// one in five *places* data (temp-row staging, counter-row activation);
 /// the rest stage operands into the compute rows, which is part of the
 /// computation itself — the same accounting split the analytic model uses.
-fn mbr_from_commands(c: &CommandStats, timing: &TimingParams) -> f64 {
-    let rd = c.reads as f64 * timing.row_read_ns(256);
-    let wr = c.writes as f64 * timing.row_write_ns(256);
-    let copy = 0.2 * c.aap as f64 * timing.aap_ns();
-    if c.serial_ns <= 0.0 {
+fn mbr_from_commands(c: &EnergyLedger) -> f64 {
+    let total_ps = c.total_time_ps();
+    if total_ps == 0 {
         return 0.0;
     }
-    (100.0 * (rd + wr + copy) / c.serial_ns).min(100.0)
+    let ps = |class| c.class(class).time_ps as f64;
+    let moved = ps(CommandClass::Read) + ps(CommandClass::Write) + 0.2 * ps(CommandClass::Aap);
+    (100.0 * moved / total_ps as f64).min(100.0)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use pim_dram::energy::EnergyParams;
-    use pim_dram::ledger::{CommandClass, CommandCosts, EnergyLedger};
+    use pim_dram::ledger::CommandCosts;
+    use pim_dram::timing::TimingParams;
 
-    fn fake_stage(aap: u64, aap2: u64, writes: u64) -> CommandStats {
+    fn fake_stage(aap: u64, aap2: u64, writes: u64) -> EnergyLedger {
         let costs = CommandCosts::new(&TimingParams::ddr4_2133(), &EnergyParams::ddr4_45nm(), 256);
         let mut ledger = EnergyLedger::default();
         ledger.charge_many(CommandClass::Aap, &costs, aap);
         ledger.charge_many(CommandClass::Aap2, &costs, aap2);
         ledger.charge_many(CommandClass::Write, &costs, writes);
-        ledger.to_stats()
+        ledger
     }
 
     fn workload() -> AssemblyWorkload {
@@ -169,7 +175,7 @@ mod tests {
             workload(),
         );
         assert!(r.parallel_chains > 1.0);
-        let serial_s = r.commands.serial_ns * 1e-9;
+        let serial_s = serial_ns(&r.commands) * 1e-9;
         let refresh = pim_dram::refresh::RefreshParams::ddr4();
         assert!(
             (r.total_wall_s() - refresh.inflate_seconds(serial_s / r.parallel_chains)).abs()

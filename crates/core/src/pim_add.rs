@@ -301,6 +301,7 @@ mod tests {
     use super::*;
     use pim_dram::controller::Controller;
     use pim_dram::geometry::DramGeometry;
+    use pim_dram::CommandClass;
     use rand::Rng;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
@@ -489,7 +490,7 @@ mod tests {
         ctx.write_row(0, &BitRow::ones(cols)).unwrap();
         ctx.write_row(1, &BitRow::ones(cols)).unwrap();
         ctx.write_row(100, &BitRow::zeros(cols)).unwrap();
-        let before = ctx.stats();
+        let before = *ctx.ledger();
         let mut scratch = ScratchSpace::new(200, 230);
         PimAdder::column_sum(
             &mut ctx,
@@ -500,11 +501,12 @@ mod tests {
             &mut scratch,
         )
         .unwrap();
-        let d = ctx.stats().since(&before);
+        let d = ctx.ledger().since(&before);
         // Two one-bit addends: one ripple step producing sum+carry, then a
         // final step for the carry plane: 2 sum cycles (AAP2) + up to 4 TRA
         // (2 latch loads + 2 carries).
-        assert_eq!(d.aap2, 2);
-        assert!(d.aap3 >= 3 && d.aap3 <= 4, "aap3 = {}", d.aap3);
+        assert_eq!(d.count(CommandClass::Aap2), 2);
+        let aap3 = d.count(CommandClass::Aap3);
+        assert!((3..=4).contains(&aap3), "aap3 = {aap3}");
     }
 }

@@ -218,12 +218,12 @@ mod tests {
         let image = mapper.row_image(&q, 256);
         ctx.write_row(layout.kmer_row(0).unwrap(), &image).unwrap();
         cmp.stage_query(&mut ctx, &image).unwrap();
-        let before = ctx.stats();
+        let before = *ctx.ledger();
         cmp.compare(&mut ctx, layout.kmer_row(0).unwrap()).unwrap();
-        let delta = ctx.stats().since(&before);
-        assert_eq!(delta.aap, 2); // query re-clone + candidate clone
-        assert_eq!(delta.aap2, 1); // the XNOR
-        assert_eq!(delta.dpu, 1); // the AND reduction
+        let delta = ctx.ledger().since(&before);
+        assert_eq!(delta.count(CommandClass::Aap), 2); // query re-clone + candidate clone
+        assert_eq!(delta.count(CommandClass::Aap2), 1); // the XNOR
+        assert_eq!(delta.count(CommandClass::Dpu), 1); // the AND reduction
     }
 
     #[test]

@@ -15,9 +15,9 @@
 //! `assemble` is `Session::start(..)?.run(reads)`. The load-bearing
 //! contract — pinned by `pim-verify` and `tests/resume_suite.rs` — is
 //! that streamed + checkpointed + resumed execution is *byte-identical*
-//! to the one-shot run: contigs, `CommandStats`, the energy ledger, and
-//! every deterministic metric, at any worker count and optimization
-//! level. Three substrate properties earn it: per-chunk work
+//! to the one-shot run: contigs, the energy ledger and its per-stage
+//! deltas, and every deterministic metric, at any worker count and
+//! optimization level. Three substrate properties earn it: per-chunk work
 //! concatenates to the one-shot work order (the dispatcher preserves
 //! per-sub-array arrival order), ledger charging is an order-independent
 //! integer sum, and checkpoint save and restore go through the contexts'
@@ -553,9 +553,9 @@ impl<'a> Session<'a> {
             let PimAssembler { ctrl, dispatcher, spans, .. } = &mut *self.asm;
             let Phase::Ingest(exec) = &mut self.phase else { unreachable!() };
             let t0 = chunked.then(|| spans.as_deref().map(SpanRecorder::now_ns)).flatten();
-            let before = ctrl.stats();
+            let before = *ctrl.ledger();
             let offered = exec.feed(ctrl, dispatcher, reads)?;
-            let delta = ctrl.stats().since(&before);
+            let delta = ctrl.ledger().since(&before);
             if let Some(violation) = self.bound.check(&delta, offered) {
                 self.violations.push(violation);
             }
@@ -718,11 +718,7 @@ impl<'a> Session<'a> {
                 partitioning,
                 graph_stats,
             } = texec.run(ctrl, dispatcher, config.opt_level)?;
-            let s1 = s1_ledger.to_stats();
-            let s2 = s2_ledger.to_stats().since(&s1);
-            let mut s12 = s1;
-            s12.merge(&s2);
-            let s3 = ctrl.stats().since(&s12);
+            let stages = [s1_ledger, s2_ledger.since(&s1_ledger), ctrl.ledger().since(&s2_ledger)];
             if let (Some(spans), Some(t0)) = (spans.as_deref(), stage_start) {
                 spans.record("stage.traverse", "stage", 0, t0, trails.len() as u64);
             }
@@ -765,7 +761,7 @@ impl<'a> Session<'a> {
             // issue) and attach the effective parallelism it achieves.
             let queues = pim_dram::schedule::queues_from_totals(&ctrl.subarray_command_totals());
             let sched = pim_dram::schedule::schedule(&queues, 3.0 * config.timing.t_ck_ns);
-            let mut report = PerfReport::new(config, [s1, s2, s3], workload)
+            let mut report = PerfReport::new(config, stages, workload)
                 .with_measured_parallelism(sched.effective_parallelism);
             let (counters, host) = (&self.base_counters, &self.base_host);
             if let Some(mut snap) =
@@ -923,7 +919,7 @@ mod tests {
         assert!(r.traverse.wall_s > 0.0);
         // Hashmap dominates (the paper's >80% claim for stages 1–2).
         assert!(r.hashmap.wall_s > r.traverse.wall_s);
-        assert!(r.power_w > 0.0 && r.commands.energy_nj > 0.0);
+        assert!(r.power_w > 0.0 && r.commands.total_energy_fj() > 0);
         assert!((0.0..=100.0).contains(&r.mbr_percent));
         // The scheduled ground truth is attached and shows real sub-array
         // overlap (the hash partition alone spans 8 sub-arrays).

@@ -374,7 +374,7 @@ mod tests {
             assert_eq!(inc[v], g.in_degree(v) as u64, "in {v}");
         }
         // The reduction really used TRAs.
-        assert!(ctrl.stats().aap3 > 0);
+        assert!(ctrl.ledger().count(CommandClass::Aap3) > 0);
     }
 
     #[test]
@@ -399,11 +399,12 @@ mod tests {
         let seq = DnaSequence::random(&mut rng, 2000).to_string();
         let g = graph_of(&seq, 11);
         assert!(g.node_count() > 256);
-        let before = ctrl.stats();
+        let before = *ctrl.ledger();
         let (_, _, dense) = degrees_of(&mut ctrl, &g, work);
         assert!(!dense);
-        let d = ctrl.stats().since(&before);
-        assert!(d.aap3 > 0 && d.aap2 > 0, "synthetic accounting missing: {d}");
+        let d = ctrl.ledger().since(&before);
+        let (aap3, aap2) = (d.count(CommandClass::Aap3), d.count(CommandClass::Aap2));
+        assert!(aap3 > 0 && aap2 > 0, "synthetic accounting missing: {d}");
     }
 
     #[test]
@@ -428,7 +429,7 @@ mod tests {
             let (trails, stats) = run_on(&mut ctrl, &pool, &g, work).unwrap();
             assert_eq!(trails, trails_s, "workers={workers}");
             assert_eq!(stats, stats_s, "workers={workers}");
-            assert_eq!(ctrl.stats(), serial_ctrl.stats(), "workers={workers}");
+            assert_eq!(ctrl.ledger(), serial_ctrl.ledger(), "workers={workers}");
         }
     }
 
@@ -463,7 +464,7 @@ mod tests {
         let art = exec.run(&mut ctrl_b, &dispatcher, OptLevel::O0).unwrap();
         assert_eq!(art.trails, trails_ref);
         assert_eq!(art.stats, stats_ref);
-        assert_eq!(ctrl_b.stats(), ctrl_a.stats());
+        assert_eq!(ctrl_b.ledger(), ctrl_a.ledger());
     }
 
     #[test]

@@ -4,9 +4,10 @@
 //! mid-stream between chunks, at the hashmap/graph boundary, or at the
 //! graph/traverse boundary — and resumes from disk produces results
 //! byte-identical to an uninterrupted one-shot run. That covers contigs,
-//! per-stage `CommandStats`, the integer energy ledger, the deterministic
-//! metrics sections, and the measured parallelism, across worker counts
-//! and arbitrary chunk sizes (the proptest below drives random ones).
+//! the per-stage command ledgers, the total energy ledger, the
+//! deterministic metrics sections, and the measured parallelism, across
+//! worker counts and arbitrary chunk sizes (the proptest below drives
+//! random ones).
 
 use std::path::{Path, PathBuf};
 
@@ -16,6 +17,7 @@ use rand_chacha::ChaCha8Rng;
 
 use pim_assembler::checkpoint::prepare_dir;
 use pim_assembler::{PimAssembler, PimAssemblerConfig, PimRun, Session};
+use pim_dram::ledger::CommandClass;
 use pim_genome::reads::{Read, ReadSimulator};
 use pim_genome::sequence::DnaSequence;
 
@@ -39,8 +41,46 @@ fn reference(config: PimAssemblerConfig, reads: &[Read]) -> (PimRun, PimAssemble
     (run, asm)
 }
 
+/// Each command class's snapshot key and the row activations one of its
+/// commands raises.
+const CLASS_METRICS: [(CommandClass, &str, u64); 6] = [
+    (CommandClass::Read, "host_reads", 1),
+    (CommandClass::Write, "host_writes", 1),
+    (CommandClass::Aap, "aap", 2),
+    (CommandClass::Aap2, "aap2", 3),
+    (CommandClass::Aap3, "aap3", 4),
+    (CommandClass::Dpu, "dpu", 0),
+];
+
+/// Asserts that the report's stage split (the s1/s2 boundary ledgers)
+/// and the metrics' stage folds (`set_stage`) attribute every command to
+/// the same stage, for a run with metrics.
+fn assert_stage_split_matches_metrics(run: &PimRun) {
+    let Some(snap) = &run.report.metrics else { return };
+    let r = &run.report;
+    let stages = [
+        ("hashmap", &r.hashmap.commands),
+        ("graph", &r.debruijn.commands),
+        ("traverse", &r.traverse.commands),
+    ];
+    let mut commands = 0;
+    for (stage, ledger) in stages {
+        let mut activations = 0;
+        for (class, metric, weight) in CLASS_METRICS {
+            let key = format!("{stage}.{metric}");
+            assert_eq!(snap.counter(&key), ledger.count(class), "{key}");
+            commands += snap.counter(&key);
+            activations += weight * ledger.count(class);
+        }
+        assert_eq!(snap.counter(&format!("{stage}.row_activations")), activations, "{stage}");
+    }
+    assert_eq!(commands, snap.counter("total.commands"));
+}
+
 /// Asserts the byte-identity contract between two finished runs.
 fn assert_identical(a: &PimRun, asm_a: &PimAssembler, b: &PimRun, asm_b: &PimAssembler) {
+    assert_stage_split_matches_metrics(a);
+    assert_stage_split_matches_metrics(b);
     assert_eq!(a.assembly.contigs, b.assembly.contigs);
     assert_eq!(a.assembly.stats.total_length, b.assembly.stats.total_length);
     assert_eq!(a.assembly.trails, b.assembly.trails);

@@ -23,24 +23,8 @@ use crate::geometry::DramGeometry;
 use crate::ledger::{CommandClass, CommandCosts, EnergyLedger};
 use crate::profile::ActivationModel;
 use crate::sense_amp::SaMode;
-use crate::stats::CommandStats;
 use crate::subarray::Subarray;
 use pim_obsv::{ContextObsv, HistKey, Metric};
-
-/// Maps one synthetic/batched command class onto its observability
-/// metric and the DRAM row activations it implies.
-pub(crate) fn record_class_obsv(obsv: &mut ContextObsv, class: CommandClass, count: u64) {
-    let (metric, activations) = match class {
-        CommandClass::Read => (Metric::HostReads, 1),
-        CommandClass::Write => (Metric::HostWrites, 1),
-        CommandClass::Aap => (Metric::AapCopy, 2),
-        CommandClass::Aap2 => (Metric::Aap2, 3),
-        CommandClass::Aap3 => (Metric::Aap3, 4),
-        CommandClass::Dpu => (Metric::DpuOps, 0),
-    };
-    obsv.record(metric, count);
-    obsv.record(Metric::RowActivations, activations * count);
-}
 
 /// One sub-array's state, timing/energy accounting, and command execution.
 ///
@@ -125,11 +109,6 @@ impl SubarrayContext {
         &self.ledger
     }
 
-    /// The floating-point statistics view of the local ledger.
-    pub fn stats(&self) -> CommandStats {
-        self.ledger.to_stats()
-    }
-
     /// Read access to the underlying sub-array (inspection).
     pub fn subarray(&self) -> &Subarray {
         &self.subarray
@@ -144,8 +123,10 @@ impl SubarrayContext {
         self.ledger = ledger;
     }
 
-    /// Hot-path observability counters accumulated by this context since
-    /// the last reset (cumulative across detach/reattach cycles).
+    /// Observability counters accumulated by this context since the last
+    /// reset (cumulative across detach/reattach cycles): read-outs, fault
+    /// flips and stage work. Commands are not counted here: the controller
+    /// derives their counters from the ledger when it folds metrics.
     pub fn obsv(&self) -> &ContextObsv {
         &self.obsv
     }
@@ -168,13 +149,6 @@ impl SubarrayContext {
         self.ledger.charge(class, &self.costs);
     }
 
-    /// One command's observability bookkeeping: the command-kind counter
-    /// plus its implied row activations.
-    fn note(&mut self, metric: Metric, activations: u64) {
-        self.obsv.record(metric, 1);
-        self.obsv.record(Metric::RowActivations, activations);
-    }
-
     /// Writes one row from the host (charged as `WR`).
     ///
     /// # Errors
@@ -183,7 +157,6 @@ impl SubarrayContext {
     pub fn write_row(&mut self, row: impl Into<RowAddr>, data: &BitRow) -> Result<()> {
         self.subarray.write(row.into(), data)?;
         self.charge(CommandClass::Write);
-        self.note(Metric::HostWrites, 1);
         Ok(())
     }
 
@@ -195,7 +168,6 @@ impl SubarrayContext {
     pub fn read_row(&mut self, row: impl Into<RowAddr>) -> Result<BitRow> {
         let data = self.subarray.read(row.into())?;
         self.charge(CommandClass::Read);
-        self.note(Metric::HostReads, 1);
         self.obsv.record(Metric::SensedReads, 1);
         Ok(self.sense(data))
     }
@@ -257,7 +229,6 @@ impl SubarrayContext {
     pub fn aap_copy(&mut self, src: impl Into<RowAddr>, dst: impl Into<RowAddr>) -> Result<()> {
         self.subarray.copy(src.into(), dst.into())?;
         self.charge(CommandClass::Aap);
-        self.note(Metric::AapCopy, 2);
         Ok(())
     }
 
@@ -275,7 +246,6 @@ impl SubarrayContext {
     ) -> Result<BitRow> {
         self.subarray.op2(mode, srcs, dst.into())?;
         self.charge(CommandClass::Aap2);
-        self.note(Metric::Aap2, 3);
         self.obsv.record(Metric::SensedReads, 1);
         let out = self.subarray.sensed();
         Ok(self.sense(out))
@@ -303,7 +273,6 @@ impl SubarrayContext {
         }
         self.subarray.op2(mode, srcs, dst.into())?;
         self.charge(CommandClass::Aap2);
-        self.note(Metric::Aap2, 3);
         self.obsv.record(Metric::SensedReads, 1);
         Ok(self.subarray.sensed_all_ones())
     }
@@ -329,7 +298,6 @@ impl SubarrayContext {
         }
         self.subarray.op2(mode, srcs, dst.into())?;
         self.charge(CommandClass::Aap2);
-        self.note(Metric::Aap2, 3);
         self.obsv.record(Metric::DiscardReads, 1);
         Ok(())
     }
@@ -360,7 +328,6 @@ impl SubarrayContext {
     pub fn aap3_carry(&mut self, srcs: [RowAddr; 3], dst: impl Into<RowAddr>) -> Result<BitRow> {
         self.subarray.op3_carry(srcs, dst.into())?;
         self.charge(CommandClass::Aap3);
-        self.note(Metric::Aap3, 4);
         self.obsv.record(Metric::SensedReads, 1);
         let out = self.subarray.sensed();
         Ok(self.sense(out))
@@ -383,7 +350,6 @@ impl SubarrayContext {
         }
         self.subarray.op3_carry(srcs, dst.into())?;
         self.charge(CommandClass::Aap3);
-        self.note(Metric::Aap3, 4);
         self.obsv.record(Metric::DiscardReads, 1);
         Ok(())
     }
@@ -396,24 +362,18 @@ impl SubarrayContext {
     /// Records one DPU scalar operation against this context's ledger.
     pub fn dpu_op(&mut self) {
         self.charge(CommandClass::Dpu);
-        self.obsv.record(Metric::DpuOps, 1);
     }
 
     /// Records `n` DPU scalar operations.
     pub fn dpu_ops(&mut self, n: u64) {
         self.ledger.charge_many(CommandClass::Dpu, &self.costs, n);
-        self.obsv.record(Metric::DpuOps, n);
     }
 
     /// Records `count` synthetic commands of `class` without executing
     /// them, charged to this context's ledger (the controller's
     /// `record_synthetic` charges its global ledger instead).
     pub fn record_synthetic(&mut self, class: CommandClass, count: u64) {
-        if count == 0 {
-            return;
-        }
         self.ledger.charge_many(class, &self.costs, count);
-        record_class_obsv(&mut self.obsv, class, count);
     }
 }
 
@@ -447,9 +407,11 @@ mod tests {
         ctx.aap_copy(2, ctx.compute_row(1)).unwrap();
         let out = ctx.aap2_xnor([ctx.compute_row(0), ctx.compute_row(1)], 5).unwrap();
         assert_eq!(out, a.xnor(&b));
-        let s = ctx.stats();
-        assert_eq!((s.writes, s.aap, s.aap2), (2, 2, 1));
-        assert!(s.serial_ns > 0.0 && s.energy_nj > 0.0);
+        let l = ctx.ledger();
+        let counts =
+            [CommandClass::Write, CommandClass::Aap, CommandClass::Aap2].map(|c| l.count(c));
+        assert_eq!(counts, [2, 2, 1]);
+        assert!(l.total_time_ps() > 0 && l.total_energy_fj() > 0);
     }
 
     #[test]
@@ -580,8 +542,9 @@ mod tests {
         ctx.record_synthetic(CommandClass::Aap, 3);
         ctx.record_synthetic(CommandClass::Read, 0);
         ctx.dpu_ops(2);
-        let s = ctx.stats();
-        assert_eq!((s.aap, s.reads, s.dpu), (3, 0, 2));
+        let l = ctx.ledger();
+        let counts = [CommandClass::Aap, CommandClass::Read, CommandClass::Dpu].map(|c| l.count(c));
+        assert_eq!(counts, [3, 0, 2]);
     }
 
     #[test]
@@ -596,20 +559,21 @@ mod tests {
         ctx.aap2(SaMode::Xnor, [x1, x2], 5).unwrap();
         ctx.aap2_discard(SaMode::Xnor, [x1, x2], 6).unwrap();
         ctx.record_synthetic(CommandClass::Aap3, 2);
-        let c = &ctx.obsv().counters;
+        ctx.dpu_ops(3);
+        // The context counts read-outs per event and no command twice.
+        let own = ctx.obsv().counters;
+        assert_eq!(own.get(Metric::SensedReads), 1);
+        assert_eq!(own.get(Metric::DiscardReads), 1);
+        assert_eq!(own.total(), 2);
+        // The command counters are derived from the ledger.
+        let c = crate::controller::command_counters(ctx.ledger());
         assert_eq!(c.get(Metric::HostWrites), 2);
         assert_eq!(c.get(Metric::AapCopy), 2);
         assert_eq!(c.get(Metric::Aap2), 2);
         assert_eq!(c.get(Metric::Aap3), 2);
-        assert_eq!(c.get(Metric::SensedReads), 1);
-        assert_eq!(c.get(Metric::DiscardReads), 1);
-        // 2×WR(1) + 2×AAP(2) + 2×AAP2(3) + 2×AAP3(4, synthetic) = 20.
+        assert_eq!(c.get(Metric::DpuOps), 3);
+        // 2×WR(1) + 2×AAP(2) + 2×AAP2(3) + 2×AAP3(4, synthetic) + 3×DPU(0) = 20.
         assert_eq!(c.get(Metric::RowActivations), 20);
-        // Observability counters track the ledger's command totals exactly
-        // for the executed classes.
-        assert_eq!(
-            c.get(Metric::Aap2) + c.get(Metric::AapCopy) + c.get(Metric::HostWrites),
-            ctx.ledger().total_commands() - 2
-        );
+        assert_eq!(c.total() - c.get(Metric::RowActivations), ctx.ledger().total_commands());
     }
 }

@@ -6,9 +6,10 @@
 //! For the merged totals to be *byte-identical* regardless of merge order,
 //! the ledger accounts in integers — picoseconds and femtojoules — rather
 //! than accumulating `f64` latencies (whose addition is not associative).
-//! The floating-point [`CommandStats`] view the rest of the stack consumes
-//! is derived from the integer totals at read time, so any interleaving of
-//! the same command multiset produces the same `CommandStats`, bit for bit.
+//! The ledger is the only record of a command: stage splits are integer
+//! [`EnergyLedger::since`] deltas, the performance report reads its counts,
+//! latencies and energies, and the per-command observability counters are
+//! derived from it when the controller folds metrics.
 //!
 //! The classes are PIM-Assembler's command set (§II-B *Software Support*):
 //! the three `AAP` shapes differ only in the number of simultaneously
@@ -18,8 +19,9 @@
 //! move a row between the array and the host; `DPU` is one MAT-level
 //! digital processing-unit operation.
 
+use std::fmt;
+
 use crate::energy::EnergyParams;
-use crate::stats::CommandStats;
 use crate::timing::TimingParams;
 
 /// The six accounting classes of the PIM-DRAM command set.
@@ -167,10 +169,9 @@ pub struct ClassTotals {
 
 /// Order-independent latency/energy account of a command multiset.
 ///
-/// `merge` is exactly commutative and associative (integer addition), and
-/// [`EnergyLedger::to_stats`] derives the floating-point view from the
-/// totals, so any partition of the same work into ledgers merges back to
-/// the same [`CommandStats`].
+/// `merge` is exactly commutative and associative (integer addition), so
+/// any partition of the same work into ledgers merges back to the same
+/// totals.
 ///
 /// # Examples
 ///
@@ -189,7 +190,8 @@ pub struct ClassTotals {
 /// let mut ba = b;
 /// ba.merge(&a);
 /// assert_eq!(ab, ba);
-/// assert_eq!(ab.to_stats(), ba.to_stats());
+/// assert_eq!(ab.count(CommandClass::Aap2), 1);
+/// assert!(ab.total_time_ps() > 0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EnergyLedger {
@@ -214,6 +216,11 @@ impl EnergyLedger {
     /// Totals for one class.
     pub fn class(&self, class: CommandClass) -> ClassTotals {
         self.classes[class.index()]
+    }
+
+    /// Commands of one class.
+    pub fn count(&self, class: CommandClass) -> u64 {
+        self.classes[class.index()].count
     }
 
     /// Overwrites one class's totals — the restore counterpart of
@@ -303,22 +310,19 @@ impl EnergyLedger {
     pub fn is_empty(&self) -> bool {
         self.total_commands() == 0
     }
+}
 
-    /// Derives the floating-point statistics view. Equal ledgers derive
-    /// bit-identical stats.
-    pub fn to_stats(&self) -> CommandStats {
-        let mut s = CommandStats {
-            reads: self.class(CommandClass::Read).count,
-            writes: self.class(CommandClass::Write).count,
-            aap: self.class(CommandClass::Aap).count,
-            aap2: self.class(CommandClass::Aap2).count,
-            aap3: self.class(CommandClass::Aap3).count,
-            dpu: self.class(CommandClass::Dpu).count,
-            ..CommandStats::default()
-        };
-        s.serial_ns = self.total_time_ps() as f64 / 1e3;
-        s.energy_nj = self.total_energy_fj() as f64 / 1e6;
-        s
+impl fmt::Display for EnergyLedger {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for class in COMMAND_CLASSES {
+            write!(f, "{}={} ", class.mnemonic(), self.count(class))?;
+        }
+        write!(
+            f,
+            "serial={:.1}us energy={:.1}uJ",
+            self.total_time_ps() as f64 / 1e6,
+            self.total_energy_fj() as f64 / 1e9
+        )
     }
 }
 
@@ -413,7 +417,7 @@ mod tests {
     }
 
     #[test]
-    fn merge_is_order_independent_and_stats_match() {
+    fn merge_is_order_independent() {
         let c = costs();
         let mut a = EnergyLedger::default();
         a.charge_many(CommandClass::Read, &c, 7);
@@ -427,7 +431,6 @@ mod tests {
         let mut ba = b;
         ba.merge(&a);
         assert_eq!(ab, ba);
-        assert_eq!(ab.to_stats(), ba.to_stats());
         assert_eq!(ab.total_commands(), 23);
     }
 
@@ -457,20 +460,20 @@ mod tests {
             restored.set_class(class, src.class(class));
         }
         assert_eq!(restored, src);
-        assert_eq!(restored.to_stats(), src.to_stats());
     }
 
     #[test]
-    fn stats_view_matches_counts() {
+    fn display_names_every_class_with_its_count() {
         let c = costs();
         let mut l = EnergyLedger::default();
         l.charge_many(CommandClass::Write, &c, 4);
         l.charge(CommandClass::Aap2, &c);
-        let s = l.to_stats();
-        assert_eq!(s.writes, 4);
-        assert_eq!(s.aap2, 1);
-        assert_eq!(s.total_commands(), 5);
-        assert!(s.serial_ns > 0.0 && s.energy_nj > 0.0);
-        assert!(EnergyLedger::default().to_stats() == CommandStats::default());
+        assert_eq!((l.count(CommandClass::Write), l.count(CommandClass::Aap2)), (4, 1));
+        let text = l.to_string();
+        for class in COMMAND_CLASSES {
+            let field = format!("{}={} ", class.mnemonic(), l.count(class));
+            assert!(text.contains(&field), "missing {field} in {text}");
+        }
+        assert!(text.contains("serial=") && text.contains("energy="), "{text}");
     }
 }

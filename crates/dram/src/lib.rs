@@ -48,8 +48,8 @@
 //!     ctx.read_row(20)
 //! })?;
 //! assert_eq!(got, a.xnor(&b));
-//! // The context's work is merged into the controller's totals.
-//! assert_eq!(ctrl.stats().total_commands(), 6);
+//! // The context's work is merged into the controller's ledger.
+//! assert_eq!(ctrl.ledger().total_commands(), 6);
 //! # Ok(())
 //! # }
 //! ```
@@ -68,7 +68,6 @@ pub mod profile;
 pub mod refresh;
 pub mod schedule;
 pub mod sense_amp;
-pub mod stats;
 pub mod subarray;
 pub mod timing;
 
@@ -81,7 +80,6 @@ pub use fault::{FaultConfig, FaultInjector};
 pub use geometry::DramGeometry;
 pub use ledger::{CommandClass, CommandCosts, EnergyLedger};
 pub use profile::{ActivationModel, BackendProfile};
-pub use stats::CommandStats;
 
 /// Re-export of the observability layer the command surface feeds
 /// ([`context::SubarrayContext`] / [`controller::Controller`] counters,

@@ -171,8 +171,6 @@ proptest! {
         let mut ba = lb;
         ba.merge(&la);
         prop_assert_eq!(ab, ba);
-        // The derived f64 stats views are bitwise identical too.
-        prop_assert_eq!(ab.to_stats(), ba.to_stats());
     }
 
     #[test]
@@ -187,7 +185,6 @@ proptest! {
         let mut assoc_right = la;
         assoc_right.merge(&bc);
         prop_assert_eq!(assoc_left, assoc_right);
-        prop_assert_eq!(assoc_left.to_stats(), assoc_right.to_stats());
     }
 
     #[test]
@@ -199,21 +196,6 @@ proptest! {
         prop_assert_eq!(merged.since(&la), lb);
         prop_assert_eq!(merged.since(&lb), la);
         prop_assert!(merged.since(&merged).is_empty());
-    }
-
-    #[test]
-    fn stats_merge_is_order_independent(a in charges(), b in charges()) {
-        // The f64 CommandStats::merge the pipeline uses for stage deltas
-        // commutes exactly when both operands derive from integer ledgers.
-        let costs = paper_costs();
-        let (sa, sb) = (ledger_of(&a, &costs).to_stats(), ledger_of(&b, &costs).to_stats());
-        let mut ab = sa;
-        ab.merge(&sb);
-        let mut ba = sb;
-        ba.merge(&sa);
-        prop_assert_eq!(ab.total_commands(), ba.total_commands());
-        prop_assert_eq!(ab.serial_ns.to_bits(), ba.serial_ns.to_bits());
-        prop_assert_eq!(ab.energy_nj.to_bits(), ba.energy_nj.to_bits());
     }
 }
 

@@ -1,13 +1,15 @@
 //! Fixed-array counters and log2 histograms — the zero-allocation record path.
 
-/// One integer metric tracked on the hot path.
+/// One integer metric of the snapshot.
 ///
-/// Metrics fall into three families: DRAM command traffic (what the
-/// sub-array contexts execute and the controller charges), read-path
-/// discipline (sensed vs discarded sense-amp read-outs, fault
-/// detections), and per-stage algorithmic work (probes, inserts, k-mers,
-/// edges, anchors) recorded by the pipeline stages on a context or the
-/// controller.
+/// Metrics fall into three families: DRAM command traffic (the six
+/// command classes and the row activations they imply, which `pim-dram`'s
+/// controller derives from its integer energy ledgers when it folds a
+/// stage, so no command is counted twice), read-path discipline (sensed
+/// vs discarded sense-amp read-outs, fault detections), and per-stage
+/// algorithmic work (probes, inserts, k-mers, edges, anchors). The last
+/// two are recorded per event on the hot path, by a sub-array context or
+/// by the pipeline stages on a context or the controller.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Metric {
     /// Host-visible row reads (`RD`, sensed).
@@ -23,7 +25,7 @@ pub enum Metric {
     /// Scalar DPU operations.
     DpuOps,
     /// Total DRAM row activations implied by the commands above
-    /// (RD/WR: 1, AAP: 2, AAP2: 3, AAP3: 4).
+    /// (RD/WR: 1, AAP: 2, AAP2: 3, AAP3: 4, DPU: 0).
     RowActivations,
     /// Compute results driven through the sense amplifiers back to the host.
     SensedReads,
@@ -307,7 +309,7 @@ impl HistSet {
 }
 
 /// The per-context observability block embedded in every `SubarrayContext`
-/// (and once in the controller for globally-charged traffic).
+/// (and once in the controller for the metrics it records itself).
 ///
 /// `record` is an indexed add into inline arrays — no branches on
 /// configuration, no heap, nothing shared — so it is safe to leave enabled

@@ -18,7 +18,7 @@ use pim_assembler::traverse_stage::TraverseStage;
 use pim_assembler::Result;
 use pim_dram::controller::Controller;
 use pim_dram::geometry::DramGeometry;
-use pim_dram::stats::CommandStats;
+use pim_dram::ledger::{CommandClass, EnergyLedger};
 use pim_genome::debruijn::DeBruijnGraph;
 use pim_genome::hash_table::KmerCounter;
 
@@ -35,13 +35,13 @@ pub fn backend_controller(backend: BackendKind, geometry: DramGeometry) -> Contr
 
 /// Hashmap stage on `backend`: the retargeted table scan must reproduce
 /// the software counter's exact (k-mer, count) multiset. Returns the
-/// oracle outcome plus the run's command statistics for mix comparison.
+/// oracle outcome plus the run's ledger for mix comparison.
 pub fn hashmap_backend_oracle(
     case: &TestCase,
     k: usize,
     backend: BackendKind,
     opt: OptLevel,
-) -> Result<(OracleReport, CommandStats)> {
+) -> Result<(OracleReport, EnergyLedger)> {
     let mut ctrl = backend_controller(backend, DramGeometry::paper_assembly());
     let geometry = *ctrl.geometry();
     let mut table = PimHashTable::with_backend(KmerMapper::new(&geometry, 4, 8), backend, opt);
@@ -82,7 +82,7 @@ pub fn hashmap_backend_oracle(
             mismatches,
             notes,
         },
-        ctrl.stats(),
+        *ctrl.ledger(),
     ))
 }
 
@@ -94,7 +94,7 @@ pub fn traverse_backend_oracle(
     min_count: u64,
     backend: BackendKind,
     opt: OptLevel,
-) -> Result<(OracleReport, CommandStats)> {
+) -> Result<OracleReport> {
     let mut counter = KmerCounter::new(k)?;
     for read in &case.reads {
         if read.seq.len() >= k {
@@ -125,16 +125,13 @@ pub fn traverse_backend_oracle(
             }
         }
     }
-    Ok((
-        OracleReport {
-            stage: "traverse",
-            scenario: format!("{}@{}", case.scenario.name(), backend),
-            compared: graph.node_count().max(1),
-            mismatches,
-            notes,
-        },
-        ctrl.stats(),
-    ))
+    Ok(OracleReport {
+        stage: "traverse",
+        scenario: format!("{}@{}", case.scenario.name(), backend),
+        compared: graph.node_count().max(1),
+        mismatches,
+        notes,
+    })
 }
 
 /// Knobs of [`backend_suite`].
@@ -168,15 +165,15 @@ impl Default for BackendSuiteOptions {
 pub fn backend_suite(options: &BackendSuiteOptions) -> VerifyReport {
     let mut report = VerifyReport::default();
     let case = generate(Scenario::Random, options.genome_len, options.seed);
-    let mut hashmap_stats = Vec::new();
+    let mut hashmap_ledgers = Vec::new();
 
     for backend in BackendKind::ALL {
-        if let Some(stats) = run_backend(&mut report, &case, options, backend) {
-            hashmap_stats.push((backend, stats));
+        if let Some(ledger) = run_backend(&mut report, &case, options, backend) {
+            hashmap_ledgers.push((backend, ledger));
         }
     }
 
-    report.oracles.push(mix_distinctness(&case, &hashmap_stats));
+    report.oracles.push(mix_distinctness(&case, &hashmap_ledgers));
     report
 }
 
@@ -192,26 +189,26 @@ pub fn single_backend_suite(options: &BackendSuiteOptions, backend: BackendKind)
 }
 
 /// Pushes the hashmap and traverse oracles for `backend`, returning the
-/// hashmap run's command statistics when that stage succeeded.
+/// hashmap run's ledger when that stage succeeded.
 fn run_backend(
     report: &mut VerifyReport,
     case: &TestCase,
     options: &BackendSuiteOptions,
     backend: BackendKind,
-) -> Option<CommandStats> {
-    let mut stats = None;
+) -> Option<EnergyLedger> {
+    let mut ledger = None;
     match hashmap_backend_oracle(case, options.k, backend, options.opt) {
-        Ok((oracle, s)) => {
+        Ok((oracle, l)) => {
             report.oracles.push(oracle);
-            stats = Some(s);
+            ledger = Some(l);
         }
         Err(e) => report.oracles.push(stage_error("hashmap", backend, case, &e)),
     }
     match traverse_backend_oracle(case, options.k, options.min_count, backend, options.opt) {
-        Ok((oracle, _stats)) => report.oracles.push(oracle),
+        Ok(oracle) => report.oracles.push(oracle),
         Err(e) => report.oracles.push(stage_error("traverse", backend, case, &e)),
     }
-    stats
+    ledger
 }
 
 fn stage_error(
@@ -234,36 +231,42 @@ fn stage_error(
 /// gates consume fresh operand copies), the MRAM lowering strictly fewer
 /// (direct data activation elides the staging), and the MRAM energy total
 /// must differ from the DRAM substrate's.
-fn mix_distinctness(case: &TestCase, stats: &[(BackendKind, CommandStats)]) -> OracleReport {
+fn mix_distinctness(case: &TestCase, ledgers: &[(BackendKind, EnergyLedger)]) -> OracleReport {
     let mut mismatches = 0;
     let mut notes = Vec::new();
-    let find = |k: BackendKind| stats.iter().find(|(b, _)| *b == k).map(|(_, s)| s);
+    let find = |k: BackendKind| ledgers.iter().find(|(b, _)| *b == k).map(|(_, l)| l);
     match (
         find(BackendKind::PimAssembler),
         find(BackendKind::AmbitTra),
         find(BackendKind::PandaMram),
     ) {
         (Some(pa), Some(ambit), Some(mram)) => {
-            if ambit.aap <= pa.aap {
+            let copies = |l: &EnergyLedger| l.count(CommandClass::Aap);
+            let nj = |l: &EnergyLedger| l.total_energy_fj() as f64 / 1e6;
+            let (pa_aap, ambit_aap, mram_aap) = (copies(pa), copies(ambit), copies(mram));
+            if ambit_aap <= pa_aap {
                 mismatches += 1;
-                notes.push(format!("ambit copies {} ≤ pim-assembler {}", ambit.aap, pa.aap));
+                notes.push(format!("ambit copies {ambit_aap} ≤ pim-assembler {pa_aap}"));
             }
-            if mram.aap >= pa.aap {
+            if mram_aap >= pa_aap {
                 mismatches += 1;
-                notes.push(format!("mram copies {} ≥ pim-assembler {}", mram.aap, pa.aap));
+                notes.push(format!("mram copies {mram_aap} ≥ pim-assembler {pa_aap}"));
             }
-            if mram.energy_nj == pa.energy_nj {
+            if mram.total_energy_fj() == pa.total_energy_fj() {
                 mismatches += 1;
-                notes.push(format!("mram energy {} nJ == dram energy", mram.energy_nj));
+                notes.push(format!("mram energy {} nJ == dram energy", nj(mram)));
             }
             notes.push(format!(
-                "copies pa/ambit/mram: {}/{}/{}; energy {:.1}/{:.1}/{:.1} nJ",
-                pa.aap, ambit.aap, mram.aap, pa.energy_nj, ambit.energy_nj, mram.energy_nj
+                "copies pa/ambit/mram: {pa_aap}/{ambit_aap}/{mram_aap}; \
+                 energy {:.1}/{:.1}/{:.1} nJ",
+                nj(pa),
+                nj(ambit),
+                nj(mram)
             ));
         }
         _ => {
             mismatches += 1;
-            notes.push("missing per-backend stats (a stage errored)".into());
+            notes.push("missing per-backend ledgers (a stage errored)".into());
         }
     }
     OracleReport {

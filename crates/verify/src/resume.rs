@@ -3,10 +3,10 @@
 //! The staged engine's load-bearing contract: a run that is *streamed*
 //! (chunked ingestion), *checkpointed* (stage state persisted after every
 //! chunk), killed, and *resumed* from disk must be byte-identical to the
-//! uninterrupted one-shot run — same contigs, same `CommandStats`, same
-//! integer energy ledger, same deterministic metrics. This module pins
-//! that contract across the worker-count × optimization-level matrix
-//! ({1, 8} × {O0, O2} by default), folding each cell into an
+//! uninterrupted one-shot run — same contigs, same per-stage command
+//! ledgers, same total energy ledger, same deterministic metrics. This
+//! module pins that contract across the worker-count × optimization-level
+//! matrix ({1, 8} × {O0, O2} by default), folding each cell into an
 //! [`OracleReport`] so the standard suite and the CLI `verify` command
 //! render it alongside the stage oracles.
 

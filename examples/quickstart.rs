@@ -44,7 +44,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "power {:.1} W | energy {:.3} mJ | MBR {:.1}% | RUR {:.1}%",
         r.power_w,
-        r.commands.energy_nj * 1e-6,
+        r.commands.total_energy_fj() as f64 * 1e-12,
         r.mbr_percent,
         r.rur_percent
     );

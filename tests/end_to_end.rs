@@ -101,8 +101,9 @@ fn perf_report_is_self_consistent() {
     // Wall time is serial time over chains, inflated by the refresh tax.
     let refresh = pim_assembler_suite::dram::refresh::RefreshParams::ddr4();
     assert!(
-        (r.total_wall_s() - refresh.inflate_seconds(sum.serial_ns * 1e-9 / r.parallel_chains))
-            .abs()
+        (r.total_wall_s()
+            - refresh.inflate_seconds(sum.total_time_ps() as f64 * 1e-12 / r.parallel_chains))
+        .abs()
             < 1e-12
     );
     // Measured workload matches the run.

@@ -109,8 +109,7 @@ fn four_plus_partitions_execute_byte_identically() {
     for workers in [2usize, 4, 8] {
         let mut parallel = seed(&ids);
         run(&ParallelDispatcher::with_workers(workers), &mut parallel);
-        assert_eq!(serial.stats(), parallel.stats(), "workers={workers}: command totals");
-        assert_eq!(serial.ledger(), parallel.ledger(), "workers={workers}: cycle/energy ledger");
+        assert_eq!(serial.ledger(), parallel.ledger(), "workers={workers}: command ledger");
         for &id in &ids {
             let (a, b) = (serial.context(id).unwrap(), parallel.context(id).unwrap());
             for row in 0..g.rows {
