@@ -237,6 +237,14 @@ fn session_snapshot(
     Ok(Some(snap))
 }
 
+/// The largest merged command, latency (ps) or energy (fJ) total a
+/// restored checkpoint may carry. The resumed run keeps charging on top of
+/// it, and the ledgers' cross-class totals are plain sums, so the other
+/// half of the range is the run's headroom: a streamed assembly's energy
+/// per k-mer, scaled to chromosome 14's ≈3.9 G k-mers, is ≈1.5e17 fJ,
+/// about 60× below the ceiling.
+const RESTORED_LEDGER_CEILING: u64 = u64::MAX / 2;
+
 /// Whether `later` holds at least `earlier`'s totals in every class — true
 /// of any two cumulative ledger snapshots of one run, in that order.
 fn ledger_at_least(later: &EnergyLedger, earlier: &EnergyLedger) -> bool {
@@ -469,8 +477,10 @@ impl<'a> Session<'a> {
             }
         }
         // Every checkpointed ledger is a charge history under this
-        // configuration's cost table; an edited count would otherwise
-        // reach the report's scheduler, which walks every command.
+        // configuration's cost table: a count edited apart from its
+        // latency and energy would make the report's command counts, and
+        // the scheduler's per-sub-array average latencies, disagree with
+        // the device time and energy it reports.
         let costs = *asm.ctrl.costs();
         let uncharged = cp.ledgers.iter().find(|(_, l)| !l.is_charged_at(&costs));
         if let Some((name, _)) = uncharged {
@@ -479,12 +489,27 @@ impl<'a> Session<'a> {
             });
         }
         // Untrusted integers: every total the restored accounting derives
-        // (per class and across classes) must stay representable.
+        // (per class and across classes) must stay representable, and the
+        // merged totals must leave the resumed run room to keep charging.
         let mut ledgers = std::iter::once(&global).chain(subs.iter().map(|(_, l)| l));
         let Some(total) = ledgers.try_fold(EnergyLedger::default(), |t, l| t.checked_merge(l))
         else {
             return Err(PimError::Checkpoint { reason: "ledger totals overflow 64 bits".into() });
         };
+        for (what, value) in [
+            ("command count", total.total_commands()),
+            ("latency (ps)", total.total_time_ps()),
+            ("energy (fJ)", total.total_energy_fj()),
+        ] {
+            if value > RESTORED_LEDGER_CEILING {
+                return Err(PimError::Checkpoint {
+                    reason: format!(
+                        "restored ledgers' total {what} {value} exceeds the ceiling \
+                         {RESTORED_LEDGER_CEILING}"
+                    ),
+                });
+            }
+        }
         // `finish` takes each stage's delta as the difference of
         // consecutive boundaries, so they must be cumulative: s1 ≤ s2 ≤
         // the restored total, per class (which also keeps the boundaries'

@@ -16,7 +16,7 @@ use rand_chacha::ChaCha8Rng;
 
 use pim_assembler::checkpoint::{prepare_dir, StageCheckpoint, CHECKPOINT_FILE};
 use pim_assembler::{PimAssembler, PimAssemblerConfig, PimError, Session};
-use pim_dram::ledger::CommandClass;
+use pim_dram::ledger::{CommandClass, CommandCosts, EnergyLedger};
 use pim_genome::reads::{Read, ReadSimulator};
 use pim_genome::sequence::DnaSequence;
 
@@ -129,14 +129,70 @@ fn hash_entry_past_the_kmer_region_is_a_checkpoint_error() {
 #[test]
 fn edited_ledger_count_is_a_checkpoint_error() {
     // A ledger whose count disagrees with its charged latency and energy
-    // was edited: a raised count would reach the report's scheduler,
-    // which walks every command.
+    // was edited: the report would count commands its device time and
+    // energy never paid for.
     let mut cp = checkpoint("count", false, config());
     let ledger = cp.ledgers.values_mut().find(|l| l.class(CommandClass::Aap).count > 0).unwrap();
     let mut aap = ledger.class(CommandClass::Aap);
     aap.count += 1 << 40;
     ledger.set_class(CommandClass::Aap, aap);
     assert_checkpoint_error("count", &cp);
+}
+
+/// The cost table `config()` charges at.
+fn costs() -> CommandCosts {
+    *PimAssembler::new(config()).controller().costs()
+}
+
+/// Adds `extra` commands of `class`, each charged at `costs()`, to `ledger`.
+fn charge_more(ledger: &mut EnergyLedger, class: CommandClass, extra: u64) {
+    let (unit, mut totals) = (costs().unit(class), ledger.class(class));
+    totals.count += extra;
+    totals.time_ps += extra * unit.time_ps;
+    totals.energy_fj += extra * unit.energy_fj;
+    ledger.set_class(class, totals);
+}
+
+#[test]
+fn a_huge_consistent_ledger_resumes_and_finishes() {
+    // 2^40 more AAPs on one sub-array, each charged: a consistent ledger
+    // whose sub-array queue the report's scheduler then skips through.
+    let mut cp = checkpoint("huge", false, config());
+    let sub = cp.ledgers.iter_mut().find(|(name, _)| name.starts_with("sub.")).unwrap().1;
+    charge_more(sub, CommandClass::Aap, 1 << 40);
+    let dir = temp_dir("huge");
+    std::fs::write(dir.join(CHECKPOINT_FILE), cp.to_text()).unwrap();
+    let mut asm = PimAssembler::new(config());
+    let run = Session::resume(&mut asm, &dir).unwrap().run(&reads()).unwrap();
+    assert!(run.report.commands.count(CommandClass::Aap) > 1 << 40);
+    let parallelism = run.report.measured_parallelism.unwrap();
+    assert!(parallelism >= 1.0, "{parallelism}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_ledger_without_headroom_for_the_resumed_run_is_a_checkpoint_error() {
+    // A consistent ledger whose merged energy sits just under u64::MAX:
+    // the resumed run's own charges overflowed the ledgers' cross-class
+    // totals (a panic in debug builds, a wrapped total in release builds).
+    let mut cp = checkpoint("headroom", false, config());
+    let merged: u64 = cp
+        .ledgers
+        .iter()
+        .filter(|(name, _)| *name == "global" || name.starts_with("sub."))
+        .map(|(_, l)| l.total_energy_fj())
+        .sum();
+    let unit = costs().unit(CommandClass::Dpu);
+    charge_more(
+        cp.ledgers.get_mut("global").unwrap(),
+        CommandClass::Dpu,
+        (u64::MAX - merged) / unit.energy_fj,
+    );
+    let dir = temp_dir("headroom");
+    let err = resume_from(&dir, &cp.to_text(), config(), true).unwrap_err();
+    assert!(matches!(err, PimError::Checkpoint { .. }), "{err}");
+    assert!(err.to_string().contains("energy"), "{err}");
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
