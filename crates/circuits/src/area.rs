@@ -50,13 +50,6 @@ impl AreaModel {
         }
     }
 
-    /// Transistors in the unmodified sub-array (1 access transistor per
-    /// cell; peripheral baseline is shared with commodity DRAM and cancels
-    /// out of the overhead ratio).
-    pub fn baseline_transistors(&self) -> usize {
-        self.rows * self.cols
-    }
-
     /// Total add-on transistors.
     pub fn addon_transistors(&self) -> usize {
         self.sa_addon_per_bitline * self.cols + self.mrd_addon + self.ctrl_addon

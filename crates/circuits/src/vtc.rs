@@ -61,12 +61,6 @@ impl Inverter {
         Inverter { kind, vdd, vs: kind.switching_fraction() * vdd, gain: 25.0 }
     }
 
-    /// Creates an inverter with an explicitly shifted switching voltage
-    /// (used by the Monte-Carlo variation engine).
-    pub fn with_switching_voltage(kind: InverterKind, vdd: f64, vs: f64) -> Self {
-        Inverter { kind, vdd, vs, gain: 25.0 }
-    }
-
     /// The inverter flavor.
     pub fn kind(&self) -> InverterKind {
         self.kind

@@ -51,10 +51,10 @@ pub struct PimAssemblerConfig {
     /// paper's hand-written sequences; `O2` runs the bounded sequence
     /// search and may pick shorter streams per backend.
     pub opt_level: OptLevel,
-    /// Streamed-execution chunk size: reads per stage-1 ingestion chunk
-    /// (and per mapping batch). `None` (the default) runs the historical
-    /// one-shot path; `Some(n)` streams in chunks of `n` with identical
-    /// results (see [`crate::pipeline::Session`]).
+    /// Streamed-execution chunk size: reads per stage-1 ingestion chunk.
+    /// There is one path: [`crate::pipeline::Session::run`] feeds the
+    /// whole read set as one chunk when this is `None` (the default), and
+    /// chunks of `n` when it is `Some(n)`, with byte-identical results.
     pub chunk_reads: Option<usize>,
 }
 

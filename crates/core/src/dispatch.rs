@@ -244,11 +244,6 @@ impl ParallelDispatcher {
         self.spans = spans;
     }
 
-    /// Whether this dispatcher spawns worker threads.
-    pub fn is_parallel(&self) -> bool {
-        self.workers > 1
-    }
-
     /// Runs `f` once per partition, each against the detached context of
     /// that partition's sub-array with the partition's payload. Partitions
     /// must address pairwise-distinct sub-arrays (that is the disjointness

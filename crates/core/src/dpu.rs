@@ -38,13 +38,6 @@ impl Dpu {
         ctx.dpu_op();
         value.saturating_add(1).min(max)
     }
-
-    /// Scalar comparison used by the controller's branch decisions.
-    /// One DPU operation.
-    pub fn is_zero(ctx: &mut SubarrayContext, value: u64) -> bool {
-        ctx.dpu_op();
-        value == 0
-    }
 }
 
 #[cfg(test)]
@@ -64,13 +57,5 @@ mod tests {
         let mut c = ctx();
         assert_eq!(Dpu::increment_saturating(&mut c, 3, 255), 4);
         assert_eq!(Dpu::increment_saturating(&mut c, 255, 255), 255);
-    }
-
-    #[test]
-    fn is_zero() {
-        let mut c = ctx();
-        assert!(Dpu::is_zero(&mut c, 0));
-        assert!(!Dpu::is_zero(&mut c, 7));
-        assert_eq!(c.ledger().count(pim_dram::CommandClass::Dpu), 2);
     }
 }

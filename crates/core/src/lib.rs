@@ -74,7 +74,6 @@ pub mod perf;
 pub mod pim_add;
 pub mod pim_xnor;
 pub mod pipeline;
-pub mod scaffold_stage;
 pub mod template;
 pub mod traverse_stage;
 

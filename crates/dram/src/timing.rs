@@ -92,12 +92,6 @@ impl TimingParams {
         self.t_ras_ns + self.t_rp_ns
     }
 
-    /// Latency of a plain `ACTIVATE … PRECHARGE` (row open + close), used
-    /// for ordinary reads/writes of one row through the row buffer.
-    pub fn ap_ns(&self) -> f64 {
-        self.t_ras_ns + self.t_rp_ns
-    }
-
     /// Latency of reading or writing one burst of `bits` through the global
     /// row buffer once the row is open (column accesses at `tCCD` pace,
     /// 64 bits per column command on a x64 interface).

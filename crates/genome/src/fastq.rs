@@ -2,8 +2,7 @@
 //!
 //! Sequencers emit FASTQ (sequence + per-base Phred qualities); assemblers
 //! consume it. This module parses and writes the four-line record format
-//! and converts between ASCII (Phred+33) and numeric quality scores, so
-//! the read-correction stage can weight decisions by base quality.
+//! and converts between ASCII (Phred+33) and numeric quality scores.
 
 use std::io::{BufRead, Write};
 
@@ -49,7 +48,8 @@ impl FastqRecord {
 /// # Errors
 ///
 /// * [`GenomeError::MalformedFastq`] for structural problems (missing `@`,
-///   `+` separator, or length mismatch between bases and qualities),
+///   `+` separator, length mismatch between bases and qualities, or a
+///   quality character outside `'!'..='~'`, that is, Q0–Q93),
 /// * [`GenomeError::InvalidBase`] for characters that are neither
 ///   `ACGTacgt` nor ambiguity codes,
 /// * [`GenomeError::Io`] for read failures.
@@ -135,7 +135,13 @@ impl<R: BufRead> FastqRecords<R> {
                 reason: "quality length differs from sequence length",
             });
         }
-        let qual_bytes: Vec<u8> = qual_line.bytes().map(|b| b.saturating_sub(33)).collect();
+        if !qual_line.bytes().all(|b| (b'!'..=b'~').contains(&b)) {
+            return Err(GenomeError::MalformedFastq {
+                line: n + 4,
+                reason: "quality character outside Phred+33 range",
+            });
+        }
+        let qual_bytes: Vec<u8> = qual_line.bytes().map(|b| b - 33).collect();
         let mut fragments: Vec<(DnaSequence, Vec<u8>)> = Vec::new();
         let mut seq = DnaSequence::with_capacity(seq_line.len());
         let mut quals: Vec<u8> = Vec::with_capacity(qual_bytes.len());
@@ -357,6 +363,17 @@ mod tests {
         let mut it = fastq_records("ACGT\n".as_bytes());
         assert!(matches!(it.next(), Some(Err(GenomeError::MalformedFastq { .. }))));
         assert!(it.next().is_none());
+    }
+
+    #[test]
+    fn qualities_outside_phred33_rejected() {
+        // A multi-byte character or DEL would decode above Q93, which
+        // `write_fastq` cannot write back.
+        let reason = "quality character outside Phred+33 range";
+        for qual in ["\u{e9}", "I\u{7f}", " I", "I\0"] {
+            let err = read_fastq(format!("@x\nAC\n+\n{qual}\n").as_bytes()).unwrap_err();
+            assert_eq!(err, GenomeError::MalformedFastq { line: 4, reason }, "{qual:?}");
+        }
     }
 
     #[test]

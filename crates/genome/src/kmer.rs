@@ -150,11 +150,6 @@ impl Kmer {
         self.base(self.k() - 1)
     }
 
-    /// First base.
-    pub fn first_base(&self) -> DnaBase {
-        self.base(0)
-    }
-
     /// The reverse complement of this k-mer.
     pub fn reverse_complement(&self) -> Kmer {
         let mut packed = 0u64;

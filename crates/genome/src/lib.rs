@@ -4,8 +4,7 @@
 //! A from-scratch genome-assembly toolkit implementing the algorithm stack
 //! of the PIM-Assembler paper (Fig. 5): short-read analysis, k-mer hash-table
 //! construction, bidirected de Bruijn graph construction, and Eulerian
-//! traversal into contigs — plus the scaffolding stage the paper defers to
-//! future work.
+//! traversal into contigs.
 //!
 //! The toolkit is pure software; the `pim-assembler` crate maps these same
 //! algorithms onto the processing-in-DRAM platform and uses this crate as
@@ -27,9 +26,7 @@
 //!   Eulerian-path algorithms,
 //! * [`contig`] / [`stats`] — contig spelling and assembly metrics (N50 …);
 //!   [`align`] — banded global alignment for validating contigs,
-//! * [`assemble`] — the end-to-end software assembler,
-//! * [`scaffold`] — paired-read scaffolding (stage 3, the paper's future
-//!   work, implemented here as an extension).
+//! * [`assemble`] — the end-to-end software assembler.
 //!
 //! ## Example
 //!
@@ -58,7 +55,6 @@ pub mod fastq;
 pub mod hash_table;
 pub mod kmer;
 pub mod reads;
-pub mod scaffold;
 pub mod sequence;
 pub mod simplify;
 pub mod simulate;

@@ -3,8 +3,8 @@
 //! Purely random sequences are (almost) repeat-free at the paper's k
 //! values, which makes assembly artificially easy. This generator plants
 //! exact repeat families into a random background so tests and benchmarks
-//! can exercise branch handling, unitig breaking, and scaffolding the way
-//! a real chromosome would.
+//! can exercise branch handling and unitig breaking the way a real
+//! chromosome would.
 
 use rand::Rng;
 

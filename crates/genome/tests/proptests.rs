@@ -8,9 +8,12 @@ use pim_genome::assemble::{AssemblyConfig, SoftwareAssembler, Traversal};
 use pim_genome::base::DnaBase;
 use pim_genome::debruijn::DeBruijnGraph;
 use pim_genome::euler::{eulerian_trails, trails_cover_all_edges, EulerAlgorithm};
+use pim_genome::fasta::{fasta_records, read_fasta, write_fasta};
+use pim_genome::fastq::{fastq_records, read_fastq, write_fastq};
 use pim_genome::hash_table::KmerCounter;
 use pim_genome::kmer::{Kmer, KmerIter};
 use pim_genome::sequence::DnaSequence;
+use pim_genome::GenomeError;
 
 fn dna(min: usize, max: usize) -> impl Strategy<Value = DnaSequence> {
     proptest::collection::vec(0u8..4, min..=max)
@@ -133,5 +136,85 @@ proptest! {
         let total_in: usize = (0..clean.node_count()).map(|v| clean.in_degree(v)).sum();
         prop_assert_eq!(total_out, clean.edge_count());
         prop_assert_eq!(total_in, clean.edge_count());
+    }
+}
+
+// FASTA/FASTQ readers on random structure: whole short records with loose
+// pieces mixed in (record markers, each line end, bases in both cases, IUPAC
+// codes, an invalid letter, NUL, a multi-byte character) and stray records,
+// one with a multi-byte quality string.
+const PIECES: &[&str] =
+    &[">", "@", "+", "\n", "\r\n", "\r", "ACGT", "acgt", "gAtC", "N", "rYkM", "X", "\0", "é", " "];
+const STRAY: &[&str] = &[">p\nAC\n", "@p\nAC\n+\nII\n", "@p\nAC\n+\né\n"];
+const FASTA: &[&str] =
+    &[">r1\nACGT\n", ">r2 x\nacgt\nTTGA\n", ">r3\nACNNGT\n", ">gap\nNNNN\n", "\n"];
+const FASTQ: &[&str] =
+    &["@q1\nACGT\n+\nIIII\n", "@q2 x\nacNNgt\n+q2\n!!II~~\n", "@gap\nNN\n+\nII\n", "\r\n"];
+
+/// A document cut from `records`, and whether it is clean. The first draw
+/// sets the share of loose pieces: none (clean records only) up to 7 in 8.
+fn document(records: &'static [&'static str]) -> impl Strategy<Value = (bool, String)> {
+    proptest::collection::vec(any::<u32>(), 1..24).prop_map(move |draws| {
+        let noise = draws[0] % 8;
+        let pick = |list: &[&'static str], d: u32| list[(d / 8) as usize % list.len()];
+        let text = draws[1..].iter().map(|&d| match d % 8 {
+            n if n >= noise => pick(records, d),
+            0 => pick(STRAY, d),
+            _ => pick(PIECES, d),
+        });
+        (noise == 0, text.collect())
+    })
+}
+
+/// One format's readers on `input`: a clean document parses; streaming
+/// yields exactly the eager result and stops at its first error, a typed
+/// structural or base error; `Ok` records survive a write and re-read.
+fn check<'a, T: PartialEq + std::fmt::Debug, I: Iterator<Item = Result<T, GenomeError>>>(
+    (clean, input): &'a (bool, String),
+    read: impl Fn(&[u8]) -> Result<Vec<T>, GenomeError>,
+    stream: impl Fn(&'a [u8]) -> I,
+    write: impl Fn(&mut Vec<u8>, &[T]) -> Result<(), GenomeError>,
+) -> Result<(), String> {
+    let eager = read(input.as_bytes());
+    prop_assert!(!clean || eager.is_ok(), "clean document failed: {eager:?}");
+    let mut streamed = stream(input.as_bytes());
+    prop_assert_eq!(&streamed.by_ref().collect::<Result<Vec<T>, _>>(), &eager);
+    prop_assert!(streamed.next().is_none(), "streaming went on after {eager:?}");
+    match eager {
+        Ok(records) => {
+            let mut out = Vec::new();
+            write(&mut out, &records).unwrap();
+            prop_assert_eq!(read(&out).unwrap(), records);
+        }
+        Err(e) => prop_assert!(matches!(
+            e,
+            GenomeError::MalformedFasta { .. }
+                | GenomeError::MalformedFastq { .. }
+                | GenomeError::InvalidBase { .. }
+        )),
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn fasta_readers_agree_and_round_trip(doc in document(FASTA)) {
+        check(&doc, |b| read_fasta(b), fasta_records, |w, r| write_fasta(w, r))?;
+    }
+
+    #[test]
+    fn fastq_readers_agree_and_round_trip(doc in document(FASTQ)) {
+        check(&doc, |b| read_fastq(b), fastq_records, |w, r| write_fastq(w, r))?;
+    }
+
+    #[test]
+    fn crlf_line_ends_parse_like_lf(fasta in document(FASTA), fastq in document(FASTQ)) {
+        for lf in [fasta.1.replace('\r', ""), fastq.1.replace('\r', "")] {
+            let crlf = lf.replace('\n', "\r\n");
+            prop_assert_eq!(read_fasta(crlf.as_bytes()), read_fasta(lf.as_bytes()));
+            prop_assert_eq!(read_fastq(crlf.as_bytes()), read_fastq(lf.as_bytes()));
+        }
     }
 }

@@ -7,9 +7,9 @@
 /// controller derives from its integer energy ledgers when it folds a
 /// stage, so no command is counted twice), read-path discipline (sensed
 /// vs discarded sense-amp read-outs, fault detections), and per-stage
-/// algorithmic work (probes, inserts, k-mers, edges, anchors). The last
-/// two are recorded per event on the hot path, by a sub-array context or
-/// by the pipeline stages on a context or the controller.
+/// algorithmic work (probes, inserts, k-mers, edges, mapping steps). The
+/// last two are recorded per event on the hot path, by a sub-array
+/// context or by the pipeline stages on a context or the controller.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Metric {
     /// Host-visible row reads (`RD`, sensed).
@@ -41,8 +41,6 @@ pub enum Metric {
     GraphKmers,
     /// Edges consumed by Eulerian traversal (stage 3).
     TraverseEdges,
-    /// Read-pair anchors resolved by scaffolding (stage 4).
-    ScaffoldAnchors,
     /// Reads streamed through the mapping stage.
     MapReads,
     /// Seed-row comparator probes issued by the mapping stage.
@@ -57,7 +55,7 @@ pub enum Metric {
 
 impl Metric {
     /// Every metric, in canonical (serialisation) order.
-    pub const ALL: [Metric; 20] = [
+    pub const ALL: [Metric; 19] = [
         Metric::HostReads,
         Metric::HostWrites,
         Metric::AapCopy,
@@ -72,7 +70,6 @@ impl Metric {
         Metric::HashInserts,
         Metric::GraphKmers,
         Metric::TraverseEdges,
-        Metric::ScaffoldAnchors,
         Metric::MapReads,
         Metric::MapSeedProbes,
         Metric::MapMatchPlanes,
@@ -100,7 +97,6 @@ impl Metric {
             Metric::HashInserts => "hash_inserts",
             Metric::GraphKmers => "graph_kmers",
             Metric::TraverseEdges => "traverse_edges",
-            Metric::ScaffoldAnchors => "scaffold_anchors",
             Metric::MapReads => "map_reads",
             Metric::MapSeedProbes => "map_seed_probes",
             Metric::MapMatchPlanes => "map_match_planes",

@@ -16,22 +16,14 @@ pub enum Stage {
     Graph,
     /// Stage 3 — Eulerian traversal.
     Traverse,
-    /// Stage 4 — scaffolding.
-    Scaffold,
     /// Second workload — read mapping (seed filter + DP alignment).
     Mapping,
 }
 
 impl Stage {
     /// Every stage, in pipeline order.
-    pub const ALL: [Stage; 6] = [
-        Stage::Setup,
-        Stage::Hashmap,
-        Stage::Graph,
-        Stage::Traverse,
-        Stage::Scaffold,
-        Stage::Mapping,
-    ];
+    pub const ALL: [Stage; 5] =
+        [Stage::Setup, Stage::Hashmap, Stage::Graph, Stage::Traverse, Stage::Mapping];
 
     /// Stable snapshot key fragment for this stage.
     pub fn name(self) -> &'static str {
@@ -40,7 +32,6 @@ impl Stage {
             Stage::Hashmap => "hashmap",
             Stage::Graph => "graph",
             Stage::Traverse => "traverse",
-            Stage::Scaffold => "scaffold",
             Stage::Mapping => "mapping",
         }
     }

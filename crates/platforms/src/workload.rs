@@ -134,11 +134,6 @@ impl AssemblyWorkload {
             counter_bits: self.counter_bits,
         }
     }
-
-    /// Total input bytes of the read set (2 bits per base).
-    pub fn read_bytes(&self) -> u64 {
-        self.reads * (self.read_len as u64).div_ceil(4)
-    }
 }
 
 #[cfg(test)]

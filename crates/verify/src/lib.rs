@@ -6,7 +6,7 @@
 //! packages all of them:
 //!
 //! 1. **Differential oracles** ([`oracle`]) — each PIM stage kernel
-//!    (hashmap, graph, traverse, scaffold) executed against the DRAM model
+//!    (hashmap, graph, traverse) executed against the DRAM model
 //!    and compared *bit for bit* with the pure-software golden reference
 //!    from `pim-genome`, over random and adversarial inputs ([`genomes`]).
 //! 2. **Pipeline invariants** ([`invariants`]) — the production pipeline,
@@ -74,8 +74,8 @@ impl Default for SuiteOptions {
     }
 }
 
-/// Runs the whole verification suite: all four oracles over all three
-/// scenarios, the pipeline invariant check, and a fault campaign.
+/// Runs the whole verification suite: all three stage oracles over all
+/// three scenarios, the pipeline invariant check, and a fault campaign.
 ///
 /// Stage errors are folded into the report as failed oracles rather than
 /// propagated, so a single call always yields a complete picture.
@@ -83,11 +83,10 @@ pub fn standard_suite(options: &SuiteOptions) -> VerifyReport {
     let mut report = VerifyReport::default();
     for (i, scenario) in Scenario::ALL.iter().enumerate() {
         let case = generate(*scenario, options.genome_len, options.seed + i as u64);
-        let checks: [(&'static str, pim_assembler::Result<OracleReport>); 4] = [
+        let checks: [(&'static str, pim_assembler::Result<OracleReport>); 3] = [
             ("hashmap", oracle::hashmap_oracle(&case, options.k)),
             ("graph", oracle::graph_oracle(&case, options.k, options.min_count)),
             ("traverse", oracle::traverse_oracle(&case, options.k, options.min_count)),
-            ("scaffold", oracle::scaffold_oracle(&case, options.k, options.seed)),
         ];
         for (stage, outcome) in checks {
             report.oracles.push(outcome.unwrap_or_else(|e| OracleReport {
@@ -143,7 +142,7 @@ mod tests {
             ..SuiteOptions::default()
         });
         assert!(report.passed(), "{report}");
-        assert_eq!(report.oracles.len(), 14, "4 oracles x 3 scenarios + 2 resume cells");
+        assert_eq!(report.oracles.len(), 11, "3 oracles x 3 scenarios + 2 resume cells");
         assert_eq!(report.oracles.iter().filter(|o| o.stage == "resume").count(), 2);
         let inv = report.invariants.as_ref().unwrap();
         assert!(inv.commands_checked > 0);

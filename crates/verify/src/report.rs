@@ -5,7 +5,9 @@ use std::fmt;
 /// Outcome of one differential oracle over one input.
 #[derive(Debug, Clone)]
 pub struct OracleReport {
-    /// Stage kernel under test (`hashmap`, `graph`, `traverse`, `scaffold`).
+    /// Check under test: a stage kernel (`hashmap`, `graph`, `traverse`,
+    /// `mapping`) or a cross-cutting check (`backend-mix`,
+    /// `mapping-dispatch`, `resume`).
     pub stage: &'static str,
     /// Input scenario name.
     pub scenario: String,

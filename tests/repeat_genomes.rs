@@ -1,14 +1,10 @@
 //! Capstone integration: a repeat-structured genome goes through all three
-//! stages on the PIM platform — assembly fragments at the repeats, and the
-//! PIM-accounted scaffolding stage stitches the fragments back into order.
+//! stages on the PIM platform. Assembly fragments at the repeats, but the
+//! genome's k-mers survive.
 
-use pim_assembler_suite::assembler::mapping::KmerMapper;
-use pim_assembler_suite::assembler::scaffold_stage::ScaffoldStage;
 use pim_assembler_suite::assembler::{PimAssembler, PimAssemblerConfig};
-use pim_assembler_suite::dram::controller::Controller;
 use pim_assembler_suite::genome::assemble::{AssemblyConfig, SoftwareAssembler, Traversal};
 use pim_assembler_suite::genome::reads::ReadSimulator;
-use pim_assembler_suite::genome::scaffold::simulate_pairs;
 use pim_assembler_suite::genome::simulate::{GenomeSimulator, RepeatFamily};
 use pim_assembler_suite::genome::stats::genome_fraction;
 use rand::SeedableRng;
@@ -33,39 +29,4 @@ fn repeats_fragment_assembly_but_kmers_survive() {
         SoftwareAssembler::new(AssemblyConfig::new(15).with_traversal(Traversal::Unitigs))
             .assemble(&reads);
     assert!(unitigs.contigs.len() > 1, "repeats must fragment unitigs");
-}
-
-#[test]
-fn scaffolding_orders_fragments_from_a_gapped_genome() {
-    // Three islands separated by unsequencable gaps: assembly gives ≥ 3
-    // contigs; paired reads across the gaps restore the order.
-    let mut rng = ChaCha8Rng::seed_from_u64(81);
-    let genome = GenomeSimulator::new(6000).generate(&mut rng);
-    let islands = [(0usize, 1800usize), (1900, 1800), (3800, 1800)];
-    let mut reads = Vec::new();
-    for (start, len) in islands {
-        let island = genome.subsequence(start, len);
-        let offset = reads.len();
-        reads.extend(ReadSimulator::new(80, 25.0).simulate(&island, &mut rng).into_iter().map(
-            |mut r| {
-                r.id += offset;
-                r.origin += start;
-                r
-            },
-        ));
-    }
-    let mut pim = PimAssembler::new(PimAssemblerConfig::small_test(17).with_hash_subarrays(16));
-    let run = pim.assemble(&reads).unwrap();
-    assert!(run.assembly.contigs.len() >= 3, "expected one contig per island");
-
-    // Stage 3 on the PIM platform.
-    let mut ctrl = Controller::new(pim.config().geometry);
-    let mapper = KmerMapper::new(&pim.config().geometry, 16, 8);
-    let pairs = simulate_pairs(&genome, 70, 500, 2500, &mut rng);
-    let (scaffolds, stats) =
-        ScaffoldStage::run(&mut ctrl, mapper, &run.assembly.contigs, &pairs, 17, 3).unwrap();
-    assert!(stats.pairs_anchored > 0);
-    // The largest scaffold must chain several contigs.
-    let largest = scaffolds.iter().map(|s| s.contigs.len()).max().unwrap();
-    assert!(largest >= 3, "largest scaffold chains {largest} contigs: {scaffolds:?}");
 }
