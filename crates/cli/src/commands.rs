@@ -45,7 +45,10 @@ ASSEMBLE OPTIONS:
                    it whole (results are byte-identical; memory is
                    bounded by the chunk size)
   --checkpoint-dir D  persist stage checkpoints into directory D after
-                   every chunk (implies streaming; D must be empty
+                   every chunk: a chunk appends what it changed to the
+                   checkpoint file, and the whole table is rewritten
+                   at stage boundaries and when the appended records
+                   would outgrow it (implies streaming; D must be empty
                    unless --force is passed)
   --resume D       resume an interrupted checkpointed run from D; pass
                    the same input file (already-ingested reads are

@@ -27,7 +27,7 @@ use pim_genome::kmer::{Kmer, KmerIter};
 use pim_genome::reads::Read;
 use pim_obsv::{HistKey, Metric};
 
-use crate::checkpoint::{push_list_line, StageCheckpoint};
+use crate::checkpoint::{lines, list_fields, push_list_line, StageCheckpoint};
 use crate::config::PimAssemblerConfig;
 use crate::dispatch::ParallelDispatcher;
 use crate::dpu::Dpu;
@@ -135,7 +135,50 @@ pub struct PimHashTable {
     comparator: PimComparator,
     /// Shadow occupancy: `slots[subarray][row] = Some(kmer)`.
     slots: Vec<Vec<Option<Kmer>>>,
+    /// Per sub-array, the entries inserted or re-counted since the change
+    /// record was last cleared: what a checkpoint journal record holds.
+    changes: Vec<RowChanges>,
     stats: HashStats,
+}
+
+/// One sub-array's change record: each entry inserted or re-counted
+/// since the record was last cleared, once, with its k-mer and the count
+/// it holds now. A journal record is rendered from it alone: reading a
+/// sparse record's entries back from the shadow slots and value rows
+/// cost about twice as much at 349 sub-arrays. Its size is bounded by the
+/// sub-array's k-mer rows, so a table that is never checkpointed keeps at
+/// most one entry per slot.
+#[derive(Debug, Clone, Default)]
+struct RowChanges {
+    /// `(row, packed k-mer, k)` of each changed entry.
+    entries: Vec<(u32, u64, u8)>,
+    /// `counts[row]`: the count a changed row holds now, or 0 while it
+    /// is unchanged (a stored entry counts at least 1).
+    counts: Vec<u8>,
+}
+
+// A counter fits the change record's `u8` counts.
+const _: () = assert!(COUNTER_BITS <= 8);
+
+impl RowChanges {
+    fn new(kmer_rows: usize) -> Self {
+        RowChanges { entries: Vec::new(), counts: vec![0; kmer_rows] }
+    }
+
+    /// Records that `row` holds `kmer` and now counts `count`.
+    fn record(&mut self, row: usize, kmer: Kmer, count: u64) {
+        if self.counts[row] == 0 {
+            self.entries.push((row as u32, kmer.packed(), kmer.k() as u8));
+        }
+        self.counts[row] = u8::try_from(count).expect("counters are at most 8 bits wide");
+    }
+
+    fn clear(&mut self) {
+        for &(row, ..) in &self.entries {
+            self.counts[row as usize] = 0;
+        }
+        self.entries.clear();
+    }
 }
 
 impl PimHashTable {
@@ -148,9 +191,11 @@ impl PimHashTable {
     /// [`PimHashTable::new`] with the probe kernel lowered for `backend`
     /// at optimization level `opt`.
     pub fn with_backend(mapper: KmerMapper, backend: BackendKind, opt: OptLevel) -> Self {
-        let slots = vec![vec![None; mapper.layout().kmer_rows()]; mapper.subarrays().len()];
+        let (kmer_rows, subarrays) = (mapper.layout().kmer_rows(), mapper.subarrays().len());
+        let slots = vec![vec![None; kmer_rows]; subarrays];
+        let changes = vec![RowChanges::new(kmer_rows); subarrays];
         let comparator = PimComparator::new(mapper.geometry(), backend, opt);
-        PimHashTable { mapper, comparator, slots, stats: HashStats::default() }
+        PimHashTable { mapper, comparator, slots, changes, stats: HashStats::default() }
     }
 
     /// The lowering backend the probe kernel runs on.
@@ -202,15 +247,17 @@ impl PimHashTable {
             if group.is_empty() {
                 continue;
             }
-            // The shadow slots travel with the partition and come back in
-            // the result, so a failing group still returns its directory.
+            // The shadow slots and change record travel with the
+            // partition and come back in the result, so a failing group
+            // still returns its directory.
             let slots = std::mem::take(&mut self.slots[sub_idx]);
-            partitions.push((self.mapper.subarrays()[sub_idx], (sub_idx, group, slots)));
+            let changes = std::mem::take(&mut self.changes[sub_idx]);
+            partitions.push((self.mapper.subarrays()[sub_idx], (sub_idx, group, slots, changes)));
         }
         let mapper = &self.mapper;
         let comparator = &self.comparator;
         let results = dispatcher.run_partitions(ctrl, partitions, |ctx, payload| {
-            let (sub_idx, group, mut slots): (usize, Vec<Kmer>, Vec<Option<Kmer>>) = payload;
+            let (sub_idx, group, mut slots, mut changes) = payload;
             let mut stats = HashStats::default();
             let mut first_err = None;
             // One image buffer for the whole group: the per-k-mer loop is
@@ -218,17 +265,26 @@ impl PimHashTable {
             let mut image = BitRow::zeros(ctx.geometry().cols);
             for kmer in group {
                 if let Err(e) = Self::insert_one(
-                    ctx, mapper, comparator, sub_idx, &mut slots, &mut stats, kmer, &mut image,
+                    ctx,
+                    mapper,
+                    comparator,
+                    sub_idx,
+                    &mut slots,
+                    &mut changes,
+                    &mut stats,
+                    kmer,
+                    &mut image,
                 ) {
                     first_err = Some(e);
                     break;
                 }
             }
-            Ok((sub_idx, slots, stats, first_err))
+            Ok((sub_idx, slots, changes, stats, first_err))
         })?;
         let mut first_err = None;
-        for (sub_idx, slots, stats, err) in results {
+        for (sub_idx, slots, changes, stats, err) in results {
             self.slots[sub_idx] = slots;
+            self.changes[sub_idx] = changes;
             let merged = self.stats.merge(&stats).err();
             first_err = first_err.or(err).or(merged);
         }
@@ -306,8 +362,9 @@ impl PimHashTable {
     }
 
     /// The per-sub-array insert procedure: stage, probe, count/insert.
-    /// Takes the sub-array's shadow slots and a stats accumulator
-    /// explicitly, since it runs on a detached context that owns neither.
+    /// Takes the sub-array's shadow slots, its change record and a stats
+    /// accumulator explicitly, since it runs on a detached context that
+    /// owns none of them.
     #[allow(clippy::too_many_arguments)]
     fn insert_one(
         ctx: &mut SubarrayContext,
@@ -315,6 +372,7 @@ impl PimHashTable {
         comparator: &PimComparator,
         sub_idx: usize,
         slots: &mut [Option<Kmer>],
+        changes: &mut RowChanges,
         stats: &mut HashStats,
         kmer: Kmer,
         image: &mut BitRow,
@@ -350,6 +408,7 @@ impl PimHashTable {
                         let current = Self::read_counter_at(ctx, &layout, row)?;
                         let next = Dpu::increment_saturating(ctx, current, layout.max_count());
                         Self::write_counter_at(ctx, &layout, row, next)?;
+                        changes.record(row, stored, next);
                         outcome = Some(next);
                         break;
                     }
@@ -361,6 +420,7 @@ impl PimHashTable {
                     slots[row] = Some(kmer);
                     stats.distinct += 1;
                     Self::write_counter_at(ctx, &layout, row, 1)?;
+                    changes.record(row, kmer, 1);
                     outcome = Some(1);
                     break;
                 }
@@ -425,10 +485,11 @@ impl PimHashTable {
 
     /// Writes every stored entry with its physical placement into list
     /// `list` of `cp`, one `sub row packed k count` line per entry, in
-    /// sub-array and row order. Reads device state through the attached
+    /// sub-array and row order. Reads each counter through the attached
     /// contexts' uncharged debug view ([`Controller::context`]), so taking
-    /// a checkpoint perturbs neither the ledger nor the metrics; each value
-    /// row (one counter per k-mer slot) is read once. Together with
+    /// a checkpoint perturbs neither the ledger nor the metrics. A
+    /// checkpoint journal record renders the changed entries as the same
+    /// lines from the change record. Together with
     /// [`PimHashTable::load_entries`] and
     /// [`PimHashTable::restore_entries`] this is the table's checkpoint
     /// round-trip: a slot's DRAM row image is exactly
@@ -452,26 +513,45 @@ impl PimHashTable {
         let mut block = String::new();
         for (sub_idx, slots) in self.slots.iter().enumerate() {
             let subarray = self.mapper.subarrays()[sub_idx];
-            let attached =
-                || ctrl.context(subarray).ok_or(DramError::SubarrayDetached { subarray });
-            // Slots map onto value rows in ascending order, so the row
-            // last read serves every slot until the index moves on.
-            let mut value_row = (usize::MAX, BitRow::zeros(0));
+            let context = ctrl.context(subarray);
             for (row, slot) in slots.iter().enumerate() {
-                let Some(kmer) = slot else { continue };
+                let Some(kmer) = *slot else { continue };
+                let ctx = context.ok_or(DramError::SubarrayDetached { subarray })?;
                 let (vrow, bit) = layout.counter_location(row);
-                if value_row.0 != vrow {
-                    value_row = (vrow, attached()?.peek_row(layout.value_row(vrow))?);
-                }
-                let count = value_row.1.bits_u64(bit, COUNTER_BITS);
-                push_list_line(
-                    &mut block,
-                    &[sub_idx as u64, row as u64, kmer.packed(), kmer.k() as u64, count],
-                );
+                let count = ctx.peek_field(layout.value_row(vrow), bit, COUNTER_BITS)?;
+                let (sub, k) = (sub_idx as u64, kmer.k() as u64);
+                push_list_line(&mut block, &[sub, row as u64, kmer.packed(), k, count]);
             }
         }
         cp.lists.insert(list.into(), block);
         Ok(())
+    }
+
+    /// The lines [`PimHashTable::save_entries`] would write for the
+    /// entries inserted or re-counted since the change record was last
+    /// cleared, into list `list` of `cp`: what one checkpoint journal
+    /// record holds. Costs O(changes), not O(table).
+    pub(crate) fn save_changed_entries(&mut self, cp: &mut StageCheckpoint, list: &str) {
+        let mut block = String::new();
+        for (sub_idx, changes) in self.changes.iter_mut().enumerate() {
+            changes.entries.sort_unstable_by_key(|&(row, ..)| row);
+            for &(row, packed, k) in &changes.entries {
+                let count = u64::from(changes.counts[row as usize]);
+                push_list_line(&mut block, &[sub_idx as u64, row.into(), packed, k.into(), count]);
+            }
+        }
+        cp.lists.insert(list.into(), block);
+    }
+
+    /// Entries inserted or re-counted since the change record was last
+    /// cleared.
+    pub(crate) fn changed_entries(&self) -> u64 {
+        self.changes.iter().map(|changes| changes.entries.len() as u64).sum()
+    }
+
+    /// Clears the change record (a checkpoint now holds every change).
+    pub(crate) fn clear_changes(&mut self) {
+        self.changes.iter_mut().for_each(RowChanges::clear);
     }
 
     /// Reads back the entries [`PimHashTable::save_entries`] wrote into
@@ -489,19 +569,15 @@ impl PimHashTable {
         let malformed =
             |line: &str| PimError::Checkpoint { reason: format!("bad `{list}` entry `{line}`") };
         let mut entries = Vec::new();
-        for line in cp.lists.get(list).map_or("", String::as_str).lines() {
-            let mut p = line.split_whitespace();
-            let mut next = || p.next().ok_or_else(|| malformed(line));
-            let sub_idx: usize = next()?.parse().map_err(|_| malformed(line))?;
-            let row: usize = next()?.parse().map_err(|_| malformed(line))?;
-            let packed: u64 = next()?.parse().map_err(|_| malformed(line))?;
-            let kmer_k: usize = next()?.parse().map_err(|_| malformed(line))?;
-            let count: u64 = next()?.parse().map_err(|_| malformed(line))?;
-            let kmer = Kmer::from_packed(packed, kmer_k)
+        for line in lines(cp.lists.get(list).map_or("", String::as_str)) {
+            let [sub_idx, row, packed, kmer_k, count] =
+                list_fields(line).ok_or_else(|| malformed(line))?;
+            let index = |value: u64| usize::try_from(value).map_err(|_| malformed(line));
+            let kmer = Kmer::from_packed(packed, index(kmer_k)?)
                 .ok()
                 .filter(|kmer| kmer.k() == k)
                 .ok_or_else(|| malformed(line))?;
-            entries.push((sub_idx, row, kmer, count));
+            entries.push((index(sub_idx)?, index(row)?, kmer, count));
         }
         Ok(entries)
     }
@@ -645,17 +721,35 @@ impl HashmapExec {
     }
 
     /// Serializes the resume state into `cp`: the table entries (list
-    /// `hash`), its statistics and the k-mer count. Reads device state
-    /// through the uncharged debug view only.
+    /// `hash`) — all of them, or with `changes_only` just those inserted
+    /// or re-counted since the last save (a journal record) — its
+    /// statistics and the k-mer count; then clears the table's change
+    /// record. Reads device state through the uncharged debug view only.
     ///
     /// # Errors
     ///
     /// DRAM addressing errors while exporting device state.
-    pub fn save(&self, ctrl: &Controller, cp: &mut StageCheckpoint) -> Result<()> {
-        self.table.save_entries(ctrl, cp, "hash")?;
+    pub fn save(
+        &mut self,
+        ctrl: &Controller,
+        cp: &mut StageCheckpoint,
+        changes_only: bool,
+    ) -> Result<()> {
+        if changes_only {
+            self.table.save_changed_entries(cp, "hash");
+        } else {
+            self.table.save_entries(ctrl, cp, "hash")?;
+        }
+        self.table.clear_changes();
         self.table.stats().save(cp, "hash");
         cp.fields.insert("kmer_count".into(), self.kmer_count);
         Ok(())
+    }
+
+    /// Entries the table inserted or re-counted since the last
+    /// [`HashmapExec::save`].
+    pub(crate) fn changed_entries(&self) -> u64 {
+        self.table.changed_entries()
     }
 
     /// Reconstructs an executor from a checkpoint payload written by
@@ -957,6 +1051,40 @@ mod tests {
         let counts: Vec<&str> =
             block.lines().map(|line| line.rsplit(' ').next().unwrap()).collect();
         assert!(counts.contains(&"1") && counts.contains(&"255"), "{counts:?}");
+    }
+
+    #[test]
+    fn changed_entries_are_the_rows_inserted_or_recounted_since_the_last_clear() {
+        let (mut ctrl, mut table) = setup();
+        let mut rng = ChaCha8Rng::seed_from_u64(35);
+        let kmers = kmers_of(&DnaSequence::random(&mut rng, 1200), 13);
+        let (first, second) = kmers.split_at(kmers.len() / 2);
+        table.insert(&mut ctrl, &serial(), first).unwrap();
+        assert_eq!(table.changed_entries(), table.stats().distinct, "every entry is new");
+        table.clear_changes();
+        assert_eq!(table.changed_entries(), 0);
+        let mut before = StageCheckpoint::new("fp", "hashmap", 0);
+        table.save_entries(&ctrl, &mut before, "hash").unwrap();
+        // The second half again, plus two k-mers of the first: re-counts
+        // of old entries as well as new ones, each row once.
+        let mut batch = second.to_vec();
+        batch.extend([first[0], first[0], first[9]]);
+        table.insert(&mut ctrl, &serial(), &batch).unwrap();
+        let mut after = StageCheckpoint::new("fp", "hashmap", 0);
+        table.save_entries(&ctrl, &mut after, "hash").unwrap();
+        let mut changed = StageCheckpoint::new("fp", "hashmap", 0);
+        table.save_changed_entries(&mut changed, "hash");
+        // No count saturates here, so every changed row renders a line the
+        // previous export did not have: the changed block is exactly the
+        // new or rewritten lines, in sub-array and row order.
+        let old: std::collections::HashSet<&str> = before.lists["hash"].lines().collect();
+        let fresh: String = after.lists["hash"]
+            .lines()
+            .filter(|line| !old.contains(line))
+            .map(|line| format!("{line}\n"))
+            .collect();
+        assert_eq!(changed.lists["hash"], fresh);
+        assert_eq!(table.changed_entries(), fresh.lines().count() as u64);
     }
 
     #[test]

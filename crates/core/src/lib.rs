@@ -29,8 +29,9 @@
 //! * [`hashmap_stage`] — the `Hashmap(S, k)` procedure in PIM,
 //! * [`graph_stage`] — the `DeBruijn(Hashmap, k)` procedure in PIM,
 //! * [`traverse_stage`] — the `Traverse(G)` procedure in PIM,
-//! * [`checkpoint`] — serializable stage checkpoints (atomic on-disk
-//!   format, schema/fingerprint validation, directory guard),
+//! * [`checkpoint`] — serializable stage checkpoints (a snapshot written
+//!   atomically plus an append-only journal of per-chunk records,
+//!   schema/fingerprint validation, directory guard),
 //! * [`pipeline`] — the full assembler: [`pipeline::PimAssembler`] and
 //!   the resumable [`pipeline::Session`] that drives every run, producing
 //!   contigs and a [`perf::PerfReport`],

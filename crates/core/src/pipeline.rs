@@ -280,8 +280,13 @@ enum Phase {
 /// [`Session::run`] does steps 2–4 over an in-memory read set.
 ///
 /// When constructed with a checkpoint directory, the session persists a
-/// [`StageCheckpoint`] after every chunk and at every stage boundary
-/// (atomically — a kill mid-write leaves the previous checkpoint valid).
+/// [`StageCheckpoint`] after every chunk and at every stage boundary. A
+/// chunk's checkpoint is a journal record of what the chunk changed,
+/// appended to the file; the whole checkpoint is rewritten as a snapshot
+/// (atomically — a kill mid-write leaves the previous file valid) at
+/// [`Session::start`], at every stage boundary, as the first write after
+/// a resume, and when the journal would outgrow the table (see
+/// [`crate::checkpoint`]).
 /// Accounting is checkpointed as exact integer [`EnergyLedger`]s and
 /// restored via [`Controller::restore_accounting`]; device state is
 /// restored through the contexts' uncharged debug view; deterministic
@@ -306,6 +311,21 @@ pub struct Session<'a> {
     base_counters: BTreeMap<String, u64>,
     base_host: BTreeMap<String, u64>,
     span_t0: Option<u64>,
+    journal: Journal,
+}
+
+/// What the session's checkpoint file holds past its last snapshot.
+#[derive(Debug, Default)]
+struct Journal {
+    /// Records appended after the snapshot this session last wrote;
+    /// `None` until one lands (at start, after a resume, or after a
+    /// failed write), so the next write is a snapshot.
+    records: Option<u64>,
+    /// Hash entries those records hold.
+    entries: u64,
+    /// Each sub-array's ledger (by linear index) as the file last
+    /// recorded it.
+    ledgers: BTreeMap<usize, EnergyLedger>,
 }
 
 impl<'a> Session<'a> {
@@ -348,6 +368,7 @@ impl<'a> Session<'a> {
             base_counters: BTreeMap::new(),
             base_host: BTreeMap::new(),
             span_t0,
+            journal: Journal::default(),
         };
         // Persist an empty cursor immediately so a run killed before the
         // first chunk lands is still resumable.
@@ -545,6 +566,7 @@ impl<'a> Session<'a> {
             base_counters: cp.counters.clone(),
             base_host: cp.host.clone(),
             span_t0,
+            journal: Journal::default(),
         })
     }
 
@@ -811,15 +833,35 @@ impl<'a> Session<'a> {
     }
 
     /// Writes the session checkpoint for `stage` at `cursor` when a
-    /// checkpoint directory is configured.
+    /// checkpoint directory is configured: a journal record of what
+    /// changed since the file's last write while ingesting, unless a
+    /// snapshot is due or the journal's hash entries would then outnumber
+    /// the table's, and a snapshot otherwise. So a resume reads at most a
+    /// snapshot plus one table's worth of records.
     fn write_checkpoint(&mut self, stage: &str, cursor: u64) -> Result<()> {
         let Some(dir) = self.dir.clone() else { return Ok(()) };
+        let journal = &mut self.journal;
+        // Taken until the write lands: a failed write leaves a snapshot due.
+        let seq = match (&self.phase, journal.records.take()) {
+            (Phase::Ingest(exec), Some(records))
+                if stage == "hashmap"
+                    && journal.entries + exec.changed_entries()
+                        <= exec.table().stats().distinct =>
+            {
+                journal.entries += exec.changed_entries();
+                Some(records + 1)
+            }
+            _ => {
+                journal.entries = 0;
+                None
+            }
+        };
         let fingerprint = self.asm.config.fingerprint();
         let mut cp = StageCheckpoint::new(&fingerprint, stage, cursor);
         {
             let PimAssembler { config, ctrl, dispatcher, spans } = &mut *self.asm;
-            match &self.phase {
-                Phase::Ingest(exec) => exec.save(ctrl, &mut cp)?,
+            match &mut self.phase {
+                Phase::Ingest(exec) => exec.save(ctrl, &mut cp, seq.is_some())?,
                 Phase::TraversePending(exec) => {
                     exec.save(&mut cp);
                     if let Some(hs) = &self.hash_stats {
@@ -834,10 +876,14 @@ impl<'a> Session<'a> {
             }
             cp.fields.insert("total_reads".into(), self.total_reads);
             cp.ledgers.insert("global".into(), *ctrl.global_ledger());
+            // A record carries the sub-array ledgers that moved since the
+            // file last recorded them; a snapshot carries them all.
             for id in ctrl.touched_subarrays() {
                 let linear = id.linear_index(&config.geometry);
                 let ledger = *ctrl.subarray_ledger(id).expect("touched implies attached");
-                cp.ledgers.insert(format!("sub.{linear}"), ledger);
+                if self.journal.ledgers.insert(linear, ledger) != Some(ledger) || seq.is_none() {
+                    cp.ledgers.insert(format!("sub.{linear}"), ledger);
+                }
             }
             if let Some(s1) = self.s1 {
                 cp.ledgers.insert("s1".into(), s1);
@@ -856,7 +902,12 @@ impl<'a> Session<'a> {
                 cp.host = snap.host;
             }
         }
-        cp.save(&dir)
+        match seq {
+            Some(seq) => cp.append(&dir, seq)?,
+            None => cp.save(&dir)?,
+        }
+        self.journal.records = Some(seq.unwrap_or(0));
+        Ok(())
     }
 }
 

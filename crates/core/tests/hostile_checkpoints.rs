@@ -235,6 +235,22 @@ fn overflowing_hash_statistics_are_a_checkpoint_error() {
     }
 }
 
+#[test]
+fn every_cut_of_an_observed_checkpoints_trailer_is_a_checkpoint_error() {
+    // An observed run's checkpoint ends in its metrics sections, where
+    // any `end = …` line used to seal the file: a cut trailer resumed.
+    let observed = config().with_observability(true);
+    let text = checkpoint("trailer", false, observed).to_text();
+    let trailer = text.rfind("end = ").unwrap();
+    assert!(text[..trailer].contains("\n[host]\n"), "an observed checkpoint ends in [host]");
+    let dir = temp_dir("trailer");
+    for cut in trailer + 1..text.len() - 1 {
+        let err = resume_from(&dir, &text[..cut], observed, false).unwrap_err();
+        assert!(matches!(err, PimError::Checkpoint { .. }), "cut at {cut}: {err}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// Interesting replacement values: region and partition boundaries,
 /// word-size edges, and the extremes.
 const PROBES: [u64; 16] =

@@ -1,8 +1,9 @@
 //! Kill-and-resume suite for the staged execution engine.
 //!
 //! The contract under test: a checkpointed run that dies at *any* point —
-//! mid-stream between chunks, at the hashmap/graph boundary, or at the
-//! graph/traverse boundary — and resumes from disk produces results
+//! mid-stream between chunks (after a snapshot or a journal record), at
+//! the hashmap/graph boundary, or at the graph/traverse boundary — and
+//! resumes from disk produces results
 //! byte-identical to an uninterrupted one-shot run. That covers contigs,
 //! the per-stage command ledgers, the total energy ledger, the
 //! deterministic metrics sections, and the measured parallelism, across
@@ -15,7 +16,7 @@ use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use pim_assembler::checkpoint::prepare_dir;
+use pim_assembler::checkpoint::{prepare_dir, CHECKPOINT_FILE};
 use pim_assembler::{PimAssembler, PimAssemblerConfig, PimRun, Session};
 use pim_dram::ledger::CommandClass;
 use pim_genome::reads::{Read, ReadSimulator};
@@ -163,6 +164,37 @@ fn resume_from_every_stage_boundary_matches_one_shot() {
     let dir = temp_dir("boundary-traverse");
     let (run, asm) = kill_and_resume(config, &reads, &dir, 8, None, true, 1, 8);
     assert_identical(&ref_run, &ref_asm, &run, &asm);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn resume_from_every_chunk_write_point_matches_one_shot() {
+    // One checkpointed run keeps the file as each chunk's write left it:
+    // a snapshot, or a snapshot plus journal records. Each copy resumes,
+    // serially or pooled, to the one-shot run.
+    let reads = sim_reads(16, 500);
+    let config = PimAssemblerConfig::small_test(13).with_observability(true);
+    let (ref_run, ref_asm) = reference(config, &reads);
+    let dir = temp_dir("every-write");
+    let streamed = config.with_chunk_reads(12).unwrap();
+    let mut files = Vec::new();
+    {
+        let mut asm = PimAssembler::new(streamed);
+        let mut session = Session::start(&mut asm, Some(dir.clone())).unwrap();
+        for chunk in reads.chunks(12) {
+            session.feed(chunk).unwrap();
+            files.push(std::fs::read_to_string(dir.join(CHECKPOINT_FILE)).unwrap());
+        }
+    }
+    let journaled = files.iter().filter(|file| file.contains("\nrecord = ")).count();
+    assert!(journaled > 0 && journaled < files.len(), "{journaled} of {} journaled", files.len());
+    for (i, file) in files.iter().enumerate() {
+        std::fs::write(dir.join(CHECKPOINT_FILE), file).unwrap();
+        let workers = if i % 2 == 0 { 1 } else { 4 };
+        let mut asm = PimAssembler::new(streamed.with_workers(workers));
+        let run = Session::resume(&mut asm, &dir).unwrap().run(&reads).unwrap();
+        assert_identical(&ref_run, &ref_asm, &run, &asm);
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

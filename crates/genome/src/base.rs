@@ -82,7 +82,7 @@ impl DnaBase {
             'C' => Ok(DnaBase::C),
             'G' => Ok(DnaBase::G),
             'T' => Ok(DnaBase::T),
-            _ => Err(GenomeError::InvalidBase { ch, position }),
+            _ => Err(GenomeError::InvalidBase { ch, position, line: None }),
         }
     }
 
@@ -173,7 +173,7 @@ mod tests {
     #[test]
     fn invalid_chars_rejected_with_position() {
         let err = DnaBase::try_from_char_at('N', 17).unwrap_err();
-        assert_eq!(err, GenomeError::InvalidBase { ch: 'N', position: 17 });
+        assert_eq!(err, GenomeError::InvalidBase { ch: 'N', position: 17, line: None });
     }
 
     #[test]

@@ -12,8 +12,12 @@ pub enum GenomeError {
     InvalidBase {
         /// The offending character.
         ch: char,
-        /// Byte position in the input.
+        /// Index of the character (0-based) within its line, or within
+        /// the string for a sequence parsed from a string.
         position: usize,
+        /// Line number (1-based) in FASTA/FASTQ input; `None` for a
+        /// sequence parsed from a string.
+        line: Option<usize>,
     },
     /// A k value outside the supported `1..=32` range.
     UnsupportedK {
@@ -48,8 +52,11 @@ pub enum GenomeError {
 impl fmt::Display for GenomeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            GenomeError::InvalidBase { ch, position } => {
+            GenomeError::InvalidBase { ch, position, line: None } => {
                 write!(f, "invalid base {ch:?} at position {position}")
+            }
+            GenomeError::InvalidBase { ch, position, line: Some(line) } => {
+                write!(f, "invalid base {ch:?} at line {line}, position {position}")
             }
             GenomeError::UnsupportedK { k } => {
                 write!(f, "unsupported k-mer length {k} (supported: 1..=32)")
@@ -82,7 +89,10 @@ mod tests {
 
     #[test]
     fn displays_are_informative() {
-        assert!(GenomeError::InvalidBase { ch: 'N', position: 4 }.to_string().contains("'N'"));
+        let base = GenomeError::InvalidBase { ch: 'N', position: 4, line: None };
+        assert_eq!(base.to_string(), "invalid base 'N' at position 4");
+        let base = GenomeError::InvalidBase { ch: 'X', position: 2, line: Some(3) };
+        assert_eq!(base.to_string(), "invalid base 'X' at line 3, position 2");
         assert!(GenomeError::UnsupportedK { k: 40 }.to_string().contains("40"));
         assert!(GenomeError::SequenceTooShort { len: 3, needed: 16 }.to_string().contains("16"));
         let fastq = GenomeError::MalformedFastq { line: 4, reason: "missing quality line" };

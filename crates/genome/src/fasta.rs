@@ -167,7 +167,10 @@ impl<R: BufRead> FastaRecords<R> {
                 if is_ambiguity_code(ch) {
                     p.split();
                 } else {
-                    p.current.push(DnaBase::try_from_char_at(ch, col)?);
+                    let line = Some(lineno + 1);
+                    let base = DnaBase::try_from_char_at(ch, col)
+                        .map_err(|_| GenomeError::InvalidBase { ch, position: col, line })?;
+                    p.current.push(base);
                 }
             }
         }
@@ -323,6 +326,13 @@ mod tests {
     fn truly_invalid_chars_still_rejected() {
         let err = read_fasta(">x\nAC*T\n".as_bytes()).unwrap_err();
         assert!(matches!(err, GenomeError::InvalidBase { ch: '*', .. }));
+    }
+
+    #[test]
+    fn invalid_base_names_its_line_and_position_in_the_line() {
+        let err = read_fasta(">x\nACGTACGTAC\nGTXA\n".as_bytes()).unwrap_err();
+        assert_eq!(err, GenomeError::InvalidBase { ch: 'X', position: 2, line: Some(3) });
+        assert_eq!(err.to_string(), "invalid base 'X' at line 3, position 2");
     }
 
     #[test]

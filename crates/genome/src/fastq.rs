@@ -154,7 +154,10 @@ impl<R: BufRead> FastqRecords<R> {
                     ));
                 }
             } else {
-                seq.push(DnaBase::try_from_char_at(ch, i)?);
+                let line = Some(n + 2);
+                let base = DnaBase::try_from_char_at(ch, i)
+                    .map_err(|_| GenomeError::InvalidBase { ch, position: i, line })?;
+                seq.push(base);
                 quals.push(qual_bytes[i]);
             }
         }
@@ -281,6 +284,14 @@ mod tests {
             read_fastq("@x\nACGT\n+\n".as_bytes()),
             Err(GenomeError::MalformedFastq { reason: "missing quality line", .. })
         ));
+    }
+
+    #[test]
+    fn invalid_base_names_its_line_and_position_in_the_line() {
+        let input = "@r1\nACGT\n+\nIIII\n@r2\nAC GT\n+\nIIIII\n";
+        let err = read_fastq(input.as_bytes()).unwrap_err();
+        assert_eq!(err, GenomeError::InvalidBase { ch: ' ', position: 2, line: Some(6) });
+        assert_eq!(err.to_string(), "invalid base ' ' at line 6, position 2");
     }
 
     #[test]

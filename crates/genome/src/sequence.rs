@@ -290,7 +290,7 @@ mod tests {
     #[test]
     fn parse_rejects_bad_chars() {
         let err = "ACGNT".parse::<DnaSequence>().unwrap_err();
-        assert_eq!(err, GenomeError::InvalidBase { ch: 'N', position: 3 });
+        assert_eq!(err, GenomeError::InvalidBase { ch: 'N', position: 3, line: None });
     }
 
     #[test]

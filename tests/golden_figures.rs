@@ -12,8 +12,9 @@
 //! ```
 //!
 //! The diff is reported per key, so an unintentional drift names the
-//! exact figure cell that moved. Checkpoint goldens (`*.ckpt`) pin the
-//! on-disk checkpoint text byte for byte instead.
+//! exact figure cell that moved. Checkpoint goldens (`*.ckpt`) pin
+//! checkpoint text byte for byte instead: the resolved checkpoint a
+//! resume reads, and the raw file (snapshot plus journal) it is read from.
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -144,12 +145,12 @@ fn assert_bytes_match_golden(name: &str, actual: &str) {
     }
 }
 
-/// The checkpoint a streamed session leaves on disk for the hostile
-/// checkpoint suite's input (500 bp genome, k = 13, chunks of 8 reads):
+/// The checkpoint file a streamed session leaves on disk for the hostile
+/// checkpoint suite's input (500 bp genome, k = 13, chunks of 8 reads) —
 /// the hashmap stage after 3 chunks, or (`traverse`) the graph/traverse
-/// boundary.
-fn checkpoint_text(tag: &str, traverse: bool) -> String {
-    use pim_assembler::checkpoint::{prepare_dir, CHECKPOINT_FILE};
+/// boundary — as `(raw bytes, resolved checkpoint text)`.
+fn checkpoint_text(tag: &str, traverse: bool) -> (String, String) {
+    use pim_assembler::checkpoint::{prepare_dir, StageCheckpoint, CHECKPOINT_FILE};
     use pim_assembler::{PimAssembler, PimAssemblerConfig, Session};
     use pim_genome::reads::ReadSimulator;
     use pim_genome::sequence::DnaSequence;
@@ -175,19 +176,31 @@ fn checkpoint_text(tag: &str, traverse: bool) -> String {
             session.advance_graph().unwrap();
         }
     }
-    let text = fs::read_to_string(dir.join(CHECKPOINT_FILE)).unwrap();
+    let raw = fs::read_to_string(dir.join(CHECKPOINT_FILE)).unwrap();
+    let resolved = StageCheckpoint::load(&dir).unwrap().to_text();
     fs::remove_dir_all(&dir).unwrap();
-    text
+    (raw, resolved)
 }
 
 #[test]
 fn hashmap_checkpoint_matches_golden() {
-    assert_bytes_match_golden("hashmap_checkpoint.ckpt", &checkpoint_text("hashmap", false));
+    assert_bytes_match_golden("hashmap_checkpoint.ckpt", &checkpoint_text("hashmap", false).1);
 }
 
 #[test]
 fn traverse_checkpoint_matches_golden() {
-    assert_bytes_match_golden("traverse_checkpoint.ckpt", &checkpoint_text("traverse", true));
+    let (raw, resolved) = checkpoint_text("traverse", true);
+    assert_eq!(raw, resolved, "a stage boundary writes a snapshot, with no journal");
+    assert_bytes_match_golden("traverse_checkpoint.ckpt", &resolved);
+}
+
+/// The raw file behind `hashmap_checkpoint.ckpt`: a snapshot and the
+/// journal records appended after it.
+#[test]
+fn raw_journal_checkpoint_matches_golden() {
+    let (raw, resolved) = checkpoint_text("journal", false);
+    assert_ne!(raw, resolved, "the third chunk appends a journal record");
+    assert_bytes_match_golden("journal_checkpoint.ckpt", &raw);
 }
 
 #[test]
