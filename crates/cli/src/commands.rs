@@ -76,8 +76,9 @@ MAP OPTIONS:
   --error-rate X   per-base substitution error rate (default 0.02;
                    errors route survivors through the DP refiner)
   --seed N         RNG seed for the genome + read simulation (default 42)
-  --subarrays N    sub-arrays the seed index spreads over (default 4;
-                   more when a longer reference fills their k-mer regions)
+  --subarrays N    sub-arrays the seed index spreads over (default
+                   max(4, windows / a quarter of a sub-array's k-mer
+                   rows), rounded up: 13 for 3 kbp with 64 bp reads)
   --backend NAME   lowering backend for the mapping kernels:
                    pim-assembler (default), ambit-tra, panda-mram
   --opt-level N    IR optimization level: 0 (default) or 2
@@ -568,7 +569,7 @@ fn metrics_stats(path: &str) -> CliResult {
 /// synthetic reference, mapping each through the seed-filter + DP funnel
 /// on the array, and compare against the software oracle.
 pub fn map(args: &ParsedArgs) -> CliResult {
-    use pim_assembler::mapping_stage::{run_mapping, MappingRunConfig};
+    use pim_assembler::mapping_stage::{run_mapping, seed_index_subarrays, MappingRunConfig};
     let defaults = MappingRunConfig::default();
     let geometry = DramGeometry::paper_assembly();
     let (min, max) = (defaults.mapping.seed_len, geometry.cols / 2);
@@ -578,20 +579,21 @@ pub fn map(args: &ParsedArgs) -> CliResult {
         |n| (min..=max).contains(&n),
         &format!("in {min}..={max} (the seed length to half a row)"),
     )?;
+    let genome_len = args.get_num_where(
+        "genome-len",
+        defaults.genome_len,
+        |n| n >= read_len,
+        &format!("at least --read-len ({read_len})"),
+    )?;
     let config = MappingRunConfig {
-        genome_len: args.get_num_where(
-            "genome-len",
-            defaults.genome_len,
-            |n| n >= read_len,
-            &format!("at least --read-len ({read_len})"),
-        )?,
+        genome_len,
         read_len,
         coverage: coverage_arg(args, 4.0)?,
         error_rate: error_rate_arg(args, 0.02)?,
         seed: args.get_num("seed", defaults.seed)?,
         subarrays: args.get_num_where(
             "subarrays",
-            defaults.subarrays,
+            seed_index_subarrays(&geometry, genome_len, read_len),
             |n| (1..=geometry.total_subarrays()).contains(&n),
             &format!("in 1..={}", geometry.total_subarrays()),
         )?,
@@ -616,6 +618,13 @@ pub fn map(args: &ParsedArgs) -> CliResult {
         "mapped {}/{} reads against a {} bp reference on {} ({})",
         s.mapped, report.reads, config.genome_len, config.backend, config.opt
     );
+    let dp = config.mapping.dp_width(config.read_len);
+    println!(
+        "  seed index: {} sub-arrays; DP values: {} bits (INF {})",
+        config.subarrays,
+        dp.bits(),
+        dp.inf()
+    );
     println!(
         "  funnel: {} seeded, {} candidates, {} survivors, {} DP cells",
         s.seeded, s.candidates, s.survivors, s.dp_cells
@@ -628,6 +637,12 @@ pub fn map(args: &ParsedArgs) -> CliResult {
         for key in ["mapping.map_seed_probes", "mapping.map_match_planes", "mapping.aap2"] {
             println!("  {key} = {}", metrics.counter(key));
         }
+        println!(
+            "  device: {} commands, {:.4} ms serial ledger time, {:.2} uJ",
+            metrics.counter("total.commands"),
+            metrics.counter("total.time_ps") as f64 * 1e-9,
+            metrics.counter("total.energy_fj") as f64 * 1e-9
+        );
     }
     if report.agreement || config.fault_rate > 0.0 {
         Ok(())
@@ -1317,15 +1332,15 @@ mod tests {
 
     #[test]
     fn map_spreads_a_longer_reference_over_more_subarrays() {
-        // A 3 kbp reference overflows the default 4 sub-arrays' k-mer
-        // regions; the error names an option `map` takes, and that option
-        // maps it.
+        // Without --subarrays a 3 kbp reference gets a seed index sized
+        // from it (13 sub-arrays). Forced onto 4 it overflows their k-mer
+        // regions, and the error names the option that maps it.
         let argv = ["map", "--genome-len", "3000", "--read-len", "64", "--coverage", "10"];
-        let err = rejected(map, &argv);
+        run(&ParsedArgs::parse(argv.map(String::from)))
+            .unwrap_or_else(|e| panic!("map without --subarrays: {e}"));
+        let four: Vec<&str> = argv.iter().copied().chain(["--subarrays", "4"]).collect();
+        let err = rejected(map, &four);
         assert!(err.contains("k-mer region full") && err.contains("--subarrays"), "{err}");
-        let argv: Vec<&str> = argv.iter().copied().chain(["--subarrays", "16"]).collect();
-        let args = ParsedArgs::parse(argv.iter().map(|a| a.to_string()));
-        run(&args).unwrap_or_else(|e| panic!("map --subarrays 16: {e}"));
         let err = rejected(map, &["map", "--subarrays", "0"]);
         assert!(err.starts_with("--subarrays must be in 1..="), "{err}");
     }

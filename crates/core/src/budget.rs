@@ -19,6 +19,7 @@ use pim_dram::ledger::{CommandClass, EnergyLedger};
 use pim_obsv::{BudgetLine, StageBudget};
 
 use crate::ir::OptLevel;
+use crate::mapping_stage::{DpWidth, MappingConfig};
 use crate::template::{CompiledTemplate, Kernel, TemplateKey};
 
 /// Builds the stage budget for a pipeline run on sub-arrays of `cols`
@@ -36,15 +37,21 @@ use crate::template::{CompiledTemplate, Kernel, TemplateKey};
 ///   ([`Kernel::FullAdder`]: 8 AAP, 1 AAP2, 2 AAP3), so TRA (AAP3) and
 ///   copy (AAP) volume is bounded by a fixed multiple of the sum cycles
 ///   (AAP2); the synthetic fallback charges the identical ratio.
+///
+/// The mapping lines take the default [`MappingConfig`]'s DP width for
+/// the longest read a row holds (`cols / 2` bp); an assembly run leaves
+/// every mapping counter at zero.
 pub fn pipeline_budget(cols: usize) -> StageBudget {
-    pipeline_budget_at(cols, OptLevel::O0)
+    pipeline_budget_at(cols, OptLevel::O0, MappingConfig::default().dp_width(cols / 2))
 }
 
-/// [`pipeline_budget`] for a run whose kernels were compiled at `opt`.
-/// The expectations come from the *post-optimization* compile reports, so
-/// an `O2` run is held to its shorter streams — the looser `O0` ratios
-/// would silently tolerate an optimizer that stopped engaging.
-pub fn pipeline_budget_at(cols: usize, opt: OptLevel) -> StageBudget {
+/// [`pipeline_budget`] for a run whose kernels were compiled at `opt` and
+/// whose mapping DP runs at `dp`'s width (the run's own
+/// [`MappingConfig::dp_width`]). The expectations come from the
+/// *post-optimization* compile reports, so an `O2` run is held to its
+/// shorter streams — the looser `O0` ratios would silently tolerate an
+/// optimizer that stopped engaging.
+pub fn pipeline_budget_at(cols: usize, opt: OptLevel, dp: DpWidth) -> StageBudget {
     let compile =
         |k: Kernel| CompiledTemplate::compile(TemplateKey::new(k, cols, cols).with_opt(opt));
     let xnor = compile(Kernel::Xnor);
@@ -64,11 +71,10 @@ pub fn pipeline_budget_at(cols: usize, opt: OptLevel) -> StageBudget {
     //   retires a net row) and the ripple tail adds ≤ 8 more per of the
     //   3 weighted sums — ≤ 24 per chunk, and a chunk holds ≥ 1 popcount
     //   group, so FA executions ≤ (1 + 24) + 2 ≈ 27 per popcount.
-    // * Each DP wavefront cell is two bit-serial min passes of
-    //   `MAPPING_VALUE_BITS` dp-cell comparison steps plus the same
-    //   number of min-select muxes.
+    // * Each DP wavefront cell is two bit-serial min passes of W dp-cell
+    //   comparison steps plus the same number of min-select muxes.
     let fa_per_popcount = 27;
-    let dp_kernel_execs = (2 * crate::mapping_stage::MAPPING_VALUE_BITS) as u64;
+    let dp_kernel_execs = (2 * dp.bits()) as u64;
 
     StageBudget::new()
         .with_line(BudgetLine::new(
@@ -253,21 +259,27 @@ mod tests {
         let mut asm = PimAssembler::new(config);
         let run = asm.assemble(&reads).unwrap();
         let snapshot = run.report.metrics.expect("observability enabled");
-        let budget = pipeline_budget_at(config.geometry.cols, OptLevel::O2);
+        let cols = config.geometry.cols;
+        let budget =
+            pipeline_budget_at(cols, OptLevel::O2, MappingConfig::default().dp_width(cols / 2));
         let violations = budget.check(&snapshot);
         assert!(violations.is_empty(), "budget violations: {violations:?}");
         assert!(snapshot.counter("traverse.aap3") > 0);
     }
 
-    fn mapping_snapshot(opt: OptLevel) -> pim_obsv::MetricsSnapshot {
-        use crate::mapping_stage::{run_mapping, MappingConfig, MappingRunConfig};
+    /// A healthy mapping run's snapshot and the DP width it ran at.
+    fn mapping_snapshot(
+        opt: OptLevel,
+        mapping: MappingConfig,
+    ) -> (pim_obsv::MetricsSnapshot, DpWidth) {
+        use crate::mapping_stage::{run_mapping, MappingRunConfig};
         let config = MappingRunConfig {
             genome_len: 200,
             read_len: 24,
             coverage: 3.0,
             error_rate: 0.03,
             opt,
-            mapping: MappingConfig { seed_len: 12, band: 2, max_mismatch_bits: 8 },
+            mapping,
             ..MappingRunConfig::default()
         };
         let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
@@ -277,14 +289,19 @@ mod tests {
             .simulate(&genome, &mut rng);
         let report = run_mapping(&config, &genome, &reads).unwrap();
         assert!(report.agreement);
-        report.metrics.expect("run_mapping always records metrics")
+        let metrics = report.metrics.expect("run_mapping always records metrics");
+        (metrics, mapping.dp_width(config.read_len))
+    }
+
+    fn small_mapping() -> MappingConfig {
+        MappingConfig { seed_len: 12, band: 2, max_mismatch_bits: 8 }
     }
 
     #[test]
     fn healthy_mapping_run_stays_within_budget_at_both_opt_levels() {
         for opt in [OptLevel::O0, OptLevel::O2] {
-            let snapshot = mapping_snapshot(opt);
-            let budget = pipeline_budget_at(256, opt);
+            let (snapshot, dp) = mapping_snapshot(opt, small_mapping());
+            let budget = pipeline_budget_at(256, opt, dp);
             let violations = budget.check(&snapshot);
             assert!(violations.is_empty(), "budget violations at {opt:?}: {violations:?}");
             // The mapping lines are live: the bounded counters are hot.
@@ -296,13 +313,35 @@ mod tests {
 
     #[test]
     fn mapping_command_drift_triggers_a_violation() {
-        let mut snapshot = mapping_snapshot(OptLevel::O0);
+        let (mut snapshot, dp) = mapping_snapshot(OptLevel::O0, small_mapping());
         let aap2 = snapshot.counter("mapping.aap2");
         snapshot.counters.insert("mapping.aap2".to_string(), 2 * aap2 + 1);
-        let budget = pipeline_budget_at(256, OptLevel::O0);
+        let budget = pipeline_budget_at(256, OptLevel::O0, dp);
         let violations = budget.check(&snapshot);
         assert_eq!(violations.len(), 1, "{violations:?}");
         assert!(violations[0].contains("mapping sum cycles"));
+    }
+
+    #[test]
+    fn the_mapping_dp_factor_is_twice_the_runs_own_width() {
+        // A wider filter widens the DP values: W = 5 here (the 24 bp reads
+        // cap the bound at 24), against 4 at the small config. The run
+        // stays within the budget of its own width, and the budget of the
+        // narrower width flags its DP commands.
+        let wide = MappingConfig { max_mismatch_bits: 40, band: 4, ..small_mapping() };
+        let (snapshot, dp) = mapping_snapshot(OptLevel::O0, wide);
+        let narrow = small_mapping().dp_width(24);
+        assert_eq!((dp.bits(), narrow.bits()), (5, 4));
+        assert!(pipeline_budget_at(256, OptLevel::O0, dp).check(&snapshot).is_empty());
+        let dp_cell = CompiledTemplate::compile(TemplateKey::new(Kernel::DpCell, 256, 256));
+        let min_select = CompiledTemplate::compile(TemplateKey::new(Kernel::MinSelect, 256, 256));
+        let per_step = dp_cell.command_counts().1 + min_select.command_counts().1;
+        let budget = pipeline_budget_at(256, OptLevel::O0, dp);
+        let sum_cycles = budget.lines.iter().find(|l| l.label.contains("mapping sum cycles"));
+        let wavefront_term = sum_cycles.unwrap().terms.last().unwrap();
+        assert_eq!(wavefront_term.1, 2 * 5 * per_step);
+        let violations = pipeline_budget_at(256, OptLevel::O0, narrow).check(&snapshot);
+        assert!(!violations.is_empty(), "a 4-bit budget passed a 5-bit DP");
     }
 
     #[test]

@@ -23,9 +23,14 @@
 //!    (host-mediated shift network; `substitute` compares the column's
 //!    own read) and the array computes the three-way minimum with the
 //!    MSB-first `dp-cell` comparison kernel and the `min-select` mux. The
-//!    sensed distance drives the final hit;
-//!    [`pim_genome::align::banded_global`] with zero match score and unit
-//!    penalties is the exact software shadow.
+//!    values are W bits wide, W derived from the config by
+//!    [`MappingConfig::dp_width`]: a filtered candidate's band values stay
+//!    at most min(`max_mismatch_bits` + `band`, read length), so W = 4
+//!    bits at the defaults, and every kernel execution, plane write and
+//!    sense of the DP scales with W. The sensed distance drives the final
+//!    hit; [`pim_genome::align::banded_global`] with zero match score and
+//!    unit penalties, saturated at the width's INF, is the exact software
+//!    shadow.
 //!
 //! Pass p of phases 2 and 3 runs on the index's sub-array p mod N, for N
 //! index sub-arrays. The host writes every window and read plane a pass
@@ -60,18 +65,14 @@ use pim_obsv::{HistKey, Metric, MetricsSnapshot, Stage};
 use crate::dispatch::ParallelDispatcher;
 use crate::error::{PimError, Result};
 use crate::ir::{BackendKind, OptLevel};
+use crate::layout::SubarrayLayout;
 use crate::mapping::KmerMapper;
 use crate::pim_add::{PimAdder, ScratchSpace};
 use crate::pim_xnor::PimComparator;
 use crate::template::{CompiledTemplate, Kernel, TemplateKey};
 
-/// Bit width of the DP value planes (distances stay below `DP_INF`,
-/// which fits comfortably in 8 bits). Shared with the budget model.
-pub const MAPPING_VALUE_BITS: usize = 8;
-
-/// Saturating "unreachable" distance injected at band boundaries; far
-/// above any real banded distance yet below `2^MAPPING_VALUE_BITS`.
-const DP_INF: u32 = 200;
+/// The fewest index sub-arrays a mapping run spreads its seeds over.
+const MIN_INDEX_SUBARRAYS: usize = 4;
 
 /// Stack bound on any mapping kernel's role table (popcount on the Ambit
 /// rewrite is the widest).
@@ -85,7 +86,9 @@ const POPCOUNT_FAN_IN: usize = 7;
 pub struct MappingConfig {
     /// Seed k-mer length (the read prefix probed against the index).
     pub seed_len: usize,
-    /// DP band half-width (matches `banded_global`'s `band`).
+    /// DP band half-width (matches `banded_global`'s `band`). A band of
+    /// at least the read length spans every cell; the mapper clamps a
+    /// wider one to it.
     pub band: usize,
     /// Hamming-filter threshold on *packed-bit* distance (2 bits/base).
     pub max_mismatch_bits: u32,
@@ -94,6 +97,46 @@ pub struct MappingConfig {
 impl Default for MappingConfig {
     fn default() -> Self {
         MappingConfig { seed_len: 16, band: 2, max_mismatch_bits: 8 }
+    }
+}
+
+impl MappingConfig {
+    /// The value width of the bit-serial DP for `read_len`-bp reads.
+    ///
+    /// A candidate reaches the DP only after the Hamming filter admitted
+    /// it with at most `max_mismatch_bits` differing bits, so with at most
+    /// that many substituted bases. In-band cell (i, j) is then at most
+    /// min(mismatches + |i − j|, max(i, j)), so at most B =
+    /// min(max_mismatch_bits + band, read_len), and every operand the
+    /// host writes is at most B + 1. W is the smallest width with
+    /// 2^W − 1 > B + 1, and INF = 2^W − 1, so saturation never reaches a
+    /// finite operand. The defaults give W = 4 and INF = 15; reads of at
+    /// most 128 bp keep W ≤ 8.
+    pub fn dp_width(&self, read_len: usize) -> DpWidth {
+        let bound = (self.max_mismatch_bits as usize).saturating_add(self.band).min(read_len);
+        // The smallest W with 2^W > B + 2 is the bit length of B + 2.
+        let bits = usize::BITS - bound.saturating_add(2).leading_zeros();
+        DpWidth { bits: bits.min(u32::BITS) as usize }
+    }
+}
+
+/// The bit-serial DP's value width ([`MappingConfig::dp_width`]), 2 to 32
+/// bits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DpWidth {
+    bits: usize,
+}
+
+impl DpWidth {
+    /// Bit planes per DP value.
+    pub fn bits(&self) -> usize {
+        self.bits
+    }
+
+    /// The saturating "unreachable" distance, 2^bits − 1, injected at
+    /// band boundaries.
+    pub fn inf(&self) -> u32 {
+        u32::MAX >> (u32::BITS as usize - self.bits)
     }
 }
 
@@ -191,7 +234,10 @@ pub struct PimReadMapper {
     comparator: PimComparator,
     kernels: MappingKernels,
     opt: OptLevel,
+    /// The build's config, its `band` clamped to the read length (a
+    /// band that wide already spans every cell).
     config: MappingConfig,
+    dp: DpWidth,
     reference: DnaSequence,
     read_len: usize,
     /// Rows `[0, seed_rows)` of each k-mer region hold seed rows; the
@@ -206,7 +252,8 @@ impl PimReadMapper {
     /// Builds the seed index for `reference` in DRAM (one charged row
     /// write per stored seed), compiling every mapping kernel once for
     /// `backend` at `opt`. `read_len` fixes the window width mapped
-    /// against (every mapped read must have exactly this length).
+    /// against (every mapped read must have exactly this length) and,
+    /// with `config`, the DP value width ([`MappingConfig::dp_width`]).
     ///
     /// # Errors
     ///
@@ -254,12 +301,14 @@ impl PimReadMapper {
         };
         let seed_rows = layout.kmer_rows() / 2;
         let directory = Self::build_directory(ctrl, &mapper, reference, read_len, &config)?;
+        let config = MappingConfig { band: config.band.min(read_len), ..config };
         Ok(PimReadMapper {
             mapper,
             comparator,
             kernels,
             opt,
             config,
+            dp: config.dp_width(read_len),
             reference: reference.clone(),
             read_len,
             seed_rows,
@@ -443,7 +492,7 @@ impl PimReadMapper {
                 this.dp_refine(ctx, reads, pass, stats)
             })?;
         for (cand, d) in inexact.iter().zip(refined.into_iter().flatten()) {
-            if d < DP_INF {
+            if d < this.dp.inf() {
                 Self::offer(&mut best[cand.read], -(d as i32), cand.position);
             }
         }
@@ -703,8 +752,9 @@ impl PimReadMapper {
     /// host supplies the three operand planes per band cell from the
     /// previously sensed wavefront (the host-mediated shift network; each
     /// column's `sub` operand compares that column's own read) and the
-    /// array computes `min(ins, del, sub)` bit-serially; the sensed result
-    /// is the next wavefront value. Returns each candidate's distance.
+    /// array computes `min(ins, del, sub)` bit-serially over the build's
+    /// [`DpWidth`]; the sensed result is the next wavefront value. Returns
+    /// each candidate's distance, saturated at INF.
     fn dp_refine(
         &self,
         ctx: &mut SubarrayContext,
@@ -712,9 +762,8 @@ impl PimReadMapper {
         pass: &[Candidate],
         stats: &mut MapStats,
     ) -> Result<Vec<u32>> {
-        const W: usize = MAPPING_VALUE_BITS;
         let layout = *self.mapper.layout();
-        let cols = layout.cols();
+        let inf = self.dp.inf();
         let band = self.config.band;
         let width = 2 * band + 1;
         let n = self.read_len; // read length (rows of the DP matrix)
@@ -722,26 +771,11 @@ impl PimReadMapper {
         let reads: Vec<&Read> = pass.iter().map(|c| &reads[c.read]).collect();
 
         let mut scratch = ScratchSpace::new(self.seed_rows, layout.kmer_rows());
-        let alloc_planes = |scratch: &mut ScratchSpace| -> Result<Vec<RowAddr>> {
-            (0..W).map(|_| scratch.alloc()).collect()
-        };
-        let pa = alloc_planes(&mut scratch)?; // ins operands
-        let pb = alloc_planes(&mut scratch)?; // del operands
-        let pc = alloc_planes(&mut scratch)?; // sub operands
-        let pm = alloc_planes(&mut scratch)?; // min(ins, del)
-        let pr = alloc_planes(&mut scratch)?; // min3 result
-
-        // Written zero rows seeding the dec/win masks (distinct rows: a
-        // direct-activation backend may open both in one activation set).
-        let dz = scratch.alloc()?;
-        ctx.write_row(dz, &BitRow::zeros(cols))?;
-        let wz = scratch.alloc()?;
-        ctx.write_row(wz, &BitRow::zeros(cols))?;
-        let decwin = [scratch.alloc()?, scratch.alloc()?, scratch.alloc()?, scratch.alloc()?];
+        let rows = DpRows::alloc(ctx, &mut scratch, self.dp.bits())?;
 
         // prev/cur wavefronts per diagonal offset `d` (j = i + d - band),
         // one value vector per candidate column. Row 0: D[0][j] = j.
-        let inf_row = vec![DP_INF; pass.len()];
+        let inf_row = vec![inf; pass.len()];
         let mut prev: Vec<Vec<u32>> = (0..width)
             .map(|d| {
                 let j = d as i64 - band as i64;
@@ -752,7 +786,7 @@ impl PimReadMapper {
                 }
             })
             .collect();
-        let bump = |v: u32| (v + 1).min(DP_INF);
+        let bump = |v: u32| (v + 1).min(inf);
 
         let mut cur: Vec<Vec<u32>> = vec![inf_row.clone(); width];
         for i in 1..=n {
@@ -771,10 +805,10 @@ impl PimReadMapper {
                 }
                 // Per-candidate operand values from the sensed wavefront.
                 let ins: Vec<u32> = (0..pass.len())
-                    .map(|c| if d > 0 { bump(cur[d - 1][c]) } else { DP_INF })
+                    .map(|c| if d > 0 { bump(cur[d - 1][c]) } else { inf })
                     .collect();
                 let del: Vec<u32> = (0..pass.len())
-                    .map(|c| if d + 1 < width { bump(prev[d + 1][c]) } else { DP_INF })
+                    .map(|c| if d + 1 < width { bump(prev[d + 1][c]) } else { inf })
                     .collect();
                 let sub: Vec<u32> = pass
                     .iter()
@@ -782,37 +816,27 @@ impl PimReadMapper {
                     .enumerate()
                     .map(|(c, (cand, read))| {
                         let neq = read.seq.get(i - 1) != self.reference.get(cand.position + j - 1);
-                        (prev[d][c] + u32::from(neq)).min(DP_INF)
+                        (prev[d][c] + u32::from(neq)).min(inf)
                     })
                     .collect();
-                self.write_value_planes(ctx, &pa, &ins)?;
-                self.write_value_planes(ctx, &pb, &del)?;
-                self.write_value_planes(ctx, &pc, &sub)?;
-                self.pim_min2(ctx, &pa, &pb, &pm, dz, wz, &decwin)?;
-                self.pim_min2(ctx, &pm, &pc, &pr, dz, wz, &decwin)?;
-                // Sense the result planes: these values *are* the next
-                // wavefront (fault flips propagate into the distance).
-                let mut vals = vec![0u32; pass.len()];
-                for (w, &row) in pr.iter().enumerate() {
-                    let plane = ctx.read_row(row)?;
-                    for (c, v) in vals.iter_mut().enumerate() {
-                        *v |= u32::from(plane.get(c)) << w;
-                    }
-                }
-                cur[d] = vals;
+                // The sensed minimum *is* the next wavefront (fault flips
+                // propagate into the distance).
+                cur[d] = self.pim_min3(ctx, &rows, &ins, &del, &sub)?;
                 stats.dp_cells += pass.len() as u64;
                 ctx.record_metric(Metric::MapDpWavefronts, 1);
             }
             std::mem::swap(&mut prev, &mut cur);
         }
 
-        // End cell (n, m) sits at d = m - n + band = band.
+        // End cell (n, m) sits at d = m - n + band = band. The shadow is
+        // the banded distance saturated at INF, which is what the array
+        // computes: a far candidate a faulty filter admits is flagged once,
+        // by the filter's shadow, not again here.
         let dists: Vec<u32> = (0..pass.len()).map(|c| prev[band][c]).collect();
         for ((cand, read), &dist) in pass.iter().zip(&reads).zip(&dists) {
             let window = self.reference.subsequence(cand.position, self.read_len);
             let expected = banded_global(&read.seq, &window, band, unit_scoring())
-                .map(|a| (-a.score) as u32)
-                .unwrap_or(DP_INF);
+                .map_or(inf, |a| ((-a.score) as u32).min(inf));
             if dist != expected {
                 stats.shadow_mismatches += 1;
             }
@@ -820,8 +844,35 @@ impl PimReadMapper {
         Ok(dists)
     }
 
-    /// Writes one value-per-candidate vector as `MAPPING_VALUE_BITS`
-    /// bit-plane rows (LSB first).
+    /// One lockstep band cell: writes the `ins`/`del`/`sub` operand
+    /// vectors (one value per column, each below 2^W for the W planes per
+    /// value of `rows`) as bit planes, computes `min(min(ins, del), sub)`
+    /// on the array and returns the sensed result planes as values.
+    fn pim_min3(
+        &self,
+        ctx: &mut SubarrayContext,
+        rows: &DpRows,
+        ins: &[u32],
+        del: &[u32],
+        sub: &[u32],
+    ) -> Result<Vec<u32>> {
+        self.write_value_planes(ctx, &rows.ins, ins)?;
+        self.write_value_planes(ctx, &rows.del, del)?;
+        self.write_value_planes(ctx, &rows.sub, sub)?;
+        self.pim_min2(ctx, rows, &rows.ins, &rows.del, &rows.min2)?;
+        self.pim_min2(ctx, rows, &rows.min2, &rows.sub, &rows.min3)?;
+        let mut vals = vec![0u32; ins.len()];
+        for (w, &row) in rows.min3.iter().enumerate() {
+            let plane = ctx.read_row(row)?;
+            for (c, v) in vals.iter_mut().enumerate() {
+                *v |= u32::from(plane.get(c)) << w;
+            }
+        }
+        Ok(vals)
+    }
+
+    /// Writes one value-per-candidate vector as one bit-plane row per
+    /// entry of `planes` (LSB first).
     fn write_value_planes(
         &self,
         ctx: &mut SubarrayContext,
@@ -836,25 +887,22 @@ impl PimReadMapper {
         Ok(())
     }
 
-    /// Column-parallel `out = min(a, b)` over bit-sliced planes: W
-    /// MSB-first `dp-cell` comparison steps build the win/dec masks,
-    /// then W `min-select` muxes materialise the minimum.
-    #[allow(clippy::too_many_arguments)]
+    /// Column-parallel `out = min(a, b)` over W = `a.len()` bit-sliced
+    /// planes: W MSB-first `dp-cell` comparison steps build the win/dec
+    /// masks, then W `min-select` muxes materialise the minimum.
     fn pim_min2(
         &self,
         ctx: &mut SubarrayContext,
+        masks: &DpRows,
         a: &[RowAddr],
         b: &[RowAddr],
         out: &[RowAddr],
-        dz: RowAddr,
-        wz: RowAddr,
-        decwin: &[RowAddr; 4],
     ) -> Result<()> {
         let mut rows = [RowAddr(0); MAX_MAP_ROLES];
-        let (mut dec_in, mut win_in) = (dz, wz);
+        let (mut dec_in, mut win_in) = (masks.dec_zero, masks.win_zero);
         let mut pp = 0usize;
-        for w in (0..MAPPING_VALUE_BITS).rev() {
-            let (win_out, dec_out) = (decwin[2 * pp], decwin[2 * pp + 1]);
+        for w in (0..a.len()).rev() {
+            let (win_out, dec_out) = (masks.decwin[2 * pp], masks.decwin[2 * pp + 1]);
             let n = self.kernels.dp_cell.bind_roles_into(
                 ctx.geometry(),
                 &[a[w], b[w], dec_in, win_in],
@@ -868,7 +916,7 @@ impl PimReadMapper {
             win_in = win_out;
             pp ^= 1;
         }
-        for w in 0..MAPPING_VALUE_BITS {
+        for w in 0..a.len() {
             let n = self.kernels.min_select.bind_roles_into(
                 ctx.geometry(),
                 &[a[w], b[w], win_in],
@@ -880,6 +928,39 @@ impl PimReadMapper {
             self.kernels.min_select.execute(ctx, &rows[..n])?;
         }
         Ok(())
+    }
+}
+
+/// The scratch rows of one DP pass: W value planes for each of the three
+/// operands, `min(ins, del)` and the result, plus the comparison masks.
+#[derive(Debug)]
+struct DpRows {
+    ins: Vec<RowAddr>,
+    del: Vec<RowAddr>,
+    sub: Vec<RowAddr>,
+    min2: Vec<RowAddr>,
+    min3: Vec<RowAddr>,
+    /// Written zero rows seeding the dec/win masks (distinct rows: a
+    /// direct-activation backend may open both in one activation set).
+    dec_zero: RowAddr,
+    win_zero: RowAddr,
+    /// Two (win, dec) mask pairs the comparison steps alternate between.
+    decwin: [RowAddr; 4],
+}
+
+impl DpRows {
+    /// Allocates the rows for `bits`-bit values from `scratch` and writes
+    /// the two mask-seeding zero rows.
+    fn alloc(ctx: &mut SubarrayContext, scratch: &mut ScratchSpace, bits: usize) -> Result<Self> {
+        let mut planes = || (0..bits).map(|_| scratch.alloc()).collect::<Result<Vec<_>>>();
+        let (ins, del, sub, min2, min3) = (planes()?, planes()?, planes()?, planes()?, planes()?);
+        let zeros = BitRow::zeros(ctx.geometry().cols);
+        let dec_zero = scratch.alloc()?;
+        ctx.write_row(dec_zero, &zeros)?;
+        let win_zero = scratch.alloc()?;
+        ctx.write_row(win_zero, &zeros)?;
+        let decwin = [scratch.alloc()?, scratch.alloc()?, scratch.alloc()?, scratch.alloc()?];
+        Ok(DpRows { ins, del, sub, min2, min3, dec_zero, win_zero, decwin })
     }
 }
 
@@ -953,8 +1034,10 @@ pub fn unit_scoring() -> Scoring {
 }
 
 /// The pure-software reference mapper: identical seed index, identical
-/// packed-bit Hamming filter, with [`banded_global`] as the DP oracle.
-/// On a healthy array [`PimReadMapper::map_batch`] is byte-identical.
+/// packed-bit Hamming filter, with [`banded_global`] as the DP oracle and
+/// the same cut-off (a distance of INF or more, [`MappingConfig::dp_width`],
+/// maps nowhere). On a healthy array [`PimReadMapper::map_batch`] is
+/// byte-identical.
 pub fn software_map(
     reference: &DnaSequence,
     reads: &[Read],
@@ -962,6 +1045,7 @@ pub fn software_map(
     config: &MappingConfig,
 ) -> Vec<Option<MappingHit>> {
     use std::collections::HashMap;
+    let inf = config.dp_width(read_len).inf();
     let mut index: HashMap<u64, Vec<usize>> = HashMap::new();
     for p in 0..=(reference.len().saturating_sub(read_len)) {
         let Ok(seed) = Kmer::from_sequence(reference, p, config.seed_len) else { continue };
@@ -989,7 +1073,7 @@ pub fn software_map(
                     0
                 } else {
                     match banded_global(&read.seq, &window, config.band, unit_scoring()) {
-                        Some(a) if (-a.score) < DP_INF as i32 => a.score,
+                        Some(a) if ((-a.score) as u32) < inf => a.score,
                         _ => continue,
                     }
                 };
@@ -1004,6 +1088,21 @@ pub fn software_map(
             best.map(|(score, position)| MappingHit { read_id: read_idx, position, score })
         })
         .collect()
+}
+
+/// The index sub-arrays a `genome_len`-bp reference mapped with
+/// `read_len`-bp reads takes by default: max(4, ⌈windows / (seed_rows /
+/// 2)⌉), so the seeds of all the reference's windows would fill at most
+/// about half of each sub-array's seed rows; capped at the geometry's
+/// sub-array count. A 3 kbp reference with 64 bp reads (2,937 windows,
+/// 488 seed rows) takes 13.
+pub fn seed_index_subarrays(geometry: &DramGeometry, genome_len: usize, read_len: usize) -> usize {
+    let windows = genome_len.saturating_sub(read_len) + 1;
+    let seed_rows = SubarrayLayout::new(geometry).kmer_rows() / 2;
+    windows
+        .div_ceil((seed_rows / 2).max(1))
+        .max(MIN_INDEX_SUBARRAYS)
+        .min(geometry.total_subarrays())
 }
 
 /// Configuration of one end-to-end mapping run (the `pim-asm map`
@@ -1049,7 +1148,7 @@ impl Default for MappingRunConfig {
             coverage: 4.0,
             error_rate: 0.0,
             seed: 42,
-            subarrays: 4,
+            subarrays: MIN_INDEX_SUBARRAYS,
             bucket_rows: 8,
             backend: BackendKind::PimAssembler,
             opt: OptLevel::O0,
@@ -1134,6 +1233,7 @@ pub fn run_mapping(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pim_genome::base::DnaBase;
     use pim_genome::reads::ReadSimulator;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
@@ -1318,6 +1418,207 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn dp_width_is_the_narrowest_that_keeps_inf_above_every_operand() {
+        let defaults = MappingConfig::default();
+        assert_eq!(defaults.dp_width(64), DpWidth { bits: 4 });
+        assert_eq!(defaults.dp_width(24), DpWidth { bits: 4 });
+        let wide = MappingConfig { band: 4, max_mismatch_bits: 40, ..defaults };
+        assert_eq!(wide.dp_width(64), DpWidth { bits: 6 });
+        // The read length caps the bound: a 128 bp read never needs more
+        // than 8 bits, whatever the filter admits.
+        let unfiltered =
+            MappingConfig { band: usize::MAX, max_mismatch_bits: u32::MAX, ..defaults };
+        assert_eq!(unfiltered.dp_width(128), DpWidth { bits: 8 });
+        assert_eq!(unfiltered.dp_width(24), DpWidth { bits: 5 });
+        for bound in 0..300u32 {
+            let config = MappingConfig { band: 0, max_mismatch_bits: bound, ..defaults };
+            let dp = config.dp_width(usize::MAX);
+            let (bits, inf) = (dp.bits(), dp.inf());
+            assert_eq!(u64::from(inf), (1u64 << bits) - 1, "bound {bound}");
+            assert!(inf > bound + 1, "bound {bound}: INF {inf} reaches an operand");
+            assert!((inf >> 1) <= bound + 1, "bound {bound}: {bits} bits is not the narrowest");
+        }
+    }
+
+    #[test]
+    fn dp_width_min3_is_exact_on_every_admissible_operand_triple() {
+        // At the defaults every band value is at most B = 8 + 2 and every
+        // operand the host writes at most B + 1 = 11, or INF = 15: 13
+        // values and 2,197 triples, one per column over 9 passes. The
+        // 4-bit `pim_min2`∘`pim_min2` must equal both the 8-bit one and
+        // the integer minimum, on every backend.
+        const READ_LEN: usize = 64;
+        let config = MappingConfig::default();
+        let dp = config.dp_width(READ_LEN);
+        assert_eq!(dp, DpWidth { bits: 4 });
+        let bound = config.max_mismatch_bits + config.band as u32;
+        let values: Vec<u32> = (0..=bound + 1).chain([dp.inf()]).collect();
+        let values = &values;
+        let triples: Vec<[u32; 3]> = values
+            .iter()
+            .flat_map(|&a| values.iter().flat_map(move |&b| values.iter().map(move |&c| [a, b, c])))
+            .collect();
+        assert_eq!(triples.len(), 2_197);
+        let g = DramGeometry::paper_assembly();
+        let genome = DnaSequence::random(&mut ChaCha8Rng::seed_from_u64(1), 200);
+        for backend in BackendKind::ALL {
+            let mut ctrl = Controller::with_profile(g, &backend.profile());
+            let mapper = KmerMapper::new(&g, 1, 8);
+            let pim = PimReadMapper::build(
+                &mut ctrl,
+                mapper,
+                &genome,
+                READ_LEN,
+                config,
+                backend,
+                OptLevel::O0,
+            )
+            .unwrap();
+            assert_eq!(pim.dp, dp);
+            let kmer_rows = pim.mapper().layout().kmer_rows();
+            ctrl.with_context(pim.mapper().subarrays()[0], |ctx| {
+                let mut scratch = ScratchSpace::new(pim.seed_rows, kmer_rows);
+                let narrow = DpRows::alloc(ctx, &mut scratch, dp.bits())?;
+                let eight = DpRows::alloc(ctx, &mut scratch, 8)?;
+                for pass in triples.chunks(g.cols) {
+                    let operand = |k: usize| pass.iter().map(|t| t[k]).collect::<Vec<u32>>();
+                    let (ins, del, sub) = (operand(0), operand(1), operand(2));
+                    let got = pim.pim_min3(ctx, &narrow, &ins, &del, &sub)?;
+                    let wide = pim.pim_min3(ctx, &eight, &ins, &del, &sub)?;
+                    let want: Vec<u32> = pass.iter().map(|t| t[0].min(t[1]).min(t[2])).collect();
+                    assert_eq!(got, wide, "{backend}: 4-bit against 8-bit min3");
+                    assert_eq!(got, want, "{backend}: 4-bit min3 against the integer minimum");
+                }
+                Ok::<_, PimError>(())
+            })
+            .unwrap();
+        }
+    }
+
+    #[test]
+    fn dp_width_above_four_maps_far_filtered_reads_like_software() {
+        // max_mismatch_bits 40 and band 4 give W = 6 (INF 63). Each read
+        // keeps its window's seed and carries one-bit substitutions (T↔G,
+        // A↔C), so up to 38 of them pass the 40-bit filter, and most sit
+        // more than 15 edits from their window: a 4-bit DP would saturate
+        // those at 15 and map them nowhere.
+        const READ_LEN: usize = 64;
+        let mapping = MappingConfig { seed_len: 16, band: 4, max_mismatch_bits: 40 };
+        assert_eq!(mapping.dp_width(READ_LEN), DpWidth { bits: 6 });
+        let mut rng = ChaCha8Rng::seed_from_u64(23);
+        let genome = DnaSequence::random(&mut rng, 600);
+        let reads: Vec<Read> = (0..12)
+            .map(|r| {
+                let origin = 40 * r + 7;
+                let subs = 16 + 2 * r;
+                let hit = |i: usize| i >= 16 && (i - 16) * subs % (READ_LEN - 16) < subs;
+                let mut seq = DnaSequence::new();
+                for i in 0..READ_LEN {
+                    let base = genome.get(origin + i);
+                    seq.push(if hit(i) { DnaBase::from_code(base.code() ^ 1) } else { base });
+                }
+                Read { id: r, seq, origin }
+            })
+            .collect();
+        let software = software_map(&genome, &reads, READ_LEN, &mapping);
+        assert!(software.iter().all(Option::is_some), "a read failed the filter: {software:?}");
+        let far = software.iter().flatten().filter(|h| h.score < -15).count();
+        assert!(far >= 6, "only {far} reads lie more than 15 edits away: {software:?}");
+        let base =
+            MappingRunConfig { genome_len: 600, read_len: READ_LEN, mapping, ..Default::default() };
+        for backend in BackendKind::ALL {
+            let report =
+                run_mapping(&MappingRunConfig { backend, ..base }, &genome, &reads).unwrap();
+            assert_eq!(report.hits, software, "{backend}");
+            assert_eq!(report.stats.shadow_mismatches, 0, "{backend}");
+        }
+    }
+
+    #[test]
+    fn dp_refine_saturates_a_far_candidate_without_a_second_shadow() {
+        // A candidate more than INF edits from its window reaches the DP
+        // only through a faulty filter, whose own shadow flags it. The
+        // healthy array saturates its distance at INF = 15, which is what
+        // the DP shadow expects, so it is not flagged twice.
+        const READ_LEN: usize = 32;
+        let g = DramGeometry::paper_assembly();
+        let mut rng = ChaCha8Rng::seed_from_u64(5);
+        let genome = DnaSequence::random(&mut rng, 100);
+        let mut ctrl = Controller::with_profile(g, &BackendKind::PimAssembler.profile());
+        let config = MappingConfig::default();
+        let pim = PimReadMapper::build(
+            &mut ctrl,
+            KmerMapper::new(&g, 1, 8),
+            &genome,
+            READ_LEN,
+            config,
+            BackendKind::PimAssembler,
+            OptLevel::O0,
+        )
+        .unwrap();
+        let seq = DnaSequence::random(&mut rng, READ_LEN);
+        let window = genome.subsequence(0, READ_LEN);
+        let distance = -banded_global(&seq, &window, config.band, unit_scoring()).unwrap().score;
+        assert!(distance > 15, "the read is only {distance} edits away");
+        let reads = [Read { id: 0, seq, origin: 0 }];
+        let mut stats = MapStats::default();
+        let dists = ctrl
+            .with_context(pim.mapper().subarrays()[0], |ctx| {
+                pim.dp_refine(ctx, &reads, &[Candidate { read: 0, position: 0 }], &mut stats)
+            })
+            .unwrap();
+        assert_eq!(dists, [15]);
+        assert_eq!(stats.shadow_mismatches, 0);
+    }
+
+    #[test]
+    fn hostile_band_and_mismatch_configs_map_like_their_clamps() {
+        // A band of usize::MAX used to overflow `2 * band + 1` in the DP;
+        // any band of at least the read length spans every cell, so it
+        // maps exactly like band = read_len. A threshold of u32::MAX bits
+        // admits every candidate, exactly like 2·read_len bits does.
+        let base = MappingRunConfig { error_rate: 0.03, ..small_config() };
+        let (genome, reads) = simulate(&base);
+        let (read_len, mapping) = (base.read_len, base.mapping);
+        let pairs = [
+            (
+                MappingConfig { band: usize::MAX, ..mapping },
+                MappingConfig { band: read_len, ..mapping },
+            ),
+            (
+                MappingConfig { max_mismatch_bits: u32::MAX, ..mapping },
+                MappingConfig { max_mismatch_bits: 2 * read_len as u32, ..mapping },
+            ),
+        ];
+        for (hostile, clamped) in pairs {
+            let software = software_map(&genome, &reads, read_len, &hostile);
+            assert_eq!(software, software_map(&genome, &reads, read_len, &clamped));
+            assert!(software.iter().flatten().any(|h| h.score < 0), "no inexact hit");
+            for backend in BackendKind::ALL {
+                let run = |mapping| {
+                    let config = MappingRunConfig { mapping, backend, ..base };
+                    run_mapping(&config, &genome, &reads).unwrap()
+                };
+                let (h, c) = (run(hostile), run(clamped));
+                assert_eq!(h.hits, software, "{backend}: {hostile:?}");
+                assert_eq!(h.stats, c.stats, "{backend}: {hostile:?}");
+                assert_eq!(h.stats.shadow_mismatches, 0, "{backend}: {hostile:?}");
+                assert_eq!(h.metrics.unwrap().counters, c.metrics.unwrap().counters);
+            }
+        }
+    }
+
+    #[test]
+    fn the_seed_index_is_sized_from_the_reference() {
+        let g = DramGeometry::paper_assembly();
+        // 2,937 windows over 488 / 2 seed rows per sub-array.
+        assert_eq!(seed_index_subarrays(&g, 3_000, 64), 13);
+        let defaults = MappingRunConfig::default();
+        assert_eq!(seed_index_subarrays(&g, defaults.genome_len, defaults.read_len), 4);
+        assert_eq!(seed_index_subarrays(&g, usize::MAX, 16), g.total_subarrays());
     }
 
     #[test]

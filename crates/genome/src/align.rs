@@ -51,6 +51,8 @@ impl Alignment {
 }
 
 /// Global alignment restricted to a diagonal band of half-width `band`.
+/// A band of max(n, m) or more already spans every cell, so a wider one
+/// aligns exactly like it.
 ///
 /// Returns `None` when the band cannot connect the corners (length
 /// difference exceeds the band).
@@ -77,6 +79,7 @@ pub fn banded_global(
     if n.abs_diff(m) > band {
         return None;
     }
+    let band = band.min(n.max(m));
     const NEG: i32 = i32::MIN / 4;
     let width = 2 * band + 1;
     // dp[i][d] = best score aligning a[..i] with b[..j], j = i + d − band.
@@ -222,6 +225,18 @@ mod tests {
         let a = seq("ACGTACGTACGT");
         let b = seq("ACG");
         assert!(banded_global(&a, &b, 2, Scoring::default()).is_none());
+    }
+
+    #[test]
+    fn a_band_wider_than_both_sequences_aligns_like_the_full_band() {
+        let mut rng = ChaCha8Rng::seed_from_u64(92);
+        let a = DnaSequence::random(&mut rng, 40);
+        let b = DnaSequence::random(&mut rng, 37);
+        let full = banded_global(&a, &b, 40, Scoring::default());
+        assert!(full.is_some());
+        for band in [41, 1_000, usize::MAX] {
+            assert_eq!(banded_global(&a, &b, band, Scoring::default()), full, "band {band}");
+        }
     }
 
     #[test]

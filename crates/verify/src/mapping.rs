@@ -14,9 +14,10 @@
 
 use pim_assembler::ir::{BackendKind, OptLevel};
 use pim_assembler::mapping_stage::{
-    run_mapping, MappingConfig, MappingRunConfig, MappingRunReport,
+    run_mapping, seed_index_subarrays, MappingConfig, MappingRunConfig, MappingRunReport,
 };
 use pim_assembler::Result;
+use pim_dram::geometry::DramGeometry;
 use pim_genome::reads::{Read, ReadSimulator};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -75,6 +76,11 @@ impl MappingSuiteOptions {
                 seed_len: (self.read_len / 2).min(16),
                 ..MappingConfig::default()
             },
+            subarrays: seed_index_subarrays(
+                &DramGeometry::paper_assembly(),
+                self.genome_len,
+                self.read_len,
+            ),
             ..MappingRunConfig::default()
         }
     }
@@ -342,6 +348,22 @@ mod tests {
         // The clean fault run really was clean, and the faulty one hot.
         assert_eq!(report.faults[0].flips, 0);
         assert!(report.faults[1].flips > 0, "fault campaign injected nothing");
+    }
+
+    #[test]
+    fn a_longer_reference_gets_a_seed_index_sized_from_it() {
+        // 3 kbp of 64 bp windows overflows 4 index sub-arrays; the suite
+        // sizes its index from the reference, as `pim-asm map` does.
+        let options = MappingSuiteOptions {
+            genome_len: 3_000,
+            read_len: 64,
+            coverage: 1.0,
+            backends: vec![BackendKind::PimAssembler],
+            fault_rates: Vec::new(),
+            ..MappingSuiteOptions::default()
+        };
+        let report = mapping_suite(&options);
+        assert!(report.passed(), "{report}");
     }
 
     #[test]
