@@ -115,7 +115,8 @@ VERIFY OPTIONS:
                    be identical
 
 IR OPTIONS:
-  --kernel NAME    canonical kernel to dump (xnor, full-adder)
+  --kernel NAME    canonical kernel to dump (xnor, full-adder, popcount,
+                   min-select, dp-cell)
   --backend NAME   lowering backend: pim-assembler (default), ambit-tra,
                    panda-mram
   --cols N         row width in bits to lower for (default 256)

@@ -71,8 +71,8 @@ pub fn pipeline_budget_at(cols: usize, opt: OptLevel, dp: DpWidth) -> StageBudge
     //   retires a net row) and the ripple tail adds ≤ 8 more per of the
     //   3 weighted sums — ≤ 24 per chunk, and a chunk holds ≥ 1 popcount
     //   group, so FA executions ≤ (1 + 24) + 2 ≈ 27 per popcount.
-    // * Each DP wavefront cell is two bit-serial min passes of W dp-cell
-    //   comparison steps plus the same number of min-select muxes.
+    // * Each DP wavefront cell is two bit-serial min passes, each W
+    //   LSB-first dp-cell borrow steps and then W min-select muxes.
     let fa_per_popcount = 27;
     let dp_kernel_execs = (2 * dp.bits()) as u64;
 

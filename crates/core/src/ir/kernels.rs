@@ -156,84 +156,63 @@ fn append_gate(p: &mut PimProgram, a: VRow, b: VRow, dst: VRow, mode: SaMode, ta
 }
 
 /// Bitwise 2:1 multiplexer (the min/select primitive):
-/// `dst = (a & m) | (b & ~m)` — selects `a` wherever the mask is set.
+/// `dst = m ? a : b`, computed as `xnor(b, nand(a ^ b, m))`.
 ///
-/// Built NAND-only after one XNOR inversion: `~(a NAND m) | ~(b NAND ~m)`
-/// is `(a NAND m) NAND (b NAND ~m)`. The final op is a double-row
-/// activation, so the selected row can be sensed directly.
+/// Where the mask is set, `nand(a ^ b, 1) = ~(a ^ b)` and
+/// `xnor(b, ~(a ^ b)) = a`; where it is clear, `nand(·, 0) = 1` and
+/// `xnor(b, 1) = b`. Three two-row activations and no TRA, with no
+/// inverted mask to build. The final op is a double-row activation, so
+/// the selected row can be sensed directly.
 ///
-/// Bindings: `[a, b, m, zero, dst, x...]`.
+/// Bindings: `[a, b, m, dst, x...]`.
 pub fn min_select() -> PimProgram {
     let mut p = PimProgram::new("min-select");
     let a = p.input("a");
     let b = p.input("b");
     let m = p.input("m");
-    let zero = p.zero("zero");
     let dst = p.output("dst");
 
-    let nm = p.temp("nm");
-    let n1 = p.temp("n1");
-    let n2 = p.temp("n2");
-    append_gate(&mut p, m, zero, nm, SaMode::Xnor, "g_nm");
-    append_gate(&mut p, a, m, n1, SaMode::Nand, "g_n1");
-    append_gate(&mut p, b, nm, n2, SaMode::Nand, "g_n2");
-    append_gate(&mut p, n1, n2, dst, SaMode::Nand, "g_out");
+    let diff = p.temp("diff"); // a ^ b
+    append_gate(&mut p, a, b, diff, SaMode::Xor, "g_diff");
+    // `diff` is already a temp, so only the mask and `b` are staged.
+    let tm = p.temp("tm");
+    let keep = p.temp("keep"); // ~((a ^ b) & m)
+    p.copy(m, tm);
+    p.two_src([diff, tm], keep, SaMode::Nand);
+    let tb = p.temp("tb");
+    p.copy(b, tb);
+    p.two_src([tb, keep], dst, SaMode::Xnor);
     p
 }
 
-/// One MSB-first comparison step of the bit-serial DP-cell minimum.
+/// One LSB-first borrow step of the bit-serial DP-cell minimum: the
+/// borrow out of `a − b` at one bit plane, `bout = maj(~a, b, bin)`.
 ///
-/// Scanning two bit-sliced operands `A` and `B` from the most significant
-/// plane down, the step folds plane `(a, b)` into two running mask rows:
-/// `dec` (the columns already decided) and `win` (the columns where `A`
-/// won, i.e. `A < B`). Per column:
+/// An unsigned compare is a carry chain: scanning two bit-sliced
+/// operands `A` and `B` from the least significant plane up, with a zero
+/// borrow into plane 0, the borrow out of the last plane is `[A < B]` per
+/// column. That row is the mask [`min_select`] takes `min(A, B)` with,
+/// plane by plane (ties select `B`, which holds the same value). `~a` is
+/// one XNOR against the zero row and the borrow one TRA, as PIM_Add takes
+/// its carry from one majority per bit (Fig. 8).
 ///
-/// `gain = ~a & b & ~dec` (first differing bit, and `A` has the zero),
-/// `win_out = win | gain`, `dec_out = dec | (a ^ b)`.
-///
-/// After the full scan `win` selects `min(A, B)` through [`min_select`]
-/// plane by plane — the substitute/insert/delete minimum of the DP
-/// recurrence. The final op is a double-row activation (sensable).
-///
-/// Bindings: `[a, b, dec, win, zero, win_out, dec_out, x...]`.
+/// Bindings: `[a, b, bin, zero, bout, x...]`.
 pub fn dp_cell() -> PimProgram {
     let mut p = PimProgram::new("dp-cell");
     let a = p.input("a");
     let b = p.input("b");
-    let dec = p.input("dec");
-    let win = p.input("win");
+    let bin = p.input("bin");
     let zero = p.zero("zero");
-    let win_out = p.output("win_out");
-    let dec_out = p.output("dec_out");
+    let bout = p.output("bout");
 
-    let xnorab = p.temp("xnorab"); // ~(a ^ b)
-    let nb = p.temp("nb"); // ~b
-    let asmall = p.temp("asmall"); // ~a & b
-    let newly = p.temp("newly"); // (a ^ b) & ~dec
-    let gain = p.temp("gain"); // newly & asmall
-    let nwin = p.temp("nwin"); // ~win
-    let ngain = p.temp("ngain"); // ~gain
-    let ndec = p.temp("ndec"); // ~dec
-
-    append_gate(&mut p, a, b, xnorab, SaMode::Xnor, "g_xab");
-    append_gate(&mut p, b, zero, nb, SaMode::Xnor, "g_nb");
-    append_gate(&mut p, a, nb, asmall, SaMode::Nor, "g_as");
-    append_gate(&mut p, xnorab, dec, newly, SaMode::Nor, "g_nw");
-
-    // gain = maj(newly, asmall, 0) = newly & asmall via a TRA.
-    let m1 = p.temp("g_and_m1");
-    let m2 = p.temp("g_and_m2");
-    let m3 = p.temp("g_and_m3");
-    p.copy(newly, m1);
-    p.copy(asmall, m2);
-    p.copy(zero, m3);
-    p.three_src([m1, m2, m3], gain);
-
-    append_gate(&mut p, win, zero, nwin, SaMode::Xnor, "g_nwin");
-    append_gate(&mut p, gain, zero, ngain, SaMode::Xnor, "g_ngain");
-    append_gate(&mut p, nwin, ngain, win_out, SaMode::Nand, "g_wout");
-    append_gate(&mut p, dec, zero, ndec, SaMode::Xnor, "g_ndec");
-    append_gate(&mut p, xnorab, ndec, dec_out, SaMode::Nand, "g_dout");
+    let na = p.temp("na"); // ~a
+    append_gate(&mut p, a, zero, na, SaMode::Xnor, "g_na");
+    // bout = maj(~a, b, bin) via a TRA; `na` is already a temp.
+    let tb = p.temp("tb");
+    let tbin = p.temp("tbin");
+    p.copy(b, tb);
+    p.copy(bin, tbin);
+    p.three_src([na, tb, tbin], bout);
     p
 }
 
@@ -284,10 +263,10 @@ mod tests {
         assert_eq!(pc.ops().len(), 44); // 4 full adders x 11 ops
         assert_eq!(pc.rows().len(), 48); // 11 bound roles + 5 wires + 32 staging
         let ms = min_select();
-        assert_eq!(ms.ops().len(), 12); // 4 staged gates
-        assert_eq!(ms.rows().len(), 16);
+        assert_eq!(ms.ops().len(), 7); // 1 staged gate + 2 half-staged gates
+        assert_eq!(ms.rows().len(), 10); // 4 bound roles + 2 wires + 4 staging
         let dp = dp_cell();
-        assert_eq!(dp.ops().len(), 31); // 9 staged gates + 1 staged TRA
-        assert_eq!(dp.rows().len(), 36); // 7 bound roles + 8 wires + 21 staging
+        assert_eq!(dp.ops().len(), 6); // 1 staged gate + 1 half-staged TRA
+        assert_eq!(dp.rows().len(), 10); // 5 bound roles + 1 wire + 4 staging
     }
 }

@@ -21,15 +21,18 @@
 //!    lockstep over ⌈S/cols⌉ passes: the host supplies each column's
 //!    `insert`/`delete`/`substitute` operand bit-planes for each band cell
 //!    (host-mediated shift network; `substitute` compares the column's
-//!    own read) and the array computes the three-way minimum with the
-//!    MSB-first `dp-cell` comparison kernel and the `min-select` mux. The
-//!    values are W bits wide, W derived from the config by
-//!    [`MappingConfig::dp_width`]: a filtered candidate's band values stay
-//!    at most min(`max_mismatch_bits` + `band`, read length), so W = 4
-//!    bits at the defaults, and every kernel execution, plane write and
-//!    sense of the DP scales with W. The sensed distance drives the final
-//!    hit; [`pim_genome::align::banded_global`] with zero match score and
-//!    unit penalties, saturated at the width's INF, is the exact software
+//!    own read) and the array computes the three-way minimum as two
+//!    two-way ones. Each runs W LSB-first `dp-cell` borrow steps of
+//!    `A − B`, which leave `[A < B]` in a row (the compare is the carry
+//!    chain of a subtraction, one TRA per bit), then W `min-select`
+//!    muxes, which need no TRA. The values are W bits wide, W derived
+//!    from the config by [`MappingConfig::dp_width`]: a filtered
+//!    candidate's band values stay at most min(`max_mismatch_bits` +
+//!    `band`, read length), so W = 4 bits at the defaults, and every
+//!    kernel execution, plane write and sense of the DP scales with W.
+//!    The sensed distance drives the final hit;
+//!    [`pim_genome::align::banded_global`] with zero match score and unit
+//!    penalties, saturated at the width's INF, is the exact software
 //!    shadow.
 //!
 //! Pass p of phases 2 and 3 runs on the index's sub-array p mod N, for N
@@ -861,8 +864,18 @@ impl PimReadMapper {
         self.write_value_planes(ctx, &rows.sub, sub)?;
         self.pim_min2(ctx, rows, &rows.ins, &rows.del, &rows.min2)?;
         self.pim_min2(ctx, rows, &rows.min2, &rows.sub, &rows.min3)?;
-        let mut vals = vec![0u32; ins.len()];
-        for (w, &row) in rows.min3.iter().enumerate() {
+        Self::read_value_planes(ctx, &rows.min3, ins.len())
+    }
+
+    /// Senses one bit-plane row per entry of `planes` (LSB first) and
+    /// returns the first `len` columns' values.
+    fn read_value_planes(
+        ctx: &mut SubarrayContext,
+        planes: &[RowAddr],
+        len: usize,
+    ) -> Result<Vec<u32>> {
+        let mut vals = vec![0u32; len];
+        for (w, &row) in planes.iter().enumerate() {
             let plane = ctx.read_row(row)?;
             for (c, v) in vals.iter_mut().enumerate() {
                 *v |= u32::from(plane.get(c)) << w;
@@ -888,51 +901,49 @@ impl PimReadMapper {
     }
 
     /// Column-parallel `out = min(a, b)` over W = `a.len()` bit-sliced
-    /// planes: W MSB-first `dp-cell` comparison steps build the win/dec
-    /// masks, then W `min-select` muxes materialise the minimum.
+    /// planes: W LSB-first `dp-cell` borrow steps of `a − b` leave
+    /// `[a < b]` in a borrow row, then W `min-select` muxes take `a` where
+    /// it is set and `b` elsewhere (on a tie `b` holds the same value).
     fn pim_min2(
         &self,
         ctx: &mut SubarrayContext,
-        masks: &DpRows,
+        rows: &DpRows,
         a: &[RowAddr],
         b: &[RowAddr],
         out: &[RowAddr],
     ) -> Result<()> {
-        let mut rows = [RowAddr(0); MAX_MAP_ROLES];
-        let (mut dec_in, mut win_in) = (masks.dec_zero, masks.win_zero);
-        let mut pp = 0usize;
-        for w in (0..a.len()).rev() {
-            let (win_out, dec_out) = (masks.decwin[2 * pp], masks.decwin[2 * pp + 1]);
+        let mut bound = [RowAddr(0); MAX_MAP_ROLES];
+        let mut borrow = rows.borrow_zero;
+        for (w, (&aw, &bw)) in a.iter().zip(b).enumerate() {
+            let bout = rows.borrow[w % 2];
             let n = self.kernels.dp_cell.bind_roles_into(
                 ctx.geometry(),
-                &[a[w], b[w], dec_in, win_in],
-                &[win_out, dec_out],
+                &[aw, bw, borrow],
+                &[bout],
                 self.zero_row,
                 &[],
-                &mut rows,
+                &mut bound,
             )?;
-            self.kernels.dp_cell.execute(ctx, &rows[..n])?;
-            dec_in = dec_out;
-            win_in = win_out;
-            pp ^= 1;
+            self.kernels.dp_cell.execute(ctx, &bound[..n])?;
+            borrow = bout;
         }
-        for w in 0..a.len() {
+        for ((&aw, &bw), &ow) in a.iter().zip(b).zip(out) {
             let n = self.kernels.min_select.bind_roles_into(
                 ctx.geometry(),
-                &[a[w], b[w], win_in],
-                &[out[w]],
+                &[aw, bw, borrow],
+                &[ow],
                 self.zero_row,
                 &[],
-                &mut rows,
+                &mut bound,
             )?;
-            self.kernels.min_select.execute(ctx, &rows[..n])?;
+            self.kernels.min_select.execute(ctx, &bound[..n])?;
         }
         Ok(())
     }
 }
 
 /// The scratch rows of one DP pass: W value planes for each of the three
-/// operands, `min(ins, del)` and the result, plus the comparison masks.
+/// operands, `min(ins, del)` and the result, plus the borrow rows.
 #[derive(Debug)]
 struct DpRows {
     ins: Vec<RowAddr>,
@@ -940,27 +951,25 @@ struct DpRows {
     sub: Vec<RowAddr>,
     min2: Vec<RowAddr>,
     min3: Vec<RowAddr>,
-    /// Written zero rows seeding the dec/win masks (distinct rows: a
-    /// direct-activation backend may open both in one activation set).
-    dec_zero: RowAddr,
-    win_zero: RowAddr,
-    /// Two (win, dec) mask pairs the comparison steps alternate between.
-    decwin: [RowAddr; 4],
+    /// A written zero row: the borrow into plane 0. It is not the
+    /// kernels' zero role, because a direct-activation backend opens
+    /// input rows in place, and a rewrite that put `bin` and `zero` in
+    /// one activation set would then raise the same word line twice.
+    borrow_zero: RowAddr,
+    /// Two borrow rows the steps alternate between.
+    borrow: [RowAddr; 2],
 }
 
 impl DpRows {
     /// Allocates the rows for `bits`-bit values from `scratch` and writes
-    /// the two mask-seeding zero rows.
+    /// the first borrow's zero row.
     fn alloc(ctx: &mut SubarrayContext, scratch: &mut ScratchSpace, bits: usize) -> Result<Self> {
         let mut planes = || (0..bits).map(|_| scratch.alloc()).collect::<Result<Vec<_>>>();
         let (ins, del, sub, min2, min3) = (planes()?, planes()?, planes()?, planes()?, planes()?);
-        let zeros = BitRow::zeros(ctx.geometry().cols);
-        let dec_zero = scratch.alloc()?;
-        ctx.write_row(dec_zero, &zeros)?;
-        let win_zero = scratch.alloc()?;
-        ctx.write_row(win_zero, &zeros)?;
-        let decwin = [scratch.alloc()?, scratch.alloc()?, scratch.alloc()?, scratch.alloc()?];
-        Ok(DpRows { ins, del, sub, min2, min3, dec_zero, win_zero, decwin })
+        let borrow_zero = scratch.alloc()?;
+        ctx.write_row(borrow_zero, &BitRow::zeros(ctx.geometry().cols))?;
+        let borrow = [scratch.alloc()?, scratch.alloc()?];
+        Ok(DpRows { ins, del, sub, min2, min3, borrow_zero, borrow })
     }
 }
 
@@ -1233,6 +1242,7 @@ pub fn run_mapping(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pim_dram::ledger::CommandClass;
     use pim_genome::base::DnaBase;
     use pim_genome::reads::ReadSimulator;
     use rand::SeedableRng;
@@ -1443,6 +1453,20 @@ mod tests {
         }
     }
 
+    /// A mapper over a random 200 bp reference for 64 bp reads at the
+    /// default config, built for `backend` at `opt` on a fresh controller,
+    /// to drive the DP kernels directly.
+    fn dp_mapper(backend: BackendKind, opt: OptLevel) -> (Controller, PimReadMapper) {
+        let g = DramGeometry::paper_assembly();
+        let genome = DnaSequence::random(&mut ChaCha8Rng::seed_from_u64(1), 200);
+        let mut ctrl = Controller::with_profile(g, &backend.profile());
+        let mapper = KmerMapper::new(&g, 1, 8);
+        let config = MappingConfig::default();
+        let pim =
+            PimReadMapper::build(&mut ctrl, mapper, &genome, 64, config, backend, opt).unwrap();
+        (ctrl, pim)
+    }
+
     #[test]
     fn dp_width_min3_is_exact_on_every_admissible_operand_triple() {
         // At the defaults every band value is at most B = 8 + 2 and every
@@ -1463,20 +1487,8 @@ mod tests {
             .collect();
         assert_eq!(triples.len(), 2_197);
         let g = DramGeometry::paper_assembly();
-        let genome = DnaSequence::random(&mut ChaCha8Rng::seed_from_u64(1), 200);
         for backend in BackendKind::ALL {
-            let mut ctrl = Controller::with_profile(g, &backend.profile());
-            let mapper = KmerMapper::new(&g, 1, 8);
-            let pim = PimReadMapper::build(
-                &mut ctrl,
-                mapper,
-                &genome,
-                READ_LEN,
-                config,
-                backend,
-                OptLevel::O0,
-            )
-            .unwrap();
+            let (mut ctrl, pim) = dp_mapper(backend, OptLevel::O0);
             assert_eq!(pim.dp, dp);
             let kmer_rows = pim.mapper().layout().kmer_rows();
             ctrl.with_context(pim.mapper().subarrays()[0], |ctx| {
@@ -1496,6 +1508,73 @@ mod tests {
             })
             .unwrap();
         }
+    }
+
+    #[test]
+    fn pim_min2_is_exact_on_every_pair_of_values() {
+        // Every pair of W-bit values, one per column: 256 pairs in one pass
+        // at W = 4, 65,536 over 256 passes at W = 8. The borrow chain must
+        // leave [A < B] in its last borrow row and the muxes the integer
+        // minimum, ties and the all-ones value included, on every backend
+        // at both opt levels.
+        let cols = DramGeometry::paper_assembly().cols;
+        for backend in BackendKind::ALL {
+            for opt in [OptLevel::O0, OptLevel::O2] {
+                let (mut ctrl, pim) = dp_mapper(backend, opt);
+                let kmer_rows = pim.mapper().layout().kmer_rows();
+                ctrl.with_context(pim.mapper().subarrays()[0], |ctx| {
+                    for bits in [4usize, 8] {
+                        let mut scratch = ScratchSpace::new(pim.seed_rows, kmer_rows);
+                        let rows = DpRows::alloc(ctx, &mut scratch, bits)?;
+                        let n = 1u32 << bits;
+                        let pairs: Vec<(u32, u32)> =
+                            (0..n).flat_map(|a| (0..n).map(move |b| (a, b))).collect();
+                        for pass in pairs.chunks(cols) {
+                            let (a, b): (Vec<u32>, Vec<u32>) = pass.iter().copied().unzip();
+                            pim.write_value_planes(ctx, &rows.ins, &a)?;
+                            pim.write_value_planes(ctx, &rows.del, &b)?;
+                            pim.pim_min2(ctx, &rows, &rows.ins, &rows.del, &rows.min2)?;
+                            let got = PimReadMapper::read_value_planes(ctx, &rows.min2, a.len())?;
+                            let borrow = ctx.peek_row(rows.borrow[(bits - 1) % 2])?;
+                            for (c, &(x, y)) in pass.iter().enumerate() {
+                                let at = format!("{backend} {opt:?} W={bits}: {x} against {y}");
+                                assert_eq!(borrow.get(c), x < y, "{at}: borrow out");
+                                assert_eq!(got[c], x.min(y), "{at}: minimum");
+                            }
+                        }
+                    }
+                    Ok::<_, PimError>(())
+                })
+                .unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn a_four_bit_band_cell_costs_104_array_commands_8_of_them_tras() {
+        // P-A at the defaults' W = 4: each of a band cell's two min2s runs 4
+        // borrow steps (AAP 4, AAP2 1, AAP3 1) and 4 muxes (AAP 4, AAP2 3),
+        // so its min3 is 104 array commands of which 8 are TRAs. With the
+        // 12 operand-plane writes and 4 senses the cell is 120 commands.
+        let (mut ctrl, pim) = dp_mapper(BackendKind::PimAssembler, OptLevel::O0);
+        let kmer_rows = pim.mapper().layout().kmer_rows();
+        let delta = ctrl
+            .with_context(pim.mapper().subarrays()[0], |ctx| {
+                let mut scratch = ScratchSpace::new(pim.seed_rows, kmer_rows);
+                let rows = DpRows::alloc(ctx, &mut scratch, pim.dp.bits())?;
+                let before = *ctx.ledger();
+                let got = pim.pim_min3(ctx, &rows, &[3, 9], &[7, 15], &[5, 2])?;
+                assert_eq!(got, [3, 2]);
+                Ok::<_, PimError>(ctx.ledger().since(&before))
+            })
+            .unwrap();
+        let array = [CommandClass::Aap, CommandClass::Aap2, CommandClass::Aap3];
+        let array_commands: u64 = array.iter().map(|&class| delta.count(class)).sum();
+        assert_eq!(array_commands, 104, "array commands per min3: {delta:?}");
+        assert_eq!(delta.count(CommandClass::Aap3), 8, "TRAs per min3: {delta:?}");
+        assert_eq!(delta.count(CommandClass::Write), 12, "plane writes per cell: {delta:?}");
+        assert_eq!(delta.count(CommandClass::Read), 4, "senses per cell: {delta:?}");
+        assert_eq!(delta.total_commands(), 120);
     }
 
     #[test]

@@ -44,12 +44,13 @@ pub enum Kernel {
     /// mapping stage's Hamming filter.
     /// Roles: `[i0..i6, zero, ones, twos, fours, x...]`.
     Popcount,
-    /// The bitwise 2:1 mux `dst = (a & m) | (b & ~m)` that materialises
-    /// the DP minimum once the win mask is decided.
-    /// Roles: `[a, b, m, zero, dst, x...]`.
+    /// The bitwise 2:1 mux `dst = m ? a : b` (three two-row activations,
+    /// no TRA) that materialises the DP minimum once the borrow chain has
+    /// left `[A < B]` in the mask row. Roles: `[a, b, m, dst, x...]`.
     MinSelect,
-    /// One MSB-first comparison step of the bit-serial DP-cell minimum.
-    /// Roles: `[a, b, dec, win, zero, win_out, dec_out, x...]`.
+    /// One LSB-first borrow step of `A − B`, `bout = maj(~a, b, bin)`: the
+    /// bit-serial compare of the DP-cell minimum.
+    /// Roles: `[a, b, bin, zero, bout, x...]`.
     DpCell,
 }
 

@@ -10,8 +10,12 @@
 //! fault injection the agreement may break — but never silently: every
 //! PIM verdict that drives control flow is shadow-checked, so any
 //! divergence must surface in the stage's `shadow_mismatches` detection
-//! counter.
+//! counter. A healthy run's metrics must also stay within the
+//! template-derived mapping budget
+//! ([`pim_assembler::budget::pipeline_budget_at`]) at the run's own DP
+//! width.
 
+use pim_assembler::budget::pipeline_budget_at;
 use pim_assembler::ir::{BackendKind, OptLevel};
 use pim_assembler::mapping_stage::{
     run_mapping, seed_index_subarrays, MappingConfig, MappingRunConfig, MappingRunReport,
@@ -112,16 +116,28 @@ fn diff_notes(report: &MappingRunReport) -> (usize, Vec<String>) {
 }
 
 /// Mapping stage on `backend`: hits, positions, and scores must equal the
-/// software reference exactly, and the healthy-array shadow counters must
-/// stay silent.
+/// software reference exactly, the healthy-array shadow counters must
+/// stay silent, and the run must stay within its mapping budget.
 pub fn mapping_oracle(
     case: &TestCase,
     options: &MappingSuiteOptions,
     backend: BackendKind,
 ) -> Result<OracleReport> {
     let reads = options.simulate_reads(case);
-    let report = run_mapping(&options.run_config(backend), &case.genome, &reads)?;
-    let (mut mismatches, mut notes) = diff_notes(&report);
+    let config = options.run_config(backend);
+    let report = run_mapping(&config, &case.genome, &reads)?;
+    Ok(oracle_row(case, &config, &report))
+}
+
+/// The oracle row of one healthy mapping run: one mismatch per hit that
+/// differs from the software reference, plus one for shadow mismatches,
+/// one for a run that mapped nothing, and one per violated budget line.
+fn oracle_row(
+    case: &TestCase,
+    config: &MappingRunConfig,
+    report: &MappingRunReport,
+) -> OracleReport {
+    let (mut mismatches, mut notes) = diff_notes(report);
     if report.stats.shadow_mismatches > 0 {
         mismatches += 1;
         notes.push(format!(
@@ -133,13 +149,33 @@ pub fn mapping_oracle(
         mismatches += 1;
         notes.push("vacuous run: no read mapped".into());
     }
-    Ok(OracleReport {
+    if config.backend == BackendKind::PimAssembler {
+        // The budget's factors come from P-A's compiled templates.
+        match &report.metrics {
+            Some(snapshot) => {
+                let cols = DramGeometry::paper_assembly().cols;
+                let dp = config.mapping.dp_width(config.read_len);
+                for violation in pipeline_budget_at(cols, config.opt, dp).check(snapshot) {
+                    mismatches += 1;
+                    notes.push(format!("budget: {violation}"));
+                }
+            }
+            None => {
+                mismatches += 1;
+                notes.push("no metrics snapshot to check the budget against".into());
+            }
+        }
+    } else {
+        notes
+            .push("unbudgeted until item 4 (ROADMAP): the budget compiles P-A kernels only".into());
+    }
+    OracleReport {
         stage: "mapping",
-        scenario: format!("{}@{}", case.scenario.name(), backend),
-        compared: reads.len(),
+        scenario: format!("{}@{}", case.scenario.name(), config.backend),
+        compared: report.reads,
         mismatches,
         notes,
-    })
+    }
 }
 
 /// Serial vs. worker-pool dispatch: hits and stage statistics must be
@@ -348,6 +384,32 @@ mod tests {
         // The clean fault run really was clean, and the faulty one hot.
         assert_eq!(report.faults[0].flips, 0);
         assert!(report.faults[1].flips > 0, "fault campaign injected nothing");
+    }
+
+    #[test]
+    fn a_mapping_run_over_its_budget_fails_its_row() {
+        let options = MappingSuiteOptions { genome_len: 200, ..MappingSuiteOptions::default() };
+        let case = generate(Scenario::Random, options.genome_len, options.seed);
+        let reads = options.simulate_reads(&case);
+        let config = options.run_config(BackendKind::PimAssembler);
+        let mut report = run_mapping(&config, &case.genome, &reads).unwrap();
+        let healthy = oracle_row(&case, &config, &report);
+        assert!(healthy.passed() && healthy.notes.is_empty(), "{:?}", healthy.notes);
+        // A DP issuing twice the sum cycles its wavefronts explain.
+        let snapshot = report.metrics.as_mut().unwrap();
+        let aap2 = snapshot.counter("mapping.aap2");
+        assert!(aap2 > 0);
+        snapshot.counters.insert("mapping.aap2".into(), 2 * aap2);
+        let drifted = oracle_row(&case, &config, &report);
+        assert_eq!(drifted.mismatches, 1, "{:?}", drifted.notes);
+        assert!(drifted.notes[0].contains("mapping sum cycles"), "{:?}", drifted.notes);
+        // The other backends say they are unbudgeted instead of passing
+        // vacuously.
+        let ambit = options.run_config(BackendKind::AmbitTra);
+        let report = run_mapping(&ambit, &case.genome, &reads).unwrap();
+        let row = oracle_row(&case, &ambit, &report);
+        assert!(row.passed(), "{:?}", row.notes);
+        assert!(row.notes.iter().any(|n| n.contains("unbudgeted")), "{:?}", row.notes);
     }
 
     #[test]
