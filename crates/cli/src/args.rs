@@ -22,9 +22,8 @@ pub struct ParsedArgs {
 /// Option keys that take a value, for any command (everything else
 /// starting with `--` is a switch). Which of them a command accepts is
 /// [`ParsedArgs::check_known`]'s business.
-const VALUE_KEYS: [&str; 25] = [
+const VALUE_KEYS: [&str; 24] = [
     "k",
-    "opt-level",
     "backend",
     "min-count",
     "coverage",

@@ -18,7 +18,6 @@
 use pim_dram::ledger::{CommandClass, EnergyLedger};
 use pim_obsv::{BudgetLine, StageBudget};
 
-use crate::ir::OptLevel;
 use crate::mapping_stage::{DpWidth, MappingConfig};
 use crate::template::{CompiledTemplate, Kernel, TemplateKey};
 
@@ -42,18 +41,13 @@ use crate::template::{CompiledTemplate, Kernel, TemplateKey};
 /// the longest read a row holds (`cols / 2` bp); an assembly run leaves
 /// every mapping counter at zero.
 pub fn pipeline_budget(cols: usize) -> StageBudget {
-    pipeline_budget_at(cols, OptLevel::O0, MappingConfig::default().dp_width(cols / 2))
+    pipeline_budget_at(cols, MappingConfig::default().dp_width(cols / 2))
 }
 
-/// [`pipeline_budget`] for a run whose kernels were compiled at `opt` and
-/// whose mapping DP runs at `dp`'s width (the run's own
-/// [`MappingConfig::dp_width`]). The expectations come from the
-/// *post-optimization* compile reports, so an `O2` run is held to its
-/// shorter streams — the looser `O0` ratios would silently tolerate an
-/// optimizer that stopped engaging.
-pub fn pipeline_budget_at(cols: usize, opt: OptLevel, dp: DpWidth) -> StageBudget {
-    let compile =
-        |k: Kernel| CompiledTemplate::compile(TemplateKey::new(k, cols, cols).with_opt(opt));
+/// [`pipeline_budget`] for a run whose mapping DP runs at `dp`'s width
+/// (the run's own [`MappingConfig::dp_width`]).
+pub fn pipeline_budget_at(cols: usize, dp: DpWidth) -> StageBudget {
+    let compile = |k: Kernel| CompiledTemplate::compile(TemplateKey::new(k, cols, cols));
     let xnor = compile(Kernel::Xnor);
     let adder = compile(Kernel::FullAdder);
     let popcount = compile(Kernel::Popcount);
@@ -102,9 +96,8 @@ pub fn pipeline_budget_at(cols: usize, opt: OptLevel, dp: DpWidth) -> StageBudge
         .with_line(BudgetLine::new(
             "stage-2b TRA cycles per adder sum cycle",
             "traverse.aap3",
-            // Ceiling keeps the ratio sound when the optimized mix has
-            // more sum cycles than TRAs (the O2 full adder: 1 TRA per
-            // 2 AAP2), at the cost of one slice of slack.
+            // Ceiling keeps the ratio sound for a mix with more sum
+            // cycles than TRAs, at the cost of one slice of slack.
             vec![("traverse.aap2".into(), fa_aap3.div_ceil(fa_aap2))],
             0,
         ))
@@ -187,11 +180,11 @@ impl ChunkAapBound {
     }
 }
 
-/// The per-chunk AAP bound for sub-arrays of `cols` columns at `opt` —
-/// the same compiled-template factors as [`pipeline_budget_at`]'s
-/// "stage-1 row clones per k-mer" line, reshaped for chunk deltas.
-pub fn hashmap_chunk_aap_bound(cols: usize, opt: OptLevel) -> ChunkAapBound {
-    let xnor = CompiledTemplate::compile(TemplateKey::new(Kernel::Xnor, cols, cols).with_opt(opt));
+/// The per-chunk AAP bound for sub-arrays of `cols` columns — the same
+/// compiled-template factors as [`pipeline_budget_at`]'s "stage-1 row
+/// clones per k-mer" line, reshaped for chunk deltas.
+pub fn hashmap_chunk_aap_bound(cols: usize) -> ChunkAapBound {
+    let xnor = CompiledTemplate::compile(TemplateKey::new(Kernel::Xnor, cols, cols));
     let (xnor_aap, xnor_aap2, _) = xnor.command_counts();
     ChunkAapBound {
         aap_per_probe: xnor_aap,
@@ -245,40 +238,14 @@ mod tests {
         assert_eq!(tra_line.terms[0].1, fa_aap3.div_ceil(fa_aap2));
     }
 
-    #[test]
-    fn o2_run_stays_within_its_own_tighter_budget() {
-        // An O2 pipeline must satisfy the budget derived from the O2
-        // compile reports — the post-optimization expectations, not the
-        // canonical O0 ratios.
-        let mut rng = ChaCha8Rng::seed_from_u64(42);
-        let genome = DnaSequence::random(&mut rng, 800);
-        let reads = ReadSimulator::new(60, 25.0).simulate(&genome, &mut rng);
-        let config = PimAssemblerConfig::small_test(15)
-            .with_observability(true)
-            .with_opt_level(OptLevel::O2);
-        let mut asm = PimAssembler::new(config);
-        let run = asm.assemble(&reads).unwrap();
-        let snapshot = run.report.metrics.expect("observability enabled");
-        let cols = config.geometry.cols;
-        let budget =
-            pipeline_budget_at(cols, OptLevel::O2, MappingConfig::default().dp_width(cols / 2));
-        let violations = budget.check(&snapshot);
-        assert!(violations.is_empty(), "budget violations: {violations:?}");
-        assert!(snapshot.counter("traverse.aap3") > 0);
-    }
-
     /// A healthy mapping run's snapshot and the DP width it ran at.
-    fn mapping_snapshot(
-        opt: OptLevel,
-        mapping: MappingConfig,
-    ) -> (pim_obsv::MetricsSnapshot, DpWidth) {
+    fn mapping_snapshot(mapping: MappingConfig) -> (pim_obsv::MetricsSnapshot, DpWidth) {
         use crate::mapping_stage::{run_mapping, MappingRunConfig};
         let config = MappingRunConfig {
             genome_len: 200,
             read_len: 24,
             coverage: 3.0,
             error_rate: 0.03,
-            opt,
             mapping,
             ..MappingRunConfig::default()
         };
@@ -298,25 +265,22 @@ mod tests {
     }
 
     #[test]
-    fn healthy_mapping_run_stays_within_budget_at_both_opt_levels() {
-        for opt in [OptLevel::O0, OptLevel::O2] {
-            let (snapshot, dp) = mapping_snapshot(opt, small_mapping());
-            let budget = pipeline_budget_at(256, opt, dp);
-            let violations = budget.check(&snapshot);
-            assert!(violations.is_empty(), "budget violations at {opt:?}: {violations:?}");
-            // The mapping lines are live: the bounded counters are hot.
-            assert!(snapshot.counter("mapping.aap2") > 0);
-            assert!(snapshot.counter("mapping.aap3") > 0);
-            assert!(snapshot.counter("mapping.map_dp_wavefronts") > 0);
-        }
+    fn healthy_mapping_run_stays_within_budget() {
+        let (snapshot, dp) = mapping_snapshot(small_mapping());
+        let violations = pipeline_budget_at(256, dp).check(&snapshot);
+        assert!(violations.is_empty(), "budget violations: {violations:?}");
+        // The mapping lines are live: the bounded counters are hot.
+        assert!(snapshot.counter("mapping.aap2") > 0);
+        assert!(snapshot.counter("mapping.aap3") > 0);
+        assert!(snapshot.counter("mapping.map_dp_wavefronts") > 0);
     }
 
     #[test]
     fn mapping_command_drift_triggers_a_violation() {
-        let (mut snapshot, dp) = mapping_snapshot(OptLevel::O0, small_mapping());
+        let (mut snapshot, dp) = mapping_snapshot(small_mapping());
         let aap2 = snapshot.counter("mapping.aap2");
         snapshot.counters.insert("mapping.aap2".to_string(), 2 * aap2 + 1);
-        let budget = pipeline_budget_at(256, OptLevel::O0, dp);
+        let budget = pipeline_budget_at(256, dp);
         let violations = budget.check(&snapshot);
         assert_eq!(violations.len(), 1, "{violations:?}");
         assert!(violations[0].contains("mapping sum cycles"));
@@ -329,18 +293,18 @@ mod tests {
         // stays within the budget of its own width, and the budget of the
         // narrower width flags its DP commands.
         let wide = MappingConfig { max_mismatch_bits: 40, band: 4, ..small_mapping() };
-        let (snapshot, dp) = mapping_snapshot(OptLevel::O0, wide);
+        let (snapshot, dp) = mapping_snapshot(wide);
         let narrow = small_mapping().dp_width(24);
         assert_eq!((dp.bits(), narrow.bits()), (5, 4));
-        assert!(pipeline_budget_at(256, OptLevel::O0, dp).check(&snapshot).is_empty());
+        assert!(pipeline_budget_at(256, dp).check(&snapshot).is_empty());
         let dp_cell = CompiledTemplate::compile(TemplateKey::new(Kernel::DpCell, 256, 256));
         let min_select = CompiledTemplate::compile(TemplateKey::new(Kernel::MinSelect, 256, 256));
         let per_step = dp_cell.command_counts().1 + min_select.command_counts().1;
-        let budget = pipeline_budget_at(256, OptLevel::O0, dp);
+        let budget = pipeline_budget_at(256, dp);
         let sum_cycles = budget.lines.iter().find(|l| l.label.contains("mapping sum cycles"));
         let wavefront_term = sum_cycles.unwrap().terms.last().unwrap();
         assert_eq!(wavefront_term.1, 2 * 5 * per_step);
-        let violations = pipeline_budget_at(256, OptLevel::O0, narrow).check(&snapshot);
+        let violations = pipeline_budget_at(256, narrow).check(&snapshot);
         assert!(!violations.is_empty(), "a 4-bit budget passed a 5-bit DP");
     }
 
@@ -357,7 +321,7 @@ mod tests {
             config.energy,
         );
         let dispatcher = crate::dispatch::ParallelDispatcher::serial();
-        let bound = hashmap_chunk_aap_bound(config.geometry.cols, config.opt_level);
+        let bound = hashmap_chunk_aap_bound(config.geometry.cols);
         let mut exec = HashmapExec::new(&config);
         let mut chunks = 0;
         for chunk in reads.chunks(8) {

@@ -32,7 +32,7 @@ use crate::config::PimAssemblerConfig;
 use crate::dispatch::ParallelDispatcher;
 use crate::dpu::Dpu;
 use crate::error::{PimError, Result};
-use crate::ir::{BackendKind, OptLevel};
+use crate::ir::BackendKind;
 use crate::layout::{SubarrayLayout, COUNTER_BITS};
 use crate::mapping::KmerMapper;
 use crate::pim_xnor::PimComparator;
@@ -185,16 +185,15 @@ impl PimHashTable {
     /// Creates an empty table over the mapper's sub-array partition,
     /// compiling the probe kernel once for the layout's row width.
     pub fn new(mapper: KmerMapper) -> Self {
-        PimHashTable::with_backend(mapper, BackendKind::PimAssembler, OptLevel::O0)
+        PimHashTable::with_backend(mapper, BackendKind::PimAssembler)
     }
 
-    /// [`PimHashTable::new`] with the probe kernel lowered for `backend`
-    /// at optimization level `opt`.
-    pub fn with_backend(mapper: KmerMapper, backend: BackendKind, opt: OptLevel) -> Self {
+    /// [`PimHashTable::new`] with the probe kernel lowered for `backend`.
+    pub fn with_backend(mapper: KmerMapper, backend: BackendKind) -> Self {
         let (kmer_rows, subarrays) = (mapper.layout().kmer_rows(), mapper.subarrays().len());
         let slots = vec![vec![None; kmer_rows]; subarrays];
         let changes = vec![RowChanges::new(kmer_rows); subarrays];
-        let comparator = PimComparator::new(mapper.geometry(), backend, opt);
+        let comparator = PimComparator::new(mapper.geometry(), backend);
         PimHashTable { mapper, comparator, slots, changes, stats: HashStats::default() }
     }
 
@@ -598,12 +597,11 @@ impl PimHashTable {
     pub fn restore_entries(
         mapper: KmerMapper,
         backend: BackendKind,
-        opt: OptLevel,
         ctrl: &mut Controller,
         entries: &[(usize, usize, Kmer, u64)],
         stats: HashStats,
     ) -> Result<Self> {
-        let mut table = PimHashTable::with_backend(mapper, backend, opt);
+        let mut table = PimHashTable::with_backend(mapper, backend);
         let layout = *table.mapper.layout();
         let subarrays = table.slots.len();
         let mut image = BitRow::zeros(layout.cols());
@@ -660,7 +658,7 @@ impl HashmapExec {
     /// An empty executor over the configuration's hash partition.
     pub fn new(config: &PimAssemblerConfig) -> Self {
         let mapper = KmerMapper::new(&config.geometry, config.hash_subarrays, config.bucket_rows);
-        let table = PimHashTable::with_backend(mapper, BackendKind::PimAssembler, config.opt_level);
+        let table = PimHashTable::with_backend(mapper, BackendKind::PimAssembler);
         HashmapExec { table, k: config.k, reads_consumed: 0, kmer_count: 0 }
     }
 
@@ -770,7 +768,6 @@ impl HashmapExec {
         let table = PimHashTable::restore_entries(
             mapper,
             BackendKind::PimAssembler,
-            config.opt_level,
             ctrl,
             &entries,
             HashStats::load(cp, "hash"),
@@ -990,7 +987,6 @@ mod tests {
         let mut restored = PimHashTable::restore_entries(
             KmerMapper::new(&g, 4, 8),
             BackendKind::PimAssembler,
-            OptLevel::O0,
             &mut ctrl_b,
             &entries,
             *table_a.stats(),

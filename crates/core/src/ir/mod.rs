@@ -41,7 +41,6 @@ pub mod alloc;
 pub mod backend;
 pub mod kernels;
 pub mod legalize;
-pub mod opt;
 pub mod peephole;
 pub mod program;
 
@@ -54,9 +53,32 @@ pub use backend::{
     AmbitTraBackend, BackendKind, LoweringBackend, PandaMramBackend, PimAssemblerBackend,
 };
 pub use legalize::{legalize, legalize_with, LegalizeStats};
-pub use opt::{optimize, OptLevel, OptStats};
 pub use peephole::{peephole, PeepholeStats};
 pub use program::{IrError, IrErrorKind, KernelSpan, PimOp, PimProgram, RowClass, RowDecl, VRow};
+
+/// Optimization level of one IR compilation. `O0`, the faithful
+/// re-encoding of the paper's hand-written AAP sequences, is the only
+/// level: the sequence search that `O2` selected is retired (DESIGN §11
+/// gives the measurement). The type survives only because the benchmark
+/// names it ([`crate::config::PimAssemblerConfig::opt_level`],
+/// [`crate::template::TemplateKey::with_opt`] and
+/// [`crate::mapping_stage::PimReadMapper::build`]); the next benchmark
+/// change drops it together with those call sites (ROADMAP item 7).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum OptLevel {
+    /// Faithful re-encoding of the hand-written command sequences.
+    #[default]
+    O0,
+}
+
+impl OptLevel {
+    /// Canonical schema name (`"O0"`).
+    pub fn name(self) -> &'static str {
+        match self {
+            OptLevel::O0 => "O0",
+        }
+    }
+}
 
 /// One lowered op. Row operands are *role indices* into the binding
 /// array supplied at execution time (see [`CompiledKernel::roles`] for
@@ -121,11 +143,6 @@ pub struct CompileReport {
     pub kernel: String,
     /// The lowering backend the kernel was compiled for.
     pub backend: BackendKind,
-    /// The optimization level the kernel was compiled at.
-    pub opt_level: OptLevel,
-    /// Optimizer search statistics — `Some` only at O2 (and present even
-    /// when the search kept the baseline sequence).
-    pub opt: Option<OptStats>,
     /// Ops in the source program.
     pub ops_in: usize,
     /// Ops after allocation + peephole (spill copies included).
@@ -334,15 +351,6 @@ impl CompiledKernel {
                 r.peephole.copies_forwarded
             ));
         }
-        if let Some(opt) = &r.opt {
-            out.push_str(&format!(
-                "optimizer ({}): {} candidates, {} verified, {}\n",
-                r.opt_level,
-                opt.candidates_considered,
-                opt.candidates_verified,
-                if opt.improved { "improved sequence selected" } else { "baseline kept" },
-            ));
-        }
         out
     }
 }
@@ -389,50 +397,6 @@ pub fn compile_backend(
     options: &LowerOptions,
     backend: BackendKind,
 ) -> Result<CompiledKernel, IrError> {
-    compile_backend_opt(program, options, backend, OptLevel::O0)
-}
-
-/// Compiles `program` for `backend` at `opt_level`.
-///
-/// At [`OptLevel::O0`] this is exactly [`compile_backend`] — the emitted
-/// kernel stays byte-identical to the historical streams. At
-/// [`OptLevel::O2`] the [`opt`] search runs first: it synthesizes
-/// candidate command sequences from a bounded catalog, proves each one
-/// equivalent to the baseline on this backend's activation model
-/// (truth-table exhaustive, temps poison-seeded), scores survivors with
-/// the backend's [`pim_dram::profile::BackendProfile`] timing/energy
-/// tables, and compiles the winner — falling back to the baseline
-/// sequence on a tie, so O2 never regresses a kernel.
-///
-/// # Errors
-///
-/// A typed [`IrError`] exactly as [`compile_backend`]; the optimizer
-/// itself cannot fail (an unverifiable candidate is simply discarded).
-pub fn compile_backend_opt(
-    program: &PimProgram,
-    options: &LowerOptions,
-    backend: BackendKind,
-    opt_level: OptLevel,
-) -> Result<CompiledKernel, IrError> {
-    let baseline = compile_backend_inner(program, options, backend)?;
-    if opt_level == OptLevel::O0 {
-        return Ok(baseline);
-    }
-    let outcome = opt::optimize(program, &baseline, options, backend);
-    let mut kernel = match &outcome.program {
-        Some(better) => compile_backend_inner(better, options, backend)?,
-        None => baseline,
-    };
-    kernel.report.opt_level = opt_level;
-    kernel.report.opt = Some(outcome.stats);
-    Ok(kernel)
-}
-
-fn compile_backend_inner(
-    program: &PimProgram,
-    options: &LowerOptions,
-    backend: BackendKind,
-) -> Result<CompiledKernel, IrError> {
     let lowering = backend.lowering();
     let rewritten = lowering.rewrite(program);
     let legalize_stats = legalize::legalize_with(&rewritten, lowering.allows_data_activation())?;
@@ -453,8 +417,6 @@ fn compile_backend_inner(
     let report = CompileReport {
         kernel: rewritten.name().to_string(),
         backend,
-        opt_level: OptLevel::O0,
-        opt: None,
         ops_in: rewritten.ops().len(),
         ops_out: ops.len(),
         legalize: legalize_stats,

@@ -236,7 +236,6 @@ pub struct PimReadMapper {
     mapper: KmerMapper,
     comparator: PimComparator,
     kernels: MappingKernels,
-    opt: OptLevel,
     /// The build's config, its `band` clamped to the read length (a
     /// band that wide already spans every cell).
     config: MappingConfig,
@@ -254,9 +253,12 @@ pub struct PimReadMapper {
 impl PimReadMapper {
     /// Builds the seed index for `reference` in DRAM (one charged row
     /// write per stored seed), compiling every mapping kernel once for
-    /// `backend` at `opt`. `read_len` fixes the window width mapped
-    /// against (every mapped read must have exactly this length) and,
-    /// with `config`, the DP value width ([`MappingConfig::dp_width`]).
+    /// `backend`. `read_len` fixes the window width mapped against (every
+    /// mapped read must have exactly this length) and, with `config`, the
+    /// DP value width ([`MappingConfig::dp_width`]). `opt` is always
+    /// [`OptLevel::O0`], the only level; the parameter stays only for the
+    /// benchmark's call site, and the next benchmark change drops it
+    /// (ROADMAP item 7).
     ///
     /// # Errors
     ///
@@ -293,9 +295,10 @@ impl PimReadMapper {
                 expected: read_len,
             });
         }
+        let OptLevel::O0 = opt;
         let zero_row = layout.temp_row(layout.temp_rows() - 1);
-        let comparator = PimComparator::new(mapper.geometry(), backend, opt);
-        let key = |k: Kernel| TemplateKey::new(k, cols, cols).with_backend(backend).with_opt(opt);
+        let comparator = PimComparator::new(mapper.geometry(), backend);
+        let key = |k: Kernel| TemplateKey::new(k, cols, cols).with_backend(backend);
         let kernels = MappingKernels {
             xnor: CompiledTemplate::compile(key(Kernel::Xnor)),
             popcount: CompiledTemplate::compile(key(Kernel::Popcount)),
@@ -309,7 +312,6 @@ impl PimReadMapper {
             mapper,
             comparator,
             kernels,
-            opt,
             config,
             dp: config.dp_width(read_len),
             reference: reference.clone(),
@@ -720,14 +722,8 @@ impl PimReadMapper {
         // matches = Σ ones + 2·Σ twos + 4·Σ fours.
         let mut totals = vec![0u64; cols];
         for (planes, weight) in [(&ones_planes, 1u64), (&twos_planes, 2), (&fours_planes, 4)] {
-            let summed = PimAdder::column_sum(
-                ctx,
-                self.backend(),
-                self.opt,
-                planes,
-                self.zero_row,
-                &mut scratch,
-            )?;
+            let summed =
+                PimAdder::column_sum(ctx, self.backend(), planes, self.zero_row, &mut scratch)?;
             for (c, v) in PimAdder::decode_columns(&summed).into_iter().enumerate() {
                 totals[c] += weight * v;
             }
@@ -1137,8 +1133,6 @@ pub struct MappingRunConfig {
     pub bucket_rows: usize,
     /// Lowering backend for every mapping kernel.
     pub backend: BackendKind,
-    /// Optimization level the kernels compile at.
-    pub opt: OptLevel,
     /// Dispatcher worker threads (1 = the calling thread alone).
     pub workers: usize,
     /// Mapping-algorithm parameters.
@@ -1160,7 +1154,6 @@ impl Default for MappingRunConfig {
             subarrays: MIN_INDEX_SUBARRAYS,
             bucket_rows: 8,
             backend: BackendKind::PimAssembler,
-            opt: OptLevel::O0,
             workers: 1,
             mapping: MappingConfig::default(),
             fault_rate: 0.0,
@@ -1219,7 +1212,7 @@ pub fn run_mapping(
         config.read_len,
         config.mapping,
         config.backend,
-        config.opt,
+        OptLevel::O0,
     )?;
     let dispatcher = ParallelDispatcher::with_workers(config.workers.max(1));
     let mut exec = MappingExec::new(pim);
@@ -1311,7 +1304,7 @@ mod tests {
             config.read_len,
             config.mapping,
             config.backend,
-            config.opt,
+            OptLevel::O0,
         )
         .unwrap();
         let mut exec = MappingExec::new(pim);
@@ -1415,18 +1408,15 @@ mod tests {
         let software = software_map(&genome, &reads, READ_LEN, &base.mapping);
         let planes_per_pass = 2 * READ_LEN as u64;
         for backend in BackendKind::ALL {
-            for opt in [OptLevel::O0, OptLevel::O2] {
-                let report =
-                    run_mapping(&MappingRunConfig { backend, opt, ..base }, &genome, &reads)
-                        .unwrap();
-                assert_eq!(report.hits, software, "{backend} at {opt}");
-                assert_eq!(report.stats.shadow_mismatches, 0, "{backend} at {opt}");
-                let planes = report.metrics.unwrap().counter("mapping.map_match_planes");
-                assert!(
-                    planes >= 2 * planes_per_pass,
-                    "{backend} at {opt}: the batch ran fewer than two filter passes"
-                );
-            }
+            let report =
+                run_mapping(&MappingRunConfig { backend, ..base }, &genome, &reads).unwrap();
+            assert_eq!(report.hits, software, "{backend}");
+            assert_eq!(report.stats.shadow_mismatches, 0, "{backend}");
+            let planes = report.metrics.unwrap().counter("mapping.map_match_planes");
+            assert!(
+                planes >= 2 * planes_per_pass,
+                "{backend}: the batch ran fewer than two filter passes"
+            );
         }
     }
 
@@ -1454,16 +1444,17 @@ mod tests {
     }
 
     /// A mapper over a random 200 bp reference for 64 bp reads at the
-    /// default config, built for `backend` at `opt` on a fresh controller,
-    /// to drive the DP kernels directly.
-    fn dp_mapper(backend: BackendKind, opt: OptLevel) -> (Controller, PimReadMapper) {
+    /// default config, built for `backend` on a fresh controller, to drive
+    /// the DP kernels directly.
+    fn dp_mapper(backend: BackendKind) -> (Controller, PimReadMapper) {
         let g = DramGeometry::paper_assembly();
         let genome = DnaSequence::random(&mut ChaCha8Rng::seed_from_u64(1), 200);
         let mut ctrl = Controller::with_profile(g, &backend.profile());
         let mapper = KmerMapper::new(&g, 1, 8);
         let config = MappingConfig::default();
         let pim =
-            PimReadMapper::build(&mut ctrl, mapper, &genome, 64, config, backend, opt).unwrap();
+            PimReadMapper::build(&mut ctrl, mapper, &genome, 64, config, backend, OptLevel::O0)
+                .unwrap();
         (ctrl, pim)
     }
 
@@ -1488,7 +1479,7 @@ mod tests {
         assert_eq!(triples.len(), 2_197);
         let g = DramGeometry::paper_assembly();
         for backend in BackendKind::ALL {
-            let (mut ctrl, pim) = dp_mapper(backend, OptLevel::O0);
+            let (mut ctrl, pim) = dp_mapper(backend);
             assert_eq!(pim.dp, dp);
             let kmer_rows = pim.mapper().layout().kmer_rows();
             ctrl.with_context(pim.mapper().subarrays()[0], |ctx| {
@@ -1515,38 +1506,35 @@ mod tests {
         // Every pair of W-bit values, one per column: 256 pairs in one pass
         // at W = 4, 65,536 over 256 passes at W = 8. The borrow chain must
         // leave [A < B] in its last borrow row and the muxes the integer
-        // minimum, ties and the all-ones value included, on every backend
-        // at both opt levels.
+        // minimum, ties and the all-ones value included, on every backend.
         let cols = DramGeometry::paper_assembly().cols;
         for backend in BackendKind::ALL {
-            for opt in [OptLevel::O0, OptLevel::O2] {
-                let (mut ctrl, pim) = dp_mapper(backend, opt);
-                let kmer_rows = pim.mapper().layout().kmer_rows();
-                ctrl.with_context(pim.mapper().subarrays()[0], |ctx| {
-                    for bits in [4usize, 8] {
-                        let mut scratch = ScratchSpace::new(pim.seed_rows, kmer_rows);
-                        let rows = DpRows::alloc(ctx, &mut scratch, bits)?;
-                        let n = 1u32 << bits;
-                        let pairs: Vec<(u32, u32)> =
-                            (0..n).flat_map(|a| (0..n).map(move |b| (a, b))).collect();
-                        for pass in pairs.chunks(cols) {
-                            let (a, b): (Vec<u32>, Vec<u32>) = pass.iter().copied().unzip();
-                            pim.write_value_planes(ctx, &rows.ins, &a)?;
-                            pim.write_value_planes(ctx, &rows.del, &b)?;
-                            pim.pim_min2(ctx, &rows, &rows.ins, &rows.del, &rows.min2)?;
-                            let got = PimReadMapper::read_value_planes(ctx, &rows.min2, a.len())?;
-                            let borrow = ctx.peek_row(rows.borrow[(bits - 1) % 2])?;
-                            for (c, &(x, y)) in pass.iter().enumerate() {
-                                let at = format!("{backend} {opt:?} W={bits}: {x} against {y}");
-                                assert_eq!(borrow.get(c), x < y, "{at}: borrow out");
-                                assert_eq!(got[c], x.min(y), "{at}: minimum");
-                            }
+            let (mut ctrl, pim) = dp_mapper(backend);
+            let kmer_rows = pim.mapper().layout().kmer_rows();
+            ctrl.with_context(pim.mapper().subarrays()[0], |ctx| {
+                for bits in [4usize, 8] {
+                    let mut scratch = ScratchSpace::new(pim.seed_rows, kmer_rows);
+                    let rows = DpRows::alloc(ctx, &mut scratch, bits)?;
+                    let n = 1u32 << bits;
+                    let pairs: Vec<(u32, u32)> =
+                        (0..n).flat_map(|a| (0..n).map(move |b| (a, b))).collect();
+                    for pass in pairs.chunks(cols) {
+                        let (a, b): (Vec<u32>, Vec<u32>) = pass.iter().copied().unzip();
+                        pim.write_value_planes(ctx, &rows.ins, &a)?;
+                        pim.write_value_planes(ctx, &rows.del, &b)?;
+                        pim.pim_min2(ctx, &rows, &rows.ins, &rows.del, &rows.min2)?;
+                        let got = PimReadMapper::read_value_planes(ctx, &rows.min2, a.len())?;
+                        let borrow = ctx.peek_row(rows.borrow[(bits - 1) % 2])?;
+                        for (c, &(x, y)) in pass.iter().enumerate() {
+                            let at = format!("{backend} W={bits}: {x} against {y}");
+                            assert_eq!(borrow.get(c), x < y, "{at}: borrow out");
+                            assert_eq!(got[c], x.min(y), "{at}: minimum");
                         }
                     }
-                    Ok::<_, PimError>(())
-                })
-                .unwrap();
-            }
+                }
+                Ok::<_, PimError>(())
+            })
+            .unwrap();
         }
     }
 
@@ -1556,7 +1544,7 @@ mod tests {
         // borrow steps (AAP 4, AAP2 1, AAP3 1) and 4 muxes (AAP 4, AAP2 3),
         // so its min3 is 104 array commands of which 8 are TRAs. With the
         // 12 operand-plane writes and 4 senses the cell is 120 commands.
-        let (mut ctrl, pim) = dp_mapper(BackendKind::PimAssembler, OptLevel::O0);
+        let (mut ctrl, pim) = dp_mapper(BackendKind::PimAssembler);
         let kmer_rows = pim.mapper().layout().kmer_rows();
         let delta = ctrl
             .with_context(pim.mapper().subarrays()[0], |ctx| {

@@ -20,7 +20,7 @@ use pim_dram::bitrow::BitRow;
 use pim_dram::context::SubarrayContext;
 
 use crate::error::{PimError, Result};
-use crate::ir::{BackendKind, OptLevel};
+use crate::ir::BackendKind;
 use crate::template::{CompiledTemplate, Kernel, TemplateKey};
 
 /// Upper bound on the full-adder role table across backends (the Ambit
@@ -77,9 +77,8 @@ impl PimAdder {
     ///
     /// The command sequence is the IR-lowered [`Kernel::FullAdder`]
     /// program (latch cycle, `CarrySum` sum cycle, majority carry cycle —
-    /// see [`crate::ir::kernels::full_adder`]) for `backend` at
-    /// optimization level `opt`; this entry point compiles and executes it
-    /// once. The role table is bound by class, so the extra zero/scratch
+    /// see [`crate::ir::kernels::full_adder`]) for `backend`; this entry
+    /// point compiles and executes it once. The role table is bound by class, so the extra zero/scratch
     /// roles a backend rewrite introduces resolve automatically (`zero`
     /// also backs any zero-constant roles). Loops should compile the
     /// template themselves (as [`PimAdder::column_sum`] does) to amortize
@@ -92,7 +91,6 @@ impl PimAdder {
     pub fn full_add(
         ctx: &mut SubarrayContext,
         backend: BackendKind,
-        opt: OptLevel,
         a: RowAddr,
         b: RowAddr,
         c: RowAddr,
@@ -102,7 +100,7 @@ impl PimAdder {
     ) -> Result<()> {
         let cols = ctx.geometry().cols;
         let adder = CompiledTemplate::compile(
-            TemplateKey::new(Kernel::FullAdder, cols, cols).with_backend(backend).with_opt(opt),
+            TemplateKey::new(Kernel::FullAdder, cols, cols).with_backend(backend),
         );
         let mut rows = [RowAddr(0); MAX_ADDER_ROLES];
         let n = adder.bind_roles_into(
@@ -120,9 +118,8 @@ impl PimAdder {
     /// accumulation of Fig. 8). Returns the result bit-planes, LSB first:
     /// column `j` of the result is `Σ planes[i].get(j) · 2^i`.
     ///
-    /// Every full-adder step is lowered for `backend` at optimization
-    /// level `opt`; the reduction schedule and the results are the same
-    /// on every backend and level. `zero` must name an all-zero row;
+    /// Every full-adder step is lowered for `backend`; the reduction
+    /// schedule and the results are the same on every backend. `zero` must name an all-zero row;
     /// `scratch` provides the reserved space for intermediate sum/carry
     /// rows.
     ///
@@ -133,7 +130,6 @@ impl PimAdder {
     pub fn column_sum(
         ctx: &mut SubarrayContext,
         backend: BackendKind,
-        opt: OptLevel,
         addends: &[RowAddr],
         zero: RowAddr,
         scratch: &mut ScratchSpace,
@@ -149,7 +145,7 @@ impl PimAdder {
         // `[a, b, c, zero, sum, carry, x1, x2, x3]` order exactly).
         let cols = ctx.geometry().cols;
         let adder = CompiledTemplate::compile(
-            TemplateKey::new(Kernel::FullAdder, cols, cols).with_backend(backend).with_opt(opt),
+            TemplateKey::new(Kernel::FullAdder, cols, cols).with_backend(backend),
         );
         let mut rows = [RowAddr(0); MAX_ADDER_ROLES];
         // A direct-activation backend opens the operand rows themselves, so
@@ -330,7 +326,6 @@ mod tests {
         PimAdder::full_add(
             &mut ctx,
             BackendKind::PimAssembler,
-            OptLevel::O0,
             RowAddr(10),
             RowAddr(11),
             RowAddr(12),
@@ -364,7 +359,6 @@ mod tests {
         let planes = PimAdder::column_sum(
             &mut ctx,
             BackendKind::PimAssembler,
-            OptLevel::O0,
             &rows,
             RowAddr(100),
             &mut scratch,
@@ -384,7 +378,6 @@ mod tests {
         let planes = PimAdder::column_sum(
             &mut ctx,
             BackendKind::PimAssembler,
-            OptLevel::O0,
             &[RowAddr(0)],
             RowAddr(100),
             &mut scratch,
@@ -403,7 +396,6 @@ mod tests {
         let planes = PimAdder::column_sum(
             &mut ctx,
             BackendKind::PimAssembler,
-            OptLevel::O0,
             &[],
             RowAddr(100),
             &mut scratch,
@@ -425,7 +417,6 @@ mod tests {
         let err = PimAdder::column_sum(
             &mut ctx,
             BackendKind::PimAssembler,
-            OptLevel::O0,
             &rows,
             RowAddr(100),
             &mut scratch,
@@ -468,15 +459,8 @@ mod tests {
             }
             ctx.write_row(100, &BitRow::zeros(cols)).unwrap();
             let mut scratch = ScratchSpace::new(200, 300);
-            let planes = PimAdder::column_sum(
-                &mut ctx,
-                backend,
-                OptLevel::O0,
-                &rows,
-                RowAddr(100),
-                &mut scratch,
-            )
-            .unwrap();
+            let planes =
+                PimAdder::column_sum(&mut ctx, backend, &rows, RowAddr(100), &mut scratch).unwrap();
             assert_eq!(PimAdder::decode_columns(&planes), expected, "{backend}");
         }
     }
@@ -495,7 +479,6 @@ mod tests {
         PimAdder::column_sum(
             &mut ctx,
             BackendKind::PimAssembler,
-            OptLevel::O0,
             &[RowAddr(0), RowAddr(1)],
             RowAddr(100),
             &mut scratch,

@@ -24,7 +24,7 @@ use pim_dram::geometry::DramGeometry;
 use pim_dram::ledger::CommandClass;
 
 use crate::error::Result;
-use crate::ir::{BackendKind, OptLevel, RowClass};
+use crate::ir::{BackendKind, RowClass};
 use crate::layout::SubarrayLayout;
 use crate::template::{CompiledTemplate, Kernel, TemplateKey};
 
@@ -58,13 +58,12 @@ pub struct PimComparator {
 
 impl PimComparator {
     /// Compiles the comparator's XNOR kernel for `geometry`'s rows on
-    /// `backend` at IR optimization level `opt` (probe results are
-    /// identical at every level), and binds its roles to the geometry's
-    /// layout and compute rows.
-    pub fn new(geometry: &DramGeometry, backend: BackendKind, opt: OptLevel) -> Self {
+    /// `backend`, and binds its roles to the geometry's layout and compute
+    /// rows.
+    pub fn new(geometry: &DramGeometry, backend: BackendKind) -> Self {
         let cols = geometry.cols;
         let xnor = CompiledTemplate::compile(
-            TemplateKey::new(Kernel::Xnor, cols, cols).with_backend(backend).with_opt(opt),
+            TemplateKey::new(Kernel::Xnor, cols, cols).with_backend(backend),
         );
         assert!(xnor.role_count() <= MAX_PROBE_ROLES, "probe role table too wide");
         assert!(
@@ -164,7 +163,7 @@ mod tests {
 
     fn setup() -> (SubarrayContext, SubarrayLayout, KmerMapper, PimComparator) {
         let g = DramGeometry::paper_assembly();
-        let cmp = PimComparator::new(&g, BackendKind::PimAssembler, OptLevel::O0);
+        let cmp = PimComparator::new(&g, BackendKind::PimAssembler);
         (context(Controller::new(g)), SubarrayLayout::new(&g), KmerMapper::new(&g, 1, 8), cmp)
     }
 
@@ -238,7 +237,7 @@ mod tests {
             });
             let layout = SubarrayLayout::new(&g);
             let mapper = KmerMapper::new(&g, 1, 8);
-            let cmp = PimComparator::new(&g, backend, OptLevel::O0);
+            let cmp = PimComparator::new(&g, backend);
             assert_eq!(cmp.backend(), backend);
 
             let stored: Kmer = "CGTGCGTGCTTACGGA".parse().unwrap();

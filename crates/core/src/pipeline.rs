@@ -16,13 +16,13 @@
 //! contract — pinned by `pim-verify` and `tests/resume_suite.rs` — is
 //! that streamed + checkpointed + resumed execution is *byte-identical*
 //! to the one-shot run: contigs, the energy ledger and its per-stage
-//! deltas, and every deterministic metric, at any worker count and
-//! optimization level. Three substrate properties earn it: per-chunk work
-//! concatenates to the one-shot work order (the dispatcher preserves
-//! per-sub-array arrival order), ledger charging is an order-independent
-//! integer sum, and checkpoint save and restore go through the contexts'
-//! uncharged debug view (`peek_row` / `poke_row`), so saving and reloading
-//! state perturbs no accounting.
+//! deltas, and every deterministic metric, at any worker count. Three
+//! substrate properties earn it: per-chunk work concatenates to the
+//! one-shot work order (the dispatcher preserves per-sub-array arrival
+//! order), ledger charging is an order-independent integer sum, and
+//! checkpoint save and restore go through the contexts' uncharged debug
+//! view (`peek_row` / `poke_row`), so saving and reloading state perturbs
+//! no accounting.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -33,6 +33,7 @@ use pim_dram::controller::Controller;
 use pim_dram::ledger::{CommandClass, EnergyLedger, COMMAND_CLASSES};
 use pim_genome::assemble::Assembly;
 use pim_genome::contig::Contig;
+use pim_genome::debruijn::DeBruijnGraph;
 use pim_genome::reads::Read;
 use pim_genome::stats::AssemblyStats;
 use pim_obsv::{MetricsSnapshot, SpanRecorder, Stage};
@@ -45,7 +46,7 @@ use crate::dispatch::ParallelDispatcher;
 use crate::error::{PimError, Result};
 use crate::graph_stage::{GraphStage, GraphStats};
 use crate::hashmap_stage::{HashStats, HashmapExec, PimHashTable};
-use crate::partition::Partitioning;
+use crate::partition::{IntervalBlockPartitioner, Partitioning};
 use crate::perf::PerfReport;
 use crate::traverse_stage::{TraverseArtifact, TraverseExec, TraverseStats};
 
@@ -169,6 +170,27 @@ fn aux_subarray(config: &PimAssemblerConfig, offset: usize) -> SubarrayId {
 /// at least two.
 fn partition_intervals(geometry: &pim_dram::geometry::DramGeometry) -> usize {
     geometry.active_mats_per_bank.max(2)
+}
+
+/// The graph stage's last step, shared by a live run and a resume: prunes
+/// tips when the config asks for it and re-partitions the pruned graph.
+/// Returns the graph, its partitioning and the number of edges pruned,
+/// which only a live run charges (a resume restores those charges with
+/// its ledgers).
+fn simplify_graph(
+    config: &PimAssemblerConfig,
+    graph: DeBruijnGraph,
+    partitioning: Partitioning,
+) -> (DeBruijnGraph, Partitioning, u64) {
+    let Some(max_tip) = config.simplify_tips else {
+        return (graph, partitioning, 0);
+    };
+    let (simplified, _) = pim_genome::simplify::Simplifier::new(max_tip).simplify(&graph);
+    let dropped = (graph.edge_count() - simplified.edge_count()) as u64;
+    let f = config.geometry.cols.min(config.geometry.rows);
+    let partitioning = IntervalBlockPartitioner::new(partition_intervals(&config.geometry), f)
+        .partition(&simplified);
+    (simplified, partitioning, dropped)
 }
 
 /// Folds checkpointed metrics from an earlier session segment into the
@@ -351,7 +373,7 @@ impl<'a> Session<'a> {
         asm.ctrl.set_stage(Stage::Hashmap);
         let span_t0 = asm.spans.as_deref().map(SpanRecorder::now_ns);
         let exec = HashmapExec::new(&asm.config);
-        let bound = hashmap_chunk_aap_bound(asm.config.geometry.cols, asm.config.opt_level);
+        let bound = hashmap_chunk_aap_bound(asm.config.geometry.cols);
         let mut session = Session {
             asm,
             dir: checkpoint_dir,
@@ -431,21 +453,10 @@ impl<'a> Session<'a> {
                         reason: "traverse checkpoint is missing the graph survivor list".into(),
                     })?;
                     let survivors = GraphStage::parse_survivors(block, config.k)?;
-                    let intervals = partition_intervals(&config.geometry);
                     let f = config.geometry.cols.min(config.geometry.rows);
-                    let (mut graph, mut partitioning) =
-                        GraphStage::rebuild(&survivors, intervals, f);
-                    if let Some(max_tip) = config.simplify_tips {
-                        // Pure host-side re-simplification: the DPU/AAP
-                        // charges the live run made here already sit in
-                        // the restored ledgers.
-                        let (simplified, _) =
-                            pim_genome::simplify::Simplifier::new(max_tip).simplify(&graph);
-                        graph = simplified;
-                        partitioning =
-                            crate::partition::IntervalBlockPartitioner::new(intervals, f)
-                                .partition(&graph);
-                    }
+                    let (graph, partitioning) =
+                        GraphStage::rebuild(&survivors, partition_intervals(&config.geometry), f);
+                    let (graph, partitioning, _) = simplify_graph(config, graph, partitioning);
                     let graph_stats = GraphStats {
                         scanned: cp.field("graph.scanned"),
                         edges_inserted: cp.field("graph.edges_inserted"),
@@ -548,7 +559,7 @@ impl<'a> Session<'a> {
             Phase::TraversePending(_) | Phase::Finished => Stage::Traverse,
         });
         let span_t0 = asm.spans.as_deref().map(SpanRecorder::now_ns);
-        let bound = hashmap_chunk_aap_bound(asm.config.geometry.cols, asm.config.opt_level);
+        let bound = hashmap_chunk_aap_bound(asm.config.geometry.cols);
         let read_len = cp.field("read_len");
         Ok(Session {
             asm,
@@ -688,7 +699,7 @@ impl<'a> Session<'a> {
                 let PimAssembler { config, ctrl, dispatcher, spans } = &mut *self.asm;
                 ctrl.set_stage(Stage::Graph);
                 let stage_start = spans.as_deref().map(SpanRecorder::now_ns);
-                let (mut graph, mut partitioning, graph_stats, survivors) = GraphStage::build(
+                let (graph, partitioning, graph_stats, survivors) = GraphStage::build(
                     ctrl,
                     dispatcher,
                     &table,
@@ -696,23 +707,11 @@ impl<'a> Session<'a> {
                     aux_subarray(config, 0),
                     partition_intervals(&config.geometry),
                 )?;
-                if let Some(max_tip) = config.simplify_tips {
-                    let before_edges = graph.edge_count();
-                    let (simplified, _) =
-                        pim_genome::simplify::Simplifier::new(max_tip).simplify(&graph);
-                    // Each dropped edge is a DPU decision plus an
-                    // invalidating row touch in the graph region.
-                    let dropped = (before_edges - simplified.edge_count()) as u64;
-                    ctrl.dpu_ops(dropped);
-                    ctrl.record_synthetic(CommandClass::Aap, dropped);
-                    graph = simplified;
-                    let f = config.geometry.cols.min(config.geometry.rows);
-                    partitioning = crate::partition::IntervalBlockPartitioner::new(
-                        partition_intervals(&config.geometry),
-                        f,
-                    )
-                    .partition(&graph);
-                }
+                let (graph, partitioning, dropped) = simplify_graph(config, graph, partitioning);
+                // Each dropped edge is a DPU decision plus an invalidating
+                // row touch in the graph region.
+                ctrl.dpu_ops(dropped);
+                ctrl.record_synthetic(CommandClass::Aap, dropped);
                 self.s2 = Some(*ctrl.ledger());
                 if let (Some(spans), Some(t0)) = (spans.as_deref(), stage_start) {
                     spans.record("stage.debruijn", "stage", 0, t0, graph.edge_count() as u64);
@@ -764,7 +763,7 @@ impl<'a> Session<'a> {
                 graph,
                 partitioning,
                 graph_stats,
-            } = texec.run(ctrl, dispatcher, config.opt_level)?;
+            } = texec.run(ctrl, dispatcher)?;
             let stages = [s1_ledger, s2_ledger.since(&s1_ledger), ctrl.ledger().since(&s2_ledger)];
             if let (Some(spans), Some(t0)) = (spans.as_deref(), stage_start) {
                 spans.record("stage.traverse", "stage", 0, t0, trails.len() as u64);
@@ -1052,6 +1051,12 @@ mod tests {
         .unwrap();
         assert!(clean.assembly.graph_edges < raw.assembly.graph_edges);
         assert_eq!(clean.partitioning.total_edges(), clean.assembly.graph_edges);
+        // Each clipped edge is charged one DPU decision and one AAP.
+        let clipped = (raw.assembly.graph_edges - clean.assembly.graph_edges) as u64;
+        for class in [CommandClass::Dpu, CommandClass::Aap] {
+            let (with, without) = (&clean.report.debruijn.commands, &raw.report.debruijn.commands);
+            assert_eq!(with.count(class) - without.count(class), clipped, "{class:?}");
+        }
         let frac = pim_genome::stats::genome_fraction(&genome, &clean.assembly.contigs, 15);
         assert!(frac > 0.95, "fraction {frac}");
     }

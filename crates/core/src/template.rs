@@ -82,21 +82,12 @@ pub struct TemplateKey {
     /// [`crate::ir::BackendKind`]); the lowered command sequences differ
     /// per backend.
     pub backend: BackendKind,
-    /// The optimization level the shape compiles at; `O0` and `O2` lower
-    /// to different command sequences (see [`crate::ir::OptLevel`]).
-    pub opt: OptLevel,
 }
 
 impl TemplateKey {
-    /// A shape for the default PIM-Assembler backend at `O0`.
+    /// A shape for the default PIM-Assembler backend.
     pub fn new(kernel: Kernel, row_bits: usize, size: usize) -> Self {
-        TemplateKey {
-            kernel,
-            row_bits,
-            size,
-            backend: BackendKind::PimAssembler,
-            opt: OptLevel::O0,
-        }
+        TemplateKey { kernel, row_bits, size, backend: BackendKind::PimAssembler }
     }
 
     /// The same shape retargeted to `backend`.
@@ -104,9 +95,12 @@ impl TemplateKey {
         TemplateKey { backend, ..self }
     }
 
-    /// The same shape recompiled at `opt`.
+    /// The same shape: [`OptLevel::O0`] is the only level, so this
+    /// changes nothing. Kept only for the benchmark's call site; the next
+    /// benchmark change drops it with that call (ROADMAP item 7).
     pub fn with_opt(self, opt: OptLevel) -> Self {
-        TemplateKey { opt, ..self }
+        let OptLevel::O0 = opt;
+        self
     }
 }
 
@@ -123,7 +117,7 @@ impl CompiledTemplate {
     pub fn compile(key: TemplateKey) -> Self {
         let options =
             LowerOptions { row_bits: key.row_bits, size: key.size, compute_slots: COMPUTE_ROWS };
-        let inner = ir::compile_backend_opt(&key.kernel.program(), &options, key.backend, key.opt)
+        let inner = ir::compile_backend(&key.kernel.program(), &options, key.backend)
             .expect("built-in kernels are legal on every backend by construction");
         CompiledTemplate { key, inner }
     }
@@ -469,17 +463,6 @@ mod tests {
     }
 
     #[test]
-    fn opt_levels_compile_to_shorter_streams() {
-        let key = TemplateKey::new(Kernel::FullAdder, 256, 256);
-        let o0 = CompiledTemplate::compile(key);
-        let o2 = CompiledTemplate::compile(key.with_opt(OptLevel::O2));
-        assert_eq!(o0.command_counts(), (8, 1, 2), "O0 stays the paper's literal stream");
-        assert_eq!(o2.command_counts(), (6, 2, 1), "O2 drops to the xor-cascade form");
-        // Same binding surface either way: callers need not change.
-        assert_eq!(o2.role_count(), 9);
-    }
-
-    #[test]
     fn bulk_sizes_repeat_each_command_per_row() {
         let cols = DramGeometry::paper_assembly().cols;
         let key = TemplateKey::new(Kernel::Xnor, cols, 3 * cols);
@@ -528,24 +511,18 @@ mod tests {
     fn mapping_kernels_lower_spill_free_on_every_backend() {
         for kernel in [Kernel::Popcount, Kernel::MinSelect, Kernel::DpCell] {
             for backend in BackendKind::ALL {
-                for opt in [OptLevel::O0, OptLevel::O2] {
-                    let key =
-                        TemplateKey::new(kernel, 256, 256).with_backend(backend).with_opt(opt);
-                    let t = CompiledTemplate::compile(key);
-                    if kernel == Kernel::Popcount && backend == BackendKind::AmbitTra {
-                        // The 7:3 counter keeps ~7 rows live; the Ambit
-                        // rewrite's extra staging pushes it past the
-                        // 8-row register file on both opt levels.
-                        assert_eq!(t.spill_role_count(), 5);
-                    } else {
-                        assert_eq!(
-                            t.spill_role_count(),
-                            0,
-                            "{kernel:?} on {backend:?} at {opt:?} spilled"
-                        );
-                    }
-                    assert!(t.report().alloc.slots_used <= COMPUTE_ROWS);
+                let t = CompiledTemplate::compile(
+                    TemplateKey::new(kernel, 256, 256).with_backend(backend),
+                );
+                if kernel == Kernel::Popcount && backend == BackendKind::AmbitTra {
+                    // The 7:3 counter keeps ~7 rows live; the Ambit
+                    // rewrite's extra staging pushes it past the 8-row
+                    // register file.
+                    assert_eq!(t.spill_role_count(), 5);
+                } else {
+                    assert_eq!(t.spill_role_count(), 0, "{kernel:?} on {backend:?} spilled");
                 }
+                assert!(t.report().alloc.slots_used <= COMPUTE_ROWS);
             }
         }
     }

@@ -4,8 +4,9 @@
 //! structure with `PIM_Add` — the Fig. 8 flow: adjacency rows are mapped to
 //! consecutive sub-array rows, carry-save-reduced three at a time, and
 //! finished with a bit-serial addition — then locates the Eulerian start
-//! vertices and walks the trails (Fleury in the paper's pseudocode; the
-//! linear-time Hierholzer equivalent by default).
+//! vertices and walks the trails with Hierholzer's linear-time algorithm.
+//! (The paper's pseudocode names Fleury's; `pim_genome::euler` keeps it
+//! for the software assembler and the `euler` ablation bench.)
 //!
 //! Graphs whose node count exceeds the sub-array width cannot use the dense
 //! mapping directly; the stage then computes degrees in software and
@@ -23,7 +24,7 @@ use pim_obsv::{HistKey, Metric};
 
 use crate::dispatch::ParallelDispatcher;
 use crate::error::Result;
-use crate::ir::{BackendKind, OptLevel};
+use crate::ir::BackendKind;
 use crate::pim_add::{PimAdder, ScratchSpace};
 use crate::template::{CompiledTemplate, Kernel, TemplateKey};
 
@@ -51,7 +52,7 @@ pub struct TraverseStage;
 impl TraverseStage {
     /// Computes `(out_degrees, in_degrees, dense)` of `graph` with
     /// `PIM_Add`, every full-adder slice (dense path) or synthetic charge
-    /// (fallback path) lowered for `backend` at optimization level `opt`.
+    /// (fallback path) lowered for `backend`.
     ///
     /// When the graph fits the dense Fig. 8 mapping
     /// (`nodes ≤ min(cols, rows/3)`), the out- and in-degree passes run as
@@ -72,7 +73,6 @@ impl TraverseStage {
         graph: &DeBruijnGraph,
         work: [SubarrayId; 2],
         backend: BackendKind,
-        opt: OptLevel,
     ) -> Result<(Vec<u64>, Vec<u64>, bool)> {
         let n = graph.node_count();
         let cols = ctrl.geometry().cols;
@@ -82,7 +82,7 @@ impl TraverseStage {
             let partitions = vec![(work[0], true), (work[1], false)];
             let mut passes =
                 dispatcher.run_partitions(ctrl, partitions, move |ctx, transpose| {
-                    Self::dense_degree_pass(ctx, graph, transpose, backend, opt)
+                    Self::dense_degree_pass(ctx, graph, transpose, backend)
                 })?;
             let inc = passes.pop().expect("two partitions dispatched");
             let out = passes.pop().expect("two partitions dispatched");
@@ -96,7 +96,7 @@ impl TraverseStage {
             // synthetic path can never drift from what the dense path
             // actually executes.
             let adder = CompiledTemplate::compile(
-                TemplateKey::new(Kernel::FullAdder, cols, cols).with_backend(backend).with_opt(opt),
+                TemplateKey::new(Kernel::FullAdder, cols, cols).with_backend(backend),
             );
             let adds = 2 * graph.edge_count() as u64 + n as u64;
             adder.charge_executions(ctrl, adds.div_ceil(cols as u64));
@@ -107,7 +107,7 @@ impl TraverseStage {
     }
 
     /// Runs the full traverse stage: degrees ([`TraverseStage::degrees`]),
-    /// start selection, Euler walk.
+    /// start selection, and Hierholzer's Euler walk.
     ///
     /// # Errors
     ///
@@ -117,12 +117,10 @@ impl TraverseStage {
         dispatcher: &ParallelDispatcher,
         graph: &DeBruijnGraph,
         work: [SubarrayId; 2],
-        algorithm: EulerAlgorithm,
         backend: BackendKind,
-        opt: OptLevel,
     ) -> Result<(Vec<Trail>, TraverseStats)> {
-        let (out, inc, dense) = Self::degrees(ctrl, dispatcher, graph, work, backend, opt)?;
-        Self::walk(ctrl, graph, &out, &inc, dense, algorithm)
+        let (out, inc, dense) = Self::degrees(ctrl, dispatcher, graph, work, backend)?;
+        Self::walk(ctrl, graph, &out, &inc, dense)
     }
 
     /// The host-side tail of the stage: start selection, Euler walk, and
@@ -133,7 +131,6 @@ impl TraverseStage {
         out: &[u64],
         inc: &[u64],
         dense: bool,
-        algorithm: EulerAlgorithm,
     ) -> Result<(Vec<Trail>, TraverseStats)> {
         // Start-vertex selection: one DPU comparison per node (the
         // `if out − in > 0` branch of the pseudocode).
@@ -150,7 +147,7 @@ impl TraverseStage {
                 o != graph.out_degree(v) as u64 || i != graph.in_degree(v) as u64
             })
             .count() as u64;
-        let trails = eulerian_trails(graph, algorithm);
+        let trails = eulerian_trails(graph, EulerAlgorithm::Hierholzer);
         let edges_walked: u64 = trails.iter().map(|t| (t.len().saturating_sub(1)) as u64).sum();
         let trail_count = trails.len() as u64;
         ctrl.record_metric(Metric::TraverseEdges, edges_walked);
@@ -180,7 +177,6 @@ impl TraverseStage {
         graph: &DeBruijnGraph,
         transpose: bool,
         backend: BackendKind,
-        opt: OptLevel,
     ) -> Result<Vec<u64>> {
         let n = graph.node_count();
         let cols = ctx.geometry().cols;
@@ -206,7 +202,7 @@ impl TraverseStage {
         let zero = RowAddr(n);
         ctx.write_row(zero, &BitRow::zeros(cols))?;
         let mut scratch = ScratchSpace::new(n + 1, ctx.geometry().data_rows());
-        let planes = PimAdder::column_sum(ctx, backend, opt, &rows, zero, &mut scratch)?;
+        let planes = PimAdder::column_sum(ctx, backend, &rows, zero, &mut scratch)?;
         let mut values = PimAdder::decode_columns(&planes);
         values.truncate(n);
         // In-degree of j = Σ_i A[i][j]; out-degree of j = Σ_i A^T[i][j].
@@ -277,9 +273,9 @@ impl TraverseExec {
         cp.fields.insert("graph.mem_inserts".into(), self.graph_stats.mem_inserts);
     }
 
-    /// Runs the stage ([`TraverseStage::run`] with Hierholzer's walk, on
-    /// the PIM-Assembler backend) and hands the trails, the graph and its
-    /// statistics on for contig spelling and reporting.
+    /// Runs the stage ([`TraverseStage::run`] on the PIM-Assembler
+    /// backend) and hands the trails, the graph and its statistics on for
+    /// contig spelling and reporting.
     ///
     /// # Errors
     ///
@@ -288,16 +284,13 @@ impl TraverseExec {
         self,
         ctrl: &mut Controller,
         dispatcher: &ParallelDispatcher,
-        opt: OptLevel,
     ) -> Result<TraverseArtifact> {
         let (trails, stats) = TraverseStage::run(
             ctrl,
             dispatcher,
             &self.graph,
             [self.work_out, self.work_in],
-            EulerAlgorithm::Hierholzer,
             BackendKind::PimAssembler,
-            opt,
         )?;
         Ok(TraverseArtifact {
             trails,
@@ -339,8 +332,7 @@ mod tests {
         work: [SubarrayId; 2],
     ) -> (Vec<u64>, Vec<u64>, bool) {
         let serial = ParallelDispatcher::serial();
-        TraverseStage::degrees(ctrl, &serial, g, work, BackendKind::PimAssembler, OptLevel::O0)
-            .unwrap()
+        TraverseStage::degrees(ctrl, &serial, g, work, BackendKind::PimAssembler).unwrap()
     }
 
     fn run_on(
@@ -349,16 +341,7 @@ mod tests {
         g: &DeBruijnGraph,
         work: [SubarrayId; 2],
     ) -> Result<(Vec<Trail>, TraverseStats)> {
-        let algorithm = EulerAlgorithm::Hierholzer;
-        TraverseStage::run(
-            ctrl,
-            dispatcher,
-            g,
-            work,
-            algorithm,
-            BackendKind::PimAssembler,
-            OptLevel::O0,
-        )
+        TraverseStage::run(ctrl, dispatcher, g, work, BackendKind::PimAssembler)
     }
 
     #[test]
@@ -461,7 +444,7 @@ mod tests {
             work_out,
             work_in,
         );
-        let art = exec.run(&mut ctrl_b, &dispatcher, OptLevel::O0).unwrap();
+        let art = exec.run(&mut ctrl_b, &dispatcher).unwrap();
         assert_eq!(art.trails, trails_ref);
         assert_eq!(art.stats, stats_ref);
         assert_eq!(ctrl_b.ledger(), ctrl_a.ledger());

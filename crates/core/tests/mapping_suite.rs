@@ -1,5 +1,5 @@
 //! Mapping-kernel suite: the popcount / min-select / DP-cell kernels
-//! compiled on every backend × opt level × geometry against per-column
+//! compiled on every backend × geometry against per-column
 //! truth-table oracles, plus the allocator-soundness and spill
 //! state-identity properties for the deeper DP programs.
 #![recursion_limit = "256"]
@@ -8,7 +8,7 @@ use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use pim_assembler::ir::{self, compile, kernels, LowerOptions, OptLevel, PimProgram, RowClass};
+use pim_assembler::ir::{self, compile, kernels, LowerOptions, PimProgram, RowClass};
 use pim_assembler::template::{CompiledTemplate, Kernel, TemplateKey};
 use pim_dram::address::RowAddr;
 use pim_dram::bitrow::BitRow;
@@ -46,16 +46,13 @@ fn rand_row(cols: usize, rng: &mut ChaCha8Rng) -> BitRow {
 /// where the lowering demands them), and returns the output rows.
 fn run_kernel(
     backend: ir::BackendKind,
-    opt: OptLevel,
     g: DramGeometry,
     cols: usize,
     kernel: Kernel,
     inputs: &[BitRow],
     n_outputs: usize,
 ) -> Vec<BitRow> {
-    let t = CompiledTemplate::compile(
-        TemplateKey::new(kernel, cols, cols).with_backend(backend).with_opt(opt),
-    );
+    let t = CompiledTemplate::compile(TemplateKey::new(kernel, cols, cols).with_backend(backend));
     let mut ctx = context(backend_controller(backend, g));
     let mut input_addrs = Vec::new();
     for (i, row) in inputs.iter().enumerate() {
@@ -84,25 +81,20 @@ proptest! {
 
     // Popcount: per column, `ones + 2·twos + 4·fours` equals the number
     // of set bits across the seven input planes — on every backend, at
-    // both opt levels, at both geometries.
+    // both geometries.
     #[test]
     fn popcount_matches_the_column_count_oracle(seed in 0u64..1000) {
         for (cols, g) in geometries() {
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
             let planes: Vec<BitRow> = (0..7).map(|_| rand_row(cols, &mut rng)).collect();
             for backend in ir::BackendKind::ALL {
-                for opt in [OptLevel::O0, OptLevel::O2] {
-                    let outs = run_kernel(backend, opt, g, cols, Kernel::Popcount, &planes, 3);
-                    for j in 0..cols {
-                        let count = planes.iter().filter(|p| p.get(j)).count();
-                        let got = usize::from(outs[0].get(j))
-                            + 2 * usize::from(outs[1].get(j))
-                            + 4 * usize::from(outs[2].get(j));
-                        prop_assert_eq!(
-                            got, count,
-                            "{} {:?} cols={} col {}: popcount", backend, opt, cols, j
-                        );
-                    }
+                let outs = run_kernel(backend, g, cols, Kernel::Popcount, &planes, 3);
+                for j in 0..cols {
+                    let count = planes.iter().filter(|p| p.get(j)).count();
+                    let got = usize::from(outs[0].get(j))
+                        + 2 * usize::from(outs[1].get(j))
+                        + 4 * usize::from(outs[2].get(j));
+                    prop_assert_eq!(got, count, "{} cols={} col {}: popcount", backend, cols, j);
                 }
             }
         }
@@ -118,16 +110,11 @@ proptest! {
             let m = rand_row(cols, &mut rng);
             let inputs = [a.clone(), b.clone(), m.clone()];
             for backend in ir::BackendKind::ALL {
-                for opt in [OptLevel::O0, OptLevel::O2] {
-                    let outs = run_kernel(backend, opt, g, cols, Kernel::MinSelect, &inputs, 1);
-                    let want = BitRow::from_fn(cols, |j| {
-                        if m.get(j) { a.get(j) } else { b.get(j) }
-                    });
-                    prop_assert_eq!(
-                        &outs[0], &want,
-                        "{} {:?} cols={}: min-select", backend, opt, cols
-                    );
-                }
+                let outs = run_kernel(backend, g, cols, Kernel::MinSelect, &inputs, 1);
+                let want = BitRow::from_fn(cols, |j| {
+                    if m.get(j) { a.get(j) } else { b.get(j) }
+                });
+                prop_assert_eq!(&outs[0], &want, "{} cols={}: min-select", backend, cols);
             }
         }
     }
@@ -143,17 +130,12 @@ proptest! {
             let bin = rand_row(cols, &mut rng);
             let inputs = [a.clone(), b.clone(), bin.clone()];
             for backend in ir::BackendKind::ALL {
-                for opt in [OptLevel::O0, OptLevel::O2] {
-                    let outs = run_kernel(backend, opt, g, cols, Kernel::DpCell, &inputs, 1);
-                    let want = BitRow::from_fn(cols, |j| {
-                        let votes = [!a.get(j), b.get(j), bin.get(j)];
-                        votes.iter().filter(|&&v| v).count() >= 2
-                    });
-                    prop_assert_eq!(
-                        &outs[0], &want,
-                        "{} {:?} cols={}: dp-cell borrow", backend, opt, cols
-                    );
-                }
+                let outs = run_kernel(backend, g, cols, Kernel::DpCell, &inputs, 1);
+                let want = BitRow::from_fn(cols, |j| {
+                    let votes = [!a.get(j), b.get(j), bin.get(j)];
+                    votes.iter().filter(|&&v| v).count() >= 2
+                });
+                prop_assert_eq!(&outs[0], &want, "{} cols={}: dp-cell borrow", backend, cols);
             }
         }
     }
@@ -177,24 +159,22 @@ fn bit_serial_min_scan_selects_the_column_minimum_on_every_backend() {
         let plane = |vals: &[u64], w: usize| BitRow::from_fn(cols, |j| (vals[j] >> w) & 1 == 1);
 
         for backend in ir::BackendKind::ALL {
-            for opt in [OptLevel::O0, OptLevel::O2] {
-                let at = format!("{backend} {opt:?} cols={cols}");
-                let mut borrow = BitRow::zeros(cols);
-                for w in 0..W {
-                    let inputs = [plane(&a_vals, w), plane(&b_vals, w), borrow];
-                    let outs = run_kernel(backend, opt, g, cols, Kernel::DpCell, &inputs, 1);
-                    borrow = outs[0].clone();
-                }
+            let at = format!("{backend} cols={cols}");
+            let mut borrow = BitRow::zeros(cols);
+            for w in 0..W {
+                let inputs = [plane(&a_vals, w), plane(&b_vals, w), borrow];
+                let outs = run_kernel(backend, g, cols, Kernel::DpCell, &inputs, 1);
+                borrow = outs[0].clone();
+            }
+            for j in 0..cols {
+                assert_eq!(borrow.get(j), a_vals[j] < b_vals[j], "{at} col {j}: borrow out");
+            }
+            for w in 0..W {
+                let inputs = [plane(&a_vals, w), plane(&b_vals, w), borrow.clone()];
+                let outs = run_kernel(backend, g, cols, Kernel::MinSelect, &inputs, 1);
                 for j in 0..cols {
-                    assert_eq!(borrow.get(j), a_vals[j] < b_vals[j], "{at} col {j}: borrow out");
-                }
-                for w in 0..W {
-                    let inputs = [plane(&a_vals, w), plane(&b_vals, w), borrow.clone()];
-                    let outs = run_kernel(backend, opt, g, cols, Kernel::MinSelect, &inputs, 1);
-                    for j in 0..cols {
-                        let want = (a_vals[j].min(b_vals[j]) >> w) & 1 == 1;
-                        assert_eq!(outs[0].get(j), want, "{at} col {j} bit {w}: min");
-                    }
+                    let want = (a_vals[j].min(b_vals[j]) >> w) & 1 == 1;
+                    assert_eq!(outs[0].get(j), want, "{at} col {j} bit {w}: min");
                 }
             }
         }

@@ -7,7 +7,7 @@ use rand_chacha::ChaCha8Rng;
 
 use pim_assembler::dispatch::ParallelDispatcher;
 use pim_assembler::hashmap_stage::PimHashTable;
-use pim_assembler::ir::{BackendKind, OptLevel};
+use pim_assembler::ir::BackendKind;
 use pim_assembler::mapping::KmerMapper;
 use pim_assembler::pim_add::{PimAdder, ScratchSpace};
 use pim_dram::address::RowAddr;
@@ -65,7 +65,7 @@ proptest! {
         }
         ctx.write_row(40, &BitRow::zeros(cols)).unwrap();
         let mut scratch = ScratchSpace::new(50, 500);
-        let planes = PimAdder::column_sum(&mut ctx, BackendKind::PimAssembler, OptLevel::O0, &rows, RowAddr(40), &mut scratch).unwrap();
+        let planes = PimAdder::column_sum(&mut ctx, BackendKind::PimAssembler, &rows, RowAddr(40), &mut scratch).unwrap();
         prop_assert_eq!(PimAdder::decode_columns(&planes), expected);
     }
 
@@ -82,7 +82,7 @@ proptest! {
         ctx.write_row(2, &b).unwrap();
         ctx.write_row(3, &c).unwrap();
         ctx.write_row(4, &BitRow::zeros(cols)).unwrap();
-        PimAdder::full_add(&mut ctx, BackendKind::PimAssembler, OptLevel::O0, RowAddr(1), RowAddr(2), RowAddr(3), RowAddr(4), RowAddr(10), RowAddr(11))
+        PimAdder::full_add(&mut ctx, BackendKind::PimAssembler, RowAddr(1), RowAddr(2), RowAddr(3), RowAddr(4), RowAddr(10), RowAddr(11))
             .unwrap();
         prop_assert_eq!(ctx.peek_row(10).unwrap(), a.xor(&b).xor(&c));
         prop_assert_eq!(ctx.peek_row(11).unwrap(), BitRow::maj3(&a, &b, &c));

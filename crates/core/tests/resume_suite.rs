@@ -154,17 +154,28 @@ fn kill_and_resume(
 fn resume_from_every_stage_boundary_matches_one_shot() {
     let reads = sim_reads(11, 800);
     let config = PimAssemblerConfig::small_test(13).with_observability(true);
-    let (ref_run, ref_asm) = reference(config, &reads);
-    // Kill at the hashmap/graph boundary (stage = graph checkpoint).
-    let dir = temp_dir("boundary-graph");
-    let (run, asm) = kill_and_resume(config, &reads, &dir, 8, None, false, 1, 8);
-    assert_identical(&ref_run, &ref_asm, &run, &asm);
-    std::fs::remove_dir_all(&dir).unwrap();
-    // Kill at the graph/traverse boundary (stage = traverse checkpoint).
-    let dir = temp_dir("boundary-traverse");
-    let (run, asm) = kill_and_resume(config, &reads, &dir, 8, None, true, 1, 8);
-    assert_identical(&ref_run, &ref_asm, &run, &asm);
-    std::fs::remove_dir_all(&dir).unwrap();
+    // Tip clipping on noisy reads: a resume from the traverse checkpoint
+    // clips the rebuilt graph again without charging the clipped edges,
+    // which the restored ledgers already hold.
+    let mut rng = ChaCha8Rng::seed_from_u64(12);
+    let genome = DnaSequence::random(&mut rng, 800);
+    let noisy = ReadSimulator::new(60, 25.0).with_error_rate(0.003).simulate(&genome, &mut rng);
+    let clipped = config.with_simplification(30);
+    let unclipped = reference(config, &noisy).0;
+    for (tag, config, reads) in [("plain", config, &reads), ("clipped", clipped, &noisy)] {
+        let (ref_run, ref_asm) = reference(config, reads);
+        if tag == "clipped" {
+            assert!(ref_run.assembly.graph_edges < unclipped.assembly.graph_edges);
+        }
+        // Kill at the hashmap/graph boundary (stage = graph checkpoint),
+        // then at the graph/traverse boundary (stage = traverse).
+        for (boundary, graph_done) in [("graph", false), ("traverse", true)] {
+            let dir = temp_dir(&format!("boundary-{boundary}-{tag}"));
+            let (run, asm) = kill_and_resume(config, reads, &dir, 8, None, graph_done, 1, 8);
+            assert_identical(&ref_run, &ref_asm, &run, &asm);
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
 }
 
 #[test]

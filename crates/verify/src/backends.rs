@@ -11,9 +11,7 @@
 //! software oracle — is a lowering bug, never tolerance noise.
 
 use pim_assembler::dispatch::ParallelDispatcher;
-use pim_assembler::hashmap_stage::PimHashTable;
-use pim_assembler::ir::{BackendKind, OptLevel};
-use pim_assembler::mapping::KmerMapper;
+use pim_assembler::ir::BackendKind;
 use pim_assembler::traverse_stage::TraverseStage;
 use pim_assembler::Result;
 use pim_dram::controller::Controller;
@@ -23,7 +21,7 @@ use pim_genome::debruijn::DeBruijnGraph;
 use pim_genome::hash_table::KmerCounter;
 
 use crate::genomes::{generate, Scenario, TestCase};
-use crate::oracle::read_kmers;
+use crate::oracle::hashmap_oracle;
 use crate::report::{OracleReport, VerifyReport};
 
 /// A controller whose substrate matches `backend`: the profile sets the
@@ -33,59 +31,6 @@ pub fn backend_controller(backend: BackendKind, geometry: DramGeometry) -> Contr
     Controller::with_profile(geometry, &backend.profile())
 }
 
-/// Hashmap stage on `backend`: the retargeted table scan must reproduce
-/// the software counter's exact (k-mer, count) multiset. Returns the
-/// oracle outcome plus the run's ledger for mix comparison.
-pub fn hashmap_backend_oracle(
-    case: &TestCase,
-    k: usize,
-    backend: BackendKind,
-    opt: OptLevel,
-) -> Result<(OracleReport, EnergyLedger)> {
-    let mut ctrl = backend_controller(backend, DramGeometry::paper_assembly());
-    let geometry = *ctrl.geometry();
-    let mut table = PimHashTable::with_backend(KmerMapper::new(&geometry, 4, 8), backend, opt);
-    let mut soft = KmerCounter::new(k)?;
-    let kmers = read_kmers(case, k)?;
-    for &kmer in &kmers {
-        soft.insert(kmer);
-    }
-    let serial = ParallelDispatcher::serial();
-    table.insert(&mut ctrl, &serial, &kmers)?;
-
-    let mut scanned = table.scan(&mut ctrl, &serial)?;
-    scanned.sort_by_key(|(kmer, _)| kmer.packed());
-    let mut expected: Vec<(u64, u64)> =
-        soft.entries().iter().map(|e| (e.kmer.packed(), e.count)).collect();
-    expected.sort_unstable();
-
-    let mut mismatches = 0;
-    let mut notes = Vec::new();
-    if scanned.len() != expected.len() {
-        mismatches += 1;
-        notes.push(format!(
-            "distinct k-mers: {backend} {} vs software {}",
-            scanned.len(),
-            expected.len()
-        ));
-    }
-    mismatches += scanned
-        .iter()
-        .zip(&expected)
-        .filter(|((kmer, count), (ep, ec))| kmer.packed() != *ep || count != ec)
-        .count();
-    Ok((
-        OracleReport {
-            stage: "hashmap",
-            scenario: format!("{}@{}", case.scenario.name(), backend),
-            compared: expected.len().max(scanned.len()),
-            mismatches,
-            notes,
-        },
-        *ctrl.ledger(),
-    ))
-}
-
 /// Traverse stage on `backend`: the retargeted degree accumulation must
 /// equal the graph's own bookkeeping for every vertex.
 pub fn traverse_backend_oracle(
@@ -93,7 +38,6 @@ pub fn traverse_backend_oracle(
     k: usize,
     min_count: u64,
     backend: BackendKind,
-    opt: OptLevel,
 ) -> Result<OracleReport> {
     let mut counter = KmerCounter::new(k)?;
     for read in &case.reads {
@@ -106,8 +50,7 @@ pub fn traverse_backend_oracle(
     let mut ctrl = backend_controller(backend, DramGeometry::paper_assembly());
     let work = [ctrl.subarray_handle(0, 1, 0, 0)?, ctrl.subarray_handle(0, 1, 0, 1)?];
     let serial = ParallelDispatcher::serial();
-    let (out, inc, _dense) =
-        TraverseStage::degrees(&mut ctrl, &serial, &graph, work, backend, opt)?;
+    let (out, inc, _dense) = TraverseStage::degrees(&mut ctrl, &serial, &graph, work, backend)?;
 
     let mut mismatches = 0;
     let mut notes = Vec::new();
@@ -127,7 +70,7 @@ pub fn traverse_backend_oracle(
     }
     Ok(OracleReport {
         stage: "traverse",
-        scenario: format!("{}@{}", case.scenario.name(), backend),
+        scenario: on_backend(case, backend),
         compared: graph.node_count().max(1),
         mismatches,
         notes,
@@ -145,15 +88,11 @@ pub struct BackendSuiteOptions {
     pub min_count: u64,
     /// RNG seed for the test case.
     pub seed: u64,
-    /// IR optimization level the stage kernels compile at. The oracle
-    /// contract is level-independent: O2 must produce the same answers as
-    /// O0 on every backend, only the command mixes may shrink.
-    pub opt: OptLevel,
 }
 
 impl Default for BackendSuiteOptions {
     fn default() -> Self {
-        BackendSuiteOptions { genome_len: 300, k: 9, min_count: 1, seed: 42, opt: OptLevel::O0 }
+        BackendSuiteOptions { genome_len: 300, k: 9, min_count: 1, seed: 42 }
     }
 }
 
@@ -197,18 +136,23 @@ fn run_backend(
     backend: BackendKind,
 ) -> Option<EnergyLedger> {
     let mut ledger = None;
-    match hashmap_backend_oracle(case, options.k, backend, options.opt) {
+    match hashmap_oracle(case, options.k, backend) {
         Ok((oracle, l)) => {
-            report.oracles.push(oracle);
+            report.oracles.push(OracleReport { scenario: on_backend(case, backend), ..oracle });
             ledger = Some(l);
         }
         Err(e) => report.oracles.push(stage_error("hashmap", backend, case, &e)),
     }
-    match traverse_backend_oracle(case, options.k, options.min_count, backend, options.opt) {
+    match traverse_backend_oracle(case, options.k, options.min_count, backend) {
         Ok(oracle) => report.oracles.push(oracle),
         Err(e) => report.oracles.push(stage_error("traverse", backend, case, &e)),
     }
     ledger
+}
+
+/// A backend row's scenario label: `<scenario>@<backend>`.
+fn on_backend(case: &TestCase, backend: BackendKind) -> String {
+    format!("{}@{}", case.scenario.name(), backend)
 }
 
 fn stage_error(
@@ -219,7 +163,7 @@ fn stage_error(
 ) -> OracleReport {
     OracleReport {
         stage,
-        scenario: format!("{}@{}", case.scenario.name(), backend),
+        scenario: on_backend(case, backend),
         compared: 0,
         mismatches: 1,
         notes: vec![format!("stage error: {e}")],
@@ -304,16 +248,6 @@ mod tests {
         for oracle in &report.oracles {
             assert!(oracle.scenario.ends_with("panda-mram"), "{}", oracle.scenario);
         }
-    }
-
-    #[test]
-    fn backend_suite_holds_at_o2_on_every_backend() {
-        // The optimizer's equivalence gate lifted to whole stages: O2
-        // kernels must reproduce the software oracle bit-for-bit on all
-        // three backends.
-        let options = BackendSuiteOptions { opt: OptLevel::O2, ..BackendSuiteOptions::default() };
-        let report = backend_suite(&options);
-        assert!(report.passed(), "{report}");
     }
 
     #[test]

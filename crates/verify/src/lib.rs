@@ -22,10 +22,9 @@
 //!    produce results identical to the software oracle while spending
 //!    backend-specific command mixes and energy totals.
 //! 5. **Staged-execution identity** ([`resume`]) — streamed, checkpointed,
-//!    killed, and resumed runs compared against the one-shot pipeline over
-//!    the worker-count × optimization-level matrix; contigs, command
-//!    stats, energy ledgers, and deterministic metrics must all be
-//!    byte-identical.
+//!    killed, and resumed runs compared against the one-shot pipeline at
+//!    each worker count; contigs, command stats, energy ledgers, and
+//!    deterministic metrics must all be byte-identical.
 //!
 //! ## Example
 //!
@@ -44,6 +43,8 @@ pub mod mapping;
 pub mod oracle;
 pub mod report;
 pub mod resume;
+
+use pim_assembler::ir::BackendKind;
 
 pub use backends::{backend_suite, single_backend_suite, BackendSuiteOptions};
 pub use fault::{flip_rate_from_variation, run_campaign};
@@ -84,7 +85,11 @@ pub fn standard_suite(options: &SuiteOptions) -> VerifyReport {
     for (i, scenario) in Scenario::ALL.iter().enumerate() {
         let case = generate(*scenario, options.genome_len, options.seed + i as u64);
         let checks: [(&'static str, pim_assembler::Result<OracleReport>); 3] = [
-            ("hashmap", oracle::hashmap_oracle(&case, options.k)),
+            (
+                "hashmap",
+                oracle::hashmap_oracle(&case, options.k, BackendKind::PimAssembler)
+                    .map(|(report, _)| report),
+            ),
             ("graph", oracle::graph_oracle(&case, options.k, options.min_count)),
             ("traverse", oracle::traverse_oracle(&case, options.k, options.min_count)),
         ];
@@ -117,14 +122,12 @@ pub fn standard_suite(options: &SuiteOptions) -> VerifyReport {
             fault::run_campaign(&fault_case, options.k, &options.fault_rates, options.seed);
     }
 
-    // Staged-execution identity over a reduced matrix (serial + pooled at
-    // O0); the full worker × opt matrix lives in `resume_suite` and the
-    // CLI's `verify --stage resume`.
+    // Staged-execution identity, serial and pooled (`resume_suite`, also
+    // the CLI's `verify --stage resume`).
     report.oracles.extend(resume::resume_suite(&ResumeSuiteOptions {
         genome_len: options.genome_len,
         k: 13,
         seed: options.seed,
-        opt_levels: vec![pim_assembler::ir::OptLevel::O0],
         ..ResumeSuiteOptions::default()
     }));
     report

@@ -5,8 +5,8 @@
 //! the pure-software reference
 //! ([`pim_assembler::mapping_stage::software_map`], which delegates its
 //! DP leg to [`pim_genome::align::banded_global`]) *byte for byte*: same
-//! hits, same positions, same scores, on every lowering backend at every
-//! optimization level, for serial and parallel dispatch alike. Under
+//! hits, same positions, same scores, on every lowering backend, for
+//! serial and parallel dispatch alike. Under
 //! fault injection the agreement may break — but never silently: every
 //! PIM verdict that drives control flow is shadow-checked, so any
 //! divergence must surface in the stage's `shadow_mismatches` detection
@@ -16,7 +16,7 @@
 //! width.
 
 use pim_assembler::budget::pipeline_budget_at;
-use pim_assembler::ir::{BackendKind, OptLevel};
+use pim_assembler::ir::BackendKind;
 use pim_assembler::mapping_stage::{
     run_mapping, seed_index_subarrays, MappingConfig, MappingRunConfig, MappingRunReport,
 };
@@ -43,8 +43,6 @@ pub struct MappingSuiteOptions {
     pub error_rate: f64,
     /// Base RNG seed (scenario index is folded in).
     pub seed: u64,
-    /// Optimization level the mapping kernels compile at.
-    pub opt: OptLevel,
     /// Backends to differentially verify.
     pub backends: Vec<BackendKind>,
     /// Fault-injection flip rates to campaign over (empty skips faults).
@@ -59,7 +57,6 @@ impl Default for MappingSuiteOptions {
             coverage: 3.0,
             error_rate: 0.03,
             seed: 42,
-            opt: OptLevel::O0,
             backends: BackendKind::ALL.to_vec(),
             fault_rates: vec![1e-3],
         }
@@ -75,7 +72,6 @@ impl MappingSuiteOptions {
             error_rate: self.error_rate,
             seed: self.seed,
             backend,
-            opt: self.opt,
             mapping: MappingConfig {
                 seed_len: (self.read_len / 2).min(16),
                 ..MappingConfig::default()
@@ -155,7 +151,7 @@ fn oracle_row(
             Some(snapshot) => {
                 let cols = DramGeometry::paper_assembly().cols;
                 let dp = config.mapping.dp_width(config.read_len);
-                for violation in pipeline_budget_at(cols, config.opt, dp).check(snapshot) {
+                for violation in pipeline_budget_at(cols, dp).check(snapshot) {
                     mismatches += 1;
                     notes.push(format!("budget: {violation}"));
                 }

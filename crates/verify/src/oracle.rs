@@ -13,17 +13,19 @@ use std::collections::BTreeMap;
 use pim_assembler::dispatch::ParallelDispatcher;
 use pim_assembler::graph_stage::GraphStage;
 use pim_assembler::hashmap_stage::PimHashTable;
-use pim_assembler::ir::{BackendKind, OptLevel};
+use pim_assembler::ir::BackendKind;
 use pim_assembler::mapping::KmerMapper;
 use pim_assembler::traverse_stage::TraverseStage;
 use pim_assembler::Result;
 use pim_dram::controller::Controller;
 use pim_dram::geometry::DramGeometry;
+use pim_dram::ledger::EnergyLedger;
 use pim_genome::debruijn::DeBruijnGraph;
 use pim_genome::euler::{eulerian_trails, trails_cover_all_edges, EulerAlgorithm};
 use pim_genome::hash_table::KmerCounter;
 use pim_genome::kmer::{Kmer, KmerIter};
 
+use crate::backends::backend_controller;
 use crate::genomes::TestCase;
 use crate::report::OracleReport;
 
@@ -37,7 +39,7 @@ fn note(notes: &mut Vec<String>, text: String) {
 }
 
 /// Every k-mer of the case's reads, in read order.
-pub(crate) fn read_kmers(case: &TestCase, k: usize) -> Result<Vec<Kmer>> {
+fn read_kmers(case: &TestCase, k: usize) -> Result<Vec<Kmer>> {
     let mut kmers = Vec::new();
     for read in &case.reads {
         kmers.extend(KmerIter::new(&read.seq, k)?);
@@ -45,14 +47,16 @@ pub(crate) fn read_kmers(case: &TestCase, k: usize) -> Result<Vec<Kmer>> {
     Ok(kmers)
 }
 
-/// Feeds every read k-mer into both tables, returning them loaded.
+/// Feeds every read k-mer into both tables, the PIM one lowered for
+/// `backend`, returning them loaded.
 fn load_tables(
     ctrl: &mut Controller,
     case: &TestCase,
     k: usize,
+    backend: BackendKind,
 ) -> Result<(PimHashTable, KmerCounter)> {
     let geometry = *ctrl.geometry();
-    let mut table = PimHashTable::new(KmerMapper::new(&geometry, 4, 8));
+    let mut table = PimHashTable::with_backend(KmerMapper::new(&geometry, 4, 8), backend);
     let mut soft = KmerCounter::new(k)?;
     let kmers = read_kmers(case, k)?;
     for &kmer in &kmers {
@@ -62,11 +66,17 @@ fn load_tables(
     Ok((table, soft))
 }
 
-/// Hashmap stage: the PIM table scan must reproduce the software counter's
-/// exact (k-mer, count) multiset.
-pub fn hashmap_oracle(case: &TestCase, k: usize) -> Result<OracleReport> {
-    let mut ctrl = Controller::new(DramGeometry::paper_assembly());
-    let (table, soft) = load_tables(&mut ctrl, case, k)?;
+/// Hashmap stage on `backend`: the PIM table scan must reproduce the
+/// software counter's exact (k-mer, count) multiset. Returns the oracle
+/// outcome plus the run's ledger, which the backend suite compares
+/// across backends.
+pub fn hashmap_oracle(
+    case: &TestCase,
+    k: usize,
+    backend: BackendKind,
+) -> Result<(OracleReport, EnergyLedger)> {
+    let mut ctrl = backend_controller(backend, DramGeometry::paper_assembly());
+    let (table, soft) = load_tables(&mut ctrl, case, k, backend)?;
 
     let mut scanned = table.scan(&mut ctrl, &ParallelDispatcher::serial())?;
     scanned.sort_by_key(|(kmer, _)| kmer.packed());
@@ -92,13 +102,14 @@ pub fn hashmap_oracle(case: &TestCase, k: usize) -> Result<OracleReport> {
             );
         }
     }
-    Ok(OracleReport {
+    let report = OracleReport {
         stage: "hashmap",
         scenario: case.scenario.name().into(),
         compared: expected.len().max(scanned.len()),
         mismatches,
         notes,
-    })
+    };
+    Ok((report, *ctrl.ledger()))
 }
 
 /// Flattens a graph into a canonical edge list keyed by the inducing k-mer:
@@ -120,7 +131,7 @@ fn edge_map(graph: &DeBruijnGraph) -> BTreeMap<u64, (u64, u64, u64)> {
 /// degrees.
 pub fn graph_oracle(case: &TestCase, k: usize, min_count: u64) -> Result<OracleReport> {
     let mut ctrl = Controller::new(DramGeometry::paper_assembly());
-    let (table, soft) = load_tables(&mut ctrl, case, k)?;
+    let (table, soft) = load_tables(&mut ctrl, case, k, BackendKind::PimAssembler)?;
     let graph_region = ctrl.subarray_handle(0, 1, 0, 0)?;
     let serial = ParallelDispatcher::serial();
     let (pim_graph, _partitioning, _stats, _survivors) =
@@ -184,15 +195,9 @@ pub fn traverse_oracle(case: &TestCase, k: usize, min_count: u64) -> Result<Orac
 
     let mut ctrl = Controller::new(DramGeometry::paper_assembly());
     let work = [ctrl.subarray_handle(0, 1, 0, 0)?, ctrl.subarray_handle(0, 1, 0, 1)?];
-    let (trails, stats) = TraverseStage::run(
-        &mut ctrl,
-        &ParallelDispatcher::serial(),
-        &graph,
-        work,
-        EulerAlgorithm::Hierholzer,
-        BackendKind::PimAssembler,
-        OptLevel::O0,
-    )?;
+    let serial = ParallelDispatcher::serial();
+    let (trails, stats) =
+        TraverseStage::run(&mut ctrl, &serial, &graph, work, BackendKind::PimAssembler)?;
     let expected = eulerian_trails(&graph, EulerAlgorithm::Hierholzer);
 
     let mut mismatches = 0;
@@ -229,7 +234,7 @@ mod tests {
     #[test]
     fn all_three_oracles_pass_on_a_random_genome() {
         let case = generate(Scenario::Random, 500, 11);
-        assert!(hashmap_oracle(&case, 11).unwrap().passed());
+        assert!(hashmap_oracle(&case, 11, BackendKind::PimAssembler).unwrap().0.passed());
         assert!(graph_oracle(&case, 11, 1).unwrap().passed());
         assert!(traverse_oracle(&case, 11, 1).unwrap().passed());
     }
@@ -238,7 +243,8 @@ mod tests {
     fn oracles_pass_on_the_adversarial_scenarios() {
         for s in [Scenario::RepeatHeavy, Scenario::LowCoverage] {
             let case = generate(s, 450, 12);
-            assert!(hashmap_oracle(&case, 9).unwrap().passed(), "{}", s.name());
+            let (hashmap, _) = hashmap_oracle(&case, 9, BackendKind::PimAssembler).unwrap();
+            assert!(hashmap.passed(), "{}", s.name());
             assert!(graph_oracle(&case, 9, 1).unwrap().passed(), "{}", s.name());
             assert!(traverse_oracle(&case, 9, 1).unwrap().passed(), "{}", s.name());
         }
@@ -252,7 +258,7 @@ mod tests {
         let mut ctrl = Controller::new(DramGeometry::paper_assembly());
         ctrl.inject_faults(pim_dram::fault::FaultConfig::new(0.02, 99).unwrap());
         let outcome = (|| -> Result<usize> {
-            let (table, soft) = load_tables(&mut ctrl, &case, 9)?;
+            let (table, soft) = load_tables(&mut ctrl, &case, 9, BackendKind::PimAssembler)?;
             let mut scanned = table.scan(&mut ctrl, &ParallelDispatcher::serial())?;
             scanned.sort_by_key(|(kmer, _)| kmer.packed());
             let mut expected: Vec<(u64, u64)> =

@@ -5,16 +5,14 @@
 //! chunk), killed, and *resumed* from disk must be byte-identical to the
 //! uninterrupted one-shot run — same contigs, same per-stage command
 //! ledgers, same total energy ledger, same deterministic metrics. This
-//! module pins that contract across the worker-count × optimization-level
-//! matrix ({1, 8} × {O0, O2} by default), folding each cell into an
-//! [`OracleReport`] so the standard suite and the CLI `verify` command
-//! render it alongside the stage oracles.
+//! module pins that contract at each worker count ({1, 8} by default),
+//! folding each cell into an [`OracleReport`] so the standard suite and
+//! the CLI `verify` command render it alongside the stage oracles.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use pim_assembler::checkpoint::prepare_dir;
-use pim_assembler::ir::OptLevel;
 use pim_assembler::{PimAssembler, PimAssemblerConfig, PimRun, Session};
 
 use crate::genomes::{generate, Scenario};
@@ -31,8 +29,6 @@ pub struct ResumeSuiteOptions {
     pub seed: u64,
     /// Worker counts to verify.
     pub workers: Vec<usize>,
-    /// Optimization levels to verify.
-    pub opt_levels: Vec<OptLevel>,
     /// Chunk size the streamed leg ingests with.
     pub chunk_reads: usize,
     /// Number of chunks fed before the simulated kill.
@@ -46,7 +42,6 @@ impl Default for ResumeSuiteOptions {
             k: 13,
             seed: 42,
             workers: vec![1, 8],
-            opt_levels: vec![OptLevel::O0, OptLevel::O2],
             chunk_reads: 7,
             kill_after_chunks: 3,
         }
@@ -99,32 +94,35 @@ fn diff_runs(
     }
 }
 
-/// Scratch checkpoint directory unique to one matrix cell of one call:
-/// the per-process counter keeps concurrent [`resume_suite`] calls (test
+/// Scratch checkpoint directory unique to one cell of one call: the
+/// per-process counter keeps concurrent [`resume_suite`] calls (test
 /// threads, say) from sharing, and deleting, each other's checkpoints.
-fn scratch_dir(workers: usize, opt: OptLevel) -> std::io::Result<PathBuf> {
+fn scratch_dir(workers: usize) -> std::io::Result<PathBuf> {
     static NEXT: AtomicU64 = AtomicU64::new(0);
     let n = NEXT.fetch_add(1, Ordering::Relaxed);
     let dir = std::env::temp_dir()
-        .join(format!("pim-verify-resume-w{workers}-{opt:?}-{}-{n}", std::process::id()));
+        .join(format!("pim-verify-resume-w{workers}-{}-{n}", std::process::id()));
     if dir.exists() {
         std::fs::remove_dir_all(&dir)?;
     }
     Ok(dir)
 }
 
-/// Verifies one matrix cell: streamed vs one-shot, then
-/// checkpoint/kill/resume vs one-shot.
+/// A cell's row label. It keeps the `opt=O0` it carried while cells also
+/// ran the retired O2 lowering: O0 is the lowering every run uses.
+fn scenario(workers: usize) -> String {
+    format!("workers={workers} opt=O0")
+}
+
+/// Verifies one cell: streamed vs one-shot, then checkpoint/kill/resume
+/// vs one-shot.
 fn verify_cell(
     options: &ResumeSuiteOptions,
     workers: usize,
-    opt: OptLevel,
 ) -> pim_assembler::Result<OracleReport> {
     let case = generate(Scenario::Random, options.genome_len, options.seed);
-    let base = PimAssemblerConfig::small_test(options.k)
-        .with_observability(true)
-        .with_workers(workers)
-        .with_opt_level(opt);
+    let base =
+        PimAssemblerConfig::small_test(options.k).with_observability(true).with_workers(workers);
     let mut compared = 0;
     let mut notes = Vec::new();
 
@@ -139,7 +137,7 @@ fn verify_cell(
     diff_runs(&reference, &ref_asm, &streamed, &streamed_asm, &mut compared, &mut notes);
 
     // Leg 2: checkpointed run killed mid-stream, resumed from disk.
-    let dir = scratch_dir(workers, opt)
+    let dir = scratch_dir(workers)
         .map_err(|e| pim_assembler::PimError::Checkpoint { reason: format!("scratch dir: {e}") })?;
     prepare_dir(&dir, false)?;
     {
@@ -157,32 +155,32 @@ fn verify_cell(
 
     Ok(OracleReport {
         stage: "resume",
-        scenario: format!("workers={workers} opt={opt:?}"),
+        scenario: scenario(workers),
         compared,
         mismatches: notes.len(),
         notes,
     })
 }
 
-/// Runs the streamed/checkpointed/resumed byte-identity check over the
-/// full worker × opt-level matrix.
+/// Runs the streamed/checkpointed/resumed byte-identity check at every
+/// worker count.
 ///
 /// Cell errors are folded into failed reports rather than propagated, so
-/// one call always yields the complete matrix.
+/// one call always yields every cell.
 pub fn resume_suite(options: &ResumeSuiteOptions) -> Vec<OracleReport> {
-    let mut reports = Vec::new();
-    for &workers in &options.workers {
-        for &opt in &options.opt_levels {
-            reports.push(verify_cell(options, workers, opt).unwrap_or_else(|e| OracleReport {
+    options
+        .workers
+        .iter()
+        .map(|&workers| {
+            verify_cell(options, workers).unwrap_or_else(|e| OracleReport {
                 stage: "resume",
-                scenario: format!("workers={workers} opt={opt:?}"),
+                scenario: scenario(workers),
                 compared: 0,
                 mismatches: 1,
                 notes: vec![format!("suite error: {e}")],
-            }));
-        }
-    }
-    reports
+            })
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -193,7 +191,7 @@ mod tests {
     fn full_matrix_is_byte_identical() {
         let reports =
             resume_suite(&ResumeSuiteOptions { genome_len: 300, ..ResumeSuiteOptions::default() });
-        assert_eq!(reports.len(), 4, "2 worker counts x 2 opt levels");
+        assert_eq!(reports.len(), 2, "2 worker counts");
         for report in &reports {
             assert!(report.passed(), "{}: {:?}", report.scenario, report.notes);
             assert!(report.compared >= 24, "both legs compared in {}", report.scenario);

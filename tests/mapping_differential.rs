@@ -1,7 +1,7 @@
 //! Differential regression suite for the second workload: PIM read
 //! mapping must equal the pure-software reference **byte for byte** —
 //! same hits, same positions, same `banded_global`-derived scores — on
-//! every lowering backend at both optimization levels, over random,
+//! every lowering backend, over random,
 //! repeat-heavy, and low-coverage read sets; serial dispatch must equal
 //! the worker pool; and fault injection must raise detection counters
 //! rather than produce silent wrong mappings, also where several reads
@@ -12,7 +12,7 @@
 //! generator, this pins the composed `run_mapping` workload the CLI and
 //! bench harness invoke.
 
-use pim_assembler_suite::assembler::ir::{BackendKind, OptLevel};
+use pim_assembler_suite::assembler::ir::BackendKind;
 use pim_assembler_suite::assembler::mapping_stage::{
     run_mapping, software_map, MappingConfig, MappingRunConfig, MappingRunReport,
 };
@@ -56,19 +56,16 @@ fn every_backend_and_opt_level_matches_the_software_oracle_byte_for_byte() {
         let (genome, reads) = scenario_inputs(scenario, 42);
         let software = software_map(&genome, &reads, READ_LEN, &base_config().mapping);
         for backend in BackendKind::ALL {
-            for opt in [OptLevel::O0, OptLevel::O2] {
-                let config = MappingRunConfig { backend, opt, ..base_config() };
-                let report = run(&config, &genome, &reads);
-                assert_eq!(
-                    report.hits, software,
-                    "{scenario:?} on {backend} at {opt}: PIM diverged from software"
-                );
-                assert!(report.agreement);
-                assert_eq!(
-                    report.stats.shadow_mismatches, 0,
-                    "{scenario:?} on {backend} at {opt}: healthy array raised shadows"
-                );
-            }
+            let report = run(&MappingRunConfig { backend, ..base_config() }, &genome, &reads);
+            assert_eq!(
+                report.hits, software,
+                "{scenario:?} on {backend}: PIM diverged from software"
+            );
+            assert!(report.agreement);
+            assert_eq!(
+                report.stats.shadow_mismatches, 0,
+                "{scenario:?} on {backend}: healthy array raised shadows"
+            );
         }
     }
 }

@@ -3,7 +3,7 @@
 
 use pim_assembler_suite::assembler::dispatch::ParallelDispatcher;
 use pim_assembler_suite::assembler::hashmap_stage::PimHashTable;
-use pim_assembler_suite::assembler::ir::{BackendKind, OptLevel};
+use pim_assembler_suite::assembler::ir::BackendKind;
 use pim_assembler_suite::assembler::mapping::KmerMapper;
 use pim_assembler_suite::assembler::pim_add::{PimAdder, ScratchSpace};
 use pim_assembler_suite::assembler::traverse_stage::TraverseStage;
@@ -71,7 +71,6 @@ fn pim_column_sum_equals_integer_addition() {
                 PimAdder::column_sum(
                     ctx,
                     BackendKind::PimAssembler,
-                    OptLevel::O0,
                     &rows,
                     RowAddr(50),
                     &mut scratch,
@@ -100,7 +99,6 @@ fn pim_degree_accumulation_equals_graph_degrees() {
             &graph,
             work,
             BackendKind::PimAssembler,
-            OptLevel::O0,
         )
         .unwrap();
         assert!(dense, "seed {seed}: graph should fit the dense mapping");

@@ -2,6 +2,7 @@
 //! every scenario, invariants on the full dispatched pipeline, and a fault
 //! smoke at the reference rate.
 
+use pim_assembler_suite::assembler::ir::BackendKind;
 use pim_assembler_suite::verify::{
     check_pipeline, generate, oracle, run_campaign, standard_suite, Scenario, SuiteOptions,
 };
@@ -11,7 +12,7 @@ fn all_stage_oracles_pass_on_every_scenario() {
     for (i, scenario) in Scenario::ALL.iter().enumerate() {
         let case = generate(*scenario, 500, 400 + i as u64);
         let reports = [
-            oracle::hashmap_oracle(&case, 11).unwrap(),
+            oracle::hashmap_oracle(&case, 11, BackendKind::PimAssembler).unwrap().0,
             oracle::graph_oracle(&case, 11, 1).unwrap(),
             oracle::traverse_oracle(&case, 11, 1).unwrap(),
         ];
